@@ -11,7 +11,6 @@ outer solvers (:mod:`robustdp.solvers`), an exhaustive maximin oracle
 from .model import (
     BudgetExceededError,
     GameValidationError,
-    RowDistributionSet,
     TeamDecisionRule,
     TeamMarkovGame,
     build_game,
@@ -41,31 +40,24 @@ from .solvers import (
     solve_rvi,
 )
 from .sweeps import (
-    BackupResult,
     SweepResult,
     backup_lattice,
     best_case_multistep,
     evaluation_sweep,
-    gs_backup,
     gs_bellman_residual,
-    gs_optimality_update,
-    gs_policy_update,
     gs_splitting,
     greedy_multistep,
     improvement_sweep,
-    jacobi_backup,
     jacobi_improvement_sweep,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BackupResult",
     "BudgetExceededError",
     "GameValidationError",
     "OracleResult",
     "PerturbationOracle",
-    "RowDistributionSet",
     "RssdParams",
     "SolverParams",
     "SolverResult",
@@ -88,13 +80,9 @@ __all__ = [
     "evaluation_sweep",
     "game_to_dict",
     "greedy_multistep",
-    "gs_backup",
     "gs_bellman_residual",
-    "gs_optimality_update",
-    "gs_policy_update",
     "gs_splitting",
     "improvement_sweep",
-    "jacobi_backup",
     "jacobi_improvement_sweep",
     "load_game",
     "max_delta",

@@ -139,7 +139,7 @@ def _result_payload(game: TeamMarkovGame, result: SolverResult, config: dict) ->
     worst = []
     for k, j in enumerate(result.worst_model):
         a = result.policy.joint_actions[k]
-        row = game.uncertainty[k][a].candidates[j]
+        row = game.candidates[k, a, j]
         worst.append(
             {
                 "state": game.states[k],
@@ -189,7 +189,6 @@ def cmd_solve(args) -> int:
         mt_schedule=mt,
         v0_mode=v0,
         max_iterations=args.max_iterations,
-        approx_seed=args.approx_seed,
     )
     approx = _build_approx(args, args.lam, delta)
     result = _run_solver(game, args.algo, params, approx)
@@ -420,11 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--game", required=True, help="game JSON file")
     p.add_argument("--algo", choices=sorted(SOLVERS), default="ratpi")
     add_solver_flags(p)
-    p.add_argument("--seed", type=int, default=0,
-                   help="base seed; feeds --approx-seed when that is omitted")
     p.add_argument("--approx-mode", default="identity",
                    choices=("identity", "uniform_noise", "adversarial_extremes"))
-    p.add_argument("--approx-seed", type=int, default=None)
+    p.add_argument("--approx-seed", type=int, default=0)
     p.add_argument("--approx-lock", action="store_true",
                    help="perturb only after action selection")
     p.add_argument("--max-iterations", type=int, default=1_000_000)

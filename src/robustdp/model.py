@@ -59,63 +59,6 @@ def sup_norm(v) -> float:
 
 
 @dataclass(frozen=True)
-class RowDistributionSet:
-    """Nonempty finite set of candidate probability rows over the states.
-
-    ``candidates`` has shape (n_candidates, m); every row is nonnegative and
-    sums to 1 within ``STOCHASTIC_ATOL``.  Construct from raw data with
-    :meth:`from_rows`, which clamps tiny negative noise and renormalises.
-    """
-
-    candidates: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.candidates, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
-            raise ValueError("candidates must be a nonempty 2-D array of rows")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("candidate rows must be finite")
-        if np.any(arr < 0.0):
-            j = int(np.nonzero((arr < 0.0).any(axis=1))[0][0])
-            raise ValueError(f"row {j} has a negative entry")
-        sums = arr.sum(axis=1)
-        bad = np.nonzero(np.abs(sums - 1.0) > STOCHASTIC_ATOL)[0]
-        if bad.size:
-            j = int(bad[0])
-            raise ValueError(f"row {j} sum {sums[j]!r} != 1")
-        arr.setflags(write=False)
-        object.__setattr__(self, "candidates", arr)
-
-    @classmethod
-    def from_rows(cls, rows) -> "RowDistributionSet":
-        """Build a row set from raw data, cleaning rounding noise.
-
-        Entries in [-1e-15, 0) are clamped to 0; rows are renormalised only
-        when their sum is already within the stochasticity tolerance, and
-        rejected otherwise (silent renormalisation would mask data errors).
-        """
-        arr = np.array(rows, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] == 0:
-            raise ValueError("expected a nonempty list of rows")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("rows must be finite")
-        if np.any(arr < NEGATIVE_CLAMP):
-            j = int(np.nonzero((arr < NEGATIVE_CLAMP).any(axis=1))[0][0])
-            raise ValueError(f"row {j} entry {arr[j].min()!r} is negative")
-        arr[(arr < 0.0)] = 0.0
-        sums = arr.sum(axis=1)
-        bad = np.nonzero(np.abs(sums - 1.0) > STOCHASTIC_ATOL)[0]
-        if bad.size:
-            j = int(bad[0])
-            raise ValueError(f"row {j} sum {sums[j]!r} != 1")
-        arr /= sums[:, None]
-        return cls(arr)
-
-    def __len__(self) -> int:
-        return self.candidates.shape[0]
-
-
-@dataclass(frozen=True)
 class TeamDecisionRule:
     """Deterministic map from state index to joint-action index."""
 
@@ -129,41 +72,50 @@ class TeamDecisionRule:
 
 @dataclass(frozen=True, eq=False)
 class TeamMarkovGame:
-    """Validated, immutable robust team Markov game.
+    """Validated, immutable robust team Markov game in one packed layout.
 
-    ``payoff`` holds the team-average payoff r(s, a, s') as an
-    (m, n_joint_actions, m) array.  ``uncertainty[k][a]`` is the
-    :class:`RowDistributionSet` of candidate transition rows out of state k
-    under joint action a.  ``payoff_exp[k][a]`` caches the expected immediate
-    payoff of every candidate row, ``candidates @ payoff[k, a]``.
+    With m states, A joint actions and Kmax the largest candidate count of
+    any (state, joint action) pair:
+
+    * ``payoff``, shape (m, A, m): the team-average payoff r(s, a, s').
+    * ``candidates``, shape (m, A, Kmax, m): ``candidates[k, a, j]`` is the
+      j-th candidate transition row out of state k under joint action a.
+      Only the first ``n_rows[k, a]`` rows are real; padded rows are zero.
+    * ``n_rows``, integer shape (m, A): the candidate count of each pair.
+    * ``payoff_exp``, shape (m, A, Kmax): the expected immediate payoff
+      ``candidates[k, a, j] @ payoff[k, a]`` of every real row, and ``+inf``
+      in every padded slot, so a padded slot never wins the adversary's min.
+
+    All arrays are read-only.  :func:`build_game` checks the rows before
+    they reach this class.
     """
 
     n_players: int
     states: tuple[str, ...]
     player_actions: tuple[tuple[str, ...], ...]
     payoff: np.ndarray = field(repr=False)
-    uncertainty: tuple[tuple[RowDistributionSet, ...], ...] = field(repr=False)
+    candidates: np.ndarray = field(repr=False)
+    n_rows: np.ndarray = field(repr=False)
     r_max: float
-    payoff_exp: tuple = field(init=False, repr=False)
+    payoff_exp: np.ndarray = field(init=False, repr=False)
     joint_action_tuples: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         payoff = np.array(self.payoff, dtype=float)
-        payoff.setflags(write=False)
-        object.__setattr__(self, "payoff", payoff)
+        cand = np.array(self.candidates, dtype=float)
+        n_rows = np.array(self.n_rows, dtype=np.intp)
+        pexp = (cand @ payoff[..., None])[..., 0]
+        pexp[np.arange(cand.shape[2]) >= n_rows[..., None]] = np.inf
+        for name, arr in (
+            ("payoff", payoff), ("candidates", cand), ("n_rows", n_rows),
+            ("payoff_exp", pexp),
+        ):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(
             self, "player_actions", tuple(tuple(a) for a in self.player_actions)
         )
-        pe = []
-        for k, per_state in enumerate(self.uncertainty):
-            row = []
-            for a, rs in enumerate(per_state):
-                vals = rs.candidates @ payoff[k, a]
-                vals.setflags(write=False)
-                row.append(vals)
-            pe.append(tuple(row))
-        object.__setattr__(self, "payoff_exp", tuple(pe))
         object.__setattr__(
             self,
             "joint_action_tuples",
@@ -216,9 +168,10 @@ def build_game(
     """Construct and validate a game from in-memory parts.
 
     ``uncertainty_rows[k][a]`` is an array-like of raw candidate rows; each
-    set is cleaned through :meth:`RowDistributionSet.from_rows`.  When
-    ``r_max`` is omitted it is computed as max |payoff|.  Raises
-    :class:`GameValidationError` listing every problem found.
+    set is checked and cleaned by :func:`_clean_rows` and packed into
+    ``TeamMarkovGame.candidates``.  When ``r_max`` is omitted it is computed
+    as max |payoff|.  Raises :class:`GameValidationError` listing every
+    problem found.
     """
     errors: list[str] = []
     if not isinstance(n_players, int) or n_players < 1:
@@ -253,35 +206,17 @@ def build_game(
     if not np.all(np.isfinite(payoff)):
         errors.append("payoff contains non-finite entries")
 
-    row_sets: list[list[RowDistributionSet | None]] = []
+    cleaned: dict[tuple[int, int], np.ndarray] = {}
     if len(uncertainty_rows) != m or any(len(per) != n_joint for per in uncertainty_rows):
         errors.append("uncertainty must provide one row set per (state, joint action)")
-        row_sets = []
     else:
         for k in range(m):
-            per_state: list[RowDistributionSet | None] = []
             for a in range(n_joint):
-                ctx = f"uncertainty[state={states[k]!r}, action={joint_tuples[a]}]"
-                raw = uncertainty_rows[k][a]
-                if raw is None:
-                    errors.append(f"{ctx}: missing entry")
-                    per_state.append(None)
-                    continue
                 try:
-                    rs = RowDistributionSet.from_rows(raw)
+                    cleaned[k, a] = _clean_rows(uncertainty_rows[k][a], m)
                 except ValueError as e:
+                    ctx = f"uncertainty[state={states[k]!r}, action={joint_tuples[a]}]"
                     errors.append(f"{ctx}: {e}")
-                    per_state.append(None)
-                    continue
-                if rs.candidates.shape[1] != m:
-                    errors.append(
-                        f"{ctx}: rows have length {rs.candidates.shape[1]}, "
-                        f"expected {m}"
-                    )
-                    per_state.append(None)
-                else:
-                    per_state.append(rs)
-            row_sets.append(per_state)
 
     computed_r_max = float(np.max(np.abs(payoff))) if payoff.size else 0.0
     if r_max is None:
@@ -290,14 +225,53 @@ def build_game(
         errors.append(f"r_max {r_max} < max |payoff| {computed_r_max}")
     if errors:
         raise GameValidationError(errors)
+    n_rows = np.zeros((m, n_joint), dtype=np.intp)
+    candidates = np.zeros((m, n_joint, max(map(len, cleaned.values())), m))
+    for (k, a), rows in cleaned.items():
+        n_rows[k, a] = len(rows)
+        candidates[k, a, : len(rows)] = rows
     return TeamMarkovGame(
         n_players=n_players,
         states=tuple(states),
         player_actions=tuple(tuple(a) for a in player_actions),
         payoff=payoff,
-        uncertainty=tuple(tuple(per) for per in row_sets),  # type: ignore[arg-type]
+        candidates=candidates,
+        n_rows=n_rows,
         r_max=float(r_max),
     )
+
+
+def _clean_rows(raw, m: int) -> np.ndarray:
+    """One (state, joint action) pair's candidate rows as an (n, m) array.
+
+    Rows must form a nonempty 2-D array of finite entries, each row of
+    length m.  Entries in [NEGATIVE_CLAMP, 0) are clamped to 0; rows are
+    renormalised only when their sum is already within ``STOCHASTIC_ATOL``,
+    and rejected otherwise (silent renormalisation would mask data errors).
+    """
+    if raw is None:
+        raise ValueError("missing entry")
+    try:
+        arr = np.array(raw, dtype=float)
+    except TypeError as e:
+        raise ValueError(str(e)) from e
+    if arr.ndim != 2 or arr.shape[0] == 0:
+        raise ValueError("expected a nonempty list of rows")
+    if arr.shape[1] != m:
+        raise ValueError(f"rows have length {arr.shape[1]}, expected {m}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("rows must be finite")
+    if np.any(arr < NEGATIVE_CLAMP):
+        j = int(np.nonzero((arr < NEGATIVE_CLAMP).any(axis=1))[0][0])
+        raise ValueError(f"row {j} entry {float(arr[j].min())!r} is negative")
+    arr[arr < 0.0] = 0.0
+    sums = arr.sum(axis=1)
+    bad = np.nonzero(np.abs(sums - 1.0) > STOCHASTIC_ATOL)[0]
+    if bad.size:
+        j = int(bad[0])
+        raise ValueError(f"row {j} sum {float(sums[j])!r} != 1")
+    arr /= sums[:, None]
+    return arr
 
 
 def validate_game(raw: Mapping) -> TeamMarkovGame:
@@ -475,7 +449,7 @@ def game_to_dict(game: TeamMarkovGame) -> dict:
                     "s": game.states[k],
                     "a": list(game.joint_action_tuples[a]),
                     "rows": [[float(x) for x in row] for row in
-                             game.uncertainty[k][a].candidates],
+                             game.candidates[k, a, : game.n_rows[k, a]]],
                 }
             )
     return {
@@ -525,7 +499,7 @@ def enumerate_decision_rules(
 
 def count_policy_models(game: TeamMarkovGame, rule: TeamDecisionRule) -> int:
     return math.prod(
-        len(game.uncertainty[k][rule.joint_actions[k]]) for k in range(game.m)
+        int(game.n_rows[k, a]) for k, a in enumerate(rule.joint_actions)
     )
 
 
@@ -545,12 +519,13 @@ def enumerate_policy_models(
     total = count_policy_models(game, rule)
     if total > budget:
         raise BudgetExceededError(total, budget)
-    cand = [game.uncertainty[k][rule.joint_actions[k]].candidates for k in range(game.m)]
+    states, acts = np.arange(game.m), list(rule.joint_actions)
+    cand, counts = game.candidates[states, acts], game.n_rows[states, acts]
 
     def gen():
         seen: set[bytes] = set()
-        for combo in itertools.product(*[range(c.shape[0]) for c in cand]):
-            P = np.stack([cand[k][j] for k, j in enumerate(combo)])
+        for combo in itertools.product(*map(range, counts)):
+            P = cand[states, combo]
             if dedupe:
                 key = P.tobytes()
                 if key in seen:

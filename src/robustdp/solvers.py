@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import logging
 import math
-import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -29,6 +28,7 @@ import numpy as np
 from .model import TeamDecisionRule, TeamMarkovGame, sup_norm
 from .perturb import PerturbationOracle
 from .sweeps import (
+    _row_min,
     evaluation_sweep,
     fixed_model_arrays,
     improvement_sweep,
@@ -72,7 +72,6 @@ class SolverParams:
     mt_schedule: MtSchedule = 5
     v0_mode: str | Sequence[float] | np.ndarray = "remark1"
     max_iterations: int = 1_000_000
-    approx_seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.lam < 1.0:
@@ -128,21 +127,19 @@ def initial_value(game: TeamMarkovGame, params: SolverParams) -> np.ndarray:
 
 @dataclass
 class SolverTrace:
-    """Per-step record: residual, incoming value, greedy rule, sweep count,
-    wall time.  For a terminated run the length is iterations + 1."""
+    """Per-step record: residual, incoming value, greedy rule, sweep count.
+    For a terminated run the length is iterations + 1."""
 
     residuals: list[float] = field(default_factory=list)
     values: list[np.ndarray] = field(default_factory=list)
     rules: list[TeamDecisionRule] = field(default_factory=list)
     eval_sweeps: list[int] = field(default_factory=list)
-    wall_times: list[float] = field(default_factory=list)
 
-    def append(self, residual, value, rule, sweeps, wall) -> None:
+    def append(self, residual, value, rule, sweeps) -> None:
         self.residuals.append(float(residual))
         self.values.append(np.asarray(value, dtype=float))
         self.rules.append(rule)
         self.eval_sweeps.append(int(sweeps))
-        self.wall_times.append(float(wall))
 
     def __len__(self) -> int:
         return len(self.residuals)
@@ -174,20 +171,28 @@ def _run(
     algo: str,
 ) -> SolverResult:
     lam = params.lam
+    if not math.isfinite(game.r_max / (1.0 - lam)):
+        raise ValueError(
+            f"r_max / (1 - lambda) is not finite (r_max={game.r_max!r}, "
+            f"lambda={lam!r}); rescale the payoffs"
+        )
     delta = params.delta if gauss_seidel else 0.0
     threshold = termination_threshold(lam, params.epsilon, delta)
     v = initial_value(game, params)
     trace = SolverTrace()
     last_rule: TeamDecisionRule | None = None
     for t in range(params.max_iterations):
-        tick = time.perf_counter()
         if gauss_seidel:
             sweep = improvement_sweep(game, v, lam, approx, t)
         else:
             sweep = jacobi_improvement_sweep(game, v, lam)
         residual = sup_norm(sweep.u0 - v)
+        if not math.isfinite(residual):
+            raise ValueError(
+                f"{algo}: residual {residual!r} at step {t} is not finite"
+            )
         mt = _mt_at(params.mt_schedule, t)
-        trace.append(residual, v.copy(), sweep.rule, mt, time.perf_counter() - tick)
+        trace.append(residual, v.copy(), sweep.rule, mt)
         last_rule = sweep.rule
         if residual < threshold:
             value, worst = evaluate_policy_robust(game, sweep.rule, lam)
@@ -272,9 +277,10 @@ def evaluate_policy_robust(
     """
     game.validate_rule(rule)
     m = game.m
-    acts = rule.joint_actions
-    cand = [game.uncertainty[k][acts[k]].candidates for k in range(m)]
-    pe = [game.payoff_exp[k][acts[k]] for k in range(m)]
+    states = np.arange(m)
+    acts = list(rule.joint_actions)
+    cand = game.candidates[states, acts]
+    pe = game.payoff_exp[states, acts]
     threshold = math.inf if lam == 0.0 else tol * (1.0 - lam) / (2.0 * lam)
     eye = np.eye(m)
     v = np.zeros(m)
@@ -282,19 +288,11 @@ def evaluate_policy_robust(
     q = v
     rows: tuple[int, ...] = (0,) * m
     for _ in range(10_000):
-        q = np.empty(m)
-        picked = [0] * m
-        for k in range(m):
-            scores = pe[k] + lam * (cand[k] @ v)
-            j = int(np.argmin(scores))
-            picked[k] = j
-            q[k] = scores[j]
-        rows = tuple(picked)
+        q, picked = _row_min(pe, cand, v, lam)
+        rows = tuple(int(j) for j in picked)
         if sup_norm(q - v) < threshold or rows == prev_rows:
             return q, rows
-        P = np.stack([cand[k][rows[k]] for k in range(m)])
-        r = np.array([pe[k][rows[k]] for k in range(m)])
-        v = np.linalg.solve(eye - lam * P, r)
+        v = np.linalg.solve(eye - lam * cand[states, picked], pe[states, picked])
         prev_rows = rows
     log.warning("robust evaluation did not settle; returning last iterate")
     return q, rows

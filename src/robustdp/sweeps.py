@@ -1,24 +1,31 @@
-"""Backup operators and Gauss-Seidel sweeps.
+"""The robust Gauss-Seidel backup and the sweeps built on it.
 
-The primitive is a worst-case one-state backup: every candidate transition
-row scores the expected immediate team payoff plus the discounted
-continuation, and the adversary takes the minimum.  A Gauss-Seidel sweep
-walks the states in order and feeds freshly updated values into the backups
-of later states; states at or beyond the current one still see the incoming
-value function.  Writing P = P_lower + P_upper with P_lower strictly lower
-triangular and P_upper upper triangular including the diagonal, one sweep
-under a fixed rule and fixed rows solves
+Every operator here is one kernel, :func:`_row_min`: each candidate row of a
+(state, joint action) pair scores its expected immediate team payoff plus
+the discounted continuation, ``payoff_exp + lam * (candidates @ w)``, and
+the adversary takes the minimum over rows.  Callers hold the action or the
+row fixed, choose the continuation ``w``, and take the maximum over joint
+actions.  Padded candidate slots score ``+inf`` and never win the minimum.
+
+A Gauss-Seidel improvement sweep walks the states in order and feeds freshly
+updated values into the backups of later states; states at or beyond the
+current one still see the incoming value function.  Writing
+P = P_lower + P_upper with P_lower strictly lower triangular and P_upper
+upper triangular including the diagonal, one sweep under a fixed rule and
+fixed rows solves
 
     (I - lam * P_lower) x = r + lam * P_upper v
 
 by forward substitution, i.e. it applies the iteration matrix
 Q^{-1} R of the regular splitting Q = I - lam*P_lower, R = lam*P_upper.
 Jacobi variants (Q = I, R = lam*P) keep the incoming value fixed for the
-whole sweep and back the baseline solvers.
+whole sweep, so one kernel call backs up every state at once.
 
 All functions are pure in (game, vector, parameters).  Ties in action or row
-selection break to the lowest index so traces replay exactly; action
-comparison is exact floating comparison with no epsilon fuzz.
+selection break to the lowest index (``argmax``/``argmin``), so traces replay
+exactly; action comparison is exact floating comparison with no epsilon
+fuzz.  Row scores use ``@`` (BLAS), never ``einsum`` or a multiply-then-sum:
+those round differently, and results and traces must replay bit for bit.
 """
 
 from __future__ import annotations
@@ -39,15 +46,6 @@ from .perturb import PerturbationOracle
 
 
 @dataclass(frozen=True)
-class BackupResult:
-    """One worst-case backup: value, minimising row, optional chosen action."""
-
-    value: float
-    argmin_row_index: int
-    argmax_action: int | None = None
-
-
-@dataclass(frozen=True)
 class SweepResult:
     """One improvement sweep: updated values, greedy rule, worst-case rows.
 
@@ -60,97 +58,17 @@ class SweepResult:
     worst_model: tuple[int, ...]
 
 
-def gs_backup(
-    game: TeamMarkovGame,
-    v: np.ndarray,
-    u_partial: np.ndarray,
-    k: int,
-    a: int,
-    lam: float,
-) -> BackupResult:
-    """Gauss-Seidel worst-case backup of state k under joint action a.
+def _row_min(
+    payoff_exp: np.ndarray, candidates: np.ndarray, w: np.ndarray, lam: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Worst-case backups: min over the row axis (the last one of
+    ``payoff_exp``) of ``payoff_exp + lam * (candidates @ w)``.
 
-    The continuation uses ``u_partial`` for states before k (already updated
-    this sweep) and ``v`` from k onward.  Returns the minimum over candidate
-    rows of row @ (payoff[k, a] + lam * continuation) and the first
-    minimising row index.
+    Returns the minimum and the first minimising row index, both shaped like
+    ``payoff_exp`` without its last axis.
     """
-    v = np.asarray(v, dtype=float)
-    u_partial = np.asarray(u_partial, dtype=float)
-    w = np.concatenate([u_partial[:k], v[k:]])
-    q = game.payoff_exp[k][a] + lam * (game.uncertainty[k][a].candidates @ w)
-    j = int(np.argmin(q))
-    return BackupResult(value=float(q[j]), argmin_row_index=j)
-
-
-def jacobi_backup(
-    game: TeamMarkovGame, v: np.ndarray, k: int, a: int, lam: float
-) -> BackupResult:
-    """Worst-case backup with the continuation fixed at ``v`` everywhere."""
-    q = game.payoff_exp[k][a] + lam * (
-        game.uncertainty[k][a].candidates @ np.asarray(v, dtype=float)
-    )
-    j = int(np.argmin(q))
-    return BackupResult(value=float(q[j]), argmin_row_index=j)
-
-
-def _improvement(
-    game: TeamMarkovGame,
-    v: np.ndarray,
-    lam: float,
-    approx: PerturbationOracle | None,
-    step: int,
-    gauss_seidel: bool,
-) -> SweepResult:
-    v = np.asarray(v, dtype=float)
-    m = game.m
-    n_actions = game.n_joint_actions
-    exact_only = approx is None or approx.is_identity
-    w = v.copy() if gauss_seidel else v
-    u0 = np.empty(m)
-    rule = [0] * m
-    worst = [0] * m
-    for k in range(m):
-        pe_k = game.payoff_exp[k]
-        unc_k = game.uncertainty[k]
-        if exact_only:
-            best_val = -np.inf
-            best_a = 0
-            best_row = 0
-            for a in range(n_actions):
-                q = pe_k[a] + lam * (unc_k[a].candidates @ w)
-                j = int(np.argmin(q))
-                val = float(q[j])
-                if val > best_val:
-                    best_val, best_a, best_row = val, a, j
-            chosen = best_val
-        else:
-            exact_vals = np.empty(n_actions)
-            argmins = [0] * n_actions
-            for a in range(n_actions):
-                q = pe_k[a] + lam * (unc_k[a].candidates @ w)
-                j = int(np.argmin(q))
-                argmins[a] = j
-                exact_vals[a] = q[j]
-            if approx.argmax_lock:
-                best_a = int(np.argmax(exact_vals))
-                chosen = approx.perturb(float(exact_vals[best_a]), (step, 0, k, best_a))
-            else:
-                perturbed = np.array(
-                    [
-                        approx.perturb(float(exact_vals[a]), (step, 0, k, a))
-                        for a in range(n_actions)
-                    ]
-                )
-                best_a = int(np.argmax(perturbed))
-                chosen = float(perturbed[best_a])
-            best_row = argmins[best_a]
-        u0[k] = chosen
-        if gauss_seidel:
-            w[k] = chosen
-        rule[k] = best_a
-        worst[k] = best_row
-    return SweepResult(u0=u0, rule=TeamDecisionRule(tuple(rule)), worst_model=tuple(worst))
+    q = payoff_exp + lam * (candidates @ w)
+    return q.min(axis=-1), q.argmin(axis=-1)
 
 
 def improvement_sweep(
@@ -162,18 +80,46 @@ def improvement_sweep(
 ) -> SweepResult:
     """One Gauss-Seidel improvement sweep.
 
-    For each state in order: back up every joint action (possibly through the
-    perturbation oracle), keep the maximum as the updated value, record the
-    first maximising action and the exact minimising row at that action.
+    For each state in order: back up every joint action, keep the maximum
+    as the updated value, record the first maximising action and the exact
+    minimising row at that action.  A non-identity ``approx`` perturbs the
+    backup of every action before the maximum is taken, or with
+    ``argmax_lock`` only the value of the action the exact backups chose.
     """
-    return _improvement(game, v, lam, approx, step, gauss_seidel=True)
+    noisy = approx is not None and not approx.is_identity
+    w = np.array(v, dtype=float)
+    rule = [0] * game.m
+    worst = [0] * game.m
+    for k in range(game.m):
+        vals, rows = _row_min(game.payoff_exp[k], game.candidates[k], w, lam)
+        if noisy and not approx.argmax_lock:
+            vals = np.array(
+                [approx.perturb(float(x), (step, 0, k, a)) for a, x in enumerate(vals)]
+            )
+        a = int(vals.argmax())
+        chosen = float(vals[a])
+        if noisy and approx.argmax_lock:
+            chosen = approx.perturb(chosen, (step, 0, k, a))
+        w[k] = chosen
+        rule[k] = a
+        worst[k] = int(rows[a])
+    return SweepResult(u0=w, rule=TeamDecisionRule(rule), worst_model=tuple(worst))
 
 
 def jacobi_improvement_sweep(
     game: TeamMarkovGame, v: np.ndarray, lam: float
 ) -> SweepResult:
     """Exact improvement sweep with no within-sweep updates (baselines)."""
-    return _improvement(game, v, lam, None, 0, gauss_seidel=False)
+    vals, rows = _row_min(
+        game.payoff_exp, game.candidates, np.asarray(v, dtype=float), lam
+    )
+    acts = vals.argmax(axis=1)
+    states = np.arange(game.m)
+    return SweepResult(
+        u0=vals[states, acts],
+        rule=TeamDecisionRule(acts),
+        worst_model=tuple(int(j) for j in rows[states, acts]),
+    )
 
 
 def evaluation_sweep(
@@ -192,43 +138,16 @@ def evaluation_sweep(
     with an identity oracle this is exactly the forward substitution solve of
     (I - lam*P_lower) x = r + lam*P_upper u.
     """
-    w = np.asarray(u, dtype=float).copy()
+    w = np.array(u, dtype=float)
     use_noise = approx is not None and not approx.is_identity
-    for k in range(game.m):
-        a = rule.joint_actions[k]
-        j = model_rows[k]
+    for k, (a, j) in enumerate(zip(rule.joint_actions, model_rows)):
         val = float(
-            game.payoff_exp[k][a][j]
-            + lam * (game.uncertainty[k][a].candidates[j] @ w)
+            game.payoff_exp[k, a, j] + lam * (game.candidates[k, a, j] @ w)
         )
         if use_noise:
             val = approx.perturb(val, (step, sweep_index, k, a))
         w[k] = val
     return w
-
-
-def gs_policy_update(
-    game: TeamMarkovGame,
-    v: np.ndarray,
-    rule: TeamDecisionRule,
-    model_rows: tuple[int, ...],
-    lam: float,
-) -> np.ndarray:
-    """Exact single application of the splitting iteration for (rule, rows)."""
-    return evaluation_sweep(game, v, rule, model_rows, lam)
-
-
-def gs_optimality_update(
-    game: TeamMarkovGame, v: np.ndarray, lam: float
-) -> tuple[np.ndarray, TeamDecisionRule]:
-    """Exact Gauss-Seidel maximin update; returns (new value, greedy rule).
-
-    Realised sweep-wise, never by explicit enumeration of decision rules:
-    the state-by-state max over actions of the row-wise min is the same
-    maximin by row rectangularity.
-    """
-    sweep = improvement_sweep(game, v, lam)
-    return sweep.u0, sweep.rule
 
 
 def gs_bellman_residual(game: TeamMarkovGame, v: np.ndarray, lam: float) -> np.ndarray:
@@ -237,8 +156,7 @@ def gs_bellman_residual(game: TeamMarkovGame, v: np.ndarray, lam: float) -> np.n
     Nonnegative residual marks the initialisation region from which the
     multistep solvers converge monotonically.
     """
-    u0, _ = gs_optimality_update(game, v, lam)
-    return u0 - np.asarray(v, dtype=float)
+    return improvement_sweep(game, v, lam).u0 - np.asarray(v, dtype=float)
 
 
 def greedy_multistep(
@@ -273,14 +191,14 @@ def _rule_model_stacks(game: TeamMarkovGame) -> tuple[np.ndarray, np.ndarray, in
     mats = []
     pays = []
     for combo in itertools.product(range(game.n_joint_actions), repeat=m):
-        counts = [len(game.uncertainty[k][combo[k]]) for k in range(m)]
+        counts = [game.n_rows[k, combo[k]] for k in range(m)]
         grid = np.indices(counts).reshape(m, -1)
         n_mod = grid.shape[1]
         P = np.empty((n_mod, m, m))
         pe = np.empty((n_mod, m))
         for k in range(m):
-            P[:, k, :] = game.uncertainty[k][combo[k]].candidates[grid[k]]
-            pe[:, k] = game.payoff_exp[k][combo[k]][grid[k]]
+            P[:, k, :] = game.candidates[k, combo[k], grid[k]]
+            pe[:, k] = game.payoff_exp[k, combo[k], grid[k]]
         mats.append(P)
         pays.append(pe)
     P_all = np.concatenate(mats)
@@ -329,17 +247,8 @@ def fixed_model_arrays(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dense transition matrix and expected one-step payoff vector for a
     fixed rule and per-state candidate-row choice."""
-    m = game.m
-    P = np.stack(
-        [
-            game.uncertainty[k][rule.joint_actions[k]].candidates[model_rows[k]]
-            for k in range(m)
-        ]
-    )
-    r = np.array(
-        [game.payoff_exp[k][rule.joint_actions[k]][model_rows[k]] for k in range(m)]
-    )
-    return P, r
+    index = (np.arange(game.m), list(rule.joint_actions), list(model_rows))
+    return game.candidates[index], game.payoff_exp[index]
 
 
 def gs_splitting(P: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
@@ -355,12 +264,9 @@ def backup_lattice(game: TeamMarkovGame, v: np.ndarray, lam: float) -> np.ndarra
     """Exact Gauss-Seidel backup value of every (state, joint action) at v,
     as an (m, n_joint_actions) array; partial values build up via the
     per-state maxima exactly as in an improvement sweep."""
-    v = np.asarray(v, dtype=float)
-    w = v.copy()
+    w = np.array(v, dtype=float)
     out = np.empty((game.m, game.n_joint_actions))
     for k in range(game.m):
-        for a in range(game.n_joint_actions):
-            q = game.payoff_exp[k][a] + lam * (game.uncertainty[k][a].candidates @ w)
-            out[k, a] = q.min()
+        out[k], _ = _row_min(game.payoff_exp[k], game.candidates[k], w, lam)
         w[k] = out[k].max()
     return out

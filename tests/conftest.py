@@ -23,6 +23,15 @@ def two_state_chain() -> r.TeamMarkovGame:
     return r.build_game(1, ["s1", "s2"], [["a0"]], pay, rows)
 
 
+def huge_payoff_game() -> r.TeamMarkovGame:
+    """Valid 2-state game whose payoff -1e307 overflows r_max / (1 - lam)
+    for lam >= 0.9."""
+    pay = np.zeros((2, 1, 2))
+    pay[0, 0, 1] = -1e307
+    rows = [[[[0.5, 0.5]]], [[[0.0, 1.0]]]]
+    return r.build_game(1, ["s1", "s2"], [["a0"]], pay, rows)
+
+
 def mdp_game(seed: int = 5, m: int = 3, n_actions: int = 2) -> r.TeamMarkovGame:
     """Singleton-uncertainty game: a plain MDP wrapped in the robust model."""
     rng = np.random.default_rng(seed)
@@ -32,6 +41,24 @@ def mdp_game(seed: int = 5, m: int = 3, n_actions: int = 2) -> r.TeamMarkovGame:
     ]
     states = [f"s{i + 1}" for i in range(m)]
     return r.build_game(1, states, [[f"a{j}" for j in range(n_actions)]], pay, rows)
+
+
+def gs_backup(game, v, u_partial, k, a, lam):
+    """Slow per-(state, joint action) reference for the backup kernel.
+
+    Worst-case Gauss-Seidel backup of state k under joint action a: the
+    continuation uses ``u_partial`` for states before k (already updated
+    this sweep) and ``v`` from k onward.  Returns the minimum over the real
+    candidate rows of payoff_exp + lam * row @ continuation, and the first
+    minimising row index.  Row products are taken over the whole padded
+    (Kmax, m) block, as the kernel takes them, because BLAS rounds a row's
+    product differently depending on how many rows it is given.
+    """
+    w = np.concatenate([np.asarray(u_partial, float)[:k], np.asarray(v, float)[k:]])
+    n = game.n_rows[k, a]
+    q = game.payoff_exp[k, a, :n] + lam * (game.candidates[k, a] @ w)[:n]
+    j = int(np.argmin(q))
+    return float(q[j]), j
 
 
 @pytest.fixture(scope="session")

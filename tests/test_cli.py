@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import robustdp as r
-from conftest import singleton_game
+from conftest import huge_payoff_game, singleton_game
 from robustdp.cli import main
 
 
@@ -35,7 +35,7 @@ def test_rssd_gen_flags_honoured(tmp_path):
     assert main(["rssd-gen", "--out", str(path), "--z", "3", "--mu", "0.1,0.2"]) == 0
     game = r.load_game(path)
     all_coop = game.joint_index([0, 0, 0])
-    assert len(game.uncertainty[0][all_coop]) == 2
+    assert game.n_rows[0, all_coop] == 2
 
 
 def test_solve_writes_result_and_trace(rssd_file, tmp_path):
@@ -65,6 +65,23 @@ def test_identical_invocations_byte_identical(rssd_file, tmp_path):
     _, out1 = run_solve(rssd_file, tmp_path, "a", *args)
     _, out2 = run_solve(rssd_file, tmp_path, "b", *args)
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_uniform_noise_without_approx_seed(rssd_file, tmp_path):
+    args = ["--lambda", "0.95", "--epsilon", "1e-4", "--approx-mode", "uniform_noise"]
+    code1, out1 = run_solve(rssd_file, tmp_path, "noise1", *args)
+    code2, out2 = run_solve(rssd_file, tmp_path, "noise2", *args)
+    assert code1 == code2 == 0
+    assert out1.read_bytes() == out2.read_bytes()
+    assert json.loads(out1.read_text())["config"]["approx_seed"] == 0
+
+
+def test_overflowing_payoff_exits_1(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    r.save_game(huge_payoff_game(), path)
+    assert main(["solve", "--game", str(path), "--lambda", "0.99"]) == 1
+    err = capsys.readouterr().err
+    assert "not finite" in err and len(err.strip().splitlines()) == 1
 
 
 def test_mt_zero_matches_value_iteration_residuals(rssd_file, tmp_path):

@@ -1,0 +1,158 @@
+"""Differential tests: the packed backup kernel against per-(state, action)
+loops built on the slow ``gs_backup`` reference.
+
+Games are hypothesis-generated with ragged candidate counts (so padded slots
+are exercised), singleton sets, duplicate rows (exact row ties) and
+duplicated joint actions (exact action ties); lam runs from 0 to 0.999.
+Values must match bit for bit, rules and rows exactly.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import robustdp as r
+from conftest import gs_backup
+
+LAMS = st.sampled_from([0.0, 0.5, 0.9, 0.999])
+ORACLES = st.sampled_from(
+    [
+        None,
+        r.PerturbationOracle("uniform_noise", 0.05, seed=3),
+        r.PerturbationOracle("uniform_noise", 0.05, seed=3, argmax_lock=True),
+        r.PerturbationOracle("adversarial_extremes", 0.05),
+    ]
+)
+
+
+@st.composite
+def games(draw):
+    """Small game with 1-4 states, 1-2 players of 1-3 actions, 1-4 rows per
+    (state, joint action); optionally every set's last row repeats its
+    first, and the last joint action copies the first."""
+    m = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    n_joint = math.prod(sizes)
+    counts = draw(
+        st.lists(st.integers(1, 4), min_size=m * n_joint, max_size=m * n_joint)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    payoff = rng.uniform(-1, 1, (m, n_joint, m))
+    rows = [
+        [rng.dirichlet(np.ones(m), size=counts[k * n_joint + a]) for a in range(n_joint)]
+        for k in range(m)
+    ]
+    if draw(st.booleans()):
+        for per_state in rows:
+            for cand in per_state:
+                cand[-1] = cand[0]
+    if n_joint > 1 and draw(st.booleans()):
+        payoff[:, -1] = payoff[:, 0]
+        for per_state in rows:
+            per_state[-1] = per_state[0].copy()
+    actions = [[f"a{j}" for j in range(size)] for size in sizes]
+    states = [f"s{k}" for k in range(m)]
+    return r.build_game(len(sizes), states, actions, payoff, rows)
+
+
+def start_value(game, seed):
+    return np.random.default_rng(seed).uniform(-20, 20, game.m)
+
+
+def reference_sweep(game, v, lam, approx=None, step=0, gauss_seidel=True):
+    """(u0, rule, worst rows, every action's backup value) by looping over
+    states and joint actions; ties go to the first maximising action."""
+    noisy = approx is not None and not approx.is_identity
+    u = v.copy()
+    rule, worst, lattice = [], [], []
+    for k in range(game.m):
+        backups = [
+            gs_backup(game, v, u if gauss_seidel else v, k, a, lam)
+            for a in range(game.n_joint_actions)
+        ]
+        values = [value for value, _ in backups]
+        lattice.append(values)
+        if noisy and not approx.argmax_lock:
+            values = [approx.perturb(x, (step, 0, k, a)) for a, x in enumerate(values)]
+        best = 0
+        for a in range(1, len(values)):
+            if values[a] > values[best]:
+                best = a
+        chosen = values[best]
+        if noisy and approx.argmax_lock:
+            chosen = approx.perturb(chosen, (step, 0, k, best))
+        u[k] = chosen
+        rule.append(best)
+        worst.append(backups[best][1])
+    return u, tuple(rule), tuple(worst), np.array(lattice)
+
+
+def reference_robust_evaluation(game, rule, lam, tol=1e-12):
+    """Per-state loop form of evaluate_policy_robust."""
+    m = game.m
+    acts = rule.joint_actions
+    threshold = math.inf if lam == 0.0 else tol * (1.0 - lam) / (2.0 * lam)
+    v = np.zeros(m)
+    prev_rows = None
+    for _ in range(10_000):
+        backups = [gs_backup(game, v, v, k, acts[k], lam) for k in range(m)]
+        q = np.array([value for value, _ in backups])
+        rows = tuple(j for _, j in backups)
+        if r.sup_norm(q - v) < threshold or rows == prev_rows:
+            return q, rows
+        P = np.stack([game.candidates[k, acts[k], rows[k]] for k in range(m)])
+        pay = np.array([game.payoff_exp[k, acts[k], rows[k]] for k in range(m)])
+        v = np.linalg.solve(np.eye(m) - lam * P, pay)
+        prev_rows = rows
+    raise AssertionError("reference robust evaluation did not settle")
+
+
+@given(games(), LAMS, ORACLES, st.integers(0, 50))
+@settings(max_examples=150, deadline=None)
+def test_improvement_sweep_matches_loop(game, lam, approx, seed):
+    v = start_value(game, seed)
+    u, rule, worst, _ = reference_sweep(game, v, lam, approx, step=seed)
+    sweep = r.improvement_sweep(game, v, lam, approx, seed)
+    assert np.array_equal(sweep.u0, u)
+    assert sweep.rule.joint_actions == rule
+    assert sweep.worst_model == worst
+
+
+@given(games(), LAMS, st.integers(0, 50))
+@settings(max_examples=100, deadline=None)
+def test_jacobi_sweep_and_lattice_match_loop(game, lam, seed):
+    v = start_value(game, seed)
+    u, rule, worst, _ = reference_sweep(game, v, lam, gauss_seidel=False)
+    sweep = r.jacobi_improvement_sweep(game, v, lam)
+    assert np.array_equal(sweep.u0, u)
+    assert sweep.rule.joint_actions == rule
+    assert sweep.worst_model == worst
+    _, _, _, lattice = reference_sweep(game, v, lam)
+    assert np.array_equal(r.backup_lattice(game, v, lam), lattice)
+
+
+@given(games(), LAMS, st.integers(0, 2**16))
+@settings(max_examples=100, deadline=None)
+def test_robust_evaluation_matches_loop(game, lam, seed):
+    rng = np.random.default_rng(seed)
+    rule = r.TeamDecisionRule(rng.integers(0, game.n_joint_actions, game.m))
+    value, rows = r.evaluate_policy_robust(game, rule, lam)
+    ref_value, ref_rows = reference_robust_evaluation(game, rule, lam)
+    assert np.array_equal(value, ref_value)
+    assert rows == ref_rows
+
+
+@given(games(), st.integers(0, 50))
+@settings(max_examples=50, deadline=None)
+def test_padding_leaves_real_rows_within_rounding(game, seed):
+    """Padded and unpadded row products differ at most by BLAS rounding."""
+    v = start_value(game, seed)
+    for k in range(game.m):
+        for a in range(game.n_joint_actions):
+            n = game.n_rows[k, a]
+            padded = (game.candidates[k, a] @ v)[:n]
+            exact = game.candidates[k, a, :n] @ v
+            assert np.allclose(padded, exact, rtol=1e-13, atol=1e-12)
+            assert np.all(np.isinf(game.payoff_exp[k, a, n:]))

@@ -10,6 +10,13 @@ from conftest import singleton_game, two_state_chain
 from robustdp.random_games import random_game
 
 
+def rows_game(rows, m):
+    """Game with m states and one action whose every candidate set is
+    ``rows``; raises GameValidationError when ``rows`` is rejected."""
+    return r.build_game(1, [f"s{i + 1}" for i in range(m)], [["a0"]],
+                        np.zeros((m, 1, m)), [[rows]] * m)
+
+
 def minimal_raw(rows=((1.0,),)):
     return {
         "n_players": 1,
@@ -95,12 +102,12 @@ class TestValidation:
             r.validate_game(raw)
 
     def test_tiny_negative_entries_clamped(self):
-        rs = r.RowDistributionSet.from_rows([[1.0 + 1e-16, -1e-16]])
-        assert rs.candidates[0, 1] == 0.0
+        game = rows_game([[1.0 + 1e-16, -1e-16]], 2)
+        assert game.candidates[0, 0, 0, 1] == 0.0
 
     def test_larger_negative_entry_rejected(self):
-        with pytest.raises(ValueError, match="negative"):
-            r.RowDistributionSet.from_rows([[1.1, -0.1]])
+        with pytest.raises(r.GameValidationError, match="row 0 entry -0.1 is negative"):
+            rows_game([[1.1, -0.1]], 2)
 
     def test_rssd_row_sets_have_three_candidates_collapsing_at_zero_cooperators(
         self, rssd_game
@@ -108,11 +115,13 @@ class TestValidation:
         all_defect = rssd_game.joint_index([1, 1, 1])
         all_coop = rssd_game.joint_index([0, 0, 0])
         for k in range(rssd_game.m):
-            assert len(rssd_game.uncertainty[k][all_defect]) == 1
-            assert len(rssd_game.uncertainty[k][all_coop]) == 3
+            assert rssd_game.n_rows[k, all_defect] == 1
+            assert rssd_game.n_rows[k, all_coop] == 3
 
 
 class TestRowDistributionSet:
+    """Checks that build_game makes on one candidate row set."""
+
     @given(
         st.lists(
             st.floats(min_value=0.05, max_value=1.0), min_size=2, max_size=5
@@ -120,21 +129,47 @@ class TestRowDistributionSet:
     )
     def test_normalised_rows_accepted(self, weights):
         row = np.array(weights) / np.sum(weights)
-        rs = r.RowDistributionSet.from_rows([row])
-        assert abs(rs.candidates.sum() - 1.0) <= 1e-12
+        game = rows_game([row], len(row))
+        assert game.n_rows[0, 0] == 1
+        assert abs(game.candidates[0, 0, 0].sum() - 1.0) <= 1e-12
 
     @given(st.floats(min_value=1e-9, max_value=0.5))
     def test_off_tolerance_sum_rejected(self, excess):
-        with pytest.raises(ValueError, match="sum"):
-            r.RowDistributionSet.from_rows([[1.0 + excess]])
+        with pytest.raises(
+            r.GameValidationError, match=r"uncertainty\[state='s1', action=\(0,\)\]: row 0 sum"
+        ):
+            rows_game([[1.0 + excess]], 1)
 
     def test_within_tolerance_sum_renormalised(self):
-        rs = r.RowDistributionSet.from_rows([[0.5, 0.5 + 1e-13]])
-        assert rs.candidates[0].sum() == pytest.approx(1.0, abs=1e-15)
+        game = rows_game([[0.5, 0.5 + 1e-13]], 2)
+        assert game.candidates[0, 0, 0].sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            r.RowDistributionSet.from_rows([])
+        with pytest.raises(r.GameValidationError, match="expected a nonempty list of rows"):
+            rows_game([], 1)
+
+    def test_wrong_row_length_rejected(self):
+        with pytest.raises(r.GameValidationError, match="rows have length 3, expected 2"):
+            rows_game([[0.5, 0.25, 0.25]], 2)
+
+    def test_non_finite_rows_rejected(self):
+        with pytest.raises(r.GameValidationError, match="rows must be finite"):
+            rows_game([[np.nan, 1.0]], 2)
+
+    def test_non_numeric_rows_rejected(self):
+        with pytest.raises(r.GameValidationError, match="float"):
+            rows_game({"x": 1.0}, 1)
+
+    def test_ragged_sets_are_padded(self):
+        rows = [[[[1.0, 0.0], [0.5, 0.5]]], [[[0.0, 1.0]]]]
+        pay = np.arange(4.0).reshape(2, 1, 2)
+        game = r.build_game(1, ["s1", "s2"], [["a0"]], pay, rows)
+        assert game.candidates.shape == (2, 1, 2, 2)
+        assert game.n_rows.tolist() == [[2], [1]]
+        assert np.array_equal(game.candidates[1, 0, 1], [0.0, 0.0])
+        assert game.payoff_exp.tolist() == [[[0.0, 0.5]], [[3.0, np.inf]]]
+        for arr in (game.payoff, game.candidates, game.n_rows, game.payoff_exp):
+            assert not arr.flags.writeable
 
 
 class TestEnumeration:
@@ -220,9 +255,10 @@ class TestJsonRoundTrip:
         assert np.array_equal(back.payoff, game.payoff)
         for k in range(game.m):
             for a in range(game.n_joint_actions):
+                n = game.n_rows[k, a]
+                assert back.n_rows[k, a] == n
                 assert np.array_equal(
-                    back.uncertainty[k][a].candidates,
-                    game.uncertainty[k][a].candidates,
+                    back.candidates[k, a, :n], game.candidates[k, a, :n]
                 )
 
     def test_canonical_key_order(self, tmp_path, rssd_game):

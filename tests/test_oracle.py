@@ -35,7 +35,7 @@ def test_solver_terminal_value_matches_oracle(rssd_game, rssd_oracle):
 
 
 def test_optimum_is_update_fixed_point(rssd_game, rssd_oracle):
-    updated, _ = r.gs_optimality_update(rssd_game, rssd_oracle.v_star, 0.97)
+    updated = r.improvement_sweep(rssd_game, rssd_oracle.v_star, 0.97).u0
     assert r.sup_norm(updated - rssd_oracle.v_star) <= 1e-9
 
 

@@ -102,7 +102,7 @@ class TestBuild:
         for a, combo in enumerate(rssd_game.joint_action_tuples):
             h = combo.count(0)
             expected = 3 if h > 0 else 1
-            assert len(rssd_game.uncertainty[0][a]) == expected
+            assert rssd_game.n_rows[0, a] == expected
 
     def test_r_max_computed(self, rssd_game):
         # largest magnitude payoff: snowdrift, all cooperate, theta=2.2

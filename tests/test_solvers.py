@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import robustdp as r
-from conftest import mdp_game, singleton_game, two_state_chain
+from conftest import huge_payoff_game, mdp_game, singleton_game, two_state_chain
 from robustdp.random_games import random_game
 from robustdp.solvers import _mt_at, initial_value, termination_threshold
 
@@ -142,6 +142,22 @@ class TestSolverLoops:
                 assert ok, (mode, lock, report["max_violation"])
 
 
+class TestNonFiniteValues:
+    @pytest.mark.parametrize("algo", sorted(r.solvers.SOLVERS))
+    def test_overflowing_value_scale_raises(self, algo):
+        params = r.SolverParams(lam=0.99, epsilon=1e-5, max_iterations=50)
+        with pytest.raises(ValueError, match="not finite"):
+            r.solvers.SOLVERS[algo](huge_payoff_game(), params)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_residual_raises(self):
+        params = r.SolverParams(
+            lam=0.9, epsilon=1e-5, v0_mode=[1.7e308, -1.7e308], max_iterations=50
+        )
+        with pytest.raises(ValueError, match="residual"):
+            r.solve_ratpi(two_state_chain(), params)
+
+
 class TestRobustEvaluation:
     def test_singleton_rows_match_dense_solve(self):
         game = mdp_game(seed=9)
@@ -198,5 +214,5 @@ class TestExactEvaluation:
         expected = r.evaluate_policy_exact(game, rule, rows, 0.9)
         v = np.zeros(game.m)
         for _ in range(1500):
-            v = r.gs_policy_update(game, v, rule, rows, 0.9)
+            v = r.evaluation_sweep(game, v, rule, rows, 0.9)
         assert np.allclose(v, expected, atol=1e-9)

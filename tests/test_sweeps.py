@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robustdp as r
-from conftest import mdp_game, singleton_game, two_state_chain
+from conftest import gs_backup, mdp_game, singleton_game, two_state_chain
 from robustdp.random_games import random_game
 from robustdp.solvers import initial_value
 from robustdp.sweeps import fixed_model_arrays
@@ -29,31 +29,31 @@ def small_vectors(m, lo=-50.0, hi=50.0):
 class TestGsBackup:
     def test_single_state_one_term_sum(self):
         game = singleton_game(payoff=1.0)
-        res = r.gs_backup(game, np.array([2.0]), np.array([0.0]), 0, 0, 0.5)
-        assert res.value == 2.0
-        assert res.argmin_row_index == 0
+        value, row = gs_backup(game, np.array([2.0]), np.array([0.0]), 0, 0, 0.5)
+        assert value == 2.0
+        assert row == 0
 
     def test_zero_discount_is_worst_case_immediate_payoff(self):
         game = two_state_chain()
-        res = r.gs_backup(game, np.array([7.0, 9.0]), np.array([0.0, 0.0]), 0, 0, 0.0)
+        value, row = gs_backup(game, np.array([7.0, 9.0]), np.zeros(2), 0, 0, 0.0)
         # candidates (1,0) and (0,1) score their expected immediate payoff only
-        assert res.value == min(0.0, 1.0)
-        assert res.argmin_row_index == 0
+        assert value == min(0.0, 1.0)
+        assert row == 0
 
     def test_two_state_hand_enumeration(self):
         # candidate (1,0): 0 + 0.9*v(s1)=0 -> 0; candidate (0,1): 1 + 0.9*10 -> 10
         game = two_state_chain()
-        res = r.gs_backup(game, np.array([0.0, 10.0]), np.zeros(2), 0, 0, 0.9)
-        assert res.value == 0.0
-        assert res.argmin_row_index == 0
+        value, row = gs_backup(game, np.array([0.0, 10.0]), np.zeros(2), 0, 0, 0.9)
+        assert value == 0.0
+        assert row == 0
 
     @given(small_vectors(2), st.floats(min_value=0.0, max_value=30.0))
     @settings(max_examples=50)
     def test_backup_monotone_in_continuation(self, v, bump):
         game = two_state_chain()
         u = np.zeros(2)
-        low = r.gs_backup(game, v, u, 0, 0, LAM).value
-        high = r.gs_backup(game, v + bump, u, 0, 0, LAM).value
+        low, _ = gs_backup(game, v, u, 0, 0, LAM)
+        high, _ = gs_backup(game, v + bump, u, 0, 0, LAM)
         assert high >= low - 1e-12
 
 
@@ -64,11 +64,10 @@ class TestImprovementSweep:
         sweep = r.improvement_sweep(game, v, LAM)
         assert sweep.rule.joint_actions == (0, 0)
         # matches the raw backups computed with the partially updated vector
-        b0 = r.gs_backup(game, v, v, 0, 0, LAM)
-        u_partial = np.array([b0.value, 0.0])
-        b1 = r.gs_backup(game, v, u_partial, 1, 0, LAM)
-        assert sweep.u0[0] == b0.value
-        assert sweep.u0[1] == b1.value
+        b0, _ = gs_backup(game, v, v, 0, 0, LAM)
+        b1, _ = gs_backup(game, v, np.array([b0, 0.0]), 1, 0, LAM)
+        assert sweep.u0[0] == b0
+        assert sweep.u0[1] == b1
 
     def test_rssd_start_below_keeps_update_above(self, rssd_game):
         params = r.SolverParams(lam=0.97, epsilon=1e-5)
@@ -149,12 +148,12 @@ class TestGsPolicyUpdate:
         v = np.array([2.0, 4.0])
         P, rew = fixed_model_arrays(game, rule, (0, 0))
         assert np.tril(P, -1).max() == 0.0
-        out = r.gs_policy_update(game, v, rule, (0, 0), LAM)
+        out = r.evaluation_sweep(game, v, rule, (0, 0), LAM)
         assert np.allclose(out, rew + LAM * (P @ v), atol=1e-14)
 
     def test_single_state_update(self):
         game = singleton_game(payoff=1.0)
-        out = r.gs_policy_update(game, np.array([3.0]), r.TeamDecisionRule((0,)), (0,), 0.9)
+        out = r.evaluation_sweep(game, np.array([3.0]), r.TeamDecisionRule((0,)), (0,), 0.9)
         assert out[0] == 1.0 + 0.9 * 3.0
 
     def test_iterated_update_reaches_dense_solve(self):
@@ -165,7 +164,7 @@ class TestGsPolicyUpdate:
         expected = np.linalg.solve(np.eye(game.m) - LAM * P, rew)
         v = np.zeros(game.m)
         for _ in range(2000):
-            v = r.gs_policy_update(game, v, rule, rows, LAM)
+            v = r.evaluation_sweep(game, v, rule, rows, LAM)
         assert np.allclose(v, expected, atol=1e-9)
 
 
@@ -174,19 +173,19 @@ class TestOptimalityUpdate:
         for seed in (0, 1, 2):
             game = random_game(seed)
             v_star = r.brute_force_maximin(game, LAM).v_star
-            updated, _ = r.gs_optimality_update(game, v_star, LAM)
+            updated = r.improvement_sweep(game, v_star, LAM).u0
             assert r.sup_norm(updated - v_star) <= 1e-9
 
     def test_degenerate_uncertainty_is_plain_gs_value_iteration(self):
         game = mdp_game(seed=7)
         v = np.array([0.3, -0.8, 0.1])
-        updated, _ = r.gs_optimality_update(game, v, LAM)
+        updated = r.improvement_sweep(game, v, LAM).u0
         # manual sweep: single candidate row per action, max over actions
         w = v.copy()
         for k in range(game.m):
             best = -np.inf
             for a in range(game.n_joint_actions):
-                row = game.uncertainty[k][a].candidates[0]
+                row = game.candidates[k, a, 0]
                 best = max(best, float(row @ game.payoff[k, a] + LAM * (row @ w)))
             w[k] = best
         assert np.allclose(updated, w, atol=1e-13)
@@ -197,8 +196,8 @@ class TestOptimalityUpdate:
         for _ in range(100):
             u = rng.uniform(-30, 30, game.m)
             v = rng.uniform(-30, 30, game.m)
-            yu, _ = r.gs_optimality_update(game, u, LAM)
-            yv, _ = r.gs_optimality_update(game, v, LAM)
+            yu = r.improvement_sweep(game, u, LAM).u0
+            yv = r.improvement_sweep(game, v, LAM).u0
             assert r.sup_norm(yu - yv) <= LAM * r.sup_norm(u - v) + 1e-12
 
     def test_jacobi_and_gs_residuals_both_contract(self):
@@ -206,8 +205,8 @@ class TestOptimalityUpdate:
         rng = np.random.default_rng(3)
         for _ in range(20):
             v = rng.uniform(-10, 10, game.m)
-            gs1, _ = r.gs_optimality_update(game, v, LAM)
-            gs2, _ = r.gs_optimality_update(game, gs1, LAM)
+            gs1 = r.improvement_sweep(game, v, LAM).u0
+            gs2 = r.improvement_sweep(game, gs1, LAM).u0
             assert r.sup_norm(gs2 - gs1) <= LAM * r.sup_norm(gs1 - v) + 1e-12
             j1 = r.jacobi_improvement_sweep(game, v, LAM).u0
             j2 = r.jacobi_improvement_sweep(game, j1, LAM).u0
@@ -226,10 +225,10 @@ class TestBellmanResidual:
         game = random_game(6)
         rng = np.random.default_rng(1)
         v = rng.uniform(-5, 5, game.m)
-        base, _ = r.gs_optimality_update(game, v, LAM)
+        base = r.improvement_sweep(game, v, LAM).u0
         jacobi_base = r.jacobi_improvement_sweep(game, v, LAM).u0
         for c in (0.5, 2.0, 10.0):
-            shifted, _ = r.gs_optimality_update(game, v - c, LAM)
+            shifted = r.improvement_sweep(game, v - c, LAM).u0
             assert np.all(shifted >= base - LAM * c - 1e-10)
             assert np.all(shifted <= base + 1e-10)
             jacobi_shifted = r.jacobi_improvement_sweep(game, v - c, LAM).u0
@@ -251,7 +250,7 @@ class TestGreedyMultistep:
     def test_zero_extra_sweeps_equals_optimality_update(self):
         game = random_game(12)
         v = np.linspace(-1, 1, game.m)
-        expected, _ = r.gs_optimality_update(game, v, LAM)
+        expected = r.improvement_sweep(game, v, LAM).u0
         assert np.array_equal(r.greedy_multistep(game, v, 0, LAM), expected)
 
     def test_many_sweeps_reach_the_recorded_policy_value(self):
@@ -278,7 +277,7 @@ class TestBestCaseMultistep:
         out = r.best_case_multistep(game, v, 2, 0.5)
         x = v.copy()
         for _ in range(3):
-            x = r.gs_policy_update(game, x, r.TeamDecisionRule((0,)), (0,), 0.5)
+            x = r.evaluation_sweep(game, x, r.TeamDecisionRule((0,)), (0,), 0.5)
         assert np.array_equal(out, x)
 
     def test_contraction_at_multistep_rate(self):
@@ -305,7 +304,7 @@ class TestBestCaseMultistep:
                 v = u - rng.uniform(0, 5)
                 best = r.best_case_multistep(game, u, mstep, LAM)
                 greedy = r.greedy_multistep(game, v, mstep, LAM)
-                yv, _ = r.gs_optimality_update(game, v, LAM)
+                yv = r.improvement_sweep(game, v, LAM).u0
                 assert np.all(best >= greedy - 1e-10)
                 assert np.all(r.greedy_multistep(game, v, mstep, LAM) >= yv - 1e-10)
 
