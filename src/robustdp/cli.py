@@ -7,9 +7,14 @@ Subcommands:
 * ``rssd-gen``     - write a social-dilemma benchmark instance as game JSON.
 * ``bench-table1`` - run the benchmark grid (algorithms x discount factors)
                      on the default social-dilemma instance; CSV + text table.
+                     A cell that raises stops the run with exit code 1.
 * ``trace-fig1``   - export per-iteration value traces and the terminal
                      backup lattice for the two Gauss-Seidel solvers.
 * ``oracle``       - exhaustive maximin value of a game file.
+
+The ``--approx-*`` flags of ``solve`` apply only to ``ratpi`` and ``ratvi``;
+the Jacobi baselines always run exact, so ``rmpi`` and ``rvi`` reject any
+``--approx-mode`` other than ``identity``.
 
 Exit codes: 0 on normal termination, 2 when a solver hits its iteration cap,
 1 on input errors.  Set ROBUSTDP_LOG to a logging level name for diagnostics.
@@ -20,7 +25,6 @@ produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import json
 import logging
@@ -29,15 +33,14 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
 
 from .model import (
     BudgetExceededError,
     GameValidationError,
     TeamMarkovGame,
+    load_game,
     save_game,
     sup_norm,
-    validate_game,
 )
 from .oracle import brute_force_maximin
 from .perturb import PerturbationOracle
@@ -55,21 +58,6 @@ DEFAULT_BENCH_MT = (1, 3, 5, 10, 50)
 
 class CliInputError(Exception):
     pass
-
-
-def _load_game_file(path: str) -> TeamMarkovGame:
-    try:
-        text = Path(path).read_text()
-    except OSError as e:
-        raise CliInputError(f"{path}: {e.strerror or e}") from e
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise CliInputError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
-    try:
-        return validate_game(raw)
-    except GameValidationError as e:
-        raise CliInputError(f"{path}: {e}") from e
 
 
 def _parse_mt(text: str):
@@ -98,10 +86,9 @@ def _parse_v0(text: str):
     if text.startswith("file:"):
         path = text[len("file:"):]
         try:
-            data = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as e:
+            return tuple(float(x) for x in json.loads(Path(path).read_text()))
+        except (OSError, TypeError, ValueError) as e:
             raise CliInputError(f"--v0 {path}: {e}") from e
-        return tuple(float(x) for x in data)
     raise CliInputError(f"--v0 {text!r}: expected remark1, zeros, or file:PATH")
 
 
@@ -113,22 +100,16 @@ def _resolve_delta(args) -> float:
     return 0.99 * max_delta(args.lam, args.epsilon)
 
 
-def _build_approx(args, lam: float, delta: float) -> PerturbationOracle | None:
-    if args.approx_mode == "identity":
-        return None
-    return PerturbationOracle(
-        mode=args.approx_mode,
-        bound=lam * delta,
-        seed=args.approx_seed,
-        argmax_lock=args.approx_lock,
+def _solver_params(args, **extra) -> SolverParams:
+    """``SolverParams`` from the flags that ``add_solver_flags`` defines."""
+    return SolverParams(
+        lam=args.lam,
+        epsilon=args.epsilon,
+        delta=_resolve_delta(args),
+        mt_schedule=_parse_mt(args.mt),
+        v0_mode=_parse_v0(args.v0),
+        **extra,
     )
-
-
-def _run_solver(game, algo, params, approx) -> SolverResult:
-    solver = SOLVERS[algo]
-    if algo in ("ratpi", "ratvi"):
-        return solver(game, params, approx)
-    return solver(game, params)
 
 
 def _result_payload(game: TeamMarkovGame, result: SolverResult, config: dict) -> dict:
@@ -178,27 +159,31 @@ def _write_trace_csv(path, game: TeamMarkovGame, results: list[SolverResult]) ->
 
 
 def cmd_solve(args) -> int:
-    game = _load_game_file(args.game)
-    delta = _resolve_delta(args)
-    mt = _parse_mt(args.mt)
-    v0 = _parse_v0(args.v0)
-    params = SolverParams(
-        lam=args.lam,
-        epsilon=args.epsilon,
-        delta=delta,
-        mt_schedule=mt,
-        v0_mode=v0,
-        max_iterations=args.max_iterations,
-    )
-    approx = _build_approx(args, args.lam, delta)
-    result = _run_solver(game, args.algo, params, approx)
+    if args.approx_mode != "identity" and args.algo not in ("ratpi", "ratvi"):
+        raise CliInputError(
+            f"--approx-mode {args.approx_mode}: {args.algo} runs exact backups; "
+            "only ratpi and ratvi take an approximation mode"
+        )
+    game = load_game(args.game)
+    params = _solver_params(args, max_iterations=args.max_iterations)
+    if args.approx_mode == "identity":
+        result = SOLVERS[args.algo](game, params)
+    else:
+        approx = PerturbationOracle(
+            mode=args.approx_mode,
+            bound=params.lam * params.delta,
+            seed=args.approx_seed,
+            argmax_lock=args.approx_lock,
+        )
+        result = SOLVERS[args.algo](game, params, approx)
+    mt = params.mt_schedule
     config = {
         "command": "solve",
         "game": args.game,
         "algo": args.algo,
         "lambda": args.lam,
         "epsilon": args.epsilon,
-        "delta": delta,
+        "delta": params.delta,
         "mt": list(mt) if isinstance(mt, tuple) else mt,
         "v0": args.v0,
         "approx_mode": args.approx_mode,
@@ -229,26 +214,18 @@ def cmd_rssd_gen(args) -> int:
     return 0
 
 
-def _bench_cell(task):
-    game, algo, lam, epsilon, mt, v0_mode = task
+def _bench_cell(game, algo, lam, epsilon, mt, v0) -> dict:
     delta = 0.99 * max_delta(lam, epsilon)
     params = SolverParams(
-        lam=lam, epsilon=epsilon, delta=delta, mt_schedule=mt, v0_mode=v0_mode
+        lam=lam, epsilon=epsilon, delta=delta, mt_schedule=mt, v0_mode=v0
     )
     tick = time.perf_counter()
-    try:
-        result = SOLVERS[algo](game, params)
-    except Exception as e:  # pragma: no cover - recorded, not fatal
-        return {
-            "algo": algo, "lambda": lam, "mt": mt, "error": str(e),
-        }
+    result = SOLVERS[algo](game, params)
     wall = time.perf_counter() - tick
     return {
         "algo": algo,
         "lambda": lam,
-        "mt": mt if algo in ("ratpi", "rmpi") else 0,
-        "v0_mode": v0_mode,
-        "epsilon": epsilon,
+        "mt": mt,
         "delta": delta,
         "iterations": result.iterations,
         "terminated": result.terminated,
@@ -265,30 +242,23 @@ def cmd_bench_table1(args) -> int:
     mt_values = _parse_mt(args.mt)
     if isinstance(mt_values, int):
         mt_values = (mt_values,)
-    tasks = []
+    v0 = _parse_v0(args.v0)
+    rows = []
     for lam in lambdas:
-        tasks.append((game, "rvi", lam, args.epsilon, 0, args.v0))
-        tasks.append((game, "ratvi", lam, args.epsilon, 0, args.v0))
+        rows.append(_bench_cell(game, "rvi", lam, args.epsilon, 0, v0))
+        rows.append(_bench_cell(game, "ratvi", lam, args.epsilon, 0, v0))
         for mt in mt_values:
-            tasks.append((game, "rmpi", lam, args.epsilon, mt, args.v0))
-            tasks.append((game, "ratpi", lam, args.epsilon, mt, args.v0))
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_bench_cell, tasks))
-    else:
-        rows = [_bench_cell(task) for task in tasks]
+            rows.append(_bench_cell(game, "rmpi", lam, args.epsilon, mt, v0))
+            rows.append(_bench_cell(game, "ratpi", lam, args.epsilon, mt, v0))
 
     oracles = {lam: brute_force_maximin(game, lam) for lam in lambdas}
     for row in rows:
-        if "error" in row:
-            row["oracle_gap"] = ""
-            continue
         row["oracle_gap"] = sup_norm(row.pop("value") - oracles[row["lambda"]].v_star)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     order = {"rvi": 0, "ratvi": 1, "rmpi": 2, "ratpi": 3}
-    rows.sort(key=lambda r: (order[r["algo"]], r.get("mt", 0), r["lambda"]))
+    rows.sort(key=lambda r: (order[r["algo"]], r["mt"], r["lambda"]))
     columns = [
         "algo", "lambda", "mt", "v0_mode", "stag_threshold", "epsilon", "delta",
         "iterations", "terminated", "final_residual", "oracle_gap", "wall_time_s",
@@ -298,34 +268,21 @@ def cmd_bench_table1(args) -> int:
         writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
         for row in rows:
-            writer.writerow({**{c: "" for c in columns}, **{
-                "algo": row["algo"],
-                "lambda": row["lambda"],
-                "mt": row.get("mt", ""),
-                "v0_mode": args.v0,
-                "stag_threshold": args.z,
-                "epsilon": args.epsilon,
-                "delta": row.get("delta", ""),
-                "iterations": row.get("iterations", ""),
-                "terminated": row.get("terminated", ""),
-                "final_residual": row.get("final_residual", ""),
-                "oracle_gap": row.get("oracle_gap", ""),
-                "wall_time_s": row.get("wall_time_s", ""),
-            }})
+            writer.writerow(
+                {**row, "v0_mode": args.v0, "stag_threshold": args.z,
+                 "epsilon": args.epsilon}
+            )
 
     lines = ["Iterations to termination on the default benchmark instance", ""]
     header = f"{'algorithm':<16}" + "".join(f"{lam:>9}" for lam in lambdas)
     lines.append(header)
-    by_key: dict[tuple, dict] = {}
-    for row in rows:
-        if "iterations" in row:
-            by_key[(row["algo"], row.get("mt", 0), row["lambda"])] = row
+    iterations = {(r["algo"], r["mt"], r["lambda"]): r["iterations"] for r in rows}
+
     def table_line(label, algo, mt):
-        cells = []
-        for lam in lambdas:
-            row = by_key.get((algo, mt, lam))
-            cells.append(f"{row['iterations'] if row else '-':>9}")
-        return f"{label:<16}" + "".join(cells)
+        return f"{label:<16}" + "".join(
+            f"{iterations[algo, mt, lam]:>9}" for lam in lambdas
+        )
+
     lines.append(table_line("rvi", "rvi", 0))
     lines.append(table_line("ratvi", "ratvi", 0))
     for mt in mt_values:
@@ -340,15 +297,8 @@ def cmd_bench_table1(args) -> int:
 
 def cmd_trace_fig1(args) -> int:
     game = build_rssd(RssdParams(stag_threshold=args.z))
-    delta = 0.99 * max_delta(args.lam, args.epsilon)
-    mt = _parse_mt(args.mt)
-    results = []
-    for algo in ("ratvi", "ratpi"):
-        params = SolverParams(
-            lam=args.lam, epsilon=args.epsilon, delta=delta,
-            mt_schedule=mt, v0_mode=args.v0,
-        )
-        results.append(SOLVERS[algo](game, params))
+    params = _solver_params(args)
+    results = [SOLVERS[algo](game, params) for algo in ("ratvi", "ratpi")]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_trace_csv(out_dir / "trace_fig1.csv", game, results)
@@ -371,7 +321,7 @@ def cmd_trace_fig1(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    game = _load_game_file(args.game)
+    game = load_game(args.game)
     try:
         orc = brute_force_maximin(game, args.lam, budget=args.budget)
     except BudgetExceededError as e:
@@ -447,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=1e-5)
     p.add_argument("--z", type=int, default=2)
     p.add_argument("--v0", default="remark1")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_bench_table1)
 
     p = sub.add_parser("trace-fig1", help="export iteration traces and the "
@@ -473,12 +422,21 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliInputError as e:
-        print(str(e), file=sys.stderr)
+    except (CliInputError, OSError, ValueError) as e:
+        print(_error_message(e, getattr(args, "game", None)), file=sys.stderr)
         return 1
-    except (GameValidationError, ValueError) as e:
-        print(str(e), file=sys.stderr)
-        return 1
+
+
+def _error_message(e: Exception, game_path: str | None) -> str:
+    """One message for an input error; errors from loading ``--game`` name
+    that file (and, for a JSON syntax error, its line and column)."""
+    if isinstance(e, json.JSONDecodeError):
+        return f"{game_path}:{e.lineno}:{e.colno}: {e.msg}"
+    if isinstance(e, GameValidationError):
+        return f"{game_path}: {e}"
+    if isinstance(e, OSError) and e.filename:
+        return f"{e.filename}: {e.strerror or e}"
+    return str(e)
 
 
 if __name__ == "__main__":

@@ -144,9 +144,6 @@ class TeamMarkovGame:
         per = self.joint_action_tuples[joint_action]
         return tuple(self.player_actions[i][ai] for i, ai in enumerate(per))
 
-    def state_index(self, name: str) -> int:
-        return self.states.index(name)
-
     def validate_rule(self, rule: TeamDecisionRule) -> None:
         if len(rule.joint_actions) != self.m:
             raise ValueError(
@@ -167,11 +164,17 @@ def build_game(
 ) -> TeamMarkovGame:
     """Construct and validate a game from in-memory parts.
 
-    ``uncertainty_rows[k][a]`` is an array-like of raw candidate rows; each
-    set is checked and cleaned by :func:`_clean_rows` and packed into
-    ``TeamMarkovGame.candidates``.  When ``r_max`` is omitted it is computed
-    as max |payoff|.  Raises :class:`GameValidationError` listing every
-    problem found.
+    Every game is checked here, whatever its source: a positive integer
+    ``n_players`` with one nonempty action set per player, nonempty states,
+    no duplicate state or action names, a payoff of shape (m, A, m) with
+    finite entries, one row set per (state, joint action) pair, and
+    ``r_max`` (computed as max |payoff| when omitted) no smaller than any
+    payoff.  ``uncertainty_rows[k][a]`` is an array-like of raw candidate
+    rows, or ``None`` for a pair the input does not list; each set is
+    checked and cleaned by :func:`_clean_rows` and packed into
+    ``TeamMarkovGame.candidates``.  Raises :class:`GameValidationError`
+    listing every problem found; problems with the header (players, states,
+    action sets) are reported without the row checks that depend on it.
     """
     errors: list[str] = []
     if not isinstance(n_players, int) or n_players < 1:
@@ -275,40 +278,38 @@ def _clean_rows(raw, m: int) -> np.ndarray:
 
 
 def validate_game(raw: Mapping) -> TeamMarkovGame:
-    """Validate a parsed game description (the JSON document shape).
+    """Translate a parsed game description (the JSON document shape) into
+    the arguments of :func:`build_game` and build the game.
 
-    Collects every problem found and raises :class:`GameValidationError`
-    listing all of them.  Payoff entries may give ``r`` either as the team
-    payoff (scalar) or as one payoff per player (averaged once at load).
-    Unlisted payoff triples default to ``default_payoff`` only when that
-    field is present.
+    This function checks only what exists in the JSON form alone: that
+    ``states`` is an array of names and ``player_actions`` an array of
+    arrays of names, that entries name known states and give one in-range
+    action index per player, per-player ``r`` lists, duplicate entries,
+    unlisted payoff triples when ``default_payoff`` is absent, and the type
+    of ``r_max``.  Every other check (player count, duplicate or empty
+    names, candidate rows, missing uncertainty entries, ``r_max`` against
+    the payoffs) is :func:`build_game`'s.  One
+    :class:`GameValidationError` lists this function's errors followed by
+    those of :func:`build_game`.
+
+    Payoff entries may give ``r`` either as the team payoff (scalar) or as
+    one payoff per player (averaged once at load).  Unlisted payoff triples
+    default to ``default_payoff`` only when that field is present.
     """
-    errors: list[str] = []
     if not isinstance(raw, Mapping):
         raise GameValidationError(["top level must be a JSON object"])
-    n_players = raw.get("n_players")
-    if not isinstance(n_players, int) or n_players < 1:
-        errors.append("n_players must be a positive integer")
-        n_players = 1
+    errors: list[str] = []
     states = raw.get("states")
-    if (
-        not isinstance(states, list)
-        or not states
-        or not all(isinstance(s, str) for s in states)
-    ):
-        errors.append("states must be a nonempty array of state names")
-        states = []
-    elif len(set(states)) != len(states):
-        errors.append("states contains duplicate names")
+    if not isinstance(states, list) or not all(isinstance(s, str) for s in states):
+        errors.append("states must be an array of state names")
     player_actions = raw.get("player_actions")
-    if not isinstance(player_actions, list) or len(player_actions) != n_players:
-        errors.append("player_actions must list one action set per player")
-        player_actions = []
-    else:
-        for i, acts in enumerate(player_actions):
-            if not isinstance(acts, list) or not acts:
-                errors.append(f"player {i}: empty action set")
+    if not isinstance(player_actions, list) or not all(
+        isinstance(acts, list) and all(isinstance(x, str) for x in acts)
+        for acts in player_actions
+    ):
+        errors.append("player_actions must be an array of arrays of action names")
     if errors:
+        # Entries are indexed by the header, so they cannot be read without it.
         raise GameValidationError(errors)
 
     m = len(states)
@@ -323,7 +324,7 @@ def validate_game(raw: Mapping) -> TeamMarkovGame:
         return state_idx[name]
 
     def parse_action(a, where):
-        if not isinstance(a, list) or len(a) != n_players:
+        if not isinstance(a, list) or len(a) != len(sizes):
             errors.append(f"{where}: 'a' must list one action index per player")
             return None
         idx = 0
@@ -354,11 +355,13 @@ def validate_game(raw: Mapping) -> TeamMarkovGame:
         sj = parse_state(ent.get("s_next"), where)
         r = ent.get("r")
         if isinstance(r, list):
-            if len(r) != n_players or not all(isinstance(x, (int, float)) for x in r):
+            if not r or len(r) != len(sizes) or not all(
+                isinstance(x, (int, float)) for x in r
+            ):
                 errors.append(f"{where}: 'r' list must give one payoff per player")
                 r = None
             else:
-                r = sum(float(x) for x in r) / n_players
+                r = sum(float(x) for x in r) / len(sizes)
         elif not isinstance(r, (int, float)):
             errors.append(f"{where}: 'r' must be a number or per-player list")
             r = None
@@ -369,17 +372,20 @@ def validate_game(raw: Mapping) -> TeamMarkovGame:
             continue
         seen.add((si, ai, sj))
         pay[si, ai, sj] = float(r)
-    if default is None:
-        missing = np.argwhere(np.isnan(pay))
-        if missing.size:
-            k, a, l = (int(x) for x in missing[0])
-            errors.append(
-                f"payoffs: {len(missing)} triples unlisted and no default_payoff set "
-                f"(first missing: s={states[k]!r}, a={list(_unflatten(a, sizes))}, "
-                f"s_next={states[l]!r})"
-            )
+    missing = np.isnan(pay)
+    if default is None and missing.any():
+        k, a, l = (int(x) for x in np.argwhere(missing)[0])
+        errors.append(
+            f"payoffs: {int(missing.sum())} triples unlisted and no default_payoff "
+            f"set (first missing: s={states[k]!r}, "
+            f"a={[int(x) for x in np.unravel_index(a, sizes)]}, "
+            f"s_next={states[l]!r})"
+        )
+        pay[missing] = 0.0  # reported here, not again as non-finite payoffs
 
+    # A pair no entry lists stays None; build_game reports it as missing.
     grid: list[list[object | None]] = [[None] * n_joint for _ in range(m)]
+    listed: set[tuple[int, int]] = set()
     unc = raw.get("uncertainty")
     if not isinstance(unc, list):
         errors.append("uncertainty must be an array of entries")
@@ -391,34 +397,24 @@ def validate_game(raw: Mapping) -> TeamMarkovGame:
             continue
         si = parse_state(ent.get("s"), where)
         ai = parse_action(ent.get("a"), where)
-        rows = ent.get("rows")
         if si is None or ai is None:
             continue
-        if grid[si][ai] is not None:
+        if (si, ai) in listed:
             errors.append(f"{where}: duplicate entry for this (s, a)")
             continue
-        grid[si][ai] = rows
-    for k in range(m):
-        for a in range(n_joint):
-            if grid[k][a] is None:
-                errors.append(
-                    f"uncertainty: missing entry for state {states[k]!r}, "
-                    f"action {tuple(_unflatten(a, sizes))}"
-                )
-    if errors:
-        raise GameValidationError(errors)
+        listed.add((si, ai))
+        grid[si][ai] = ent.get("rows")
     r_max = raw.get("r_max")
     if r_max is not None and not isinstance(r_max, (int, float)):
-        raise GameValidationError(["r_max must be a number"])
-    return build_game(n_players, states, player_actions, pay, grid, r_max)
-
-
-def _unflatten(joint: int, sizes: Sequence[int]) -> tuple[int, ...]:
-    out = []
-    for size in reversed(sizes):
-        out.append(joint % size)
-        joint //= size
-    return tuple(reversed(out))
+        errors.append("r_max must be a number")
+        r_max = None
+    try:
+        game = build_game(raw.get("n_players"), states, player_actions, pay, grid, r_max)
+    except GameValidationError as e:
+        errors.extend(e.errors)
+    if errors:
+        raise GameValidationError(errors)
+    return game
 
 
 def game_to_dict(game: TeamMarkovGame) -> dict:
@@ -507,13 +503,10 @@ def enumerate_policy_models(
     game: TeamMarkovGame,
     rule: TeamDecisionRule,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
-    dedupe: bool = False,
 ) -> Iterator[np.ndarray]:
     """Every admissible transition matrix for a rule, row k drawn from
-    the candidate set at (state k, rule(k)).
-
-    With ``dedupe`` each distinct matrix is yielded once; without it the
-    yield count equals the product of per-row candidate counts.
+    the candidate set at (state k, rule(k)); the yield count equals the
+    product of per-row candidate counts.
     """
     game.validate_rule(rule)
     total = count_policy_models(game, rule)
@@ -523,14 +516,7 @@ def enumerate_policy_models(
     cand, counts = game.candidates[states, acts], game.n_rows[states, acts]
 
     def gen():
-        seen: set[bytes] = set()
         for combo in itertools.product(*map(range, counts)):
-            P = cand[states, combo]
-            if dedupe:
-                key = P.tobytes()
-                if key in seen:
-                    continue
-                seen.add(key)
-            yield P
+            yield cand[states, combo]
 
     return gen()

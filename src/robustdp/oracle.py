@@ -39,7 +39,6 @@ class OracleResult:
     d_star: TeamDecisionRule
     dominance_ok: bool
     max_dominance_gap: float
-    per_rule_values: dict[TeamDecisionRule, np.ndarray] | None = None
 
 
 def brute_force_maximin(
@@ -48,7 +47,6 @@ def brute_force_maximin(
     budget: int = DEFAULT_ENUMERATION_BUDGET,
     tol: float = 1e-12,
     atol: float = 1e-9,
-    keep_per_rule: bool = False,
 ) -> OracleResult:
     """Componentwise max over all rules of the robust (worst-case) value.
 
@@ -80,13 +78,11 @@ def brute_force_maximin(
             "no single rule attains the componentwise maximum; best shortfall %.3e",
             max_gap,
         )
-    per_rule = dict(entries) if keep_per_rule else None
     return OracleResult(
         v_star=v_star,
         d_star=d_star,
         dominance_ok=dominance_ok,
         max_dominance_gap=max_gap,
-        per_rule_values=per_rule,
     )
 
 

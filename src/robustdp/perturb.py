@@ -65,6 +65,3 @@ class PerturbationOracle:
     def perturb(self, exact_value: float, tag) -> float:
         """Perturbed value; |result - exact_value| <= bound."""
         return float(exact_value) + self.noise(tag)
-
-
-IDENTITY = PerturbationOracle()

@@ -21,7 +21,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .sweeps import (
 
 log = logging.getLogger("robustdp.solvers")
 
-MtSchedule = int | Sequence[int] | Callable[[int], int]
+MtSchedule = int | Sequence[int]
 
 
 def max_delta(lam: float, epsilon: float) -> float:
@@ -59,11 +59,11 @@ class SolverParams:
     """Shared solver configuration.
 
     ``mt_schedule`` gives the number of partial-evaluation sweeps per step:
-    a constant, a list (last entry repeated), or a callable of the step
-    index.  ``v0_mode`` selects the initial value function: ``"remark1"``
-    fills every state with min payoff / (1 - lam), which keeps the maximin
-    update residual nonnegative and hence the iterates monotone; ``"zeros"``
-    starts at 0; an explicit array is used as given.
+    a constant, or a list indexed by step with its last entry repeated.
+    ``v0_mode`` selects the initial value function: ``"remark1"`` fills
+    every state with min payoff / (1 - lam), which keeps the maximin update
+    residual nonnegative and hence the iterates monotone; ``"zeros"`` starts
+    at 0; an explicit array is used as given.
     """
 
     lam: float
@@ -85,26 +85,20 @@ class SolverParams:
             )
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        if isinstance(self.mt_schedule, (list, tuple)):
+        if isinstance(self.mt_schedule, int):
+            if self.mt_schedule < 0:
+                raise ValueError("mt_schedule must be nonnegative")
+        else:
             sched = tuple(int(x) for x in self.mt_schedule)
             if not sched or any(x < 0 for x in sched):
                 raise ValueError("mt_schedule list must be nonempty and nonnegative")
             object.__setattr__(self, "mt_schedule", sched)
-        elif isinstance(self.mt_schedule, int):
-            if self.mt_schedule < 0:
-                raise ValueError("mt_schedule must be nonnegative")
 
 
 def _mt_at(schedule: MtSchedule, t: int) -> int:
-    if callable(schedule):
-        value = int(schedule(t))
-    elif isinstance(schedule, int):
-        value = schedule
-    else:
-        value = schedule[t] if t < len(schedule) else schedule[-1]
-    if value < 0:
-        raise ValueError(f"mt_schedule produced {value} at step {t}")
-    return value
+    if isinstance(schedule, int):
+        return schedule
+    return schedule[t] if t < len(schedule) else schedule[-1]
 
 
 def initial_value(game: TeamMarkovGame, params: SolverParams) -> np.ndarray:

@@ -114,6 +114,10 @@ def test_malformed_game_file_exits_1(tmp_path, capsys):
     assert main(["solve", "--game", str(path)]) == 1
     err = capsys.readouterr().err
     assert str(path) in err and ":2:" in err
+    missing = tmp_path / "missing.json"
+    assert main(["oracle", "--game", str(missing)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"{missing}: No such file or directory\n"
 
 
 def test_invalid_game_content_exits_1(tmp_path, capsys):
@@ -121,6 +125,40 @@ def test_invalid_game_content_exits_1(tmp_path, capsys):
     path.write_text(json.dumps({"n_players": 0, "states": [], "player_actions": []}))
     assert main(["solve", "--game", str(path)]) == 1
     assert "n_players" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench-table1", "--v0", "bogus"],
+        ["trace-fig1", "--delta", "1"],
+        ["solve", "--algo", "rmpi", "--approx-mode", "uniform_noise"],
+        ["solve", "--algo", "rvi", "--approx-mode", "adversarial_extremes"],
+    ],
+)
+def test_unusable_flags_exit_1(argv, rssd_file, tmp_path, capsys):
+    where = ["--game", str(rssd_file)] if argv[0] == "solve" else ["--out", str(tmp_path)]
+    assert main([*argv, *where]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert not list(tmp_path.iterdir())
+
+
+def test_trace_fig1_starts_from_v0_file(tmp_path):
+    v0 = tmp_path / "v0.json"
+    v0.write_text("[0.5, 1.0, 1.5]")
+    out_dir = tmp_path / "fig"
+    code = main(
+        ["trace-fig1", "--out", str(out_dir), "--lambda", "0.9",
+         "--epsilon", "1e-4", "--v0", f"file:{v0}"]
+    )
+    assert code == 0
+    with open(out_dir / "trace_fig1.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    for algo in ("ratvi", "ratpi"):
+        first = [float(row["value"]) for row in rows
+                 if row["algo"] == algo and row["t"] == "0"]
+        assert first == [0.5, 1.0, 1.5]
 
 
 def test_non_termination_exits_2(rssd_file, tmp_path):

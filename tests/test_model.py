@@ -98,8 +98,23 @@ class TestValidation:
         raw = minimal_raw(rows=((0.4, 0.4),))
         raw["states"] = ["s1", "s2"]
         raw["r_max"] = "nope"
-        with pytest.raises(r.GameValidationError):
+        with pytest.raises(r.GameValidationError) as exc:
             r.validate_game(raw)
+        message = str(exc.value)
+        assert "uncertainty[state='s1', action=(0,)]: row 0 sum 0.8" in message
+        assert "uncertainty[state='s2', action=(0,)]: missing entry" in message
+        assert "r_max must be a number" in message
+
+    def test_malformed_header_fields_reported_together(self):
+        raw = minimal_raw()
+        raw["states"] = "s1"
+        raw["player_actions"] = ["a0"]
+        with pytest.raises(r.GameValidationError) as exc:
+            r.validate_game(raw)
+        assert exc.value.errors == [
+            "states must be an array of state names",
+            "player_actions must be an array of arrays of action names",
+        ]
 
     def test_tiny_negative_entries_clamped(self):
         game = rows_game([[1.0 + 1e-16, -1e-16]], 2)

@@ -73,15 +73,6 @@ def test_dominance_holds_on_random_games_logged_not_asserted():
         warnings.warn(f"componentwise attainment failed on {missing}")
 
 
-def test_per_rule_values_kept_on_request():
-    game = random_game(31)
-    orc = r.brute_force_maximin(game, 0.9, keep_per_rule=True)
-    assert orc.per_rule_values is not None
-    assert len(orc.per_rule_values) == r.count_decision_rules(game)
-    stacked = np.stack(list(orc.per_rule_values.values()))
-    assert np.allclose(stacked.max(axis=0), orc.v_star, atol=1e-12)
-
-
 def test_model_enumeration_cross_check_on_two_row_games():
     for seed in (100, 101, 102):
         game = random_game(seed, max_rows=2)

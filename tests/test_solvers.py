@@ -31,9 +31,8 @@ class TestParams:
         assert _mt_at(5, 3) == 5
         assert _mt_at((1, 2, 3), 0) == 1
         assert _mt_at((1, 2, 3), 7) == 3
-        assert _mt_at(lambda t: 2 * t, 4) == 8
-        with pytest.raises(ValueError):
-            _mt_at(lambda t: -1, 0)
+        with pytest.raises(TypeError):
+            r.SolverParams(lam=0.5, epsilon=1e-6, mt_schedule=lambda t: 1)
 
     def test_v0_modes(self):
         game = two_state_chain()
