@@ -92,12 +92,15 @@ def _parse_v0(text: str):
     raise CliInputError(f"--v0 {text!r}: expected remark1, zeros, or file:PATH")
 
 
+def _default_delta(lam: float, epsilon: float) -> float:
+    """0.99 of delta's upper bound, or 0 at lam 0 where the bound is inf."""
+    return 0.0 if lam == 0.0 else 0.99 * max_delta(lam, epsilon)
+
+
 def _resolve_delta(args) -> float:
     if args.delta is not None:
         return args.delta
-    if args.lam == 0.0:
-        return 0.0
-    return 0.99 * max_delta(args.lam, args.epsilon)
+    return _default_delta(args.lam, args.epsilon)
 
 
 def _solver_params(args, **extra) -> SolverParams:
@@ -215,7 +218,7 @@ def cmd_rssd_gen(args) -> int:
 
 
 def _bench_cell(game, algo, lam, epsilon, mt, v0) -> dict:
-    delta = 0.99 * max_delta(lam, epsilon)
+    delta = _default_delta(lam, epsilon)
     params = SolverParams(
         lam=lam, epsilon=epsilon, delta=delta, mt_schedule=mt, v0_mode=v0
     )
@@ -433,7 +436,7 @@ def _error_message(e: Exception, game_path: str | None) -> str:
     if isinstance(e, json.JSONDecodeError):
         return f"{game_path}:{e.lineno}:{e.colno}: {e.msg}"
     if isinstance(e, GameValidationError):
-        return f"{game_path}: {e}"
+        return f"{game_path}: invalid game description: {'; '.join(e.errors)}"
     if isinstance(e, OSError) and e.filename:
         return f"{e.filename}: {e.strerror or e}"
     return str(e)

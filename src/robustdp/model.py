@@ -167,10 +167,10 @@ def build_game(
     Every game is checked here, whatever its source: a positive integer
     ``n_players`` with one nonempty action set per player, nonempty states,
     no duplicate state or action names, a payoff of shape (m, A, m) with
-    finite entries, one row set per (state, joint action) pair, and
-    ``r_max`` (computed as max |payoff| when omitted) no smaller than any
-    payoff.  ``uncertainty_rows[k][a]`` is an array-like of raw candidate
-    rows, or ``None`` for a pair the input does not list; each set is
+    finite entries, one row set per (state, joint action) pair, and a
+    finite ``r_max`` (computed as max |payoff| when omitted) no smaller
+    than any payoff.  ``uncertainty_rows[k][a]`` is an array-like of raw
+    candidate rows, or ``None`` for a pair the input does not list; each set is
     checked and cleaned by :func:`_clean_rows` and packed into
     ``TeamMarkovGame.candidates``.  Raises :class:`GameValidationError`
     listing every problem found; problems with the header (players, states,
@@ -224,6 +224,8 @@ def build_game(
     computed_r_max = float(np.max(np.abs(payoff))) if payoff.size else 0.0
     if r_max is None:
         r_max = computed_r_max
+    elif not math.isfinite(r_max):
+        errors.append("r_max must be finite")
     elif float(r_max) + 1e-12 < computed_r_max:
         errors.append(f"r_max {r_max} < max |payoff| {computed_r_max}")
     if errors:
@@ -470,10 +472,6 @@ def save_game(game: TeamMarkovGame, path) -> None:
     Path(path).write_text(json.dumps(game_to_dict(game), indent=2) + "\n")
 
 
-def count_decision_rules(game: TeamMarkovGame) -> int:
-    return game.n_joint_actions ** game.m
-
-
 def enumerate_decision_rules(
     game: TeamMarkovGame, budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> Iterator[TeamDecisionRule]:
@@ -482,41 +480,9 @@ def enumerate_decision_rules(
     Raises :class:`BudgetExceededError` up front when the count
     ``n_joint_actions ** m`` exceeds ``budget``.
     """
-    total = count_decision_rules(game)
+    total = game.n_joint_actions ** game.m
     if total > budget:
         raise BudgetExceededError(total, budget)
 
-    def gen():
-        for combo in itertools.product(range(game.n_joint_actions), repeat=game.m):
-            yield TeamDecisionRule(combo)
-
-    return gen()
-
-
-def count_policy_models(game: TeamMarkovGame, rule: TeamDecisionRule) -> int:
-    return math.prod(
-        int(game.n_rows[k, a]) for k, a in enumerate(rule.joint_actions)
-    )
-
-
-def enumerate_policy_models(
-    game: TeamMarkovGame,
-    rule: TeamDecisionRule,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> Iterator[np.ndarray]:
-    """Every admissible transition matrix for a rule, row k drawn from
-    the candidate set at (state k, rule(k)); the yield count equals the
-    product of per-row candidate counts.
-    """
-    game.validate_rule(rule)
-    total = count_policy_models(game, rule)
-    if total > budget:
-        raise BudgetExceededError(total, budget)
-    states, acts = np.arange(game.m), list(rule.joint_actions)
-    cand, counts = game.candidates[states, acts], game.n_rows[states, acts]
-
-    def gen():
-        for combo in itertools.product(*map(range, counts)):
-            yield cand[states, combo]
-
-    return gen()
+    combos = itertools.product(range(game.n_joint_actions), repeat=game.m)
+    return (TeamDecisionRule(combo) for combo in combos)

@@ -2,7 +2,10 @@
 
 Enumerates every decision rule, evaluates each against its worst-case model,
 and takes the componentwise maximum.  Meant as an independent reference for
-the iterative solvers, not as a production path.
+the iterative solvers, not as a production path; the ``oracle`` CLI command
+and the benchmark's paper workload run it.  The slower references the tests
+check the robust evaluation and epsilon-optimality against (enumeration of
+every admissible model of a rule) live in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from .model import (
     TeamDecisionRule,
     TeamMarkovGame,
     enumerate_decision_rules,
-    enumerate_policy_models,
 )
 from .solvers import evaluate_policy_robust
 
@@ -84,57 +86,3 @@ def brute_force_maximin(
         dominance_ok=dominance_ok,
         max_dominance_gap=max_gap,
     )
-
-
-def robust_value_by_model_enumeration(
-    game: TeamMarkovGame,
-    rule: TeamDecisionRule,
-    lam: float,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> np.ndarray:
-    """Componentwise min over every enumerated model of the dense evaluation.
-
-    Cross-check for the fixed-point robust evaluation; cost is the product
-    of per-state candidate counts.
-    """
-    m = game.m
-    eye = np.eye(m)
-    acts = rule.joint_actions
-    best = np.full(m, np.inf)
-    for P in enumerate_policy_models(game, rule, budget):
-        r = np.array([P[k] @ game.payoff[k, acts[k]] for k in range(m)])
-        value = np.linalg.solve(eye - lam * P, r)
-        np.minimum(best, value, out=best)
-    return best
-
-
-def verify_epsilon_optimal(
-    game: TeamMarkovGame,
-    rule: TeamDecisionRule,
-    lam: float,
-    epsilon: float,
-    oracle_result: OracleResult | None = None,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-    tol: float = 1e-12,
-    slack: float = 1e-9,
-) -> tuple[bool, dict]:
-    """Check that a rule's worst-case value is within epsilon of the
-    exhaustive maximin value in every component.
-
-    Returns (ok, report); the report carries the componentwise shortfall
-    v_star - epsilon - value and its maximum.  ``slack`` absorbs the
-    numerical tolerance of the two evaluations.
-    """
-    value, _ = evaluate_policy_robust(game, rule, lam, tol)
-    if oracle_result is None:
-        oracle_result = brute_force_maximin(game, lam, budget, tol)
-    shortfall = oracle_result.v_star - epsilon - value
-    ok = bool(np.all(value >= oracle_result.v_star - epsilon - slack))
-    report = {
-        "ok": ok,
-        "epsilon": float(epsilon),
-        "slack": float(slack),
-        "max_violation": float(np.max(shortfall)),
-        "per_state": shortfall,
-    }
-    return ok, report

@@ -47,6 +47,11 @@ def max_delta(lam: float, epsilon: float) -> float:
     return (1.0 - lam) ** 2 * epsilon / (2.0 * lam * (1.0 + lam))
 
 
+def _check_lam(lam: float) -> None:
+    if not 0.0 <= lam < 1.0:
+        raise ValueError(f"lam must be in [0, 1), got {lam}")
+
+
 def termination_threshold(lam: float, epsilon: float, delta: float) -> float:
     """Residual below which the improvement step stops the solver."""
     if lam == 0.0:
@@ -74,8 +79,7 @@ class SolverParams:
     max_iterations: int = 1_000_000
 
     def __post_init__(self):
-        if not 0.0 <= self.lam < 1.0:
-            raise ValueError(f"lam must be in [0, 1), got {self.lam}")
+        _check_lam(self.lam)
         if not self.epsilon > 0.0:
             raise ValueError("epsilon must be positive")
         bound = max_delta(self.lam, self.epsilon)
@@ -121,19 +125,16 @@ def initial_value(game: TeamMarkovGame, params: SolverParams) -> np.ndarray:
 
 @dataclass
 class SolverTrace:
-    """Per-step record: residual, incoming value, greedy rule, sweep count.
-    For a terminated run the length is iterations + 1."""
+    """Per-step record of what the CLI writes: the improvement residual and
+    the incoming value function of every step.  For a terminated run the
+    length is iterations + 1."""
 
     residuals: list[float] = field(default_factory=list)
     values: list[np.ndarray] = field(default_factory=list)
-    rules: list[TeamDecisionRule] = field(default_factory=list)
-    eval_sweeps: list[int] = field(default_factory=list)
 
-    def append(self, residual, value, rule, sweeps) -> None:
+    def append(self, residual, value) -> None:
         self.residuals.append(float(residual))
         self.values.append(np.asarray(value, dtype=float))
-        self.rules.append(rule)
-        self.eval_sweeps.append(int(sweeps))
 
     def __len__(self) -> int:
         return len(self.residuals)
@@ -185,14 +186,14 @@ def _run(
             raise ValueError(
                 f"{algo}: residual {residual!r} at step {t} is not finite"
             )
-        mt = _mt_at(params.mt_schedule, t)
-        trace.append(residual, v.copy(), sweep.rule, mt)
+        trace.append(residual, v.copy())
         last_rule = sweep.rule
         if residual < threshold:
             value, worst = evaluate_policy_robust(game, sweep.rule, lam)
             log.debug("%s terminated at t=%d residual=%.3e", algo, t, residual)
             return SolverResult(algo, sweep.rule, worst, value, t, True, trace)
         u = sweep.u0
+        mt = _mt_at(params.mt_schedule, t)
         if gauss_seidel:
             for s in range(mt):
                 u = evaluation_sweep(
@@ -267,8 +268,10 @@ def evaluate_policy_robust(
     stops once a backup step moves the value by less than
     tol*(1-lam)/(2*lam) in sup norm (or the minimising rows repeat, i.e. the
     fixed point is reached to linear-solve precision).  Returns the value
-    and the final per-state minimising row indices.
+    and the final per-state minimising row indices.  Raises ``ValueError``
+    unless 0 <= lam < 1.
     """
+    _check_lam(lam)
     game.validate_rule(rule)
     m = game.m
     states = np.arange(m)
@@ -290,15 +293,3 @@ def evaluate_policy_robust(
         prev_rows = rows
     log.warning("robust evaluation did not settle; returning last iterate")
     return q, rows
-
-
-def evaluate_policy_exact(
-    game: TeamMarkovGame,
-    rule: TeamDecisionRule,
-    model_rows: tuple[int, ...],
-    lam: float,
-) -> np.ndarray:
-    """Value of a fixed rule under one fixed admissible model (dense solve)."""
-    game.validate_rule(rule)
-    P, r = fixed_model_arrays(game, rule, model_rows)
-    return np.linalg.solve(np.eye(game.m) - lam * P, r)

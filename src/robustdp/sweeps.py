@@ -21,6 +21,11 @@ Q^{-1} R of the regular splitting Q = I - lam*P_lower, R = lam*P_upper.
 Jacobi variants (Q = I, R = lam*P) keep the incoming value fixed for the
 whole sweep, so one kernel call backs up every state at once.
 
+The module holds only what the solvers and the CLI run.  The slow
+references the tests hold these operators to (the per-(state, action)
+backup, the splitting (Q, R), the best (m+1)-sweep update over every rule
+and model) live in ``tests/conftest.py``.
+
 All functions are pure in (game, vector, parameters).  Ties in action or row
 selection break to the lowest index (``argmax``/``argmin``), so traces replay
 exactly; action comparison is exact floating comparison with no epsilon
@@ -30,18 +35,11 @@ those round differently, and results and traces must replay bit for bit.
 
 from __future__ import annotations
 
-import itertools
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    DEFAULT_ENUMERATION_BUDGET,
-    BudgetExceededError,
-    TeamDecisionRule,
-    TeamMarkovGame,
-)
+from .model import TeamDecisionRule, TeamMarkovGame
 from .perturb import PerturbationOracle
 
 
@@ -150,98 +148,6 @@ def evaluation_sweep(
     return w
 
 
-def gs_bellman_residual(game: TeamMarkovGame, v: np.ndarray, lam: float) -> np.ndarray:
-    """Componentwise residual of the Gauss-Seidel maximin update at v.
-
-    Nonnegative residual marks the initialisation region from which the
-    multistep solvers converge monotonically.
-    """
-    return improvement_sweep(game, v, lam).u0 - np.asarray(v, dtype=float)
-
-
-def greedy_multistep(
-    game: TeamMarkovGame, v: np.ndarray, extra_sweeps: int, lam: float
-) -> np.ndarray:
-    """One exact improvement sweep, then ``extra_sweeps`` evaluation sweeps
-    under the rule and rows the improvement recorded.
-
-    With ``extra_sweeps`` 0 this is exactly the Gauss-Seidel maximin update;
-    iterated to convergence it approaches the fixed policy's value under its
-    recorded worst-case rows.
-    """
-    sweep = improvement_sweep(game, v, lam)
-    u = sweep.u0
-    for _ in range(int(extra_sweeps)):
-        u = evaluation_sweep(game, u, sweep.rule, sweep.worst_model, lam)
-    return u
-
-
-_stack_cache: "weakref.WeakKeyDictionary[TeamMarkovGame, tuple]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _rule_model_stacks(game: TeamMarkovGame) -> tuple[np.ndarray, np.ndarray, int]:
-    """Stack every (rule, model) combination: transition matrices (N, m, m),
-    expected one-step payoffs (N, m), and the combination count N."""
-    cached = _stack_cache.get(game)
-    if cached is not None:
-        return cached
-    m = game.m
-    mats = []
-    pays = []
-    for combo in itertools.product(range(game.n_joint_actions), repeat=m):
-        counts = [game.n_rows[k, combo[k]] for k in range(m)]
-        grid = np.indices(counts).reshape(m, -1)
-        n_mod = grid.shape[1]
-        P = np.empty((n_mod, m, m))
-        pe = np.empty((n_mod, m))
-        for k in range(m):
-            P[:, k, :] = game.candidates[k, combo[k], grid[k]]
-            pe[:, k] = game.payoff_exp[k, combo[k], grid[k]]
-        mats.append(P)
-        pays.append(pe)
-    P_all = np.concatenate(mats)
-    pe_all = np.concatenate(pays)
-    result = (P_all, pe_all, P_all.shape[0])
-    _stack_cache[game] = result
-    return result
-
-
-def best_case_multistep(
-    game: TeamMarkovGame,
-    v: np.ndarray,
-    extra_sweeps: int,
-    lam: float,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> np.ndarray:
-    """Componentwise best (extra_sweeps + 1)-sweep update over every decision
-    rule and every admissible model.
-
-    Test-oracle operator: cost grows with the rule count times the per-rule
-    model count, so it is gated behind ``budget`` and meant for small
-    instances only.
-    """
-    total_rules = game.n_joint_actions ** game.m
-    if total_rules > budget:
-        raise BudgetExceededError(total_rules, budget)
-    P, pe, n_combo = _rule_model_stacks(game)
-    if n_combo > budget:
-        raise BudgetExceededError(n_combo, budget)
-    v = np.asarray(v, dtype=float)
-    m = game.m
-    X = np.tile(v, (n_combo, 1))
-    for _ in range(int(extra_sweeps) + 1):
-        prev = X.copy()
-        for k in range(m):
-            lower = (
-                np.einsum("nl,nl->n", P[:, k, :k], X[:, :k]) if k > 0 else 0.0
-            )
-            upper = np.einsum("nl,nl->n", P[:, k, k:], prev[:, k:])
-            X[:, k] = pe[:, k] + lam * (lower + upper)
-    return X.max(axis=0)
-
-
 def fixed_model_arrays(
     game: TeamMarkovGame, rule: TeamDecisionRule, model_rows: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -249,15 +155,6 @@ def fixed_model_arrays(
     fixed rule and per-state candidate-row choice."""
     index = (np.arange(game.m), list(rule.joint_actions), list(model_rows))
     return game.candidates[index], game.payoff_exp[index]
-
-
-def gs_splitting(P: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Seidel regular splitting (Q, R) of I - lam*P:
-    Q = I - lam * strict lower part of P, R = lam * upper part incl. diagonal."""
-    P = np.asarray(P, dtype=float)
-    Q = np.eye(P.shape[0]) - lam * np.tril(P, -1)
-    R = lam * np.triu(P, 0)
-    return Q, R
 
 
 def backup_lattice(game: TeamMarkovGame, v: np.ndarray, lam: float) -> np.ndarray:

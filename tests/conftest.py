@@ -1,7 +1,22 @@
+"""Shared games and the slow references the tests hold the package to.
+
+The references are deliberately naive: exhaustive enumeration of rules and
+models, dense solves, per-(state, action) loops.  Every model is gathered
+through ``fixed_model_arrays``, the same gather the solvers use, and every
+enumeration raises ``BudgetExceededError`` up front when it would exceed
+its budget.
+"""
+
+import functools
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 import robustdp as r
+from robustdp.model import DEFAULT_ENUMERATION_BUDGET
+from robustdp.sweeps import fixed_model_arrays
 
 
 def singleton_game(payoff: float = 1.0) -> r.TeamMarkovGame:
@@ -59,6 +74,103 @@ def gs_backup(game, v, u_partial, k, a, lam):
     q = game.payoff_exp[k, a, :n] + lam * (game.candidates[k, a] @ w)[:n]
     j = int(np.argmin(q))
     return float(q[j]), j
+
+
+def gs_splitting(P, lam):
+    """Gauss-Seidel regular splitting (Q, R) of I - lam*P:
+    Q = I - lam * strict lower part of P, R = lam * upper part incl. diagonal."""
+    P = np.asarray(P, dtype=float)
+    return np.eye(P.shape[0]) - lam * np.tril(P, -1), lam * np.triu(P, 0)
+
+
+def model_rows(game, rule, budget=DEFAULT_ENUMERATION_BUDGET):
+    """Every per-state candidate-row choice of a rule, lexicographic.
+    Raises BudgetExceededError up front when the product of the per-state
+    candidate counts exceeds ``budget``."""
+    game.validate_rule(rule)
+    counts = [int(game.n_rows[k, a]) for k, a in enumerate(rule.joint_actions)]
+    total = math.prod(counts)
+    if total > budget:
+        raise r.BudgetExceededError(total, budget)
+    return itertools.product(*map(range, counts))
+
+
+def enumerate_policy_models(game, rule, budget=DEFAULT_ENUMERATION_BUDGET):
+    """Every admissible transition matrix of a rule, in ``model_rows`` order."""
+    return (
+        fixed_model_arrays(game, rule, rows)[0]
+        for rows in model_rows(game, rule, budget)
+    )
+
+
+def evaluate_policy_exact(game, rule, rows, lam):
+    """Value of a fixed rule under one fixed admissible model (dense solve)."""
+    P, rew = fixed_model_arrays(game, rule, rows)
+    return np.linalg.solve(np.eye(game.m) - lam * P, rew)
+
+
+def robust_value_by_model_enumeration(
+    game, rule, lam, budget=DEFAULT_ENUMERATION_BUDGET
+):
+    """Componentwise min over every admissible model of the dense evaluation."""
+    return np.min(
+        [evaluate_policy_exact(game, rule, rows, lam)
+         for rows in model_rows(game, rule, budget)],
+        axis=0,
+    )
+
+
+def verify_epsilon_optimal(game, rule, lam, epsilon, oracle_result=None,
+                           tol=1e-12, slack=1e-9):
+    """Check that a rule's worst-case value is within epsilon of the
+    exhaustive maximin value in every component.
+
+    Returns (ok, report); ``report["max_violation"]`` is the largest
+    componentwise shortfall v_star - epsilon - value.  ``slack`` absorbs the
+    numerical tolerance of the two evaluations.
+    """
+    value, _ = r.evaluate_policy_robust(game, rule, lam, tol)
+    if oracle_result is None:
+        oracle_result = r.brute_force_maximin(game, lam, tol=tol)
+    ok = bool(np.all(value >= oracle_result.v_star - epsilon - slack))
+    shortfall = oracle_result.v_star - epsilon - value
+    return ok, {"max_violation": float(np.max(shortfall))}
+
+
+def greedy_multistep(game, v, extra_sweeps, lam):
+    """One exact improvement sweep, then ``extra_sweeps`` evaluation sweeps
+    under the rule and rows the improvement recorded."""
+    sweep = r.improvement_sweep(game, v, lam)
+    u = sweep.u0
+    for _ in range(int(extra_sweeps)):
+        u = r.evaluation_sweep(game, u, sweep.rule, sweep.worst_model, lam)
+    return u
+
+
+@functools.cache
+def _rule_model_stacks(game, budget):
+    """Transition matrices (N, m, m) and expected one-step payoffs (N, m) of
+    every (rule, model) pair, cached per game."""
+    pairs = [
+        fixed_model_arrays(game, rule, rows)
+        for rule in r.enumerate_decision_rules(game, budget)
+        for rows in model_rows(game, rule, budget)
+    ]
+    return np.stack([P for P, _ in pairs]), np.stack([pe for _, pe in pairs])
+
+
+def best_case_multistep(game, v, extra_sweeps, lam, budget=DEFAULT_ENUMERATION_BUDGET):
+    """Componentwise best (extra_sweeps + 1)-sweep Gauss-Seidel update over
+    every decision rule and every admissible model."""
+    P, pe = _rule_model_stacks(game, budget)
+    X = np.tile(np.asarray(v, dtype=float), (len(P), 1))
+    for _ in range(int(extra_sweeps) + 1):
+        prev = X.copy()
+        for k in range(game.m):
+            lower = np.einsum("nl,nl->n", P[:, k, :k], X[:, :k])
+            upper = np.einsum("nl,nl->n", P[:, k, k:], prev[:, k:])
+            X[:, k] = pe[:, k] + lam * (lower + upper)
+    return X.max(axis=0)
 
 
 @pytest.fixture(scope="session")

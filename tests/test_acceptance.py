@@ -14,6 +14,12 @@ import time
 import numpy as np
 
 import robustdp as r
+from conftest import (
+    best_case_multistep,
+    enumerate_policy_models,
+    gs_splitting,
+    verify_epsilon_optimal,
+)
 from robustdp.cli import main
 from robustdp.random_games import random_game
 from robustdp.rssd import RssdParams, transition_row_candidates
@@ -55,7 +61,7 @@ def test_criterion_1_oracle_equivalence():
         for solve, mt in ((r.solve_ratvi, 0), (r.solve_ratpi, 5)):
             params = r.SolverParams(lam=lam, epsilon=eps, delta=0.0, mt_schedule=mt)
             res = solve(game, params)
-            ok, rep = r.verify_epsilon_optimal(game, res.policy, lam, eps, orc)
+            ok, rep = verify_epsilon_optimal(game, res.policy, lam, eps, orc)
             worst = max(worst, rep["max_violation"])
             if not (res.terminated and ok):
                 report(
@@ -87,8 +93,8 @@ def test_criterion_2_contraction_suite():
         for msteps in (0, 2, 5):
             rate = lam ** (msteps + 1)
             for u, v in pairs:
-                du = r.best_case_multistep(game, u, msteps, lam)
-                dv = r.best_case_multistep(game, v, msteps, lam)
+                du = best_case_multistep(game, u, msteps, lam)
+                dv = best_case_multistep(game, v, msteps, lam)
                 gap = r.sup_norm(du - dv) - rate * r.sup_norm(u - v)
                 worst_u = max(worst_u, gap)
     ok = worst_y <= 1e-12 and worst_u <= 1e-12
@@ -104,8 +110,8 @@ def test_criterion_3_splitting_norms():
     checked = 0
     for game, lam, _ in contraction_games():
         for rule in r.enumerate_decision_rules(game):
-            for P in r.enumerate_policy_models(game, rule):
-                Q, R = r.gs_splitting(P, lam)
+            for P in enumerate_policy_models(game, rule):
+                Q, R = gs_splitting(P, lam)
                 norm = float(np.abs(np.linalg.solve(Q, R)).sum(axis=1).max())
                 worst = max(worst, norm - lam)
                 checked += 1
@@ -129,7 +135,7 @@ def test_criterion_4_monotone_convergence():
             worst_step = min(worst_step, float(np.min(cur - prev)))
         for v in res.trace.values:
             worst_residual = min(
-                worst_residual, float(np.min(r.gs_bellman_residual(game, v, lam)))
+                worst_residual, float(np.min(r.improvement_sweep(game, v, lam).u0 - v))
             )
     ok = worst_step >= -1e-12 and worst_residual >= -1e-10
     report(

@@ -124,7 +124,11 @@ def test_invalid_game_content_exits_1(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"n_players": 0, "states": [], "player_actions": []}))
     assert main(["solve", "--game", str(path)]) == 1
-    assert "n_players" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert f"{path}: invalid game description: " in err
+    assert "n_players must be a positive integer" in err
+    assert "player_actions lists 0 action sets" in err
 
 
 @pytest.mark.parametrize(
@@ -134,14 +138,23 @@ def test_invalid_game_content_exits_1(tmp_path, capsys):
         ["trace-fig1", "--delta", "1"],
         ["solve", "--algo", "rmpi", "--approx-mode", "uniform_noise"],
         ["solve", "--algo", "rvi", "--approx-mode", "adversarial_extremes"],
+        ["oracle", "--lambda", "1.5"],
+        ["oracle", "--lambda", "-0.5"],
+        ["oracle", "--lambda", "nan"],
+        ["oracle", "--lambda", "1"],
     ],
 )
 def test_unusable_flags_exit_1(argv, rssd_file, tmp_path, capsys):
-    where = ["--game", str(rssd_file)] if argv[0] == "solve" else ["--out", str(tmp_path)]
+    if argv[0] in ("solve", "oracle"):
+        where = ["--game", str(rssd_file)]
+    else:
+        where = ["--out", str(tmp_path)]
     assert main([*argv, *where]) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert len(err.strip().splitlines()) == 1
-    assert not list(tmp_path.iterdir())
+    assert not out and not list(tmp_path.iterdir())
+    if argv[0] == "oracle":
+        assert err.startswith("lam must be in [0, 1), got ")
 
 
 def test_trace_fig1_starts_from_v0_file(tmp_path):
@@ -230,3 +243,17 @@ def test_bench_table1_reduced_grid(tmp_path):
         assert row["terminated"] == "True"
         assert float(row["oracle_gap"]) < 1e-5
     assert (out_dir / "bench_table1.txt").exists()
+
+
+def test_bench_table1_lambda_zero(tmp_path):
+    out_dir = tmp_path / "bench"
+    code = main(
+        ["bench-table1", "--out", str(out_dir), "--lambdas", "0", "--mt", "5"]
+    )
+    assert code == 0
+    with open(out_dir / "bench_table1.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4
+    for row in rows:
+        assert float(row["delta"]) == 0.0
+        assert row["terminated"] == "True"

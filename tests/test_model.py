@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import robustdp as r
-from conftest import singleton_game, two_state_chain
+from conftest import enumerate_policy_models, singleton_game, two_state_chain
 from robustdp.random_games import random_game
 
 
@@ -87,12 +88,22 @@ class TestValidation:
         with pytest.raises(r.GameValidationError, match="duplicate"):
             r.validate_game(raw)
 
-    def test_r_max_below_payoffs_rejected(self):
+    @pytest.mark.parametrize(
+        "r_max, message",
+        [
+            (1.0, "r_max 1.0 < max |payoff| 2.0"),
+            (float("nan"), "r_max must be finite"),
+            (float("inf"), "r_max must be finite"),
+        ],
+        ids=["1.0", "nan", "inf"],
+    )
+    def test_r_max_below_payoffs_rejected(self, r_max, message):
         raw = minimal_raw()
         raw["payoffs"] = [{"s": "s1", "a": [0], "s_next": "s1", "r": 2.0}]
-        raw["r_max"] = 1.0
-        with pytest.raises(r.GameValidationError, match="r_max"):
+        raw["r_max"] = r_max
+        with pytest.raises(r.GameValidationError) as exc:
             r.validate_game(raw)
+        assert exc.value.errors == [message]
 
     def test_all_errors_reported_together(self):
         raw = minimal_raw(rows=((0.4, 0.4),))
@@ -200,7 +211,7 @@ class TestEnumeration:
         assert len(rules) == 2
 
     def test_rssd_has_512_rules(self, rssd_game):
-        assert r.count_decision_rules(rssd_game) == 512
+        assert rssd_game.n_joint_actions ** rssd_game.m == 512
         assert len(list(r.enumerate_decision_rules(rssd_game))) == 512
 
     def test_lexicographic_order_two_states_three_actions(self):
@@ -224,19 +235,19 @@ class TestEnumeration:
 
     def test_models_singleton_rows(self):
         game = singleton_game()
-        models = list(r.enumerate_policy_models(game, r.TeamDecisionRule((0,))))
+        models = list(enumerate_policy_models(game, r.TeamDecisionRule((0,))))
         assert len(models) == 1
 
     def test_models_two_by_two(self):
         game = two_state_chain()
         rows2 = [[[[1.0, 0.0], [0.5, 0.5]]], [[[0.0, 1.0], [1.0, 0.0]]]]
         game2 = r.build_game(1, ["s1", "s2"], [["a0"]], game.payoff, rows2)
-        models = list(r.enumerate_policy_models(game2, r.TeamDecisionRule((0, 0))))
+        models = list(enumerate_policy_models(game2, r.TeamDecisionRule((0, 0))))
         assert len(models) == 4
 
     def test_rssd_all_defect_single_distinct_model(self, rssd_game):
         rule = r.TeamDecisionRule((rssd_game.joint_index([1, 1, 1]),) * 3)
-        models = list(r.enumerate_policy_models(rssd_game, rule))
+        models = list(enumerate_policy_models(rssd_game, rule))
         assert len(models) == 1
         assert np.array_equal(models[0], np.eye(3))
 
@@ -244,13 +255,15 @@ class TestEnumeration:
         for seed in range(5):
             game = random_game(seed)
             rule = next(iter(r.enumerate_decision_rules(game)))
-            count = sum(1 for _ in r.enumerate_policy_models(game, rule))
-            assert count == r.count_policy_models(game, rule)
+            count = sum(1 for _ in enumerate_policy_models(game, rule))
+            assert count == math.prod(
+                int(game.n_rows[k, a]) for k, a in enumerate(rule.joint_actions)
+            )
 
     def test_model_budget_exceeded(self, rssd_game):
         rule = r.TeamDecisionRule((0, 0, 0))
         with pytest.raises(r.BudgetExceededError):
-            r.enumerate_policy_models(rssd_game, rule, budget=2)
+            enumerate_policy_models(rssd_game, rule, budget=2)
 
 
 class TestJsonRoundTrip:

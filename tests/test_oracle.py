@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 
 import robustdp as r
-from conftest import mdp_game, singleton_game
-from robustdp.oracle import robust_value_by_model_enumeration
+from conftest import (
+    evaluate_policy_exact,
+    mdp_game,
+    robust_value_by_model_enumeration,
+    singleton_game,
+    verify_epsilon_optimal,
+)
 from robustdp.random_games import random_game
 
 
@@ -23,7 +28,7 @@ def test_degenerate_uncertainty_matches_exhaustive_mdp_optimum():
     best = np.full(game.m, -np.inf)
     for rule in r.enumerate_decision_rules(game):
         rows = tuple(0 for _ in range(game.m))
-        np.maximum(best, r.evaluate_policy_exact(game, rule, rows, 0.9), out=best)
+        np.maximum(best, evaluate_policy_exact(game, rule, rows, 0.9), out=best)
     orc = r.brute_force_maximin(game, 0.9)
     assert np.allclose(orc.v_star, best, atol=1e-9)
 
@@ -42,20 +47,20 @@ def test_optimum_is_update_fixed_point(rssd_game, rssd_oracle):
 def test_verify_epsilon_optimal_accepts_the_optimal_rule():
     game = random_game(23)
     orc = r.brute_force_maximin(game, 0.9)
-    ok, report = r.verify_epsilon_optimal(game, orc.d_star, 0.9, 1e-9, orc)
+    ok, report = verify_epsilon_optimal(game, orc.d_star, 0.9, 1e-9, orc)
     assert ok
     assert report["max_violation"] <= 1e-9
 
 
 def test_verify_epsilon_optimal_single_action_game():
     game = singleton_game(payoff=0.3)
-    ok, _ = r.verify_epsilon_optimal(game, r.TeamDecisionRule((0,)), 0.9, 1e-9)
+    ok, _ = verify_epsilon_optimal(game, r.TeamDecisionRule((0,)), 0.9, 1e-9)
     assert ok
 
 
 def test_verify_epsilon_optimal_rejects_bad_rule(rssd_game, rssd_oracle):
     all_defect = r.TeamDecisionRule((rssd_game.joint_index([1, 1, 1]),) * 3)
-    ok, report = r.verify_epsilon_optimal(
+    ok, report = verify_epsilon_optimal(
         rssd_game, all_defect, 0.97, 1e-5, rssd_oracle
     )
     assert not ok

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 import robustdp as r
-from conftest import huge_payoff_game, mdp_game, singleton_game, two_state_chain
+from conftest import (
+    evaluate_policy_exact,
+    huge_payoff_game,
+    mdp_game,
+    robust_value_by_model_enumeration,
+    singleton_game,
+    two_state_chain,
+    verify_epsilon_optimal,
+)
 from robustdp.random_games import random_game
 from robustdp.solvers import _mt_at, initial_value, termination_threshold
 
@@ -94,7 +102,7 @@ class TestSolverLoops:
             for solve in (r.solve_ratvi, r.solve_ratpi, r.solve_rvi, r.solve_rmpi):
                 res = solve(game, params)
                 assert res.terminated
-                ok, report = r.verify_epsilon_optimal(
+                ok, report = verify_epsilon_optimal(
                     game, res.policy, 0.9, 1e-6, orc
                 )
                 assert ok, (seed, solve.__name__, report["max_violation"])
@@ -137,7 +145,7 @@ class TestSolverLoops:
                 )
                 res = r.solve_ratpi(game, params, oracle)
                 assert res.terminated
-                ok, report = r.verify_epsilon_optimal(game, res.policy, lam, eps, orc)
+                ok, report = verify_epsilon_optimal(game, res.policy, lam, eps, orc)
                 assert ok, (mode, lock, report["max_violation"])
 
 
@@ -162,7 +170,7 @@ class TestRobustEvaluation:
         game = mdp_game(seed=9)
         for rule in r.enumerate_decision_rules(game):
             value, rows = r.evaluate_policy_robust(game, rule, 0.9)
-            expected = r.evaluate_policy_exact(game, rule, rows, 0.9)
+            expected = evaluate_policy_exact(game, rule, rows, 0.9)
             assert np.allclose(value, expected, atol=1e-10)
 
     def test_rssd_all_defect_value_is_zero(self, rssd_game):
@@ -173,8 +181,6 @@ class TestRobustEvaluation:
         assert rows == (0, 0, 0)
 
     def test_agrees_with_model_enumeration_oracle(self):
-        from robustdp.oracle import robust_value_by_model_enumeration
-
         for seed in range(6):
             game = random_game(seed + 50, max_rows=2)
             for rule in r.enumerate_decision_rules(game):
@@ -187,20 +193,20 @@ class TestRobustEvaluation:
         rule = next(iter(r.enumerate_decision_rules(game)))
         value, rows = r.evaluate_policy_robust(game, rule, 0.9)
         assert np.allclose(
-            value, r.evaluate_policy_exact(game, rule, rows, 0.9), atol=1e-9
+            value, evaluate_policy_exact(game, rule, rows, 0.9), atol=1e-9
         )
 
 
 class TestExactEvaluation:
     def test_single_state_geometric_series(self):
         game = singleton_game(payoff=1.0)
-        value = r.evaluate_policy_exact(game, r.TeamDecisionRule((0,)), (0,), 0.9)
+        value = evaluate_policy_exact(game, r.TeamDecisionRule((0,)), (0,), 0.9)
         assert abs(value[0] - 10.0) < 1e-12
 
     def test_zero_discount_returns_expected_payoff(self):
         game = two_state_chain()
         rule = r.TeamDecisionRule((0, 0))
-        value = r.evaluate_policy_exact(game, rule, (1, 0), 0.0)
+        value = evaluate_policy_exact(game, rule, (1, 0), 0.0)
         from robustdp.sweeps import fixed_model_arrays
 
         _, rew = fixed_model_arrays(game, rule, (1, 0))
@@ -210,7 +216,7 @@ class TestExactEvaluation:
         game = random_game(71)
         rule = next(iter(r.enumerate_decision_rules(game)))
         rows = tuple(0 for _ in range(game.m))
-        expected = r.evaluate_policy_exact(game, rule, rows, 0.9)
+        expected = evaluate_policy_exact(game, rule, rows, 0.9)
         v = np.zeros(game.m)
         for _ in range(1500):
             v = r.evaluation_sweep(game, v, rule, rows, 0.9)

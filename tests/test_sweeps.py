@@ -4,7 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robustdp as r
-from conftest import gs_backup, mdp_game, singleton_game, two_state_chain
+from conftest import (
+    best_case_multistep,
+    enumerate_policy_models,
+    evaluate_policy_exact,
+    greedy_multistep,
+    gs_backup,
+    gs_splitting,
+    mdp_game,
+    singleton_game,
+    two_state_chain,
+)
 from robustdp.random_games import random_game
 from robustdp.solvers import initial_value
 from robustdp.sweeps import fixed_model_arrays
@@ -217,7 +227,8 @@ class TestBellmanResidual:
     def test_zero_at_the_optimum(self):
         game = random_game(2)
         v_star = r.brute_force_maximin(game, LAM).v_star
-        assert r.sup_norm(r.gs_bellman_residual(game, v_star, LAM)) <= 1e-9
+        updated = r.improvement_sweep(game, v_star, LAM).u0
+        assert r.sup_norm(updated - v_star) <= 1e-9
 
     def test_affine_downshift_bounds(self):
         # Jacobi sweeps shift exactly by lam*c; Gauss-Seidel sweeps attenuate
@@ -238,12 +249,13 @@ class TestBellmanResidual:
         game = random_game(2)
         v_star = r.brute_force_maximin(game, LAM).v_star
         for c in (0.1, 1.0, 25.0):
-            assert np.all(r.gs_bellman_residual(game, v_star - c, LAM) >= -1e-9)
+            v = v_star - c
+            assert np.all(r.improvement_sweep(game, v, LAM).u0 - v >= -1e-9)
 
     def test_payoff_floor_start_is_nonnegative(self, rssd_game):
         params = r.SolverParams(lam=0.97, epsilon=1e-5)
         v0 = initial_value(rssd_game, params)
-        assert np.all(r.gs_bellman_residual(rssd_game, v0, 0.97) >= 0.0)
+        assert np.all(r.improvement_sweep(rssd_game, v0, 0.97).u0 - v0 >= 0.0)
 
 
 class TestGreedyMultistep:
@@ -251,14 +263,14 @@ class TestGreedyMultistep:
         game = random_game(12)
         v = np.linspace(-1, 1, game.m)
         expected = r.improvement_sweep(game, v, LAM).u0
-        assert np.array_equal(r.greedy_multistep(game, v, 0, LAM), expected)
+        assert np.array_equal(greedy_multistep(game, v, 0, LAM), expected)
 
     def test_many_sweeps_reach_the_recorded_policy_value(self):
         game = random_game(13)
         v = np.zeros(game.m)
         sweep = r.improvement_sweep(game, v, LAM)
-        expected = r.evaluate_policy_exact(game, sweep.rule, sweep.worst_model, LAM)
-        out = r.greedy_multistep(game, v, 600, LAM)
+        expected = evaluate_policy_exact(game, sweep.rule, sweep.worst_model, LAM)
+        out = greedy_multistep(game, v, 600, LAM)
         assert r.sup_norm(out - expected) <= 1e-12
 
     def test_preserves_nonnegative_residual_region(self):
@@ -266,15 +278,15 @@ class TestGreedyMultistep:
         floor = float(game.payoff.min()) / (1 - LAM)
         v = np.full(game.m, floor)
         for extra in (0, 1, 3, 8):
-            out = r.greedy_multistep(game, v, extra, LAM)
-            assert np.all(r.gs_bellman_residual(game, out, LAM) >= -1e-10)
+            out = greedy_multistep(game, v, extra, LAM)
+            assert np.all(r.improvement_sweep(game, out, LAM).u0 - out >= -1e-10)
 
 
 class TestBestCaseMultistep:
     def test_singleton_rule_and_model_is_repeated_policy_update(self):
         game = singleton_game(payoff=1.0)
         v = np.array([4.0])
-        out = r.best_case_multistep(game, v, 2, 0.5)
+        out = best_case_multistep(game, v, 2, 0.5)
         x = v.copy()
         for _ in range(3):
             x = r.evaluation_sweep(game, x, r.TeamDecisionRule((0,)), (0,), 0.5)
@@ -287,8 +299,8 @@ class TestBestCaseMultistep:
             for _ in range(30):
                 u = rng.uniform(-20, 20, game.m)
                 v = rng.uniform(-20, 20, game.m)
-                du = r.best_case_multistep(game, u, mstep, LAM)
-                dv = r.best_case_multistep(game, v, mstep, LAM)
+                du = best_case_multistep(game, u, mstep, LAM)
+                dv = best_case_multistep(game, v, mstep, LAM)
                 assert (
                     r.sup_norm(du - dv)
                     <= LAM ** (mstep + 1) * r.sup_norm(u - v) + 1e-12
@@ -302,17 +314,17 @@ class TestBestCaseMultistep:
             for _ in range(20):
                 u = np.full(game.m, floor) - rng.uniform(0, 1)
                 v = u - rng.uniform(0, 5)
-                best = r.best_case_multistep(game, u, mstep, LAM)
-                greedy = r.greedy_multistep(game, v, mstep, LAM)
+                best = best_case_multistep(game, u, mstep, LAM)
+                greedy = greedy_multistep(game, v, mstep, LAM)
                 yv = r.improvement_sweep(game, v, LAM).u0
                 assert np.all(best >= greedy - 1e-10)
-                assert np.all(r.greedy_multistep(game, v, mstep, LAM) >= yv - 1e-10)
+                assert np.all(greedy_multistep(game, v, mstep, LAM) >= yv - 1e-10)
 
     def test_fixes_the_optimum_when_uncertainty_degenerates(self):
         game = mdp_game(seed=5)
         v_star = r.brute_force_maximin(game, LAM).v_star
         for mstep in (0, 3):
-            out = r.best_case_multistep(game, v_star, mstep, LAM)
+            out = best_case_multistep(game, v_star, mstep, LAM)
             assert r.sup_norm(out - v_star) <= 1e-9
 
     def test_upper_bounds_the_optimum_in_general(self):
@@ -321,18 +333,18 @@ class TestBestCaseMultistep:
         game = random_game(3)
         v_star = r.brute_force_maximin(game, LAM).v_star
         for mstep in (0, 2):
-            out = r.best_case_multistep(game, v_star, mstep, LAM)
+            out = best_case_multistep(game, v_star, mstep, LAM)
             assert np.all(out >= v_star - 1e-9)
 
     def test_budget_guard(self, rssd_game):
         with pytest.raises(r.BudgetExceededError):
-            r.best_case_multistep(rssd_game, np.zeros(3), 0, 0.9, budget=10)
+            best_case_multistep(rssd_game, np.zeros(3), 0, 0.9, budget=10)
 
 
 class TestSplitting:
     def test_gs_splitting_parts(self):
         P = np.array([[0.2, 0.8], [0.5, 0.5]])
-        Q, R = r.gs_splitting(P, LAM)
+        Q, R = gs_splitting(P, LAM)
         assert np.allclose(Q - (np.eye(2) - LAM * np.array([[0, 0], [0.5, 0]])), 0)
         assert np.allclose(R, LAM * np.array([[0.2, 0.8], [0.0, 0.5]]))
         assert np.allclose(Q - R, np.eye(2) - LAM * P)
@@ -341,8 +353,8 @@ class TestSplitting:
         for seed in range(6):
             game = random_game(seed, max_states=3, max_rows=2)
             for rule in r.enumerate_decision_rules(game):
-                for P in r.enumerate_policy_models(game, rule):
-                    Q, R = r.gs_splitting(P, LAM)
+                for P in enumerate_policy_models(game, rule):
+                    Q, R = gs_splitting(P, LAM)
                     norm = np.abs(np.linalg.solve(Q, R)).sum(axis=1).max()
                     assert norm <= LAM + 1e-12
                     assert norm <= np.abs(LAM * P).sum(axis=1).max() + 1e-12
