@@ -7,9 +7,9 @@ the admissible transition matrices are the Cartesian product of the per-state
 row sets (row-rectangular uncertainty), so the adversary may pick each row
 independently.
 
-Joint actions are indexed lexicographically over per-player action indices
-with player 0 most significant; state order is the order given at
-construction and fixes the Gauss-Seidel sweep order used by the solvers.
+Joint actions are indexed in C order over the per-player action counts
+(``TeamMarkovGame.action_shape``), player 0 most significant; state order is
+the order given at construction and fixes the solvers' Gauss-Seidel order.
 
 Instances are immutable after validation and safe to share across concurrent
 solver runs.
@@ -17,6 +17,7 @@ solver runs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -53,6 +54,11 @@ class BudgetExceededError(RuntimeError):
         super().__init__(f"enumeration needs {required} items, budget is {budget}")
 
 
+def _is_number(x, kind=(int, float)) -> bool:
+    """Whether ``x`` is a number of ``kind``; JSON ``true`` (an ``int``) is not."""
+    return type(x) is not bool and isinstance(x, kind)
+
+
 def sup_norm(v) -> float:
     """Sup norm max_s |v(s)| of a value function."""
     return float(np.max(np.abs(np.asarray(v, dtype=float))))
@@ -74,6 +80,8 @@ class TeamDecisionRule:
 class TeamMarkovGame:
     """Validated, immutable robust team Markov game in one packed layout.
 
+    ``player_actions`` alone fixes the action structure: ``n_players``,
+    ``action_shape`` and every index <-> tuple conversion derive from it.
     With m states, A joint actions and Kmax the largest candidate count of
     any (state, joint action) pair:
 
@@ -90,7 +98,6 @@ class TeamMarkovGame:
     they reach this class.
     """
 
-    n_players: int
     states: tuple[str, ...]
     player_actions: tuple[tuple[str, ...], ...]
     payoff: np.ndarray = field(repr=False)
@@ -98,7 +105,6 @@ class TeamMarkovGame:
     n_rows: np.ndarray = field(repr=False)
     r_max: float
     payoff_exp: np.ndarray = field(init=False, repr=False)
-    joint_action_tuples: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         payoff = np.array(self.payoff, dtype=float)
@@ -112,37 +118,34 @@ class TeamMarkovGame:
         ):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(
-            self, "player_actions", tuple(tuple(a) for a in self.player_actions)
-        )
-        object.__setattr__(
-            self,
-            "joint_action_tuples",
-            tuple(
-                itertools.product(*[range(len(a)) for a in self.player_actions])
-            ),
-        )
 
     @property
     def m(self) -> int:
         return len(self.states)
 
     @property
+    def n_players(self) -> int:
+        return len(self.player_actions)
+
+    @property
+    def action_shape(self) -> tuple[int, ...]:
+        """Per-player action counts."""
+        return tuple(len(a) for a in self.player_actions)
+
+    @property
     def n_joint_actions(self) -> int:
-        return len(self.joint_action_tuples)
+        return self.payoff.shape[1]
 
     def joint_index(self, per_player: Sequence[int]) -> int:
-        """Joint-action index of a per-player action index tuple."""
-        idx = 0
-        for i, ai in enumerate(per_player):
-            idx = idx * len(self.player_actions[i]) + int(ai)
-        return idx
+        """Joint-action index of a per-player action index tuple.  Raises
+        ``ValueError`` unless it gives one in-range index per player."""
+        return int(np.ravel_multi_index(tuple(per_player), self.action_shape))
 
     def action_names(self, joint_action: int) -> tuple[str, ...]:
-        """Per-player action names of a joint-action index."""
-        per = self.joint_action_tuples[joint_action]
-        return tuple(self.player_actions[i][ai] for i, ai in enumerate(per))
+        """Per-player action names of a joint-action index.  Raises
+        ``ValueError`` for an index outside [0, n_joint_actions)."""
+        per = np.unravel_index(joint_action, self.action_shape)
+        return tuple(acts[i] for acts, i in zip(self.player_actions, per))
 
     def validate_rule(self, rule: TeamDecisionRule) -> None:
         if len(rule.joint_actions) != self.m:
@@ -177,15 +180,16 @@ def build_game(
     action sets) are reported without the row checks that depend on it.
     """
     errors: list[str] = []
-    if not isinstance(n_players, int) or n_players < 1:
+    n_players_ok = _is_number(n_players, int)
+    if not n_players_ok or n_players < 1:
         errors.append("n_players must be a positive integer")
-    states = list(states)
+    states = tuple(states)
     if not states:
         errors.append("states must be nonempty")
     if len(set(states)) != len(states):
         errors.append("states contains duplicate names")
-    player_actions = [list(a) for a in player_actions]
-    if isinstance(n_players, int) and len(player_actions) != max(n_players, 1):
+    player_actions = tuple(tuple(a) for a in player_actions)
+    if n_players_ok and len(player_actions) != max(n_players, 1):
         errors.append(
             f"player_actions lists {len(player_actions)} action sets "
             f"for {n_players} players"
@@ -199,8 +203,8 @@ def build_game(
         raise GameValidationError(errors)
 
     m = len(states)
-    n_joint = math.prod(len(a) for a in player_actions)
-    joint_tuples = list(itertools.product(*[range(len(a)) for a in player_actions]))
+    shape = tuple(len(a) for a in player_actions)
+    n_joint = math.prod(shape)
     payoff = np.asarray(payoff, dtype=float)
     if payoff.shape != (m, n_joint, m):
         raise GameValidationError(
@@ -218,7 +222,8 @@ def build_game(
                 try:
                     cleaned[k, a] = _clean_rows(uncertainty_rows[k][a], m)
                 except ValueError as e:
-                    ctx = f"uncertainty[state={states[k]!r}, action={joint_tuples[a]}]"
+                    action = tuple(int(i) for i in np.unravel_index(a, shape))
+                    ctx = f"uncertainty[state={states[k]!r}, action={action}]"
                     errors.append(f"{ctx}: {e}")
 
     computed_r_max = float(np.max(np.abs(payoff))) if payoff.size else 0.0
@@ -236,9 +241,8 @@ def build_game(
         n_rows[k, a] = len(rows)
         candidates[k, a, : len(rows)] = rows
     return TeamMarkovGame(
-        n_players=n_players,
-        states=tuple(states),
-        player_actions=tuple(tuple(a) for a in player_actions),
+        states=states,
+        player_actions=player_actions,
         payoff=payoff,
         candidates=candidates,
         n_rows=n_rows,
@@ -315,7 +319,7 @@ def validate_game(raw: Mapping) -> TeamMarkovGame:
         raise GameValidationError(errors)
 
     m = len(states)
-    sizes = [len(a) for a in player_actions]
+    sizes = tuple(len(a) for a in player_actions)
     n_joint = math.prod(sizes)
     state_idx = {s: i for i, s in enumerate(states)}
 
@@ -325,20 +329,21 @@ def validate_game(raw: Mapping) -> TeamMarkovGame:
             return None
         return state_idx[name]
 
+    # numpy's ~2 us per call would dominate a large file: ravel each action once.
+    joint = functools.cache(lambda a: int(np.ravel_multi_index(a, sizes)))
+
     def parse_action(a, where):
         if not isinstance(a, list) or len(a) != len(sizes):
             errors.append(f"{where}: 'a' must list one action index per player")
             return None
-        idx = 0
         for i, ai in enumerate(a):
-            if not isinstance(ai, int) or not 0 <= ai < sizes[i]:
+            if not _is_number(ai, int) or not 0 <= ai < sizes[i]:
                 errors.append(f"{where}: action index {ai!r} out of range for player {i}")
                 return None
-            idx = idx * sizes[i] + ai
-        return idx
+        return joint(tuple(a))
 
     default = raw.get("default_payoff")
-    if default is not None and not isinstance(default, (int, float)):
+    if default is not None and not _is_number(default):
         errors.append("default_payoff must be a number")
         default = 0.0
     pay = np.full((m, n_joint, m), np.nan if default is None else float(default))
@@ -358,13 +363,13 @@ def validate_game(raw: Mapping) -> TeamMarkovGame:
         r = ent.get("r")
         if isinstance(r, list):
             if not r or len(r) != len(sizes) or not all(
-                isinstance(x, (int, float)) for x in r
+                _is_number(x) for x in r
             ):
                 errors.append(f"{where}: 'r' list must give one payoff per player")
                 r = None
             else:
                 r = sum(float(x) for x in r) / len(sizes)
-        elif not isinstance(r, (int, float)):
+        elif not _is_number(r):
             errors.append(f"{where}: 'r' must be a number or per-player list")
             r = None
         if si is None or ai is None or sj is None or r is None:
@@ -407,7 +412,7 @@ def validate_game(raw: Mapping) -> TeamMarkovGame:
         listed.add((si, ai))
         grid[si][ai] = ent.get("rows")
     r_max = raw.get("r_max")
-    if r_max is not None and not isinstance(r_max, (int, float)):
+    if r_max is not None and not _is_number(r_max):
         errors.append("r_max must be a number")
         r_max = None
     try:
@@ -425,31 +430,19 @@ def game_to_dict(game: TeamMarkovGame) -> dict:
     Only nonzero payoffs are listed (with ``default_payoff`` 0.0), so the
     writer output round-trips bit-identically through :func:`validate_game`.
     """
-    payoffs = []
-    for k in range(game.m):
-        for a in range(game.n_joint_actions):
-            for l in range(game.m):
-                r = float(game.payoff[k, a, l])
-                if r != 0.0:
-                    payoffs.append(
-                        {
-                            "s": game.states[k],
-                            "a": list(game.joint_action_tuples[a]),
-                            "s_next": game.states[l],
-                            "r": r,
-                        }
-                    )
-    uncertainty = []
-    for k in range(game.m):
-        for a in range(game.n_joint_actions):
-            uncertainty.append(
-                {
-                    "s": game.states[k],
-                    "a": list(game.joint_action_tuples[a]),
-                    "rows": [[float(x) for x in row] for row in
-                             game.candidates[k, a, : game.n_rows[k, a]]],
-                }
-            )
+    actions = list(np.ndindex(*game.action_shape))
+    states = game.states
+    payoffs = [
+        {"s": states[k], "a": list(actions[a]), "s_next": states[l],
+         "r": float(game.payoff[k, a, l])}
+        for k, a, l in zip(*np.nonzero(game.payoff))
+    ]
+    uncertainty = [
+        {"s": states[k], "a": list(actions[a]),
+         "rows": game.candidates[k, a, : game.n_rows[k, a]].tolist()}
+        for k in range(game.m)
+        for a in range(game.n_joint_actions)
+    ]
     return {
         "n_players": game.n_players,
         "states": list(game.states),

@@ -25,6 +25,9 @@ from .solvers import evaluate_policy_robust
 
 log = logging.getLogger("robustdp.oracle")
 
+#: Slack within which one rule attains the maximum in every component.
+DOMINANCE_ATOL = 1e-9
+
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -47,26 +50,23 @@ def brute_force_maximin(
     game: TeamMarkovGame,
     lam: float,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
-    tol: float = 1e-12,
-    atol: float = 1e-9,
 ) -> OracleResult:
     """Componentwise max over all rules of the robust (worst-case) value.
 
-    Each rule is evaluated with :func:`evaluate_policy_robust` at ``tol``;
-    ``atol`` is the comparison slack when testing whether one rule attains
-    the maximum everywhere.  Raises BudgetExceededError when the rule count
-    exceeds ``budget``.
+    Each rule is evaluated with :func:`evaluate_policy_robust`; a rule
+    attains the maximum everywhere when it is within ``DOMINANCE_ATOL`` of
+    it.  Raises BudgetExceededError when the rule count exceeds ``budget``.
     """
     entries: list[tuple[TeamDecisionRule, np.ndarray]] = []
     for rule in enumerate_decision_rules(game, budget):
-        value, _ = evaluate_policy_robust(game, rule, lam, tol)
+        value, _ = evaluate_policy_robust(game, rule, lam)
         entries.append((rule, value))
     v_star = entries[0][1].copy()
     for _, value in entries[1:]:
         np.maximum(v_star, value, out=v_star)
     d_star = None
     for rule, value in entries:
-        if np.all(value >= v_star - atol):
+        if np.all(value >= v_star - DOMINANCE_ATOL):
             d_star = rule
             max_gap = float(np.max(v_star - value))
             break

@@ -17,11 +17,14 @@ synergy factor r and snowdrift benefit theta of the destination state):
 
 The team payoff stored in the game is the per-capita average
 (h*a + (n-h)*b) / n.
+
+Joint actions are {C, D}^n (C = 0) in the game's C order.  Payoffs and rows
+depend on a joint action only through h, so :func:`build_rssd` computes them
+once per cooperator count and indexes them by each joint action's h.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -136,20 +139,15 @@ def build_rssd(params: RssdParams | None = None) -> TeamMarkovGame:
     per-capita team payoffs, and one candidate transition row per mu."""
     params = params or RssdParams()
     n = params.n_players
-    actions = [["C", "D"]] * n
-    joint = list(itertools.product((0, 1), repeat=n))
-    n_joint = len(joint)
-    payoff = np.empty((N_STATES, n_joint, N_STATES))
-    rows: list[list[np.ndarray]] = []
-    for k in range(N_STATES):
-        per_state = []
-        for a, combo in enumerate(joint):
-            h = combo.count(0)
-            for l in range(N_STATES):
-                payoff[k, a, l] = team_payoff(params, k, h, l)
-            per_state.append(transition_row_candidates(params, k, h))
-        rows.append(per_state)
-    return build_game(n, list(STATE_NAMES), actions, payoff, rows)
+    counts = range(n + 1)
+    payoff_by_count = np.array([[[team_payoff(params, k, h, l) for l in range(N_STATES)]
+                                 for h in counts] for k in range(N_STATES)])
+    rows_by_count = [[transition_row_candidates(params, k, h) for h in counts]
+                     for k in range(N_STATES)]
+    cooperators = n - np.sum(np.unravel_index(np.arange(2**n), (2,) * n), axis=0)
+    payoff = payoff_by_count[:, cooperators]
+    rows = [[per_state[h] for h in cooperators] for per_state in rows_by_count]
+    return build_game(n, list(STATE_NAMES), [["C", "D"]] * n, payoff, rows)
 
 
 class DilemmaViolation(NamedTuple):

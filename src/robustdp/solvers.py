@@ -11,7 +11,8 @@ sweeps under the rule and worst-case rows the improvement recorded.
 
 The Gauss-Seidel pair accepts an injectable bounded-error oracle; its
 termination threshold is (1-lam)*epsilon/(2*lam) - delta, where delta bounds
-the per-query error through the oracle (|error| <= lam*delta).  The Jacobi
+the per-query error through the oracle (|error| <= lam*delta; a run whose
+oracle bound exceeds lam*delta is rejected up front).  The Jacobi
 baselines always run exact and use the delta = 0 threshold, so iteration
 counts are comparable across all four solvers.
 """
@@ -38,6 +39,9 @@ from .sweeps import (
 log = logging.getLogger("robustdp.solvers")
 
 MtSchedule = int | Sequence[int]
+
+#: Tolerance of the terminal robust evaluation (:func:`evaluate_policy_robust`).
+ROBUST_EVAL_TOL = 1e-12
 
 
 def max_delta(lam: float, epsilon: float) -> float:
@@ -172,6 +176,11 @@ def _run(
             f"lambda={lam!r}); rescale the payoffs"
         )
     delta = params.delta if gauss_seidel else 0.0
+    if approx is not None and not approx.is_identity and approx.bound > lam * delta:
+        raise ValueError(
+            f"{algo}: perturbation bound {approx.bound!r} exceeds "
+            f"lambda * delta = {lam * delta!r}"
+        )
     threshold = termination_threshold(lam, params.epsilon, delta)
     v = initial_value(game, params)
     trace = SolverTrace()
@@ -257,7 +266,6 @@ def evaluate_policy_robust(
     game: TeamMarkovGame,
     rule: TeamDecisionRule,
     lam: float,
-    tol: float = 1e-12,
 ) -> tuple[np.ndarray, tuple[int, ...]]:
     """Worst-case value of a fixed rule over its admissible models.
 
@@ -266,10 +274,10 @@ def evaluate_policy_robust(
     over whole transition matrices.  Successive one-step backups alternate
     with exact evaluation of the current minimising rows, and the iteration
     stops once a backup step moves the value by less than
-    tol*(1-lam)/(2*lam) in sup norm (or the minimising rows repeat, i.e. the
-    fixed point is reached to linear-solve precision).  Returns the value
-    and the final per-state minimising row indices.  Raises ``ValueError``
-    unless 0 <= lam < 1.
+    ``termination_threshold(lam, ROBUST_EVAL_TOL, 0.0)`` in sup norm (or the
+    minimising rows repeat, i.e. the fixed point is reached to linear-solve
+    precision).  Returns the value and the final per-state minimising row
+    indices.  Raises ``ValueError`` unless 0 <= lam < 1.
     """
     _check_lam(lam)
     game.validate_rule(rule)
@@ -278,7 +286,7 @@ def evaluate_policy_robust(
     acts = list(rule.joint_actions)
     cand = game.candidates[states, acts]
     pe = game.payoff_exp[states, acts]
-    threshold = math.inf if lam == 0.0 else tol * (1.0 - lam) / (2.0 * lam)
+    threshold = termination_threshold(lam, ROBUST_EVAL_TOL, 0.0)
     eye = np.eye(m)
     v = np.zeros(m)
     prev_rows: tuple[int, ...] | None = None

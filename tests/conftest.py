@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import robustdp as r
 from robustdp.model import DEFAULT_ENUMERATION_BUDGET
@@ -56,6 +57,37 @@ def mdp_game(seed: int = 5, m: int = 3, n_actions: int = 2) -> r.TeamMarkovGame:
     ]
     states = [f"s{i + 1}" for i in range(m)]
     return r.build_game(1, states, [[f"a{j}" for j in range(n_actions)]], pay, rows)
+
+
+@st.composite
+def games(draw, max_states=4, max_actions=3):
+    """Small game with 1 to ``max_states`` states, 1-2 players of 1 to
+    ``max_actions`` actions, 1-4 rows per (state, joint action); optionally
+    every set's last row repeats its first, and the last joint action copies
+    the first."""
+    m = draw(st.integers(1, max_states))
+    sizes = draw(st.lists(st.integers(1, max_actions), min_size=1, max_size=2))
+    n_joint = math.prod(sizes)
+    counts = draw(
+        st.lists(st.integers(1, 4), min_size=m * n_joint, max_size=m * n_joint)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    payoff = rng.uniform(-1, 1, (m, n_joint, m))
+    rows = [
+        [rng.dirichlet(np.ones(m), size=counts[k * n_joint + a]) for a in range(n_joint)]
+        for k in range(m)
+    ]
+    if draw(st.booleans()):
+        for per_state in rows:
+            for cand in per_state:
+                cand[-1] = cand[0]
+    if n_joint > 1 and draw(st.booleans()):
+        payoff[:, -1] = payoff[:, 0]
+        for per_state in rows:
+            per_state[-1] = per_state[0].copy()
+    actions = [[f"a{j}" for j in range(size)] for size in sizes]
+    states = [f"s{k}" for k in range(m)]
+    return r.build_game(len(sizes), states, actions, payoff, rows)
 
 
 def gs_backup(game, v, u_partial, k, a, lam):
@@ -121,7 +153,7 @@ def robust_value_by_model_enumeration(
 
 
 def verify_epsilon_optimal(game, rule, lam, epsilon, oracle_result=None,
-                           tol=1e-12, slack=1e-9):
+                           slack=1e-9):
     """Check that a rule's worst-case value is within epsilon of the
     exhaustive maximin value in every component.
 
@@ -129,9 +161,9 @@ def verify_epsilon_optimal(game, rule, lam, epsilon, oracle_result=None,
     componentwise shortfall v_star - epsilon - value.  ``slack`` absorbs the
     numerical tolerance of the two evaluations.
     """
-    value, _ = r.evaluate_policy_robust(game, rule, lam, tol)
+    value, _ = r.evaluate_policy_robust(game, rule, lam)
     if oracle_result is None:
-        oracle_result = r.brute_force_maximin(game, lam, tol=tol)
+        oracle_result = r.brute_force_maximin(game, lam)
     ok = bool(np.all(value >= oracle_result.v_star - epsilon - slack))
     shortfall = oracle_result.v_star - epsilon - value
     return ok, {"max_violation": float(np.max(shortfall))}

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robustdp as r
-from conftest import gs_backup
+from conftest import games, gs_backup
 
 LAMS = st.sampled_from([0.0, 0.5, 0.9, 0.999])
 ORACLES = st.sampled_from(
@@ -25,36 +25,6 @@ ORACLES = st.sampled_from(
         r.PerturbationOracle("adversarial_extremes", 0.05),
     ]
 )
-
-
-@st.composite
-def games(draw):
-    """Small game with 1-4 states, 1-2 players of 1-3 actions, 1-4 rows per
-    (state, joint action); optionally every set's last row repeats its
-    first, and the last joint action copies the first."""
-    m = draw(st.integers(1, 4))
-    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
-    n_joint = math.prod(sizes)
-    counts = draw(
-        st.lists(st.integers(1, 4), min_size=m * n_joint, max_size=m * n_joint)
-    )
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    payoff = rng.uniform(-1, 1, (m, n_joint, m))
-    rows = [
-        [rng.dirichlet(np.ones(m), size=counts[k * n_joint + a]) for a in range(n_joint)]
-        for k in range(m)
-    ]
-    if draw(st.booleans()):
-        for per_state in rows:
-            for cand in per_state:
-                cand[-1] = cand[0]
-    if n_joint > 1 and draw(st.booleans()):
-        payoff[:, -1] = payoff[:, 0]
-        for per_state in rows:
-            per_state[-1] = per_state[0].copy()
-    actions = [[f"a{j}" for j in range(size)] for size in sizes]
-    states = [f"s{k}" for k in range(m)]
-    return r.build_game(len(sizes), states, actions, payoff, rows)
 
 
 def start_value(game, seed):

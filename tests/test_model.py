@@ -1,9 +1,10 @@
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robustdp as r
@@ -105,6 +106,37 @@ class TestValidation:
             r.validate_game(raw)
         assert exc.value.errors == [message]
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param(lambda raw: raw.update(n_players=True),
+                         "n_players must be a positive integer", id="n_players"),
+            pytest.param(lambda raw: raw.update(r_max=True),
+                         "r_max must be a number", id="r_max"),
+            pytest.param(lambda raw: raw.update(default_payoff=True),
+                         "default_payoff must be a number", id="default_payoff"),
+            pytest.param(lambda raw: raw["payoffs"][0].update(r=True),
+                         "payoffs[0]: 'r' must be a number or per-player list",
+                         id="r"),
+            pytest.param(lambda raw: raw["payoffs"][0].update(r=[True]),
+                         "payoffs[0]: 'r' list must give one payoff per player",
+                         id="r_list"),
+            pytest.param(lambda raw: raw["uncertainty"][1].update(a=[True]),
+                         "uncertainty[1]: action index True out of range for player 0",
+                         id="a"),
+        ],
+    )
+    def test_json_true_is_not_a_number(self, edit, message):
+        raw = minimal_raw()
+        raw["player_actions"] = [["a0", "a1"]]
+        raw["uncertainty"].append({"s": "s1", "a": [1], "rows": [[1.0]]})
+        raw["payoffs"] = [{"s": "s1", "a": [0], "s_next": "s1", "r": 0.5}]
+        r.validate_game(raw)
+        edit(raw)
+        with pytest.raises(r.GameValidationError) as exc:
+            r.validate_game(raw)
+        assert message in exc.value.errors
+
     def test_all_errors_reported_together(self):
         raw = minimal_raw(rows=((0.4, 0.4),))
         raw["states"] = ["s1", "s2"]
@@ -143,6 +175,39 @@ class TestValidation:
         for k in range(rssd_game.m):
             assert rssd_game.n_rows[k, all_defect] == 1
             assert rssd_game.n_rows[k, all_coop] == 3
+
+
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=4), st.data())
+@settings(max_examples=50, deadline=None)
+def test_joint_action_encoding(sizes, data):
+    """Joint-action indices follow ``itertools.product`` order over the
+    per-player actions, ``action_names`` inverts ``joint_index``, and an
+    out-of-range, negative or wrong-arity input raises."""
+    actions = [[f"p{i}a{j}" for j in range(size)] for i, size in enumerate(sizes)]
+    n_joint = math.prod(sizes)
+    game = r.build_game(
+        len(sizes), ["s1"], actions, np.zeros((1, n_joint, 1)), [[[[1.0]]] * n_joint]
+    )
+    reference = list(itertools.product(*map(range, sizes)))
+    assert game.action_shape == tuple(sizes)
+    assert game.n_players == len(sizes)
+    assert game.n_joint_actions == len(reference)
+    for a, per_player in enumerate(reference):
+        assert game.joint_index(per_player) == a
+        assert game.action_names(a) == tuple(
+            acts[x] for acts, x in zip(actions, per_player)
+        )
+    per_player = list(data.draw(st.sampled_from(reference)))
+    i = data.draw(st.integers(0, len(sizes) - 1))
+    for bad in (sizes[i], -1):
+        with pytest.raises(ValueError):
+            game.joint_index(per_player[:i] + [bad] + per_player[i + 1:])
+    for wrong_arity in (per_player + [0], per_player[:-1]):
+        with pytest.raises(ValueError):
+            game.joint_index(wrong_arity)
+    for bad in (-1, n_joint):
+        with pytest.raises(ValueError):
+            game.action_names(bad)
 
 
 class TestRowDistributionSet:

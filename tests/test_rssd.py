@@ -99,8 +99,8 @@ class TestBuild:
         assert np.array_equal(reparsed.payoff, rssd_game.payoff)
 
     def test_cooperator_count_drives_rows(self, rssd_game):
-        for a, combo in enumerate(rssd_game.joint_action_tuples):
-            h = combo.count(0)
+        for a in range(rssd_game.n_joint_actions):
+            h = rssd_game.action_names(a).count("C")
             expected = 3 if h > 0 else 1
             assert rssd_game.n_rows[0, a] == expected
 
@@ -152,6 +152,6 @@ class TestSolveability:
         # team optimum: full cooperation in the public-goods and stag-hunt
         # states; snowdrift needs a single cooperator
         d = rssd_oracle.d_star
-        assert rssd_game.joint_action_tuples[d.joint_actions[0]] == (0, 0, 0)
-        assert rssd_game.joint_action_tuples[d.joint_actions[1]] == (0, 0, 0)
-        assert rssd_game.joint_action_tuples[d.joint_actions[2]].count(0) == 1
+        assert rssd_game.action_names(d.joint_actions[0]) == ("C", "C", "C")
+        assert rssd_game.action_names(d.joint_actions[1]) == ("C", "C", "C")
+        assert rssd_game.action_names(d.joint_actions[2]).count("C") == 1

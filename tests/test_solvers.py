@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import robustdp as r
 from conftest import (
     evaluate_policy_exact,
+    games,
     huge_payoff_game,
     mdp_game,
     robust_value_by_model_enumeration,
@@ -12,7 +15,11 @@ from conftest import (
     verify_epsilon_optimal,
 )
 from robustdp.random_games import random_game
-from robustdp.solvers import _mt_at, initial_value, termination_threshold
+from robustdp.solvers import SOLVERS, _mt_at, initial_value, termination_threshold
+
+#: Rule count of the largest game ``games(max_states=3, max_actions=2)``
+#: draws: 4 joint actions in each of 3 states.
+ORACLE_BUDGET = 4**3
 
 
 class TestParams:
@@ -147,6 +154,36 @@ class TestSolverLoops:
                 assert res.terminated
                 ok, report = verify_epsilon_optimal(game, res.policy, lam, eps, orc)
                 assert ok, (mode, lock, report["max_violation"])
+
+
+    @pytest.mark.parametrize("solve", [r.solve_ratpi, r.solve_ratvi])
+    def test_perturbation_bound_above_lam_delta_rejected(self, rssd_game, solve):
+        # delta is 0, so a bound of 1e-6 keeps the residual from ever
+        # falling below the threshold.
+        params = r.SolverParams(lam=0.97, epsilon=1e-5, max_iterations=2000)
+        approx = r.PerturbationOracle(
+            "adversarial_extremes", bound=1e-6, argmax_lock=True
+        )
+        with pytest.raises(ValueError, match="perturbation bound 1e-06 exceeds"):
+            solve(rssd_game, params, approx)
+
+
+@given(games(max_states=3, max_actions=2), st.sampled_from([0.0, 0.5, 0.9]))
+@settings(max_examples=100, deadline=None)
+def test_solvers_match_oracle_on_generated_games(game, lam):
+    """Every solver terminates within epsilon of the exhaustive maximin
+    value, and each Gauss-Seidel solver agrees with its Jacobi twin."""
+    eps, slack = 1e-6, 1e-9
+    v_star = r.brute_force_maximin(game, lam, budget=ORACLE_BUDGET).v_star
+    params = r.SolverParams(lam=lam, epsilon=eps)
+    values = {}
+    for algo, solve in SOLVERS.items():
+        res = solve(game, params)
+        assert res.terminated, algo
+        assert r.sup_norm(res.value - v_star) <= eps + slack, algo
+        values[algo] = res.value
+    assert r.sup_norm(values["ratpi"] - values["rmpi"]) <= eps + slack
+    assert r.sup_norm(values["ratvi"] - values["rvi"]) <= eps + slack
 
 
 class TestNonFiniteValues:
