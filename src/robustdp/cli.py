@@ -14,7 +14,9 @@ Subcommands:
 
 The ``--approx-*`` flags of ``solve`` apply only to ``ratpi`` and ``ratvi``;
 the Jacobi baselines always run exact, so ``rmpi`` and ``rvi`` reject any
-``--approx-mode`` other than ``identity``.
+``--approx-mode`` other than ``identity``.  The perturbation bound is
+lambda * delta, so a perturbed mode with ``--lambda 0`` or ``--delta 0`` is
+rejected too: it would run exact backups under a perturbed label.
 
 Exit codes: 0 on normal termination, 2 when a solver hits its iteration cap,
 1 on input errors.  Set ROBUSTDP_LOG to a logging level name for diagnostics.
@@ -172,9 +174,16 @@ def cmd_solve(args) -> int:
     if args.approx_mode == "identity":
         result = SOLVERS[args.algo](game, params)
     else:
+        bound = params.lam * params.delta
+        if bound == 0.0:
+            raise CliInputError(
+                f"--approx-mode {args.approx_mode}: the perturbation bound "
+                f"lambda * delta is 0 (lambda={params.lam!r}, delta={params.delta!r}), "
+                "so the run would be exact; give a positive --lambda and --delta"
+            )
         approx = PerturbationOracle(
             mode=args.approx_mode,
-            bound=params.lam * params.delta,
+            bound=bound,
             seed=args.approx_seed,
             argmax_lock=args.approx_lock,
         )

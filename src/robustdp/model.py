@@ -59,6 +59,15 @@ def _is_number(x, kind=(int, float)) -> bool:
     return type(x) is not bool and isinstance(x, kind)
 
 
+def _holds_bool(rows) -> bool:
+    """Whether JSON candidate rows (a list of lists) hold ``true``/``false``.
+    Anything else is left to :func:`_clean_rows`, which reports its shape."""
+    try:
+        return bool in set(map(type, itertools.chain.from_iterable(rows)))
+    except TypeError:
+        return False
+
+
 def sup_norm(v) -> float:
     """Sup norm max_s |v(s)| of a value function."""
     return float(np.max(np.abs(np.asarray(v, dtype=float))))
@@ -71,9 +80,7 @@ class TeamDecisionRule:
     joint_actions: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "joint_actions", tuple(int(a) for a in self.joint_actions)
-        )
+        object.__setattr__(self, "joint_actions", tuple(map(int, self.joint_actions)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,10 +298,11 @@ def validate_game(raw: Mapping) -> TeamMarkovGame:
     ``states`` is an array of names and ``player_actions`` an array of
     arrays of names, that entries name known states and give one in-range
     action index per player, per-player ``r`` lists, duplicate entries,
-    unlisted payoff triples when ``default_payoff`` is absent, and the type
-    of ``r_max``.  Every other check (player count, duplicate or empty
-    names, candidate rows, missing uncertainty entries, ``r_max`` against
-    the payoffs) is :func:`build_game`'s.  One
+    unlisted payoff triples when ``default_payoff`` is absent, ``true`` or
+    ``false`` inside candidate ``rows``, and the type of ``r_max``.  Every
+    other check (player count, duplicate or empty names, candidate rows,
+    missing uncertainty entries, ``r_max`` against the payoffs) is
+    :func:`build_game`'s.  One
     :class:`GameValidationError` lists this function's errors followed by
     those of :func:`build_game`.
 
@@ -410,7 +418,12 @@ def validate_game(raw: Mapping) -> TeamMarkovGame:
             errors.append(f"{where}: duplicate entry for this (s, a)")
             continue
         listed.add((si, ai))
-        grid[si][ai] = ent.get("rows")
+        rows = grid[si][ai] = ent.get("rows")
+        if _holds_bool(rows):
+            errors.append(
+                f"uncertainty[state={states[si]!r}, action={tuple(ent['a'])}]: "
+                "rows must hold numbers, not true/false"
+            )
     r_max = raw.get("r_max")
     if r_max is not None and not _is_number(r_max):
         errors.append("r_max must be a number")

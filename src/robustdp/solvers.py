@@ -40,6 +40,8 @@ log = logging.getLogger("robustdp.solvers")
 
 MtSchedule = int | Sequence[int]
 
+_max = np.maximum.reduce
+
 #: Tolerance of the terminal robust evaluation (:func:`evaluate_policy_robust`).
 ROBUST_EVAL_TOL = 1e-12
 
@@ -136,10 +138,6 @@ class SolverTrace:
     residuals: list[float] = field(default_factory=list)
     values: list[np.ndarray] = field(default_factory=list)
 
-    def append(self, residual, value) -> None:
-        self.residuals.append(float(residual))
-        self.values.append(np.asarray(value, dtype=float))
-
     def __len__(self) -> int:
         return len(self.residuals)
 
@@ -160,6 +158,40 @@ class SolverResult:
     iterations: int
     terminated: bool
     trace: SolverTrace
+
+
+def _warn_if_unreachable(
+    game: TeamMarkovGame,
+    params: SolverParams,
+    threshold: float,
+    residual0: float,
+    algo: str,
+) -> None:
+    """Log one WARNING when the termination threshold looks unreachable:
+    it lies below the spacing of doubles at the value scale
+    r_max / (1 - lam), so only an exact-zero residual can stop the run, or
+    the lam-rate bound log(threshold / residual0) / log(lam) on the steps
+    needed exceeds ``max_iterations``.  The run goes on either way:
+    Gauss-Seidel often beats the lam rate, and exact-zero residuals occur."""
+    lam = params.lam
+    if lam == 0.0 or residual0 < threshold:
+        return
+    problems = []
+    spacing = float(np.spacing(game.r_max / (1.0 - lam)))
+    if threshold < spacing:
+        problems.append(
+            f"threshold {threshold:.3g} is below the double spacing {spacing:.3g} "
+            f"of the value scale r_max/(1-lambda)"
+        )
+    # A difference of logs: the ratio threshold / residual0 can underflow.
+    steps = (math.log(threshold) - math.log(residual0)) / math.log(lam)
+    if steps > params.max_iterations:
+        problems.append(
+            f"the lambda-rate bound of {steps:.3g} steps exceeds "
+            f"max_iterations={params.max_iterations}"
+        )
+    if problems:
+        log.warning("%s may not terminate: %s", algo, "; ".join(problems))
 
 
 def _run(
@@ -183,6 +215,7 @@ def _run(
         )
     threshold = termination_threshold(lam, params.epsilon, delta)
     v = initial_value(game, params)
+    noisy = approx is not None and not approx.is_identity
     trace = SolverTrace()
     last_rule: TeamDecisionRule | None = None
     for t in range(params.max_iterations):
@@ -190,12 +223,15 @@ def _run(
             sweep = improvement_sweep(game, v, lam, approx, t)
         else:
             sweep = jacobi_improvement_sweep(game, v, lam)
-        residual = sup_norm(sweep.u0 - v)
+        residual = float(_max(np.abs(sweep.u0 - v)))
         if not math.isfinite(residual):
             raise ValueError(
                 f"{algo}: residual {residual!r} at step {t} is not finite"
             )
-        trace.append(residual, v.copy())
+        trace.residuals.append(residual)
+        trace.values.append(v)
+        if t == 0:
+            _warn_if_unreachable(game, params, threshold, residual, algo)
         last_rule = sweep.rule
         if residual < threshold:
             value, worst = evaluate_policy_robust(game, sweep.rule, lam)
@@ -203,15 +239,17 @@ def _run(
             return SolverResult(algo, sweep.rule, worst, value, t, True, trace)
         u = sweep.u0
         mt = _mt_at(params.mt_schedule, t)
-        if gauss_seidel:
-            for s in range(mt):
-                u = evaluation_sweep(
-                    game, u, sweep.rule, sweep.worst_model, lam, approx, t, s + 1
-                )
-        elif mt:
+        if mt:
             P, r = fixed_model_arrays(game, sweep.rule, sweep.worst_model)
-            for _ in range(mt):
-                u = r + lam * (P @ u)
+            for s in range(1, mt + 1):
+                if not gauss_seidel:
+                    u = r + lam * (P @ u)
+                    continue
+                noise = None
+                if noisy:
+                    acts = enumerate(sweep.rule.joint_actions)
+                    noise = approx.perturb(0.0, [(t, s, k, a) for k, a in acts])
+                u = evaluation_sweep(P, r, u, lam, noise)
         v = u
     assert last_rule is not None
     value, worst = evaluate_policy_robust(game, last_rule, lam)
@@ -293,8 +331,9 @@ def evaluate_policy_robust(
     q = v
     rows: tuple[int, ...] = (0,) * m
     for _ in range(10_000):
-        q, picked = _row_min(pe, cand, v, lam)
-        rows = tuple(int(j) for j in picked)
+        scores, q = _row_min(pe, cand, v, lam)
+        picked = scores.argmin(axis=-1)
+        rows = tuple(picked.tolist())
         if sup_norm(q - v) < threshold or rows == prev_rows:
             return q, rows
         v = np.linalg.solve(eye - lam * cand[states, picked], pe[states, picked])

@@ -21,30 +21,44 @@ Q^{-1} R of the regular splitting Q = I - lam*P_lower, R = lam*P_upper.
 Jacobi variants (Q = I, R = lam*P) keep the incoming value fixed for the
 whole sweep, so one kernel call backs up every state at once.
 
+The evaluation sweeps of a step all run under the rule and worst-case rows
+its improvement sweep recorded.  So the solver gathers that step's dense
+(P, r) once with :func:`fixed_model_arrays`, and every evaluation sweep of
+the step, Gauss-Seidel or Jacobi, reads those arrays; the row of state k is
+``P[k] = candidates[k, rule[k], rows[k]]``, so the sweep computes the same
+``r[k] + lam * (P[k] @ w)`` the kernel would.  Perturbation noise depends
+only on its query tag, so one oracle call draws a whole sweep's noise
+before the sweep backs up any state; only the locked action's value, chosen
+as the sweep goes, takes one call per state.
+
 The module holds only what the solvers and the CLI run.  The slow
 references the tests hold these operators to (the per-(state, action)
 backup, the splitting (Q, R), the best (m+1)-sweep update over every rule
 and model) live in ``tests/conftest.py``.
 
-All functions are pure in (game, vector, parameters).  Ties in action or row
+All functions are pure in their arguments.  Ties in action or row
 selection break to the lowest index (``argmax``/``argmin``), so traces replay
 exactly; action comparison is exact floating comparison with no epsilon
-fuzz.  Row scores use ``@`` (BLAS), never ``einsum`` or a multiply-then-sum:
-those round differently, and results and traces must replay bit for bit.
+fuzz.  Row scores use BLAS, never ``einsum`` or a multiply-then-sum: those
+round differently, and results and traces must replay bit for bit.  The
+kernel scores stacked rows with ``@``; an evaluation sweep scores one
+gathered row with ``ndarray.dot``, which runs the same ``dot`` routine numpy
+picks for a vector @ vector product, without ``matmul``'s dispatch cost.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .model import TeamDecisionRule, TeamMarkovGame
 from .perturb import PerturbationOracle
 
+_min = np.minimum.reduce
 
-@dataclass(frozen=True)
-class SweepResult:
+
+class SweepResult(NamedTuple):
     """One improvement sweep: updated values, greedy rule, worst-case rows.
 
     ``worst_model[k]`` indexes the minimising candidate row recorded at the
@@ -59,14 +73,15 @@ class SweepResult:
 def _row_min(
     payoff_exp: np.ndarray, candidates: np.ndarray, w: np.ndarray, lam: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Worst-case backups: min over the row axis (the last one of
-    ``payoff_exp``) of ``payoff_exp + lam * (candidates @ w)``.
+    """Worst-case backups: the row scores
+    ``q = payoff_exp + lam * (candidates @ w)`` and their minimum over the
+    row axis (the last one of ``payoff_exp``).
 
-    Returns the minimum and the first minimising row index, both shaped like
-    ``payoff_exp`` without its last axis.
+    The minimising row is the first ``argmin`` of ``q`` over that axis;
+    callers take it only where they need it.
     """
     q = payoff_exp + lam * (candidates @ w)
-    return q.min(axis=-1), q.argmin(axis=-1)
+    return q, _min(q, axis=-1)
 
 
 def improvement_sweep(
@@ -84,67 +99,65 @@ def improvement_sweep(
     backup of every action before the maximum is taken, or with
     ``argmax_lock`` only the value of the action the exact backups chose.
     """
-    noisy = approx is not None and not approx.is_identity
     w = np.array(v, dtype=float)
-    rule = [0] * game.m
-    worst = [0] * game.m
-    for k in range(game.m):
-        vals, rows = _row_min(game.payoff_exp[k], game.candidates[k], w, lam)
-        if noisy and not approx.argmax_lock:
-            vals = np.array(
-                [approx.perturb(float(x), (step, 0, k, a)) for a, x in enumerate(vals)]
-            )
+    m = len(w)
+    payoff_exp, candidates = game.payoff_exp, game.candidates
+    noisy = approx is not None and not approx.is_identity
+    lock = noisy and approx.argmax_lock
+    noise = None
+    if noisy and not lock:
+        tags = [(step, 0, k, a) for k in range(m) for a in range(payoff_exp.shape[1])]
+        noise = approx.perturb(0.0, tags).reshape(m, -1)
+    rule = [0] * m
+    worst = [0] * m
+    for k in range(m):
+        q, vals = _row_min(payoff_exp[k], candidates[k], w, lam)
+        if noise is not None:
+            vals = vals + noise[k]
         a = int(vals.argmax())
-        chosen = float(vals[a])
-        if noisy and approx.argmax_lock:
-            chosen = approx.perturb(chosen, (step, 0, k, a))
-        w[k] = chosen
+        w[k] = approx.perturb(vals[a], [(step, 0, k, a)])[0] if lock else vals[a]
         rule[k] = a
-        worst[k] = int(rows[a])
-    return SweepResult(u0=w, rule=TeamDecisionRule(rule), worst_model=tuple(worst))
+        worst[k] = int(q[a].argmin())
+    return SweepResult(w, TeamDecisionRule(rule), tuple(worst))
 
 
 def jacobi_improvement_sweep(
     game: TeamMarkovGame, v: np.ndarray, lam: float
 ) -> SweepResult:
     """Exact improvement sweep with no within-sweep updates (baselines)."""
-    vals, rows = _row_min(
+    q, vals = _row_min(
         game.payoff_exp, game.candidates, np.asarray(v, dtype=float), lam
     )
     acts = vals.argmax(axis=1)
     states = np.arange(game.m)
     return SweepResult(
-        u0=vals[states, acts],
-        rule=TeamDecisionRule(acts),
-        worst_model=tuple(int(j) for j in rows[states, acts]),
+        vals[states, acts],
+        TeamDecisionRule(acts.tolist()),
+        tuple(q[states, acts].argmin(axis=-1).tolist()),
     )
 
 
 def evaluation_sweep(
-    game: TeamMarkovGame,
+    P: np.ndarray,
+    r: np.ndarray,
     u: np.ndarray,
-    rule: TeamDecisionRule,
-    model_rows: tuple[int, ...],
     lam: float,
-    approx: PerturbationOracle | None = None,
-    step: int = 0,
-    sweep_index: int = 1,
+    noise: Sequence[float] | None = None,
 ) -> np.ndarray:
     """One Gauss-Seidel sweep under a fixed rule and fixed worst-case rows.
 
+    ``(P, r)`` are the rule's transition matrix and expected one-step
+    payoffs under those rows, as :func:`fixed_model_arrays` gathers them.
     Freshly written values feed the remaining states of the same sweep, so
-    with an identity oracle this is exactly the forward substitution solve of
-    (I - lam*P_lower) x = r + lam*P_upper u.
+    without ``noise`` this is exactly the forward substitution solve of
+    (I - lam*P_lower) x = r + lam*P_upper u.  ``noise[k]``, when given, is
+    added to state k's value as it is written: the perturbation oracle's
+    draw for that state's query.
     """
     w = np.array(u, dtype=float)
-    use_noise = approx is not None and not approx.is_identity
-    for k, (a, j) in enumerate(zip(rule.joint_actions, model_rows)):
-        val = float(
-            game.payoff_exp[k, a, j] + lam * (game.candidates[k, a, j] @ w)
-        )
-        if use_noise:
-            val = approx.perturb(val, (step, sweep_index, k, a))
-        w[k] = val
+    for k in range(len(w)):
+        val = r[k] + lam * P[k].dot(w)
+        w[k] = val if noise is None else val + noise[k]
     return w
 
 
@@ -153,7 +166,7 @@ def fixed_model_arrays(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dense transition matrix and expected one-step payoff vector for a
     fixed rule and per-state candidate-row choice."""
-    index = (np.arange(game.m), list(rule.joint_actions), list(model_rows))
+    index = (np.arange(game.m), np.array(rule.joint_actions), np.array(model_rows))
     return game.candidates[index], game.payoff_exp[index]
 
 
@@ -164,6 +177,6 @@ def backup_lattice(game: TeamMarkovGame, v: np.ndarray, lam: float) -> np.ndarra
     w = np.array(v, dtype=float)
     out = np.empty((game.m, game.n_joint_actions))
     for k in range(game.m):
-        out[k], _ = _row_min(game.payoff_exp[k], game.candidates[k], w, lam)
+        _, out[k] = _row_min(game.payoff_exp[k], game.candidates[k], w, lam)
         w[k] = out[k].max()
     return out

@@ -8,8 +8,10 @@ its budget.
 """
 
 import functools
+import hashlib
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -25,6 +27,19 @@ def singleton_game(payoff: float = 1.0) -> r.TeamMarkovGame:
     return r.build_game(
         1, ["s1"], [["a0"]], np.full((1, 1, 1), payoff), [[[[1.0]]]]
     )
+
+
+def reference_noise(oracle: r.PerturbationOracle, tag) -> float:
+    """One query's noise, by its definition: +/-bound by the parity of the
+    tag sum, or bound * (2u - 1) with u the first 8 bytes of the blake2b
+    digest of the packed (seed, tag), little-endian, over 2**64."""
+    if oracle.is_identity:
+        return 0.0
+    if oracle.mode == "adversarial_extremes":
+        return oracle.bound if sum(tag) % 2 == 0 else -oracle.bound
+    payload = struct.pack("<5q", oracle.seed, *tag)
+    digest = hashlib.blake2b(payload, digest_size=8).digest()
+    return oracle.bound * (2.0 * (int.from_bytes(digest, "little") / 2.0**64) - 1.0)
 
 
 def two_state_chain() -> r.TeamMarkovGame:
@@ -173,9 +188,10 @@ def greedy_multistep(game, v, extra_sweeps, lam):
     """One exact improvement sweep, then ``extra_sweeps`` evaluation sweeps
     under the rule and rows the improvement recorded."""
     sweep = r.improvement_sweep(game, v, lam)
+    P, rew = fixed_model_arrays(game, sweep.rule, sweep.worst_model)
     u = sweep.u0
     for _ in range(int(extra_sweeps)):
-        u = r.evaluation_sweep(game, u, sweep.rule, sweep.worst_model, lam)
+        u = r.evaluation_sweep(P, rew, u, lam)
     return u
 
 

@@ -1,5 +1,8 @@
 import csv
+import hashlib
 import json
+import platform
+import shutil
 
 import numpy as np
 import pytest
@@ -65,6 +68,89 @@ def test_identical_invocations_byte_identical(rssd_file, tmp_path):
     _, out1 = run_solve(rssd_file, tmp_path, "a", *args)
     _, out2 = run_solve(rssd_file, tmp_path, "b", *args)
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def numeric_build() -> tuple[str, str, str]:
+    """(numpy version, BLAS build, machine): what the golden hashes hold for."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):
+        blas = "unknown"
+    return np.__version__, blas, platform.machine()
+
+
+#: The build :data:`SOLVE_GOLDEN` was recorded under.  Another numpy or BLAS
+#: may round a dot product differently and so move the bytes without any
+#: change to the program, so elsewhere the golden test is skipped.
+GOLDEN_BUILD = ("2.4.6", "scipy-openblas 0.3.31.188.0", "x86_64")
+
+#: sha256 of ``solve``'s result JSON and trace CSV at default flags on the
+#: ``rssd-gen`` game, run as ``solve --game rssd.json`` from the game's
+#: directory (the result records the game path), under :data:`GOLDEN_BUILD`.
+#: Keyed by (algo, approx mode, approx lock).
+SOLVE_GOLDEN = {
+    ("ratpi", None, False): (
+        "179e06c0dc3ca00e0549403a68c33e9a1763f645660b8ea3c1b4a80ceb5f0de6",
+        "80a880309e2527a1df3bf18c2ea52ea7d0a6eeab6e13f59117e57d8f2a82713f",
+    ),
+    ("ratvi", None, False): (
+        "03483d64f741bf1daa97a03945b7caff5b872982e9ff6daca551ebd6b780ead9",
+        "a73dac576c8f0088530b68e84a5bfaa84cb49879694eff5db3ac1ce21ba38c8f",
+    ),
+    ("rmpi", None, False): (
+        "7426ff3ca5a59f7e9df6e67388d26fdb08232a2973c8a6bb411bc19e3350f323",
+        "11464bf2a0f4e3f4d148212e4c2a8e08224b3baf332e47a06e9b7e7c420e573e",
+    ),
+    ("rvi", None, False): (
+        "653f5e3d097a77040638975e9a0dffd86fbe2e8d2222851833f49fcae2656b0b",
+        "f4ac13ed826824287c1d3b1a49f0071b7c1abedb471133f4a9e006dc6f08c936",
+    ),
+    ("ratpi", "uniform_noise", False): (
+        "bcf7a56509c314366a1a300ee7ec290c95fd74099ebf94e30ec33abea242a289",
+        "4fa30ab4c5ee323dc4deffe61b2bd433cd3d62978bec5193c1b757dee03c001e",
+    ),
+    ("ratpi", "uniform_noise", True): (
+        "0cacf9924d3ca9a5b5b55726514c63d6ee24d778c0c669ed6fce3bdd2249d55f",
+        "e9ed2d281636b5c155b0f72eb0f9d15ba07db918536a6e4a695a27cd3ac3ec24",
+    ),
+    ("ratpi", "adversarial_extremes", False): (
+        "c932aeeaef7f47e35e371c02b1aeade91b45715e4665d869e6aea3dbaa46bdd5",
+        "ca4db3e87753d563a57c15efab2efe55e084f51b6eb8a71ddadafd2f5104fb16",
+    ),
+    ("ratvi", "uniform_noise", False): (
+        "bc217253bc2d01b86d208d4fd069d76da6d830093e480b5520154b18eed66f62",
+        "33e04743143bfeffc5a1ea60e8d7d9782cab31496b66810b022de060da4e500f",
+    ),
+    ("ratvi", "uniform_noise", True): (
+        "b44aa85f078d14c1060038cac0d36d5df19ad1913a6719c81c4aea0e53d04a5f",
+        "a8c681bef0589608ade0ac48c4a3108d13112f7f7142048232367424d81f8e41",
+    ),
+    ("ratvi", "adversarial_extremes", False): (
+        "09dd1eb49f16408cd3bbe83da49372829b60fb94eec665760703e323bcb90c9c",
+        "f0eaef6af6151ff50138d9ec2ebf8f64bfab92777ae71905498d6a4a83e5cf15",
+    ),
+}
+
+
+@pytest.mark.parametrize(("algo", "mode", "lock"), list(SOLVE_GOLDEN))
+def test_solve_outputs_match_golden(algo, mode, lock, rssd_file, tmp_path, monkeypatch):
+    """Result and trace bytes are pinned, so a change that moves any value,
+    rule, row, residual or trace entry by one bit fails here."""
+    if numeric_build() != GOLDEN_BUILD:
+        pytest.skip(f"hashes recorded under {GOLDEN_BUILD}, this is {numeric_build()}")
+    shutil.copy(rssd_file, tmp_path / "rssd.json")
+    monkeypatch.chdir(tmp_path)
+    argv = ["solve", "--game", "rssd.json", "--algo", algo,
+            "--out", "res.json", "--trace", "trace.csv"]
+    if mode is not None:
+        argv += ["--approx-mode", mode] + (["--approx-lock"] if lock else [])
+    assert main(argv) == 0
+    digests = tuple(
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("res.json", "trace.csv")
+    )
+    assert digests == SOLVE_GOLDEN[algo, mode, lock]
 
 
 def test_uniform_noise_without_approx_seed(rssd_file, tmp_path):
@@ -142,6 +228,8 @@ def test_invalid_game_content_exits_1(tmp_path, capsys):
         ["oracle", "--lambda", "-0.5"],
         ["oracle", "--lambda", "nan"],
         ["oracle", "--lambda", "1"],
+        ["solve", "--approx-mode", "uniform_noise", "--delta", "0"],
+        ["solve", "--approx-mode", "adversarial_extremes", "--lambda", "0"],
     ],
 )
 def test_unusable_flags_exit_1(argv, rssd_file, tmp_path, capsys):
@@ -155,6 +243,8 @@ def test_unusable_flags_exit_1(argv, rssd_file, tmp_path, capsys):
     assert not out and not list(tmp_path.iterdir())
     if argv[0] == "oracle":
         assert err.startswith("lam must be in [0, 1), got ")
+    if "--approx-mode" in argv and argv[-2] in ("--delta", "--lambda"):
+        assert "the perturbation bound lambda * delta is 0" in err
 
 
 def test_trace_fig1_starts_from_v0_file(tmp_path):

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robustdp as r
-from conftest import games, gs_backup
+from conftest import games, gs_backup, reference_noise
+from robustdp.sweeps import fixed_model_arrays
 
 LAMS = st.sampled_from([0.0, 0.5, 0.9, 0.999])
 ORACLES = st.sampled_from(
@@ -45,14 +46,14 @@ def reference_sweep(game, v, lam, approx=None, step=0, gauss_seidel=True):
         values = [value for value, _ in backups]
         lattice.append(values)
         if noisy and not approx.argmax_lock:
-            values = [approx.perturb(x, (step, 0, k, a)) for a, x in enumerate(values)]
+            values = [x + reference_noise(approx, (step, 0, k, a)) for a, x in enumerate(values)]
         best = 0
         for a in range(1, len(values)):
             if values[a] > values[best]:
                 best = a
         chosen = values[best]
         if noisy and approx.argmax_lock:
-            chosen = approx.perturb(chosen, (step, 0, k, best))
+            chosen = chosen + reference_noise(approx, (step, 0, k, best))
         u[k] = chosen
         rule.append(best)
         worst.append(backups[best][1])
@@ -88,6 +89,40 @@ def test_improvement_sweep_matches_loop(game, lam, approx, seed):
     assert np.array_equal(sweep.u0, u)
     assert sweep.rule.joint_actions == rule
     assert sweep.worst_model == worst
+
+
+def reference_evaluation(game, u, rule, rows, lam, approx, step, phase):
+    """Per-state loop form of one Gauss-Seidel evaluation sweep, indexing the
+    packed candidates directly."""
+    noisy = approx is not None and not approx.is_identity
+    w = u.copy()
+    for k, (a, j) in enumerate(zip(rule.joint_actions, rows)):
+        val = float(game.payoff_exp[k, a, j] + lam * (game.candidates[k, a, j] @ w))
+        if noisy:
+            val += reference_noise(approx, (step, phase, k, a))
+        w[k] = val
+    return w
+
+
+@given(games(), LAMS, ORACLES, st.integers(0, 2**16))
+@settings(max_examples=100, deadline=None)
+def test_evaluation_sweep_matches_loop(game, lam, approx, seed):
+    """The sweep over gathered (P, r), with the noise drawn as the solvers
+    draw it, equals the loop bit for bit."""
+    rng = np.random.default_rng(seed)
+    rule = r.TeamDecisionRule(rng.integers(0, game.n_joint_actions, game.m))
+    counts = game.n_rows[np.arange(game.m), list(rule.joint_actions)]
+    rows = tuple(int(rng.integers(0, n)) for n in counts)
+    u = start_value(game, seed)
+    step, phase = seed % 7, 1 + seed % 3
+    P, rew = fixed_model_arrays(game, rule, rows)
+    noise = None
+    if approx is not None:
+        acts = enumerate(rule.joint_actions)
+        noise = approx.perturb(0.0, [(step, phase, k, a) for k, a in acts])
+    swept = r.evaluation_sweep(P, rew, u, lam, noise)
+    ref = reference_evaluation(game, u, rule, rows, lam, approx, step, phase)
+    assert np.array_equal(swept, ref)
 
 
 @given(games(), LAMS, st.integers(0, 50))

@@ -124,6 +124,10 @@ class TestValidation:
             pytest.param(lambda raw: raw["uncertainty"][1].update(a=[True]),
                          "uncertainty[1]: action index True out of range for player 0",
                          id="a"),
+            pytest.param(lambda raw: raw["uncertainty"][1].update(rows=[[True]]),
+                         "uncertainty[state='s1', action=(1,)]: "
+                         "rows must hold numbers, not true/false",
+                         id="rows"),
         ],
     )
     def test_json_true_is_not_a_number(self, edit, message):

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from conftest import (
 )
 from robustdp.random_games import random_game
 from robustdp.solvers import SOLVERS, _mt_at, initial_value, termination_threshold
+from robustdp.sweeps import fixed_model_arrays
 
 #: Rule count of the largest game ``games(max_states=3, max_actions=2)``
 #: draws: 4 joint actions in each of 3 states.
@@ -168,7 +171,7 @@ class TestSolverLoops:
             solve(rssd_game, params, approx)
 
 
-@given(games(max_states=3, max_actions=2), st.sampled_from([0.0, 0.5, 0.9]))
+@given(games(max_states=3, max_actions=2), st.sampled_from([0.0, 0.5, 0.9, 0.99]))
 @settings(max_examples=100, deadline=None)
 def test_solvers_match_oracle_on_generated_games(game, lam):
     """Every solver terminates within epsilon of the exhaustive maximin
@@ -184,6 +187,73 @@ def test_solvers_match_oracle_on_generated_games(game, lam):
         values[algo] = res.value
     assert r.sup_norm(values["ratpi"] - values["rmpi"]) <= eps + slack
     assert r.sup_norm(values["ratvi"] - values["rvi"]) <= eps + slack
+
+
+@given(
+    games(max_states=3, max_actions=2),
+    st.sampled_from([0.5, 0.9, 0.99]),
+    st.sampled_from(["uniform_noise", "adversarial_extremes"]),
+    st.integers(0, 2**16),
+)
+@settings(max_examples=30, deadline=None)
+def test_perturbed_solvers_match_oracle_on_generated_games(game, lam, mode, seed):
+    """With every query off by up to lam * delta, each Gauss-Seidel solver,
+    with and without ``argmax_lock``, still terminates with a policy whose
+    robust value is within epsilon of the exhaustive maximin value."""
+    eps, slack = 1e-6, 1e-9
+    v_star = r.brute_force_maximin(game, lam, budget=ORACLE_BUDGET).v_star
+    params = r.SolverParams(lam=lam, epsilon=eps, delta=0.99 * r.max_delta(lam, eps))
+    for solve in (r.solve_ratpi, r.solve_ratvi):
+        for lock in (False, True):
+            approx = r.PerturbationOracle(
+                mode, lam * params.delta, seed=seed, argmax_lock=lock
+            )
+            res = solve(game, params, approx)
+            assert res.terminated, (solve.__name__, lock)
+            assert r.sup_norm(res.value - v_star) <= eps + slack, (solve.__name__, lock)
+
+
+class TestUnreachableTolerance:
+    """One WARNING up front when the threshold cannot be reached; the run
+    itself is not changed."""
+
+    def warnings(self, caplog, game, **params):
+        with caplog.at_level(logging.WARNING, logger="robustdp.solvers"):
+            r.solve_ratpi(game, r.SolverParams(**params))
+        return [
+            rec.getMessage() for rec in caplog.records
+            if "may not terminate" in rec.getMessage()
+        ]
+
+    def test_threshold_below_double_spacing_warns(self, rssd_game, caplog):
+        (message,) = self.warnings(
+            caplog, rssd_game, lam=0.99999, epsilon=1e-10, max_iterations=3
+        )
+        assert "below the double spacing" in message
+        assert "exceeds max_iterations=3" in message
+
+    def test_step_bound_above_max_iterations_warns(self, rssd_game, caplog):
+        (message,) = self.warnings(
+            caplog, rssd_game, lam=0.97, epsilon=1e-5, max_iterations=10
+        )
+        assert "exceeds max_iterations=10" in message
+        assert "double spacing" not in message
+
+    @pytest.mark.parametrize("epsilon", [1e-300, 1e-310])
+    def test_extreme_scales_warn_without_raising(self, caplog, epsilon):
+        # threshold / residual0 is ~1e-608: it underflows to 0.0 as a ratio.
+        (message,) = self.warnings(
+            caplog, huge_payoff_game(), lam=0.5, epsilon=epsilon, max_iterations=3
+        )
+        assert "below the double spacing" in message
+        assert "exceeds max_iterations=3" in message
+
+    def test_default_paper_cell_is_silent(self, rssd_game, caplog):
+        delta = 0.99 * r.max_delta(0.97, 1e-5)
+        with caplog.at_level(logging.DEBUG, logger="robustdp"):
+            res = r.solve_ratpi(rssd_game, r.SolverParams(0.97, 1e-5, delta))
+        assert res.terminated
+        assert not [rec for rec in caplog.records if rec.levelno >= logging.WARNING]
 
 
 class TestNonFiniteValues:
@@ -244,8 +314,6 @@ class TestExactEvaluation:
         game = two_state_chain()
         rule = r.TeamDecisionRule((0, 0))
         value = evaluate_policy_exact(game, rule, (1, 0), 0.0)
-        from robustdp.sweeps import fixed_model_arrays
-
         _, rew = fixed_model_arrays(game, rule, (1, 0))
         assert np.array_equal(value, rew)
 
@@ -254,7 +322,8 @@ class TestExactEvaluation:
         rule = next(iter(r.enumerate_decision_rules(game)))
         rows = tuple(0 for _ in range(game.m))
         expected = evaluate_policy_exact(game, rule, rows, 0.9)
+        P, rew = fixed_model_arrays(game, rule, rows)
         v = np.zeros(game.m)
         for _ in range(1500):
-            v = r.evaluation_sweep(game, v, rule, rows, 0.9)
+            v = r.evaluation_sweep(P, rew, v, 0.9)
         assert np.allclose(v, expected, atol=1e-9)

@@ -124,14 +124,14 @@ class TestEvaluationSweep:
         game = two_state_chain()
         rule = r.TeamDecisionRule((0, 0))
         rows = (1, 0)
-        out = r.evaluation_sweep(game, np.array([55.0, -3.0]), rule, rows, 0.0)
         P, rew = fixed_model_arrays(game, rule, rows)
+        out = r.evaluation_sweep(P, rew, np.array([55.0, -3.0]), 0.0)
         assert np.array_equal(out, rew)
 
     def test_single_state_policy_evaluation_fixed_point(self):
         game = singleton_game(payoff=1.0)
-        rule = r.TeamDecisionRule((0,))
-        out = r.evaluation_sweep(game, np.array([10.0]), rule, (0,), 0.9)
+        P, rew = fixed_model_arrays(game, r.TeamDecisionRule((0,)), (0,))
+        out = r.evaluation_sweep(P, rew, np.array([10.0]), 0.9)
         assert out[0] == 1.0 + 0.9 * 10.0
 
     def test_matches_dense_forward_substitution_oracle(self):
@@ -142,7 +142,7 @@ class TestEvaluationSweep:
         rng = np.random.default_rng(0)
         for _ in range(20):
             u = rng.uniform(-10, 10, game.m)
-            swept = r.evaluation_sweep(game, u, rule, rows, LAM)
+            swept = r.evaluation_sweep(P, rew, u, LAM)
             assert np.allclose(swept, dense_gs_step(P, rew, u, LAM), atol=1e-12)
 
 
@@ -158,12 +158,13 @@ class TestGsPolicyUpdate:
         v = np.array([2.0, 4.0])
         P, rew = fixed_model_arrays(game, rule, (0, 0))
         assert np.tril(P, -1).max() == 0.0
-        out = r.evaluation_sweep(game, v, rule, (0, 0), LAM)
+        out = r.evaluation_sweep(P, rew, v, LAM)
         assert np.allclose(out, rew + LAM * (P @ v), atol=1e-14)
 
     def test_single_state_update(self):
         game = singleton_game(payoff=1.0)
-        out = r.evaluation_sweep(game, np.array([3.0]), r.TeamDecisionRule((0,)), (0,), 0.9)
+        P, rew = fixed_model_arrays(game, r.TeamDecisionRule((0,)), (0,))
+        out = r.evaluation_sweep(P, rew, np.array([3.0]), 0.9)
         assert out[0] == 1.0 + 0.9 * 3.0
 
     def test_iterated_update_reaches_dense_solve(self):
@@ -174,7 +175,7 @@ class TestGsPolicyUpdate:
         expected = np.linalg.solve(np.eye(game.m) - LAM * P, rew)
         v = np.zeros(game.m)
         for _ in range(2000):
-            v = r.evaluation_sweep(game, v, rule, rows, LAM)
+            v = r.evaluation_sweep(P, rew, v, LAM)
         assert np.allclose(v, expected, atol=1e-9)
 
 
@@ -287,9 +288,10 @@ class TestBestCaseMultistep:
         game = singleton_game(payoff=1.0)
         v = np.array([4.0])
         out = best_case_multistep(game, v, 2, 0.5)
+        P, rew = fixed_model_arrays(game, r.TeamDecisionRule((0,)), (0,))
         x = v.copy()
         for _ in range(3):
-            x = r.evaluation_sweep(game, x, r.TeamDecisionRule((0,)), (0,), 0.5)
+            x = r.evaluation_sweep(P, rew, x, 0.5)
         assert np.array_equal(out, x)
 
     def test_contraction_at_multistep_rate(self):
