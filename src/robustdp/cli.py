@@ -13,8 +13,8 @@ Subcommands:
 * ``oracle``       - exhaustive maximin value of a game file.
 
 The ``--approx-*`` flags of ``solve`` apply only to ``ratpi`` and ``ratvi``;
-the Jacobi baselines always run exact, so ``rmpi`` and ``rvi`` reject any
-``--approx-mode`` other than ``identity``.  The perturbation bound is
+``--approx-mode identity``, the default, runs exact, and so do the Jacobi
+baselines, which reject any other mode.  The perturbation bound is
 lambda * delta, so a perturbed mode with ``--lambda 0`` or ``--delta 0`` is
 rejected too: it would run exact backups under a perturbed label.
 
@@ -40,12 +40,13 @@ from .model import (
     BudgetExceededError,
     GameValidationError,
     TeamMarkovGame,
+    _is_number,
     load_game,
     save_game,
     sup_norm,
 )
 from .oracle import brute_force_maximin
-from .perturb import PerturbationOracle
+from .perturb import MODES, PerturbationOracle
 from .rssd import RssdParams, build_rssd
 from .solvers import SOLVERS, SolverParams, SolverResult, max_delta
 from .sweeps import backup_lattice
@@ -62,24 +63,22 @@ class CliInputError(Exception):
     pass
 
 
-def _parse_mt(text: str):
+def _parse_list(text: str, flag: str, kind=float) -> tuple:
+    """The nonempty comma list ``text`` of ``kind`` values."""
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
-        raise CliInputError(f"--mt {text!r}: expected an integer or comma list")
+        raise CliInputError(f"{flag} {text!r}: expected a number or comma list")
     try:
-        values = [int(p) for p in parts]
-    except ValueError as e:
-        raise CliInputError(f"--mt {text!r}: {e}") from e
-    if any(v < 0 for v in values):
-        raise CliInputError(f"--mt {text!r}: entries must be nonnegative")
-    return values[0] if len(values) == 1 else tuple(values)
-
-
-def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(p) for p in text.split(",") if p.strip())
+        return tuple(map(kind, parts))
     except ValueError as e:
         raise CliInputError(f"{flag} {text!r}: {e}") from e
+
+
+def _parse_mt(text: str):
+    values = _parse_list(text, "--mt", int)
+    if any(v < 0 for v in values):
+        raise CliInputError(f"--mt {text!r}: entries must be nonnegative")
+    return values[0] if len(values) == 1 else values
 
 
 def _parse_v0(text: str):
@@ -88,9 +87,12 @@ def _parse_v0(text: str):
     if text.startswith("file:"):
         path = text[len("file:"):]
         try:
-            return tuple(float(x) for x in json.loads(Path(path).read_text()))
-        except (OSError, TypeError, ValueError) as e:
+            values = json.loads(Path(path).read_text())
+        except (OSError, ValueError) as e:
             raise CliInputError(f"--v0 {path}: {e}") from e
+        if not isinstance(values, list) or not all(map(_is_number, values)):
+            raise CliInputError(f"--v0 {path}: expected a JSON array of numbers")
+        return tuple(map(float, values))
     raise CliInputError(f"--v0 {text!r}: expected remark1, zeros, or file:PATH")
 
 
@@ -213,12 +215,12 @@ def cmd_rssd_gen(args) -> int:
     params = RssdParams(
         n_players=args.n,
         cost=args.cost,
-        synergy=_parse_floats(args.synergy, "--synergy"),
+        synergy=_parse_list(args.synergy, "--synergy"),
         snowdrift_benefit=(
-            _parse_floats(args.theta, "--theta") if args.theta else None
+            _parse_list(args.theta, "--theta") if args.theta else None
         ),
         stag_threshold=args.z,
-        mu_set=_parse_floats(args.mu, "--mu"),
+        mu_set=_parse_list(args.mu, "--mu"),
     )
     game = build_rssd(params)
     save_game(game, args.out)
@@ -250,7 +252,7 @@ def _bench_cell(game, algo, lam, epsilon, mt, v0) -> dict:
 def cmd_bench_table1(args) -> int:
     params = RssdParams(stag_threshold=args.z)
     game = build_rssd(params)
-    lambdas = _parse_floats(args.lambdas, "--lambdas")
+    lambdas = _parse_list(args.lambdas, "--lambdas")
     mt_values = _parse_mt(args.mt)
     if isinstance(mt_values, int):
         mt_values = (mt_values,)
@@ -382,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=sorted(SOLVERS), default="ratpi")
     add_solver_flags(p)
     p.add_argument("--approx-mode", default="identity",
-                   choices=("identity", "uniform_noise", "adversarial_extremes"))
+                   choices=("identity", *MODES))
     p.add_argument("--approx-seed", type=int, default=0)
     p.add_argument("--approx-lock", action="store_true",
                    help="perturb only after action selection")

@@ -208,14 +208,13 @@ def _run(
             f"lambda={lam!r}); rescale the payoffs"
         )
     delta = params.delta if gauss_seidel else 0.0
-    if approx is not None and not approx.is_identity and approx.bound > lam * delta:
+    if approx is not None and approx.bound > lam * delta:
         raise ValueError(
             f"{algo}: perturbation bound {approx.bound!r} exceeds "
             f"lambda * delta = {lam * delta!r}"
         )
     threshold = termination_threshold(lam, params.epsilon, delta)
     v = initial_value(game, params)
-    noisy = approx is not None and not approx.is_identity
     trace = SolverTrace()
     last_rule: TeamDecisionRule | None = None
     for t in range(params.max_iterations):
@@ -246,9 +245,8 @@ def _run(
                     u = r + lam * (P @ u)
                     continue
                 noise = None
-                if noisy:
-                    acts = enumerate(sweep.rule.joint_actions)
-                    noise = approx.perturb(0.0, [(t, s, k, a) for k, a in acts])
+                if approx is not None:
+                    noise = approx.perturb(t, s, enumerate(sweep.rule.joint_actions))
                 u = evaluation_sweep(P, r, u, lam, noise)
         v = u
     assert last_rule is not None

@@ -26,10 +26,9 @@ its improvement sweep recorded.  So the solver gathers that step's dense
 (P, r) once with :func:`fixed_model_arrays`, and every evaluation sweep of
 the step, Gauss-Seidel or Jacobi, reads those arrays; the row of state k is
 ``P[k] = candidates[k, rule[k], rows[k]]``, so the sweep computes the same
-``r[k] + lam * (P[k] @ w)`` the kernel would.  Perturbation noise depends
-only on its query tag, so one oracle call draws a whole sweep's noise
-before the sweep backs up any state; only the locked action's value, chosen
-as the sweep goes, takes one call per state.
+``r[k] + lam * (P[k] @ w)`` the kernel would.  One oracle call draws a
+whole sweep's noise before the sweep backs up any state; only the locked
+action's value, chosen as the sweep goes, takes one call per state.
 
 The module holds only what the solvers and the CLI run.  The slow
 references the tests hold these operators to (the per-(state, action)
@@ -48,6 +47,7 @@ picks for a vector @ vector product, without ``matmul``'s dispatch cost.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -95,19 +95,18 @@ def improvement_sweep(
 
     For each state in order: back up every joint action, keep the maximum
     as the updated value, record the first maximising action and the exact
-    minimising row at that action.  A non-identity ``approx`` perturbs the
+    minimising row at that action.  An ``approx`` oracle perturbs the
     backup of every action before the maximum is taken, or with
     ``argmax_lock`` only the value of the action the exact backups chose.
     """
     w = np.array(v, dtype=float)
     m = len(w)
     payoff_exp, candidates = game.payoff_exp, game.candidates
-    noisy = approx is not None and not approx.is_identity
-    lock = noisy and approx.argmax_lock
+    lock = approx is not None and approx.argmax_lock
     noise = None
-    if noisy and not lock:
-        tags = [(step, 0, k, a) for k in range(m) for a in range(payoff_exp.shape[1])]
-        noise = approx.perturb(0.0, tags).reshape(m, -1)
+    if approx is not None and not lock:
+        queries = product(range(m), range(payoff_exp.shape[1]))
+        noise = approx.perturb(step, 0, queries).reshape(m, -1)
     rule = [0] * m
     worst = [0] * m
     for k in range(m):
@@ -115,7 +114,7 @@ def improvement_sweep(
         if noise is not None:
             vals = vals + noise[k]
         a = int(vals.argmax())
-        w[k] = approx.perturb(vals[a], [(step, 0, k, a)])[0] if lock else vals[a]
+        w[k] = vals[a] + approx.perturb(step, 0, [(k, a)])[0] if lock else vals[a]
         rule[k] = a
         worst[k] = int(q[a].argmin())
     return SweepResult(w, TeamDecisionRule(rule), tuple(worst))

@@ -33,8 +33,6 @@ def reference_noise(oracle: r.PerturbationOracle, tag) -> float:
     """One query's noise, by its definition: +/-bound by the parity of the
     tag sum, or bound * (2u - 1) with u the first 8 bytes of the blake2b
     digest of the packed (seed, tag), little-endian, over 2**64."""
-    if oracle.is_identity:
-        return 0.0
     if oracle.mode == "adversarial_extremes":
         return oracle.bound if sum(tag) % 2 == 0 else -oracle.bound
     payload = struct.pack("<5q", oracle.seed, *tag)

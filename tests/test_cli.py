@@ -230,6 +230,10 @@ def test_invalid_game_content_exits_1(tmp_path, capsys):
         ["oracle", "--lambda", "1"],
         ["solve", "--approx-mode", "uniform_noise", "--delta", "0"],
         ["solve", "--approx-mode", "adversarial_extremes", "--lambda", "0"],
+        ["solve", "--approx-mode", "uniform_noise", "--approx-seed", str(2**63)],
+        ["solve", "--approx-mode", "uniform_noise", "--approx-seed", str(-(2**63) - 1)],
+        ["bench-table1", "--lambdas", ""],
+        ["bench-table1", "--lambdas", ","],
     ],
 )
 def test_unusable_flags_exit_1(argv, rssd_file, tmp_path, capsys):
@@ -245,6 +249,21 @@ def test_unusable_flags_exit_1(argv, rssd_file, tmp_path, capsys):
         assert err.startswith("lam must be in [0, 1), got ")
     if "--approx-mode" in argv and argv[-2] in ("--delta", "--lambda"):
         assert "the perturbation bound lambda * delta is 0" in err
+    if "--approx-seed" in argv:
+        assert err.startswith("seed must be a signed 64-bit integer, got ")
+    if "--lambdas" in argv:
+        assert err.startswith("--lambdas ")
+
+
+@pytest.mark.parametrize("content", ['"123"', '[true, "2.5", 3]', '{"s1": 1.0}', "[1, null, 3]"])
+def test_v0_file_must_hold_an_array_of_numbers(content, rssd_file, tmp_path, capsys):
+    v0 = tmp_path / "v0.json"
+    v0.write_text(content)
+    out = tmp_path / "res.json"
+    argv = ["solve", "--game", str(rssd_file), "--out", str(out), "--v0", f"file:{v0}"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"--v0 {v0}: expected a JSON array of numbers\n"
+    assert not out.exists()
 
 
 def test_trace_fig1_starts_from_v0_file(tmp_path):

@@ -35,7 +35,7 @@ def start_value(game, seed):
 def reference_sweep(game, v, lam, approx=None, step=0, gauss_seidel=True):
     """(u0, rule, worst rows, every action's backup value) by looping over
     states and joint actions; ties go to the first maximising action."""
-    noisy = approx is not None and not approx.is_identity
+    noisy = approx is not None
     u = v.copy()
     rule, worst, lattice = [], [], []
     for k in range(game.m):
@@ -94,11 +94,10 @@ def test_improvement_sweep_matches_loop(game, lam, approx, seed):
 def reference_evaluation(game, u, rule, rows, lam, approx, step, phase):
     """Per-state loop form of one Gauss-Seidel evaluation sweep, indexing the
     packed candidates directly."""
-    noisy = approx is not None and not approx.is_identity
     w = u.copy()
     for k, (a, j) in enumerate(zip(rule.joint_actions, rows)):
         val = float(game.payoff_exp[k, a, j] + lam * (game.candidates[k, a, j] @ w))
-        if noisy:
+        if approx is not None:
             val += reference_noise(approx, (step, phase, k, a))
         w[k] = val
     return w
@@ -118,8 +117,7 @@ def test_evaluation_sweep_matches_loop(game, lam, approx, seed):
     P, rew = fixed_model_arrays(game, rule, rows)
     noise = None
     if approx is not None:
-        acts = enumerate(rule.joint_actions)
-        noise = approx.perturb(0.0, [(step, phase, k, a) for k, a in acts])
+        noise = approx.perturb(step, phase, enumerate(rule.joint_actions))
     swept = r.evaluation_sweep(P, rew, u, lam, noise)
     ref = reference_evaluation(game, u, rule, rows, lam, approx, step, phase)
     assert np.array_equal(swept, ref)

@@ -16,6 +16,7 @@ from conftest import (
     two_state_chain,
     verify_epsilon_optimal,
 )
+from robustdp.perturb import MODES
 from robustdp.random_games import random_game
 from robustdp.solvers import SOLVERS, _mt_at, initial_value, termination_threshold
 from robustdp.sweeps import fixed_model_arrays
@@ -211,6 +212,35 @@ def test_perturbed_solvers_match_oracle_on_generated_games(game, lam, mode, seed
             res = solve(game, params, approx)
             assert res.terminated, (solve.__name__, lock)
             assert r.sup_norm(res.value - v_star) <= eps + slack, (solve.__name__, lock)
+
+
+@given(
+    games(max_states=3, max_actions=2),
+    st.sampled_from([0.5, 0.9, 0.99]),
+    st.sampled_from(MODES),
+    st.booleans(),
+    st.integers(0, 2**16),
+)
+@settings(max_examples=40, deadline=None)
+def test_perturbed_ratvi_stays_in_sandwich_on_generated_games(game, lam, mode, lock, seed):
+    """Every step's incoming value of a perturbed ratvi run lies within
+    theta = bound / (1 - lam) of its exact twin's, in both noisy modes, with
+    and without ``argmax_lock``.  The Gauss-Seidel robust backup is a
+    lam-contraction and each state's noise is at most the bound, so each
+    state's new drift is at most lam * theta + bound = theta.
+    ``adversarial_extremes`` can drive the drift to theta itself, so the
+    slack covers rounding only."""
+    eps = 1e-6
+    delta = 0.99 * r.max_delta(lam, eps)
+    bound = lam * delta
+    theta = bound / (1.0 - lam)
+    exact = r.solve_ratvi(game, r.SolverParams(lam=lam, epsilon=eps))
+    approx = r.PerturbationOracle(mode, bound, seed=seed, argmax_lock=lock)
+    noisy = r.solve_ratvi(game, r.SolverParams(lam=lam, epsilon=eps, delta=delta), approx)
+    drift = max(
+        r.sup_norm(u - w) for u, w in zip(exact.trace.values, noisy.trace.values)
+    )
+    assert drift <= theta + 1e-12, drift / theta
 
 
 class TestUnreachableTolerance:
