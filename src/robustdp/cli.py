@@ -14,9 +14,12 @@ Subcommands:
 
 The ``--approx-*`` flags of ``solve`` apply only to ``ratpi`` and ``ratvi``;
 ``--approx-mode identity``, the default, runs exact, and so do the Jacobi
-baselines, which reject any other mode.  The perturbation bound is
-lambda * delta, so a perturbed mode with ``--lambda 0`` or ``--delta 0`` is
-rejected too: it would run exact backups under a perturbed label.
+baselines, which reject any other mode.  ``--approx-seed`` and
+``--approx-lock`` take effect only under a perturbed mode and are rejected
+without one.  The perturbation bound is lambda * delta, so a perturbed mode
+with ``--lambda 0`` or ``--delta 0`` is rejected too: it would run exact
+backups under a perturbed label.  The Jacobi baselines terminate at the
+delta = 0 threshold, so ``solve`` rejects ``--delta`` for them.
 
 Exit codes: 0 on normal termination, 2 when a solver hits its iteration cap,
 1 on input errors.  Set ROBUSTDP_LOG to a logging level name for diagnostics.
@@ -127,7 +130,7 @@ def _result_payload(game: TeamMarkovGame, result: SolverResult, config: dict) ->
     worst = []
     for k, j in enumerate(result.worst_model):
         a = result.policy.joint_actions[k]
-        row = game.candidates[k, a, j]
+        row = game.group_candidates[k, game.action_group[k, a], j]
         worst.append(
             {
                 "state": game.states[k],
@@ -166,11 +169,26 @@ def _write_trace_csv(path, game: TeamMarkovGame, results: list[SolverResult]) ->
 
 
 def cmd_solve(args) -> int:
-    if args.approx_mode != "identity" and args.algo not in ("ratpi", "ratvi"):
-        raise CliInputError(
-            f"--approx-mode {args.approx_mode}: {args.algo} runs exact backups; "
-            "only ratpi and ratvi take an approximation mode"
-        )
+    if args.algo not in ("ratpi", "ratvi"):
+        if args.approx_mode != "identity":
+            raise CliInputError(
+                f"--approx-mode {args.approx_mode}: {args.algo} runs exact backups; "
+                "only ratpi and ratvi take an approximation mode"
+            )
+        if args.delta is not None:
+            raise CliInputError(
+                f"--delta {args.delta!r}: {args.algo} terminates at the delta = 0 "
+                "threshold; only ratpi and ratvi take a delta"
+            )
+    if args.approx_mode == "identity":
+        for flag, given in (("--approx-seed", args.approx_seed is not None),
+                            ("--approx-lock", args.approx_lock)):
+            if given:
+                raise CliInputError(
+                    f"{flag}: the run is exact; give a perturbed --approx-mode "
+                    f"({' or '.join(MODES)})"
+                )
+    seed = 0 if args.approx_seed is None else args.approx_seed
     game = load_game(args.game)
     params = _solver_params(args, max_iterations=args.max_iterations)
     if args.approx_mode == "identity":
@@ -186,7 +204,7 @@ def cmd_solve(args) -> int:
         approx = PerturbationOracle(
             mode=args.approx_mode,
             bound=bound,
-            seed=args.approx_seed,
+            seed=seed,
             argmax_lock=args.approx_lock,
         )
         result = SOLVERS[args.algo](game, params, approx)
@@ -201,7 +219,7 @@ def cmd_solve(args) -> int:
         "mt": list(mt) if isinstance(mt, tuple) else mt,
         "v0": args.v0,
         "approx_mode": args.approx_mode,
-        "approx_seed": args.approx_seed,
+        "approx_seed": seed,
         "approx_lock": args.approx_lock,
         "max_iterations": args.max_iterations,
     }
@@ -385,7 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_solver_flags(p)
     p.add_argument("--approx-mode", default="identity",
                    choices=("identity", *MODES))
-    p.add_argument("--approx-seed", type=int, default=0)
+    p.add_argument("--approx-seed", type=int, default=None,
+                   help="noise seed of a perturbed mode (default 0)")
     p.add_argument("--approx-lock", action="store_true",
                    help="perturb only after action selection")
     p.add_argument("--max-iterations", type=int, default=1_000_000)

@@ -11,6 +11,13 @@ Joint actions are indexed in C order over the per-player action counts
 (``TeamMarkovGame.action_shape``), player 0 most significant; state order is
 the order given at construction and fixes the solvers' Gauss-Seidel order.
 
+The game is packed per group: joint actions of a state with the same payoff
+and candidate rows share one stored copy and one backup.  In games where
+payoffs and rows depend only on how many players take each action (the
+social-dilemma benchmark), a state has n + 1 groups out of 2**n joint
+actions.  States with fewer groups than the widest state are padded with
+groups that never win a maximum (see :class:`TeamMarkovGame`).
+
 Instances are immutable after validation and safe to share across concurrent
 solver runs.
 """
@@ -89,42 +96,91 @@ class TeamMarkovGame:
 
     ``player_actions`` alone fixes the action structure: ``n_players``,
     ``action_shape`` and every index <-> tuple conversion derive from it.
-    With m states, A joint actions and Kmax the largest candidate count of
-    any (state, joint action) pair:
 
-    * ``payoff``, shape (m, A, m): the team-average payoff r(s, a, s').
-    * ``candidates``, shape (m, A, Kmax, m): ``candidates[k, a, j]`` is the
-      j-th candidate transition row out of state k under joint action a.
-      Only the first ``n_rows[k, a]`` rows are real; padded rows are zero.
-    * ``n_rows``, integer shape (m, A): the candidate count of each pair.
-    * ``payoff_exp``, shape (m, A, Kmax): the expected immediate payoff
-      ``candidates[k, a, j] @ payoff[k, a]`` of every real row, and ``+inf``
-      in every padded slot, so a padded slot never wins the adversary's min.
+    Joint actions of a state whose payoff rows and candidate rows are the
+    same bytes back up to the same value, so the game stores each such
+    group once.  Groups are numbered per state in order of their lowest
+    member.  With m states, A joint actions, G the largest group count of
+    any state and Kmax the largest candidate count of any group:
 
-    All arrays are read-only.  :func:`build_game` checks the rows before
-    they reach this class.
+    * ``action_group``, integer shape (m, A): the group of each joint action.
+    * ``group_action``, integer shape (m, G): the lowest member of each group.
+    * ``group_payoff``, shape (m, G, m): the team-average payoff r(s, a, s')
+      of the group's actions.
+    * ``group_candidates``, shape (m, G, Kmax, m): ``group_candidates[k, g, j]``
+      is the j-th candidate transition row out of state k under the group's
+      actions.  Only the first ``group_n_rows[k, g]`` rows are real; padded
+      rows are zero.
+    * ``group_n_rows``, integer shape (m, G): the candidate count of each group.
+    * ``group_payoff_exp``, shape (m, G, Kmax): the expected immediate payoff
+      ``group_candidates[k, g, j] @ group_payoff[k, g]`` of every real row,
+      and ``+inf`` in every padded row, so a padded row never wins the
+      adversary's min.
+
+    A state with fewer than G groups is padded with copies of its group 0
+    whose ``group_payoff_exp`` is ``-inf``: a padded group never wins the
+    max over groups, and a reduction over the other arrays sees only real
+    data.  ``payoff``, ``candidates``, ``n_rows`` and ``payoff_exp`` gather
+    the per-action form through ``action_group`` on each access.
+
+    All arrays are read-only.  :func:`build_game` checks the rows and forms
+    the groups before they reach this class.
     """
 
     states: tuple[str, ...]
     player_actions: tuple[tuple[str, ...], ...]
-    payoff: np.ndarray = field(repr=False)
-    candidates: np.ndarray = field(repr=False)
-    n_rows: np.ndarray = field(repr=False)
+    action_group: np.ndarray = field(repr=False)
+    group_action: np.ndarray = field(repr=False)
+    group_payoff: np.ndarray = field(repr=False)
+    group_candidates: np.ndarray = field(repr=False)
+    group_n_rows: np.ndarray = field(repr=False)
     r_max: float
-    payoff_exp: np.ndarray = field(init=False, repr=False)
+    group_payoff_exp: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        payoff = np.array(self.payoff, dtype=float)
-        cand = np.array(self.candidates, dtype=float)
-        n_rows = np.array(self.n_rows, dtype=np.intp)
+        action_group = np.array(self.action_group, dtype=np.intp)
+        group_action = np.array(self.group_action, dtype=np.intp)
+        payoff = np.array(self.group_payoff, dtype=float)
+        cand = np.array(self.group_candidates, dtype=float)
+        n_rows = np.array(self.group_n_rows, dtype=np.intp)
         pexp = (cand @ payoff[..., None])[..., 0]
         pexp[np.arange(cand.shape[2]) >= n_rows[..., None]] = np.inf
+        n_groups = action_group.max(axis=1) + 1
+        pexp[np.arange(cand.shape[1]) >= n_groups[:, None]] = -np.inf
         for name, arr in (
-            ("payoff", payoff), ("candidates", cand), ("n_rows", n_rows),
-            ("payoff_exp", pexp),
+            ("action_group", action_group), ("group_action", group_action),
+            ("group_payoff", payoff), ("group_candidates", cand),
+            ("group_n_rows", n_rows), ("group_payoff_exp", pexp),
         ):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    def _per_action(self, group_array: np.ndarray) -> np.ndarray:
+        """``group_array`` gathered to one entry per joint action, read-only
+        like the arrays it comes from."""
+        out = group_array[np.arange(self.m)[:, None], self.action_group]
+        out.setflags(write=False)
+        return out
+
+    @property
+    def payoff(self) -> np.ndarray:
+        """Per-action payoff, shape (m, A, m)."""
+        return self._per_action(self.group_payoff)
+
+    @property
+    def candidates(self) -> np.ndarray:
+        """Per-action candidate rows, shape (m, A, Kmax, m)."""
+        return self._per_action(self.group_candidates)
+
+    @property
+    def n_rows(self) -> np.ndarray:
+        """Per-action candidate counts, shape (m, A)."""
+        return self._per_action(self.group_n_rows)
+
+    @property
+    def payoff_exp(self) -> np.ndarray:
+        """Per-action expected immediate payoffs, shape (m, A, Kmax)."""
+        return self._per_action(self.group_payoff_exp)
 
     @property
     def m(self) -> int:
@@ -141,7 +197,7 @@ class TeamMarkovGame:
 
     @property
     def n_joint_actions(self) -> int:
-        return self.payoff.shape[1]
+        return self.action_group.shape[1]
 
     def joint_index(self, per_player: Sequence[int]) -> int:
         """Joint-action index of a per-player action index tuple.  Raises
@@ -181,8 +237,9 @@ def build_game(
     finite ``r_max`` (computed as max |payoff| when omitted) no smaller
     than any payoff.  ``uncertainty_rows[k][a]`` is an array-like of raw
     candidate rows, or ``None`` for a pair the input does not list; each set is
-    checked and cleaned by :func:`_clean_rows` and packed into
-    ``TeamMarkovGame.candidates``.  Raises :class:`GameValidationError`
+    checked and cleaned by :func:`_clean_rows`.  Actions of a state whose
+    payoff and cleaned rows are the same bytes are packed as one group of
+    ``TeamMarkovGame.group_candidates``.  Raises :class:`GameValidationError`
     listing every problem found; problems with the header (players, states,
     action sets) are reported without the row checks that depend on it.
     """
@@ -242,17 +299,36 @@ def build_game(
         errors.append(f"r_max {r_max} < max |payoff| {computed_r_max}")
     if errors:
         raise GameValidationError(errors)
-    n_rows = np.zeros((m, n_joint), dtype=np.intp)
-    candidates = np.zeros((m, n_joint, max(map(len, cleaned.values())), m))
-    for (k, a), rows in cleaned.items():
-        n_rows[k, a] = len(rows)
-        candidates[k, a, : len(rows)] = rows
+    # Actions whose payoff and cleaned rows are the same bytes form a group;
+    # walking actions in order numbers the groups by their lowest member.
+    action_group = np.empty((m, n_joint), dtype=np.intp)
+    firsts: list[list[int]] = []
+    for k in range(m):
+        groups: dict[tuple[bytes, bytes], int] = {}
+        first: list[int] = []
+        for a in range(n_joint):
+            key = (payoff[k, a].tobytes(), cleaned[k, a].tobytes())
+            g = action_group[k, a] = groups.setdefault(key, len(groups))
+            if g == len(first):
+                first.append(a)
+        firsts.append(first)
+    n_groups = max(map(len, firsts))
+    # Padded groups copy group 0, whose lowest member is action 0.
+    group_action = np.array([f + [0] * (n_groups - len(f)) for f in firsts], dtype=np.intp)
+    group_rows = [[cleaned[k, a] for a in ga] for k, ga in enumerate(group_action.tolist())]
+    n_rows = np.array([list(map(len, per_state)) for per_state in group_rows], dtype=np.intp)
+    candidates = np.zeros((m, n_groups, int(n_rows.max()), m))
+    for k, per_state in enumerate(group_rows):
+        for g, rows in enumerate(per_state):
+            candidates[k, g, : len(rows)] = rows
     return TeamMarkovGame(
         states=states,
         player_actions=player_actions,
-        payoff=payoff,
-        candidates=candidates,
-        n_rows=n_rows,
+        action_group=action_group,
+        group_action=group_action,
+        group_payoff=payoff[np.arange(m)[:, None], group_action],
+        group_candidates=candidates,
+        group_n_rows=n_rows,
         r_max=float(r_max),
     )
 
@@ -332,10 +408,11 @@ def validate_game(raw: Mapping) -> TeamMarkovGame:
     state_idx = {s: i for i, s in enumerate(states)}
 
     def parse_state(name, where):
-        if name not in state_idx:
+        try:
+            return state_idx[name]
+        except (KeyError, TypeError):  # TypeError: a JSON array or object
             errors.append(f"{where}: unknown state {name!r}")
             return None
-        return state_idx[name]
 
     # numpy's ~2 us per call would dominate a large file: ravel each action once.
     joint = functools.cache(lambda a: int(np.ravel_multi_index(a, sizes)))
@@ -445,16 +522,17 @@ def game_to_dict(game: TeamMarkovGame) -> dict:
     """
     actions = list(np.ndindex(*game.action_shape))
     states = game.states
+    payoff = game.payoff
     payoffs = [
         {"s": states[k], "a": list(actions[a]), "s_next": states[l],
-         "r": float(game.payoff[k, a, l])}
-        for k, a, l in zip(*np.nonzero(game.payoff))
+         "r": float(payoff[k, a, l])}
+        for k, a, l in zip(*np.nonzero(payoff))
     ]
+    cand, n_rows = game.group_candidates, game.group_n_rows
     uncertainty = [
-        {"s": states[k], "a": list(actions[a]),
-         "rows": game.candidates[k, a, : game.n_rows[k, a]].tolist()}
-        for k in range(game.m)
-        for a in range(game.n_joint_actions)
+        {"s": states[k], "a": list(actions[a]), "rows": cand[k, g, : n_rows[k, g]].tolist()}
+        for k, per_state in enumerate(game.action_group.tolist())
+        for a, g in enumerate(per_state)
     ]
     return {
         "n_players": game.n_players,

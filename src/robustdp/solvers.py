@@ -116,7 +116,7 @@ def initial_value(game: TeamMarkovGame, params: SolverParams) -> np.ndarray:
     mode = params.v0_mode
     if isinstance(mode, str):
         if mode == "remark1":
-            floor = float(game.payoff.min()) / (1.0 - params.lam)
+            floor = float(game.group_payoff.min()) / (1.0 - params.lam)
             return np.full(game.m, floor)
         if mode == "zeros":
             return np.zeros(game.m)
@@ -319,9 +319,9 @@ def evaluate_policy_robust(
     game.validate_rule(rule)
     m = game.m
     states = np.arange(m)
-    acts = list(rule.joint_actions)
-    cand = game.candidates[states, acts]
-    pe = game.payoff_exp[states, acts]
+    groups = game.action_group[states, rule.joint_actions]
+    cand = game.group_candidates[states, groups]
+    pe = game.group_payoff_exp[states, groups]
     threshold = termination_threshold(lam, ROBUST_EVAL_TOL, 0.0)
     eye = np.eye(m)
     v = np.zeros(m)

@@ -1,11 +1,22 @@
 """The robust Gauss-Seidel backup and the sweeps built on it.
 
 Every operator here is one kernel, :func:`_row_min`: each candidate row of a
-(state, joint action) pair scores its expected immediate team payoff plus
-the discounted continuation, ``payoff_exp + lam * (candidates @ w)``, and
-the adversary takes the minimum over rows.  Callers hold the action or the
-row fixed, choose the continuation ``w``, and take the maximum over joint
-actions.  Padded candidate slots score ``+inf`` and never win the minimum.
+(state, group of identical joint actions) pair scores its expected immediate
+team payoff plus the discounted continuation,
+``group_payoff_exp + lam * (group_candidates @ w)``, and the adversary takes
+the minimum over rows.  Callers hold the action or the row fixed, choose the
+continuation ``w``, and take the maximum over groups.  Padded candidate slots
+score ``+inf`` and never win the minimum; padded groups score ``-inf`` and
+never win the maximum.
+
+Every member of a group backs up to the same value, so each group is backed
+up once.  Groups are numbered by their lowest member, so the first
+maximising group holds the first maximising action: an earlier action with
+the maximal value would sit in a group with a lower number.  Its lowest
+member, ``group_action[k, g]``, is therefore the action a backup of every
+action would choose.  Only unlocked noise tells the members of a group
+apart, because each action draws its own noise: that sweep spreads the
+group values over all actions before it adds the noise and takes the max.
 
 A Gauss-Seidel improvement sweep walks the states in order and feeds freshly
 updated values into the backups of later states; states at or beyond the
@@ -25,10 +36,11 @@ The evaluation sweeps of a step all run under the rule and worst-case rows
 its improvement sweep recorded.  So the solver gathers that step's dense
 (P, r) once with :func:`fixed_model_arrays`, and every evaluation sweep of
 the step, Gauss-Seidel or Jacobi, reads those arrays; the row of state k is
-``P[k] = candidates[k, rule[k], rows[k]]``, so the sweep computes the same
-``r[k] + lam * (P[k] @ w)`` the kernel would.  One oracle call draws a
-whole sweep's noise before the sweep backs up any state; only the locked
-action's value, chosen as the sweep goes, takes one call per state.
+``P[k] = group_candidates[k, action_group[k, rule[k]], rows[k]]``, so the
+sweep computes the same ``r[k] + lam * (P[k] @ w)`` the kernel would.  One
+oracle call draws a whole sweep's noise before the sweep backs up any state;
+only the locked action's value, chosen as the sweep goes, takes one call per
+state.
 
 The module holds only what the solvers and the CLI run.  The slow
 references the tests hold these operators to (the per-(state, action)
@@ -93,30 +105,37 @@ def improvement_sweep(
 ) -> SweepResult:
     """One Gauss-Seidel improvement sweep.
 
-    For each state in order: back up every joint action, keep the maximum
-    as the updated value, record the first maximising action and the exact
-    minimising row at that action.  An ``approx`` oracle perturbs the
-    backup of every action before the maximum is taken, or with
-    ``argmax_lock`` only the value of the action the exact backups chose.
+    For each state in order: back up every joint action (one backup per
+    group of identical actions), keep the maximum as the updated value,
+    record the first maximising action and the exact minimising row at that
+    action.  An ``approx`` oracle perturbs the backup of every action before
+    the maximum is taken, or with ``argmax_lock`` only the value of the
+    action the exact backups chose.
     """
     w = np.array(v, dtype=float)
     m = len(w)
-    payoff_exp, candidates = game.payoff_exp, game.candidates
+    payoff_exp, candidates = game.group_payoff_exp, game.group_candidates
+    action_group, group_action = game.action_group, game.group_action
     lock = approx is not None and approx.argmax_lock
     noise = None
     if approx is not None and not lock:
-        queries = product(range(m), range(payoff_exp.shape[1]))
+        queries = product(range(m), range(action_group.shape[1]))
         noise = approx.perturb(step, 0, queries).reshape(m, -1)
     rule = [0] * m
     worst = [0] * m
     for k in range(m):
         q, vals = _row_min(payoff_exp[k], candidates[k], w, lam)
-        if noise is not None:
-            vals = vals + noise[k]
-        a = int(vals.argmax())
-        w[k] = vals[a] + approx.perturb(step, 0, [(k, a)])[0] if lock else vals[a]
+        if noise is None:
+            g = int(vals.argmax())
+            a = group_action.item(k, g)
+            w[k] = vals[g] + approx.perturb(step, 0, [(k, a)])[0] if lock else vals[g]
+        else:
+            vals = vals[action_group[k]] + noise[k]
+            a = int(vals.argmax())
+            g = action_group.item(k, a)
+            w[k] = vals[a]
         rule[k] = a
-        worst[k] = int(q[a].argmin())
+        worst[k] = int(q[g].argmin())
     return SweepResult(w, TeamDecisionRule(rule), tuple(worst))
 
 
@@ -125,14 +144,14 @@ def jacobi_improvement_sweep(
 ) -> SweepResult:
     """Exact improvement sweep with no within-sweep updates (baselines)."""
     q, vals = _row_min(
-        game.payoff_exp, game.candidates, np.asarray(v, dtype=float), lam
+        game.group_payoff_exp, game.group_candidates, np.asarray(v, dtype=float), lam
     )
-    acts = vals.argmax(axis=1)
+    groups = vals.argmax(axis=1)
     states = np.arange(game.m)
     return SweepResult(
-        vals[states, acts],
-        TeamDecisionRule(acts.tolist()),
-        tuple(q[states, acts].argmin(axis=-1).tolist()),
+        vals[states, groups],
+        TeamDecisionRule(game.group_action[states, groups].tolist()),
+        tuple(q[states, groups].argmin(axis=-1).tolist()),
     )
 
 
@@ -165,8 +184,9 @@ def fixed_model_arrays(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dense transition matrix and expected one-step payoff vector for a
     fixed rule and per-state candidate-row choice."""
-    index = (np.arange(game.m), np.array(rule.joint_actions), np.array(model_rows))
-    return game.candidates[index], game.payoff_exp[index]
+    states = np.arange(game.m)
+    index = (states, game.action_group[states, rule.joint_actions], np.array(model_rows))
+    return game.group_candidates[index], game.group_payoff_exp[index]
 
 
 def backup_lattice(game: TeamMarkovGame, v: np.ndarray, lam: float) -> np.ndarray:
@@ -176,6 +196,7 @@ def backup_lattice(game: TeamMarkovGame, v: np.ndarray, lam: float) -> np.ndarra
     w = np.array(v, dtype=float)
     out = np.empty((game.m, game.n_joint_actions))
     for k in range(game.m):
-        _, out[k] = _row_min(game.payoff_exp[k], game.candidates[k], w, lam)
+        _, vals = _row_min(game.group_payoff_exp[k], game.group_candidates[k], w, lam)
+        out[k] = vals[game.action_group[k]]
         w[k] = out[k].max()
     return out

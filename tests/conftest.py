@@ -73,11 +73,15 @@ def mdp_game(seed: int = 5, m: int = 3, n_actions: int = 2) -> r.TeamMarkovGame:
 
 
 @st.composite
-def games(draw, max_states=4, max_actions=3):
-    """Small game with 1 to ``max_states`` states, 1-2 players of 1 to
-    ``max_actions`` actions, 1-4 rows per (state, joint action); optionally
-    every set's last row repeats its first, and the last joint action copies
-    the first."""
+def game_parts(draw, max_states=4, max_actions=3):
+    """``build_game`` arguments of a small game with 1 to ``max_states``
+    states, 1-2 players of 1 to ``max_actions`` actions, 1-4 rows per
+    (state, joint action); optionally every set's last row repeats its
+    first, and optionally each joint action of a state copies the payoff,
+    the rows, or both, of any earlier joint action of that state.  So a
+    state's groups of identical actions can have many members, members need
+    not be adjacent, states can differ in their group counts, and some
+    actions share their payoff or their rows but not both."""
     m = draw(st.integers(1, max_states))
     sizes = draw(st.lists(st.integers(1, max_actions), min_size=1, max_size=2))
     n_joint = math.prod(sizes)
@@ -95,12 +99,25 @@ def games(draw, max_states=4, max_actions=3):
             for cand in per_state:
                 cand[-1] = cand[0]
     if n_joint > 1 and draw(st.booleans()):
-        payoff[:, -1] = payoff[:, 0]
-        for per_state in rows:
-            per_state[-1] = per_state[0].copy()
+        size = m * n_joint
+        sources = draw(st.lists(st.integers(0, n_joint - 1), min_size=size, max_size=size))
+        # What a copy takes: both parts (a duplicate) or one (a near miss).
+        parts = draw(st.lists(st.sampled_from("bpr"), min_size=size, max_size=size))
+        for k, per_state in enumerate(rows):
+            for a in range(n_joint):
+                src, part = sources[k * n_joint + a], parts[k * n_joint + a]
+                if src < a and part in "bp":
+                    payoff[k, a] = payoff[k, src]
+                if src < a and part in "br":
+                    per_state[a] = per_state[src].copy()
     actions = [[f"a{j}" for j in range(size)] for size in sizes]
     states = [f"s{k}" for k in range(m)]
-    return r.build_game(len(sizes), states, actions, payoff, rows)
+    return len(sizes), states, actions, payoff, rows
+
+
+def games(max_states=4, max_actions=3):
+    """Games built from :func:`game_parts`."""
+    return game_parts(max_states, max_actions).map(lambda parts: r.build_game(*parts))
 
 
 def gs_backup(game, v, u_partial, k, a, lam):

@@ -234,6 +234,11 @@ def test_invalid_game_content_exits_1(tmp_path, capsys):
         ["solve", "--approx-mode", "uniform_noise", "--approx-seed", str(-(2**63) - 1)],
         ["bench-table1", "--lambdas", ""],
         ["bench-table1", "--lambdas", ","],
+        ["solve", "--approx-lock", "--approx-seed", "5"],
+        ["solve", "--approx-seed", "0"],
+        ["solve", "--algo", "rvi", "--approx-lock"],
+        ["solve", "--algo", "rmpi", "--delta", "1e-9"],
+        ["solve", "--algo", "rvi", "--delta", "0"],
     ],
 )
 def test_unusable_flags_exit_1(argv, rssd_file, tmp_path, capsys):
@@ -249,8 +254,10 @@ def test_unusable_flags_exit_1(argv, rssd_file, tmp_path, capsys):
         assert err.startswith("lam must be in [0, 1), got ")
     if "--approx-mode" in argv and argv[-2] in ("--delta", "--lambda"):
         assert "the perturbation bound lambda * delta is 0" in err
-    if "--approx-seed" in argv:
+    if "--approx-seed" in argv and "--approx-mode" in argv:
         assert err.startswith("seed must be a signed 64-bit integer, got ")
+    if argv[0] == "solve" and "--approx-mode" not in argv:
+        assert err.startswith(("--approx-seed: ", "--approx-lock: ", "--delta "))
     if "--lambdas" in argv:
         assert err.startswith("--lambdas ")
 

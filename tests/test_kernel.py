@@ -3,8 +3,10 @@ loops built on the slow ``gs_backup`` reference.
 
 Games are hypothesis-generated with ragged candidate counts (so padded slots
 are exercised), singleton sets, duplicate rows (exact row ties) and
-duplicated joint actions (exact action ties); lam runs from 0 to 0.999.
-Values must match bit for bit, rules and rows exactly.
+duplicated joint actions (exact action ties, and states with different group
+counts, so padded groups are exercised); lam runs from 0 to 0.999.  The
+kernel backs up one action per group, the references every action.  Values
+must match bit for bit, rules and rows exactly.
 """
 
 import math
@@ -24,6 +26,7 @@ ORACLES = st.sampled_from(
         r.PerturbationOracle("uniform_noise", 0.05, seed=3),
         r.PerturbationOracle("uniform_noise", 0.05, seed=3, argmax_lock=True),
         r.PerturbationOracle("adversarial_extremes", 0.05),
+        r.PerturbationOracle("adversarial_extremes", 0.05, argmax_lock=True),
     ]
 )
 

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robustdp as r
-from conftest import enumerate_policy_models, singleton_game, two_state_chain
+from conftest import enumerate_policy_models, game_parts, singleton_game, two_state_chain
+from robustdp.model import _clean_rows
 from robustdp.random_games import random_game
 
 
@@ -141,6 +142,18 @@ class TestValidation:
             r.validate_game(raw)
         assert message in exc.value.errors
 
+    @pytest.mark.parametrize("name", [["s1"], {"x": 1}], ids=["array", "object"])
+    @pytest.mark.parametrize(
+        "section, key", [("payoffs", "s"), ("payoffs", "s_next"), ("uncertainty", "s")]
+    )
+    def test_state_name_that_is_not_a_string_is_unknown(self, section, key, name):
+        raw = minimal_raw()
+        raw["payoffs"] = [{"s": "s1", "a": [0], "s_next": "s1", "r": 0.5}]
+        raw[section][0][key] = name
+        with pytest.raises(r.GameValidationError) as exc:
+            r.validate_game(raw)
+        assert f"{section}[0]: unknown state {name!r}" in exc.value.errors
+
     def test_all_errors_reported_together(self):
         raw = minimal_raw(rows=((0.4, 0.4),))
         raw["states"] = ["s1", "s2"]
@@ -263,7 +276,9 @@ class TestRowDistributionSet:
         assert game.n_rows.tolist() == [[2], [1]]
         assert np.array_equal(game.candidates[1, 0, 1], [0.0, 0.0])
         assert game.payoff_exp.tolist() == [[[0.0, 0.5]], [[3.0, np.inf]]]
-        for arr in (game.payoff, game.candidates, game.n_rows, game.payoff_exp):
+        for arr in (game.payoff, game.candidates, game.n_rows, game.payoff_exp,
+                    game.action_group, game.group_action, game.group_payoff,
+                    game.group_candidates, game.group_n_rows, game.group_payoff_exp):
             assert not arr.flags.writeable
 
 
@@ -371,3 +386,37 @@ class TestJsonRoundTrip:
             "uncertainty",
             "r_max",
         ]
+
+
+class TestGroups:
+    @given(game_parts())
+    @settings(max_examples=150, deadline=None)
+    def test_groups_are_the_byte_identical_actions(self, parts):
+        """Two actions of a state share a group exactly when their payoff and
+        cleaned rows are the same bytes; groups are numbered by their lowest
+        member, and the per-action views give back the inputs."""
+        game = r.build_game(*parts)
+        payoff, rows = parts[3], parts[4]
+        m, n_joint = game.m, game.n_joint_actions
+        assert np.array_equal(game.payoff, payoff)
+        for k in range(m):
+            cleaned = [_clean_rows(rows[k][a], m) for a in range(n_joint)]
+            keys = [(payoff[k, a].tobytes(), cleaned[a].tobytes()) for a in range(n_joint)]
+            first = {key: a for a, key in reversed(list(enumerate(keys)))}
+            lowest = sorted(first.values())
+            assert game.action_group[k].tolist() == [lowest.index(first[key]) for key in keys]
+            n_groups = len(lowest)
+            assert game.group_action[k, :n_groups].tolist() == lowest
+            assert game.action_group[k, lowest].tolist() == list(range(n_groups))
+            assert np.all(game.group_payoff_exp[k, n_groups:] == -np.inf)
+            for a in range(n_joint):
+                assert game.n_rows[k, a] == len(cleaned[a])
+                assert np.array_equal(game.candidates[k, a, : len(cleaned[a])], cleaned[a])
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_games_have_one_action_per_group(self, seed):
+        game = random_game(seed, max_states=6, max_actions=3)
+        each_alone = np.broadcast_to(np.arange(game.n_joint_actions),
+                                     (game.m, game.n_joint_actions))
+        assert np.array_equal(game.action_group, each_alone)
+        assert np.array_equal(game.group_action, each_alone)

@@ -104,6 +104,18 @@ class TestBuild:
             expected = 3 if h > 0 else 1
             assert rssd_game.n_rows[0, a] == expected
 
+    @pytest.mark.parametrize("n", [3, 8, 10])
+    def test_one_group_per_cooperator_count(self, n):
+        mu_set = tuple(round(mu * 3 / n, 12) for mu in (0.1, 0.2, 0.3))
+        game = r.build_rssd(RssdParams(n_players=n, mu_set=mu_set))
+        cooperators = [game.action_names(a).count("C") for a in range(2**n)]
+        assert game.group_action.shape == (3, n + 1)
+        for k in range(game.m):
+            # actions share a group exactly when they share a cooperator count
+            pairs = set(zip(cooperators, game.action_group[k].tolist()))
+            assert len(pairs) == len({h for h, _ in pairs}) == n + 1
+            assert len({g for _, g in pairs}) == n + 1
+
     def test_r_max_computed(self, rssd_game):
         # largest magnitude payoff: snowdrift, all cooperate, theta=2.2
         assert rssd_game.r_max == pytest.approx(2.2 - 1.0 / 3, abs=1e-12)
