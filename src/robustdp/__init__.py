@@ -19,7 +19,6 @@ from .model import (
     TeamDecisionRule,
     TeamMarkovGame,
     build_game,
-    enumerate_decision_rules,
     game_to_dict,
     load_game,
     save_game,
@@ -62,7 +61,6 @@ __all__ = [
     "build_game",
     "build_rssd",
     "check_dilemma_conditions",
-    "enumerate_decision_rules",
     "evaluate_policy_robust",
     "evaluation_sweep",
     "game_to_dict",

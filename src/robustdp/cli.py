@@ -10,7 +10,9 @@ Subcommands:
                      A cell that raises stops the run with exit code 1.
 * ``trace-fig1``   - export per-iteration value traces and the terminal
                      backup lattice for the two Gauss-Seidel solvers.
-* ``oracle``       - exhaustive maximin value of a game file.
+* ``oracle``       - exhaustive maximin value of a game file: one decision
+                     rule per combination of per-state action groups, at
+                     most ``--budget`` of them.
 
 The ``--approx-*`` flags of ``solve`` apply only to ``ratpi`` and ``ratvi``;
 ``--approx-mode identity``, the default, runs exact, and so do the Jacobi
@@ -19,7 +21,8 @@ baselines, which reject any other mode.  ``--approx-seed`` and
 without one.  The perturbation bound is lambda * delta, so a perturbed mode
 with ``--lambda 0`` or ``--delta 0`` is rejected too: it would run exact
 backups under a perturbed label.  The Jacobi baselines terminate at the
-delta = 0 threshold, so ``solve`` rejects ``--delta`` for them.
+delta = 0 threshold, so ``solve`` rejects ``--delta`` for them, and ``solve``
+and ``bench-table1`` record their delta as 0.
 
 Exit codes: 0 on normal termination, 2 when a solver hits its iteration cap,
 1 on input errors.  Set ROBUSTDP_LOG to a logging level name for diagnostics.
@@ -40,6 +43,7 @@ from pathlib import Path
 
 
 from .model import (
+    DEFAULT_ENUMERATION_BUDGET,
     BudgetExceededError,
     GameValidationError,
     TeamMarkovGame,
@@ -57,6 +61,8 @@ from .sweeps import backup_lattice
 log = logging.getLogger("robustdp.cli")
 
 DEFAULT_LAMBDAS = (0.95, 0.96, 0.97, 0.98, 0.99)
+#: The solvers that take a delta and an approximation mode.
+DELTA_ALGOS = ("ratpi", "ratvi")
 #: Evaluation-sweep counts benchmarked per discount factor; the last entry
 #: is the documented default for headline comparisons.
 DEFAULT_BENCH_MT = (1, 3, 5, 10, 50)
@@ -99,23 +105,25 @@ def _parse_v0(text: str):
     raise CliInputError(f"--v0 {text!r}: expected remark1, zeros, or file:PATH")
 
 
-def _default_delta(lam: float, epsilon: float) -> float:
-    """0.99 of delta's upper bound, or 0 at lam 0 where the bound is inf."""
-    return 0.0 if lam == 0.0 else 0.99 * max_delta(lam, epsilon)
+def _default_delta(algo: str, lam: float, epsilon: float) -> float:
+    """0.99 of delta's upper bound for ratpi and ratvi.  0 for the Jacobi
+    baselines, which run at the delta = 0 threshold, and at lam 0, where
+    the bound is inf."""
+    if algo not in DELTA_ALGOS or lam == 0.0:
+        return 0.0
+    return 0.99 * max_delta(lam, epsilon)
 
 
-def _resolve_delta(args) -> float:
-    if args.delta is not None:
-        return args.delta
-    return _default_delta(args.lam, args.epsilon)
-
-
-def _solver_params(args, **extra) -> SolverParams:
-    """``SolverParams`` from the flags that ``add_solver_flags`` defines."""
+def _solver_params(args, algo: str, **extra) -> SolverParams:
+    """``SolverParams`` of ``algo`` from the flags that ``add_solver_flags``
+    defines."""
     return SolverParams(
         lam=args.lam,
         epsilon=args.epsilon,
-        delta=_resolve_delta(args),
+        delta=(
+            _default_delta(algo, args.lam, args.epsilon)
+            if args.delta is None else args.delta
+        ),
         mt_schedule=_parse_mt(args.mt),
         v0_mode=_parse_v0(args.v0),
         **extra,
@@ -169,7 +177,7 @@ def _write_trace_csv(path, game: TeamMarkovGame, results: list[SolverResult]) ->
 
 
 def cmd_solve(args) -> int:
-    if args.algo not in ("ratpi", "ratvi"):
+    if args.algo not in DELTA_ALGOS:
         if args.approx_mode != "identity":
             raise CliInputError(
                 f"--approx-mode {args.approx_mode}: {args.algo} runs exact backups; "
@@ -190,7 +198,7 @@ def cmd_solve(args) -> int:
                 )
     seed = 0 if args.approx_seed is None else args.approx_seed
     game = load_game(args.game)
-    params = _solver_params(args, max_iterations=args.max_iterations)
+    params = _solver_params(args, args.algo, max_iterations=args.max_iterations)
     if args.approx_mode == "identity":
         result = SOLVERS[args.algo](game, params)
     else:
@@ -247,7 +255,7 @@ def cmd_rssd_gen(args) -> int:
 
 
 def _bench_cell(game, algo, lam, epsilon, mt, v0) -> dict:
-    delta = _default_delta(lam, epsilon)
+    delta = _default_delta(algo, lam, epsilon)
     params = SolverParams(
         lam=lam, epsilon=epsilon, delta=delta, mt_schedule=mt, v0_mode=v0
     )
@@ -321,7 +329,10 @@ def cmd_bench_table1(args) -> int:
         lines.append(table_line(f"rmpi[mt={mt}]", "rmpi", mt))
         lines.append(table_line(f"ratpi[mt={mt}]", "ratpi", mt))
     lines.append("")
-    lines.append(f"config: epsilon={args.epsilon} delta=0.99*bound v0={args.v0} Z={args.z}")
+    lines.append(
+        f"config: epsilon={args.epsilon} delta=0.99*bound (0 for rvi, rmpi) "
+        f"v0={args.v0} Z={args.z}"
+    )
     (out_dir / "bench_table1.txt").write_text("\n".join(lines) + "\n")
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
@@ -329,8 +340,9 @@ def cmd_bench_table1(args) -> int:
 
 def cmd_trace_fig1(args) -> int:
     game = build_rssd(RssdParams(stag_threshold=args.z))
-    params = _solver_params(args)
-    results = [SOLVERS[algo](game, params) for algo in ("ratvi", "ratpi")]
+    results = [
+        SOLVERS[algo](game, _solver_params(args, algo)) for algo in ("ratvi", "ratpi")
+    ]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_trace_csv(out_dir / "trace_fig1.csv", game, results)
@@ -442,7 +454,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exhaustive maximin value of a game file")
     p.add_argument("--game", required=True)
     p.add_argument("--lambda", dest="lam", type=float, default=0.97)
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=int, default=DEFAULT_ENUMERATION_BUDGET,
+                   help="most decision rules to evaluate: one per combination "
+                        "of per-state action groups (default %(default)s)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_oracle)
     return parser

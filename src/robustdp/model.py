@@ -30,7 +30,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -555,18 +555,3 @@ def save_game(game: TeamMarkovGame, path) -> None:
     """Write a game as canonical JSON (stable key order, sorted entries)."""
     Path(path).write_text(json.dumps(game_to_dict(game), indent=2) + "\n")
 
-
-def enumerate_decision_rules(
-    game: TeamMarkovGame, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> Iterator[TeamDecisionRule]:
-    """All decision rules, lexicographic over (state index, joint-action index).
-
-    Raises :class:`BudgetExceededError` up front when the count
-    ``n_joint_actions ** m`` exceeds ``budget``.
-    """
-    total = game.n_joint_actions ** game.m
-    if total > budget:
-        raise BudgetExceededError(total, budget)
-
-    combos = itertools.product(range(game.n_joint_actions), repeat=game.m)
-    return (TeamDecisionRule(combo) for combo in combos)

@@ -1,25 +1,32 @@
 """Exhaustive maximin ground truth for small instances.
 
-Enumerates every decision rule, evaluates each against its worst-case model,
-and takes the componentwise maximum.  Meant as an independent reference for
-the iterative solvers, not as a production path; the ``oracle`` CLI command
-and the benchmark's paper workload run it.  The slower references the tests
-check the robust evaluation and epsilon-optimality against (enumeration of
-every admissible model of a rule) live in ``tests/conftest.py``.
+Enumerates every distinct decision rule, evaluates each against its
+worst-case model, and takes the componentwise maximum.  Joint actions of a
+group back up to the same value, so one rule per combination of per-state
+groups stands for all the rules that play members of those groups: the
+paper's instance has 4 groups of 8 joint actions per state, so 4**3 = 64 of
+its 512 rules are evaluated.  Meant as an independent reference for the
+iterative solvers, not as a production path; the ``oracle`` CLI command and
+the benchmark's paper workload run it.  The slower references the tests
+check the oracle, the robust evaluation and epsilon-optimality against
+(enumeration of every rule, and of every admissible model of a rule) live in
+``tests/conftest.py``.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import (
     DEFAULT_ENUMERATION_BUDGET,
+    BudgetExceededError,
     TeamDecisionRule,
     TeamMarkovGame,
-    enumerate_decision_rules,
 )
 from .solvers import evaluate_policy_robust
 
@@ -53,12 +60,24 @@ def brute_force_maximin(
 ) -> OracleResult:
     """Componentwise max over all rules of the robust (worst-case) value.
 
-    Each rule is evaluated with :func:`evaluate_policy_robust`; a rule
-    attains the maximum everywhere when it is within ``DOMINANCE_ATOL`` of
-    it.  Raises BudgetExceededError when the rule count exceeds ``budget``.
+    One rule per combination of per-state groups is evaluated with
+    :func:`evaluate_policy_robust`, each group played by its lowest member,
+    in lexicographic order.  Groups are numbered by their lowest member, so
+    this is the order of the full enumeration of joint actions, and the
+    first rule within ``DOMINANCE_ATOL`` of the maximum everywhere (or,
+    failing that, the first with the smallest shortfall) is the one the
+    full enumeration would pick.  ``budget`` counts the rules evaluated, the
+    product of the per-state group counts; BudgetExceededError is raised
+    up front when they exceed it.
     """
+    n_groups = (game.action_group.max(axis=1) + 1).tolist()
+    total = math.prod(n_groups)
+    if total > budget:
+        raise BudgetExceededError(total, budget)
+    representatives = [game.group_action[k, :n].tolist() for k, n in enumerate(n_groups)]
     entries: list[tuple[TeamDecisionRule, np.ndarray]] = []
-    for rule in enumerate_decision_rules(game, budget):
+    for combo in itertools.product(*representatives):
+        rule = TeamDecisionRule(combo)
         value, _ = evaluate_policy_robust(game, rule, lam)
         entries.append((rule, value))
     v_star = entries[0][1].copy()

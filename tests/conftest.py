@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import robustdp as r
 from robustdp.model import DEFAULT_ENUMERATION_BUDGET
+from robustdp.oracle import DOMINANCE_ATOL, OracleResult
 from robustdp.sweeps import fixed_model_arrays
 
 
@@ -145,6 +146,35 @@ def gs_splitting(P, lam):
     return np.eye(P.shape[0]) - lam * np.tril(P, -1), lam * np.triu(P, 0)
 
 
+def enumerate_decision_rules(game, budget=DEFAULT_ENUMERATION_BUDGET):
+    """All decision rules, lexicographic over (state index, joint-action
+    index).  Raises BudgetExceededError up front when the count
+    ``n_joint_actions ** m`` exceeds ``budget``."""
+    total = game.n_joint_actions ** game.m
+    if total > budget:
+        raise r.BudgetExceededError(total, budget)
+    combos = itertools.product(range(game.n_joint_actions), repeat=game.m)
+    return (r.TeamDecisionRule(combo) for combo in combos)
+
+
+def maximin_over_every_rule(game, lam, budget=DEFAULT_ENUMERATION_BUDGET):
+    """``brute_force_maximin`` by the robust evaluation of all A**m rules:
+    the componentwise maximum of their values, the first rule within
+    ``DOMINANCE_ATOL`` of it everywhere, and failing that the first rule
+    with the smallest shortfall."""
+    entries = [
+        (rule, r.evaluate_policy_robust(game, rule, lam)[0])
+        for rule in enumerate_decision_rules(game, budget)
+    ]
+    v_star = np.max([value for _, value in entries], axis=0)
+    gaps = [float(np.max(v_star - value)) for _, value in entries]
+    for (rule, value), gap in zip(entries, gaps):
+        if np.all(value >= v_star - DOMINANCE_ATOL):
+            return OracleResult(v_star, rule, True, gap)
+    best = int(np.argmin(gaps))
+    return OracleResult(v_star, entries[best][0], False, gaps[best])
+
+
 def model_rows(game, rule, budget=DEFAULT_ENUMERATION_BUDGET):
     """Every per-state candidate-row choice of a rule, lexicographic.
     Raises BudgetExceededError up front when the product of the per-state
@@ -216,7 +246,7 @@ def _rule_model_stacks(game, budget):
     every (rule, model) pair, cached per game."""
     pairs = [
         fixed_model_arrays(game, rule, rows)
-        for rule in r.enumerate_decision_rules(game, budget)
+        for rule in enumerate_decision_rules(game, budget)
         for rows in model_rows(game, rule, budget)
     ]
     return np.stack([P for P, _ in pairs]), np.stack([pe for _, pe in pairs])

@@ -16,6 +16,7 @@ import numpy as np
 import robustdp as r
 from conftest import (
     best_case_multistep,
+    enumerate_decision_rules,
     enumerate_policy_models,
     gs_splitting,
     verify_epsilon_optimal,
@@ -109,7 +110,7 @@ def test_criterion_3_splitting_norms():
     worst = -np.inf
     checked = 0
     for game, lam, _ in contraction_games():
-        for rule in r.enumerate_decision_rules(game):
+        for rule in enumerate_decision_rules(game):
             for P in enumerate_policy_models(game, rule):
                 Q, R = gs_splitting(P, lam)
                 norm = float(np.abs(np.linalg.solve(Q, R)).sum(axis=1).max())

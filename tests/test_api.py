@@ -20,7 +20,6 @@ PUBLIC_NAMES = [
     "build_game",
     "build_rssd",
     "check_dilemma_conditions",
-    "enumerate_decision_rules",
     "evaluate_policy_robust",
     "evaluation_sweep",
     "game_to_dict",
@@ -43,7 +42,7 @@ TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 def test_all_is_pinned_and_sorted():
     assert robustdp.__all__ == PUBLIC_NAMES
     assert PUBLIC_NAMES == sorted(PUBLIC_NAMES)
-    assert len(PUBLIC_NAMES) == 28
+    assert len(PUBLIC_NAMES) == 27
 
 
 def test_every_public_name_resolves():

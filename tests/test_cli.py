@@ -99,11 +99,11 @@ SOLVE_GOLDEN = {
         "a73dac576c8f0088530b68e84a5bfaa84cb49879694eff5db3ac1ce21ba38c8f",
     ),
     ("rmpi", None, False): (
-        "7426ff3ca5a59f7e9df6e67388d26fdb08232a2973c8a6bb411bc19e3350f323",
+        "d6a51e34a8774fa19284988440f6a68cd769724c3826620cc07bc8f12cec5fa5",
         "11464bf2a0f4e3f4d148212e4c2a8e08224b3baf332e47a06e9b7e7c420e573e",
     ),
     ("rvi", None, False): (
-        "653f5e3d097a77040638975e9a0dffd86fbe2e8d2222851833f49fcae2656b0b",
+        "1c4d562d8e69a4ed43c4214bc8b3cf1cc92284a58c50fa1b306b374a03e4f70d",
         "f4ac13ed826824287c1d3b1a49f0071b7c1abedb471133f4a9e006dc6f08c936",
     ),
     ("ratpi", "uniform_noise", False): (
@@ -312,6 +312,38 @@ def test_oracle_command(rssd_file, tmp_path):
     assert payload["v_star"]["s3"] > payload["v_star"]["s1"]
 
 
+def test_oracle_on_eight_player_game(tmp_path):
+    # 2**8 = 256 joint actions, so 256**3 rules, but 9 groups per state
+    # (one per cooperator count), so 9**3 = 729 rules to evaluate.  The
+    # magnitudes are the default ones times 3 / 8, which keeps mu * n.
+    game_path = tmp_path / "rssd8.json"
+    argv = ["rssd-gen", "--n", "8", "--mu", "0.0375,0.075,0.1125", "--out", str(game_path)]
+    assert main(argv) == 0
+    out = tmp_path / "oracle.json"
+    code = main(
+        ["oracle", "--game", str(game_path), "--lambda", "0.97", "--out", str(out)]
+    )
+    assert code == 0
+    game = r.load_game(game_path)
+    assert (game.action_group.max(axis=1) + 1).tolist() == [9, 9, 9]
+    payload = json.loads(out.read_text())
+    v_star = np.array([payload["v_star"][state] for state in game.states])
+    params = r.SolverParams(lam=0.97, epsilon=1e-5, mt_schedule=5)
+    for solve in (r.solve_ratpi, r.solve_rmpi):
+        result = solve(game, params)
+        assert result.terminated
+        assert r.sup_norm(result.value - v_star) < params.epsilon
+
+
+@pytest.mark.parametrize("algo", ["rmpi", "rvi"])
+def test_jacobi_solve_records_delta_zero(algo, rssd_file, tmp_path):
+    code, out = run_solve(
+        rssd_file, tmp_path, algo, "--algo", algo, "--lambda", "0.9", "--epsilon", "1e-4"
+    )
+    assert code == 0
+    assert json.loads(out.read_text())["config"]["delta"] == 0.0
+
+
 def test_trace_fig1_formats_and_agreement(tmp_path):
     out_dir = tmp_path / "fig"
     code = main(
@@ -355,9 +387,12 @@ def test_bench_table1_reduced_grid(tmp_path):
         assert int(rows[("ratpi", mt)]["iterations"]) <= int(
             rows[("rmpi", mt)]["iterations"]
         )
-    for row in rows.values():
+    for (algo, _), row in rows.items():
         assert row["terminated"] == "True"
         assert float(row["oracle_gap"]) < 1e-5
+        # The Jacobi baselines run at delta = 0, and record it.
+        expected = 0.99 * r.max_delta(0.95, 1e-5) if algo in ("ratpi", "ratvi") else 0.0
+        assert float(row["delta"]) == expected
     assert (out_dir / "bench_table1.txt").exists()
 
 

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robustdp as r
-from conftest import enumerate_policy_models, game_parts, singleton_game, two_state_chain
+from conftest import (
+    enumerate_decision_rules,
+    enumerate_policy_models,
+    game_parts,
+    singleton_game,
+    two_state_chain,
+)
 from robustdp.model import _clean_rows
 from robustdp.random_games import random_game
 
@@ -291,12 +297,12 @@ class TestEnumeration:
             np.zeros((1, 2, 1)),
             [[[[1.0]], [[1.0]]]],
         )
-        rules = list(r.enumerate_decision_rules(game))
+        rules = list(enumerate_decision_rules(game))
         assert len(rules) == 2
 
     def test_rssd_has_512_rules(self, rssd_game):
         assert rssd_game.n_joint_actions ** rssd_game.m == 512
-        assert len(list(r.enumerate_decision_rules(rssd_game))) == 512
+        assert len(list(enumerate_decision_rules(rssd_game))) == 512
 
     def test_lexicographic_order_two_states_three_actions(self):
         game = r.build_game(
@@ -306,7 +312,7 @@ class TestEnumeration:
             np.zeros((2, 3, 2)),
             [[[[1.0, 0.0]]] * 3, [[[0.0, 1.0]]] * 3],
         )
-        rules = list(r.enumerate_decision_rules(game))
+        rules = list(enumerate_decision_rules(game))
         assert len(rules) == 9
         assert rules[0].joint_actions == (0, 0)
         assert rules[1].joint_actions == (0, 1)
@@ -314,7 +320,7 @@ class TestEnumeration:
 
     def test_rule_budget_exceeded_reports_count(self, rssd_game):
         with pytest.raises(r.BudgetExceededError) as exc:
-            r.enumerate_decision_rules(rssd_game, budget=100)
+            enumerate_decision_rules(rssd_game, budget=100)
         assert exc.value.required == 512
 
     def test_models_singleton_rows(self):
@@ -338,7 +344,7 @@ class TestEnumeration:
     def test_model_count_matches_candidate_product(self):
         for seed in range(5):
             game = random_game(seed)
-            rule = next(iter(r.enumerate_decision_rules(game)))
+            rule = next(iter(enumerate_decision_rules(game)))
             count = sum(1 for _ in enumerate_policy_models(game, rule))
             assert count == math.prod(
                 int(game.n_rows[k, a]) for k, a in enumerate(rule.joint_actions)

@@ -2,10 +2,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import robustdp as r
 from conftest import (
+    enumerate_decision_rules,
     evaluate_policy_exact,
+    games,
+    maximin_over_every_rule,
     mdp_game,
     robust_value_by_model_enumeration,
     singleton_game,
@@ -26,7 +30,7 @@ def test_degenerate_uncertainty_matches_exhaustive_mdp_optimum():
     game = mdp_game(seed=17)
     # independent reference: dense per-policy solves, componentwise max
     best = np.full(game.m, -np.inf)
-    for rule in r.enumerate_decision_rules(game):
+    for rule in enumerate_decision_rules(game):
         rows = tuple(0 for _ in range(game.m))
         np.maximum(best, evaluate_policy_exact(game, rule, rows, 0.9), out=best)
     orc = r.brute_force_maximin(game, 0.9)
@@ -81,12 +85,65 @@ def test_dominance_holds_on_random_games_logged_not_asserted():
 def test_model_enumeration_cross_check_on_two_row_games():
     for seed in (100, 101, 102):
         game = random_game(seed, max_rows=2)
-        for rule in r.enumerate_decision_rules(game):
+        for rule in enumerate_decision_rules(game):
             fast, _ = r.evaluate_policy_robust(game, rule, 0.85)
             slow = robust_value_by_model_enumeration(game, rule, 0.85)
             assert np.allclose(fast, slow, atol=1e-9)
 
 
 def test_budget_exceeded(rssd_game):
-    with pytest.raises(r.BudgetExceededError):
-        r.brute_force_maximin(rssd_game, 0.97, budget=100)
+    # The budget counts distinct rules: 4 groups of 8 actions in each of 3
+    # states give 4**3 = 64 of the 512 rules.
+    with pytest.raises(r.BudgetExceededError) as exc:
+        r.brute_force_maximin(rssd_game, 0.97, budget=63)
+    assert exc.value.required == 64
+    assert r.brute_force_maximin(rssd_game, 0.97, budget=64).dominance_ok
+
+
+def assert_same_result(fast, slow):
+    assert fast.v_star.tobytes() == slow.v_star.tobytes()
+    assert fast.d_star == slow.d_star
+    assert fast.dominance_ok is slow.dominance_ok
+    assert fast.max_dominance_gap == slow.max_dominance_gap
+
+
+@settings(max_examples=60, deadline=None)
+@given(games(max_states=3))
+def test_one_rule_per_group_combination_matches_every_rule(game):
+    for lam in (0.0, 0.5, 0.9):
+        assert_same_result(
+            r.brute_force_maximin(game, lam), maximin_over_every_rule(game, lam)
+        )
+
+
+def tied_game(payoff, p):
+    """2 states, 3 actions and the same ``payoff`` on every transition, so
+    every rule's exact value is payoff / (1 - lam) in both states.  The rows
+    out of s0 are (p0, 1 - p0) for a0 and a2 and (p1, 1 - p1) for a1; out of
+    s1, (1 - p2, p2) for a0 and (1 - p3, p3) for a1 and a2.  At a payoff of
+    1e9 or more, rounding moves the computed values by far more than
+    ``DOMINANCE_ATOL``."""
+    s0 = [[[p[0], 1 - p[0]]], [[p[1], 1 - p[1]]]]
+    s1 = [[[1 - p[2], p[2]]], [[1 - p[3], p[3]]]]
+    rows = [[s0[0], s0[1], s0[0]], [s1[0], s1[1], s1[1]]]
+    return r.build_game(
+        1, ["s0", "s1"], [["a0", "a1", "a2"]], np.full((2, 3, 2), payoff), rows
+    )
+
+
+def test_ties_broken_as_over_every_rule_when_no_rule_dominates():
+    results = []
+    for payoff, p in (
+        (1.3e10, (0.9, 0.3, 0.2, 0.3)),
+        (1.3e10, (0.3, 0.9, 0.2, 0.3)),
+        (1e9, (0.4, 0.7, 0.1, 0.3)),
+    ):
+        game = tied_game(payoff, p)
+        assert game.action_group.tolist() == [[0, 1, 0], [0, 1, 1]]
+        for lam in (0.5, 0.9):
+            orc = r.brute_force_maximin(game, lam)
+            assert_same_result(orc, maximin_over_every_rule(game, lam))
+            results.append(orc)
+    # The rounding that breaks the ties depends on the BLAS build, so the
+    # argmin path need only be taken by one of the games.
+    assert any(not orc.dominance_ok for orc in results)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import robustdp as r
 from conftest import (
+    enumerate_decision_rules,
     evaluate_policy_exact,
     games,
     huge_payoff_game,
@@ -305,7 +306,7 @@ class TestNonFiniteValues:
 class TestRobustEvaluation:
     def test_singleton_rows_match_dense_solve(self):
         game = mdp_game(seed=9)
-        for rule in r.enumerate_decision_rules(game):
+        for rule in enumerate_decision_rules(game):
             value, rows = r.evaluate_policy_robust(game, rule, 0.9)
             expected = evaluate_policy_exact(game, rule, rows, 0.9)
             assert np.allclose(value, expected, atol=1e-10)
@@ -320,14 +321,14 @@ class TestRobustEvaluation:
     def test_agrees_with_model_enumeration_oracle(self):
         for seed in range(6):
             game = random_game(seed + 50, max_rows=2)
-            for rule in r.enumerate_decision_rules(game):
+            for rule in enumerate_decision_rules(game):
                 fast, _ = r.evaluate_policy_robust(game, rule, 0.9)
                 slow = robust_value_by_model_enumeration(game, rule, 0.9)
                 assert np.allclose(fast, slow, atol=1e-9)
 
     def test_worst_rows_certify_the_value(self):
         game = random_game(61)
-        rule = next(iter(r.enumerate_decision_rules(game)))
+        rule = next(iter(enumerate_decision_rules(game)))
         value, rows = r.evaluate_policy_robust(game, rule, 0.9)
         assert np.allclose(
             value, evaluate_policy_exact(game, rule, rows, 0.9), atol=1e-9
@@ -349,7 +350,7 @@ class TestExactEvaluation:
 
     def test_matches_iterated_gs_updates(self):
         game = random_game(71)
-        rule = next(iter(r.enumerate_decision_rules(game)))
+        rule = next(iter(enumerate_decision_rules(game)))
         rows = tuple(0 for _ in range(game.m))
         expected = evaluate_policy_exact(game, rule, rows, 0.9)
         P, rew = fixed_model_arrays(game, rule, rows)

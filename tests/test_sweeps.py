@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import robustdp as r
 from conftest import (
     best_case_multistep,
+    enumerate_decision_rules,
     enumerate_policy_models,
     evaluate_policy_exact,
     greedy_multistep,
@@ -136,7 +137,7 @@ class TestEvaluationSweep:
 
     def test_matches_dense_forward_substitution_oracle(self):
         game = random_game(21)
-        rule = next(iter(r.enumerate_decision_rules(game)))
+        rule = next(iter(enumerate_decision_rules(game)))
         rows = tuple(0 for _ in range(game.m))
         P, rew = fixed_model_arrays(game, rule, rows)
         rng = np.random.default_rng(0)
@@ -169,7 +170,7 @@ class TestGsPolicyUpdate:
 
     def test_iterated_update_reaches_dense_solve(self):
         game = random_game(33)
-        rule = next(iter(r.enumerate_decision_rules(game)))
+        rule = next(iter(enumerate_decision_rules(game)))
         rows = tuple(0 for _ in range(game.m))
         P, rew = fixed_model_arrays(game, rule, rows)
         expected = np.linalg.solve(np.eye(game.m) - LAM * P, rew)
@@ -354,7 +355,7 @@ class TestSplitting:
     def test_iteration_matrix_norm_below_discount(self):
         for seed in range(6):
             game = random_game(seed, max_states=3, max_rows=2)
-            for rule in r.enumerate_decision_rules(game):
+            for rule in enumerate_decision_rules(game):
                 for P in enumerate_policy_models(game, rule):
                     Q, R = gs_splitting(P, LAM)
                     norm = np.abs(np.linalg.solve(Q, R)).sum(axis=1).max()
