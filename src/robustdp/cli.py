@@ -24,10 +24,11 @@ backups under a perturbed label.  The Jacobi baselines terminate at the
 delta = 0 threshold, so ``solve`` rejects ``--delta`` for them, and ``solve``
 and ``bench-table1`` record their delta as 0.
 
-Exit codes: 0 on normal termination, 2 when a solver hits its iteration cap,
-1 on input errors.  Set ROBUSTDP_LOG to a logging level name for diagnostics.
-Result and trace files contain no timestamps, so identical invocations
-produce byte-identical files.
+Exit codes: 0 on normal termination, 2 when a solver hits its iteration cap
+or the robust evaluation of its policy does not settle, 1 on input errors.
+Set ROBUSTDP_LOG to a logging level name for diagnostics.  Result and trace
+files contain no timestamps, so identical invocations produce byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -234,7 +235,7 @@ def cmd_solve(args) -> int:
     _write_json(args.out, _result_payload(game, result, config))
     if args.trace:
         _write_trace_csv(args.trace, game, [result])
-    return 0 if result.terminated else 2
+    return 0 if result.terminated and result.settled else 2
 
 
 def cmd_rssd_gen(args) -> int:

@@ -16,7 +16,10 @@ and candidate rows share one stored copy and one backup.  In games where
 payoffs and rows depend only on how many players take each action (the
 social-dilemma benchmark), a state has n + 1 groups out of 2**n joint
 actions.  States with fewer groups than the widest state are padded with
-groups that never win a maximum (see :class:`TeamMarkovGame`).
+groups that never win a maximum (see :class:`TeamMarkovGame`).  The builder
+checks each distinct row set of a state once, counting one row-set object
+passed for many joint actions as one set: ``build_rssd`` passes n + 1 objects
+per state, so it pays for n + 1 checks, not 2**n.
 
 Instances are immutable after validation and safe to share across concurrent
 solver runs.
@@ -237,11 +240,14 @@ def build_game(
     finite ``r_max`` (computed as max |payoff| when omitted) no smaller
     than any payoff.  ``uncertainty_rows[k][a]`` is an array-like of raw
     candidate rows, or ``None`` for a pair the input does not list; each set is
-    checked and cleaned by :func:`_clean_rows`.  Actions of a state whose
-    payoff and cleaned rows are the same bytes are packed as one group of
-    ``TeamMarkovGame.group_candidates``.  Raises :class:`GameValidationError`
-    listing every problem found; problems with the header (players, states,
-    action sets) are reported without the row checks that depend on it.
+    checked and cleaned by :func:`_clean_rows`, once per state for each
+    distinct set: pairs of a state given the same object share one check,
+    and a bad set still gets one error line per pair.  Actions of a state
+    whose payoff and cleaned rows are the same bytes are packed as one group
+    of ``TeamMarkovGame.group_candidates``.  Raises
+    :class:`GameValidationError` listing every problem found; problems with
+    the header (players, states, action sets) are reported without the row
+    checks that depend on it.
     """
     errors: list[str] = []
     n_players_ok = _is_number(n_players, int)
@@ -277,18 +283,47 @@ def build_game(
     if not np.all(np.isfinite(payoff)):
         errors.append("payoff contains non-finite entries")
 
-    cleaned: dict[tuple[int, int], np.ndarray] = {}
+    # Actions whose payoff and cleaned rows are the same bytes form a group;
+    # walking actions in order numbers the groups by their lowest member.
+    action_group = np.empty((m, n_joint), dtype=np.intp)
+    firsts: list[list[int]] = []
+    group_rows: list[list[np.ndarray]] = []
     if len(uncertainty_rows) != m or any(len(per) != n_joint for per in uncertainty_rows):
         errors.append("uncertainty must provide one row set per (state, joint action)")
     else:
         for k in range(m):
-            for a in range(n_joint):
-                try:
-                    cleaned[k, a] = _clean_rows(uncertainty_rows[k][a], m)
-                except ValueError as e:
+            # Inputs often pass one row-set object to many actions of a
+            # state, so each object is cleaned once per state, and equal
+            # cleaned sets share one array, whose id stands for its bytes.
+            # The memo holds each object, so the id of a temporary (a view
+            # of an array, say) is not reused while the state is built.
+            checked: dict[int, tuple[object, np.ndarray | str]] = {}
+            distinct: dict[bytes, np.ndarray] = {}
+            groups: dict[tuple[bytes, int], int] = {}
+            first: list[int] = []
+            per_group: list[np.ndarray] = []
+            for a, raw in enumerate(uncertainty_rows[k]):
+                memo = checked.get(id(raw))
+                if memo is None:
+                    try:
+                        rows = _clean_rows(raw, m)
+                    except ValueError as e:
+                        rows = str(e)
+                    else:
+                        rows = distinct.setdefault(rows.tobytes(), rows)
+                    memo = checked[id(raw)] = raw, rows
+                rows = memo[1]
+                if isinstance(rows, str):
                     action = tuple(int(i) for i in np.unravel_index(a, shape))
-                    ctx = f"uncertainty[state={states[k]!r}, action={action}]"
-                    errors.append(f"{ctx}: {e}")
+                    errors.append(f"uncertainty[state={states[k]!r}, action={action}]: {rows}")
+                    continue
+                key = (payoff[k, a].tobytes(), id(rows))
+                g = action_group[k, a] = groups.setdefault(key, len(groups))
+                if g == len(first):
+                    first.append(a)
+                    per_group.append(rows)
+            firsts.append(first)
+            group_rows.append(per_group)
 
     computed_r_max = float(np.max(np.abs(payoff))) if payoff.size else 0.0
     if r_max is None:
@@ -299,23 +334,10 @@ def build_game(
         errors.append(f"r_max {r_max} < max |payoff| {computed_r_max}")
     if errors:
         raise GameValidationError(errors)
-    # Actions whose payoff and cleaned rows are the same bytes form a group;
-    # walking actions in order numbers the groups by their lowest member.
-    action_group = np.empty((m, n_joint), dtype=np.intp)
-    firsts: list[list[int]] = []
-    for k in range(m):
-        groups: dict[tuple[bytes, bytes], int] = {}
-        first: list[int] = []
-        for a in range(n_joint):
-            key = (payoff[k, a].tobytes(), cleaned[k, a].tobytes())
-            g = action_group[k, a] = groups.setdefault(key, len(groups))
-            if g == len(first):
-                first.append(a)
-        firsts.append(first)
     n_groups = max(map(len, firsts))
     # Padded groups copy group 0, whose lowest member is action 0.
     group_action = np.array([f + [0] * (n_groups - len(f)) for f in firsts], dtype=np.intp)
-    group_rows = [[cleaned[k, a] for a in ga] for k, ga in enumerate(group_action.tolist())]
+    group_rows = [rows + rows[:1] * (n_groups - len(rows)) for rows in group_rows]
     n_rows = np.array([list(map(len, per_state)) for per_state in group_rows], dtype=np.intp)
     candidates = np.zeros((m, n_groups, int(n_rows.max()), m))
     for k, per_state in enumerate(group_rows):

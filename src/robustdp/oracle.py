@@ -32,8 +32,15 @@ from .solvers import evaluate_policy_robust
 
 log = logging.getLogger("robustdp.oracle")
 
-#: Slack within which one rule attains the maximum in every component.
-DOMINANCE_ATOL = 1e-9
+#: Slack within which one rule attains the maximum in every component, as a
+#: fraction of the value scale r_max / (1 - lam): the rounding error of the
+#: robust evaluation grows with the values.
+DOMINANCE_RTOL = 1e-9
+
+
+def dominance_tolerance(game: TeamMarkovGame, lam: float) -> float:
+    """``DOMINANCE_RTOL`` times the value scale r_max / (1 - lam)."""
+    return DOMINANCE_RTOL * (game.r_max / (1.0 - lam))
 
 
 @dataclass(frozen=True)
@@ -64,9 +71,9 @@ def brute_force_maximin(
     :func:`evaluate_policy_robust`, each group played by its lowest member,
     in lexicographic order.  Groups are numbered by their lowest member, so
     this is the order of the full enumeration of joint actions, and the
-    first rule within ``DOMINANCE_ATOL`` of the maximum everywhere (or,
-    failing that, the first with the smallest shortfall) is the one the
-    full enumeration would pick.  ``budget`` counts the rules evaluated, the
+    first rule within :func:`dominance_tolerance` of the maximum everywhere
+    (or, failing that, the first with the smallest shortfall) is the one
+    the full enumeration would pick.  ``budget`` counts the rules evaluated, the
     product of the per-state group counts; BudgetExceededError is raised
     up front when they exceed it.
     """
@@ -78,14 +85,15 @@ def brute_force_maximin(
     entries: list[tuple[TeamDecisionRule, np.ndarray]] = []
     for combo in itertools.product(*representatives):
         rule = TeamDecisionRule(combo)
-        value, _ = evaluate_policy_robust(game, rule, lam)
+        value, _, _ = evaluate_policy_robust(game, rule, lam)
         entries.append((rule, value))
     v_star = entries[0][1].copy()
     for _, value in entries[1:]:
         np.maximum(v_star, value, out=v_star)
     d_star = None
+    floor = v_star - dominance_tolerance(game, lam)
     for rule, value in entries:
-        if np.all(value >= v_star - DOMINANCE_ATOL):
+        if np.all(value >= floor):
             d_star = rule
             max_gap = float(np.max(v_star - value))
             break

@@ -44,6 +44,8 @@ _max = np.maximum.reduce
 
 #: Tolerance of the terminal robust evaluation (:func:`evaluate_policy_robust`).
 ROBUST_EVAL_TOL = 1e-12
+#: Rounds after which :func:`evaluate_policy_robust` stops unsettled.
+ROBUST_EVAL_MAX_ROUNDS = 10_000
 
 
 def max_delta(lam: float, epsilon: float) -> float:
@@ -148,7 +150,9 @@ class SolverResult:
 
     ``worst_model`` holds the per-state minimising row indices certifying
     ``value`` (the robust evaluation of ``policy``).  ``terminated`` is set
-    only when the residual fell below the termination threshold.
+    only when the residual fell below the termination threshold, and
+    ``settled`` only when that robust evaluation settled within
+    ``ROBUST_EVAL_MAX_ROUNDS`` rounds.
     """
 
     algo: str
@@ -157,6 +161,7 @@ class SolverResult:
     value: np.ndarray
     iterations: int
     terminated: bool
+    settled: bool
     trace: SolverTrace
 
 
@@ -233,9 +238,9 @@ def _run(
             _warn_if_unreachable(game, params, threshold, residual, algo)
         last_rule = sweep.rule
         if residual < threshold:
-            value, worst = evaluate_policy_robust(game, sweep.rule, lam)
+            value, worst, settled = evaluate_policy_robust(game, sweep.rule, lam)
             log.debug("%s terminated at t=%d residual=%.3e", algo, t, residual)
-            return SolverResult(algo, sweep.rule, worst, value, t, True, trace)
+            return SolverResult(algo, sweep.rule, worst, value, t, True, settled, trace)
         u = sweep.u0
         mt = _mt_at(params.mt_schedule, t)
         if mt:
@@ -250,10 +255,10 @@ def _run(
                 u = evaluation_sweep(P, r, u, lam, noise)
         v = u
     assert last_rule is not None
-    value, worst = evaluate_policy_robust(game, last_rule, lam)
+    value, worst, settled = evaluate_policy_robust(game, last_rule, lam)
     log.warning("%s hit max_iterations=%d without terminating", algo, params.max_iterations)
     return SolverResult(
-        algo, last_rule, worst, value, params.max_iterations, False, trace
+        algo, last_rule, worst, value, params.max_iterations, False, settled, trace
     )
 
 
@@ -302,7 +307,7 @@ def evaluate_policy_robust(
     game: TeamMarkovGame,
     rule: TeamDecisionRule,
     lam: float,
-) -> tuple[np.ndarray, tuple[int, ...]]:
+) -> tuple[np.ndarray, tuple[int, ...], bool]:
     """Worst-case value of a fixed rule over its admissible models.
 
     Iterates the per-state fixed point v <- min over candidate rows of
@@ -312,8 +317,10 @@ def evaluate_policy_robust(
     stops once a backup step moves the value by less than
     ``termination_threshold(lam, ROBUST_EVAL_TOL, 0.0)`` in sup norm (or the
     minimising rows repeat, i.e. the fixed point is reached to linear-solve
-    precision).  Returns the value and the final per-state minimising row
-    indices.  Raises ``ValueError`` unless 0 <= lam < 1.
+    precision).  Returns the value, the final per-state minimising row
+    indices, and whether it settled so; after ``ROBUST_EVAL_MAX_ROUNDS``
+    rounds without settling it logs a warning and returns the last iterate
+    with ``False``.  Raises ``ValueError`` unless 0 <= lam < 1.
     """
     _check_lam(lam)
     game.validate_rule(rule)
@@ -328,13 +335,16 @@ def evaluate_policy_robust(
     prev_rows: tuple[int, ...] | None = None
     q = v
     rows: tuple[int, ...] = (0,) * m
-    for _ in range(10_000):
+    for _ in range(ROBUST_EVAL_MAX_ROUNDS):
         scores, q = _row_min(pe, cand, v, lam)
         picked = scores.argmin(axis=-1)
         rows = tuple(picked.tolist())
         if sup_norm(q - v) < threshold or rows == prev_rows:
-            return q, rows
+            return q, rows, True
         v = np.linalg.solve(eye - lam * cand[states, picked], pe[states, picked])
         prev_rows = rows
-    log.warning("robust evaluation did not settle; returning last iterate")
-    return q, rows
+    log.warning(
+        "robust evaluation did not settle in %d rounds; returning last iterate",
+        ROBUST_EVAL_MAX_ROUNDS,
+    )
+    return q, rows, False

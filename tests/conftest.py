@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import robustdp as r
 from robustdp.model import DEFAULT_ENUMERATION_BUDGET
-from robustdp.oracle import DOMINANCE_ATOL, OracleResult
+from robustdp.oracle import OracleResult, dominance_tolerance
 from robustdp.sweeps import fixed_model_arrays
 
 
@@ -39,6 +39,39 @@ def reference_noise(oracle: r.PerturbationOracle, tag) -> float:
     payload = struct.pack("<5q", oracle.seed, *tag)
     digest = hashlib.blake2b(payload, digest_size=8).digest()
     return oracle.bound * (2.0 * (int.from_bytes(digest, "little") / 2.0**64) - 1.0)
+
+
+def random_game(
+    seed: int,
+    *,
+    max_states: int = 4,
+    n_players: int = 2,
+    max_actions: int = 2,
+    max_rows: int = 3,
+    payoff_scale: float = 1.0,
+) -> r.TeamMarkovGame:
+    """Random small game, deterministic in ``seed``.
+
+    States are drawn in [2, max_states], per-player action counts in
+    [1, max_actions], candidate rows per (state, action) in [1, max_rows]
+    from a flat Dirichlet, and payoffs uniformly from
+    [-payoff_scale, payoff_scale].
+    """
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, max_states + 1))
+    sizes = [int(rng.integers(1, max_actions + 1)) for _ in range(n_players)]
+    states = [f"s{i + 1}" for i in range(m)]
+    actions = [[f"a{j}" for j in range(size)] for size in sizes]
+    n_joint = math.prod(sizes)
+    payoff = rng.uniform(-payoff_scale, payoff_scale, size=(m, n_joint, m))
+    rows = [
+        [
+            rng.dirichlet(np.ones(m), size=int(rng.integers(1, max_rows + 1)))
+            for _ in range(n_joint)
+        ]
+        for _ in range(m)
+    ]
+    return r.build_game(n_players, states, actions, payoff, rows)
 
 
 def two_state_chain() -> r.TeamMarkovGame:
@@ -160,8 +193,8 @@ def enumerate_decision_rules(game, budget=DEFAULT_ENUMERATION_BUDGET):
 def maximin_over_every_rule(game, lam, budget=DEFAULT_ENUMERATION_BUDGET):
     """``brute_force_maximin`` by the robust evaluation of all A**m rules:
     the componentwise maximum of their values, the first rule within
-    ``DOMINANCE_ATOL`` of it everywhere, and failing that the first rule
-    with the smallest shortfall."""
+    ``dominance_tolerance(game, lam)`` of it everywhere, and failing that
+    the first rule with the smallest shortfall."""
     entries = [
         (rule, r.evaluate_policy_robust(game, rule, lam)[0])
         for rule in enumerate_decision_rules(game, budget)
@@ -169,7 +202,7 @@ def maximin_over_every_rule(game, lam, budget=DEFAULT_ENUMERATION_BUDGET):
     v_star = np.max([value for _, value in entries], axis=0)
     gaps = [float(np.max(v_star - value)) for _, value in entries]
     for (rule, value), gap in zip(entries, gaps):
-        if np.all(value >= v_star - DOMINANCE_ATOL):
+        if np.all(value >= v_star - dominance_tolerance(game, lam)):
             return OracleResult(v_star, rule, True, gap)
     best = int(np.argmin(gaps))
     return OracleResult(v_star, entries[best][0], False, gaps[best])
@@ -221,7 +254,7 @@ def verify_epsilon_optimal(game, rule, lam, epsilon, oracle_result=None,
     componentwise shortfall v_star - epsilon - value.  ``slack`` absorbs the
     numerical tolerance of the two evaluations.
     """
-    value, _ = r.evaluate_policy_robust(game, rule, lam)
+    value, _, _ = r.evaluate_policy_robust(game, rule, lam)
     if oracle_result is None:
         oracle_result = r.brute_force_maximin(game, lam)
     ok = bool(np.all(value >= oracle_result.v_star - epsilon - slack))

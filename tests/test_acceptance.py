@@ -19,10 +19,10 @@ from conftest import (
     enumerate_decision_rules,
     enumerate_policy_models,
     gs_splitting,
+    random_game,
     verify_epsilon_optimal,
 )
 from robustdp.cli import main
-from robustdp.random_games import random_game
 from robustdp.rssd import RssdParams, transition_row_candidates
 from robustdp.solvers import initial_value
 

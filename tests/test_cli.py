@@ -9,6 +9,7 @@ import pytest
 
 import robustdp as r
 from conftest import huge_payoff_game, singleton_game
+from robustdp import solvers
 from robustdp.cli import main
 
 
@@ -298,6 +299,15 @@ def test_non_termination_exits_2(rssd_file, tmp_path):
     )
     assert code == 2
     assert json.loads(out.read_text())["terminated"] is False
+
+
+def test_unsettled_robust_evaluation_exits_2(rssd_file, tmp_path, monkeypatch):
+    monkeypatch.setattr(solvers, "ROBUST_EVAL_MAX_ROUNDS", 1)
+    code, out = run_solve(
+        rssd_file, tmp_path, "unsettled", "--lambda", "0.9", "--epsilon", "1e-4"
+    )
+    assert code == 2
+    assert json.loads(out.read_text())["terminated"] is True
 
 
 def test_oracle_command(rssd_file, tmp_path):

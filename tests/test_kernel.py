@@ -144,7 +144,7 @@ def test_jacobi_sweep_and_lattice_match_loop(game, lam, seed):
 def test_robust_evaluation_matches_loop(game, lam, seed):
     rng = np.random.default_rng(seed)
     rule = r.TeamDecisionRule(rng.integers(0, game.n_joint_actions, game.m))
-    value, rows = r.evaluate_policy_robust(game, rule, lam)
+    value, rows, _ = r.evaluate_policy_robust(game, rule, lam)
     ref_value, ref_rows = reference_robust_evaluation(game, rule, lam)
     assert np.array_equal(value, ref_value)
     assert rows == ref_rows

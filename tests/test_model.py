@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import math
@@ -12,11 +13,12 @@ from conftest import (
     enumerate_decision_rules,
     enumerate_policy_models,
     game_parts,
+    random_game,
     singleton_game,
     two_state_chain,
 )
+from robustdp import rssd
 from robustdp.model import _clean_rows
-from robustdp.random_games import random_game
 
 
 def rows_game(rows, m):
@@ -258,6 +260,19 @@ class TestRowDistributionSet:
         game = rows_game([[0.5, 0.5 + 1e-13]], 2)
         assert game.candidates[0, 0, 0].sum() == pytest.approx(1.0, abs=1e-15)
 
+    def test_shared_invalid_set_reported_per_action(self):
+        # Each object is checked once per state; each pair still gets its line.
+        bad = np.array([[0.5, 0.6]])
+        rows = [[bad, bad, [[0.5, 0.5]]], [[[1.0, 0.0]], None, None]]
+        with pytest.raises(r.GameValidationError) as exc:
+            r.build_game(1, ["s0", "s1"], [["a0", "a1", "a2"]], np.zeros((2, 3, 2)), rows)
+        assert exc.value.errors == [
+            "uncertainty[state='s0', action=(0,)]: row 0 sum 1.1 != 1",
+            "uncertainty[state='s0', action=(1,)]: row 0 sum 1.1 != 1",
+            "uncertainty[state='s1', action=(1,)]: missing entry",
+            "uncertainty[state='s1', action=(2,)]: missing entry",
+        ]
+
     def test_empty_rejected(self):
         with pytest.raises(r.GameValidationError, match="expected a nonempty list of rows"):
             rows_game([], 1)
@@ -394,6 +409,28 @@ class TestJsonRoundTrip:
         ]
 
 
+GROUP_ARRAYS = ("action_group", "group_action", "group_payoff", "group_candidates",
+                "group_n_rows", "group_payoff_exp")
+
+
+def assert_same_arrays(game, other):
+    for name in GROUP_ARRAYS:
+        assert getattr(game, name).tobytes() == getattr(other, name).tobytes(), name
+
+
+def copied_row_sets(rows):
+    """``rows`` with every pair given its own copy of its set."""
+    return [[copy.deepcopy(s) for s in per_state] for per_state in rows]
+
+
+def shared_row_sets(rows):
+    """``rows`` with each set replaced by the game's first set of the same
+    bytes, so equal sets are passed as one object, within and across states."""
+    first = {}
+    return [[first.setdefault(np.asarray(s).tobytes(), s) for s in per_state]
+            for per_state in rows]
+
+
 class TestGroups:
     @given(game_parts())
     @settings(max_examples=150, deadline=None)
@@ -426,3 +463,42 @@ class TestGroups:
                                      (game.m, game.n_joint_actions))
         assert np.array_equal(game.action_group, each_alone)
         assert np.array_equal(game.group_action, each_alone)
+
+    @given(game_parts())
+    @settings(max_examples=100, deadline=None)
+    def test_shared_and_copied_row_sets_build_the_same_game(self, parts):
+        *head, rows = parts
+        shared = r.build_game(*head, shared_row_sets(rows))
+        assert_same_arrays(shared, r.build_game(*head, copied_row_sets(rows)))
+
+    def test_row_sets_handed_out_as_new_objects(self):
+        # A freed object's id is soon given to the next one, so the builder
+        # must hold each object it has checked, or a later set would be
+        # taken for an earlier one.
+        class NewCopies(list):
+            def __iter__(self):
+                return ([list(row) for row in s] for s in list.__iter__(self))
+
+            def __getitem__(self, a):
+                return [list(row) for row in list.__getitem__(self, a)]
+
+        rng = np.random.default_rng(3)
+        m, n_joint = 3, 4
+        rows = rng.dirichlet(np.ones(m), size=(m, n_joint, 2)).tolist()
+        args = (2, ["s0", "s1", "s2"], [["a0", "a1"]] * 2, rng.uniform(-1, 1, (m, n_joint, m)))
+        game = r.build_game(*args, [NewCopies(per_state) for per_state in rows])
+        assert_same_arrays(game, r.build_game(*args, rows))
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_rssd_with_copied_row_sets_builds_the_same_game(self, n, monkeypatch):
+        calls = []
+
+        def build_game(*args):
+            calls.append(args)
+            return r.build_game(*args)
+
+        monkeypatch.setattr(rssd, "build_game", build_game)
+        game = r.build_rssd(r.RssdParams(n_players=n, mu_set=(0.03, 0.06, 0.09)))
+        [(*head, rows)] = calls
+        assert [len(set(map(id, per_state))) for per_state in rows] == [n + 1] * 3
+        assert_same_arrays(game, r.build_game(*head, copied_row_sets(rows)))

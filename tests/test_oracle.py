@@ -11,11 +11,12 @@ from conftest import (
     games,
     maximin_over_every_rule,
     mdp_game,
+    random_game,
     robust_value_by_model_enumeration,
     singleton_game,
     verify_epsilon_optimal,
 )
-from robustdp.random_games import random_game
+from robustdp import oracle
 
 
 def test_singleton_optimum():
@@ -86,7 +87,7 @@ def test_model_enumeration_cross_check_on_two_row_games():
     for seed in (100, 101, 102):
         game = random_game(seed, max_rows=2)
         for rule in enumerate_decision_rules(game):
-            fast, _ = r.evaluate_policy_robust(game, rule, 0.85)
+            fast, _, _ = r.evaluate_policy_robust(game, rule, 0.85)
             slow = robust_value_by_model_enumeration(game, rule, 0.85)
             assert np.allclose(fast, slow, atol=1e-9)
 
@@ -121,8 +122,7 @@ def tied_game(payoff, p):
     every rule's exact value is payoff / (1 - lam) in both states.  The rows
     out of s0 are (p0, 1 - p0) for a0 and a2 and (p1, 1 - p1) for a1; out of
     s1, (1 - p2, p2) for a0 and (1 - p3, p3) for a1 and a2.  At a payoff of
-    1e9 or more, rounding moves the computed values by far more than
-    ``DOMINANCE_ATOL``."""
+    1e9 or more, rounding moves the computed values by far more than 1e-9."""
     s0 = [[[p[0], 1 - p[0]]], [[p[1], 1 - p[1]]]]
     s1 = [[[1 - p[2], p[2]]], [[1 - p[3], p[3]]]]
     rows = [[s0[0], s0[1], s0[0]], [s1[0], s1[1], s1[1]]]
@@ -131,19 +131,39 @@ def tied_game(payoff, p):
     )
 
 
-def test_ties_broken_as_over_every_rule_when_no_rule_dominates():
-    results = []
-    for payoff, p in (
-        (1.3e10, (0.9, 0.3, 0.2, 0.3)),
-        (1.3e10, (0.3, 0.9, 0.2, 0.3)),
-        (1e9, (0.4, 0.7, 0.1, 0.3)),
-    ):
-        game = tied_game(payoff, p)
-        assert game.action_group.tolist() == [[0, 1, 0], [0, 1, 1]]
-        for lam in (0.5, 0.9):
-            orc = r.brute_force_maximin(game, lam)
-            assert_same_result(orc, maximin_over_every_rule(game, lam))
-            results.append(orc)
-    # The rounding that breaks the ties depends on the BLAS build, so the
-    # argmin path need only be taken by one of the games.
-    assert any(not orc.dominance_ok for orc in results)
+@pytest.mark.parametrize(("payoff", "p"), [
+    (1.3e10, (0.9, 0.3, 0.2, 0.3)),
+    (1.3e10, (0.3, 0.9, 0.2, 0.3)),
+    (1e9, (0.4, 0.7, 0.1, 0.3)),
+])
+def test_rounding_ties_at_large_values_dominate(payoff, p):
+    # Every rule is exactly optimal; the values differ only by rounding,
+    # which is small next to the value scale r_max / (1 - lam).
+    game = tied_game(payoff, p)
+    assert game.action_group.tolist() == [[0, 1, 0], [0, 1, 1]]
+    for lam in (0.5, 0.9):
+        orc = r.brute_force_maximin(game, lam)
+        assert_same_result(orc, maximin_over_every_rule(game, lam))
+        assert orc.dominance_ok
+        assert orc.d_star == r.TeamDecisionRule((0, 0))
+
+
+def test_ties_broken_as_over_every_rule_when_no_rule_dominates(monkeypatch):
+    # Under row-rectangular uncertainty some rule dominates in exact
+    # arithmetic, so made-up values, one per combination of groups, lead
+    # onto the argmin path: no rule attains both maxima, and the groups
+    # (1, 0) and (1, 1) tie for the smallest shortfall.
+    made_up = {(0, 0): [4.0, 0.0], (0, 1): [0.0, 4.0], (1, 0): [2.0, 3.0], (1, 1): [3.0, 2.0]}
+
+    def evaluate(game, rule, lam):
+        groups = tuple(game.action_group[k, a] for k, a in enumerate(rule.joint_actions))
+        return np.array(made_up[groups]), (0, 0), True
+
+    monkeypatch.setattr(oracle, "evaluate_policy_robust", evaluate)
+    monkeypatch.setattr(r, "evaluate_policy_robust", evaluate)
+    game = tied_game(1.0, (0.9, 0.3, 0.2, 0.3))
+    orc = r.brute_force_maximin(game, 0.9)
+    assert_same_result(orc, maximin_over_every_rule(game, 0.9))
+    assert not orc.dominance_ok
+    assert orc.d_star == r.TeamDecisionRule((1, 0))
+    assert orc.max_dominance_gap == 2.0

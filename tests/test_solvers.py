@@ -12,13 +12,14 @@ from conftest import (
     games,
     huge_payoff_game,
     mdp_game,
+    random_game,
     robust_value_by_model_enumeration,
     singleton_game,
     two_state_chain,
     verify_epsilon_optimal,
 )
+from robustdp import solvers
 from robustdp.perturb import MODES
-from robustdp.random_games import random_game
 from robustdp.solvers import SOLVERS, _mt_at, initial_value, termination_threshold
 from robustdp.sweeps import fixed_model_arrays
 
@@ -132,8 +133,18 @@ class TestSolverLoops:
         params = r.SolverParams(lam=0.97, epsilon=1e-8, max_iterations=3)
         res = r.solve_ratvi(rssd_game, params)
         assert not res.terminated
+        assert res.settled
         assert res.iterations == 3
         assert len(res.trace) == 3
+
+    @pytest.mark.parametrize("algo", sorted(SOLVERS))
+    def test_unsettled_terminal_evaluation_is_flagged(self, algo, rssd_game, monkeypatch):
+        params = r.SolverParams(lam=0.9, epsilon=1e-4)
+        assert SOLVERS[algo](rssd_game, params).settled
+        monkeypatch.setattr(solvers, "ROBUST_EVAL_MAX_ROUNDS", 1)
+        res = SOLVERS[algo](rssd_game, params)
+        assert res.terminated
+        assert not res.settled
 
     def test_rssd_iteration_count_magnitude(self, rssd_game):
         # reference count for this configuration is 446; exact v0 and sweep
@@ -307,14 +318,14 @@ class TestRobustEvaluation:
     def test_singleton_rows_match_dense_solve(self):
         game = mdp_game(seed=9)
         for rule in enumerate_decision_rules(game):
-            value, rows = r.evaluate_policy_robust(game, rule, 0.9)
+            value, rows, _ = r.evaluate_policy_robust(game, rule, 0.9)
             expected = evaluate_policy_exact(game, rule, rows, 0.9)
             assert np.allclose(value, expected, atol=1e-10)
 
     def test_rssd_all_defect_value_is_zero(self, rssd_game):
         # zero cooperators: identity transitions, zero payoffs everywhere
         rule = r.TeamDecisionRule((rssd_game.joint_index([1, 1, 1]),) * 3)
-        value, rows = r.evaluate_policy_robust(rssd_game, rule, 0.97)
+        value, rows, _ = r.evaluate_policy_robust(rssd_game, rule, 0.97)
         assert np.array_equal(value, np.zeros(3))
         assert rows == (0, 0, 0)
 
@@ -322,17 +333,27 @@ class TestRobustEvaluation:
         for seed in range(6):
             game = random_game(seed + 50, max_rows=2)
             for rule in enumerate_decision_rules(game):
-                fast, _ = r.evaluate_policy_robust(game, rule, 0.9)
+                fast, _, _ = r.evaluate_policy_robust(game, rule, 0.9)
                 slow = robust_value_by_model_enumeration(game, rule, 0.9)
                 assert np.allclose(fast, slow, atol=1e-9)
 
     def test_worst_rows_certify_the_value(self):
         game = random_game(61)
         rule = next(iter(enumerate_decision_rules(game)))
-        value, rows = r.evaluate_policy_robust(game, rule, 0.9)
+        value, rows, settled = r.evaluate_policy_robust(game, rule, 0.9)
+        assert settled
         assert np.allclose(
             value, evaluate_policy_exact(game, rule, rows, 0.9), atol=1e-9
         )
+
+    def test_round_cap_is_reported_as_unsettled(self, monkeypatch, caplog):
+        game = random_game(61)
+        rule = next(iter(enumerate_decision_rules(game)))
+        monkeypatch.setattr(solvers, "ROBUST_EVAL_MAX_ROUNDS", 1)
+        with caplog.at_level(logging.WARNING, logger="robustdp.solvers"):
+            _, _, settled = r.evaluate_policy_robust(game, rule, 0.9)
+        assert not settled
+        assert "did not settle in 1 rounds" in caplog.text
 
 
 class TestExactEvaluation:

@@ -13,10 +13,10 @@ from conftest import (
     gs_backup,
     gs_splitting,
     mdp_game,
+    random_game,
     singleton_game,
     two_state_chain,
 )
-from robustdp.random_games import random_game
 from robustdp.solvers import initial_value
 from robustdp.sweeps import fixed_model_arrays
 
