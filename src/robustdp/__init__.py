@@ -27,7 +27,7 @@ from .model import (
 )
 from .oracle import brute_force_maximin
 from .perturb import PerturbationOracle
-from .rssd import RssdParams, build_rssd, check_dilemma_conditions
+from .rssd import RssdParams, build_rssd
 from .solvers import (
     SolverParams,
     SolverResult,
@@ -60,7 +60,6 @@ __all__ = [
     "brute_force_maximin",
     "build_game",
     "build_rssd",
-    "check_dilemma_conditions",
     "evaluate_policy_robust",
     "evaluation_sweep",
     "game_to_dict",

@@ -24,8 +24,12 @@ backups under a perturbed label.  The Jacobi baselines terminate at the
 delta = 0 threshold, so ``solve`` rejects ``--delta`` for them, and ``solve``
 and ``bench-table1`` record their delta as 0.
 
-Exit codes: 0 on normal termination, 2 when a solver hits its iteration cap
-or the robust evaluation of its policy does not settle, 1 on input errors.
+Exit codes: 0 on normal termination, 1 on input errors, and 2 when a value
+the command writes is unsettled: a solver run (``solve``, either
+``trace-fig1`` run, any ``bench-table1`` cell) hit its iteration cap or the
+robust evaluation of its policy did not settle, or the robust evaluation of
+an oracle rule (``oracle``, ``bench-table1``) did not settle.  The output
+files are written all the same.
 Set ROBUSTDP_LOG to a logging level name for diagnostics.  Result and trace
 files contain no timestamps, so identical invocations produce byte-identical
 files.
@@ -255,7 +259,9 @@ def cmd_rssd_gen(args) -> int:
     return 0
 
 
-def _bench_cell(game, algo, lam, epsilon, mt, v0) -> dict:
+def _bench_cell(game, algo, lam, epsilon, mt, v0) -> tuple[dict, bool]:
+    """One grid cell's CSV row, and whether its run terminated with a
+    settled robust value."""
     delta = _default_delta(algo, lam, epsilon)
     params = SolverParams(
         lam=lam, epsilon=epsilon, delta=delta, mt_schedule=mt, v0_mode=v0
@@ -273,7 +279,7 @@ def _bench_cell(game, algo, lam, epsilon, mt, v0) -> dict:
         "final_residual": result.trace.residuals[-1],
         "value": result.value,
         "wall_time_s": wall,
-    }
+    }, result.terminated and result.settled
 
 
 def cmd_bench_table1(args) -> int:
@@ -284,15 +290,17 @@ def cmd_bench_table1(args) -> int:
     if isinstance(mt_values, int):
         mt_values = (mt_values,)
     v0 = _parse_v0(args.v0)
-    rows = []
+    cells = []
     for lam in lambdas:
-        rows.append(_bench_cell(game, "rvi", lam, args.epsilon, 0, v0))
-        rows.append(_bench_cell(game, "ratvi", lam, args.epsilon, 0, v0))
+        cells.append(_bench_cell(game, "rvi", lam, args.epsilon, 0, v0))
+        cells.append(_bench_cell(game, "ratvi", lam, args.epsilon, 0, v0))
         for mt in mt_values:
-            rows.append(_bench_cell(game, "rmpi", lam, args.epsilon, mt, v0))
-            rows.append(_bench_cell(game, "ratpi", lam, args.epsilon, mt, v0))
+            cells.append(_bench_cell(game, "rmpi", lam, args.epsilon, mt, v0))
+            cells.append(_bench_cell(game, "ratpi", lam, args.epsilon, mt, v0))
+    rows = [row for row, _ in cells]
 
     oracles = {lam: brute_force_maximin(game, lam) for lam in lambdas}
+    settled = all(ok for _, ok in cells) and all(o.settled for o in oracles.values())
     for row in rows:
         row["oracle_gap"] = sup_norm(row.pop("value") - oracles[row["lambda"]].v_star)
 
@@ -336,7 +344,7 @@ def cmd_bench_table1(args) -> int:
     )
     (out_dir / "bench_table1.txt").write_text("\n".join(lines) + "\n")
     sys.stdout.write("\n".join(lines) + "\n")
-    return 0
+    return 0 if settled else 2
 
 
 def cmd_trace_fig1(args) -> int:
@@ -362,7 +370,7 @@ def cmd_trace_fig1(args) -> int:
                             repr(float(lattice[k, a])),
                         ]
                     )
-    return 0
+    return 0 if all(res.terminated and res.settled for res in results) else 2
 
 
 def cmd_oracle(args) -> int:
@@ -387,7 +395,7 @@ def cmd_oracle(args) -> int:
         "max_dominance_gap": orc.max_dominance_gap,
     }
     _write_json(args.out, payload)
-    return 0
+    return 0 if orc.settled else 2
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,15 +11,16 @@ Joint actions are indexed in C order over the per-player action counts
 (``TeamMarkovGame.action_shape``), player 0 most significant; state order is
 the order given at construction and fixes the solvers' Gauss-Seidel order.
 
-The game is packed per group: joint actions of a state with the same payoff
-and candidate rows share one stored copy and one backup.  In games where
-payoffs and rows depend only on how many players take each action (the
-social-dilemma benchmark), a state has n + 1 groups out of 2**n joint
-actions.  States with fewer groups than the widest state are padded with
-groups that never win a maximum (see :class:`TeamMarkovGame`).  The builder
-checks each distinct row set of a state once, counting one row-set object
-passed for many joint actions as one set: ``build_rssd`` passes n + 1 objects
-per state, so it pays for n + 1 checks, not 2**n.
+The game is stored in one form, packed per group: joint actions of a state
+with the same payoff and candidate rows share one stored copy and one
+backup.  In games where payoffs and rows depend only on how many players
+take each action (the social-dilemma benchmark), a state has n + 1 groups
+out of 2**n joint actions.  States with fewer groups than the widest state
+are padded with groups that never win a maximum (see
+:class:`TeamMarkovGame`).  The builder checks each distinct row set of a
+state once, counting one row-set object passed for many joint actions as one
+set: ``build_rssd`` passes n + 1 objects per state, so it pays for n + 1
+checks, not 2**n.
 
 Instances are immutable after validation and safe to share across concurrent
 solver runs.
@@ -69,13 +70,16 @@ def _is_number(x, kind=(int, float)) -> bool:
     return type(x) is not bool and isinstance(x, kind)
 
 
-def _holds_bool(rows) -> bool:
-    """Whether JSON candidate rows (a list of lists) hold ``true``/``false``.
-    Anything else is left to :func:`_clean_rows`, which reports its shape."""
+def _non_numbers(rows) -> list[str]:
+    """What JSON candidate rows (a list of lists) hold that
+    ``np.array(..., dtype=float)`` would read as numbers: ``"true/false"``,
+    ``"strings"``, both or neither.  Anything else is left to
+    :func:`_clean_rows`, which reports its shape."""
     try:
-        return bool in set(map(type, itertools.chain.from_iterable(rows)))
+        types = set(map(type, itertools.chain.from_iterable(rows)))
     except TypeError:
-        return False
+        return []
+    return [what for kind, what in ((bool, "true/false"), (str, "strings")) if kind in types]
 
 
 def sup_norm(v) -> float:
@@ -123,8 +127,7 @@ class TeamMarkovGame:
     A state with fewer than G groups is padded with copies of its group 0
     whose ``group_payoff_exp`` is ``-inf``: a padded group never wins the
     max over groups, and a reduction over the other arrays sees only real
-    data.  ``payoff``, ``candidates``, ``n_rows`` and ``payoff_exp`` gather
-    the per-action form through ``action_group`` on each access.
+    data.
 
     All arrays are read-only.  :func:`build_game` checks the rows and forms
     the groups before they reach this class.
@@ -158,33 +161,6 @@ class TeamMarkovGame:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    def _per_action(self, group_array: np.ndarray) -> np.ndarray:
-        """``group_array`` gathered to one entry per joint action, read-only
-        like the arrays it comes from."""
-        out = group_array[np.arange(self.m)[:, None], self.action_group]
-        out.setflags(write=False)
-        return out
-
-    @property
-    def payoff(self) -> np.ndarray:
-        """Per-action payoff, shape (m, A, m)."""
-        return self._per_action(self.group_payoff)
-
-    @property
-    def candidates(self) -> np.ndarray:
-        """Per-action candidate rows, shape (m, A, Kmax, m)."""
-        return self._per_action(self.group_candidates)
-
-    @property
-    def n_rows(self) -> np.ndarray:
-        """Per-action candidate counts, shape (m, A)."""
-        return self._per_action(self.group_n_rows)
-
-    @property
-    def payoff_exp(self) -> np.ndarray:
-        """Per-action expected immediate payoffs, shape (m, A, Kmax)."""
-        return self._per_action(self.group_payoff_exp)
-
     @property
     def m(self) -> int:
         return len(self.states)
@@ -201,11 +177,6 @@ class TeamMarkovGame:
     @property
     def n_joint_actions(self) -> int:
         return self.action_group.shape[1]
-
-    def joint_index(self, per_player: Sequence[int]) -> int:
-        """Joint-action index of a per-player action index tuple.  Raises
-        ``ValueError`` unless it gives one in-range index per player."""
-        return int(np.ravel_multi_index(tuple(per_player), self.action_shape))
 
     def action_names(self, joint_action: int) -> tuple[str, ...]:
         """Per-player action names of a joint-action index.  Raises
@@ -396,11 +367,11 @@ def validate_game(raw: Mapping) -> TeamMarkovGame:
     ``states`` is an array of names and ``player_actions`` an array of
     arrays of names, that entries name known states and give one in-range
     action index per player, per-player ``r`` lists, duplicate entries,
-    unlisted payoff triples when ``default_payoff`` is absent, ``true`` or
-    ``false`` inside candidate ``rows``, and the type of ``r_max``.  Every
-    other check (player count, duplicate or empty names, candidate rows,
-    missing uncertainty entries, ``r_max`` against the payoffs) is
-    :func:`build_game`'s.  One
+    unlisted payoff triples when ``default_payoff`` is absent, ``true``,
+    ``false`` or strings inside candidate ``rows``, and the type of
+    ``r_max``.  Every other check (player count, duplicate or empty names,
+    candidate rows, missing uncertainty entries, ``r_max`` against the
+    payoffs) is :func:`build_game`'s.  One
     :class:`GameValidationError` lists this function's errors followed by
     those of :func:`build_game`.
 
@@ -518,10 +489,10 @@ def validate_game(raw: Mapping) -> TeamMarkovGame:
             continue
         listed.add((si, ai))
         rows = grid[si][ai] = ent.get("rows")
-        if _holds_bool(rows):
+        for what in _non_numbers(rows):
             errors.append(
                 f"uncertainty[state={states[si]!r}, action={tuple(ent['a'])}]: "
-                "rows must hold numbers, not true/false"
+                f"rows must hold numbers, not {what}"
             )
     r_max = raw.get("r_max")
     if r_max is not None and not _is_number(r_max):
@@ -544,7 +515,7 @@ def game_to_dict(game: TeamMarkovGame) -> dict:
     """
     actions = list(np.ndindex(*game.action_shape))
     states = game.states
-    payoff = game.payoff
+    payoff = game.group_payoff[np.arange(game.m)[:, None], game.action_group]
     payoffs = [
         {"s": states[k], "a": list(actions[a]), "s_next": states[l],
          "r": float(payoff[k, a, l])}

@@ -51,13 +51,15 @@ class OracleResult:
     ``dominance_ok`` records whether a single rule attains that maximum in
     every component simultaneously; when none does, ``d_star`` is the rule
     with the smallest worst-component shortfall and ``max_dominance_gap``
-    reports that shortfall.
+    reports that shortfall.  ``settled`` is set only when the robust
+    evaluation of every rule settled.
     """
 
     v_star: np.ndarray
     d_star: TeamDecisionRule
     dominance_ok: bool
     max_dominance_gap: float
+    settled: bool
 
 
 def brute_force_maximin(
@@ -83,9 +85,11 @@ def brute_force_maximin(
         raise BudgetExceededError(total, budget)
     representatives = [game.group_action[k, :n].tolist() for k, n in enumerate(n_groups)]
     entries: list[tuple[TeamDecisionRule, np.ndarray]] = []
+    settled = True
     for combo in itertools.product(*representatives):
         rule = TeamDecisionRule(combo)
-        value, _, _ = evaluate_policy_robust(game, rule, lam)
+        value, _, rule_settled = evaluate_policy_robust(game, rule, lam)
+        settled = settled and rule_settled
         entries.append((rule, value))
     v_star = entries[0][1].copy()
     for _, value in entries[1:]:
@@ -112,4 +116,5 @@ def brute_force_maximin(
         d_star=d_star,
         dominance_ok=dominance_ok,
         max_dominance_gap=max_gap,
+        settled=settled,
     )

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
@@ -148,63 +147,3 @@ def build_rssd(params: RssdParams | None = None) -> TeamMarkovGame:
     payoff = payoff_by_count[:, cooperators]
     rows = [[per_state[h] for h in cooperators] for per_state in rows_by_count]
     return build_game(n, list(STATE_NAMES), [["C", "D"]] * n, payoff, rows)
-
-
-class DilemmaViolation(NamedTuple):
-    condition: str
-    state: int
-    n_cooperators: int
-    next_state: int
-    detail: str
-
-
-@dataclass(frozen=True)
-class DilemmaReport:
-    ok: bool
-    violations: tuple[DilemmaViolation, ...]
-
-
-def check_dilemma_conditions(params: RssdParams) -> DilemmaReport:
-    """Verify the social-dilemma payoff ordering in every state, for every
-    cooperator count and destination state:
-
-    (i)   a and b are nondecreasing in the cooperator count;
-    (ii)  defectors strictly out-earn cooperators in every mixed group;
-    (iii) full cooperation beats full defection (a_n > b_0).
-    """
-    n = params.n_players
-    violations: list[DilemmaViolation] = []
-    for k in range(N_STATES):
-        for l in range(N_STATES):
-            pay = [stage_payoffs(params, k, h, l) for h in range(n + 1)]
-            for h in range(n):
-                if pay[h + 1][0] < pay[h][0]:
-                    violations.append(
-                        DilemmaViolation(
-                            "monotone_a", k, h, l,
-                            f"a_{h + 1}={pay[h + 1][0]} < a_{h}={pay[h][0]}",
-                        )
-                    )
-                if pay[h + 1][1] < pay[h][1]:
-                    violations.append(
-                        DilemmaViolation(
-                            "monotone_b", k, h, l,
-                            f"b_{h + 1}={pay[h + 1][1]} < b_{h}={pay[h][1]}",
-                        )
-                    )
-            for h in range(1, n):
-                if not pay[h][1] > pay[h][0]:
-                    violations.append(
-                        DilemmaViolation(
-                            "mixed_defector_advantage", k, h, l,
-                            f"b_{h}={pay[h][1]} <= a_{h}={pay[h][0]}",
-                        )
-                    )
-            if not pay[n][0] > pay[0][1]:
-                violations.append(
-                    DilemmaViolation(
-                        "cooperation_beats_defection", k, n, l,
-                        f"a_{n}={pay[n][0]} <= b_0={pay[0][1]}",
-                    )
-                )
-    return DilemmaReport(ok=not violations, violations=tuple(violations))

@@ -134,14 +134,11 @@ def initial_value(game: TeamMarkovGame, params: SolverParams) -> np.ndarray:
 @dataclass
 class SolverTrace:
     """Per-step record of what the CLI writes: the improvement residual and
-    the incoming value function of every step.  For a terminated run the
-    length is iterations + 1."""
+    the incoming value function of every step.  For a terminated run each
+    list holds iterations + 1 entries."""
 
     residuals: list[float] = field(default_factory=list)
     values: list[np.ndarray] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.residuals)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Shared games and the slow references the tests hold the package to.
 
 The references are deliberately naive: exhaustive enumeration of rules and
-models, dense solves, per-(state, action) loops.  Every model is gathered
+models, dense solves, per-(state, action) loops, and the social-dilemma
+payoff conditions of the ``rssd`` benchmark.  Every model is gathered
 through ``fixed_model_arrays``, the same gather the solvers use, and every
 enumeration raises ``BudgetExceededError`` up front when it would exceed
-its budget.
+its budget.  ``per_action`` reads the packed game per joint action.
 """
 
 import functools
@@ -12,6 +13,8 @@ import hashlib
 import itertools
 import math
 import struct
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -20,7 +23,14 @@ from hypothesis import strategies as st
 import robustdp as r
 from robustdp.model import DEFAULT_ENUMERATION_BUDGET
 from robustdp.oracle import OracleResult, dominance_tolerance
+from robustdp.rssd import N_STATES, stage_payoffs
 from robustdp.sweeps import fixed_model_arrays
+
+
+def per_action(game, group_array):
+    """A packed ``group_*`` array of ``game`` gathered through
+    ``action_group`` to one entry per (state, joint action)."""
+    return group_array[np.arange(game.m)[:, None], game.action_group]
 
 
 def singleton_game(payoff: float = 1.0) -> r.TeamMarkovGame:
@@ -166,8 +176,9 @@ def gs_backup(game, v, u_partial, k, a, lam):
     product differently depending on how many rows it is given.
     """
     w = np.concatenate([np.asarray(u_partial, float)[:k], np.asarray(v, float)[k:]])
-    n = game.n_rows[k, a]
-    q = game.payoff_exp[k, a, :n] + lam * (game.candidates[k, a] @ w)[:n]
+    g = game.action_group[k, a]
+    n = game.group_n_rows[k, g]
+    q = game.group_payoff_exp[k, g, :n] + lam * (game.group_candidates[k, g] @ w)[:n]
     j = int(np.argmin(q))
     return float(q[j]), j
 
@@ -195,17 +206,19 @@ def maximin_over_every_rule(game, lam, budget=DEFAULT_ENUMERATION_BUDGET):
     the componentwise maximum of their values, the first rule within
     ``dominance_tolerance(game, lam)`` of it everywhere, and failing that
     the first rule with the smallest shortfall."""
-    entries = [
-        (rule, r.evaluate_policy_robust(game, rule, lam)[0])
+    evaluated = [
+        (rule, r.evaluate_policy_robust(game, rule, lam))
         for rule in enumerate_decision_rules(game, budget)
     ]
+    entries = [(rule, value) for rule, (value, _, _) in evaluated]
+    settled = all(ok for _, (_, _, ok) in evaluated)
     v_star = np.max([value for _, value in entries], axis=0)
     gaps = [float(np.max(v_star - value)) for _, value in entries]
     for (rule, value), gap in zip(entries, gaps):
         if np.all(value >= v_star - dominance_tolerance(game, lam)):
-            return OracleResult(v_star, rule, True, gap)
+            return OracleResult(v_star, rule, True, gap, settled)
     best = int(np.argmin(gaps))
-    return OracleResult(v_star, entries[best][0], False, gaps[best])
+    return OracleResult(v_star, entries[best][0], False, gaps[best], settled)
 
 
 def model_rows(game, rule, budget=DEFAULT_ENUMERATION_BUDGET):
@@ -213,7 +226,8 @@ def model_rows(game, rule, budget=DEFAULT_ENUMERATION_BUDGET):
     Raises BudgetExceededError up front when the product of the per-state
     candidate counts exceeds ``budget``."""
     game.validate_rule(rule)
-    counts = [int(game.n_rows[k, a]) for k, a in enumerate(rule.joint_actions)]
+    counts = [int(game.group_n_rows[k, game.action_group[k, a]])
+              for k, a in enumerate(rule.joint_actions)]
     total = math.prod(counts)
     if total > budget:
         raise r.BudgetExceededError(total, budget)
@@ -297,6 +311,66 @@ def best_case_multistep(game, v, extra_sweeps, lam, budget=DEFAULT_ENUMERATION_B
             upper = np.einsum("nl,nl->n", P[:, k, k:], prev[:, k:])
             X[:, k] = pe[:, k] + lam * (lower + upper)
     return X.max(axis=0)
+
+
+class DilemmaViolation(NamedTuple):
+    condition: str
+    state: int
+    n_cooperators: int
+    next_state: int
+    detail: str
+
+
+@dataclass(frozen=True)
+class DilemmaReport:
+    ok: bool
+    violations: tuple[DilemmaViolation, ...]
+
+
+def check_dilemma_conditions(params: r.RssdParams) -> DilemmaReport:
+    """Verify the social-dilemma payoff ordering of ``stage_payoffs`` in
+    every state, for every cooperator count and destination state:
+
+    (i)   a and b are nondecreasing in the cooperator count;
+    (ii)  defectors strictly out-earn cooperators in every mixed group;
+    (iii) full cooperation beats full defection (a_n > b_0).
+    """
+    n = params.n_players
+    violations: list[DilemmaViolation] = []
+    for k in range(N_STATES):
+        for l in range(N_STATES):
+            pay = [stage_payoffs(params, k, h, l) for h in range(n + 1)]
+            for h in range(n):
+                if pay[h + 1][0] < pay[h][0]:
+                    violations.append(
+                        DilemmaViolation(
+                            "monotone_a", k, h, l,
+                            f"a_{h + 1}={pay[h + 1][0]} < a_{h}={pay[h][0]}",
+                        )
+                    )
+                if pay[h + 1][1] < pay[h][1]:
+                    violations.append(
+                        DilemmaViolation(
+                            "monotone_b", k, h, l,
+                            f"b_{h + 1}={pay[h + 1][1]} < b_{h}={pay[h][1]}",
+                        )
+                    )
+            for h in range(1, n):
+                if not pay[h][1] > pay[h][0]:
+                    violations.append(
+                        DilemmaViolation(
+                            "mixed_defector_advantage", k, h, l,
+                            f"b_{h}={pay[h][1]} <= a_{h}={pay[h][0]}",
+                        )
+                    )
+            if not pay[n][0] > pay[0][1]:
+                violations.append(
+                    DilemmaViolation(
+                        "cooperation_beats_defection", k, n, l,
+                        f"a_{n}={pay[n][0]} <= b_0={pay[0][1]}",
+                    )
+                )
+    return DilemmaReport(ok=not violations, violations=tuple(violations))
 
 
 @pytest.fixture(scope="session")

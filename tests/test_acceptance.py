@@ -16,9 +16,11 @@ import numpy as np
 import robustdp as r
 from conftest import (
     best_case_multistep,
+    check_dilemma_conditions,
     enumerate_decision_rules,
     enumerate_policy_models,
     gs_splitting,
+    per_action,
     random_game,
     verify_epsilon_optimal,
 )
@@ -247,13 +249,15 @@ def test_criterion_8_benchmark_instance_correctness():
     params = RssdParams()
     game = r.build_rssd(params)
     reparsed = r.validate_game(r.game_to_dict(game))
-    dilemma = r.check_dilemma_conditions(params)
+    dilemma = check_dilemma_conditions(params)
     from robustdp.rssd import PUBLIC_GOODS, stage_payoffs
 
     a3, b3 = stage_payoffs(params, PUBLIC_GOODS, 3, 0)
     row = transition_row_candidates(params, 0, 3)[2]
     ok = (
-        np.array_equal(reparsed.payoff, game.payoff)
+        np.array_equal(
+            per_action(reparsed, reparsed.group_payoff), per_action(game, game.group_payoff)
+        )
         and dilemma.ok
         and a3 == 0.5
         and b3 == 1.5

@@ -19,7 +19,6 @@ PUBLIC_NAMES = [
     "brute_force_maximin",
     "build_game",
     "build_rssd",
-    "check_dilemma_conditions",
     "evaluate_policy_robust",
     "evaluation_sweep",
     "game_to_dict",
@@ -42,7 +41,7 @@ TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 def test_all_is_pinned_and_sorted():
     assert robustdp.__all__ == PUBLIC_NAMES
     assert PUBLIC_NAMES == sorted(PUBLIC_NAMES)
-    assert len(PUBLIC_NAMES) == 27
+    assert len(PUBLIC_NAMES) == 26
 
 
 def test_every_public_name_resolves():

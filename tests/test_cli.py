@@ -38,8 +38,8 @@ def test_rssd_gen_flags_honoured(tmp_path):
     path = tmp_path / "g.json"
     assert main(["rssd-gen", "--out", str(path), "--z", "3", "--mu", "0.1,0.2"]) == 0
     game = r.load_game(path)
-    all_coop = game.joint_index([0, 0, 0])
-    assert game.n_rows[0, all_coop] == 2
+    all_coop = np.ravel_multi_index((0, 0, 0), game.action_shape)
+    assert game.group_n_rows[0, game.action_group[0, all_coop]] == 2
 
 
 def test_solve_writes_result_and_trace(rssd_file, tmp_path):
@@ -132,6 +132,24 @@ SOLVE_GOLDEN = {
         "f0eaef6af6151ff50138d9ec2ebf8f64bfab92777ae71905498d6a4a83e5cf15",
     ),
 }
+
+
+#: sha256 of the ``rssd-gen`` game JSON under :data:`GOLDEN_BUILD`, keyed
+#: by the flags besides ``--out``.
+RSSD_GEN_GOLDEN = {
+    (): "0612227404d1543f70ced0b7ccce308c93c4c01152a598cf39dab668959ff086",
+    ("--n", "8", "--mu", "0.05,0.1"):
+        "1003ed92bd40aa05233a837b8aaa91aa0736716e4591d641a1b28439df2a50a0",
+}
+
+
+@pytest.mark.parametrize("flags", list(RSSD_GEN_GOLDEN), ids=["default", "n8"])
+def test_rssd_gen_output_matches_golden(flags, tmp_path):
+    if numeric_build() != GOLDEN_BUILD:
+        pytest.skip(f"hashes recorded under {GOLDEN_BUILD}, this is {numeric_build()}")
+    path = tmp_path / "game.json"
+    assert main(["rssd-gen", "--out", str(path), *flags]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == RSSD_GEN_GOLDEN[flags]
 
 
 @pytest.mark.parametrize(("algo", "mode", "lock"), list(SOLVE_GOLDEN))
@@ -301,13 +319,33 @@ def test_non_termination_exits_2(rssd_file, tmp_path):
     assert json.loads(out.read_text())["terminated"] is False
 
 
-def test_unsettled_robust_evaluation_exits_2(rssd_file, tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    ("argv", "outputs"),
+    [
+        (["solve", "--lambda", "0.9", "--epsilon", "1e-4", "--out", "res.json"],
+         ["res.json"]),
+        (["oracle", "--out", "oracle.json"], ["oracle.json"]),
+        (["trace-fig1", "--lambda", "0.9", "--epsilon", "1e-4", "--out", "fig"],
+         ["fig/trace_fig1.csv", "fig/trace_fig1_rho.csv"]),
+        (["bench-table1", "--lambdas", "0.95", "--mt", "5", "--out", "bench"],
+         ["bench/bench_table1.csv", "bench/bench_table1.txt"]),
+    ],
+    ids=["solve", "oracle", "trace-fig1", "bench-table1"],
+)
+def test_unsettled_robust_evaluation_exits_2(argv, outputs, rssd_file, tmp_path, monkeypatch):
+    """Each command that writes a robust value exits 2 when a robust
+    evaluation behind it does not settle, and still writes its files."""
     monkeypatch.setattr(solvers, "ROBUST_EVAL_MAX_ROUNDS", 1)
-    code, out = run_solve(
-        rssd_file, tmp_path, "unsettled", "--lambda", "0.9", "--epsilon", "1e-4"
-    )
-    assert code == 2
-    assert json.loads(out.read_text())["terminated"] is True
+    monkeypatch.chdir(tmp_path)
+    if argv[0] in ("solve", "oracle"):
+        argv = [*argv, "--game", str(rssd_file)]
+    assert main(argv) == 2
+    assert all((tmp_path / name).exists() for name in outputs)
+    if argv[0] == "solve":
+        assert json.loads((tmp_path / "res.json").read_text())["terminated"] is True
+    if argv[0] == "bench-table1":
+        with open(tmp_path / "bench" / "bench_table1.csv") as fh:
+            assert {row["terminated"] for row in csv.DictReader(fh)} == {"True"}
 
 
 def test_oracle_command(rssd_file, tmp_path):

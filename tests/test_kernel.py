@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robustdp as r
-from conftest import games, gs_backup, reference_noise
+from conftest import games, gs_backup, per_action, reference_noise
 from robustdp.sweeps import fixed_model_arrays
 
 LAMS = st.sampled_from([0.0, 0.5, 0.9, 0.999])
@@ -68,6 +68,8 @@ def reference_robust_evaluation(game, rule, lam, tol=1e-12):
     m = game.m
     acts = rule.joint_actions
     threshold = math.inf if lam == 0.0 else tol * (1.0 - lam) / (2.0 * lam)
+    cand = per_action(game, game.group_candidates)
+    pexp = per_action(game, game.group_payoff_exp)
     v = np.zeros(m)
     prev_rows = None
     for _ in range(10_000):
@@ -76,8 +78,8 @@ def reference_robust_evaluation(game, rule, lam, tol=1e-12):
         rows = tuple(j for _, j in backups)
         if r.sup_norm(q - v) < threshold or rows == prev_rows:
             return q, rows
-        P = np.stack([game.candidates[k, acts[k], rows[k]] for k in range(m)])
-        pay = np.array([game.payoff_exp[k, acts[k], rows[k]] for k in range(m)])
+        P = np.stack([cand[k, acts[k], rows[k]] for k in range(m)])
+        pay = np.array([pexp[k, acts[k], rows[k]] for k in range(m)])
         v = np.linalg.solve(np.eye(m) - lam * P, pay)
         prev_rows = rows
     raise AssertionError("reference robust evaluation did not settle")
@@ -99,7 +101,8 @@ def reference_evaluation(game, u, rule, rows, lam, approx, step, phase):
     packed candidates directly."""
     w = u.copy()
     for k, (a, j) in enumerate(zip(rule.joint_actions, rows)):
-        val = float(game.payoff_exp[k, a, j] + lam * (game.candidates[k, a, j] @ w))
+        g = game.action_group[k, a]
+        val = float(game.group_payoff_exp[k, g, j] + lam * (game.group_candidates[k, g, j] @ w))
         if approx is not None:
             val += reference_noise(approx, (step, phase, k, a))
         w[k] = val
@@ -113,7 +116,7 @@ def test_evaluation_sweep_matches_loop(game, lam, approx, seed):
     draw it, equals the loop bit for bit."""
     rng = np.random.default_rng(seed)
     rule = r.TeamDecisionRule(rng.integers(0, game.n_joint_actions, game.m))
-    counts = game.n_rows[np.arange(game.m), list(rule.joint_actions)]
+    counts = per_action(game, game.group_n_rows)[np.arange(game.m), list(rule.joint_actions)]
     rows = tuple(int(rng.integers(0, n)) for n in counts)
     u = start_value(game, seed)
     step, phase = seed % 7, 1 + seed % 3
@@ -155,10 +158,13 @@ def test_robust_evaluation_matches_loop(game, lam, seed):
 def test_padding_leaves_real_rows_within_rounding(game, seed):
     """Padded and unpadded row products differ at most by BLAS rounding."""
     v = start_value(game, seed)
+    n_rows = per_action(game, game.group_n_rows)
+    cand = per_action(game, game.group_candidates)
+    pexp = per_action(game, game.group_payoff_exp)
     for k in range(game.m):
         for a in range(game.n_joint_actions):
-            n = game.n_rows[k, a]
-            padded = (game.candidates[k, a] @ v)[:n]
-            exact = game.candidates[k, a, :n] @ v
+            n = n_rows[k, a]
+            padded = (cand[k, a] @ v)[:n]
+            exact = cand[k, a, :n] @ v
             assert np.allclose(padded, exact, rtol=1e-13, atol=1e-12)
-            assert np.all(np.isinf(game.payoff_exp[k, a, n:]))
+            assert np.all(np.isinf(pexp[k, a, n:]))

@@ -13,6 +13,7 @@ from conftest import (
     enumerate_decision_rules,
     enumerate_policy_models,
     game_parts,
+    per_action,
     random_game,
     singleton_game,
     two_state_chain,
@@ -87,7 +88,7 @@ class TestValidation:
         raw["uncertainty"] = [{"s": "s1", "a": [0, 0], "rows": [[1.0]]}]
         raw["payoffs"] = [{"s": "s1", "a": [0, 0], "s_next": "s1", "r": [1.0, 3.0]}]
         game = r.validate_game(raw)
-        assert game.payoff[0, 0, 0] == 2.0
+        assert game.group_payoff[0, game.action_group[0, 0], 0] == 2.0
 
     def test_duplicate_payoff_entry_rejected(self):
         raw = minimal_raw()
@@ -150,6 +151,15 @@ class TestValidation:
             r.validate_game(raw)
         assert message in exc.value.errors
 
+    @pytest.mark.parametrize("entry", ["1", " 1.0 ", "1e0"])
+    def test_strings_in_rows_are_not_numbers(self, entry):
+        # np.array(..., dtype=float) would read each as the row [1.0].
+        with pytest.raises(r.GameValidationError) as exc:
+            r.validate_game(minimal_raw(rows=((entry,),)))
+        assert exc.value.errors == [
+            "uncertainty[state='s1', action=(0,)]: rows must hold numbers, not strings"
+        ]
+
     @pytest.mark.parametrize("name", [["s1"], {"x": 1}], ids=["array", "object"])
     @pytest.mark.parametrize(
         "section, key", [("payoffs", "s"), ("payoffs", "s_next"), ("uncertainty", "s")]
@@ -186,7 +196,7 @@ class TestValidation:
 
     def test_tiny_negative_entries_clamped(self):
         game = rows_game([[1.0 + 1e-16, -1e-16]], 2)
-        assert game.candidates[0, 0, 0, 1] == 0.0
+        assert game.group_candidates[0, 0, 0, 1] == 0.0
 
     def test_larger_negative_entry_rejected(self):
         with pytest.raises(r.GameValidationError, match="row 0 entry -0.1 is negative"):
@@ -195,19 +205,20 @@ class TestValidation:
     def test_rssd_row_sets_have_three_candidates_collapsing_at_zero_cooperators(
         self, rssd_game
     ):
-        all_defect = rssd_game.joint_index([1, 1, 1])
-        all_coop = rssd_game.joint_index([0, 0, 0])
+        n_rows = per_action(rssd_game, rssd_game.group_n_rows)
+        all_defect = np.ravel_multi_index((1, 1, 1), rssd_game.action_shape)
+        all_coop = np.ravel_multi_index((0, 0, 0), rssd_game.action_shape)
         for k in range(rssd_game.m):
-            assert rssd_game.n_rows[k, all_defect] == 1
-            assert rssd_game.n_rows[k, all_coop] == 3
+            assert n_rows[k, all_defect] == 1
+            assert n_rows[k, all_coop] == 3
 
 
-@given(st.lists(st.integers(1, 4), min_size=1, max_size=4), st.data())
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=4))
 @settings(max_examples=50, deadline=None)
-def test_joint_action_encoding(sizes, data):
+def test_joint_action_encoding(sizes):
     """Joint-action indices follow ``itertools.product`` order over the
-    per-player actions, ``action_names`` inverts ``joint_index``, and an
-    out-of-range, negative or wrong-arity input raises."""
+    per-player actions, and ``action_names`` raises for an index out of
+    range."""
     actions = [[f"p{i}a{j}" for j in range(size)] for i, size in enumerate(sizes)]
     n_joint = math.prod(sizes)
     game = r.build_game(
@@ -218,18 +229,9 @@ def test_joint_action_encoding(sizes, data):
     assert game.n_players == len(sizes)
     assert game.n_joint_actions == len(reference)
     for a, per_player in enumerate(reference):
-        assert game.joint_index(per_player) == a
         assert game.action_names(a) == tuple(
             acts[x] for acts, x in zip(actions, per_player)
         )
-    per_player = list(data.draw(st.sampled_from(reference)))
-    i = data.draw(st.integers(0, len(sizes) - 1))
-    for bad in (sizes[i], -1):
-        with pytest.raises(ValueError):
-            game.joint_index(per_player[:i] + [bad] + per_player[i + 1:])
-    for wrong_arity in (per_player + [0], per_player[:-1]):
-        with pytest.raises(ValueError):
-            game.joint_index(wrong_arity)
     for bad in (-1, n_joint):
         with pytest.raises(ValueError):
             game.action_names(bad)
@@ -246,8 +248,8 @@ class TestRowDistributionSet:
     def test_normalised_rows_accepted(self, weights):
         row = np.array(weights) / np.sum(weights)
         game = rows_game([row], len(row))
-        assert game.n_rows[0, 0] == 1
-        assert abs(game.candidates[0, 0, 0].sum() - 1.0) <= 1e-12
+        assert game.group_n_rows[0, 0] == 1
+        assert abs(game.group_candidates[0, 0, 0].sum() - 1.0) <= 1e-12
 
     @given(st.floats(min_value=1e-9, max_value=0.5))
     def test_off_tolerance_sum_rejected(self, excess):
@@ -258,7 +260,7 @@ class TestRowDistributionSet:
 
     def test_within_tolerance_sum_renormalised(self):
         game = rows_game([[0.5, 0.5 + 1e-13]], 2)
-        assert game.candidates[0, 0, 0].sum() == pytest.approx(1.0, abs=1e-15)
+        assert game.group_candidates[0, 0, 0].sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_shared_invalid_set_reported_per_action(self):
         # Each object is checked once per state; each pair still gets its line.
@@ -293,14 +295,12 @@ class TestRowDistributionSet:
         rows = [[[[1.0, 0.0], [0.5, 0.5]]], [[[0.0, 1.0]]]]
         pay = np.arange(4.0).reshape(2, 1, 2)
         game = r.build_game(1, ["s1", "s2"], [["a0"]], pay, rows)
-        assert game.candidates.shape == (2, 1, 2, 2)
-        assert game.n_rows.tolist() == [[2], [1]]
-        assert np.array_equal(game.candidates[1, 0, 1], [0.0, 0.0])
-        assert game.payoff_exp.tolist() == [[[0.0, 0.5]], [[3.0, np.inf]]]
-        for arr in (game.payoff, game.candidates, game.n_rows, game.payoff_exp,
-                    game.action_group, game.group_action, game.group_payoff,
-                    game.group_candidates, game.group_n_rows, game.group_payoff_exp):
-            assert not arr.flags.writeable
+        assert game.group_candidates.shape == (2, 1, 2, 2)
+        assert game.group_n_rows.tolist() == [[2], [1]]
+        assert np.array_equal(game.group_candidates[1, 0, 1], [0.0, 0.0])
+        assert game.group_payoff_exp.tolist() == [[[0.0, 0.5]], [[3.0, np.inf]]]
+        for name in GROUP_ARRAYS:
+            assert not getattr(game, name).flags.writeable
 
 
 class TestEnumeration:
@@ -346,12 +346,12 @@ class TestEnumeration:
     def test_models_two_by_two(self):
         game = two_state_chain()
         rows2 = [[[[1.0, 0.0], [0.5, 0.5]]], [[[0.0, 1.0], [1.0, 0.0]]]]
-        game2 = r.build_game(1, ["s1", "s2"], [["a0"]], game.payoff, rows2)
+        game2 = r.build_game(1, ["s1", "s2"], [["a0"]], per_action(game, game.group_payoff), rows2)
         models = list(enumerate_policy_models(game2, r.TeamDecisionRule((0, 0))))
         assert len(models) == 4
 
     def test_rssd_all_defect_single_distinct_model(self, rssd_game):
-        rule = r.TeamDecisionRule((rssd_game.joint_index([1, 1, 1]),) * 3)
+        rule = r.TeamDecisionRule((np.ravel_multi_index((1, 1, 1), rssd_game.action_shape),) * 3)
         models = list(enumerate_policy_models(rssd_game, rule))
         assert len(models) == 1
         assert np.array_equal(models[0], np.eye(3))
@@ -361,8 +361,9 @@ class TestEnumeration:
             game = random_game(seed)
             rule = next(iter(enumerate_decision_rules(game)))
             count = sum(1 for _ in enumerate_policy_models(game, rule))
+            n_rows = per_action(game, game.group_n_rows)
             assert count == math.prod(
-                int(game.n_rows[k, a]) for k, a in enumerate(rule.joint_actions)
+                int(n_rows[k, a]) for k, a in enumerate(rule.joint_actions)
             )
 
     def test_model_budget_exceeded(self, rssd_game):
@@ -385,14 +386,16 @@ class TestJsonRoundTrip:
         path = tmp_path / "game.json"
         r.save_game(game, path)
         back = r.load_game(path)
-        assert np.array_equal(back.payoff, game.payoff)
+        assert np.array_equal(
+            per_action(back, back.group_payoff), per_action(game, game.group_payoff)
+        )
+        n_rows, back_n_rows = (per_action(g, g.group_n_rows) for g in (game, back))
+        cand, back_cand = (per_action(g, g.group_candidates) for g in (game, back))
         for k in range(game.m):
             for a in range(game.n_joint_actions):
-                n = game.n_rows[k, a]
-                assert back.n_rows[k, a] == n
-                assert np.array_equal(
-                    back.candidates[k, a, :n], game.candidates[k, a, :n]
-                )
+                n = n_rows[k, a]
+                assert back_n_rows[k, a] == n
+                assert np.array_equal(back_cand[k, a, :n], cand[k, a, :n])
 
     def test_canonical_key_order(self, tmp_path, rssd_game):
         path = tmp_path / "game.json"
@@ -437,11 +440,13 @@ class TestGroups:
     def test_groups_are_the_byte_identical_actions(self, parts):
         """Two actions of a state share a group exactly when their payoff and
         cleaned rows are the same bytes; groups are numbered by their lowest
-        member, and the per-action views give back the inputs."""
+        member, and the arrays gathered per action give back the inputs."""
         game = r.build_game(*parts)
         payoff, rows = parts[3], parts[4]
         m, n_joint = game.m, game.n_joint_actions
-        assert np.array_equal(game.payoff, payoff)
+        assert np.array_equal(per_action(game, game.group_payoff), payoff)
+        n_rows = per_action(game, game.group_n_rows)
+        candidates = per_action(game, game.group_candidates)
         for k in range(m):
             cleaned = [_clean_rows(rows[k][a], m) for a in range(n_joint)]
             keys = [(payoff[k, a].tobytes(), cleaned[a].tobytes()) for a in range(n_joint)]
@@ -453,8 +458,8 @@ class TestGroups:
             assert game.action_group[k, lowest].tolist() == list(range(n_groups))
             assert np.all(game.group_payoff_exp[k, n_groups:] == -np.inf)
             for a in range(n_joint):
-                assert game.n_rows[k, a] == len(cleaned[a])
-                assert np.array_equal(game.candidates[k, a, : len(cleaned[a])], cleaned[a])
+                assert n_rows[k, a] == len(cleaned[a])
+                assert np.array_equal(candidates[k, a, : len(cleaned[a])], cleaned[a])
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_games_have_one_action_per_group(self, seed):

@@ -64,7 +64,7 @@ def test_verify_epsilon_optimal_single_action_game():
 
 
 def test_verify_epsilon_optimal_rejects_bad_rule(rssd_game, rssd_oracle):
-    all_defect = r.TeamDecisionRule((rssd_game.joint_index([1, 1, 1]),) * 3)
+    all_defect = r.TeamDecisionRule((np.ravel_multi_index((1, 1, 1), rssd_game.action_shape),) * 3)
     ok, report = verify_epsilon_optimal(
         rssd_game, all_defect, 0.97, 1e-5, rssd_oracle
     )
@@ -106,6 +106,7 @@ def assert_same_result(fast, slow):
     assert fast.d_star == slow.d_star
     assert fast.dominance_ok is slow.dominance_ok
     assert fast.max_dominance_gap == slow.max_dominance_gap
+    assert fast.settled is slow.settled
 
 
 @settings(max_examples=60, deadline=None)

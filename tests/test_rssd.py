@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 import robustdp as r
+from conftest import DilemmaViolation, check_dilemma_conditions, per_action
 from robustdp.rssd import (
     PUBLIC_GOODS,
     SNOWDRIFT,
     STAG_HUNT,
-    DilemmaViolation,
     RssdParams,
     stage_payoffs,
     team_payoff,
@@ -96,13 +96,16 @@ class TestBuild:
 
     def test_build_passes_full_validation(self, rssd_game):
         reparsed = r.validate_game(r.game_to_dict(rssd_game))
-        assert np.array_equal(reparsed.payoff, rssd_game.payoff)
+        assert np.array_equal(
+            per_action(reparsed, reparsed.group_payoff),
+            per_action(rssd_game, rssd_game.group_payoff),
+        )
 
     def test_cooperator_count_drives_rows(self, rssd_game):
         for a in range(rssd_game.n_joint_actions):
             h = rssd_game.action_names(a).count("C")
             expected = 3 if h > 0 else 1
-            assert rssd_game.n_rows[0, a] == expected
+            assert rssd_game.group_n_rows[0, rssd_game.action_group[0, a]] == expected
 
     @pytest.mark.parametrize("n", [3, 8, 10])
     def test_one_group_per_cooperator_count(self, n):
@@ -123,7 +126,7 @@ class TestBuild:
 
 class TestDilemmaConditions:
     def test_paper_defaults_pass(self):
-        report = r.check_dilemma_conditions(RssdParams())
+        report = check_dilemma_conditions(RssdParams())
         assert report.ok
         assert report.violations == ()
 
@@ -146,7 +149,7 @@ class TestDilemmaConditions:
 
     def test_violations_report_state_count_and_destination(self):
         params = RssdParams(snowdrift_benefit=(0.4, 0.4, 0.4))
-        report = r.check_dilemma_conditions(params)
+        report = check_dilemma_conditions(params)
         assert not report.ok
         assert all(isinstance(v, DilemmaViolation) for v in report.violations)
         snowdrift_monotone = [

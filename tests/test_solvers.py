@@ -12,6 +12,7 @@ from conftest import (
     games,
     huge_payoff_game,
     mdp_game,
+    per_action,
     random_game,
     robust_value_by_model_enumeration,
     singleton_game,
@@ -58,7 +59,7 @@ class TestParams:
     def test_v0_modes(self):
         game = two_state_chain()
         p = r.SolverParams(lam=0.5, epsilon=1e-6)
-        assert np.all(initial_value(game, p) == game.payoff.min() / 0.5)
+        assert np.all(initial_value(game, p) == per_action(game, game.group_payoff).min() / 0.5)
         pz = r.SolverParams(lam=0.5, epsilon=1e-6, v0_mode="zeros")
         assert np.all(initial_value(game, pz) == 0.0)
         pe = r.SolverParams(lam=0.5, epsilon=1e-6, v0_mode=(1.0, 2.0))
@@ -80,7 +81,7 @@ class TestSolverLoops:
         params = r.SolverParams(lam=0.9, epsilon=1e-4, mt_schedule=5)
         res = r.solve_ratpi(rssd_game, params)
         assert res.terminated
-        assert len(res.trace) == res.iterations + 1
+        assert len(res.trace.residuals) == res.iterations + 1
 
     def test_mt_zero_trace_identical_to_value_iteration(self, rssd_game):
         params = r.SolverParams(lam=0.9, epsilon=1e-5, mt_schedule=0)
@@ -135,7 +136,7 @@ class TestSolverLoops:
         assert not res.terminated
         assert res.settled
         assert res.iterations == 3
-        assert len(res.trace) == 3
+        assert len(res.trace.residuals) == 3
 
     @pytest.mark.parametrize("algo", sorted(SOLVERS))
     def test_unsettled_terminal_evaluation_is_flagged(self, algo, rssd_game, monkeypatch):
@@ -324,7 +325,7 @@ class TestRobustEvaluation:
 
     def test_rssd_all_defect_value_is_zero(self, rssd_game):
         # zero cooperators: identity transitions, zero payoffs everywhere
-        rule = r.TeamDecisionRule((rssd_game.joint_index([1, 1, 1]),) * 3)
+        rule = r.TeamDecisionRule((np.ravel_multi_index((1, 1, 1), rssd_game.action_shape),) * 3)
         value, rows, _ = r.evaluate_policy_robust(rssd_game, rule, 0.97)
         assert np.array_equal(value, np.zeros(3))
         assert rows == (0, 0, 0)

@@ -13,6 +13,7 @@ from conftest import (
     gs_backup,
     gs_splitting,
     mdp_game,
+    per_action,
     random_game,
     singleton_game,
     two_state_chain,
@@ -193,12 +194,14 @@ class TestOptimalityUpdate:
         v = np.array([0.3, -0.8, 0.1])
         updated = r.improvement_sweep(game, v, LAM).u0
         # manual sweep: single candidate row per action, max over actions
+        cand = per_action(game, game.group_candidates)
+        payoff = per_action(game, game.group_payoff)
         w = v.copy()
         for k in range(game.m):
             best = -np.inf
             for a in range(game.n_joint_actions):
-                row = game.candidates[k, a, 0]
-                best = max(best, float(row @ game.payoff[k, a] + LAM * (row @ w)))
+                row = cand[k, a, 0]
+                best = max(best, float(row @ payoff[k, a] + LAM * (row @ w)))
             w[k] = best
         assert np.allclose(updated, w, atol=1e-13)
 
@@ -277,7 +280,7 @@ class TestGreedyMultistep:
 
     def test_preserves_nonnegative_residual_region(self):
         game = random_game(14)
-        floor = float(game.payoff.min()) / (1 - LAM)
+        floor = float(per_action(game, game.group_payoff).min()) / (1 - LAM)
         v = np.full(game.m, floor)
         for extra in (0, 1, 3, 8):
             out = greedy_multistep(game, v, extra, LAM)
@@ -311,7 +314,7 @@ class TestBestCaseMultistep:
 
     def test_dominates_greedy_and_single_updates_from_ordered_starts(self):
         game = random_game(16, max_states=3, max_rows=2)
-        floor = float(game.payoff.min()) / (1 - LAM)
+        floor = float(per_action(game, game.group_payoff).min()) / (1 - LAM)
         rng = np.random.default_rng(2)
         for mstep in (0, 3):
             for _ in range(20):
