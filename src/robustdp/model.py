@@ -32,6 +32,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -68,6 +69,16 @@ class BudgetExceededError(RuntimeError):
 def _is_number(x, kind=(int, float)) -> bool:
     """Whether ``x`` is a number of ``kind``; JSON ``true`` (an ``int``) is not."""
     return type(x) is not bool and isinstance(x, kind)
+
+
+def _fits_double(x) -> bool:
+    """Whether ``float(x)`` gives a double: False for an integer beyond
+    double range, which JSON can spell but ``float`` cannot convert."""
+    try:
+        float(x)
+    except OverflowError:
+        return False
+    return True
 
 
 def _non_numbers(rows) -> list[str]:
@@ -299,6 +310,8 @@ def build_game(
     computed_r_max = float(np.max(np.abs(payoff))) if payoff.size else 0.0
     if r_max is None:
         r_max = computed_r_max
+    elif not _fits_double(r_max):
+        errors.append("r_max is beyond double range")
     elif not math.isfinite(r_max):
         errors.append("r_max must be finite")
     elif float(r_max) + 1e-12 < computed_r_max:
@@ -340,6 +353,8 @@ def _clean_rows(raw, m: int) -> np.ndarray:
         arr = np.array(raw, dtype=float)
     except TypeError as e:
         raise ValueError(str(e)) from e
+    except OverflowError as e:
+        raise ValueError("rows hold a number beyond double range") from e
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise ValueError("expected a nonempty list of rows")
     if arr.shape[1] != m:
@@ -357,6 +372,51 @@ def _clean_rows(raw, m: int) -> np.ndarray:
         raise ValueError(f"row {j} sum {float(sums[j])!r} != 1")
     arr /= sums[:, None]
     return arr
+
+
+def _payoff_cells(payoffs: list, state_idx: dict, sizes: tuple, m: int):
+    """Flat indices into the (m, A, m) payoff tensor, and the payoffs, of a
+    list of plainly well-formed payoff entries; ``None`` for any other list.
+
+    Plainly well formed means: every entry is a ``dict`` whose ``s`` and
+    ``s_next`` name known states, whose ``a`` is a ``list`` of one in-range
+    ``int`` per player, and whose ``r`` is an ``int`` or ``float`` (not
+    ``bool``) within double range, and no two entries share an (s, a, s')
+    triple.  Each check is one C-level pass over a column of the entries,
+    so no per-entry objects are made, and a few index arrays are the only
+    temporaries.  :func:`validate_game` reads any other list with its
+    per-entry loop, which words the errors and reads per-player ``r``
+    lists; the two agree on every list this function reads.
+    """
+    get_s, get_a, get_next, get_r = map(operator.itemgetter, ("s", "a", "s_next", "r"))
+    chain, index = itertools.chain.from_iterable, state_idx.__getitem__
+    n = len(payoffs)
+    try:
+        if not (
+            set(map(type, payoffs)) <= {dict}
+            and set(map(type, map(get_a, payoffs))) <= {list}
+            and set(map(len, map(get_a, payoffs))) <= {len(sizes)}
+            and set(map(type, chain(map(get_a, payoffs)))) <= {int}
+            and set(map(type, map(get_r, payoffs))) <= {int, float}
+        ):
+            return None
+        s = np.fromiter(map(index, map(get_s, payoffs)), np.intp, n)
+        s_next = np.fromiter(map(index, map(get_next, payoffs)), np.intp, n)
+        acts = np.fromiter(chain(map(get_a, payoffs)), np.intp, n * len(sizes))
+        acts = acts.reshape(n, len(sizes))
+        # C order over (m, *sizes, m) is the payoff tensor's flat order.
+        flat = np.ravel_multi_index((s, *acts.T, s_next), (m, *sizes, m))
+        values = np.fromiter(map(get_r, payoffs), float, n)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        # A missing key, an unknown or unhashable state name, an action
+        # index out of range, or an int too large for intp (in 'a') or for
+        # a double (in 'r').
+        return None
+    listed = np.zeros(m * math.prod(sizes) * m, dtype=bool)
+    listed[flat] = True
+    if np.count_nonzero(listed) != n:
+        return None
+    return flat, values
 
 
 def validate_game(raw: Mapping) -> TeamMarkovGame:
@@ -377,7 +437,17 @@ def validate_game(raw: Mapping) -> TeamMarkovGame:
 
     Payoff entries may give ``r`` either as the team payoff (scalar) or as
     one payoff per player (averaged once at load).  Unlisted payoff triples
-    default to ``default_payoff`` only when that field is present.
+    default to ``default_payoff`` only when that field is present.  An integer
+    beyond double range, which JSON can spell, is an error in ``r``,
+    ``default_payoff``, ``r_max`` and candidate ``rows``.
+
+    A large file is mostly payoff entries, so they are read in one of two
+    ways.  When every entry is plainly well formed (see
+    :func:`_payoff_cells`), they are checked column by column and written
+    into the payoff tensor in one scatter, as ``save_game`` and
+    ``rssd-gen`` files are.  Otherwise a per-entry loop reads them, which
+    accepts per-player ``r`` lists and words every error.  Both build the
+    same tensor.
     """
     if not isinstance(raw, Mapping):
         raise GameValidationError(["top level must be a JSON object"])
@@ -424,13 +494,20 @@ def validate_game(raw: Mapping) -> TeamMarkovGame:
     if default is not None and not _is_number(default):
         errors.append("default_payoff must be a number")
         default = 0.0
+    elif default is not None and not _fits_double(default):
+        errors.append("default_payoff is beyond double range")
+        default = 0.0
     pay = np.full((m, n_joint, m), np.nan if default is None else float(default))
     seen: set[tuple[int, int, int]] = set()
     payoffs = raw.get("payoffs", [])
     if not isinstance(payoffs, list):
         errors.append("payoffs must be an array of entries")
         payoffs = []
-    for i, ent in enumerate(payoffs):
+    cells = _payoff_cells(payoffs, state_idx, sizes, m)
+    if cells is not None:
+        flat, values = cells
+        pay.reshape(-1)[flat] = values
+    for i, ent in enumerate(payoffs if cells is None else ()):
         where = f"payoffs[{i}]"
         if not isinstance(ent, Mapping):
             errors.append(f"{where}: entry must be an object")
@@ -445,10 +522,16 @@ def validate_game(raw: Mapping) -> TeamMarkovGame:
             ):
                 errors.append(f"{where}: 'r' list must give one payoff per player")
                 r = None
+            elif not all(map(_fits_double, r)):
+                errors.append(f"{where}: 'r' is beyond double range")
+                r = None
             else:
                 r = sum(float(x) for x in r) / len(sizes)
         elif not _is_number(r):
             errors.append(f"{where}: 'r' must be a number or per-player list")
+            r = None
+        elif not _fits_double(r):
+            errors.append(f"{where}: 'r' is beyond double range")
             r = None
         if si is None or ai is None or sj is None or r is None:
             continue

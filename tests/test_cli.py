@@ -189,6 +189,35 @@ def test_overflowing_payoff_exits_1(tmp_path, capsys):
     assert "not finite" in err and len(err.strip().splitlines()) == 1
 
 
+HUGE = 10**400  # a JSON integer that float() cannot convert
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(lambda doc: doc["payoffs"][0].update(r=HUGE),
+                     "payoffs[0]: 'r' is beyond double range", id="r"),
+        pytest.param(lambda doc: doc["payoffs"][0].update(r=[HUGE, 0.0, 0.0]),
+                     "payoffs[0]: 'r' is beyond double range", id="r_list"),
+        pytest.param(lambda doc: doc.update(default_payoff=HUGE),
+                     "default_payoff is beyond double range", id="default_payoff"),
+        pytest.param(lambda doc: doc.update(r_max=HUGE),
+                     "r_max is beyond double range", id="r_max"),
+        pytest.param(lambda doc: doc["uncertainty"][0]["rows"][0].__setitem__(0, HUGE),
+                     "uncertainty[state='s1', action=(0, 0, 0)]: "
+                     "rows hold a number beyond double range", id="rows"),
+    ],
+)
+def test_integer_beyond_double_range_exits_1(rssd_file, tmp_path, capsys, edit, message):
+    doc = json.loads(rssd_file.read_text())
+    edit(doc)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", "--game", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"{path}: invalid game description: {message}\n"
+
+
 def test_mt_zero_matches_value_iteration_residuals(rssd_file, tmp_path):
     args = ["--lambda", "0.9", "--epsilon", "1e-4"]
     _, tpi = run_solve(rssd_file, tmp_path, "tpi", "--algo", "ratpi", "--mt", "0", *args)

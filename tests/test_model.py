@@ -2,10 +2,11 @@ import copy
 import itertools
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import robustdp as r
@@ -13,13 +14,14 @@ from conftest import (
     enumerate_decision_rules,
     enumerate_policy_models,
     game_parts,
+    games,
     per_action,
     random_game,
     singleton_game,
     two_state_chain,
 )
-from robustdp import rssd
-from robustdp.model import _clean_rows
+from robustdp import model, rssd
+from robustdp.model import _clean_rows, _payoff_cells
 
 
 def rows_game(rows, m):
@@ -507,3 +509,77 @@ class TestGroups:
         [(*head, rows)] = calls
         assert [len(set(map(id, per_state))) for per_state in rows] == [n + 1] * 3
         assert_same_arrays(game, r.build_game(*head, copied_row_sets(rows)))
+
+
+def with_action(e, p, ai):
+    """Payoff entry ``e`` with player ``p``'s action index set to ``ai``."""
+    return dict(e, a=e["a"][:p] + [ai] + e["a"][p + 1:])
+
+
+#: Edits of one canonical payoff entry ``e``: ``EDITS[name](e, sizes, p,
+#: key)`` returns the entries that replace it, given a player ``p`` and an
+#: entry key ``key``.
+EDITS = {
+    "a_true": lambda e, sizes, p, key: [with_action(e, p, bool(e["a"][p]))],
+    "a_float": lambda e, sizes, p, key: [with_action(e, p, float(e["a"][p]))],
+    "a_negative": lambda e, sizes, p, key: [with_action(e, p, -1)],
+    "a_too_large": lambda e, sizes, p, key: [with_action(e, p, sizes[p])],
+    "a_beyond_int64": lambda e, sizes, p, key: [with_action(e, p, 2**64)],
+    "a_not_a_list": lambda e, sizes, p, key: [dict(e, a=-1)],
+    "a_too_short": lambda e, sizes, p, key: [dict(e, a=e["a"][:-1])],
+    "a_too_long": lambda e, sizes, p, key: [dict(e, a=e["a"] + [0])],
+    "s_unknown": lambda e, sizes, p, key: [dict(e, **{key: "nowhere"})],
+    "s_array": lambda e, sizes, p, key: [dict(e, **{key: [e[key]]})],
+    "r_true": lambda e, sizes, p, key: [dict(e, r=True)],
+    "r_string": lambda e, sizes, p, key: [dict(e, r="1")],
+    "r_per_player": lambda e, sizes, p, key: [dict(e, r=[e["r"]] * len(sizes))],
+    "r_2_53_plus_1": lambda e, sizes, p, key: [dict(e, r=2**53 + 1)],
+    "r_1e20": lambda e, sizes, p, key: [dict(e, r=10**20)],
+    "r_beyond_double": lambda e, sizes, p, key: [dict(e, r=10**400)],
+    "duplicate": lambda e, sizes, p, key: [e, e],
+    "duplicate_other_r": lambda e, sizes, p, key: [e, dict(e, r=0.5)],
+    "not_an_object": lambda e, sizes, p, key: [[e]],
+    "missing_key": lambda e, sizes, p, key: [{k: v for k, v in e.items() if k != key}],
+}
+#: The edits the column pass reads; the per-entry loop reads these and the
+#: per-player ``r`` list, and rejects every other edit.
+COLUMN_EDITS = {"r_2_53_plus_1", "r_1e20"}
+LOOP_EDITS = COLUMN_EDITS | {"r_per_player"}
+
+
+class TestPayoffColumnPass:
+    """``_payoff_cells`` against the per-entry loop of ``validate_game``,
+    which runs when ``_payoff_cells`` declines the list."""
+
+    @pytest.mark.parametrize("edit", EDITS)
+    @given(games(), st.data())
+    @settings(max_examples=5, deadline=None)
+    def test_column_pass_agrees_with_per_entry_loop(self, edit, game, data):
+        doc = r.game_to_dict(game)
+        state_idx = {name: k for k, name in enumerate(game.states)}
+        sizes = game.action_shape
+
+        def cells():
+            return _payoff_cells(doc["payoffs"], state_idx, sizes, game.m)
+
+        # Canonical files keep the column pass.
+        assert cells() is not None
+        # r_max is left to the payoffs, so only the entries can be rejected.
+        del doc["r_max"]
+        assume(doc["payoffs"])
+        i = data.draw(st.integers(0, len(doc["payoffs"]) - 1))
+        p = data.draw(st.integers(0, len(sizes) - 1))
+        key = data.draw(st.sampled_from(
+            ["s", "a", "s_next", "r"] if edit == "missing_key" else ["s", "s_next"]
+        ))
+        doc["payoffs"][i : i + 1] = EDITS[edit](doc["payoffs"][i], sizes, p, key)
+        fast = cells()
+        with mock.patch.object(model, "_payoff_cells", return_value=None):
+            try:
+                slow = r.validate_game(doc)
+            except r.GameValidationError as e:
+                slow = e
+        assert (fast is not None) == (edit in COLUMN_EDITS)
+        assert isinstance(slow, r.TeamMarkovGame) == (edit in LOOP_EDITS), slow
+        if fast is not None:
+            assert_same_arrays(r.validate_game(doc), slow)
