@@ -24,12 +24,13 @@ backups under a perturbed label.  The Jacobi baselines terminate at the
 delta = 0 threshold, so ``solve`` rejects ``--delta`` for them, and ``solve``
 and ``bench-table1`` record their delta as 0.
 
-Exit codes: 0 on normal termination, 1 on input errors, and 2 when a value
-the command writes is unsettled: a solver run (``solve``, either
-``trace-fig1`` run, any ``bench-table1`` cell) hit its iteration cap or the
-robust evaluation of its policy did not settle, or the robust evaluation of
-an oracle rule (``oracle``, ``bench-table1``) did not settle.  The output
-files are written all the same.
+Exit codes: 0 on normal termination, 1 on input errors and on a game too
+large for memory, and 2 when a value the command writes is unsettled: a
+solver run (``solve``, either ``trace-fig1`` run, any ``bench-table1`` cell)
+hit its iteration cap or the robust evaluation of its policy did not
+settle, or the robust evaluation of an oracle rule (``oracle``,
+``bench-table1``) did not settle.  The output files are written all the
+same.
 Set ROBUSTDP_LOG to a logging level name for diagnostics.  Result and trace
 files contain no timestamps, so identical invocations produce byte-identical
 files.
@@ -478,7 +479,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliInputError, OSError, ValueError) as e:
+    except (CliInputError, OSError, ValueError, MemoryError) as e:
         print(_error_message(e, getattr(args, "game", None)), file=sys.stderr)
         return 1
 
@@ -492,6 +493,9 @@ def _error_message(e: Exception, game_path: str | None) -> str:
         return f"{game_path}: invalid game description: {'; '.join(e.errors)}"
     if isinstance(e, OSError) and e.filename:
         return f"{e.filename}: {e.strerror or e}"
+    if isinstance(e, MemoryError):
+        # A game too large to build: rssd-gen with too many players, say.
+        return f"out of memory: {e}" if str(e) else "out of memory"
     return str(e)
 
 

@@ -17,10 +17,12 @@ backup.  In games where payoffs and rows depend only on how many players
 take each action (the social-dilemma benchmark), a state has n + 1 groups
 out of 2**n joint actions.  States with fewer groups than the widest state
 are padded with groups that never win a maximum (see
-:class:`TeamMarkovGame`).  The builder checks each distinct row set of a
-state once, counting one row-set object passed for many joint actions as one
-set: ``build_rssd`` passes n + 1 objects per state, so it pays for n + 1
-checks, not 2**n.
+:class:`TeamMarkovGame`).  The builder takes payoffs and row sets per
+entry, with a map from each joint action to its entry, and checks each
+distinct row-set object of a state once.  ``build_rssd`` passes n + 1
+entries per state and maps each of the 2**n joint actions to its
+cooperator count, so it pays for n + 1 checks and a few array passes over
+the map, not a Python step per joint action.
 
 Instances are immutable after validation and safe to share across concurrent
 solver runs.
@@ -212,24 +214,38 @@ def build_game(
     payoff,
     uncertainty_rows,
     r_max: float | None = None,
+    action_entry=None,
 ) -> TeamMarkovGame:
     """Construct and validate a game from in-memory parts.
 
+    Payoffs and candidate rows are given per *entry*: ``action_entry``, an
+    integer array of shape (m, A), maps each (state, joint action) pair to
+    one of E entries of its state; ``payoff`` has shape (m, E, m), and
+    ``uncertainty_rows[k][e]`` is the raw row set of entry e of state k.
+    Without ``action_entry`` each pair is its own entry (E = A), so
+    ``payoff`` is r(s, a, s') and ``uncertainty_rows[k][a]`` holds the rows
+    of pair (k, a).  A game whose pairs share few distinct payoffs and row
+    sets passes each once, and then costs per entry, not per pair, but for
+    a few array passes over the map: ``build_rssd`` passes n + 1 entries
+    per state for 2**n joint actions.
+
     Every game is checked here, whatever its source: a positive integer
     ``n_players`` with one nonempty action set per player, nonempty states,
-    no duplicate state or action names, a payoff of shape (m, A, m) with
-    finite entries, one row set per (state, joint action) pair, and a
-    finite ``r_max`` (computed as max |payoff| when omitted) no smaller
-    than any payoff.  ``uncertainty_rows[k][a]`` is an array-like of raw
-    candidate rows, or ``None`` for a pair the input does not list; each set is
-    checked and cleaned by :func:`_clean_rows`, once per state for each
-    distinct set: pairs of a state given the same object share one check,
-    and a bad set still gets one error line per pair.  Actions of a state
-    whose payoff and cleaned rows are the same bytes are packed as one group
-    of ``TeamMarkovGame.group_candidates``.  Raises
+    no duplicate state or action names, a payoff of shape (m, E, m) with
+    finite entries, an ``action_entry`` of shape (m, A) and integer dtype
+    whose indices lie in [0, E) and use every entry, one row set per
+    (state, entry), and a finite ``r_max`` (computed as max |payoff| when
+    omitted) no smaller than any payoff.  A row set is an array-like of raw
+    candidate rows, or ``None`` for a pair the input does not list; each
+    set is checked and cleaned by :func:`_clean_rows`, once per state for
+    each distinct object: entries of a state given the same object share
+    one check, and a bad set gets one error line per pair that maps to it.
+    Actions of a state whose payoff and cleaned rows are the same bytes are
+    packed as one group of ``TeamMarkovGame.group_candidates``.  Raises
     :class:`GameValidationError` listing every problem found; problems with
-    the header (players, states, action sets) are reported without the row
-    checks that depend on it.
+    the header (players, states, action sets) or with the shapes and
+    indices of ``payoff`` and ``action_entry`` are reported without the
+    checks that depend on them.
     """
     errors: list[str] = []
     n_players_ok = _is_number(n_players, int)
@@ -258,23 +274,47 @@ def build_game(
     shape = tuple(len(a) for a in player_actions)
     n_joint = math.prod(shape)
     payoff = np.asarray(payoff, dtype=float)
-    if payoff.shape != (m, n_joint, m):
-        raise GameValidationError(
-            [f"payoff shape {payoff.shape} != {(m, n_joint, m)}"]
-        )
+    if action_entry is None:
+        n_entries, unit = n_joint, "joint action"
+        entry = np.broadcast_to(np.arange(n_joint), (m, n_joint))
+        if payoff.shape != (m, n_joint, m):
+            errors.append(f"payoff shape {payoff.shape} != {(m, n_joint, m)}")
+    else:
+        n_entries, unit = (payoff.shape[1] if payoff.ndim == 3 else 0), "entry"
+        if payoff.shape != (m, n_entries, m):
+            errors.append(f"payoff shape {payoff.shape} != ({m}, E, {m})")
+        entry = np.asarray(action_entry)
+        if entry.shape != (m, n_joint):
+            errors.append(f"action_entry shape {entry.shape} != {(m, n_joint)}")
+        elif entry.dtype.kind not in "iu":
+            errors.append(f"action_entry must hold integers, not {entry.dtype}")
+        elif payoff.ndim == 3 and (entry.min() < 0 or entry.max() >= n_entries):
+            errors.append(f"action_entry holds an entry outside [0, {n_entries})")
+    if errors:
+        raise GameValidationError(errors)
+    at_state = np.arange(m)[:, None]
+    if action_entry is not None:
+        # An unused entry would still count towards r_max, and its rows
+        # would have no pair to report an error against.
+        used = np.zeros((m, n_entries), dtype=bool)
+        used[at_state, entry] = True
+        for k in np.flatnonzero(~used.all(axis=1)):
+            errors.append(
+                f"action_entry[state={states[k]!r}]: no joint action uses "
+                f"entries {np.flatnonzero(~used[k]).tolist()}"
+            )
     if not np.all(np.isfinite(payoff)):
         errors.append("payoff contains non-finite entries")
 
-    # Actions whose payoff and cleaned rows are the same bytes form a group;
-    # walking actions in order numbers the groups by their lowest member.
-    action_group = np.empty((m, n_joint), dtype=np.intp)
-    firsts: list[list[int]] = []
+    # Entries whose payoff and cleaned rows are the same bytes share a
+    # group, numbered here in order of the first such entry.
+    entry_group = np.zeros((m, n_entries), dtype=np.intp)
     group_rows: list[list[np.ndarray]] = []
-    if len(uncertainty_rows) != m or any(len(per) != n_joint for per in uncertainty_rows):
-        errors.append("uncertainty must provide one row set per (state, joint action)")
+    if len(uncertainty_rows) != m or any(len(per) != n_entries for per in uncertainty_rows):
+        errors.append(f"uncertainty must provide one row set per (state, {unit})")
     else:
         for k in range(m):
-            # Inputs often pass one row-set object to many actions of a
+            # Inputs often pass one row-set object to many entries of a
             # state, so each object is cleaned once per state, and equal
             # cleaned sets share one array, whose id stands for its bytes.
             # The memo holds each object, so the id of a temporary (a view
@@ -282,30 +322,35 @@ def build_game(
             checked: dict[int, tuple[object, np.ndarray | str]] = {}
             distinct: dict[bytes, np.ndarray] = {}
             groups: dict[tuple[bytes, int], int] = {}
-            first: list[int] = []
+            bad: dict[int, str] = {}
             per_group: list[np.ndarray] = []
-            for a, raw in enumerate(uncertainty_rows[k]):
+            for e, raw in enumerate(uncertainty_rows[k]):
                 memo = checked.get(id(raw))
                 if memo is None:
                     try:
                         rows = _clean_rows(raw, m)
-                    except ValueError as e:
-                        rows = str(e)
+                    except ValueError as exc:
+                        rows = str(exc)
                     else:
                         rows = distinct.setdefault(rows.tobytes(), rows)
                     memo = checked[id(raw)] = raw, rows
                 rows = memo[1]
                 if isinstance(rows, str):
-                    action = tuple(int(i) for i in np.unravel_index(a, shape))
-                    errors.append(f"uncertainty[state={states[k]!r}, action={action}]: {rows}")
+                    bad[e] = rows
                     continue
-                key = (payoff[k, a].tobytes(), id(rows))
-                g = action_group[k, a] = groups.setdefault(key, len(groups))
-                if g == len(first):
-                    first.append(a)
+                key = (payoff[k, e].tobytes(), id(rows))
+                g = entry_group[k, e] = groups.setdefault(key, len(groups))
+                if g == len(per_group):
                     per_group.append(rows)
-            firsts.append(first)
             group_rows.append(per_group)
+            if bad:
+                # One line per pair that maps to a bad set, in action order.
+                for a in np.flatnonzero(np.isin(entry[k], list(bad))):
+                    action = tuple(int(i) for i in np.unravel_index(a, shape))
+                    errors.append(
+                        f"uncertainty[state={states[k]!r}, action={action}]: "
+                        f"{bad[int(entry[k, a])]}"
+                    )
 
     computed_r_max = float(np.max(np.abs(payoff))) if payoff.size else 0.0
     if r_max is None:
@@ -318,21 +363,33 @@ def build_game(
         errors.append(f"r_max {r_max} < max |payoff| {computed_r_max}")
     if errors:
         raise GameValidationError(errors)
-    n_groups = max(map(len, firsts))
+
+    # Actions take their entry's group through the map.  The sweeps rely on
+    # groups numbered per state in order of their lowest member, so each
+    # state's groups are sorted by it; an id no action takes sorts last.
+    provisional = entry_group[at_state, entry]
+    lowest = np.full((m, n_entries), n_joint)
+    np.minimum.at(lowest, (at_state, provisional), np.arange(n_joint))
+    order = np.argsort(lowest, axis=1)
+    number = np.empty_like(order)
+    number[at_state, order] = np.arange(n_entries)
+    n_groups = np.count_nonzero(lowest < n_joint, axis=1)
     # Padded groups copy group 0, whose lowest member is action 0.
-    group_action = np.array([f + [0] * (n_groups - len(f)) for f in firsts], dtype=np.intp)
-    group_rows = [rows + rows[:1] * (n_groups - len(rows)) for rows in group_rows]
+    pad = np.arange(n_groups.max()) >= n_groups[:, None]
+    order = np.where(pad, order[:, :1], order[:, : pad.shape[1]])
+    group_action = np.where(pad, 0, np.take_along_axis(lowest, order, axis=1))
+    group_rows = [[per_group[p] for p in ids] for per_group, ids in zip(group_rows, order.tolist())]
     n_rows = np.array([list(map(len, per_state)) for per_state in group_rows], dtype=np.intp)
-    candidates = np.zeros((m, n_groups, int(n_rows.max()), m))
+    candidates = np.zeros((*pad.shape, int(n_rows.max()), m))
     for k, per_state in enumerate(group_rows):
         for g, rows in enumerate(per_state):
             candidates[k, g, : len(rows)] = rows
     return TeamMarkovGame(
         states=states,
         player_actions=player_actions,
-        action_group=action_group,
+        action_group=number[at_state, provisional],
         group_action=group_action,
-        group_payoff=payoff[np.arange(m)[:, None], group_action],
+        group_payoff=payoff[at_state, entry[at_state, group_action]],
         group_candidates=candidates,
         group_n_rows=n_rows,
         r_max=float(r_max),

@@ -20,13 +20,13 @@ The team payoff stored in the game is the per-capita average
 
 Joint actions are {C, D}^n (C = 0) in the game's C order.  Payoffs and rows
 depend on a joint action only through h, so :func:`build_rssd` computes them
-once per cooperator count and indexes them by each joint action's h.
+once per cooperator count and maps each joint action to its h.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from decimal import Decimal
 
 import numpy as np
 
@@ -116,26 +116,41 @@ def transition_row_candidates(params: RssdParams, state: int, n_cooperators: int
     """Candidate transition rows out of ``state`` for a cooperator count.
 
     One row per magnitude mu: 1 - mu*h stays, mu*h/(N_STATES-1) goes to each
-    other state.  Rows are built with exact rational arithmetic so the float
-    entries are the nearest representations of the intended values, and
-    duplicate rows (all of them, when h = 0) collapse to one candidate.
+    other state.  Each entry is one correctly rounded division of exact
+    integers, with mu read as the decimal it prints as, so the float entries
+    are the nearest representations of the intended values; duplicate rows
+    (all of them, when h = 0) collapse to one candidate.
     """
     h = n_cooperators
     rows: list[tuple[float, ...]] = []
     for mu in params.mu_set:
-        leave = Fraction(str(mu)) * h
-        off = leave / (N_STATES - 1)
-        row = tuple(
-            float(1 - leave) if l == state else float(off) for l in range(N_STATES)
-        )
+        p, q = Decimal(str(mu)).as_integer_ratio()
+        stay, off = (q - p * h) / q, p * h / (q * (N_STATES - 1))
+        row = tuple(stay if l == state else off for l in range(N_STATES))
         if row not in rows:
             rows.append(row)
     return np.array(rows)
 
 
+def cooperator_counts(n_players: int) -> np.ndarray:
+    """The cooperator count of every joint action of {C, D}^n, in C order.
+
+    D is action 1, so the count is n minus the number of set bits of the
+    index.  The 2**n array is requested in one allocation and filled in
+    place, each block of 2**i from the one before it, so a player count
+    too large to build fails at once, before the rest of the build."""
+    counts = np.empty(2**n_players, dtype=np.min_scalar_type(n_players))
+    counts[0] = n_players
+    for i in range(n_players):
+        np.subtract(counts[: 2**i], 1, out=counts[2**i : 2 ** (i + 1)])
+    return counts
+
+
 def build_rssd(params: RssdParams | None = None) -> TeamMarkovGame:
     """Assemble the benchmark game: 3 states, {C, D}^n joint actions,
-    per-capita team payoffs, and one candidate transition row per mu."""
+    per-capita team payoffs, and one candidate transition row per mu.
+    Each state passes one payoff row and row set per cooperator count, and
+    each joint action is mapped to its count."""
     params = params or RssdParams()
     n = params.n_players
     counts = range(n + 1)
@@ -143,7 +158,6 @@ def build_rssd(params: RssdParams | None = None) -> TeamMarkovGame:
                                  for h in counts] for k in range(N_STATES)])
     rows_by_count = [[transition_row_candidates(params, k, h) for h in counts]
                      for k in range(N_STATES)]
-    cooperators = n - np.sum(np.unravel_index(np.arange(2**n), (2,) * n), axis=0)
-    payoff = payoff_by_count[:, cooperators]
-    rows = [[per_state[h] for h in cooperators] for per_state in rows_by_count]
-    return build_game(n, list(STATE_NAMES), [["C", "D"]] * n, payoff, rows)
+    cooperators = np.broadcast_to(cooperator_counts(n), (N_STATES, 2**n))
+    return build_game(n, list(STATE_NAMES), [["C", "D"]] * n, payoff_by_count,
+                      rows_by_count, action_entry=cooperators)

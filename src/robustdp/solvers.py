@@ -72,7 +72,9 @@ class SolverParams:
     """Shared solver configuration.
 
     ``mt_schedule`` gives the number of partial-evaluation sweeps per step:
-    a constant, or a list indexed by step with its last entry repeated.
+    a constant, or a list indexed by step with its last entry repeated.  A
+    run without a perturbation oracle whose residual fails to fall drops
+    its sweeps for the rest of the run (see :func:`_run`).
     ``v0_mode`` selects the initial value function: ``"remark1"`` fills
     every state with min payoff / (1 - lam), which keeps the maximin update
     residual nonnegative and hence the iterates monotone; ``"zeros"`` starts
@@ -216,6 +218,11 @@ def _run(
             f"lambda * delta = {lam * delta!r}"
         )
     threshold = termination_threshold(lam, params.epsilon, delta)
+    # The evaluation sweeps run under the worst-case rows of the step's
+    # start, so they can overshoot the robust value and cycle: an exact run
+    # whose residual fails to fall goes on as value iteration, which
+    # contracts by lam each step.
+    sweeps_on = True
     v = initial_value(game, params)
     trace = SolverTrace()
     last_rule: TeamDecisionRule | None = None
@@ -238,8 +245,11 @@ def _run(
             value, worst, settled = evaluate_policy_robust(game, sweep.rule, lam)
             log.debug("%s terminated at t=%d residual=%.3e", algo, t, residual)
             return SolverResult(algo, sweep.rule, worst, value, t, True, settled, trace)
+        if sweeps_on and approx is None and t and residual >= trace.residuals[-2]:
+            sweeps_on = False
+            log.info("%s: residual did not fall at step %d; evaluation sweeps stop", algo, t)
         u = sweep.u0
-        mt = _mt_at(params.mt_schedule, t)
+        mt = _mt_at(params.mt_schedule, t) if sweeps_on else 0
         if mt:
             P, r = fixed_model_arrays(game, sweep.rule, sweep.worst_model)
             for s in range(1, mt + 1):

@@ -23,7 +23,13 @@ from hypothesis import strategies as st
 import robustdp as r
 from robustdp.model import DEFAULT_ENUMERATION_BUDGET
 from robustdp.oracle import OracleResult, dominance_tolerance
-from robustdp.rssd import N_STATES, stage_payoffs
+from robustdp.rssd import (
+    N_STATES,
+    STATE_NAMES,
+    stage_payoffs,
+    team_payoff,
+    transition_row_candidates,
+)
 from robustdp.sweeps import fixed_model_arrays
 
 
@@ -157,6 +163,81 @@ def game_parts(draw, max_states=4, max_actions=3):
     actions = [[f"a{j}" for j in range(size)] for size in sizes]
     states = [f"s{k}" for k in range(m)]
     return len(sizes), states, actions, payoff, rows
+
+
+@st.composite
+def entry_game_parts(draw, max_states=3, max_actions=3):
+    """``build_game`` arguments of a small game given per entry, with the
+    ``action_entry`` map appended: 1 to ``max_states`` states, 1-2 players
+    of 1 to ``max_actions`` actions, and 1 to A entries per state, each
+    used by some joint action.  An entry may copy the payoff, a copy of the
+    rows, or both, of any other entry of its state, or take the same
+    row-set object; so some entries merge into one group and some only
+    nearly.  The map names the entries in any order, so their first uses
+    need not follow their numbers.  The rows of up to two entries of one
+    state may sum to 1.1, which ``build_game`` rejects."""
+    m = draw(st.integers(1, max_states))
+    sizes = draw(st.lists(st.integers(1, max_actions), min_size=1, max_size=2))
+    n_joint = math.prod(sizes)
+    n_entries = draw(st.integers(1, n_joint))
+    n_cells = m * n_entries
+    sources = draw(
+        st.lists(st.integers(0, n_entries - 1), min_size=n_cells, max_size=n_cells)
+    )
+    # What an entry takes from its source: both parts (so it merges), the
+    # payoff, a copy of the rows, the same row-set object, or nothing.
+    parts = draw(st.lists(st.sampled_from("bbprs-"), min_size=n_cells, max_size=n_cells))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    payoff = rng.uniform(-1, 1, (m, n_entries, m))
+    rows = [[rng.dirichlet(np.ones(m), size=int(rng.integers(1, 4)))
+             for _ in range(n_entries)] for _ in range(m)]
+    for k, per_state in enumerate(rows):
+        for e in range(n_entries):
+            src, part = sources[k * n_entries + e], parts[k * n_entries + e]
+            if part in "bp":
+                payoff[k, e] = payoff[k, src]
+            if part in "br":
+                per_state[e] = per_state[src].copy()
+            if part == "s":
+                per_state[e] = per_state[src]
+    action_entry = np.array([
+        rng.permutation(np.concatenate(
+            [np.arange(n_entries), rng.integers(0, n_entries, n_joint - n_entries)]))
+        for _ in range(m)
+    ])
+    k = int(rng.integers(m))
+    for e in rng.permutation(n_entries)[: draw(st.integers(0, 2))]:
+        rows[k][e] = rows[k][e] * 1.1
+    actions = [[f"a{j}" for j in range(size)] for size in sizes]
+    states = [f"s{k}" for k in range(m)]
+    return len(sizes), states, actions, payoff, rows, action_entry
+
+
+def per_pair_parts(parts):
+    """The per-pair ``build_game`` arguments of :func:`entry_game_parts`
+    output: each pair gets its entry's payoff row and row-set object."""
+    *head, payoff, rows, action_entry = parts
+    m = len(rows)
+    return (*head, payoff[np.arange(m)[:, None], action_entry],
+            [[rows[k][e] for e in action_entry[k]] for k in range(m)])
+
+
+def rssd_per_pair(params, copy_rows=True):
+    """The ``build_rssd`` game built pair by pair, with no entry map: the
+    cooperator counts come from ``np.unravel_index``, each pair gets the
+    payoff row of its count and, with ``copy_rows``, its own copy of its
+    count's row set (else the count's one object)."""
+    n = params.n_players
+    counts = range(n + 1)
+    payoff_by_count = np.array([[[team_payoff(params, k, h, l) for l in range(N_STATES)]
+                                 for h in counts] for k in range(N_STATES)])
+    rows_by_count = [[transition_row_candidates(params, k, h) for h in counts]
+                     for k in range(N_STATES)]
+    cooperators = n - np.sum(np.unravel_index(np.arange(2**n), (2,) * n), axis=0)
+    rows = [[per_state[h].copy() if copy_rows else per_state[h] for h in cooperators]
+            for per_state in rows_by_count]
+    return r.build_game(n, list(STATE_NAMES), [["C", "D"]] * n,
+                        payoff_by_count[:, cooperators], rows)
 
 
 def games(max_states=4, max_actions=3):

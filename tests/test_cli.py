@@ -9,7 +9,7 @@ import pytest
 
 import robustdp as r
 from conftest import huge_payoff_game, singleton_game
-from robustdp import solvers
+from robustdp import cli, solvers
 from robustdp.cli import main
 
 
@@ -252,6 +252,22 @@ def test_malformed_game_file_exits_1(tmp_path, capsys):
     assert main(["oracle", "--game", str(missing)]) == 1
     err = capsys.readouterr().err
     assert err == f"{missing}: No such file or directory\n"
+
+
+def test_game_too_large_for_memory_exits_1(tmp_path, capsys, monkeypatch):
+    # What numpy raises for rssd-gen --n 40, without asking for the memory.
+    def build_rssd(params):
+        raise MemoryError("Unable to allocate 1.00 TiB for an array with shape "
+                          "(1099511627776,) and data type uint8")
+
+    monkeypatch.setattr(cli, "build_rssd", build_rssd)
+    out = tmp_path / "g.json"
+    assert main(["rssd-gen", "--n", "40", "--mu", "0.02,0.01", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "out of memory: Unable to allocate 1.00 TiB for an array with shape "
+        "(1099511627776,) and data type uint8\n"
+    )
+    assert not out.exists()
 
 
 def test_invalid_game_content_exits_1(tmp_path, capsys):

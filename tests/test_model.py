@@ -11,16 +11,19 @@ from hypothesis import strategies as st
 
 import robustdp as r
 from conftest import (
+    entry_game_parts,
     enumerate_decision_rules,
     enumerate_policy_models,
     game_parts,
     games,
     per_action,
+    per_pair_parts,
     random_game,
+    rssd_per_pair,
     singleton_game,
     two_state_chain,
 )
-from robustdp import model, rssd
+from robustdp import model
 from robustdp.model import _clean_rows, _payoff_cells
 
 
@@ -496,19 +499,91 @@ class TestGroups:
         game = r.build_game(*args, [NewCopies(per_state) for per_state in rows])
         assert_same_arrays(game, r.build_game(*args, rows))
 
-    @pytest.mark.parametrize("n", [8, 10])
-    def test_rssd_with_copied_row_sets_builds_the_same_game(self, n, monkeypatch):
-        calls = []
+    @pytest.mark.parametrize("n", [8, 10, 12, 16])
+    def test_rssd_with_copied_row_sets_builds_the_same_game(self, n):
+        params = r.RssdParams(n_players=n, mu_set=tuple(0.09 * i / n for i in (1, 2, 3)))
+        game = r.build_rssd(params)
+        # Cleaning a copy per pair takes 0.3 s at n = 12 and seconds at
+        # n = 16, so there the pairs of a cooperator count share its
+        # row-set object.
+        reference = rssd_per_pair(params, copy_rows=n <= 10)
+        assert_same_arrays(game, reference)
+        assert game.r_max == reference.r_max
 
-        def build_game(*args):
-            calls.append(args)
-            return r.build_game(*args)
 
-        monkeypatch.setattr(rssd, "build_game", build_game)
-        game = r.build_rssd(r.RssdParams(n_players=n, mu_set=(0.03, 0.06, 0.09)))
-        [(*head, rows)] = calls
-        assert [len(set(map(id, per_state))) for per_state in rows] == [n + 1] * 3
-        assert_same_arrays(game, r.build_game(*head, copied_row_sets(rows)))
+class TestActionEntry:
+    """``build_game`` given payoffs and row sets per entry and a map from
+    each (state, joint action) pair onto the entries of its state."""
+
+    @given(entry_game_parts())
+    @settings(max_examples=100, deadline=None)
+    def test_entry_build_matches_per_pair_build(self, parts):
+        """Building through the map gives the same arrays, or the same
+        errors, as building from each pair's payoff and rows."""
+        def build(*args, **kwargs):
+            try:
+                return r.build_game(*args, **kwargs)
+            except r.GameValidationError as e:
+                return e.errors
+
+        *head, action_entry = parts
+        by_entry = build(*head, action_entry=action_entry)
+        by_pair = build(*per_pair_parts(parts))
+        if isinstance(by_pair, list):
+            assert by_entry == by_pair
+        else:
+            assert_same_arrays(by_entry, by_pair)
+            assert by_entry.r_max == by_pair.r_max
+
+    @staticmethod
+    def build(action_entry, rows=None):
+        """One state, three joint actions, two entries: entry 1 pays more."""
+        payoff = np.array([[[0.0], [1.0]]])
+        rows = rows or [[[[1.0]], [[1.0]]]]
+        return r.build_game(1, ["s0"], [["a0", "a1", "a2"]], payoff, rows,
+                            action_entry=action_entry)
+
+    def test_groups_follow_the_map(self):
+        game = self.build(np.array([[1, 0, 1]]))
+        assert game.action_group.tolist() == [[0, 1, 0]]
+        assert game.group_action.tolist() == [[0, 1]]
+        assert game.group_payoff.tolist() == [[[1.0], [0.0]]]
+
+    @pytest.mark.parametrize(
+        "action_entry, message",
+        [
+            pytest.param([[0, 1]], "action_entry shape (1, 2) != (1, 3)", id="shape"),
+            pytest.param(np.array([[False, True, True]]),
+                         "action_entry must hold integers, not bool", id="bool"),
+            pytest.param(np.array([[0.0, 1.0, 1.0]]),
+                         "action_entry must hold integers, not float64", id="float"),
+            pytest.param([[0, -1, 1]], "action_entry holds an entry outside [0, 2)",
+                         id="negative"),
+            pytest.param([[0, 2, 1]], "action_entry holds an entry outside [0, 2)",
+                         id="too_large"),
+            pytest.param([[0, 0, 0]], "action_entry[state='s0']: no joint action uses "
+                         "entries [1]", id="unused"),
+        ],
+    )
+    def test_bad_map_rejected(self, action_entry, message):
+        with pytest.raises(r.GameValidationError) as exc:
+            self.build(action_entry)
+        assert exc.value.errors == [message]
+
+    def test_bad_entries_reported_per_pair_in_action_order(self):
+        with pytest.raises(r.GameValidationError) as exc:
+            self.build([[1, 0, 1]], rows=[[[[1.1]], [[1.2]]]])
+        assert exc.value.errors == [
+            "uncertainty[state='s0', action=(0,)]: row 0 sum 1.2 != 1",
+            "uncertainty[state='s0', action=(1,)]: row 0 sum 1.1 != 1",
+            "uncertainty[state='s0', action=(2,)]: row 0 sum 1.2 != 1",
+        ]
+
+    def test_payoff_must_give_entries_of_every_state(self):
+        with pytest.raises(r.GameValidationError) as exc:
+            r.build_game(1, ["s0"], [["a0"]], np.zeros((1, 1)), [[[[1.0]]]],
+                         action_entry=[[0]])
+        assert exc.value.errors == ["payoff shape (1, 1) != (1, E, 1)"]
 
 
 def with_action(e, p, ai):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from robustdp.rssd import (
     SNOWDRIFT,
     STAG_HUNT,
     RssdParams,
+    cooperator_counts,
     stage_payoffs,
     team_payoff,
     transition_row_candidates,
@@ -87,6 +90,22 @@ class TestTransitionRows:
                 sums = transition_row_candidates(params, state, h).sum(axis=1)
                 assert np.all(sums == 1.0)
 
+    @pytest.mark.parametrize("n", [3, 8, 13, 20])
+    def test_entries_are_the_nearest_floats_of_the_exact_values(self, n):
+        mu_set = tuple(round(mu * 3 / n, 12) for mu in (0.1, 0.2, 0.3)) + (1 / (7 * n),)
+        params = RssdParams(n_players=n, mu_set=mu_set)
+        for state in range(3):
+            for h in range(n + 1):
+                expected = []
+                for mu in mu_set:
+                    leave = Fraction(str(mu)) * h
+                    row = [float(1 - leave) if l == state else float(leave / 2)
+                           for l in range(3)]
+                    if row not in expected:
+                        expected.append(row)
+                got = transition_row_candidates(params, state, h)
+                assert got.tolist() == expected
+
 
 class TestBuild:
     def test_team_payoff_hand_example(self):
@@ -118,6 +137,11 @@ class TestBuild:
             pairs = set(zip(cooperators, game.action_group[k].tolist()))
             assert len(pairs) == len({h for h, _ in pairs}) == n + 1
             assert len({g for _, g in pairs}) == n + 1
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_cooperator_counts_count_the_c_of_each_joint_action(self, n):
+        per_player = np.unravel_index(np.arange(2**n), (2,) * n)
+        assert np.array_equal(cooperator_counts(n), n - np.sum(per_player, axis=0))
 
     def test_r_max_computed(self, rssd_game):
         # largest magnitude payoff: snowdrift, all cooperate, theta=2.2

@@ -208,14 +208,9 @@ def test_solvers_match_oracle_on_generated_games(game, lam):
     assert r.sup_norm(values["ratvi"] - values["rvi"]) <= eps + slack
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="rmpi cycles on this game at lam 0.99 with mt 5: its residual "
-    "alternates 0.080 and 0.067 and never reaches the threshold, while ratpi, "
-    "ratvi and rvi terminate (see ROADMAP open items)",
-)
 def test_rmpi_terminates_on_two_state_game():
+    # Left on its evaluation sweeps, rmpi cycles here at lam 0.99 with mt 5:
+    # its residual alternates 0.080 and 0.067.
     s0 = [[0.60722898, 0.39277102]]
     game = r.build_game(
         1, ["s0", "s1"], [["a0", "a1"]],
@@ -227,7 +222,33 @@ def test_rmpi_terminates_on_two_state_game():
            [0.14634621, 0.85365379], [0.03510287, 0.96489713]]]],
     )
     params = r.SolverParams(lam=0.99, epsilon=1e-6, mt_schedule=5, max_iterations=5000)
-    assert r.solve_rmpi(game, params).terminated
+    res = r.solve_rmpi(game, params)
+    assert res.terminated
+    v_star = r.brute_force_maximin(game, 0.99).v_star
+    assert r.sup_norm(res.value - v_star) <= 1e-6
+
+
+def test_rmpi_terminates_on_three_state_game():
+    # A generated game on which rmpi at lam 0.9 with mt 5 cycled with a
+    # residual of 0.576; mt 4 and mt 10 terminated.
+    s1 = [[0.46886036, 0.00860358, 0.52253606], [0.33885279, 0.38726327, 0.27388394],
+          [0.07502578, 0.89891763, 0.02605659]]
+    s2 = [[0.3120056, 0.6128797, 0.0751147]]
+    game = r.build_game(
+        1, ["s0", "s1", "s2"], [["a0", "a1"]],
+        [[[0.50111295, -0.78024533, 0.42762733], [0.8878965, -0.82341332, 0.52241261]],
+         [[-0.47129129, -0.16035156, 0.69981221], [-0.42461095, 0.72042359, -0.53178316]],
+         [[0.67690345, -0.84072498, -0.74316451], [0.67690345, -0.84072498, -0.74316451]]],
+        [[[[0.33588571, 0.16735124, 0.49676305], [0.60160135, 0.33722388, 0.06117477],
+           [0.27609136, 0.30069055, 0.42321809]],
+          [[0.83956808, 0.06734316, 0.09308876]]],
+         [s1, s1], [s2, s2]],
+    )
+    params = r.SolverParams(lam=0.9, epsilon=1e-6, mt_schedule=5, max_iterations=5000)
+    res = r.solve_rmpi(game, params)
+    assert res.terminated
+    v_star = r.brute_force_maximin(game, 0.9).v_star
+    assert r.sup_norm(res.value - v_star) <= 1e-6
 
 
 @given(
