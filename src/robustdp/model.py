@@ -157,7 +157,10 @@ class TeamMarkovGame:
     group_payoff_exp: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        action_group = np.array(self.action_group, dtype=np.intp)
+        # ``action_group`` is the one (m, A) array, and :func:`build_game`
+        # hands over a fresh one, so it is not copied; the game freezes a
+        # view of it, which leaves a caller's own array writable.
+        action_group = np.asarray(self.action_group, dtype=np.intp).view()
         group_action = np.array(self.group_action, dtype=np.intp)
         payoff = np.array(self.group_payoff, dtype=float)
         cand = np.array(self.group_candidates, dtype=float)

@@ -5,17 +5,20 @@ worst-case model, and takes the componentwise maximum.  Joint actions of a
 group back up to the same value, so one rule per combination of per-state
 groups stands for all the rules that play members of those groups: the
 paper's instance has 4 groups of 8 joint actions per state, so 4**3 = 64 of
-its 512 rules are evaluated.  Meant as an independent reference for the
-iterative solvers, not as a production path; the ``oracle`` CLI command and
-the benchmark's paper workload run it.  The slower references the tests
-check the oracle, the robust evaluation and epsilon-optimality against
-(enumeration of every rule, and of every admissible model of a rule) live in
+its 512 rules are evaluated.  The rules are evaluated ``ORACLE_BLOCK`` at a
+time, each block as one stacked call of :func:`evaluate_policy_robust`, so
+the gathered candidate rows held at once stay bounded whatever the rule
+count; only the values, m doubles per rule, are kept for all of them.
+Meant as an independent reference for the iterative solvers, not as a
+production path; the ``oracle`` CLI command and the benchmark's paper
+workload run it.  The slower references the tests check the oracle, the
+robust evaluation and epsilon-optimality against (enumeration of every
+rule, and of every admissible model of a rule) live in
 ``tests/conftest.py``.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -31,6 +34,13 @@ from .model import (
 from .solvers import evaluate_policy_robust
 
 log = logging.getLogger("robustdp.oracle")
+
+_max = np.maximum.reduce
+_min = np.minimum.reduce
+
+#: Rules per stacked robust evaluation.  A block holds about
+#: 8 * m * m * (Kmax + 2) bytes per rule (Kmax the largest candidate count).
+ORACLE_BLOCK = 1024
 
 #: Slack within which one rule attains the maximum in every component, as a
 #: fraction of the value scale r_max / (1 - lam): the rounding error of the
@@ -62,6 +72,19 @@ class OracleResult:
     settled: bool
 
 
+def _group_rules(
+    game: TeamMarkovGame, n_groups: np.ndarray, start: int, stop: int
+) -> np.ndarray:
+    """Rules ``start`` to ``stop`` (exclusive) of the lexicographic order
+    over per-state groups, each group played by its lowest member, as an
+    integer (stop - start, m) array of joint actions."""
+    index = np.arange(start, stop)
+    digits = np.empty((len(index), game.m), dtype=np.intp)
+    for k in reversed(range(game.m)):
+        index, digits[:, k] = np.divmod(index, n_groups[k])
+    return game.group_action[np.arange(game.m), digits]
+
+
 def brute_force_maximin(
     game: TeamMarkovGame,
     lam: float,
@@ -79,41 +102,37 @@ def brute_force_maximin(
     product of the per-state group counts; BudgetExceededError is raised
     up front when they exceed it.
     """
-    n_groups = (game.action_group.max(axis=1) + 1).tolist()
-    total = math.prod(n_groups)
+    n_groups = game.action_group.max(axis=1) + 1
+    total = math.prod(n_groups.tolist())
     if total > budget:
         raise BudgetExceededError(total, budget)
-    representatives = [game.group_action[k, :n].tolist() for k, n in enumerate(n_groups)]
-    entries: list[tuple[TeamDecisionRule, np.ndarray]] = []
+    values = np.empty((total, game.m))
     settled = True
-    for combo in itertools.product(*representatives):
-        rule = TeamDecisionRule(combo)
-        value, _, rule_settled = evaluate_policy_robust(game, rule, lam)
-        settled = settled and rule_settled
-        entries.append((rule, value))
-    v_star = entries[0][1].copy()
-    for _, value in entries[1:]:
-        np.maximum(v_star, value, out=v_star)
-    d_star = None
+    for start in range(0, total, ORACLE_BLOCK):
+        stop = min(start + ORACLE_BLOCK, total)
+        rules = _group_rules(game, n_groups, start, stop)
+        values[start:stop], _, block_settled = evaluate_policy_robust(game, rules, lam)
+        settled = settled and bool(block_settled.all())
+    # Reducing over the rule axis folds the values in rule order, as a
+    # running ``np.maximum`` over the rules would.
+    v_star = _max(values, axis=0)
     floor = v_star - dominance_tolerance(game, lam)
-    for rule, value in entries:
-        if np.all(value >= floor):
-            d_star = rule
-            max_gap = float(np.max(v_star - value))
-            break
-    dominance_ok = d_star is not None
-    if d_star is None:
-        gaps = [float(np.max(v_star - value)) for _, value in entries]
+    dominating = np.flatnonzero(_min(values >= floor, axis=1))
+    dominance_ok = dominating.size > 0
+    if dominance_ok:
+        best = int(dominating[0])
+        max_gap = float(_max(v_star - values[best]))
+    else:
+        gaps = _max(v_star - values, axis=1)
         best = int(np.argmin(gaps))
-        d_star = entries[best][0]
-        max_gap = gaps[best]
+        max_gap = float(gaps[best])
         log.warning(
             "no single rule attains the componentwise maximum; best shortfall %.3e",
             max_gap,
         )
     return OracleResult(
         v_star=v_star,
-        d_star=d_star,
+        d_star=TeamDecisionRule(_group_rules(game, n_groups, best, best + 1)[0]),
         dominance_ok=dominance_ok,
         max_dominance_gap=max_gap,
         settled=settled,

@@ -26,10 +26,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import TeamDecisionRule, TeamMarkovGame, sup_norm
+from .model import TeamDecisionRule, TeamMarkovGame
 from .perturb import PerturbationOracle
 from .sweeps import (
-    _row_min,
     evaluation_sweep,
     fixed_model_arrays,
     improvement_sweep,
@@ -41,6 +40,7 @@ log = logging.getLogger("robustdp.solvers")
 MtSchedule = int | Sequence[int]
 
 _max = np.maximum.reduce
+_min = np.minimum.reduce
 
 #: Tolerance of the terminal robust evaluation (:func:`evaluate_policy_robust`).
 ROBUST_EVAL_TOL = 1e-12
@@ -310,48 +310,126 @@ SOLVERS = {
 }
 
 
+def _rule_stack(game: TeamMarkovGame, rules) -> np.ndarray:
+    """``rules`` as an integer (R, m) array of joint actions, one rule per
+    row; ``ValueError`` for any other shape or dtype, or an action outside
+    [0, n_joint_actions)."""
+    rules = np.asarray(rules)
+    if rules.ndim != 2 or rules.shape[1] != game.m or rules.dtype.kind not in "iu":
+        raise ValueError(
+            f"rules must be an integer (R, {game.m}) array of joint actions, "
+            f"got {rules.dtype} with shape {rules.shape}"
+        )
+    if rules.size and not 0 <= rules.min() <= rules.max() < game.n_joint_actions:
+        raise ValueError(
+            f"rules hold joint actions outside [0, {game.n_joint_actions})"
+        )
+    return rules
+
+
 def evaluate_policy_robust(
     game: TeamMarkovGame,
-    rule: TeamDecisionRule,
+    rule: TeamDecisionRule | np.ndarray,
     lam: float,
-) -> tuple[np.ndarray, tuple[int, ...], bool]:
-    """Worst-case value of a fixed rule over its admissible models.
+) -> tuple[np.ndarray, tuple[int, ...] | np.ndarray, bool | np.ndarray]:
+    """Worst-case value of fixed rules over their admissible models.
 
     Iterates the per-state fixed point v <- min over candidate rows of
     row @ (payoff + lam * v), which by row rectangularity equals the minimum
     over whole transition matrices.  Successive one-step backups alternate
-    with exact evaluation of the current minimising rows, and the iteration
-    stops once a backup step moves the value by less than
-    ``termination_threshold(lam, ROBUST_EVAL_TOL, 0.0)`` in sup norm (or the
-    minimising rows repeat, i.e. the fixed point is reached to linear-solve
-    precision).  Returns the value, the final per-state minimising row
-    indices, and whether it settled so; after ``ROBUST_EVAL_MAX_ROUNDS``
-    rounds without settling it logs a warning and returns the last iterate
-    with ``False``.  Raises ``ValueError`` unless 0 <= lam < 1.
+    with exact evaluation of the current minimising rows (policy iteration
+    for the adversary), and a rule settles once a backup step moves its
+    value by less than ``termination_threshold(lam, ROBUST_EVAL_TOL, 0.0)``
+    in sup norm, or its minimising rows repeat (the fixed point is reached
+    to linear-solve precision).
+
+    ``rule`` is one :class:`TeamDecisionRule`, or an integer (R, m) array of
+    joint actions, one rule per row.  A stack runs as one loop: each round
+    scores every rule's candidate rows with one stacked matmul and solves
+    every unsettled rule's linear system with one batched solve, and a rule
+    leaves the stack in the round it settles.  Each rule's arithmetic is
+    that of its own evaluation, so every row of a stacked call is bit for
+    bit the one-rule result.
+
+    Returns the value, the final per-state minimising row indices, and
+    whether the rule settled: ``(m,)``, a tuple and a bool for one rule,
+    ``(R, m)``, ``(R, m)`` and ``(R,)`` for a stack.  Rules still unsettled
+    after ``ROBUST_EVAL_MAX_ROUNDS`` rounds return their last iterate with
+    ``False``, and the call logs one warning that counts them.  Raises
+    ``ValueError`` unless 0 <= lam < 1, or for an invalid rule.
     """
     _check_lam(lam)
-    game.validate_rule(rule)
+    single = isinstance(rule, TeamDecisionRule)
+    if single:
+        game.validate_rule(rule)
+        acts = np.array(rule.joint_actions)
+    else:
+        acts = _rule_stack(game, rule)
     m = game.m
     states = np.arange(m)
-    groups = game.action_group[states, rule.joint_actions]
-    cand = game.group_candidates[states, groups]
-    pe = game.group_payoff_exp[states, groups]
+    n_groups, n_cand = game.group_payoff_exp.shape[1:]
+    # One rule is a stack of leading shape (), so ``...`` spans the stack.
+    # Flat indices of each rule's (state, group) pairs, gathered with
+    # ``take``: one pass over a flat index is cheaper than fancy indexing.
+    pair = states * n_groups + game.action_group[states, acts]
+    cand = game.group_candidates.reshape(-1, n_cand, m).take(pair, axis=0)
+    pe = game.group_payoff_exp.reshape(-1, n_cand).take(pair, axis=0)
+    first_row = pair * n_cand
     threshold = termination_threshold(lam, ROBUST_EVAL_TOL, 0.0)
-    eye = np.eye(m)
-    v = np.zeros(m)
-    prev_rows: tuple[int, ...] | None = None
-    q = v
-    rows: tuple[int, ...] = (0,) * m
+    eye = np.zeros((m, m))
+    eye.flat[:: m + 1] = 1.0
+    v = np.zeros(acts.shape)
+    # ``left`` holds the stack positions of the rules still iterating, from
+    # the first round in which some but not all of them settle.
+    left = prev = None
     for _ in range(ROBUST_EVAL_MAX_ROUNDS):
-        scores, q = _row_min(pe, cand, v, lam)
+        scores = (cand @ v[..., None, :, None])[..., 0]
+        scores *= lam
+        scores += pe
+        q = _min(scores, axis=-1)
         picked = scores.argmin(axis=-1)
-        rows = tuple(picked.tolist())
-        if sup_norm(q - v) < threshold or rows == prev_rows:
-            return q, rows, True
-        v = np.linalg.solve(eye - lam * cand[states, picked], pe[states, picked])
-        prev_rows = rows
-    log.warning(
-        "robust evaluation did not settle in %d rounds; returning last iterate",
-        ROBUST_EVAL_MAX_ROUNDS,
-    )
-    return q, rows, False
+        step = q - v
+        np.abs(step, out=step)
+        done = _max(step, axis=-1) < threshold
+        n_done = np.count_nonzero(done)
+        if prev is not None and n_done < done.size:
+            done |= _min(picked == prev, axis=-1)
+            n_done = np.count_nonzero(done)
+        if n_done == done.size and left is None:
+            value, rows, settled = q, picked, done
+            break
+        if n_done:
+            if left is None:
+                left = np.arange(len(done))
+                value = np.empty(q.shape)
+                rows = np.empty(q.shape, dtype=np.intp)
+                settled = np.zeros(len(done), dtype=bool)
+            at = left[done]
+            value[at], rows[at], settled[at] = q[done], picked[done], True
+            if n_done == done.size:
+                break
+            keep = ~done
+            left, q, picked = left[keep], q[keep], picked[keep]
+            cand, pe, first_row = cand[keep], pe[keep], first_row[keep]
+        row = first_row + picked
+        a = game.group_candidates.reshape(-1, m).take(row, axis=0)
+        a *= -lam
+        a += eye  # eye - lam * P, to the bit
+        b = game.group_payoff_exp.reshape(-1, 1).take(row, axis=0)
+        v = np.linalg.solve(a, b)[..., 0]
+        prev = picked
+    else:
+        if left is None:
+            value, rows, settled = q, picked, done
+        else:
+            value[left], rows[left] = q, picked
+        log.warning(
+            "robust evaluation did not settle in %d rounds for %d of %d rules; "
+            "returning the last iterates",
+            ROBUST_EVAL_MAX_ROUNDS,
+            q.size // m,
+            acts.size // m,
+        )
+    if single:
+        return value, tuple(rows.tolist()), bool(settled)
+    return value, rows, settled

@@ -6,17 +6,20 @@ are exercised), singleton sets, duplicate rows (exact row ties) and
 duplicated joint actions (exact action ties, and states with different group
 counts, so padded groups are exercised); lam runs from 0 to 0.999.  The
 kernel backs up one action per group, the references every action.  Values
-must match bit for bit, rules and rows exactly.
+must match bit for bit, rules and rows exactly.  A stacked robust
+evaluation must give each rule exactly its one-rule call and the loop.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robustdp as r
 from conftest import games, gs_backup, per_action, reference_noise
+from robustdp import solvers
 from robustdp.sweeps import fixed_model_arrays
 
 LAMS = st.sampled_from([0.0, 0.5, 0.9, 0.999])
@@ -151,6 +154,53 @@ def test_robust_evaluation_matches_loop(game, lam, seed):
     ref_value, ref_rows = reference_robust_evaluation(game, rule, lam)
     assert np.array_equal(value, ref_value)
     assert rows == ref_rows
+
+
+def rule_stack(game, seed):
+    """1 to 8 random rules, with a repeated rule now and then."""
+    rng = np.random.default_rng(seed)
+    rules = rng.integers(0, game.n_joint_actions, (int(rng.integers(1, 9)), game.m))
+    return rules[rng.integers(0, len(rules), len(rules))] if seed % 3 == 0 else rules
+
+
+@given(games(), LAMS, st.integers(0, 2**16))
+@settings(max_examples=60, deadline=None)
+def test_stacked_robust_evaluation_matches_one_rule_calls(game, lam, seed):
+    """Each row of a stacked call is the one-rule call and the per-state
+    loop, bit for bit, whichever round the other rules settle in."""
+    rules = rule_stack(game, seed)
+    value, rows, settled = r.evaluate_policy_robust(game, rules, lam)
+    assert value.shape == rows.shape == rules.shape
+    assert settled.shape == (len(rules),)
+    for i, acts in enumerate(rules):
+        rule = r.TeamDecisionRule(acts)
+        one_value, one_rows, one_settled = r.evaluate_policy_robust(game, rule, lam)
+        ref_value, ref_rows = reference_robust_evaluation(game, rule, lam)
+        assert value[i].tobytes() == one_value.tobytes() == ref_value.tobytes()
+        assert tuple(rows[i].tolist()) == one_rows == ref_rows
+        assert settled[i] and one_settled
+
+
+@given(
+    games(), st.sampled_from([0.5, 0.9, 0.999]), st.integers(1, 3), st.integers(0, 2**16)
+)
+@settings(max_examples=40, deadline=None)
+def test_stacked_round_cap_matches_one_rule_calls(game, lam, cap, seed):
+    """Under a round cap each row is still the one-rule call, settled or
+    not, when rules leave the stack in different rounds.  With one round
+    no rule settles: the first backup moves each value from 0 by its
+    nonzero expected payoff."""
+    rules = rule_stack(game, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "ROBUST_EVAL_MAX_ROUNDS", cap)
+        value, rows, settled = r.evaluate_policy_robust(game, rules, lam)
+        for i, acts in enumerate(rules):
+            one = r.evaluate_policy_robust(game, r.TeamDecisionRule(acts), lam)
+            assert value[i].tobytes() == one[0].tobytes()
+            assert tuple(rows[i].tolist()) == one[1]
+            assert settled[i] == one[2]
+    if cap == 1:
+        assert not settled.any()
 
 
 @given(games(), st.integers(0, 50))

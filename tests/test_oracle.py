@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import robustdp as r
 from conftest import (
@@ -157,8 +158,14 @@ def test_ties_broken_as_over_every_rule_when_no_rule_dominates(monkeypatch):
     made_up = {(0, 0): [4.0, 0.0], (0, 1): [0.0, 4.0], (1, 0): [2.0, 3.0], (1, 1): [3.0, 2.0]}
 
     def evaluate(game, rule, lam):
-        groups = tuple(game.action_group[k, a] for k, a in enumerate(rule.joint_actions))
-        return np.array(made_up[groups]), (0, 0), True
+        # The oracle passes a stack of rules, the every-rule reference one
+        # TeamDecisionRule at a time.
+        if isinstance(rule, r.TeamDecisionRule):
+            value, _, _ = evaluate(game, np.array([rule.joint_actions]), lam)
+            return value[0], (0, 0), True
+        groups = game.action_group[np.arange(game.m), rule]
+        value = np.array([made_up[combo] for combo in map(tuple, groups.tolist())])
+        return value, np.zeros_like(rule), np.ones(len(rule), dtype=bool)
 
     monkeypatch.setattr(oracle, "evaluate_policy_robust", evaluate)
     monkeypatch.setattr(r, "evaluate_policy_robust", evaluate)
@@ -168,3 +175,23 @@ def test_ties_broken_as_over_every_rule_when_no_rule_dominates(monkeypatch):
     assert not orc.dominance_ok
     assert orc.d_star == r.TeamDecisionRule((1, 0))
     assert orc.max_dominance_gap == 2.0
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.97])
+def test_blocks_give_the_same_result_as_one_block(rssd_game, lam, monkeypatch):
+    # The paper's instance has 4**3 = 64 group combinations: blocks of 5
+    # leave a last block of 4.
+    whole = r.brute_force_maximin(rssd_game, lam)
+    monkeypatch.setattr(oracle, "ORACLE_BLOCK", 5)
+    blocked = r.brute_force_maximin(rssd_game, lam)
+    assert_same_result(blocked, whole)
+    assert_same_result(blocked, maximin_over_every_rule(rssd_game, lam))
+
+
+@settings(max_examples=30, deadline=None)
+@given(games(max_states=3), st.integers(1, 6), st.sampled_from([0.0, 0.9, 0.999]))
+def test_block_size_does_not_change_the_result(game, block, lam):
+    whole = r.brute_force_maximin(game, lam)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "ORACLE_BLOCK", block)
+        assert_same_result(r.brute_force_maximin(game, lam), whole)

@@ -407,6 +407,40 @@ class TestRobustEvaluation:
         assert not settled
         assert "did not settle in 1 rounds" in caplog.text
 
+    def test_unsettled_stack_logs_one_warning_with_the_count(self, monkeypatch, caplog):
+        game = random_game(61)
+        rules = np.array([rule.joint_actions for rule in enumerate_decision_rules(game)])
+        monkeypatch.setattr(solvers, "ROBUST_EVAL_MAX_ROUNDS", 1)
+        with caplog.at_level(logging.WARNING, logger="robustdp.solvers"):
+            _, _, settled = r.evaluate_policy_robust(game, rules, 0.9)
+        assert not settled.any()
+        assert len(caplog.records) == 1
+        assert "did not settle in 1 rounds" in caplog.text
+        assert f"for {len(rules)} of {len(rules)} rules" in caplog.text
+
+    def test_empty_stack(self, rssd_game):
+        value, rows, settled = r.evaluate_policy_robust(
+            rssd_game, np.zeros((0, 3), dtype=int), 0.97
+        )
+        assert value.shape == rows.shape == (0, 3)
+        assert settled.shape == (0,)
+
+    @pytest.mark.parametrize(
+        "rules",
+        [
+            np.zeros((2, 3)),
+            np.zeros((2, 3), dtype=bool),
+            np.zeros((2, 2), dtype=int),
+            np.zeros(3, dtype=int),
+            np.array([[0, 0, 8]]),
+            np.array([[0, -1, 0]]),
+        ],
+        ids=["float", "bool", "short", "one-dim", "past-end", "negative"],
+    )
+    def test_invalid_stack_is_rejected(self, rules, rssd_game):
+        with pytest.raises(ValueError, match="rules"):
+            r.evaluate_policy_robust(rssd_game, rules, 0.97)
+
 
 class TestExactEvaluation:
     def test_single_state_geometric_series(self):
