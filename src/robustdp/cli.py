@@ -62,7 +62,7 @@ from .oracle import brute_force_maximin
 from .perturb import MODES, PerturbationOracle
 from .rssd import RssdParams, build_rssd
 from .solvers import SOLVERS, SolverParams, SolverResult, max_delta
-from .sweeps import backup_lattice
+from .sweeps import backup_lattice, fixed_model_arrays
 
 log = logging.getLogger("robustdp.cli")
 
@@ -141,17 +141,11 @@ def _result_payload(game: TeamMarkovGame, result: SolverResult, config: dict) ->
         game.states[k]: list(game.action_names(a))
         for k, a in enumerate(result.policy.joint_actions)
     }
-    worst = []
-    for k, j in enumerate(result.worst_model):
-        a = result.policy.joint_actions[k]
-        row = game.group_candidates[k, game.action_group[k, a], j]
-        worst.append(
-            {
-                "state": game.states[k],
-                "row_index": int(j),
-                "row": [float(x) for x in row],
-            }
-        )
+    P, _ = fixed_model_arrays(game, result.policy, result.worst_model)
+    worst = [
+        {"state": state, "row_index": int(j), "row": [float(x) for x in row]}
+        for state, j, row in zip(game.states, result.worst_model, P)
+    ]
     return {
         "config": config,
         "terminated": result.terminated,

@@ -107,7 +107,9 @@ class TeamDecisionRule:
     joint_actions: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "joint_actions", tuple(map(int, self.joint_actions)))
+        object.__setattr__(
+            self, "joint_actions", tuple(map(operator.index, self.joint_actions))
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,15 +202,6 @@ class TeamMarkovGame:
         per = np.unravel_index(joint_action, self.action_shape)
         return tuple(acts[i] for acts, i in zip(self.player_actions, per))
 
-    def validate_rule(self, rule: TeamDecisionRule) -> None:
-        if len(rule.joint_actions) != self.m:
-            raise ValueError(
-                f"rule covers {len(rule.joint_actions)} states, game has {self.m}"
-            )
-        for k, a in enumerate(rule.joint_actions):
-            if not 0 <= a < self.n_joint_actions:
-                raise ValueError(f"rule maps state {k} to invalid joint action {a}")
-
 
 def build_game(
     n_players: int,
@@ -296,23 +289,27 @@ def build_game(
     if errors:
         raise GameValidationError(errors)
     at_state = np.arange(m)[:, None]
+    # The lowest joint action of each entry, n_joint for an unused one.
+    lowest = np.full((m, n_entries), n_joint)
+    np.minimum.at(lowest, (at_state, entry), np.arange(n_joint))
     if action_entry is not None:
         # An unused entry would still count towards r_max, and its rows
         # would have no pair to report an error against.
-        used = np.zeros((m, n_entries), dtype=bool)
-        used[at_state, entry] = True
-        for k in np.flatnonzero(~used.all(axis=1)):
+        for k in np.flatnonzero(lowest.max(axis=1) == n_joint):
             errors.append(
                 f"action_entry[state={states[k]!r}]: no joint action uses "
-                f"entries {np.flatnonzero(~used[k]).tolist()}"
+                f"entries {np.flatnonzero(lowest[k] == n_joint).tolist()}"
             )
     if not np.all(np.isfinite(payoff)):
         errors.append("payoff contains non-finite entries")
 
     # Entries whose payoff and cleaned rows are the same bytes share a
-    # group, numbered here in order of the first such entry.
+    # group.  Each state's entries are visited in order of their lowest
+    # joint action, so its groups are numbered in order of their lowest
+    # member, which the sweeps rely on, and each group records that member
+    # as it forms.
     entry_group = np.zeros((m, n_entries), dtype=np.intp)
-    group_rows: list[list[np.ndarray]] = []
+    group_rows: list[list[tuple[int, np.ndarray]]] = []
     if len(uncertainty_rows) != m or any(len(per) != n_entries for per in uncertainty_rows):
         errors.append(f"uncertainty must provide one row set per (state, {unit})")
     else:
@@ -326,8 +323,10 @@ def build_game(
             distinct: dict[bytes, np.ndarray] = {}
             groups: dict[tuple[bytes, int], int] = {}
             bad: dict[int, str] = {}
-            per_group: list[np.ndarray] = []
-            for e, raw in enumerate(uncertainty_rows[k]):
+            per_group: list[tuple[int, np.ndarray]] = []
+            row_sets, first = uncertainty_rows[k], lowest[k].tolist()
+            for e in np.argsort(lowest[k], kind="stable").tolist():
+                raw = row_sets[e]
                 memo = checked.get(id(raw))
                 if memo is None:
                     try:
@@ -344,7 +343,7 @@ def build_game(
                 key = (payoff[k, e].tobytes(), id(rows))
                 g = entry_group[k, e] = groups.setdefault(key, len(groups))
                 if g == len(per_group):
-                    per_group.append(rows)
+                    per_group.append((first[e], rows))
             group_rows.append(per_group)
             if bad:
                 # One line per pair that maps to a bad set, in action order.
@@ -367,30 +366,19 @@ def build_game(
     if errors:
         raise GameValidationError(errors)
 
-    # Actions take their entry's group through the map.  The sweeps rely on
-    # groups numbered per state in order of their lowest member, so each
-    # state's groups are sorted by it; an id no action takes sorts last.
-    provisional = entry_group[at_state, entry]
-    lowest = np.full((m, n_entries), n_joint)
-    np.minimum.at(lowest, (at_state, provisional), np.arange(n_joint))
-    order = np.argsort(lowest, axis=1)
-    number = np.empty_like(order)
-    number[at_state, order] = np.arange(n_entries)
-    n_groups = np.count_nonzero(lowest < n_joint, axis=1)
     # Padded groups copy group 0, whose lowest member is action 0.
-    pad = np.arange(n_groups.max()) >= n_groups[:, None]
-    order = np.where(pad, order[:, :1], order[:, : pad.shape[1]])
-    group_action = np.where(pad, 0, np.take_along_axis(lowest, order, axis=1))
-    group_rows = [[per_group[p] for p in ids] for per_group, ids in zip(group_rows, order.tolist())]
-    n_rows = np.array([list(map(len, per_state)) for per_state in group_rows], dtype=np.intp)
-    candidates = np.zeros((*pad.shape, int(n_rows.max()), m))
+    n_groups = max(map(len, group_rows))
+    group_rows = [per + per[:1] * (n_groups - len(per)) for per in group_rows]
+    n_rows = np.array([[len(rows) for _, rows in per] for per in group_rows], dtype=np.intp)
+    candidates = np.zeros((m, n_groups, int(n_rows.max()), m))
     for k, per_state in enumerate(group_rows):
-        for g, rows in enumerate(per_state):
+        for g, (_, rows) in enumerate(per_state):
             candidates[k, g, : len(rows)] = rows
+    group_action = np.array([[a for a, _ in per] for per in group_rows], dtype=np.intp)
     return TeamMarkovGame(
         states=states,
         player_actions=player_actions,
-        action_group=number[at_state, provisional],
+        action_group=entry_group[at_state, entry],
         group_action=group_action,
         group_payoff=payoff[at_state, entry[at_state, group_action]],
         group_candidates=candidates,

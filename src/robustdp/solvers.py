@@ -311,9 +311,12 @@ SOLVERS = {
 
 
 def _rule_stack(game: TeamMarkovGame, rules) -> np.ndarray:
-    """``rules`` as an integer (R, m) array of joint actions, one rule per
-    row; ``ValueError`` for any other shape or dtype, or an action outside
-    [0, n_joint_actions)."""
+    """``rules``, one :class:`TeamDecisionRule` or an integer (R, m) array
+    of joint actions with one rule per row, as an integer (R, m) array
+    (R = 1 for one rule); ``ValueError`` for any other shape or dtype, or
+    an action outside [0, n_joint_actions)."""
+    if isinstance(rules, TeamDecisionRule):
+        rules = [rules.joint_actions]
     rules = np.asarray(rules)
     if rules.ndim != 2 or rules.shape[1] != game.m or rules.dtype.kind not in "iu":
         raise ValueError(
@@ -343,32 +346,27 @@ def evaluate_policy_robust(
     in sup norm, or its minimising rows repeat (the fixed point is reached
     to linear-solve precision).
 
-    ``rule`` is one :class:`TeamDecisionRule`, or an integer (R, m) array of
-    joint actions, one rule per row.  A stack runs as one loop: each round
-    scores every rule's candidate rows with one stacked matmul and solves
-    every unsettled rule's linear system with one batched solve, and a rule
-    leaves the stack in the round it settles.  Each rule's arithmetic is
-    that of its own evaluation, so every row of a stacked call is bit for
-    bit the one-rule result.
+    ``rule`` is one :class:`TeamDecisionRule`, which runs as a stack of one,
+    or an integer (R, m) array of joint actions, one rule per row.  A stack
+    runs as one loop: each round scores every rule's candidate rows with
+    one stacked matmul and solves every unsettled rule's linear system with
+    one batched solve, and a rule leaves the stack in the round it settles.
+    Each rule's arithmetic is its own, so a row of a stacked call is bit for
+    bit the result of evaluating that rule alone.
 
     Returns the value, the final per-state minimising row indices, and
     whether the rule settled: ``(m,)``, a tuple and a bool for one rule,
     ``(R, m)``, ``(R, m)`` and ``(R,)`` for a stack.  Rules still unsettled
     after ``ROBUST_EVAL_MAX_ROUNDS`` rounds return their last iterate with
-    ``False``, and the call logs one warning that counts them.  Raises
-    ``ValueError`` unless 0 <= lam < 1, or for an invalid rule.
+    ``False``, and the call logs one warning that counts them; an empty
+    stack returns at once.  Raises ``ValueError`` unless 0 <= lam < 1, or
+    for an invalid rule.
     """
     _check_lam(lam)
-    single = isinstance(rule, TeamDecisionRule)
-    if single:
-        game.validate_rule(rule)
-        acts = np.array(rule.joint_actions)
-    else:
-        acts = _rule_stack(game, rule)
-    m = game.m
+    acts = _rule_stack(game, rule)
+    n_rules, m = acts.shape
     states = np.arange(m)
     n_groups, n_cand = game.group_payoff_exp.shape[1:]
-    # One rule is a stack of leading shape (), so ``...`` spans the stack.
     # Flat indices of each rule's (state, group) pairs, gathered with
     # ``take``: one pass over a flat index is cheaper than fancy indexing.
     pair = states * n_groups + game.action_group[states, acts]
@@ -379,11 +377,14 @@ def evaluate_policy_robust(
     eye = np.zeros((m, m))
     eye.flat[:: m + 1] = 1.0
     v = np.zeros(acts.shape)
-    # ``left`` holds the stack positions of the rules still iterating, from
-    # the first round in which some but not all of them settle.
-    left = prev = None
+    value = np.empty(acts.shape)
+    rows = np.empty(acts.shape, dtype=np.intp)
+    settled = np.zeros(n_rules, dtype=bool)
+    # ``left`` holds the stack positions of the rules still iterating.
+    left = np.arange(n_rules)
+    prev = None
     for _ in range(ROBUST_EVAL_MAX_ROUNDS):
-        scores = (cand @ v[..., None, :, None])[..., 0]
+        scores = (cand @ v[:, None, :, None])[..., 0]
         scores *= lam
         scores += pe
         q = _min(scores, axis=-1)
@@ -392,22 +393,16 @@ def evaluate_policy_robust(
         np.abs(step, out=step)
         done = _max(step, axis=-1) < threshold
         n_done = np.count_nonzero(done)
-        if prev is not None and n_done < done.size:
+        if prev is not None and n_done < len(done):
             done |= _min(picked == prev, axis=-1)
             n_done = np.count_nonzero(done)
-        if n_done == done.size and left is None:
-            value, rows, settled = q, picked, done
+        # Checked first, so an empty stack leaves in its first round.
+        if n_done == len(done):
+            value[left], rows[left], settled[left] = q, picked, True
             break
         if n_done:
-            if left is None:
-                left = np.arange(len(done))
-                value = np.empty(q.shape)
-                rows = np.empty(q.shape, dtype=np.intp)
-                settled = np.zeros(len(done), dtype=bool)
             at = left[done]
             value[at], rows[at], settled[at] = q[done], picked[done], True
-            if n_done == done.size:
-                break
             keep = ~done
             left, q, picked = left[keep], q[keep], picked[keep]
             cand, pe, first_row = cand[keep], pe[keep], first_row[keep]
@@ -419,17 +414,14 @@ def evaluate_policy_robust(
         v = np.linalg.solve(a, b)[..., 0]
         prev = picked
     else:
-        if left is None:
-            value, rows, settled = q, picked, done
-        else:
-            value[left], rows[left] = q, picked
+        value[left], rows[left] = q, picked
         log.warning(
             "robust evaluation did not settle in %d rounds for %d of %d rules; "
             "returning the last iterates",
             ROBUST_EVAL_MAX_ROUNDS,
-            q.size // m,
-            acts.size // m,
+            len(left),
+            n_rules,
         )
-    if single:
-        return value, tuple(rows.tolist()), bool(settled)
+    if isinstance(rule, TeamDecisionRule):
+        return value[0], tuple(rows[0].tolist()), bool(settled[0])
     return value, rows, settled

@@ -306,7 +306,7 @@ def model_rows(game, rule, budget=DEFAULT_ENUMERATION_BUDGET):
     """Every per-state candidate-row choice of a rule, lexicographic.
     Raises BudgetExceededError up front when the product of the per-state
     candidate counts exceeds ``budget``."""
-    game.validate_rule(rule)
+    r.solvers._rule_stack(game, rule)
     counts = [int(game.group_n_rows[k, game.action_group[k, a]])
               for k, a in enumerate(rule.joint_actions)]
     total = math.prod(counts)

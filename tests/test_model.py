@@ -244,6 +244,18 @@ def test_joint_action_encoding(sizes):
             game.action_names(bad)
 
 
+@pytest.mark.parametrize("bad", [0.9, 1.7, "2", np.float64(1.0)])
+def test_decision_rule_rejects_non_integers(bad):
+    with pytest.raises(TypeError):
+        r.TeamDecisionRule((0, bad, 2))
+
+
+def test_decision_rule_takes_numpy_integers_as_ints():
+    rule = r.TeamDecisionRule(np.array([0, 3, 2]))
+    assert rule.joint_actions == (0, 3, 2)
+    assert all(type(a) is int for a in rule.joint_actions)
+
+
 class TestRowDistributionSet:
     """Checks that build_game makes on one candidate row set."""
 
@@ -515,10 +527,11 @@ class TestGroups:
 
 class TestArrayOwnership:
     def test_rssd_build_peak_memory(self):
-        # At n = 16 the (3, 2**16) ``action_group`` is 1.5 MB.  The build
-        # peaks while it and the provisional groups, a map of the same size,
-        # are both alive: 2.1 times its size.  A copy of ``action_group``
-        # took the peak to 3.1 times.
+        # At n = 16 the (3, 2**16) ``action_group`` is 1.5 MB, and it is
+        # the one (m, A) array the build makes: groups are numbered as they
+        # form, so ``action_group`` is gathered once from the per-entry
+        # groups, and the build peaks at 1.12 times its size.  A second map
+        # of the same size alive beside it takes the peak above 2 times.
         mu_set = tuple(0.09 * i / 16 for i in (1, 2, 3))
         params = r.RssdParams(n_players=16, mu_set=mu_set)
         tracemalloc.start()
@@ -527,7 +540,7 @@ class TestArrayOwnership:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * game.action_group.nbytes
+        assert peak < 1.5 * game.action_group.nbytes
 
     def test_game_freezes_a_view_not_the_callers_array(self):
         game = random_game(7)

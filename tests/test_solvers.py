@@ -418,12 +418,14 @@ class TestRobustEvaluation:
         assert "did not settle in 1 rounds" in caplog.text
         assert f"for {len(rules)} of {len(rules)} rules" in caplog.text
 
-    def test_empty_stack(self, rssd_game):
-        value, rows, settled = r.evaluate_policy_robust(
-            rssd_game, np.zeros((0, 3), dtype=int), 0.97
-        )
+    def test_empty_stack(self, rssd_game, caplog):
+        with caplog.at_level(logging.DEBUG, logger="robustdp.solvers"):
+            value, rows, settled = r.evaluate_policy_robust(
+                rssd_game, np.zeros((0, 3), dtype=int), 0.97
+            )
         assert value.shape == rows.shape == (0, 3)
         assert settled.shape == (0,)
+        assert not caplog.records
 
     @pytest.mark.parametrize(
         "rules",
@@ -434,8 +436,15 @@ class TestRobustEvaluation:
             np.zeros(3, dtype=int),
             np.array([[0, 0, 8]]),
             np.array([[0, -1, 0]]),
+            r.TeamDecisionRule((0, 0)),
+            r.TeamDecisionRule((0, 0, 0, 0)),
+            r.TeamDecisionRule((0, 0, 8)),
+            r.TeamDecisionRule((0, -1, 0)),
         ],
-        ids=["float", "bool", "short", "one-dim", "past-end", "negative"],
+        ids=[
+            "float", "bool", "short", "one-dim", "past-end", "negative",
+            "rule-short", "rule-long", "rule-past-end", "rule-negative",
+        ],
     )
     def test_invalid_stack_is_rejected(self, rules, rssd_game):
         with pytest.raises(ValueError, match="rules"):
