@@ -22,7 +22,8 @@ without one.  The perturbation bound is lambda * delta, so a perturbed mode
 with ``--lambda 0`` or ``--delta 0`` is rejected too: it would run exact
 backups under a perturbed label.  The Jacobi baselines terminate at the
 delta = 0 threshold, so ``solve`` rejects ``--delta`` for them, and ``solve``
-and ``bench-table1`` record their delta as 0.
+and ``bench-table1`` record their delta as 0.  ``ratvi`` and ``rvi`` run no
+evaluation sweeps, so ``solve`` rejects ``--mt`` for them.
 
 Exit codes: 0 on normal termination, 1 on input errors and on a game too
 large for memory, and 2 when a value the command writes is unsettled: a
@@ -69,6 +70,8 @@ log = logging.getLogger("robustdp.cli")
 DEFAULT_LAMBDAS = (0.95, 0.96, 0.97, 0.98, 0.99)
 #: The solvers that take a delta and an approximation mode.
 DELTA_ALGOS = ("ratpi", "ratvi")
+#: The solvers that run evaluation sweeps, so take ``--mt``.
+MT_ALGOS = ("ratpi", "rmpi")
 #: Evaluation-sweep counts benchmarked per discount factor; the last entry
 #: is the documented default for headline comparisons.
 DEFAULT_BENCH_MT = (1, 3, 5, 10, 50)
@@ -130,7 +133,7 @@ def _solver_params(args, algo: str, **extra) -> SolverParams:
             _default_delta(algo, args.lam, args.epsilon)
             if args.delta is None else args.delta
         ),
-        mt_schedule=_parse_mt(args.mt),
+        mt_schedule=_parse_mt(args.mt_default if args.mt is None else args.mt),
         v0_mode=_parse_v0(args.v0),
         **extra,
     )
@@ -177,6 +180,11 @@ def _write_trace_csv(path, game: TeamMarkovGame, results: list[SolverResult]) ->
 
 
 def cmd_solve(args) -> int:
+    if args.algo not in MT_ALGOS and args.mt is not None:
+        raise CliInputError(
+            f"--mt {args.mt!r}: {args.algo} runs no evaluation sweeps; "
+            f"only {' and '.join(MT_ALGOS)} take --mt"
+        )
     if args.algo not in DELTA_ALGOS:
         if args.approx_mode != "identity":
             raise CliInputError(
@@ -408,8 +416,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--delta", type=float, default=None,
                        help="approximation tolerance parameter "
                             "(default 0.99 of its upper bound)")
-        p.add_argument("--mt", default=mt_default,
-                       help="evaluation sweeps per step: integer or comma list")
+        p.add_argument("--mt", default=None,
+                       help="evaluation sweeps per step: integer or comma list "
+                            f"(default {mt_default})")
+        p.set_defaults(mt_default=mt_default)
         p.add_argument("--v0", default="remark1",
                        help="initial value: remark1 | zeros | file:PATH")
 

@@ -73,6 +73,18 @@ def _is_number(x, kind=(int, float)) -> bool:
     return type(x) is not bool and isinstance(x, kind)
 
 
+def _count(x, name: str) -> int:
+    """``x`` read with ``operator.index``; ``TypeError`` naming ``name`` for
+    a bool, which ``operator.index`` would read as 0 or 1, and for anything
+    else that is not an integer, such as a float or a str."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {x!r}")
+
+
 def _fits_double(x) -> bool:
     """Whether ``float(x)`` gives a double: False for an integer beyond
     double range, which JSON can spell but ``float`` cannot convert."""

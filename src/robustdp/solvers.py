@@ -2,7 +2,11 @@
 
 Four solvers share one skeleton: run an improvement sweep, test the
 termination residual, then run a configurable number of cheaper evaluation
-sweeps under the rule and worst-case rows the improvement recorded.
+sweeps under the rule and worst-case rows the improvement recorded.  The
+dense (P, r) of those is gathered again only when the rule or the rows
+differ from the last gather, and a step's Gauss-Seidel evaluation sweeps
+run in one call; the results are bit for bit those of a fresh gather and
+one call per sweep.
 
 * ``ratpi`` - Gauss-Seidel improvement + Gauss-Seidel partial evaluation.
 * ``ratvi`` - ratpi with zero evaluation sweeps per step.
@@ -26,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import TeamDecisionRule, TeamMarkovGame
+from .model import TeamDecisionRule, TeamMarkovGame, _count
 from .perturb import PerturbationOracle
 from .sweeps import (
     evaluation_sweep,
@@ -74,7 +78,9 @@ class SolverParams:
     ``mt_schedule`` gives the number of partial-evaluation sweeps per step:
     a constant, or a list indexed by step with its last entry repeated.  A
     run without a perturbation oracle whose residual fails to fall drops
-    its sweeps for the rest of the run (see :func:`_run`).
+    its sweeps for the rest of the run (see :func:`_run`).  Its entries and
+    ``max_iterations`` are integers, read with ``operator.index``: a bool,
+    a str or a float is a ``TypeError``.  ``epsilon`` is positive and finite.
     ``v0_mode`` selects the initial value function: ``"remark1"`` fills
     every state with min payoff / (1 - lam), which keeps the maximin update
     residual nonnegative and hence the iterates monotone; ``"zeros"`` starts
@@ -90,23 +96,30 @@ class SolverParams:
 
     def __post_init__(self):
         _check_lam(self.lam)
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
+        if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
+            raise ValueError(
+                f"epsilon must be positive and finite, got {self.epsilon!r}"
+            )
         bound = max_delta(self.lam, self.epsilon)
         if not 0.0 <= self.delta < bound:
             raise ValueError(
                 f"delta must satisfy 0 <= delta < {bound!r}, got {self.delta!r}"
             )
-        if self.max_iterations < 1:
+        max_iterations = _count(self.max_iterations, "max_iterations")
+        if max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        if isinstance(self.mt_schedule, int):
-            if self.mt_schedule < 0:
+        object.__setattr__(self, "max_iterations", max_iterations)
+        sched = self.mt_schedule
+        # A str is iterable, but "35" is no schedule (3, 5).
+        if isinstance(sched, str) or not np.iterable(sched):
+            sched = _count(sched, "mt_schedule")
+            if sched < 0:
                 raise ValueError("mt_schedule must be nonnegative")
         else:
-            sched = tuple(int(x) for x in self.mt_schedule)
+            sched = tuple(_count(x, "mt_schedule entry") for x in sched)
             if not sched or any(x < 0 for x in sched):
                 raise ValueError("mt_schedule list must be nonempty and nonnegative")
-            object.__setattr__(self, "mt_schedule", sched)
+        object.__setattr__(self, "mt_schedule", sched)
 
 
 def _mt_at(schedule: MtSchedule, t: int) -> int:
@@ -226,6 +239,9 @@ def _run(
     v = initial_value(game, params)
     trace = SolverTrace()
     last_rule: TeamDecisionRule | None = None
+    # The (rule, rows) whose (P, r) were gathered last: on a run's tail the
+    # improvement sweeps record the same ones step after step.
+    gathered = None
     for t in range(params.max_iterations):
         if gauss_seidel:
             sweep = improvement_sweep(game, v, lam, approx, t)
@@ -251,15 +267,25 @@ def _run(
         u = sweep.u0
         mt = _mt_at(params.mt_schedule, t) if sweeps_on else 0
         if mt:
-            P, r = fixed_model_arrays(game, sweep.rule, sweep.worst_model)
-            for s in range(1, mt + 1):
-                if not gauss_seidel:
-                    u = r + lam * (P @ u)
-                    continue
+            model = (sweep.rule.joint_actions, sweep.worst_model)
+            if model != gathered:
+                P, r = fixed_model_arrays(game, sweep.rule, sweep.worst_model)
+                gathered = model
+            if gauss_seidel:
                 noise = None
                 if approx is not None:
-                    noise = approx.perturb(t, s, enumerate(sweep.rule.joint_actions))
-                u = evaluation_sweep(P, r, u, lam, noise)
+                    queries = list(enumerate(sweep.rule.joint_actions))
+                    noise = np.array(
+                        [approx.perturb(t, s, queries) for s in range(1, mt + 1)]
+                    )
+                u = evaluation_sweep(P, r, u, lam, noise, mt)
+            else:
+                for _ in range(mt):
+                    # ``@`` returns a fresh array, so no traced value is
+                    # overwritten; the in-place steps round as r + lam * (P @ u).
+                    u = P @ u
+                    u *= lam
+                    u += r
         v = u
     assert last_rule is not None
     value, worst, settled = evaluate_policy_robust(game, last_rule, lam)

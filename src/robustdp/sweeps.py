@@ -33,14 +33,16 @@ Jacobi variants (Q = I, R = lam*P) keep the incoming value fixed for the
 whole sweep, so one kernel call backs up every state at once.
 
 The evaluation sweeps of a step all run under the rule and worst-case rows
-its improvement sweep recorded.  So the solver gathers that step's dense
-(P, r) once with :func:`fixed_model_arrays`, and every evaluation sweep of
-the step, Gauss-Seidel or Jacobi, reads those arrays; the row of state k is
+its improvement sweep recorded.  So the solver gathers the dense (P, r) of
+those with :func:`fixed_model_arrays`, only when they differ from the last
+gather, and every evaluation sweep of the step, Gauss-Seidel or Jacobi,
+reads those arrays; the row of state k is
 ``P[k] = group_candidates[k, action_group[k, rule[k]], rows[k]]``, so the
-sweep computes the same ``r[k] + lam * (P[k] @ w)`` the kernel would.  One
-oracle call draws a whole sweep's noise before the sweep backs up any state;
-only the locked action's value, chosen as the sweep goes, takes one call per
-state.
+sweep computes the same ``r[k] + lam * (P[k] @ w)`` the kernel would.  A
+step's Gauss-Seidel evaluation sweeps run in one :func:`evaluation_sweep`
+call.  One oracle call draws a whole sweep's noise, before the sweep backs
+up any state; only the locked action's value, chosen as the sweep goes,
+takes one call per state.
 
 The module holds only what the solvers and the CLI run.  The slow
 references the tests hold these operators to (the per-(state, action)
@@ -52,15 +54,21 @@ selection break to the lowest index (``argmax``/``argmin``), so traces replay
 exactly; action comparison is exact floating comparison with no epsilon
 fuzz.  Row scores use BLAS, never ``einsum`` or a multiply-then-sum: those
 round differently, and results and traces must replay bit for bit.  The
-kernel scores stacked rows with ``@``; an evaluation sweep scores one
-gathered row with ``ndarray.dot``, which runs the same ``dot`` routine numpy
-picks for a vector @ vector product, without ``matmul``'s dispatch cost.
+kernel scores stacked rows with ``@``, one matrix-vector product per
+(state, group) block of Kmax rows.  It never scores a state's groups as one
+flat (G*Kmax, m) block, because BLAS rounds a row's product differently
+depending on how many rows it is given: with numpy 2.4 and OpenBLAS 0.3.31
+a flat block changes the bits of games whose candidate sets are all
+singletons, and of m = 150 games at Kmax = 3.  An evaluation sweep scores
+one gathered row with ``ndarray.dot``, which runs the same ``dot`` routine
+numpy picks for a vector @ vector product, without ``matmul``'s dispatch
+cost.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -160,22 +168,35 @@ def evaluation_sweep(
     r: np.ndarray,
     u: np.ndarray,
     lam: float,
-    noise: Sequence[float] | None = None,
+    noise: np.ndarray | None = None,
+    sweeps: int = 1,
 ) -> np.ndarray:
-    """One Gauss-Seidel sweep under a fixed rule and fixed worst-case rows.
+    """``sweeps`` Gauss-Seidel sweeps under a fixed rule and fixed
+    worst-case rows.
 
     ``(P, r)`` are the rule's transition matrix and expected one-step
     payoffs under those rows, as :func:`fixed_model_arrays` gathers them.
     Freshly written values feed the remaining states of the same sweep, so
-    without ``noise`` this is exactly the forward substitution solve of
-    (I - lam*P_lower) x = r + lam*P_upper u.  ``noise[k]``, when given, is
-    added to state k's value as it is written: the perturbation oracle's
-    draw for that state's query.
+    without ``noise`` each sweep is exactly the forward substitution solve
+    of (I - lam*P_lower) x = r + lam*P_upper u.  ``noise``, when given, is
+    an array of ``sweeps`` rows, one per sweep: ``noise[s, k]`` is added to
+    state k's value as sweep s writes it, the perturbation oracle's draw for
+    that state's query (a flat row of m draws serves one sweep).  The rows
+    of ``P`` and the payoffs are unpacked once for all the sweeps, so
+    ``sweeps`` sweeps in one call give the bits of ``sweeps`` chained
+    one-sweep calls.
     """
     w = np.array(u, dtype=float)
-    for k in range(len(w)):
-        val = r[k] + lam * P[k].dot(w)
-        w[k] = val if noise is None else val + noise[k]
+    if noise is not None:
+        noise = np.reshape(noise, (sweeps, len(w)))
+    rows, rew = list(P), r.tolist()
+    for s in range(sweeps):
+        if noise is None:
+            for k, (row, r_k) in enumerate(zip(rows, rew)):
+                w[k] = r_k + lam * row.dot(w)
+        else:
+            for k, (row, r_k, eta) in enumerate(zip(rows, rew, noise[s].tolist())):
+                w[k] = r_k + lam * row.dot(w) + eta
     return w
 
 

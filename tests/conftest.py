@@ -1,8 +1,9 @@
 """Shared games and the slow references the tests hold the package to.
 
 The references are deliberately naive: exhaustive enumeration of rules and
-models, dense solves, per-(state, action) loops, and the social-dilemma
-payoff conditions of the ``rssd`` benchmark.  Every model is gathered
+models, dense solves, per-(state, action) loops, the solvers' step loop
+with a fresh gather and one call per evaluation sweep, and the
+social-dilemma payoff conditions of the ``rssd`` benchmark.  Every model is gathered
 through ``fixed_model_arrays``, the same gather the solvers use, and every
 enumeration raises ``BudgetExceededError`` up front when it would exceed
 its budget.  ``per_action`` reads the packed game per joint action.
@@ -366,6 +367,52 @@ def greedy_multistep(game, v, extra_sweeps, lam):
     for _ in range(int(extra_sweeps)):
         u = r.evaluation_sweep(P, rew, u, lam)
     return u
+
+
+def reference_run(game, params, approx=None, gauss_seidel=True, algo="ratpi"):
+    """The solvers' step loop in its plainest form, as a ``SolverResult``:
+    every step gathers its (P, r) afresh, runs each Gauss-Seidel evaluation
+    sweep as its own one-sweep ``evaluation_sweep`` call with that sweep's
+    noise drawn just before it, and each Jacobi one as ``r + lam * (P @ u)``.
+    The improvement sweeps are the package's, which ``test_kernel.py`` holds
+    to per-action loops.  An exact run whose residual fails to fall stops
+    its evaluation sweeps, as the solvers' does.  ``ratvi`` and ``rvi`` are
+    this with ``mt_schedule=0``."""
+    lam = params.lam
+    delta = params.delta if gauss_seidel else 0.0
+    threshold = r.solvers.termination_threshold(lam, params.epsilon, delta)
+    v = r.solvers.initial_value(game, params)
+    trace = r.solvers.SolverTrace()
+    sweeps_on = True
+    for t in range(params.max_iterations):
+        if gauss_seidel:
+            u, rule, rows = r.improvement_sweep(game, v, lam, approx, t)
+        else:
+            u, rule, rows = r.jacobi_improvement_sweep(game, v, lam)
+        residual = float(np.max(np.abs(u - v)))
+        trace.residuals.append(residual)
+        trace.values.append(v)
+        if residual < threshold:
+            value, worst, settled = r.evaluate_policy_robust(game, rule, lam)
+            return r.SolverResult(algo, rule, worst, value, t, True, settled, trace)
+        if approx is None and t and residual >= trace.residuals[-2]:
+            sweeps_on = False
+        mt = r.solvers._mt_at(params.mt_schedule, t) if sweeps_on else 0
+        if mt:
+            P, rew = fixed_model_arrays(game, rule, rows)
+        for s in range(1, mt + 1):
+            if not gauss_seidel:
+                u = rew + lam * (P @ u)
+                continue
+            noise = None
+            if approx is not None:
+                noise = approx.perturb(t, s, enumerate(rule.joint_actions))
+            u = r.evaluation_sweep(P, rew, u, lam, noise)
+        v = u
+    value, worst, settled = r.evaluate_policy_robust(game, rule, lam)
+    return r.SolverResult(
+        algo, rule, worst, value, params.max_iterations, False, settled, trace
+    )
 
 
 @functools.cache

@@ -437,6 +437,38 @@ def test_jacobi_solve_records_delta_zero(algo, rssd_file, tmp_path):
     assert json.loads(out.read_text())["config"]["delta"] == 0.0
 
 
+@pytest.mark.parametrize("algo", ["ratvi", "rvi"])
+@pytest.mark.parametrize("mt", ["3", "0", "5"])
+def test_mt_without_evaluation_sweeps_exits_1(algo, mt, rssd_file, tmp_path, capsys):
+    """ratvi and rvi run no evaluation sweeps, so an explicit --mt is an
+    input error, even one that names the default."""
+    code, out = run_solve(rssd_file, tmp_path, algo, "--algo", algo, "--mt", mt)
+    assert code == 1 and not out.exists()
+    err = capsys.readouterr().err
+    assert err == (
+        f"--mt {mt!r}: {algo} runs no evaluation sweeps; only ratpi and rmpi take --mt\n"
+    )
+
+
+@pytest.mark.parametrize("algo", ["ratpi", "rmpi"])
+def test_mt_is_recorded_for_sweeping_solvers(algo, rssd_file, tmp_path):
+    code, out = run_solve(
+        rssd_file, tmp_path, algo, "--algo", algo, "--mt", "3",
+        "--lambda", "0.9", "--epsilon", "1e-4",
+    )
+    assert code == 0
+    assert json.loads(out.read_text())["config"]["mt"] == 3
+
+
+@pytest.mark.parametrize("epsilon", ["inf", "nan", "0", "-1"])
+def test_epsilon_must_be_positive_and_finite(epsilon, rssd_file, tmp_path, capsys):
+    code, out = run_solve(rssd_file, tmp_path, "eps", "--epsilon", epsilon)
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err == (
+        f"epsilon must be positive and finite, got {float(epsilon)!r}\n"
+    )
+
+
 def test_trace_fig1_formats_and_agreement(tmp_path):
     out_dir = tmp_path / "fig"
     code = main(

@@ -1,4 +1,5 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from conftest import (
     mdp_game,
     per_action,
     random_game,
+    reference_run,
     robust_value_by_model_enumeration,
     singleton_game,
     two_state_chain,
@@ -40,6 +42,32 @@ class TestParams:
             r.SolverParams(lam=0.9, epsilon=1e-5, delta=bound)
         with pytest.raises(ValueError, match="delta"):
             r.SolverParams(lam=0.9, epsilon=1e-5, delta=-1e-9)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"mt_schedule": "35"}, {"mt_schedule": [1.7]}, {"mt_schedule": True},
+            {"mt_schedule": (2, False)}, {"mt_schedule": 2.0},
+            {"max_iterations": 2.5}, {"max_iterations": True}, {"max_iterations": "10"},
+        ],
+        ids=repr,
+    )
+    def test_counts_must_be_integers(self, kwargs):
+        with pytest.raises(TypeError, match=next(iter(kwargs))):
+            r.SolverParams(lam=0.5, epsilon=1e-6, **kwargs)
+
+    def test_counts_are_read_as_ints(self):
+        params = r.SolverParams(
+            lam=0.5, epsilon=1e-6, mt_schedule=np.int64(3), max_iterations=np.int32(7)
+        )
+        assert type(params.mt_schedule) is int and type(params.max_iterations) is int
+        params = r.SolverParams(lam=0.5, epsilon=1e-6, mt_schedule=np.array([1, 2]))
+        assert params.mt_schedule == (1, 2)
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1e-5, float("inf"), float("nan")])
+    def test_epsilon_must_be_positive_and_finite(self, epsilon):
+        with pytest.raises(ValueError, match="^epsilon must be positive and finite"):
+            r.SolverParams(lam=0.9, epsilon=epsilon)
 
     def test_discount_range(self):
         with pytest.raises(ValueError, match="lam"):
@@ -249,6 +277,80 @@ def test_rmpi_terminates_on_three_state_game():
     assert res.terminated
     v_star = r.brute_force_maximin(game, 0.9).v_star
     assert r.sup_norm(res.value - v_star) <= 1e-6
+
+
+def assert_same_run(result, ref):
+    """Two runs agree bit for bit: values, both traces, rules, rows,
+    iterations and the termination and settling flags."""
+    assert result.value.tobytes() == ref.value.tobytes()
+    assert result.policy == ref.policy
+    assert result.worst_model == ref.worst_model
+    assert (result.iterations, result.terminated, result.settled) == (
+        ref.iterations, ref.terminated, ref.settled
+    )
+    assert np.array(result.trace.residuals).tobytes() == np.array(ref.trace.residuals).tobytes()
+    assert len(result.trace.values) == len(ref.trace.values)
+    for got, want in zip(result.trace.values, ref.trace.values):
+        assert got.tobytes() == want.tobytes()
+
+
+#: (solver, Gauss-Seidel, perturbation mode, argmax_lock); mode None is exact.
+RUN_CASES = [
+    *((algo, algo in ("ratpi", "ratvi"), None, False) for algo in SOLVERS),
+    *((algo, True, mode, lock)
+      for algo in ("ratpi", "ratvi")
+      for mode, lock in (("uniform_noise", False), ("uniform_noise", True),
+                         ("adversarial_extremes", False))),
+]
+
+
+@given(
+    games(),
+    st.sampled_from([0.0, 0.5, 0.99]),
+    st.sampled_from(RUN_CASES),
+    st.sampled_from([0, 1, 3, (2, 0, 5)]),
+    st.sampled_from(["remark1", "zeros", "random"]),
+    st.integers(0, 2**16),
+)
+@settings(max_examples=150, deadline=None)
+def test_solvers_match_reference_run(game, lam, case, mt, v0, seed):
+    """Each solver, exact and under each perturbed mode, replays the plain
+    step loop of ``reference_run`` bit for bit.  A random start makes the
+    rules and rows change from step to step; runs at lam 0.99 stop at the
+    iteration cap."""
+    algo, gauss_seidel, mode, lock = case
+    eps = 1e-6
+    if v0 == "random":
+        v0 = np.random.default_rng(seed).uniform(-20, 20, game.m)
+    params = r.SolverParams(
+        lam=lam, epsilon=eps, delta=0.99 * r.max_delta(lam, eps) if lam else 0.0,
+        mt_schedule=mt, v0_mode=v0, max_iterations=200,
+    )
+    approx = None
+    if mode is not None and lam:
+        approx = r.PerturbationOracle(mode, lam * params.delta, seed=seed, argmax_lock=lock)
+    ref_params = params if algo in ("ratpi", "rmpi") else replace(params, mt_schedule=0)
+    ref = reference_run(game, ref_params, approx, gauss_seidel, algo)
+    if gauss_seidel:
+        result = SOLVERS[algo](game, params, approx)
+    else:
+        result = SOLVERS[algo](game, params)
+    assert_same_run(result, ref)
+
+
+@pytest.mark.parametrize("algo", ["ratpi", "rmpi"])
+def test_rows_that_change_under_a_fixed_rule_are_gathered_again(algo):
+    """A one-action game has one rule, but from v0 = (10, 0) the adversary
+    in s1 first moves to s2 and then stays: the step that keeps the rule
+    must still gather the new rows."""
+    game = two_state_chain()
+    params = r.SolverParams(lam=0.9, epsilon=1e-6, mt_schedule=3, v0_mode=(10.0, 0.0))
+    gauss_seidel = algo == "ratpi"
+    ref = reference_run(game, params, None, gauss_seidel, algo)
+    sweep = r.improvement_sweep if gauss_seidel else r.jacobi_improvement_sweep
+    seen = [sweep(game, v, params.lam).worst_model for v in ref.trace.values[:2]]
+    assert seen == [(1, 0), (0, 0)]
+    assert_same_run(SOLVERS[algo](game, params), ref)
 
 
 @given(

@@ -9,6 +9,7 @@ from conftest import (
     enumerate_decision_rules,
     enumerate_policy_models,
     evaluate_policy_exact,
+    games,
     greedy_multistep,
     gs_backup,
     gs_splitting,
@@ -146,6 +147,67 @@ class TestEvaluationSweep:
             u = rng.uniform(-10, 10, game.m)
             swept = r.evaluation_sweep(P, rew, u, LAM)
             assert np.allclose(swept, dense_gs_step(P, rew, u, LAM), atol=1e-12)
+
+
+ORACLES = st.sampled_from(
+    [
+        None,
+        r.PerturbationOracle("uniform_noise", 0.05, seed=3),
+        r.PerturbationOracle("adversarial_extremes", 0.05),
+    ]
+)
+
+
+@given(
+    games(), st.sampled_from([0.0, 0.5, 0.99]), ORACLES, st.integers(1, 6),
+    st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_sweeps_in_one_call_match_chained_calls(game, lam, approx, mt, seed):
+    """``sweeps=mt`` with one noise row per sweep gives the bits of mt
+    chained one-sweep calls, each given its own row."""
+    rng = np.random.default_rng(seed)
+    rule = r.TeamDecisionRule(rng.integers(0, game.n_joint_actions, game.m))
+    counts = per_action(game, game.group_n_rows)[np.arange(game.m), list(rule.joint_actions)]
+    rows = tuple(int(rng.integers(0, n)) for n in counts)
+    P, rew = fixed_model_arrays(game, rule, rows)
+    u = rng.uniform(-20, 20, game.m)
+    noise = None
+    if approx is not None:
+        queries = list(enumerate(rule.joint_actions))
+        noise = np.array([approx.perturb(seed, s, queries) for s in range(1, mt + 1)])
+    chained = u
+    for s in range(mt):
+        chained = r.evaluation_sweep(
+            P, rew, chained, lam, None if noise is None else noise[s]
+        )
+    start = u.copy()
+    swept = r.evaluation_sweep(P, rew, u, lam, noise, mt)
+    assert swept.tobytes() == chained.tobytes()
+    assert u.tobytes() == start.tobytes()
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.99])
+def test_singleton_sets_score_one_block_per_group(lam):
+    """The kernel's scores are those of one product per (state, group)
+    block, written out here; on these all-singleton games a product of a
+    state's groups as one flat block rounds differently."""
+    for seed in range(20):
+        game = mdp_game(seed, m=4, n_actions=3)
+        w = np.random.default_rng(seed).uniform(-20, 20, game.m)
+        expected = w.copy()
+        pe, cand = game.group_payoff_exp, game.group_candidates
+        for k in range(game.m):
+            scores = np.stack([cand[k, g] @ expected for g in range(len(pe[k]))])
+            expected[k] = np.minimum.reduce(pe[k] + lam * scores, axis=-1).max()
+        assert r.improvement_sweep(game, w, lam).u0.tobytes() == expected.tobytes()
+
+
+def test_noise_must_hold_one_row_per_sweep():
+    game = two_state_chain()
+    P, rew = fixed_model_arrays(game, r.TeamDecisionRule((0, 0)), (1, 0))
+    with pytest.raises(ValueError):
+        r.evaluation_sweep(P, rew, np.zeros(2), 0.5, np.zeros((2, 2)), 3)
 
 
 class TestGsPolicyUpdate:
