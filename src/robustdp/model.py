@@ -19,10 +19,10 @@ out of 2**n joint actions.  States with fewer groups than the widest state
 are padded with groups that never win a maximum (see
 :class:`TeamMarkovGame`).  The builder takes payoffs and row sets per
 entry, with a map from each joint action to its entry, and checks each
-distinct row-set object of a state once.  ``build_rssd`` passes n + 1
-entries per state and maps each of the 2**n joint actions to its
-cooperator count, so it pays for n + 1 checks and a few array passes over
-the map, not a Python step per joint action.
+entry's row set once.  ``build_rssd`` passes n + 1 entries per state and
+maps each of the 2**n joint actions to its cooperator count, so it pays
+for n + 1 checks and a few array passes over the map, not a Python step
+per joint action.
 
 Instances are immutable after validation and safe to share across concurrent
 solver runs.
@@ -95,16 +95,21 @@ def _fits_double(x) -> bool:
     return True
 
 
-def _non_numbers(rows) -> list[str]:
-    """What JSON candidate rows (a list of lists) hold that
-    ``np.array(..., dtype=float)`` would read as numbers: ``"true/false"``,
-    ``"strings"``, both or neither.  Anything else is left to
-    :func:`_clean_rows`, which reports its shape."""
+def _non_numbers(rows) -> str:
+    """What a raw row set holds that ``np.array(..., dtype=float)`` would read
+    as numbers: ``"true/false"``, ``"strings"``, both joined by ``" or "``,
+    or ``""``.  Lists, tuples and object arrays are scanned element by
+    element, other arrays by dtype, and any other input is left to numpy."""
+    if isinstance(rows, np.ndarray) and rows.dtype.kind != "O":
+        return {"b": "true/false", "S": "strings", "U": "strings"}.get(rows.dtype.kind, "")
+    if not isinstance(rows, (list, tuple, np.ndarray)):
+        return ""
     try:
         types = set(map(type, itertools.chain.from_iterable(rows)))
     except TypeError:
-        return []
-    return [what for kind, what in ((bool, "true/false"), (str, "strings")) if kind in types]
+        return ""
+    kinds = (((bool, np.bool_), "true/false"), ((str, bytes), "strings"))
+    return " or ".join(what for of, what in kinds if any(issubclass(t, of) for t in types))
 
 
 def sup_norm(v) -> float:
@@ -114,14 +119,17 @@ def sup_norm(v) -> float:
 
 @dataclass(frozen=True)
 class TeamDecisionRule:
-    """Deterministic map from state index to joint-action index."""
+    """Deterministic map from state index to joint-action index (no bools)."""
 
     joint_actions: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "joint_actions", tuple(map(operator.index, self.joint_actions))
-        )
+        # operator.index reads True as 1; a rule is built on every
+        # improvement sweep, so the check stays one C-level pass.
+        actions = tuple(self.joint_actions)
+        if bool in map(type, actions):
+            raise TypeError(f"joint actions must not be bools: {actions!r}")
+        object.__setattr__(self, "joint_actions", tuple(map(operator.index, actions)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,11 +253,11 @@ def build_game(
     (state, entry), and a finite ``r_max`` (computed as max |payoff| when
     omitted) no smaller than any payoff.  A row set is an array-like of raw
     candidate rows, or ``None`` for a pair the input does not list; each
-    set is checked and cleaned by :func:`_clean_rows`, once per state for
-    each distinct object: entries of a state given the same object share
-    one check, and a bad set gets one error line per pair that maps to it.
-    Actions of a state whose payoff and cleaned rows are the same bytes are
-    packed as one group of ``TeamMarkovGame.group_candidates``.  Raises
+    entry's set is checked and cleaned once by :func:`_clean_rows`, which
+    also rejects ``true``/``false`` and strings inside it, and a bad set
+    gets one error line per pair that maps to it.  Actions of a state whose
+    payoff and cleaned rows are the same bytes are packed as one group of
+    ``TeamMarkovGame.group_candidates``.  Raises
     :class:`GameValidationError` listing every problem found; problems with
     the header (players, states, action sets) or with the shapes and
     indices of ``payoff`` and ``action_entry`` are reported without the
@@ -326,33 +334,17 @@ def build_game(
         errors.append(f"uncertainty must provide one row set per (state, {unit})")
     else:
         for k in range(m):
-            # Inputs often pass one row-set object to many entries of a
-            # state, so each object is cleaned once per state, and equal
-            # cleaned sets share one array, whose id stands for its bytes.
-            # The memo holds each object, so the id of a temporary (a view
-            # of an array, say) is not reused while the state is built.
-            checked: dict[int, tuple[object, np.ndarray | str]] = {}
-            distinct: dict[bytes, np.ndarray] = {}
-            groups: dict[tuple[bytes, int], int] = {}
+            groups: dict[tuple[bytes, bytes], int] = {}
             bad: dict[int, str] = {}
             per_group: list[tuple[int, np.ndarray]] = []
             row_sets, first = uncertainty_rows[k], lowest[k].tolist()
             for e in np.argsort(lowest[k], kind="stable").tolist():
-                raw = row_sets[e]
-                memo = checked.get(id(raw))
-                if memo is None:
-                    try:
-                        rows = _clean_rows(raw, m)
-                    except ValueError as exc:
-                        rows = str(exc)
-                    else:
-                        rows = distinct.setdefault(rows.tobytes(), rows)
-                    memo = checked[id(raw)] = raw, rows
-                rows = memo[1]
-                if isinstance(rows, str):
-                    bad[e] = rows
+                try:
+                    rows = _clean_rows(row_sets[e], m)
+                except ValueError as exc:
+                    bad[e] = str(exc)
                     continue
-                key = (payoff[k, e].tobytes(), id(rows))
+                key = (payoff[k, e].tobytes(), rows.tobytes())
                 g = entry_group[k, e] = groups.setdefault(key, len(groups))
                 if g == len(per_group):
                     per_group.append((first[e], rows))
@@ -402,13 +394,17 @@ def build_game(
 def _clean_rows(raw, m: int) -> np.ndarray:
     """One (state, joint action) pair's candidate rows as an (n, m) array.
 
-    Rows must form a nonempty 2-D array of finite entries, each row of
-    length m.  Entries in [NEGATIVE_CLAMP, 0) are clamped to 0; rows are
-    renormalised only when their sum is already within ``STOCHASTIC_ATOL``,
-    and rejected otherwise (silent renormalisation would mask data errors).
+    Rows must form a nonempty 2-D array of finite numbers, not bools or
+    strings, each row of length m.  Entries in [NEGATIVE_CLAMP, 0) are
+    clamped to 0; rows are renormalised only when their sum is already within
+    ``STOCHASTIC_ATOL``, and rejected otherwise (silent renormalisation would
+    mask data errors).
     """
     if raw is None:
         raise ValueError("missing entry")
+    what = _non_numbers(raw)
+    if what:
+        raise ValueError(f"rows must hold numbers, not {what}")
     try:
         arr = np.array(raw, dtype=float)
     except TypeError as e:
@@ -487,11 +483,10 @@ def validate_game(raw: Mapping) -> TeamMarkovGame:
     ``states`` is an array of names and ``player_actions`` an array of
     arrays of names, that entries name known states and give one in-range
     action index per player, per-player ``r`` lists, duplicate entries,
-    unlisted payoff triples when ``default_payoff`` is absent, ``true``,
-    ``false`` or strings inside candidate ``rows``, and the type of
-    ``r_max``.  Every other check (player count, duplicate or empty names,
-    candidate rows, missing uncertainty entries, ``r_max`` against the
-    payoffs) is :func:`build_game`'s.  One
+    unlisted payoff triples when ``default_payoff`` is absent, and the type
+    of ``r_max``.  Every other check (player count, duplicate or empty
+    names, candidate rows and the numbers in them, missing uncertainty
+    entries, ``r_max`` against the payoffs) is :func:`build_game`'s.  One
     :class:`GameValidationError` lists this function's errors followed by
     those of :func:`build_game`.
 
@@ -631,12 +626,7 @@ def validate_game(raw: Mapping) -> TeamMarkovGame:
             errors.append(f"{where}: duplicate entry for this (s, a)")
             continue
         listed.add((si, ai))
-        rows = grid[si][ai] = ent.get("rows")
-        for what in _non_numbers(rows):
-            errors.append(
-                f"uncertainty[state={states[si]!r}, action={tuple(ent['a'])}]: "
-                f"rows must hold numbers, not {what}"
-            )
+        grid[si][ai] = ent.get("rows")
     r_max = raw.get("r_max")
     if r_max is not None and not _is_number(r_max):
         errors.append("r_max must be a number")

@@ -84,7 +84,7 @@ class SolverParams:
     ``v0_mode`` selects the initial value function: ``"remark1"`` fills
     every state with min payoff / (1 - lam), which keeps the maximin update
     residual nonnegative and hence the iterates monotone; ``"zeros"`` starts
-    at 0; an explicit array is used as given.
+    at 0; a finite 1-D vector of numbers, not bools, is used as given.
     """
 
     lam: float
@@ -120,6 +120,18 @@ class SolverParams:
             if not sched or any(x < 0 for x in sched):
                 raise ValueError("mt_schedule list must be nonempty and nonnegative")
         object.__setattr__(self, "mt_schedule", sched)
+        v0 = self.v0_mode
+        if isinstance(v0, str):
+            if v0 not in ("remark1", "zeros"):
+                raise ValueError(f"unknown v0_mode {v0!r}")
+        else:
+            arr = np.asarray(v0)
+            # A bool among numbers would be read as 0 or 1.
+            if (arr.ndim != 1 or arr.dtype.kind not in "iuf"
+                    or any(isinstance(x, (bool, np.bool_)) for x in v0)
+                    or not np.isfinite(arr).all()):
+                raise ValueError("explicit v0 must be a finite 1-D vector of numbers")
+            object.__setattr__(self, "v0_mode", tuple(arr.astype(float).tolist()))
 
 
 def _mt_at(schedule: MtSchedule, t: int) -> int:
@@ -131,19 +143,15 @@ def _mt_at(schedule: MtSchedule, t: int) -> int:
 def initial_value(game: TeamMarkovGame, params: SolverParams) -> np.ndarray:
     """Initial value function selected by ``params.v0_mode``."""
     mode = params.v0_mode
-    if isinstance(mode, str):
-        if mode == "remark1":
-            floor = float(game.group_payoff.min()) / (1.0 - params.lam)
-            return np.full(game.m, floor)
-        if mode == "zeros":
-            return np.zeros(game.m)
-        raise ValueError(f"unknown v0_mode {mode!r}")
-    v0 = np.asarray(mode, dtype=float)
+    if mode == "remark1":
+        floor = float(game.group_payoff.min()) / (1.0 - params.lam)
+        return np.full(game.m, floor)
+    if mode == "zeros":
+        return np.zeros(game.m)
+    v0 = np.array(mode, dtype=float)
     if v0.shape != (game.m,):
         raise ValueError(f"explicit v0 must have shape ({game.m},)")
-    if not np.all(np.isfinite(v0)):
-        raise ValueError("explicit v0 must be finite")
-    return v0.copy()
+    return v0
 
 
 @dataclass
@@ -238,7 +246,6 @@ def _run(
     sweeps_on = True
     v = initial_value(game, params)
     trace = SolverTrace()
-    last_rule: TeamDecisionRule | None = None
     # The (rule, rows) whose (P, r) were gathered last: on a run's tail the
     # improvement sweeps record the same ones step after step.
     gathered = None
@@ -256,11 +263,9 @@ def _run(
         trace.values.append(v)
         if t == 0:
             _warn_if_unreachable(game, params, threshold, residual, algo)
-        last_rule = sweep.rule
         if residual < threshold:
-            value, worst, settled = evaluate_policy_robust(game, sweep.rule, lam)
             log.debug("%s terminated at t=%d residual=%.3e", algo, t, residual)
-            return SolverResult(algo, sweep.rule, worst, value, t, True, settled, trace)
+            break
         if sweeps_on and approx is None and t and residual >= trace.residuals[-2]:
             sweeps_on = False
             log.info("%s: residual did not fall at step %d; evaluation sweeps stop", algo, t)
@@ -287,11 +292,12 @@ def _run(
                     u *= lam
                     u += r
         v = u
-    assert last_rule is not None
-    value, worst, settled = evaluate_policy_robust(game, last_rule, lam)
-    log.warning("%s hit max_iterations=%d without terminating", algo, params.max_iterations)
+    else:
+        t = params.max_iterations
+        log.warning("%s hit max_iterations=%d without terminating", algo, t)
+    value, worst, settled = evaluate_policy_robust(game, sweep.rule, lam)
     return SolverResult(
-        algo, last_rule, worst, value, params.max_iterations, False, settled, trace
+        algo, sweep.rule, worst, value, t, residual < threshold, settled, trace
     )
 
 
@@ -310,10 +316,9 @@ def solve_ratvi(
     approx: PerturbationOracle | None = None,
 ) -> SolverResult:
     """Gauss-Seidel robust team value iteration (no evaluation sweeps)."""
-    result = _run(
+    return _run(
         game, replace(params, mt_schedule=0), approx, gauss_seidel=True, algo="ratvi"
     )
-    return result
 
 
 def solve_rmpi(game: TeamMarkovGame, params: SolverParams) -> SolverResult:

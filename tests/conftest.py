@@ -223,11 +223,10 @@ def per_pair_parts(parts):
             [[rows[k][e] for e in action_entry[k]] for k in range(m)])
 
 
-def rssd_per_pair(params, copy_rows=True):
-    """The ``build_rssd`` game built pair by pair, with no entry map: the
-    cooperator counts come from ``np.unravel_index``, each pair gets the
-    payoff row of its count and, with ``copy_rows``, its own copy of its
-    count's row set (else the count's one object)."""
+def rssd_by_count(params):
+    """The ``build_rssd`` parts computed here: the payoff rows (3, n + 1, 3)
+    and row sets ``[k][h]`` of each cooperator count h, and each joint
+    action's count, n minus the D players of ``np.unravel_index``."""
     n = params.n_players
     counts = range(n + 1)
     payoff_by_count = np.array([[[team_payoff(params, k, h, l) for l in range(N_STATES)]
@@ -235,10 +234,27 @@ def rssd_per_pair(params, copy_rows=True):
     rows_by_count = [[transition_row_candidates(params, k, h) for h in counts]
                      for k in range(N_STATES)]
     cooperators = n - np.sum(np.unravel_index(np.arange(2**n), (2,) * n), axis=0)
-    rows = [[per_state[h].copy() if copy_rows else per_state[h] for h in cooperators]
-            for per_state in rows_by_count]
+    return payoff_by_count, rows_by_count, cooperators
+
+
+def rssd_per_pair(params):
+    """The ``build_rssd`` game built pair by pair, with no entry map: each
+    pair gets the payoff row of its cooperator count and its own copy of
+    the count's row set."""
+    n = params.n_players
+    payoff_by_count, rows_by_count, cooperators = rssd_by_count(params)
+    rows = [[per_state[h].copy() for h in cooperators] for per_state in rows_by_count]
     return r.build_game(n, list(STATE_NAMES), [["C", "D"]] * n,
                         payoff_by_count[:, cooperators], rows)
+
+
+def rssd_through_map(params):
+    """The ``build_rssd`` game built from :func:`rssd_by_count`'s n + 1
+    entries per state and its map of joint actions to counts."""
+    n = params.n_players
+    payoff_by_count, rows_by_count, cooperators = rssd_by_count(params)
+    return r.build_game(n, list(STATE_NAMES), [["C", "D"]] * n, payoff_by_count,
+                        rows_by_count, action_entry=np.tile(cooperators, (N_STATES, 1)))
 
 
 def games(max_states=4, max_actions=3):

@@ -303,6 +303,10 @@ def test_invalid_game_content_exits_1(tmp_path, capsys):
         ["solve", "--algo", "rvi", "--approx-lock"],
         ["solve", "--algo", "rmpi", "--delta", "1e-9"],
         ["solve", "--algo", "rvi", "--delta", "0"],
+        ["oracle", "--budget", "1"],
+        ["solve", "--mt", "-1"],
+        ["bench-table1", "--lambdas", "0.9,x"],
+        ["solve", "--v0", "file:no-such-dir/v0.json"],
     ],
 )
 def test_unusable_flags_exit_1(argv, rssd_file, tmp_path, capsys):
@@ -315,13 +319,18 @@ def test_unusable_flags_exit_1(argv, rssd_file, tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
     assert not out and not list(tmp_path.iterdir())
     if argv[0] == "oracle":
-        assert err.startswith("lam must be in [0, 1), got ")
+        assert err.startswith(
+            "lam must be in [0, 1), got " if "--lambda" in argv
+            else "enumeration needs 64 items, budget is 1"
+        )
     if "--approx-mode" in argv and argv[-2] in ("--delta", "--lambda"):
         assert "the perturbation bound lambda * delta is 0" in err
     if "--approx-seed" in argv and "--approx-mode" in argv:
         assert err.startswith("seed must be a signed 64-bit integer, got ")
     if argv[0] == "solve" and "--approx-mode" not in argv:
-        assert err.startswith(("--approx-seed: ", "--approx-lock: ", "--delta "))
+        assert err.startswith(
+            ("--approx-seed: ", "--approx-lock: ", "--delta ", "--mt ", "--v0 ")
+        )
     if "--lambdas" in argv:
         assert err.startswith("--lambdas ")
 

@@ -22,6 +22,7 @@ from conftest import (
     per_pair_parts,
     random_game,
     rssd_per_pair,
+    rssd_through_map,
     singleton_game,
     two_state_chain,
 )
@@ -158,14 +159,55 @@ class TestValidation:
             r.validate_game(raw)
         assert message in exc.value.errors
 
-    @pytest.mark.parametrize("entry", ["1", " 1.0 ", "1e0"])
+    @pytest.mark.parametrize("entry", ["1", " 1.0 ", "1e0", "x"])
     def test_strings_in_rows_are_not_numbers(self, entry):
-        # np.array(..., dtype=float) would read each as the row [1.0].
+        # np.array(..., dtype=float) would read all but "x" as the row
+        # [1.0]; "x" too gets this one line, not a second "could not
+        # convert" one.
         with pytest.raises(r.GameValidationError) as exc:
             r.validate_game(minimal_raw(rows=((entry,),)))
         assert exc.value.errors == [
             "uncertainty[state='s1', action=(0,)]: rows must hold numbers, not strings"
         ]
+
+    @pytest.mark.parametrize(
+        "edit, errors",
+        [
+            pytest.param(lambda raw: [raw], ["top level must be a JSON object"],
+                         id="top_level_array"),
+            pytest.param(lambda raw: {**raw, "payoffs": {}},
+                         ["payoffs must be an array of entries"], id="payoffs_object"),
+            pytest.param(lambda raw: {**raw, "uncertainty": raw["uncertainty"] + [[0]]},
+                         ["uncertainty[1]: entry must be an object"],
+                         id="uncertainty_entry_array"),
+            pytest.param(lambda raw: {**raw, "uncertainty": raw["uncertainty"] * 2},
+                         ["uncertainty[1]: duplicate entry for this (s, a)"],
+                         id="duplicate_uncertainty_entry"),
+            pytest.param(lambda raw: {**raw, "player_actions": [["a0", "a0"]]},
+                         ["player 0: duplicate action names"], id="duplicate_action_names"),
+        ],
+    )
+    def test_malformed_document_rejected(self, edit, errors):
+        with pytest.raises(r.GameValidationError) as exc:
+            r.validate_game(edit(minimal_raw()))
+        assert exc.value.errors == errors
+
+    @pytest.mark.parametrize(
+        "payoff, rows, errors",
+        [
+            pytest.param(np.full((1, 1, 1), np.inf), [[[[1.0]]]],
+                         ["payoff contains non-finite entries"], id="non_finite_payoff"),
+            pytest.param(np.zeros((1, 1, 1)), [[[[1.0]], [[1.0]]]],
+                         ["uncertainty must provide one row set per (state, joint action)"],
+                         id="row_set_count"),
+            pytest.param(np.zeros((1, 2, 1)), [[[[1.0]]]],
+                         ["payoff shape (1, 2, 1) != (1, 1, 1)"], id="payoff_shape"),
+        ],
+    )
+    def test_bad_parts_rejected(self, payoff, rows, errors):
+        with pytest.raises(r.GameValidationError) as exc:
+            r.build_game(1, ["s0"], [["a0"]], payoff, rows)
+        assert exc.value.errors == errors
 
     @pytest.mark.parametrize("name", [["s1"], {"x": 1}], ids=["array", "object"])
     @pytest.mark.parametrize(
@@ -244,7 +286,7 @@ def test_joint_action_encoding(sizes):
             game.action_names(bad)
 
 
-@pytest.mark.parametrize("bad", [0.9, 1.7, "2", np.float64(1.0)])
+@pytest.mark.parametrize("bad", [0.9, 1.7, "2", np.float64(1.0), True, np.True_])
 def test_decision_rule_rejects_non_integers(bad):
     with pytest.raises(TypeError):
         r.TeamDecisionRule((0, bad, 2))
@@ -254,6 +296,7 @@ def test_decision_rule_takes_numpy_integers_as_ints():
     rule = r.TeamDecisionRule(np.array([0, 3, 2]))
     assert rule.joint_actions == (0, 3, 2)
     assert all(type(a) is int for a in rule.joint_actions)
+    assert r.TeamDecisionRule(a for a in (0, 3, 2)) == rule
 
 
 class TestRowDistributionSet:
@@ -282,7 +325,8 @@ class TestRowDistributionSet:
         assert game.group_candidates[0, 0, 0].sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_shared_invalid_set_reported_per_action(self):
-        # Each object is checked once per state; each pair still gets its line.
+        # One bad object given to two pairs is a bad set of each, and each
+        # pair gets its line.
         bad = np.array([[0.5, 0.6]])
         rows = [[bad, bad, [[0.5, 0.5]]], [[[1.0, 0.0]], None, None]]
         with pytest.raises(r.GameValidationError) as exc:
@@ -293,6 +337,33 @@ class TestRowDistributionSet:
             "uncertainty[state='s1', action=(1,)]: missing entry",
             "uncertainty[state='s1', action=(2,)]: missing entry",
         ]
+
+    @pytest.mark.parametrize(
+        "rows, what",
+        [
+            pytest.param([[True, False]], "true/false", id="bool_list"),
+            pytest.param(np.array([[True, False]]), "true/false", id="bool_array"),
+            pytest.param(np.array([["1", "0"]]), "strings", id="str_array"),
+            pytest.param([[True, "0"]], "true/false or strings", id="both"),
+        ],
+    )
+    def test_bools_and_strings_rejected_as_in_json(self, rows, what):
+        """``build_game`` rejects bools and strings in rows with the one line
+        that the JSON reader gives for the same rows."""
+        message = f"uncertainty[state='s1', action=(0,)]: rows must hold numbers, not {what}"
+        with pytest.raises(r.GameValidationError) as exc:
+            r.build_game(1, ["s1", "s2"], [["a0"]], np.zeros((2, 1, 2)),
+                         [[rows], [[[0.0, 1.0]]]])
+        assert exc.value.errors == [message]
+        raw = minimal_raw()
+        raw["states"] = ["s1", "s2"]
+        raw["uncertainty"] = [
+            {"s": "s1", "a": [0], "rows": np.asarray(rows, dtype=object).tolist()},
+            {"s": "s2", "a": [0], "rows": [[0.0, 1.0]]},
+        ]
+        with pytest.raises(r.GameValidationError) as exc:
+            r.validate_game(raw)
+        assert exc.value.errors == [message]
 
     def test_empty_rejected(self):
         with pytest.raises(r.GameValidationError, match="expected a nonempty list of rows"):
@@ -496,8 +567,8 @@ class TestGroups:
         assert_same_arrays(shared, r.build_game(*head, copied_row_sets(rows)))
 
     def test_row_sets_handed_out_as_new_objects(self):
-        # A freed object's id is soon given to the next one, so the builder
-        # must hold each object it has checked, or a later set would be
+        # Each lookup hands out a new list, which may reuse the id of a
+        # freed one; each entry's set is cleaned on its own, so no set is
         # taken for an earlier one.
         class NewCopies(list):
             def __iter__(self):
@@ -517,10 +588,10 @@ class TestGroups:
     def test_rssd_with_copied_row_sets_builds_the_same_game(self, n):
         params = r.RssdParams(n_players=n, mu_set=tuple(0.09 * i / n for i in (1, 2, 3)))
         game = r.build_rssd(params)
-        # Cleaning a copy per pair takes 0.3 s at n = 12 and seconds at
-        # n = 16, so there the pairs of a cooperator count share its
-        # row-set object.
-        reference = rssd_per_pair(params, copy_rows=n <= 10)
+        # Cleaning a copy per pair takes 0.3 s at n = 12 and 5 s at n = 16,
+        # so n = 16 is built from the n + 1 counts through a map computed
+        # here, not by build_rssd.
+        reference = rssd_per_pair(params) if n <= 12 else rssd_through_map(params)
         assert_same_arrays(game, reference)
         assert game.r_max == reference.r_max
 

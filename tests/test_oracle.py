@@ -119,6 +119,13 @@ def test_one_rule_per_group_combination_matches_every_rule(game):
         )
 
 
+def test_more_states_than_numpy_has_dimensions():
+    # Rules are numbered over one digit per state, so more than numpy's 64
+    # array dimensions must work: a one-action game of 70 states.
+    game = mdp_game(seed=3, m=70, n_actions=1)
+    assert_same_result(r.brute_force_maximin(game, 0.9), maximin_over_every_rule(game, 0.9))
+
+
 def tied_game(payoff, p):
     """2 states, 3 actions and the same ``payoff`` on every transition, so
     every rule's exact value is payoff / (1 - lam) in both states.  The rows

@@ -34,6 +34,20 @@ class TestParams:
         with pytest.raises(ValueError, match="stag_threshold"):
             RssdParams(stag_threshold=4)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"n_players": 0}, "n_players must be positive"),
+            ({"synergy": (1.5, 1.8)}, "synergy must give one factor per state"),
+            ({"snowdrift_benefit": (1.5,)}, "snowdrift_benefit must give one value per state"),
+            ({"mu_set": ()}, "mu_set must be nonempty"),
+        ],
+        ids=repr,
+    )
+    def test_lengths_and_ranges_checked(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            RssdParams(**kwargs)
+
     def test_mu_must_keep_rows_stochastic(self):
         with pytest.raises(ValueError, match="mu"):
             RssdParams(mu_set=(0.1, 0.4))

@@ -56,6 +56,40 @@ class TestParams:
         with pytest.raises(TypeError, match=next(iter(kwargs))):
             r.SolverParams(lam=0.5, epsilon=1e-6, **kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"max_iterations": 0}, "max_iterations must be positive"),
+            ({"mt_schedule": -1}, "mt_schedule must be nonnegative"),
+            ({"mt_schedule": []}, "mt_schedule list must be nonempty and nonnegative"),
+        ],
+        ids=repr,
+    )
+    def test_counts_out_of_range_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            r.SolverParams(lam=0.5, epsilon=1e-6, **kwargs)
+
+    @pytest.mark.parametrize(
+        "v0",
+        [(1.0, float("nan"), 2.0), [1.0, float("inf")], (True, 1.0), [np.True_, 1.0],
+         np.array([True, False]), ["1", "2"], [[1.0, 2.0]], 1.0],
+        ids=repr,
+    )
+    def test_explicit_v0_checked_when_built(self, v0):
+        with pytest.raises(ValueError, match="^explicit v0 must be a finite 1-D vector"):
+            r.SolverParams(lam=0.5, epsilon=1e-6, v0_mode=v0)
+
+    def test_unknown_v0_mode_rejected_when_built(self):
+        with pytest.raises(ValueError, match="^unknown v0_mode 'bogus'$"):
+            r.SolverParams(lam=0.5, epsilon=1e-6, v0_mode="bogus")
+
+    def test_explicit_v0_stored_as_floats(self):
+        for v0 in ([1, 2.5], np.array([1.0, 2.5]), np.array([1, 2], dtype=np.int32)):
+            params = r.SolverParams(lam=0.5, epsilon=1e-6, v0_mode=v0)
+            assert type(params.v0_mode) is tuple
+            assert all(type(x) is float for x in params.v0_mode)
+            assert params.v0_mode == tuple(float(x) for x in v0)
+
     def test_counts_are_read_as_ints(self):
         params = r.SolverParams(
             lam=0.5, epsilon=1e-6, mt_schedule=np.int64(3), max_iterations=np.int32(7)
