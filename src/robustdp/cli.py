@@ -144,7 +144,7 @@ def _result_payload(game: TeamMarkovGame, result: SolverResult, config: dict) ->
         game.states[k]: list(game.action_names(a))
         for k, a in enumerate(result.policy.joint_actions)
     }
-    P, _ = fixed_model_arrays(game, result.policy, result.worst_model)
+    P, _ = fixed_model_arrays(game, result.policy.joint_actions, result.worst_model)
     worst = [
         {"state": state, "row_index": int(j), "row": [float(x) for x in row]}
         for state, j, row in zip(game.states, result.worst_model, P)
@@ -494,7 +494,8 @@ def _error_message(e: Exception, game_path: str | None) -> str:
     if isinstance(e, json.JSONDecodeError):
         return f"{game_path}:{e.lineno}:{e.colno}: {e.msg}"
     if isinstance(e, GameValidationError):
-        return f"{game_path}: invalid game description: {'; '.join(e.errors)}"
+        where = f"{game_path}: " if game_path else ""
+        return f"{where}invalid game description: {'; '.join(e.errors)}"
     if isinstance(e, OSError) and e.filename:
         return f"{e.filename}: {e.strerror or e}"
     if isinstance(e, MemoryError):

@@ -97,18 +97,21 @@ def _fits_double(x) -> bool:
 
 def _non_numbers(rows) -> str:
     """What a raw row set holds that ``np.array(..., dtype=float)`` would read
-    as numbers: ``"true/false"``, ``"strings"``, both joined by ``" or "``,
-    or ``""``.  Lists, tuples and object arrays are scanned element by
-    element, other arrays by dtype, and any other input is left to numpy."""
+    as numbers: ``"true/false"``, ``"strings"``, ``"null"``, those found
+    joined by ``" or "``, or ``""``.  Lists, tuples and object arrays are
+    scanned element by element, except rows given as objects, other arrays
+    by dtype, and any other input is left to numpy."""
     if isinstance(rows, np.ndarray) and rows.dtype.kind != "O":
         return {"b": "true/false", "S": "strings", "U": "strings"}.get(rows.dtype.kind, "")
     if not isinstance(rows, (list, tuple, np.ndarray)):
         return ""
     try:
+        rows = [row for row in rows if not isinstance(row, dict)]
         types = set(map(type, itertools.chain.from_iterable(rows)))
     except TypeError:
         return ""
-    kinds = (((bool, np.bool_), "true/false"), ((str, bytes), "strings"))
+    kinds = (((bool, np.bool_), "true/false"), ((str, bytes), "strings"),
+             ((type(None),), "null"))
     return " or ".join(what for of, what in kinds if any(issubclass(t, of) for t in types))
 
 
@@ -394,11 +397,11 @@ def build_game(
 def _clean_rows(raw, m: int) -> np.ndarray:
     """One (state, joint action) pair's candidate rows as an (n, m) array.
 
-    Rows must form a nonempty 2-D array of finite numbers, not bools or
-    strings, each row of length m.  Entries in [NEGATIVE_CLAMP, 0) are
-    clamped to 0; rows are renormalised only when their sum is already within
-    ``STOCHASTIC_ATOL``, and rejected otherwise (silent renormalisation would
-    mask data errors).
+    Rows must form a nonempty 2-D array of finite numbers, not bools,
+    strings or ``None``, each row of length m.  Entries in
+    [NEGATIVE_CLAMP, 0) are clamped to 0; rows are renormalised only when
+    their sum is already within ``STOCHASTIC_ATOL``, and rejected otherwise
+    (silent renormalisation would mask data errors).
     """
     if raw is None:
         raise ValueError("missing entry")

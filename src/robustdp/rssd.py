@@ -44,8 +44,8 @@ class RssdParams:
     ``synergy[j]`` is the synergy factor of destination state j and must lie
     strictly between the cooperation cost and the player count for the
     public goods stage to be a dilemma.  ``snowdrift_benefit`` defaults to
-    the synergy factors.  ``mu_set`` magnitudes must keep every row
-    stochastic: mu * n_players <= 1.
+    the synergy factors and must be finite.  ``mu_set`` magnitudes must
+    keep every row stochastic: mu * n_players <= 1.
     """
 
     n_players: int = 3
@@ -70,12 +70,14 @@ class RssdParams:
             object.__setattr__(self, "snowdrift_benefit", tuple(self.synergy))
         elif len(self.snowdrift_benefit) != N_STATES:
             raise ValueError("snowdrift_benefit must give one value per state")
+        elif not np.isfinite(self.snowdrift_benefit).all():
+            raise ValueError(f"snowdrift_benefit {self.snowdrift_benefit} must be finite")
         if not 1 <= self.stag_threshold <= self.n_players:
             raise ValueError("stag_threshold must be in [1, n_players]")
         if not self.mu_set:
             raise ValueError("mu_set must be nonempty")
         for mu in self.mu_set:
-            if mu < 0.0 or mu * self.n_players > 1.0:
+            if not (0.0 <= mu and mu * self.n_players <= 1.0):
                 raise ValueError(
                     f"mu {mu} must satisfy 0 <= mu and mu * n_players <= 1"
                 )

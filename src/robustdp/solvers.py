@@ -272,14 +272,13 @@ def _run(
         u = sweep.u0
         mt = _mt_at(params.mt_schedule, t) if sweeps_on else 0
         if mt:
-            model = (sweep.rule.joint_actions, sweep.worst_model)
-            if model != gathered:
-                P, r = fixed_model_arrays(game, sweep.rule, sweep.worst_model)
-                gathered = model
+            if (sweep.rule, sweep.worst_model) != gathered:
+                gathered = (sweep.rule, sweep.worst_model)
+                P, r = fixed_model_arrays(game, *gathered)
             if gauss_seidel:
                 noise = None
                 if approx is not None:
-                    queries = list(enumerate(sweep.rule.joint_actions))
+                    queries = list(enumerate(sweep.rule))
                     noise = np.array(
                         [approx.perturb(t, s, queries) for s in range(1, mt + 1)]
                     )
@@ -295,9 +294,10 @@ def _run(
     else:
         t = params.max_iterations
         log.warning("%s hit max_iterations=%d without terminating", algo, t)
-    value, worst, settled = evaluate_policy_robust(game, sweep.rule, lam)
+    value, worst, settled = evaluate_policy_robust(game, [sweep.rule], lam)
+    policy, worst = TeamDecisionRule(sweep.rule), tuple(worst[0].tolist())
     return SolverResult(
-        algo, sweep.rule, worst, value, t, residual < threshold, settled, trace
+        algo, policy, worst, value[0], t, residual < threshold, bool(settled[0]), trace
     )
 
 
@@ -342,12 +342,9 @@ SOLVERS = {
 
 
 def _rule_stack(game: TeamMarkovGame, rules) -> np.ndarray:
-    """``rules``, one :class:`TeamDecisionRule` or an integer (R, m) array
-    of joint actions with one rule per row, as an integer (R, m) array
-    (R = 1 for one rule); ``ValueError`` for any other shape or dtype, or
-    an action outside [0, n_joint_actions)."""
-    if isinstance(rules, TeamDecisionRule):
-        rules = [rules.joint_actions]
+    """``rules``, an integer (R, m) array of joint actions with one rule per
+    row, as an array; ``ValueError`` for any other shape or dtype, or an
+    action outside [0, n_joint_actions)."""
     rules = np.asarray(rules)
     if rules.ndim != 2 or rules.shape[1] != game.m or rules.dtype.kind not in "iu":
         raise ValueError(
@@ -362,10 +359,8 @@ def _rule_stack(game: TeamMarkovGame, rules) -> np.ndarray:
 
 
 def evaluate_policy_robust(
-    game: TeamMarkovGame,
-    rule: TeamDecisionRule | np.ndarray,
-    lam: float,
-) -> tuple[np.ndarray, tuple[int, ...] | np.ndarray, bool | np.ndarray]:
+    game: TeamMarkovGame, rules: np.ndarray, lam: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Worst-case value of fixed rules over their admissible models.
 
     Iterates the per-state fixed point v <- min over candidate rows of
@@ -377,24 +372,23 @@ def evaluate_policy_robust(
     in sup norm, or its minimising rows repeat (the fixed point is reached
     to linear-solve precision).
 
-    ``rule`` is one :class:`TeamDecisionRule`, which runs as a stack of one,
-    or an integer (R, m) array of joint actions, one rule per row.  A stack
-    runs as one loop: each round scores every rule's candidate rows with
-    one stacked matmul and solves every unsettled rule's linear system with
-    one batched solve, and a rule leaves the stack in the round it settles.
+    ``rules`` is an integer (R, m) array of joint actions, one rule per
+    row; one rule is a stack of one, ``[joint_actions]``.  The stack runs
+    as one loop: each round scores every rule's candidate rows with one
+    stacked matmul and solves every unsettled rule's linear system with one
+    batched solve, and a rule leaves the stack in the round it settles.
     Each rule's arithmetic is its own, so a row of a stacked call is bit for
     bit the result of evaluating that rule alone.
 
-    Returns the value, the final per-state minimising row indices, and
-    whether the rule settled: ``(m,)``, a tuple and a bool for one rule,
-    ``(R, m)``, ``(R, m)`` and ``(R,)`` for a stack.  Rules still unsettled
-    after ``ROBUST_EVAL_MAX_ROUNDS`` rounds return their last iterate with
-    ``False``, and the call logs one warning that counts them; an empty
-    stack returns at once.  Raises ``ValueError`` unless 0 <= lam < 1, or
-    for an invalid rule.
+    Returns the ``(R, m)`` values, the ``(R, m)`` final per-state
+    minimising row indices, and the ``(R,)`` flags of which rules settled.
+    Rules still unsettled after ``ROBUST_EVAL_MAX_ROUNDS`` rounds return
+    their last iterate with ``False``, and the call logs one warning that
+    counts them; an empty stack returns at once.  Raises ``ValueError``
+    unless 0 <= lam < 1, or for an invalid stack.
     """
     _check_lam(lam)
-    acts = _rule_stack(game, rule)
+    acts = _rule_stack(game, rules)
     n_rules, m = acts.shape
     states = np.arange(m)
     n_groups, n_cand = game.group_payoff_exp.shape[1:]
@@ -453,6 +447,4 @@ def evaluate_policy_robust(
             len(left),
             n_rules,
         )
-    if isinstance(rule, TeamDecisionRule):
-        return value[0], tuple(rows[0].tolist()), bool(settled[0])
     return value, rows, settled

@@ -72,7 +72,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import TeamDecisionRule, TeamMarkovGame
+from .model import TeamMarkovGame
 from .perturb import PerturbationOracle
 
 _min = np.minimum.reduce
@@ -81,12 +81,13 @@ _min = np.minimum.reduce
 class SweepResult(NamedTuple):
     """One improvement sweep: updated values, greedy rule, worst-case rows.
 
+    ``rule[k]`` is the joint action chosen at state k, an int.
     ``worst_model[k]`` indexes the minimising candidate row recorded at the
     chosen action of state k; partial evaluation reuses exactly these rows.
     """
 
     u0: np.ndarray
-    rule: TeamDecisionRule
+    rule: tuple[int, ...]
     worst_model: tuple[int, ...]
 
 
@@ -144,7 +145,7 @@ def improvement_sweep(
             w[k] = vals[a]
         rule[k] = a
         worst[k] = int(q[g].argmin())
-    return SweepResult(w, TeamDecisionRule(rule), tuple(worst))
+    return SweepResult(w, tuple(rule), tuple(worst))
 
 
 def jacobi_improvement_sweep(
@@ -158,7 +159,7 @@ def jacobi_improvement_sweep(
     states = np.arange(game.m)
     return SweepResult(
         vals[states, groups],
-        TeamDecisionRule(game.group_action[states, groups].tolist()),
+        tuple(game.group_action[states, groups].tolist()),
         tuple(q[states, groups].argmin(axis=-1).tolist()),
     )
 
@@ -201,12 +202,12 @@ def evaluation_sweep(
 
 
 def fixed_model_arrays(
-    game: TeamMarkovGame, rule: TeamDecisionRule, model_rows: tuple[int, ...]
+    game: TeamMarkovGame, joint_actions: tuple[int, ...], model_rows: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dense transition matrix and expected one-step payoff vector for a
-    fixed rule and per-state candidate-row choice."""
+    fixed rule (its joint action per state) and candidate-row choice."""
     states = np.arange(game.m)
-    index = (states, game.action_group[states, rule.joint_actions], np.array(model_rows))
+    index = (states, game.action_group[states, joint_actions], np.array(model_rows))
     return game.group_candidates[index], game.group_payoff_exp[index]
 
 

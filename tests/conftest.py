@@ -6,7 +6,9 @@ with a fresh gather and one call per evaluation sweep, and the
 social-dilemma payoff conditions of the ``rssd`` benchmark.  Every model is gathered
 through ``fixed_model_arrays``, the same gather the solvers use, and every
 enumeration raises ``BudgetExceededError`` up front when it would exceed
-its budget.  ``per_action`` reads the packed game per joint action.
+its budget.  A rule is a tuple of per-state joint actions, the form the
+sweeps return; only results wrap it in a ``TeamDecisionRule``.
+``per_action`` reads the packed game per joint action.
 """
 
 import functools
@@ -289,14 +291,25 @@ def gs_splitting(P, lam):
 
 
 def enumerate_decision_rules(game, budget=DEFAULT_ENUMERATION_BUDGET):
-    """All decision rules, lexicographic over (state index, joint-action
-    index).  Raises BudgetExceededError up front when the count
-    ``n_joint_actions ** m`` exceeds ``budget``."""
+    """All decision rules as joint-action tuples, lexicographic over (state
+    index, joint-action index).  Raises BudgetExceededError up front when
+    the count ``n_joint_actions ** m`` exceeds ``budget``."""
     total = game.n_joint_actions ** game.m
     if total > budget:
         raise r.BudgetExceededError(total, budget)
-    combos = itertools.product(range(game.n_joint_actions), repeat=game.m)
-    return (r.TeamDecisionRule(combo) for combo in combos)
+    return itertools.product(range(game.n_joint_actions), repeat=game.m)
+
+
+def is_int_tuple(rule):
+    """Whether ``rule`` is in the sweeps' rule form, a tuple of plain ints."""
+    return type(rule) is tuple and all(type(a) is int for a in rule)
+
+
+def evaluate_one(game, rule, lam):
+    """``evaluate_policy_robust`` of one rule as a stack of one: its (m,)
+    value, its worst-case rows as a tuple, and whether it settled."""
+    value, rows, settled = r.evaluate_policy_robust(game, [rule], lam)
+    return value[0], tuple(rows[0].tolist()), bool(settled[0])
 
 
 def maximin_over_every_rule(game, lam, budget=DEFAULT_ENUMERATION_BUDGET):
@@ -305,7 +318,7 @@ def maximin_over_every_rule(game, lam, budget=DEFAULT_ENUMERATION_BUDGET):
     ``dominance_tolerance(game, lam)`` of it everywhere, and failing that
     the first rule with the smallest shortfall."""
     evaluated = [
-        (rule, r.evaluate_policy_robust(game, rule, lam))
+        (rule, evaluate_one(game, rule, lam))
         for rule in enumerate_decision_rules(game, budget)
     ]
     entries = [(rule, value) for rule, (value, _, _) in evaluated]
@@ -314,18 +327,19 @@ def maximin_over_every_rule(game, lam, budget=DEFAULT_ENUMERATION_BUDGET):
     gaps = [float(np.max(v_star - value)) for _, value in entries]
     for (rule, value), gap in zip(entries, gaps):
         if np.all(value >= v_star - dominance_tolerance(game, lam)):
-            return OracleResult(v_star, rule, True, gap, settled)
+            return OracleResult(v_star, r.TeamDecisionRule(rule), True, gap, settled)
     best = int(np.argmin(gaps))
-    return OracleResult(v_star, entries[best][0], False, gaps[best], settled)
+    d_star = r.TeamDecisionRule(entries[best][0])
+    return OracleResult(v_star, d_star, False, gaps[best], settled)
 
 
 def model_rows(game, rule, budget=DEFAULT_ENUMERATION_BUDGET):
     """Every per-state candidate-row choice of a rule, lexicographic.
     Raises BudgetExceededError up front when the product of the per-state
     candidate counts exceeds ``budget``."""
-    r.solvers._rule_stack(game, rule)
+    r.solvers._rule_stack(game, [rule])
     counts = [int(game.group_n_rows[k, game.action_group[k, a]])
-              for k, a in enumerate(rule.joint_actions)]
+              for k, a in enumerate(rule)]
     total = math.prod(counts)
     if total > budget:
         raise r.BudgetExceededError(total, budget)
@@ -366,7 +380,7 @@ def verify_epsilon_optimal(game, rule, lam, epsilon, oracle_result=None,
     componentwise shortfall v_star - epsilon - value.  ``slack`` absorbs the
     numerical tolerance of the two evaluations.
     """
-    value, _, _ = r.evaluate_policy_robust(game, rule, lam)
+    value, _, _ = evaluate_one(game, rule, lam)
     if oracle_result is None:
         oracle_result = r.brute_force_maximin(game, lam)
     ok = bool(np.all(value >= oracle_result.v_star - epsilon - slack))
@@ -409,8 +423,10 @@ def reference_run(game, params, approx=None, gauss_seidel=True, algo="ratpi"):
         trace.residuals.append(residual)
         trace.values.append(v)
         if residual < threshold:
-            value, worst, settled = r.evaluate_policy_robust(game, rule, lam)
-            return r.SolverResult(algo, rule, worst, value, t, True, settled, trace)
+            value, worst, settled = evaluate_one(game, rule, lam)
+            return r.SolverResult(
+                algo, r.TeamDecisionRule(rule), worst, value, t, True, settled, trace
+            )
         if approx is None and t and residual >= trace.residuals[-2]:
             sweeps_on = False
         mt = r.solvers._mt_at(params.mt_schedule, t) if sweeps_on else 0
@@ -422,12 +438,13 @@ def reference_run(game, params, approx=None, gauss_seidel=True, algo="ratpi"):
                 continue
             noise = None
             if approx is not None:
-                noise = approx.perturb(t, s, enumerate(rule.joint_actions))
+                noise = approx.perturb(t, s, enumerate(rule))
             u = r.evaluation_sweep(P, rew, u, lam, noise)
         v = u
-    value, worst, settled = r.evaluate_policy_robust(game, rule, lam)
+    value, worst, settled = evaluate_one(game, rule, lam)
     return r.SolverResult(
-        algo, rule, worst, value, params.max_iterations, False, settled, trace
+        algo, r.TeamDecisionRule(rule), worst, value, params.max_iterations, False,
+        settled, trace
     )
 
 

@@ -64,7 +64,7 @@ def test_criterion_1_oracle_equivalence():
         for solve, mt in ((r.solve_ratvi, 0), (r.solve_ratpi, 5)):
             params = r.SolverParams(lam=lam, epsilon=eps, delta=0.0, mt_schedule=mt)
             res = solve(game, params)
-            ok, rep = verify_epsilon_optimal(game, res.policy, lam, eps, orc)
+            ok, rep = verify_epsilon_optimal(game, res.policy.joint_actions, lam, eps, orc)
             worst = max(worst, rep["max_violation"])
             if not (res.terminated and ok):
                 report(

@@ -270,6 +270,24 @@ def test_game_too_large_for_memory_exits_1(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--theta", "1e308,1e308,1e308"],
+         "invalid game description: payoff contains non-finite entries"),
+        (["--theta", "inf,1,1"], "snowdrift_benefit (inf, 1.0, 1.0) must be finite"),
+        (["--mu", "nan"], "mu nan must satisfy 0 <= mu and mu * n_players <= 1"),
+    ],
+    ids=["theta-overflow", "theta-inf", "mu-nan"],
+)
+def test_rssd_gen_errors_name_no_game_path(flags, message, tmp_path, capsys):
+    # rssd-gen takes no --game, so its one line has no path prefix.
+    out = tmp_path / "g.json"
+    assert main(["rssd-gen", *flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"{message}\n"
+    assert not out.exists()
+
+
 def test_invalid_game_content_exits_1(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"n_players": 0, "states": [], "player_actions": []}))

@@ -6,8 +6,9 @@ are exercised), singleton sets, duplicate rows (exact row ties) and
 duplicated joint actions (exact action ties, and states with different group
 counts, so padded groups are exercised); lam runs from 0 to 0.999.  The
 kernel backs up one action per group, the references every action.  Values
-must match bit for bit, rules and rows exactly.  A stacked robust
-evaluation must give each rule exactly its one-rule call and the loop.
+must match bit for bit, rules and rows exactly, and both sweeps return the
+rule as a tuple of ints.  A stacked robust evaluation must give each rule
+exactly its stack-of-one call and the loop.
 """
 
 import math
@@ -18,7 +19,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robustdp as r
-from conftest import games, gs_backup, per_action, reference_noise
+from conftest import (
+    evaluate_one,
+    games,
+    gs_backup,
+    is_int_tuple,
+    per_action,
+    reference_noise,
+)
 from robustdp import solvers
 from robustdp.sweeps import fixed_model_arrays
 
@@ -66,10 +74,9 @@ def reference_sweep(game, v, lam, approx=None, step=0, gauss_seidel=True):
     return u, tuple(rule), tuple(worst), np.array(lattice)
 
 
-def reference_robust_evaluation(game, rule, lam, tol=1e-12):
+def reference_robust_evaluation(game, acts, lam, tol=1e-12):
     """Per-state loop form of evaluate_policy_robust."""
     m = game.m
-    acts = rule.joint_actions
     threshold = math.inf if lam == 0.0 else tol * (1.0 - lam) / (2.0 * lam)
     cand = per_action(game, game.group_candidates)
     pexp = per_action(game, game.group_payoff_exp)
@@ -95,7 +102,8 @@ def test_improvement_sweep_matches_loop(game, lam, approx, seed):
     u, rule, worst, _ = reference_sweep(game, v, lam, approx, step=seed)
     sweep = r.improvement_sweep(game, v, lam, approx, seed)
     assert np.array_equal(sweep.u0, u)
-    assert sweep.rule.joint_actions == rule
+    assert is_int_tuple(sweep.rule)
+    assert sweep.rule == rule
     assert sweep.worst_model == worst
 
 
@@ -103,7 +111,7 @@ def reference_evaluation(game, u, rule, rows, lam, approx, step, phase):
     """Per-state loop form of one Gauss-Seidel evaluation sweep, indexing the
     packed candidates directly."""
     w = u.copy()
-    for k, (a, j) in enumerate(zip(rule.joint_actions, rows)):
+    for k, (a, j) in enumerate(zip(rule, rows)):
         g = game.action_group[k, a]
         val = float(game.group_payoff_exp[k, g, j] + lam * (game.group_candidates[k, g, j] @ w))
         if approx is not None:
@@ -118,15 +126,15 @@ def test_evaluation_sweep_matches_loop(game, lam, approx, seed):
     """The sweep over gathered (P, r), with the noise drawn as the solvers
     draw it, equals the loop bit for bit."""
     rng = np.random.default_rng(seed)
-    rule = r.TeamDecisionRule(rng.integers(0, game.n_joint_actions, game.m))
-    counts = per_action(game, game.group_n_rows)[np.arange(game.m), list(rule.joint_actions)]
+    rule = tuple(rng.integers(0, game.n_joint_actions, game.m).tolist())
+    counts = per_action(game, game.group_n_rows)[np.arange(game.m), list(rule)]
     rows = tuple(int(rng.integers(0, n)) for n in counts)
     u = start_value(game, seed)
     step, phase = seed % 7, 1 + seed % 3
     P, rew = fixed_model_arrays(game, rule, rows)
     noise = None
     if approx is not None:
-        noise = approx.perturb(step, phase, enumerate(rule.joint_actions))
+        noise = approx.perturb(step, phase, enumerate(rule))
     swept = r.evaluation_sweep(P, rew, u, lam, noise)
     ref = reference_evaluation(game, u, rule, rows, lam, approx, step, phase)
     assert np.array_equal(swept, ref)
@@ -139,7 +147,8 @@ def test_jacobi_sweep_and_lattice_match_loop(game, lam, seed):
     u, rule, worst, _ = reference_sweep(game, v, lam, gauss_seidel=False)
     sweep = r.jacobi_improvement_sweep(game, v, lam)
     assert np.array_equal(sweep.u0, u)
-    assert sweep.rule.joint_actions == rule
+    assert is_int_tuple(sweep.rule)
+    assert sweep.rule == rule
     assert sweep.worst_model == worst
     _, _, _, lattice = reference_sweep(game, v, lam)
     assert np.array_equal(r.backup_lattice(game, v, lam), lattice)
@@ -149,8 +158,8 @@ def test_jacobi_sweep_and_lattice_match_loop(game, lam, seed):
 @settings(max_examples=100, deadline=None)
 def test_robust_evaluation_matches_loop(game, lam, seed):
     rng = np.random.default_rng(seed)
-    rule = r.TeamDecisionRule(rng.integers(0, game.n_joint_actions, game.m))
-    value, rows, _ = r.evaluate_policy_robust(game, rule, lam)
+    rule = tuple(rng.integers(0, game.n_joint_actions, game.m).tolist())
+    value, rows, _ = evaluate_one(game, rule, lam)
     ref_value, ref_rows = reference_robust_evaluation(game, rule, lam)
     assert np.array_equal(value, ref_value)
     assert rows == ref_rows
@@ -166,16 +175,15 @@ def rule_stack(game, seed):
 @given(games(), LAMS, st.integers(0, 2**16))
 @settings(max_examples=60, deadline=None)
 def test_stacked_robust_evaluation_matches_one_rule_calls(game, lam, seed):
-    """Each row of a stacked call is the one-rule call and the per-state
-    loop, bit for bit, whichever round the other rules settle in."""
+    """Each row of a stacked call is the rule's stack-of-one call and the
+    per-state loop, bit for bit, whichever round the other rules settle in."""
     rules = rule_stack(game, seed)
     value, rows, settled = r.evaluate_policy_robust(game, rules, lam)
     assert value.shape == rows.shape == rules.shape
     assert settled.shape == (len(rules),)
     for i, acts in enumerate(rules):
-        rule = r.TeamDecisionRule(acts)
-        one_value, one_rows, one_settled = r.evaluate_policy_robust(game, rule, lam)
-        ref_value, ref_rows = reference_robust_evaluation(game, rule, lam)
+        one_value, one_rows, one_settled = evaluate_one(game, acts, lam)
+        ref_value, ref_rows = reference_robust_evaluation(game, acts, lam)
         assert value[i].tobytes() == one_value.tobytes() == ref_value.tobytes()
         assert tuple(rows[i].tolist()) == one_rows == ref_rows
         assert settled[i] and one_settled
@@ -186,7 +194,7 @@ def test_stacked_robust_evaluation_matches_one_rule_calls(game, lam, seed):
 )
 @settings(max_examples=40, deadline=None)
 def test_stacked_round_cap_matches_one_rule_calls(game, lam, cap, seed):
-    """Under a round cap each row is still the one-rule call, settled or
+    """Under a round cap each row is still the stack-of-one call, settled or
     not, when rules leave the stack in different rounds.  With one round
     no rule settles: the first backup moves each value from 0 by its
     nonzero expected payoff."""
@@ -195,7 +203,7 @@ def test_stacked_round_cap_matches_one_rule_calls(game, lam, cap, seed):
         mp.setattr(solvers, "ROBUST_EVAL_MAX_ROUNDS", cap)
         value, rows, settled = r.evaluate_policy_robust(game, rules, lam)
         for i, acts in enumerate(rules):
-            one = r.evaluate_policy_robust(game, r.TeamDecisionRule(acts), lam)
+            one = evaluate_one(game, acts, lam)
             assert value[i].tobytes() == one[0].tobytes()
             assert tuple(rows[i].tolist()) == one[1]
             assert settled[i] == one[2]

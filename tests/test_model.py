@@ -146,6 +146,16 @@ class TestValidation:
                          "uncertainty[state='s1', action=(1,)]: "
                          "rows must hold numbers, not true/false",
                          id="rows"),
+            # numpy would read null as NaN; an object row is left to numpy,
+            # not scanned by its keys.
+            pytest.param(lambda raw: raw["uncertainty"][1].update(rows=[[None]]),
+                         "uncertainty[state='s1', action=(1,)]: "
+                         "rows must hold numbers, not null",
+                         id="rows_null"),
+            pytest.param(lambda raw: raw["uncertainty"][1].update(rows=[{"p": 1.0}]),
+                         "uncertainty[state='s1', action=(1,)]: float() argument "
+                         "must be a string or a real number, not 'dict'",
+                         id="rows_object"),
         ],
     )
     def test_json_true_is_not_a_number(self, edit, message):
@@ -419,9 +429,9 @@ class TestEnumeration:
         )
         rules = list(enumerate_decision_rules(game))
         assert len(rules) == 9
-        assert rules[0].joint_actions == (0, 0)
-        assert rules[1].joint_actions == (0, 1)
-        assert rules[-1].joint_actions == (2, 2)
+        assert rules[0] == (0, 0)
+        assert rules[1] == (0, 1)
+        assert rules[-1] == (2, 2)
 
     def test_rule_budget_exceeded_reports_count(self, rssd_game):
         with pytest.raises(r.BudgetExceededError) as exc:
@@ -430,18 +440,18 @@ class TestEnumeration:
 
     def test_models_singleton_rows(self):
         game = singleton_game()
-        models = list(enumerate_policy_models(game, r.TeamDecisionRule((0,))))
+        models = list(enumerate_policy_models(game, (0,)))
         assert len(models) == 1
 
     def test_models_two_by_two(self):
         game = two_state_chain()
         rows2 = [[[[1.0, 0.0], [0.5, 0.5]]], [[[0.0, 1.0], [1.0, 0.0]]]]
         game2 = r.build_game(1, ["s1", "s2"], [["a0"]], per_action(game, game.group_payoff), rows2)
-        models = list(enumerate_policy_models(game2, r.TeamDecisionRule((0, 0))))
+        models = list(enumerate_policy_models(game2, (0, 0)))
         assert len(models) == 4
 
     def test_rssd_all_defect_single_distinct_model(self, rssd_game):
-        rule = r.TeamDecisionRule((np.ravel_multi_index((1, 1, 1), rssd_game.action_shape),) * 3)
+        rule = (np.ravel_multi_index((1, 1, 1), rssd_game.action_shape),) * 3
         models = list(enumerate_policy_models(rssd_game, rule))
         assert len(models) == 1
         assert np.array_equal(models[0], np.eye(3))
@@ -453,11 +463,11 @@ class TestEnumeration:
             count = sum(1 for _ in enumerate_policy_models(game, rule))
             n_rows = per_action(game, game.group_n_rows)
             assert count == math.prod(
-                int(n_rows[k, a]) for k, a in enumerate(rule.joint_actions)
+                int(n_rows[k, a]) for k, a in enumerate(rule)
             )
 
     def test_model_budget_exceeded(self, rssd_game):
-        rule = r.TeamDecisionRule((0, 0, 0))
+        rule = (0, 0, 0)
         with pytest.raises(r.BudgetExceededError):
             enumerate_policy_models(rssd_game, rule, budget=2)
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import robustdp as r
 from conftest import (
     enumerate_decision_rules,
+    evaluate_one,
     evaluate_policy_exact,
     games,
     maximin_over_every_rule,
@@ -53,19 +54,19 @@ def test_optimum_is_update_fixed_point(rssd_game, rssd_oracle):
 def test_verify_epsilon_optimal_accepts_the_optimal_rule():
     game = random_game(23)
     orc = r.brute_force_maximin(game, 0.9)
-    ok, report = verify_epsilon_optimal(game, orc.d_star, 0.9, 1e-9, orc)
+    ok, report = verify_epsilon_optimal(game, orc.d_star.joint_actions, 0.9, 1e-9, orc)
     assert ok
     assert report["max_violation"] <= 1e-9
 
 
 def test_verify_epsilon_optimal_single_action_game():
     game = singleton_game(payoff=0.3)
-    ok, _ = verify_epsilon_optimal(game, r.TeamDecisionRule((0,)), 0.9, 1e-9)
+    ok, _ = verify_epsilon_optimal(game, (0,), 0.9, 1e-9)
     assert ok
 
 
 def test_verify_epsilon_optimal_rejects_bad_rule(rssd_game, rssd_oracle):
-    all_defect = r.TeamDecisionRule((np.ravel_multi_index((1, 1, 1), rssd_game.action_shape),) * 3)
+    all_defect = (np.ravel_multi_index((1, 1, 1), rssd_game.action_shape),) * 3
     ok, report = verify_epsilon_optimal(
         rssd_game, all_defect, 0.97, 1e-5, rssd_oracle
     )
@@ -88,7 +89,7 @@ def test_model_enumeration_cross_check_on_two_row_games():
     for seed in (100, 101, 102):
         game = random_game(seed, max_rows=2)
         for rule in enumerate_decision_rules(game):
-            fast, _, _ = r.evaluate_policy_robust(game, rule, 0.85)
+            fast, _, _ = evaluate_one(game, rule, 0.85)
             slow = robust_value_by_model_enumeration(game, rule, 0.85)
             assert np.allclose(fast, slow, atol=1e-9)
 
@@ -164,15 +165,12 @@ def test_ties_broken_as_over_every_rule_when_no_rule_dominates(monkeypatch):
     # (1, 0) and (1, 1) tie for the smallest shortfall.
     made_up = {(0, 0): [4.0, 0.0], (0, 1): [0.0, 4.0], (1, 0): [2.0, 3.0], (1, 1): [3.0, 2.0]}
 
-    def evaluate(game, rule, lam):
-        # The oracle passes a stack of rules, the every-rule reference one
-        # TeamDecisionRule at a time.
-        if isinstance(rule, r.TeamDecisionRule):
-            value, _, _ = evaluate(game, np.array([rule.joint_actions]), lam)
-            return value[0], (0, 0), True
-        groups = game.action_group[np.arange(game.m), rule]
+    def evaluate(game, rules, lam):
+        # The oracle passes blocks of rules, the every-rule reference stacks
+        # of one.
+        groups = game.action_group[np.arange(game.m), rules]
         value = np.array([made_up[combo] for combo in map(tuple, groups.tolist())])
-        return value, np.zeros_like(rule), np.ones(len(rule), dtype=bool)
+        return value, np.zeros_like(rules), np.ones(len(rules), dtype=bool)
 
     monkeypatch.setattr(oracle, "evaluate_policy_robust", evaluate)
     monkeypatch.setattr(r, "evaluate_policy_robust", evaluate)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -41,6 +42,14 @@ class TestParams:
             ({"synergy": (1.5, 1.8)}, "synergy must give one factor per state"),
             ({"snowdrift_benefit": (1.5,)}, "snowdrift_benefit must give one value per state"),
             ({"mu_set": ()}, "mu_set must be nonempty"),
+            ({"mu_set": (0.1, math.nan)},
+             r"mu nan must satisfy 0 <= mu and mu \* n_players <= 1$"),
+            ({"mu_set": (math.inf,)},
+             r"mu inf must satisfy 0 <= mu and mu \* n_players <= 1$"),
+            ({"snowdrift_benefit": (math.inf, 1.8, 2.2)},
+             r"snowdrift_benefit \(inf, 1\.8, 2\.2\) must be finite$"),
+            ({"snowdrift_benefit": (1.5, math.nan, 2.2)},
+             r"snowdrift_benefit \(1\.5, nan, 2\.2\) must be finite$"),
         ],
         ids=repr,
     )

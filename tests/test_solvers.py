@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import robustdp as r
 from conftest import (
     enumerate_decision_rules,
+    evaluate_one,
     evaluate_policy_exact,
     games,
     huge_payoff_game,
@@ -182,7 +183,7 @@ class TestSolverLoops:
                 res = solve(game, params)
                 assert res.terminated
                 ok, report = verify_epsilon_optimal(
-                    game, res.policy, 0.9, 1e-6, orc
+                    game, res.policy.joint_actions, 0.9, 1e-6, orc
                 )
                 assert ok, (seed, solve.__name__, report["max_violation"])
 
@@ -234,7 +235,9 @@ class TestSolverLoops:
                 )
                 res = r.solve_ratpi(game, params, oracle)
                 assert res.terminated
-                ok, report = verify_epsilon_optimal(game, res.policy, lam, eps, orc)
+                ok, report = verify_epsilon_optimal(
+                    game, res.policy.joint_actions, lam, eps, orc
+                )
                 assert ok, (mode, lock, report["max_violation"])
 
 
@@ -506,14 +509,14 @@ class TestRobustEvaluation:
     def test_singleton_rows_match_dense_solve(self):
         game = mdp_game(seed=9)
         for rule in enumerate_decision_rules(game):
-            value, rows, _ = r.evaluate_policy_robust(game, rule, 0.9)
+            value, rows, _ = evaluate_one(game, rule, 0.9)
             expected = evaluate_policy_exact(game, rule, rows, 0.9)
             assert np.allclose(value, expected, atol=1e-10)
 
     def test_rssd_all_defect_value_is_zero(self, rssd_game):
         # zero cooperators: identity transitions, zero payoffs everywhere
-        rule = r.TeamDecisionRule((np.ravel_multi_index((1, 1, 1), rssd_game.action_shape),) * 3)
-        value, rows, _ = r.evaluate_policy_robust(rssd_game, rule, 0.97)
+        rule = (np.ravel_multi_index((1, 1, 1), rssd_game.action_shape),) * 3
+        value, rows, _ = evaluate_one(rssd_game, rule, 0.97)
         assert np.array_equal(value, np.zeros(3))
         assert rows == (0, 0, 0)
 
@@ -521,14 +524,14 @@ class TestRobustEvaluation:
         for seed in range(6):
             game = random_game(seed + 50, max_rows=2)
             for rule in enumerate_decision_rules(game):
-                fast, _, _ = r.evaluate_policy_robust(game, rule, 0.9)
+                fast, _, _ = evaluate_one(game, rule, 0.9)
                 slow = robust_value_by_model_enumeration(game, rule, 0.9)
                 assert np.allclose(fast, slow, atol=1e-9)
 
     def test_worst_rows_certify_the_value(self):
         game = random_game(61)
         rule = next(iter(enumerate_decision_rules(game)))
-        value, rows, settled = r.evaluate_policy_robust(game, rule, 0.9)
+        value, rows, settled = evaluate_one(game, rule, 0.9)
         assert settled
         assert np.allclose(
             value, evaluate_policy_exact(game, rule, rows, 0.9), atol=1e-9
@@ -539,13 +542,13 @@ class TestRobustEvaluation:
         rule = next(iter(enumerate_decision_rules(game)))
         monkeypatch.setattr(solvers, "ROBUST_EVAL_MAX_ROUNDS", 1)
         with caplog.at_level(logging.WARNING, logger="robustdp.solvers"):
-            _, _, settled = r.evaluate_policy_robust(game, rule, 0.9)
+            _, _, settled = evaluate_one(game, rule, 0.9)
         assert not settled
         assert "did not settle in 1 rounds" in caplog.text
 
     def test_unsettled_stack_logs_one_warning_with_the_count(self, monkeypatch, caplog):
         game = random_game(61)
-        rules = np.array([rule.joint_actions for rule in enumerate_decision_rules(game)])
+        rules = np.array(list(enumerate_decision_rules(game)))
         monkeypatch.setattr(solvers, "ROBUST_EVAL_MAX_ROUNDS", 1)
         with caplog.at_level(logging.WARNING, logger="robustdp.solvers"):
             _, _, settled = r.evaluate_policy_robust(game, rules, 0.9)
@@ -572,14 +575,18 @@ class TestRobustEvaluation:
             np.zeros(3, dtype=int),
             np.array([[0, 0, 8]]),
             np.array([[0, -1, 0]]),
-            r.TeamDecisionRule((0, 0)),
-            r.TeamDecisionRule((0, 0, 0, 0)),
-            r.TeamDecisionRule((0, 0, 8)),
-            r.TeamDecisionRule((0, -1, 0)),
+            # One rule is a stack of one: a list holding its tuple, as the
+            # solvers pass it.
+            [(0, 0)],
+            [(0, 0, 0, 0)],
+            [(0, 0, 8)],
+            [(0, -1, 0)],
+            # The result type is no stack, even when its rule is valid.
+            r.TeamDecisionRule((0, 0, 0)),
         ],
         ids=[
             "float", "bool", "short", "one-dim", "past-end", "negative",
-            "rule-short", "rule-long", "rule-past-end", "rule-negative",
+            "rule-short", "rule-long", "rule-past-end", "rule-negative", "rule-object",
         ],
     )
     def test_invalid_stack_is_rejected(self, rules, rssd_game):
@@ -590,12 +597,12 @@ class TestRobustEvaluation:
 class TestExactEvaluation:
     def test_single_state_geometric_series(self):
         game = singleton_game(payoff=1.0)
-        value = evaluate_policy_exact(game, r.TeamDecisionRule((0,)), (0,), 0.9)
+        value = evaluate_policy_exact(game, (0,), (0,), 0.9)
         assert abs(value[0] - 10.0) < 1e-12
 
     def test_zero_discount_returns_expected_payoff(self):
         game = two_state_chain()
-        rule = r.TeamDecisionRule((0, 0))
+        rule = (0, 0)
         value = evaluate_policy_exact(game, rule, (1, 0), 0.0)
         _, rew = fixed_model_arrays(game, rule, (1, 0))
         assert np.array_equal(value, rew)

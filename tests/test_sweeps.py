@@ -13,6 +13,7 @@ from conftest import (
     greedy_multistep,
     gs_backup,
     gs_splitting,
+    is_int_tuple,
     mdp_game,
     per_action,
     random_game,
@@ -75,7 +76,11 @@ class TestImprovementSweep:
         game = two_state_chain()
         v = np.array([1.0, 2.0])
         sweep = r.improvement_sweep(game, v, LAM)
-        assert sweep.rule.joint_actions == (0, 0)
+        assert sweep.rule == (0, 0)
+        assert is_int_tuple(sweep.rule)
+        jacobi = r.jacobi_improvement_sweep(game, v, LAM)
+        assert jacobi.rule == (0, 0)
+        assert is_int_tuple(jacobi.rule)
         # matches the raw backups computed with the partially updated vector
         b0, _ = gs_backup(game, v, v, 0, 0, LAM)
         b1, _ = gs_backup(game, v, np.array([b0, 0.0]), 1, 0, LAM)
@@ -113,7 +118,8 @@ class TestImprovementSweep:
             mode="adversarial_extremes", bound=0.5, seed=0, argmax_lock=True
         )
         sweep = r.improvement_sweep(game, np.zeros(1), LAM, oracle)
-        assert sweep.rule.joint_actions == (1,)
+        assert sweep.rule == (1,)
+        assert is_int_tuple(sweep.rule)
 
     def test_worst_model_records_exact_argmin_at_chosen_action(self):
         game = two_state_chain()
@@ -125,7 +131,7 @@ class TestImprovementSweep:
 class TestEvaluationSweep:
     def test_zero_discount_ignores_continuation(self):
         game = two_state_chain()
-        rule = r.TeamDecisionRule((0, 0))
+        rule = (0, 0)
         rows = (1, 0)
         P, rew = fixed_model_arrays(game, rule, rows)
         out = r.evaluation_sweep(P, rew, np.array([55.0, -3.0]), 0.0)
@@ -133,7 +139,7 @@ class TestEvaluationSweep:
 
     def test_single_state_policy_evaluation_fixed_point(self):
         game = singleton_game(payoff=1.0)
-        P, rew = fixed_model_arrays(game, r.TeamDecisionRule((0,)), (0,))
+        P, rew = fixed_model_arrays(game, (0,), (0,))
         out = r.evaluation_sweep(P, rew, np.array([10.0]), 0.9)
         assert out[0] == 1.0 + 0.9 * 10.0
 
@@ -167,14 +173,14 @@ def test_sweeps_in_one_call_match_chained_calls(game, lam, approx, mt, seed):
     """``sweeps=mt`` with one noise row per sweep gives the bits of mt
     chained one-sweep calls, each given its own row."""
     rng = np.random.default_rng(seed)
-    rule = r.TeamDecisionRule(rng.integers(0, game.n_joint_actions, game.m))
-    counts = per_action(game, game.group_n_rows)[np.arange(game.m), list(rule.joint_actions)]
+    rule = tuple(rng.integers(0, game.n_joint_actions, game.m).tolist())
+    counts = per_action(game, game.group_n_rows)[np.arange(game.m), list(rule)]
     rows = tuple(int(rng.integers(0, n)) for n in counts)
     P, rew = fixed_model_arrays(game, rule, rows)
     u = rng.uniform(-20, 20, game.m)
     noise = None
     if approx is not None:
-        queries = list(enumerate(rule.joint_actions))
+        queries = list(enumerate(rule))
         noise = np.array([approx.perturb(seed, s, queries) for s in range(1, mt + 1)])
     chained = u
     for s in range(mt):
@@ -205,7 +211,7 @@ def test_singleton_sets_score_one_block_per_group(lam):
 
 def test_noise_must_hold_one_row_per_sweep():
     game = two_state_chain()
-    P, rew = fixed_model_arrays(game, r.TeamDecisionRule((0, 0)), (1, 0))
+    P, rew = fixed_model_arrays(game, (0, 0), (1, 0))
     with pytest.raises(ValueError):
         r.evaluation_sweep(P, rew, np.zeros(2), 0.5, np.zeros((2, 2)), 3)
 
@@ -218,16 +224,15 @@ class TestGsPolicyUpdate:
         pay[1, 0, 1] = 0.5
         rows = [[[[0.5, 0.5]]], [[[0.0, 1.0]]]]
         game = r.build_game(1, ["s1", "s2"], [["a0"]], pay, rows)
-        rule = r.TeamDecisionRule((0, 0))
         v = np.array([2.0, 4.0])
-        P, rew = fixed_model_arrays(game, rule, (0, 0))
+        P, rew = fixed_model_arrays(game, (0, 0), (0, 0))
         assert np.tril(P, -1).max() == 0.0
         out = r.evaluation_sweep(P, rew, v, LAM)
         assert np.allclose(out, rew + LAM * (P @ v), atol=1e-14)
 
     def test_single_state_update(self):
         game = singleton_game(payoff=1.0)
-        P, rew = fixed_model_arrays(game, r.TeamDecisionRule((0,)), (0,))
+        P, rew = fixed_model_arrays(game, (0,), (0,))
         out = r.evaluation_sweep(P, rew, np.array([3.0]), 0.9)
         assert out[0] == 1.0 + 0.9 * 3.0
 
@@ -354,7 +359,7 @@ class TestBestCaseMultistep:
         game = singleton_game(payoff=1.0)
         v = np.array([4.0])
         out = best_case_multistep(game, v, 2, 0.5)
-        P, rew = fixed_model_arrays(game, r.TeamDecisionRule((0,)), (0,))
+        P, rew = fixed_model_arrays(game, (0,), (0,))
         x = v.copy()
         for _ in range(3):
             x = r.evaluation_sweep(P, rew, x, 0.5)
@@ -435,4 +440,4 @@ class TestBackupLattice:
         sweep = r.improvement_sweep(rssd_game, v, 0.97)
         assert np.allclose(lattice.max(axis=1), sweep.u0, atol=1e-13)
         for k in range(3):
-            assert lattice[k].argmax() == sweep.rule.joint_actions[k]
+            assert lattice[k].argmax() == sweep.rule[k]
