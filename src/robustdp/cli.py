@@ -54,6 +54,7 @@ from .model import (
     BudgetExceededError,
     GameValidationError,
     TeamMarkovGame,
+    _fits_double,
     _is_number,
     load_game,
     save_game,
@@ -110,6 +111,8 @@ def _parse_v0(text: str):
             raise CliInputError(f"--v0 {path}: {e}") from e
         if not isinstance(values, list) or not all(map(_is_number, values)):
             raise CliInputError(f"--v0 {path}: expected a JSON array of numbers")
+        if not all(map(_fits_double, values)):
+            raise CliInputError(f"--v0 {path}: a number is beyond double range")
         return tuple(map(float, values))
     raise CliInputError(f"--v0 {text!r}: expected remark1, zeros, or file:PATH")
 

@@ -127,12 +127,8 @@ class TeamDecisionRule:
     joint_actions: tuple[int, ...]
 
     def __post_init__(self):
-        # operator.index reads True as 1; a rule is built on every
-        # improvement sweep, so the check stays one C-level pass.
-        actions = tuple(self.joint_actions)
-        if bool in map(type, actions):
-            raise TypeError(f"joint actions must not be bools: {actions!r}")
-        object.__setattr__(self, "joint_actions", tuple(map(operator.index, actions)))
+        actions = tuple(_count(a, "joint action") for a in self.joint_actions)
+        object.__setattr__(self, "joint_actions", actions)
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,9 +150,8 @@ class TeamMarkovGame:
       of the group's actions.
     * ``group_candidates``, shape (m, G, Kmax, m): ``group_candidates[k, g, j]``
       is the j-th candidate transition row out of state k under the group's
-      actions.  Only the first ``group_n_rows[k, g]`` rows are real; padded
-      rows are zero.
-    * ``group_n_rows``, integer shape (m, G): the candidate count of each group.
+      actions.  The real rows come first, and each sums to 1; the rows that
+      pad a group to Kmax are all zero.  No field counts the real rows.
     * ``group_payoff_exp``, shape (m, G, Kmax): the expected immediate payoff
       ``group_candidates[k, g, j] @ group_payoff[k, g]`` of every real row,
       and ``+inf`` in every padded row, so a padded row never wins the
@@ -167,8 +162,10 @@ class TeamMarkovGame:
     max over groups, and a reduction over the other arrays sees only real
     data.
 
-    All arrays are read-only.  :func:`build_game` checks the rows and forms
-    the groups before they reach this class.
+    The game freezes a read-only view of each array it is handed, not a
+    copy, so the arrays are shared with the caller, whose own references
+    stay writable.  :func:`build_game`, which allocates them, checks the
+    rows and forms the groups before they reach this class.
     """
 
     states: tuple[str, ...]
@@ -177,30 +174,22 @@ class TeamMarkovGame:
     group_action: np.ndarray = field(repr=False)
     group_payoff: np.ndarray = field(repr=False)
     group_candidates: np.ndarray = field(repr=False)
-    group_n_rows: np.ndarray = field(repr=False)
     r_max: float
     group_payoff_exp: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        # ``action_group`` is the one (m, A) array, and :func:`build_game`
-        # hands over a fresh one, so it is not copied; the game freezes a
-        # view of it, which leaves a caller's own array writable.
-        action_group = np.asarray(self.action_group, dtype=np.intp).view()
-        group_action = np.array(self.group_action, dtype=np.intp)
-        payoff = np.array(self.group_payoff, dtype=float)
-        cand = np.array(self.group_candidates, dtype=float)
-        n_rows = np.array(self.group_n_rows, dtype=np.intp)
-        pexp = (cand @ payoff[..., None])[..., 0]
-        pexp[np.arange(cand.shape[2]) >= n_rows[..., None]] = np.inf
-        n_groups = action_group.max(axis=1) + 1
+        # A real row sums to 1, so only padded rows are all zero.
+        cand = self.group_candidates
+        pexp = (cand @ self.group_payoff[..., None])[..., 0]
+        pexp[~cand.any(axis=-1)] = np.inf
+        n_groups = self.action_group.max(axis=1) + 1
         pexp[np.arange(cand.shape[1]) >= n_groups[:, None]] = -np.inf
-        for name, arr in (
-            ("action_group", action_group), ("group_action", group_action),
-            ("group_payoff", payoff), ("group_candidates", cand),
-            ("group_n_rows", n_rows), ("group_payoff_exp", pexp),
-        ):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "group_payoff_exp", pexp)
+        for name in ("action_group", "group_action", "group_payoff",
+                     "group_candidates", "group_payoff_exp"):
+            view = getattr(self, name).view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
 
     @property
     def m(self) -> int:
@@ -376,8 +365,8 @@ def build_game(
     # Padded groups copy group 0, whose lowest member is action 0.
     n_groups = max(map(len, group_rows))
     group_rows = [per + per[:1] * (n_groups - len(per)) for per in group_rows]
-    n_rows = np.array([[len(rows) for _, rows in per] for per in group_rows], dtype=np.intp)
-    candidates = np.zeros((m, n_groups, int(n_rows.max()), m))
+    k_max = max(len(rows) for per in group_rows for _, rows in per)
+    candidates = np.zeros((m, n_groups, k_max, m))
     for k, per_state in enumerate(group_rows):
         for g, (_, rows) in enumerate(per_state):
             candidates[k, g, : len(rows)] = rows
@@ -389,7 +378,6 @@ def build_game(
         group_action=group_action,
         group_payoff=payoff[at_state, entry[at_state, group_action]],
         group_candidates=candidates,
-        group_n_rows=n_rows,
         r_max=float(r_max),
     )
 
@@ -657,7 +645,9 @@ def game_to_dict(game: TeamMarkovGame) -> dict:
          "r": float(payoff[k, a, l])}
         for k, a, l in zip(*np.nonzero(payoff))
     ]
-    cand, n_rows = game.group_candidates, game.group_n_rows
+    # Real rows come first and are nonzero; padded rows are all zero.
+    cand = game.group_candidates
+    n_rows = np.count_nonzero(cand.any(axis=-1), axis=-1)
     uncertainty = [
         {"s": states[k], "a": list(actions[a]), "rows": cand[k, g, : n_rows[k, g]].tolist()}
         for k, per_state in enumerate(game.action_group.tolist())

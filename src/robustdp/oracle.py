@@ -10,7 +10,8 @@ time, each block as one stacked call of :func:`evaluate_policy_robust`, so
 the gathered candidate rows held at once stay bounded whatever the rule
 count; only the values, m doubles per rule, are kept for all of them.
 Meant as an independent reference for the iterative solvers, not as a
-production path; the ``oracle`` CLI command and the benchmark's paper
+production path; the ``oracle`` and ``bench-table1`` CLI commands (the
+latter for each lambda's ``oracle_gap``) and the benchmark's paper
 workload run it.  The slower references the tests check the oracle, the
 robust evaluation and epsilon-optimality against (enumeration of every
 rule, and of every admissible model of a rule) live in

@@ -30,7 +30,7 @@ from decimal import Decimal
 
 import numpy as np
 
-from .model import TeamMarkovGame, build_game
+from .model import TeamMarkovGame, _count, build_game
 
 N_STATES = 3
 STATE_NAMES = ("s1", "s2", "s3")
@@ -45,7 +45,9 @@ class RssdParams:
     strictly between the cooperation cost and the player count for the
     public goods stage to be a dilemma.  ``snowdrift_benefit`` defaults to
     the synergy factors and must be finite.  ``mu_set`` magnitudes must
-    keep every row stochastic: mu * n_players <= 1.
+    keep every row stochastic: mu * n_players <= 1.  ``n_players`` and
+    ``stag_threshold`` must be integers, not bools; anything else raises
+    ``TypeError``.
     """
 
     n_players: int = 3
@@ -56,6 +58,8 @@ class RssdParams:
     mu_set: tuple[float, ...] = (0.1, 0.2, 0.3)
 
     def __post_init__(self):
+        for name in ("n_players", "stag_threshold"):
+            object.__setattr__(self, name, _count(getattr(self, name), name))
         if self.n_players < 1:
             raise ValueError("n_players must be positive")
         if len(self.synergy) != N_STATES:

@@ -8,7 +8,8 @@ through ``fixed_model_arrays``, the same gather the solvers use, and every
 enumeration raises ``BudgetExceededError`` up front when it would exceed
 its budget.  A rule is a tuple of per-state joint actions, the form the
 sweeps return; only results wrap it in a ``TeamDecisionRule``.
-``per_action`` reads the packed game per joint action.
+``per_action`` reads the packed game per joint action, and ``row_counts``
+counts each group's real candidate rows.
 """
 
 import functools
@@ -40,6 +41,12 @@ def per_action(game, group_array):
     """A packed ``group_*`` array of ``game`` gathered through
     ``action_group`` to one entry per (state, joint action)."""
     return group_array[np.arange(game.m)[:, None], game.action_group]
+
+
+def row_counts(game):
+    """The (m, G) count of real candidate rows of each group of ``game``:
+    its rows that are not all zero, as every real row sums to 1."""
+    return np.count_nonzero(game.group_candidates.any(axis=-1), axis=-1)
 
 
 def singleton_game(payoff: float = 1.0) -> r.TeamMarkovGame:
@@ -277,7 +284,7 @@ def gs_backup(game, v, u_partial, k, a, lam):
     """
     w = np.concatenate([np.asarray(u_partial, float)[:k], np.asarray(v, float)[k:]])
     g = game.action_group[k, a]
-    n = game.group_n_rows[k, g]
+    n = row_counts(game)[k, g]
     q = game.group_payoff_exp[k, g, :n] + lam * (game.group_candidates[k, g] @ w)[:n]
     j = int(np.argmin(q))
     return float(q[j]), j
@@ -338,8 +345,7 @@ def model_rows(game, rule, budget=DEFAULT_ENUMERATION_BUDGET):
     Raises BudgetExceededError up front when the product of the per-state
     candidate counts exceeds ``budget``."""
     r.solvers._rule_stack(game, [rule])
-    counts = [int(game.group_n_rows[k, game.action_group[k, a]])
-              for k, a in enumerate(rule)]
+    counts = per_action(game, row_counts(game))[np.arange(game.m), list(rule)].tolist()
     total = math.prod(counts)
     if total > budget:
         raise r.BudgetExceededError(total, budget)

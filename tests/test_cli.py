@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import robustdp as r
-from conftest import huge_payoff_game, singleton_game
+from conftest import huge_payoff_game, row_counts, singleton_game
 from robustdp import cli, solvers
 from robustdp.cli import main
 
@@ -39,7 +39,7 @@ def test_rssd_gen_flags_honoured(tmp_path):
     assert main(["rssd-gen", "--out", str(path), "--z", "3", "--mu", "0.1,0.2"]) == 0
     game = r.load_game(path)
     all_coop = np.ravel_multi_index((0, 0, 0), game.action_shape)
-    assert game.group_n_rows[0, game.action_group[0, all_coop]] == 2
+    assert row_counts(game)[0, game.action_group[0, all_coop]] == 2
 
 
 def test_solve_writes_result_and_trace(rssd_file, tmp_path):
@@ -299,6 +299,9 @@ def test_invalid_game_content_exits_1(tmp_path, capsys):
     assert "player_actions lists 0 action sets" in err
 
 
+HUGE_V0 = "file:<an array holding 10**400>"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -325,9 +328,16 @@ def test_invalid_game_content_exits_1(tmp_path, capsys):
         ["solve", "--mt", "-1"],
         ["bench-table1", "--lambdas", "0.9,x"],
         ["solve", "--v0", "file:no-such-dir/v0.json"],
+        ["solve", "--v0", HUGE_V0],
+        ["trace-fig1", "--v0", HUGE_V0],
     ],
 )
-def test_unusable_flags_exit_1(argv, rssd_file, tmp_path, capsys):
+def test_unusable_flags_exit_1(argv, rssd_file, tmp_path, tmp_path_factory, capsys):
+    if HUGE_V0 in argv:
+        # An integer JSON can spell but a double cannot hold.
+        path = tmp_path_factory.mktemp("v0") / "huge.json"
+        path.write_text(f"[1{'0' * 400}, 0, 0]")
+        argv = [f"file:{path}" if x == HUGE_V0 else x for x in argv]
     if argv[0] in ("solve", "oracle"):
         where = ["--game", str(rssd_file)]
     else:
@@ -351,6 +361,8 @@ def test_unusable_flags_exit_1(argv, rssd_file, tmp_path, capsys):
         )
     if "--lambdas" in argv:
         assert err.startswith("--lambdas ")
+    if argv[-1].endswith("huge.json"):
+        assert err == f"--v0 {argv[-1][len('file:'):]}: a number is beyond double range\n"
 
 
 @pytest.mark.parametrize("content", ['"123"', '[true, "2.5", 3]', '{"s1": 1.0}', "[1, null, 3]"])

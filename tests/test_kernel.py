@@ -26,6 +26,7 @@ from conftest import (
     is_int_tuple,
     per_action,
     reference_noise,
+    row_counts,
 )
 from robustdp import solvers
 from robustdp.sweeps import fixed_model_arrays
@@ -127,7 +128,7 @@ def test_evaluation_sweep_matches_loop(game, lam, approx, seed):
     draw it, equals the loop bit for bit."""
     rng = np.random.default_rng(seed)
     rule = tuple(rng.integers(0, game.n_joint_actions, game.m).tolist())
-    counts = per_action(game, game.group_n_rows)[np.arange(game.m), list(rule)]
+    counts = per_action(game, row_counts(game))[np.arange(game.m), list(rule)]
     rows = tuple(int(rng.integers(0, n)) for n in counts)
     u = start_value(game, seed)
     step, phase = seed % 7, 1 + seed % 3
@@ -216,7 +217,7 @@ def test_stacked_round_cap_matches_one_rule_calls(game, lam, cap, seed):
 def test_padding_leaves_real_rows_within_rounding(game, seed):
     """Padded and unpadded row products differ at most by BLAS rounding."""
     v = start_value(game, seed)
-    n_rows = per_action(game, game.group_n_rows)
+    n_rows = per_action(game, row_counts(game))
     cand = per_action(game, game.group_candidates)
     pexp = per_action(game, game.group_payoff_exp)
     for k in range(game.m):

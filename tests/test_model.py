@@ -21,6 +21,7 @@ from conftest import (
     per_action,
     per_pair_parts,
     random_game,
+    row_counts,
     rssd_per_pair,
     rssd_through_map,
     singleton_game,
@@ -264,7 +265,7 @@ class TestValidation:
     def test_rssd_row_sets_have_three_candidates_collapsing_at_zero_cooperators(
         self, rssd_game
     ):
-        n_rows = per_action(rssd_game, rssd_game.group_n_rows)
+        n_rows = per_action(rssd_game, row_counts(rssd_game))
         all_defect = np.ravel_multi_index((1, 1, 1), rssd_game.action_shape)
         all_coop = np.ravel_multi_index((0, 0, 0), rssd_game.action_shape)
         for k in range(rssd_game.m):
@@ -320,7 +321,7 @@ class TestRowDistributionSet:
     def test_normalised_rows_accepted(self, weights):
         row = np.array(weights) / np.sum(weights)
         game = rows_game([row], len(row))
-        assert game.group_n_rows[0, 0] == 1
+        assert row_counts(game)[0, 0] == 1
         assert abs(game.group_candidates[0, 0, 0].sum() - 1.0) <= 1e-12
 
     @given(st.floats(min_value=1e-9, max_value=0.5))
@@ -396,7 +397,7 @@ class TestRowDistributionSet:
         pay = np.arange(4.0).reshape(2, 1, 2)
         game = r.build_game(1, ["s1", "s2"], [["a0"]], pay, rows)
         assert game.group_candidates.shape == (2, 1, 2, 2)
-        assert game.group_n_rows.tolist() == [[2], [1]]
+        assert row_counts(game).tolist() == [[2], [1]]
         assert np.array_equal(game.group_candidates[1, 0, 1], [0.0, 0.0])
         assert game.group_payoff_exp.tolist() == [[[0.0, 0.5]], [[3.0, np.inf]]]
         for name in GROUP_ARRAYS:
@@ -461,7 +462,7 @@ class TestEnumeration:
             game = random_game(seed)
             rule = next(iter(enumerate_decision_rules(game)))
             count = sum(1 for _ in enumerate_policy_models(game, rule))
-            n_rows = per_action(game, game.group_n_rows)
+            n_rows = per_action(game, row_counts(game))
             assert count == math.prod(
                 int(n_rows[k, a]) for k, a in enumerate(rule)
             )
@@ -489,7 +490,7 @@ class TestJsonRoundTrip:
         assert np.array_equal(
             per_action(back, back.group_payoff), per_action(game, game.group_payoff)
         )
-        n_rows, back_n_rows = (per_action(g, g.group_n_rows) for g in (game, back))
+        n_rows, back_n_rows = (per_action(g, row_counts(g)) for g in (game, back))
         cand, back_cand = (per_action(g, g.group_candidates) for g in (game, back))
         for k in range(game.m):
             for a in range(game.n_joint_actions):
@@ -513,7 +514,7 @@ class TestJsonRoundTrip:
 
 
 GROUP_ARRAYS = ("action_group", "group_action", "group_payoff", "group_candidates",
-                "group_n_rows", "group_payoff_exp")
+                "group_payoff_exp")
 
 
 def assert_same_arrays(game, other):
@@ -545,7 +546,7 @@ class TestGroups:
         payoff, rows = parts[3], parts[4]
         m, n_joint = game.m, game.n_joint_actions
         assert np.array_equal(per_action(game, game.group_payoff), payoff)
-        n_rows = per_action(game, game.group_n_rows)
+        n_rows = per_action(game, row_counts(game))
         candidates = per_action(game, game.group_candidates)
         for k in range(m):
             cleaned = [_clean_rows(rows[k][a], m) for a in range(n_joint)]
@@ -623,13 +624,16 @@ class TestArrayOwnership:
             tracemalloc.stop()
         assert peak < 1.5 * game.action_group.nbytes
 
-    def test_game_freezes_a_view_not_the_callers_array(self):
+    # Every packed array but ``group_payoff_exp``, which the game computes.
+    @pytest.mark.parametrize("name", GROUP_ARRAYS[:-1])
+    def test_game_freezes_a_view_not_the_callers_array(self, name):
         game = random_game(7)
-        mine = np.array(game.action_group)
-        again = dataclasses.replace(game, action_group=mine)
-        assert np.shares_memory(again.action_group, mine)
-        assert not again.action_group.flags.writeable
+        mine = np.array(getattr(game, name))
+        again = dataclasses.replace(game, **{name: mine})
+        assert np.shares_memory(getattr(again, name), mine)
+        assert not getattr(again, name).flags.writeable
         assert mine.flags.writeable
+        assert_same_arrays(again, game)
 
     def test_build_game_leaves_its_inputs_writable(self):
         payoff = np.zeros((2, 2, 2))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import robustdp as r
-from conftest import DilemmaViolation, check_dilemma_conditions, per_action
+from conftest import DilemmaViolation, check_dilemma_conditions, per_action, row_counts
 from robustdp.rssd import (
     PUBLIC_GOODS,
     SNOWDRIFT,
@@ -50,11 +50,15 @@ class TestParams:
              r"snowdrift_benefit \(inf, 1\.8, 2\.2\) must be finite$"),
             ({"snowdrift_benefit": (1.5, math.nan, 2.2)},
              r"snowdrift_benefit \(1\.5, nan, 2\.2\) must be finite$"),
+            ({"stag_threshold": 2.5}, "stag_threshold must be an integer, got 2.5$"),
+            ({"stag_threshold": True}, "stag_threshold must be an integer, got True$"),
+            ({"n_players": 3.5, "mu_set": (0.1,)}, "n_players must be an integer, got 3.5$"),
         ],
         ids=repr,
     )
     def test_lengths_and_ranges_checked(self, kwargs, message):
-        with pytest.raises(ValueError, match=f"^{message}"):
+        error = TypeError if "must be an integer" in message else ValueError
+        with pytest.raises(error, match=f"^{message}"):
             RssdParams(**kwargs)
 
     def test_mu_must_keep_rows_stochastic(self):
@@ -147,7 +151,7 @@ class TestBuild:
         for a in range(rssd_game.n_joint_actions):
             h = rssd_game.action_names(a).count("C")
             expected = 3 if h > 0 else 1
-            assert rssd_game.group_n_rows[0, rssd_game.action_group[0, a]] == expected
+            assert row_counts(rssd_game)[0, rssd_game.action_group[0, a]] == expected
 
     @pytest.mark.parametrize("n", [3, 8, 10])
     def test_one_group_per_cooperator_count(self, n):

@@ -17,6 +17,7 @@ from conftest import (
     mdp_game,
     per_action,
     random_game,
+    row_counts,
     singleton_game,
     two_state_chain,
 )
@@ -174,7 +175,7 @@ def test_sweeps_in_one_call_match_chained_calls(game, lam, approx, mt, seed):
     chained one-sweep calls, each given its own row."""
     rng = np.random.default_rng(seed)
     rule = tuple(rng.integers(0, game.n_joint_actions, game.m).tolist())
-    counts = per_action(game, game.group_n_rows)[np.arange(game.m), list(rule)]
+    counts = per_action(game, row_counts(game))[np.arange(game.m), list(rule)]
     rows = tuple(int(rng.integers(0, n)) for n in counts)
     P, rew = fixed_model_arrays(game, rule, rows)
     u = rng.uniform(-20, 20, game.m)
