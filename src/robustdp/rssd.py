@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
+from numbers import Real
 
 import numpy as np
 
@@ -35,6 +36,15 @@ from .model import TeamMarkovGame, _count, build_game
 N_STATES = 3
 STATE_NAMES = ("s1", "s2", "s3")
 PUBLIC_GOODS, STAG_HUNT, SNOWDRIFT = range(N_STATES)
+
+
+def _real(x, name: str) -> float:
+    """``x`` as a float; ``TypeError`` naming ``name`` for a bool, which
+    would be read as 0 or 1, and for anything else that is not a real
+    number, such as a str."""
+    if isinstance(x, Real) and not isinstance(x, (bool, np.bool_)):
+        return float(x)
+    raise TypeError(f"{name} must be a real number, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -46,7 +56,9 @@ class RssdParams:
     public goods stage to be a dilemma.  ``snowdrift_benefit`` defaults to
     the synergy factors and must be finite.  ``mu_set`` magnitudes must
     keep every row stochastic: mu * n_players <= 1.  ``n_players`` and
-    ``stag_threshold`` must be integers, not bools; anything else raises
+    ``stag_threshold`` must be integers, and ``cost`` and the entries of
+    ``synergy``, ``snowdrift_benefit`` and ``mu_set`` real numbers, which
+    are stored as floats; a bool, a str or any other type raises
     ``TypeError``.
     """
 
@@ -60,6 +72,17 @@ class RssdParams:
     def __post_init__(self):
         for name in ("n_players", "stag_threshold"):
             object.__setattr__(self, name, _count(getattr(self, name), name))
+        object.__setattr__(self, "cost", _real(self.cost, "cost"))
+        for name in ("synergy", "snowdrift_benefit", "mu_set"):
+            values = getattr(self, name)
+            if values is None:
+                continue
+            # A str is iterable, but "123" is no tuple of numbers.
+            if isinstance(values, str) or not np.iterable(values):
+                raise TypeError(f"{name} must be a sequence of real numbers, got {values!r}")
+            object.__setattr__(
+                self, name, tuple(_real(x, f"{name} entry") for x in values)
+            )
         if self.n_players < 1:
             raise ValueError("n_players must be positive")
         if len(self.synergy) != N_STATES:

@@ -2,11 +2,12 @@
 
 Four solvers share one skeleton: run an improvement sweep, test the
 termination residual, then run a configurable number of cheaper evaluation
-sweeps under the rule and worst-case rows the improvement recorded.  The
-dense (P, r) of those is gathered again only when the rule or the rows
-differ from the last gather, and a step's Gauss-Seidel evaluation sweeps
-run in one call; the results are bit for bit those of a fresh gather and
-one call per sweep.
+sweeps under the rule and worst-case rows the improvement recorded.  Each
+evaluation sweep, Gauss-Seidel or Jacobi, is one affine map u -> A u + b
+(:func:`~robustdp.sweeps.evaluation_operator`).  The map is formed again,
+from a fresh gather of the dense (P, r), only when the rule or the rows
+differ from the last ones, and a step's evaluation sweeps run in one call;
+the results are bit for bit those of a fresh map and one call per sweep.
 
 * ``ratpi`` - Gauss-Seidel improvement + Gauss-Seidel partial evaluation.
 * ``ratvi`` - ratpi with zero evaluation sweeps per step.
@@ -33,6 +34,7 @@ import numpy as np
 from .model import TeamDecisionRule, TeamMarkovGame, _count
 from .perturb import PerturbationOracle
 from .sweeps import (
+    evaluation_operator,
     evaluation_sweep,
     fixed_model_arrays,
     improvement_sweep,
@@ -246,8 +248,8 @@ def _run(
     sweeps_on = True
     v = initial_value(game, params)
     trace = SolverTrace()
-    # The (rule, rows) whose (P, r) were gathered last: on a run's tail the
-    # improvement sweeps record the same ones step after step.
+    # The (rule, rows) whose sweep operator was formed last: on a run's tail
+    # the improvement sweeps record the same ones step after step.
     gathered = None
     for t in range(params.max_iterations):
         if gauss_seidel:
@@ -275,21 +277,14 @@ def _run(
             if (sweep.rule, sweep.worst_model) != gathered:
                 gathered = (sweep.rule, sweep.worst_model)
                 P, r = fixed_model_arrays(game, *gathered)
-            if gauss_seidel:
-                noise = None
-                if approx is not None:
-                    queries = list(enumerate(sweep.rule))
-                    noise = np.array(
-                        [approx.perturb(t, s, queries) for s in range(1, mt + 1)]
-                    )
-                u = evaluation_sweep(P, r, u, lam, noise, mt)
-            else:
-                for _ in range(mt):
-                    # ``@`` returns a fresh array, so no traced value is
-                    # overwritten; the in-place steps round as r + lam * (P @ u).
-                    u = P @ u
-                    u *= lam
-                    u += r
+                op = evaluation_operator(P, r, lam, gauss_seidel, approx is not None)
+            noise = None
+            if approx is not None:
+                queries = list(enumerate(sweep.rule))
+                noise = np.array(
+                    [approx.perturb(t, s, queries) for s in range(1, mt + 1)]
+                )
+            u = evaluation_sweep(op, u, noise, mt)
         v = u
     else:
         t = params.max_iterations

@@ -33,16 +33,19 @@ Jacobi variants (Q = I, R = lam*P) keep the incoming value fixed for the
 whole sweep, so one kernel call backs up every state at once.
 
 The evaluation sweeps of a step all run under the rule and worst-case rows
-its improvement sweep recorded.  So the solver gathers the dense (P, r) of
-those with :func:`fixed_model_arrays`, only when they differ from the last
-gather, and every evaluation sweep of the step, Gauss-Seidel or Jacobi,
-reads those arrays; the row of state k is
-``P[k] = group_candidates[k, action_group[k, rule[k]], rows[k]]``, so the
-sweep computes the same ``r[k] + lam * (P[k] @ w)`` the kernel would.  A
-step's Gauss-Seidel evaluation sweeps run in one :func:`evaluation_sweep`
-call.  One oracle call draws a whole sweep's noise, before the sweep backs
-up any state; only the locked action's value, chosen as the sweep goes,
-takes one call per state.
+its improvement sweep recorded, so each is the same affine map.  The solver
+gathers the dense (P, r) of those with :func:`fixed_model_arrays` (the row
+of state k is ``P[k] = group_candidates[k, action_group[k, rule[k]],
+rows[k]]``) and forms the map once with :func:`evaluation_operator`, only
+when the rule or the rows differ from the last gather.  For Gauss-Seidel
+that is the splitting's x = Q^{-1} (R u + r): one triangular solve per
+gather gives A = Q^{-1} R and b = Q^{-1} r, and every sweep is then one
+matrix-vector product, ``A @ u + b``.  Jacobi sweeps take A = lam * P and b = r and run through the
+same :func:`evaluation_sweep`; a step's sweeps run in one call.  A
+perturbed sweep adds the noise each state's value takes as the sweep writes
+it, pushed through the same solve: ``Q^{-1} noise``.  One oracle call draws
+a whole sweep's noise, before the sweep backs up any state; only the locked
+action's value, chosen as the sweep goes, takes one call per state.
 
 The module holds only what the solvers and the CLI run.  The slow
 references the tests hold these operators to (the per-(state, action)
@@ -59,10 +62,11 @@ kernel scores stacked rows with ``@``, one matrix-vector product per
 flat (G*Kmax, m) block, because BLAS rounds a row's product differently
 depending on how many rows it is given: with numpy 2.4 and OpenBLAS 0.3.31
 a flat block changes the bits of games whose candidate sets are all
-singletons, and of m = 150 games at Kmax = 3.  An evaluation sweep scores
-one gathered row with ``ndarray.dot``, which runs the same ``dot`` routine
-numpy picks for a vector @ vector product, without ``matmul``'s dispatch
-cost.
+singletons, and of m = 150 games at Kmax = 3.  An evaluation sweep sums
+the terms of the per-state forward substitution in another order, so it
+rounds differently from that loop: ``tests/test_kernel.py`` holds it to the
+loop within a rounding bound, and the solvers to one sweep per call bit for
+bit.
 """
 
 from __future__ import annotations
@@ -164,41 +168,85 @@ def jacobi_improvement_sweep(
     )
 
 
-def evaluation_sweep(
+def _unit_lower_solve(a: np.ndarray, x: np.ndarray, lo: int, hi: int) -> None:
+    """Overwrite rows ``lo:hi`` of ``x`` with the solution y of
+    (I - L) y = x on that diagonal block, where L is the strictly lower
+    triangular part of ``a``; only entries of ``a`` below its diagonal are
+    read.
+
+    Recursive halving: solve the top half, fold it into the bottom half's
+    right-hand side with one matmul, solve the bottom half.  A 1x1 block is
+    solved as it stands, because the diagonal of I - L is 1.
+    """
+    if hi - lo > 1:
+        mid = (lo + hi) // 2
+        _unit_lower_solve(a, x, lo, mid)
+        x[mid:hi] += a[mid:hi, lo:mid] @ x[lo:mid]
+        _unit_lower_solve(a, x, mid, hi)
+
+
+def evaluation_operator(
     P: np.ndarray,
     r: np.ndarray,
-    u: np.ndarray,
     lam: float,
-    noise: np.ndarray | None = None,
-    sweeps: int = 1,
-) -> np.ndarray:
-    """``sweeps`` Gauss-Seidel sweeps under a fixed rule and fixed
-    worst-case rows.
+    gauss_seidel: bool = True,
+    noisy: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The affine map ``u -> A @ u + b`` of one evaluation sweep under a
+    fixed rule and fixed worst-case rows, and the map ``N`` of its noise.
 
     ``(P, r)`` are the rule's transition matrix and expected one-step
     payoffs under those rows, as :func:`fixed_model_arrays` gathers them.
-    Freshly written values feed the remaining states of the same sweep, so
-    without ``noise`` each sweep is exactly the forward substitution solve
-    of (I - lam*P_lower) x = r + lam*P_upper u.  ``noise``, when given, is
-    an array of ``sweeps`` rows, one per sweep: ``noise[s, k]`` is added to
-    state k's value as sweep s writes it, the perturbation oracle's draw for
-    that state's query (a flat row of m draws serves one sweep).  The rows
-    of ``P`` and the payoffs are unpacked once for all the sweeps, so
-    ``sweeps`` sweeps in one call give the bits of ``sweeps`` chained
-    one-sweep calls.
+    A Jacobi sweep is ``A = lam * P``, ``b = r``.  A Gauss-Seidel sweep
+    solves (I - lam*P_lower) x = r + lam*P_upper u + noise, so with
+    Q = I - lam*P_lower it is ``A = Q^{-1} lam*P_upper``, ``b = Q^{-1} r``
+    and ``N = Q^{-1}``; Q is unit lower triangular, so all three come from
+    one solve of Q [A | b | N] = [lam*P_upper | r | I].  ``N`` is formed only
+    when ``noisy``, and is None otherwise.
     """
-    w = np.array(u, dtype=float)
+    scaled = lam * P
+    if not gauss_seidel:
+        return scaled, r, None
+    m = len(r)
+    parts = [np.triu(scaled), r[:, None]]
+    if noisy:
+        parts.append(np.eye(m))
+    x = np.hstack(parts)
+    # The solve reads only the entries of ``scaled`` below its diagonal.
+    _unit_lower_solve(scaled, x, 0, m)
+    return (
+        np.ascontiguousarray(x[:, :m]),
+        np.ascontiguousarray(x[:, m]),
+        np.ascontiguousarray(x[:, m + 1 :]) if noisy else None,
+    )
+
+
+def evaluation_sweep(
+    op: tuple[np.ndarray, np.ndarray, np.ndarray | None],
+    u: np.ndarray,
+    noise: np.ndarray | None = None,
+    sweeps: int = 1,
+) -> np.ndarray:
+    """``sweeps`` evaluation sweeps under a fixed rule and fixed worst-case
+    rows, each one matrix-vector product: ``u = A @ u + b``.
+
+    ``op`` is the ``(A, b, N)`` of :func:`evaluation_operator`, Gauss-Seidel
+    or Jacobi.  ``noise``, when given, is an array of ``sweeps`` rows, one
+    per sweep (a flat row of m draws serves one sweep): ``noise[s, k]`` is
+    the perturbation oracle's draw for state k's query in sweep s, added to
+    that state's value as the sweep writes it, so the sweep also adds
+    ``N @ noise[s]``.  Each sweep returns a fresh array, and ``sweeps``
+    sweeps in one call give the bits of ``sweeps`` chained one-sweep calls.
+    """
+    A, b, N = op
     if noise is not None:
-        noise = np.reshape(noise, (sweeps, len(w)))
-    rows, rew = list(P), r.tolist()
+        noise = np.reshape(noise, (sweeps, len(b)))
     for s in range(sweeps):
-        if noise is None:
-            for k, (row, r_k) in enumerate(zip(rows, rew)):
-                w[k] = r_k + lam * row.dot(w)
-        else:
-            for k, (row, r_k, eta) in enumerate(zip(rows, rew, noise[s].tolist())):
-                w[k] = r_k + lam * row.dot(w) + eta
-    return w
+        u = A @ u
+        u += b
+        if noise is not None:
+            u += N @ noise[s]
+    return u
 
 
 def fixed_model_arrays(

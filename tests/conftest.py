@@ -34,7 +34,7 @@ from robustdp.rssd import (
     team_payoff,
     transition_row_candidates,
 )
-from robustdp.sweeps import fixed_model_arrays
+from robustdp.sweeps import evaluation_operator, fixed_model_arrays
 
 
 def per_action(game, group_array):
@@ -398,22 +398,23 @@ def greedy_multistep(game, v, extra_sweeps, lam):
     """One exact improvement sweep, then ``extra_sweeps`` evaluation sweeps
     under the rule and rows the improvement recorded."""
     sweep = r.improvement_sweep(game, v, lam)
-    P, rew = fixed_model_arrays(game, sweep.rule, sweep.worst_model)
+    op = evaluation_operator(*fixed_model_arrays(game, sweep.rule, sweep.worst_model), lam)
     u = sweep.u0
     for _ in range(int(extra_sweeps)):
-        u = r.evaluation_sweep(P, rew, u, lam)
+        u = r.evaluation_sweep(op, u)
     return u
 
 
 def reference_run(game, params, approx=None, gauss_seidel=True, algo="ratpi"):
     """The solvers' step loop in its plainest form, as a ``SolverResult``:
-    every step gathers its (P, r) afresh, runs each Gauss-Seidel evaluation
-    sweep as its own one-sweep ``evaluation_sweep`` call with that sweep's
-    noise drawn just before it, and each Jacobi one as ``r + lam * (P @ u)``.
+    every step gathers its (P, r) and forms its sweep operator afresh, and
+    runs each evaluation sweep, Gauss-Seidel or Jacobi, as its own one-sweep
+    ``evaluation_sweep`` call with that sweep's noise drawn just before it.
     The improvement sweeps are the package's, which ``test_kernel.py`` holds
-    to per-action loops.  An exact run whose residual fails to fall stops
-    its evaluation sweeps, as the solvers' does.  ``ratvi`` and ``rvi`` are
-    this with ``mt_schedule=0``."""
+    to per-action loops, as it holds the evaluation sweeps to per-state
+    loops.  An exact run whose residual fails to fall stops its evaluation
+    sweeps, as the solvers' does.  ``ratvi`` and ``rvi`` are this with
+    ``mt_schedule=0``."""
     lam = params.lam
     delta = params.delta if gauss_seidel else 0.0
     threshold = r.solvers.termination_threshold(lam, params.epsilon, delta)
@@ -437,15 +438,14 @@ def reference_run(game, params, approx=None, gauss_seidel=True, algo="ratpi"):
             sweeps_on = False
         mt = r.solvers._mt_at(params.mt_schedule, t) if sweeps_on else 0
         if mt:
-            P, rew = fixed_model_arrays(game, rule, rows)
+            op = evaluation_operator(
+                *fixed_model_arrays(game, rule, rows), lam, gauss_seidel, approx is not None
+            )
         for s in range(1, mt + 1):
-            if not gauss_seidel:
-                u = rew + lam * (P @ u)
-                continue
             noise = None
             if approx is not None:
                 noise = approx.perturb(t, s, enumerate(rule))
-            u = r.evaluation_sweep(P, rew, u, lam, noise)
+            u = r.evaluation_sweep(op, u, noise)
         v = u
     value, worst, settled = evaluate_one(game, rule, lam)
     return r.SolverResult(

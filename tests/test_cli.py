@@ -92,32 +92,32 @@ GOLDEN_BUILD = ("2.4.6", "scipy-openblas 0.3.31.188.0", "x86_64")
 #: Keyed by (algo, approx mode, approx lock).
 SOLVE_GOLDEN = {
     ("ratpi", None, False): (
-        "179e06c0dc3ca00e0549403a68c33e9a1763f645660b8ea3c1b4a80ceb5f0de6",
-        "80a880309e2527a1df3bf18c2ea52ea7d0a6eeab6e13f59117e57d8f2a82713f",
+        "318237e607a9c839e1f96ea1bddde00312ec1e3426c2a4aa68c70796ce5fb525",
+        "335c641e30495da08a00b10834bbed358ff777caf133616502147d934d96e1a9",
     ),
     ("ratvi", None, False): (
         "03483d64f741bf1daa97a03945b7caff5b872982e9ff6daca551ebd6b780ead9",
         "a73dac576c8f0088530b68e84a5bfaa84cb49879694eff5db3ac1ce21ba38c8f",
     ),
     ("rmpi", None, False): (
-        "d6a51e34a8774fa19284988440f6a68cd769724c3826620cc07bc8f12cec5fa5",
-        "11464bf2a0f4e3f4d148212e4c2a8e08224b3baf332e47a06e9b7e7c420e573e",
+        "920ef518eb6f308aff79aecce9bd14553d34c0b3aa7397a38b12dfa1e8fcf0c3",
+        "60ecec29fb495dc2e90e8257fb7a46f0cc65f0261ac4158568ff24088a25aa54",
     ),
     ("rvi", None, False): (
         "1c4d562d8e69a4ed43c4214bc8b3cf1cc92284a58c50fa1b306b374a03e4f70d",
         "f4ac13ed826824287c1d3b1a49f0071b7c1abedb471133f4a9e006dc6f08c936",
     ),
     ("ratpi", "uniform_noise", False): (
-        "bcf7a56509c314366a1a300ee7ec290c95fd74099ebf94e30ec33abea242a289",
-        "4fa30ab4c5ee323dc4deffe61b2bd433cd3d62978bec5193c1b757dee03c001e",
+        "919e915ec0b03db6eb89415390491a113ecc1e4d227bfc8d966bc9c5c725dad9",
+        "83c4533841e990b4188feae30555439919c96161e496c0e684114566c6d822af",
     ),
     ("ratpi", "uniform_noise", True): (
-        "0cacf9924d3ca9a5b5b55726514c63d6ee24d778c0c669ed6fce3bdd2249d55f",
-        "e9ed2d281636b5c155b0f72eb0f9d15ba07db918536a6e4a695a27cd3ac3ec24",
+        "0bc8c65f667bb33af2e9effc474cee2d89cf4a6ceb9b212e490be57b68748ecb",
+        "62fc16ac0dcf5deb361fc5c3e8f56f94b22fae1403cb03dea03868dd55c87326",
     ),
     ("ratpi", "adversarial_extremes", False): (
-        "c932aeeaef7f47e35e371c02b1aeade91b45715e4665d869e6aea3dbaa46bdd5",
-        "ca4db3e87753d563a57c15efab2efe55e084f51b6eb8a71ddadafd2f5104fb16",
+        "754617f2d0f1870880e5cb0e3c1fb4deef0e0d351d65716f502ef4409a9bfb90",
+        "52385a7c540d00eb13de1090959f746c47652c61d5d4d0645958e8d80cad4032",
     ),
     ("ratvi", "uniform_noise", False): (
         "bc217253bc2d01b86d208d4fd069d76da6d830093e480b5520154b18eed66f62",

@@ -61,6 +61,31 @@ class TestParams:
         with pytest.raises(error, match=f"^{message}"):
             RssdParams(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"cost": True}, "cost must be a real number, got True$"),
+            ({"cost": "1"}, "cost must be a real number, got '1'$"),
+            ({"mu_set": (False, 0.1)}, "mu_set entry must be a real number, got False$"),
+            ({"synergy": (1.5, "1.8", 2.2)}, "synergy entry must be a real number, got '1.8'$"),
+            ({"snowdrift_benefit": (1.5, np.True_, 2.2)},
+             "snowdrift_benefit entry must be a real number, got .*True_?$"),
+            ({"synergy": "1.5"}, "synergy must be a sequence of real numbers, got '1.5'$"),
+            ({"mu_set": 0.1}, "mu_set must be a sequence of real numbers, got 0.1$"),
+        ],
+        ids=repr,
+    )
+    def test_float_fields_reject_bools_and_strings(self, kwargs, message):
+        with pytest.raises(TypeError, match=f"^{message}"):
+            RssdParams(**kwargs)
+
+    def test_float_fields_are_stored_as_floats(self):
+        params = RssdParams(cost=1, synergy=(2, 2, 2), mu_set=(0, Fraction(1, 10)))
+        assert params.cost == 1.0 and type(params.cost) is float
+        assert params.synergy == params.snowdrift_benefit == (2.0, 2.0, 2.0)
+        assert params.mu_set == (0.0, 0.1)
+        assert all(type(x) is float for x in params.synergy + params.mu_set)
+
     def test_mu_must_keep_rows_stochastic(self):
         with pytest.raises(ValueError, match="mu"):
             RssdParams(mu_set=(0.1, 0.4))

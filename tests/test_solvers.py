@@ -23,9 +23,10 @@ from conftest import (
     verify_epsilon_optimal,
 )
 from robustdp import solvers
+from robustdp.cli import DEFAULT_BENCH_MT, DEFAULT_LAMBDAS, _default_delta
 from robustdp.perturb import MODES
 from robustdp.solvers import SOLVERS, _mt_at, initial_value, termination_threshold
-from robustdp.sweeps import fixed_model_arrays
+from robustdp.sweeps import evaluation_operator, fixed_model_arrays
 
 #: Rule count of the largest game ``games(max_states=3, max_actions=2)``
 #: draws: 4 joint actions in each of 3 states.
@@ -612,8 +613,74 @@ class TestExactEvaluation:
         rule = next(iter(enumerate_decision_rules(game)))
         rows = tuple(0 for _ in range(game.m))
         expected = evaluate_policy_exact(game, rule, rows, 0.9)
-        P, rew = fixed_model_arrays(game, rule, rows)
+        op = evaluation_operator(*fixed_model_arrays(game, rule, rows), 0.9)
         v = np.zeros(game.m)
         for _ in range(1500):
-            v = r.evaluation_sweep(P, rew, v, 0.9)
+            v = r.evaluation_sweep(op, v)
         assert np.allclose(v, expected, atol=1e-9)
+
+
+#: Iterations of the 60 exact ``bench-table1`` cells on ``build_rssd()`` at
+#: the CLI defaults (epsilon 1e-5, ``remark1`` start), by solver and mt, one
+#: count per ``DEFAULT_LAMBDAS`` entry.  Every cell returns the policy
+#: ``TABLE1_POLICY`` with worst-case rows ``TABLE1_ROWS``.  Recorded with the
+#: per-state evaluation loop, before evaluation sweeps became one
+#: matrix-vector product per sweep; integers, so they hold on any numpy or
+#: BLAS build that rounds within the solvers' margins.
+TABLE1_ITERATIONS = {
+    ("rvi", 0): (302, 385, 526, 814, 1705),
+    ("ratvi", 0): (261, 332, 453, 700, 1464),
+    ("rmpi", 1): (151, 193, 263, 407, 853),
+    ("rmpi", 3): (76, 97, 132, 204, 427),
+    ("rmpi", 5): (51, 65, 88, 136, 285),
+    ("rmpi", 10): (28, 35, 48, 74, 155),
+    ("rmpi", 50): (6, 8, 11, 16, 34),
+    ("ratpi", 1): (131, 166, 227, 350, 732),
+    ("ratpi", 3): (66, 83, 114, 175, 366),
+    ("ratpi", 5): (44, 56, 76, 117, 244),
+    ("ratpi", 10): (24, 31, 42, 64, 134),
+    ("ratpi", 50): (6, 7, 9, 14, 29),
+}
+TABLE1_POLICY, TABLE1_ROWS = (0, 0, 3), (0, 0, 2)
+#: Iterations of ``ratpi`` and ``rmpi`` at mt 10 and epsilon 1e-5 on
+#: :func:`dirichlet_game` (60), by lam, recorded as above.  All four runs
+#: return the policy and rows below, one digit per state.
+DIRICHLET60_ITERATIONS = {
+    ("ratpi", 0.97): 26, ("rmpi", 0.97): 47, ("ratpi", 0.99): 82, ("rmpi", 0.99): 153,
+}
+DIRICHLET60_POLICY = "232300020230103230300130131103120230323230103333110232030032"
+DIRICHLET60_ROWS = "020313301031323010010033200230233313011330310232033010220312"
+
+
+def dirichlet_game(m, seed=2105):
+    """Seeded random game: 2 players x 2 actions, 4 Dirichlet candidate rows
+    per (state, joint action), payoffs uniform on [-1, 1]; no two joint
+    actions alike, so every sweep scores 4 groups of 4 rows per state."""
+    rng = np.random.default_rng(seed)
+    payoff = rng.uniform(-1, 1, (m, 4, m))
+    rows = [[rng.dirichlet(np.ones(m), 4) for _ in range(4)] for _ in range(m)]
+    states = [f"s{k}" for k in range(m)]
+    return r.build_game(2, states, [["a0", "a1"], ["a0", "a1"]], payoff, rows)
+
+
+def test_grid_iterations_policies_and_rows_are_pinned():
+    """Iterations, policies and worst-case rows on the ``bench-table1`` grid
+    and on a 60-state random game: a change of rounding in the solvers
+    moves none of them.  Unlike the golden hashes, these hold on any build."""
+    game = r.build_rssd()
+    for (algo, mt), counts in TABLE1_ITERATIONS.items():
+        for lam, iterations in zip(DEFAULT_LAMBDAS, counts):
+            params = r.SolverParams(
+                lam=lam, epsilon=1e-5, delta=_default_delta(algo, lam, 1e-5), mt_schedule=mt
+            )
+            result = SOLVERS[algo](game, params)
+            got = (result.iterations, result.policy.joint_actions, result.worst_model)
+            assert got == (iterations, TABLE1_POLICY, TABLE1_ROWS), (algo, mt, lam)
+    assert {mt for _, mt in TABLE1_ITERATIONS} == {0, *DEFAULT_BENCH_MT}
+    game = dirichlet_game(60)
+    for (algo, lam), iterations in DIRICHLET60_ITERATIONS.items():
+        result = SOLVERS[algo](game, r.SolverParams(lam=lam, epsilon=1e-5, mt_schedule=10))
+        policy = "".join(map(str, result.policy.joint_actions))
+        rows = "".join(map(str, result.worst_model))
+        got = (result.iterations, policy, rows)
+        assert got == (iterations, DIRICHLET60_POLICY, DIRICHLET60_ROWS), (algo, lam)

@@ -22,7 +22,7 @@ from conftest import (
     two_state_chain,
 )
 from robustdp.solvers import initial_value
-from robustdp.sweeps import fixed_model_arrays
+from robustdp.sweeps import evaluation_operator, fixed_model_arrays
 
 LAM = 0.9
 
@@ -135,13 +135,13 @@ class TestEvaluationSweep:
         rule = (0, 0)
         rows = (1, 0)
         P, rew = fixed_model_arrays(game, rule, rows)
-        out = r.evaluation_sweep(P, rew, np.array([55.0, -3.0]), 0.0)
+        out = r.evaluation_sweep(evaluation_operator(P, rew, 0.0), np.array([55.0, -3.0]))
         assert np.array_equal(out, rew)
 
     def test_single_state_policy_evaluation_fixed_point(self):
         game = singleton_game(payoff=1.0)
         P, rew = fixed_model_arrays(game, (0,), (0,))
-        out = r.evaluation_sweep(P, rew, np.array([10.0]), 0.9)
+        out = r.evaluation_sweep(evaluation_operator(P, rew, 0.9), np.array([10.0]))
         assert out[0] == 1.0 + 0.9 * 10.0
 
     def test_matches_dense_forward_substitution_oracle(self):
@@ -149,10 +149,11 @@ class TestEvaluationSweep:
         rule = next(iter(enumerate_decision_rules(game)))
         rows = tuple(0 for _ in range(game.m))
         P, rew = fixed_model_arrays(game, rule, rows)
+        op = evaluation_operator(P, rew, LAM)
         rng = np.random.default_rng(0)
         for _ in range(20):
             u = rng.uniform(-10, 10, game.m)
-            swept = r.evaluation_sweep(P, rew, u, LAM)
+            swept = r.evaluation_sweep(op, u)
             assert np.allclose(swept, dense_gs_step(P, rew, u, LAM), atol=1e-12)
 
 
@@ -177,7 +178,7 @@ def test_sweeps_in_one_call_match_chained_calls(game, lam, approx, mt, seed):
     rule = tuple(rng.integers(0, game.n_joint_actions, game.m).tolist())
     counts = per_action(game, row_counts(game))[np.arange(game.m), list(rule)]
     rows = tuple(int(rng.integers(0, n)) for n in counts)
-    P, rew = fixed_model_arrays(game, rule, rows)
+    op = evaluation_operator(*fixed_model_arrays(game, rule, rows), lam, noisy=True)
     u = rng.uniform(-20, 20, game.m)
     noise = None
     if approx is not None:
@@ -185,11 +186,9 @@ def test_sweeps_in_one_call_match_chained_calls(game, lam, approx, mt, seed):
         noise = np.array([approx.perturb(seed, s, queries) for s in range(1, mt + 1)])
     chained = u
     for s in range(mt):
-        chained = r.evaluation_sweep(
-            P, rew, chained, lam, None if noise is None else noise[s]
-        )
+        chained = r.evaluation_sweep(op, chained, None if noise is None else noise[s])
     start = u.copy()
-    swept = r.evaluation_sweep(P, rew, u, lam, noise, mt)
+    swept = r.evaluation_sweep(op, u, noise, mt)
     assert swept.tobytes() == chained.tobytes()
     assert u.tobytes() == start.tobytes()
 
@@ -212,9 +211,9 @@ def test_singleton_sets_score_one_block_per_group(lam):
 
 def test_noise_must_hold_one_row_per_sweep():
     game = two_state_chain()
-    P, rew = fixed_model_arrays(game, (0, 0), (1, 0))
+    op = evaluation_operator(*fixed_model_arrays(game, (0, 0), (1, 0)), 0.5, noisy=True)
     with pytest.raises(ValueError):
-        r.evaluation_sweep(P, rew, np.zeros(2), 0.5, np.zeros((2, 2)), 3)
+        r.evaluation_sweep(op, np.zeros(2), np.zeros((2, 2)), 3)
 
 
 class TestGsPolicyUpdate:
@@ -228,13 +227,13 @@ class TestGsPolicyUpdate:
         v = np.array([2.0, 4.0])
         P, rew = fixed_model_arrays(game, (0, 0), (0, 0))
         assert np.tril(P, -1).max() == 0.0
-        out = r.evaluation_sweep(P, rew, v, LAM)
+        out = r.evaluation_sweep(evaluation_operator(P, rew, LAM), v)
         assert np.allclose(out, rew + LAM * (P @ v), atol=1e-14)
 
     def test_single_state_update(self):
         game = singleton_game(payoff=1.0)
         P, rew = fixed_model_arrays(game, (0,), (0,))
-        out = r.evaluation_sweep(P, rew, np.array([3.0]), 0.9)
+        out = r.evaluation_sweep(evaluation_operator(P, rew, 0.9), np.array([3.0]))
         assert out[0] == 1.0 + 0.9 * 3.0
 
     def test_iterated_update_reaches_dense_solve(self):
@@ -245,7 +244,7 @@ class TestGsPolicyUpdate:
         expected = np.linalg.solve(np.eye(game.m) - LAM * P, rew)
         v = np.zeros(game.m)
         for _ in range(2000):
-            v = r.evaluation_sweep(P, rew, v, LAM)
+            v = r.evaluation_sweep(evaluation_operator(P, rew, LAM), v)
         assert np.allclose(v, expected, atol=1e-9)
 
 
@@ -363,7 +362,7 @@ class TestBestCaseMultistep:
         P, rew = fixed_model_arrays(game, (0,), (0,))
         x = v.copy()
         for _ in range(3):
-            x = r.evaluation_sweep(P, rew, x, 0.5)
+            x = r.evaluation_sweep(evaluation_operator(P, rew, 0.5), x)
         assert np.array_equal(out, x)
 
     def test_contraction_at_multistep_rate(self):
