@@ -36,6 +36,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
+from numbers import Real
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -83,6 +84,24 @@ def _count(x, name: str) -> int:
         except TypeError:
             pass
     raise TypeError(f"{name} must be an integer, got {x!r}")
+
+
+def _names(seq) -> tuple[str, ...] | None:
+    """``seq`` as a tuple of names; ``None`` for a bare str, whose
+    characters are no names, or for a sequence holding anything but str."""
+    if isinstance(seq, str):
+        return None
+    names = tuple(seq)
+    return names if all(isinstance(x, str) for x in names) else None
+
+
+def _real(x, name: str) -> float:
+    """``x`` as a float; ``TypeError`` naming ``name`` for a bool, which
+    would be read as 0 or 1, and for anything else that is not a real
+    number, such as a str."""
+    if _is_number(x, Real):
+        return float(x)
+    raise TypeError(f"{name} must be a real number, got {x!r}")
 
 
 def _fits_double(x) -> bool:
@@ -239,11 +258,12 @@ def build_game(
 
     Every game is checked here, whatever its source: a positive integer
     ``n_players`` with one nonempty action set per player, nonempty states,
-    no duplicate state or action names, a payoff of shape (m, E, m) with
-    finite entries, an ``action_entry`` of shape (m, A) and integer dtype
-    whose indices lie in [0, E) and use every entry, one row set per
-    (state, entry), and a finite ``r_max`` (computed as max |payoff| when
-    omitted) no smaller than any payoff.  A row set is an array-like of raw
+    names that are str (a bare str is no sequence of names), no duplicate
+    state or action names, a payoff of shape (m, E, m) with finite entries,
+    an ``action_entry`` of shape (m, A) and integer dtype whose indices lie
+    in [0, E) and use every entry, one row set per (state, entry), and a
+    finite real ``r_max``, not a bool (computed as max |payoff| when
+    omitted), no smaller than any payoff.  A row set is an array-like of raw
     candidate rows, or ``None`` for a pair the input does not list; each
     entry's set is checked and cleaned once by :func:`_clean_rows`, which
     also rejects ``true``/``false`` and strings inside it, and a bad set
@@ -259,22 +279,28 @@ def build_game(
     n_players_ok = _is_number(n_players, int)
     if not n_players_ok or n_players < 1:
         errors.append("n_players must be a positive integer")
-    states = tuple(states)
-    if not states:
+    states = _names(states)
+    if states is None:
+        errors.append("states must be an array of state names")
+    elif not states:
         errors.append("states must be nonempty")
-    if len(set(states)) != len(states):
+    elif len(set(states)) != len(states):
         errors.append("states contains duplicate names")
-    player_actions = tuple(tuple(a) for a in player_actions)
-    if n_players_ok and len(player_actions) != max(n_players, 1):
-        errors.append(
-            f"player_actions lists {len(player_actions)} action sets "
-            f"for {n_players} players"
-        )
-    for i, acts in enumerate(player_actions):
-        if not acts:
-            errors.append(f"player {i}: empty action set")
-        elif len(set(acts)) != len(acts):
-            errors.append(f"player {i}: duplicate action names")
+    player_actions = (None if isinstance(player_actions, str)
+                      else tuple(map(_names, player_actions)))
+    if player_actions is None or None in player_actions:
+        errors.append("player_actions must be an array of arrays of action names")
+    else:
+        if n_players_ok and len(player_actions) != max(n_players, 1):
+            errors.append(
+                f"player_actions lists {len(player_actions)} action sets "
+                f"for {n_players} players"
+            )
+        for i, acts in enumerate(player_actions):
+            if not acts:
+                errors.append(f"player {i}: empty action set")
+            elif len(set(acts)) != len(acts):
+                errors.append(f"player {i}: duplicate action names")
     if errors:
         raise GameValidationError(errors)
 
@@ -353,6 +379,8 @@ def build_game(
     computed_r_max = float(np.max(np.abs(payoff))) if payoff.size else 0.0
     if r_max is None:
         r_max = computed_r_max
+    elif not _is_number(r_max, Real):
+        errors.append("r_max must be a number")
     elif not _fits_double(r_max):
         errors.append("r_max is beyond double range")
     elif not math.isfinite(r_max):
@@ -474,10 +502,10 @@ def validate_game(raw: Mapping) -> TeamMarkovGame:
     ``states`` is an array of names and ``player_actions`` an array of
     arrays of names, that entries name known states and give one in-range
     action index per player, per-player ``r`` lists, duplicate entries,
-    unlisted payoff triples when ``default_payoff`` is absent, and the type
-    of ``r_max``.  Every other check (player count, duplicate or empty
-    names, candidate rows and the numbers in them, missing uncertainty
-    entries, ``r_max`` against the payoffs) is :func:`build_game`'s.  One
+    and unlisted payoff triples when ``default_payoff`` is absent.  Every
+    other check (player count, duplicate or empty names, candidate rows and
+    the numbers in them, missing uncertainty entries, the type of ``r_max``
+    and its value against the payoffs) is :func:`build_game`'s.  One
     :class:`GameValidationError` lists this function's errors followed by
     those of :func:`build_game`.
 
@@ -618,12 +646,10 @@ def validate_game(raw: Mapping) -> TeamMarkovGame:
             continue
         listed.add((si, ai))
         grid[si][ai] = ent.get("rows")
-    r_max = raw.get("r_max")
-    if r_max is not None and not _is_number(r_max):
-        errors.append("r_max must be a number")
-        r_max = None
     try:
-        game = build_game(raw.get("n_players"), states, player_actions, pay, grid, r_max)
+        game = build_game(
+            raw.get("n_players"), states, player_actions, pay, grid, raw.get("r_max")
+        )
     except GameValidationError as e:
         errors.extend(e.errors)
     if errors:

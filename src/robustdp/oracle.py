@@ -31,6 +31,7 @@ from .model import (
     BudgetExceededError,
     TeamDecisionRule,
     TeamMarkovGame,
+    _count,
 )
 from .solvers import evaluate_policy_robust
 
@@ -101,8 +102,12 @@ def brute_force_maximin(
     (or, failing that, the first with the smallest shortfall) is the one
     the full enumeration would pick.  ``budget`` counts the rules evaluated, the
     product of the per-state group counts; BudgetExceededError is raised
-    up front when they exceed it.
+    up front when they exceed it.  ``budget`` is an integer, read with
+    ``operator.index``, and ``lam`` a real number, read as
+    :func:`evaluate_policy_robust` reads it; a bool or a str is a
+    ``TypeError``.
     """
+    budget = _count(budget, "budget")
     n_groups = game.action_group.max(axis=1) + 1
     total = math.prod(n_groups.tolist())
     if total > budget:

@@ -19,7 +19,7 @@ from hashlib import blake2b
 
 import numpy as np
 
-from .model import _is_number
+from .model import _count, _real
 
 MODES = ("uniform_noise", "adversarial_extremes")
 
@@ -37,7 +37,9 @@ class PerturbationOracle:
     * ``adversarial_extremes`` adds +/-bound, sign alternating with the
       parity of the tag component sum.
 
-    ``bound`` must be positive and ``seed`` a signed 64-bit integer.  With
+    ``bound`` must be a positive real number, not a bool, and is stored as
+    a float; ``seed`` must be a signed 64-bit integer, read with
+    ``operator.index`` (a bool, a float or a str is a ``ValueError``).  With
     ``argmax_lock`` the improvement sweep selects the maximising action
     from the exact backup values and perturbs only the selected value, so a
     perturbed run and an exact twin pick identical actions; unlocked noise
@@ -52,10 +54,16 @@ class PerturbationOracle:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        object.__setattr__(self, "bound", _real(self.bound, "bound"))
         if not self.bound > 0.0:
             raise ValueError(f"bound must be positive, got {self.bound!r}")
-        if not _is_number(self.seed, int) or not -(2**63) <= self.seed < 2**63:
+        try:
+            seed = _count(self.seed, "seed")
+        except TypeError:
+            seed = None
+        if seed is None or not -(2**63) <= seed < 2**63:
             raise ValueError(f"seed must be a signed 64-bit integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", seed)
 
     def perturb(self, step: int, phase: int, queries) -> np.ndarray:
         """Noise of the tags (step, phase, k, a) for the (k, a) pairs in

@@ -27,24 +27,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
-from numbers import Real
 
 import numpy as np
 
-from .model import TeamMarkovGame, _count, build_game
+from .model import TeamMarkovGame, _count, _real, build_game
 
 N_STATES = 3
 STATE_NAMES = ("s1", "s2", "s3")
 PUBLIC_GOODS, STAG_HUNT, SNOWDRIFT = range(N_STATES)
-
-
-def _real(x, name: str) -> float:
-    """``x`` as a float; ``TypeError`` naming ``name`` for a bool, which
-    would be read as 0 or 1, and for anything else that is not a real
-    number, such as a str."""
-    if isinstance(x, Real) and not isinstance(x, (bool, np.bool_)):
-        return float(x)
-    raise TypeError(f"{name} must be a real number, got {x!r}")
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import TeamDecisionRule, TeamMarkovGame, _count
+from .model import TeamDecisionRule, TeamMarkovGame, _count, _real
 from .perturb import PerturbationOracle
 from .sweeps import (
     evaluation_operator,
@@ -61,9 +61,13 @@ def max_delta(lam: float, epsilon: float) -> float:
     return (1.0 - lam) ** 2 * epsilon / (2.0 * lam * (1.0 + lam))
 
 
-def _check_lam(lam: float) -> None:
+def _check_lam(lam) -> float:
+    """``lam`` read as a real number (see :func:`~robustdp.model._real`),
+    which must lie in [0, 1)."""
+    lam = _real(lam, "lam")
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"lam must be in [0, 1), got {lam}")
+    return lam
 
 
 def termination_threshold(lam: float, epsilon: float, delta: float) -> float:
@@ -79,14 +83,16 @@ class SolverParams:
 
     ``mt_schedule`` gives the number of partial-evaluation sweeps per step:
     a constant, or a list indexed by step with its last entry repeated.  A
-    run without a perturbation oracle whose residual fails to fall drops
-    its sweeps for the rest of the run (see :func:`_run`).  Its entries and
-    ``max_iterations`` are integers, read with ``operator.index``: a bool,
-    a str or a float is a ``TypeError``.  ``epsilon`` is positive and finite.
-    ``v0_mode`` selects the initial value function: ``"remark1"`` fills
-    every state with min payoff / (1 - lam), which keeps the maximin update
-    residual nonnegative and hence the iterates monotone; ``"zeros"`` starts
-    at 0; a finite 1-D vector of numbers, not bools, is used as given.
+    run whose residual fails to fall drops its sweeps for the rest of the
+    run (see :func:`_run`).  Its entries and ``max_iterations`` are
+    integers, read with ``operator.index``: a bool, a str or a float is a
+    ``TypeError``.  ``lam``, ``epsilon`` and ``delta`` are real numbers,
+    stored as floats: a bool or a str is a ``TypeError``.  ``epsilon`` is
+    positive and finite.  ``v0_mode`` selects the initial value function:
+    ``"remark1"`` fills every state with min payoff / (1 - lam), which keeps
+    the maximin update residual nonnegative and hence the iterates
+    monotone; ``"zeros"`` starts at 0; a finite 1-D vector of numbers, not
+    bools, is used as given.
     """
 
     lam: float
@@ -97,7 +103,9 @@ class SolverParams:
     max_iterations: int = 1_000_000
 
     def __post_init__(self):
-        _check_lam(self.lam)
+        object.__setattr__(self, "lam", _check_lam(self.lam))
+        for name in ("epsilon", "delta"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
             raise ValueError(
                 f"epsilon must be positive and finite, got {self.epsilon!r}"
@@ -242,10 +250,10 @@ def _run(
         )
     threshold = termination_threshold(lam, params.epsilon, delta)
     # The evaluation sweeps run under the worst-case rows of the step's
-    # start, so they can overshoot the robust value and cycle: an exact run
-    # whose residual fails to fall goes on as value iteration, which
-    # contracts by lam each step.
-    sweeps_on = True
+    # start, so they can overshoot the robust value and cycle: a run whose
+    # residual fails to fall goes on with schedule 0, as value iteration,
+    # which contracts by lam each step.
+    schedule = params.mt_schedule
     v = initial_value(game, params)
     trace = SolverTrace()
     # The (rule, rows) whose sweep operator was formed last: on a run's tail
@@ -268,11 +276,11 @@ def _run(
         if residual < threshold:
             log.debug("%s terminated at t=%d residual=%.3e", algo, t, residual)
             break
-        if sweeps_on and approx is None and t and residual >= trace.residuals[-2]:
-            sweeps_on = False
+        if schedule != 0 and t and residual >= trace.residuals[-2]:
+            schedule = 0
             log.info("%s: residual did not fall at step %d; evaluation sweeps stop", algo, t)
         u = sweep.u0
-        mt = _mt_at(params.mt_schedule, t) if sweeps_on else 0
+        mt = _mt_at(schedule, t)
         if mt:
             if (sweep.rule, sweep.worst_model) != gathered:
                 gathered = (sweep.rule, sweep.worst_model)
@@ -379,10 +387,11 @@ def evaluate_policy_robust(
     minimising row indices, and the ``(R,)`` flags of which rules settled.
     Rules still unsettled after ``ROBUST_EVAL_MAX_ROUNDS`` rounds return
     their last iterate with ``False``, and the call logs one warning that
-    counts them; an empty stack returns at once.  Raises ``ValueError``
-    unless 0 <= lam < 1, or for an invalid stack.
+    counts them; an empty stack returns at once.  Raises ``TypeError``
+    unless ``lam`` is a real number, not a bool, and ``ValueError`` unless
+    0 <= lam < 1, or for an invalid stack.
     """
-    _check_lam(lam)
+    lam = _check_lam(lam)
     acts = _rule_stack(game, rules)
     n_rules, m = acts.shape
     states = np.arange(m)

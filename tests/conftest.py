@@ -112,6 +112,29 @@ def two_state_chain() -> r.TeamMarkovGame:
     return r.build_game(1, ["s1", "s2"], [["a0"]], pay, rows)
 
 
+def chain_game(m: int, seed: int) -> r.TeamMarkovGame:
+    """The chain family: m states, 2 players x 2 actions, 3 candidate rows
+    per pair, each with Dirichlet(1) weights on 3 successors drawn from
+    k - 2 .. k + 2, shifted by (a - 1) and clipped to [0, m - 1].  The
+    payoff is 1 for entering state m - 1, plus uniform noise on [-0.01, 0],
+    so planning toward the absorbing goal matters."""
+    rng = np.random.default_rng(seed)
+    payoff = np.zeros((m, 4, m))
+    payoff[:, :, m - 1] = 1.0
+    payoff += rng.uniform(-0.01, 0.0, payoff.shape)
+    rows = []
+    for k in range(m):
+        per_state = []
+        for a in range(4):
+            cand = np.zeros((3, m))
+            for row in cand:
+                succ = np.clip(rng.integers(k - 2, k + 3, size=3) + (a - 1), 0, m - 1)
+                np.add.at(row, succ, rng.dirichlet(np.ones(3)))
+            per_state.append(cand)
+        rows.append(per_state)
+    return r.build_game(2, [f"s{k}" for k in range(m)], [["a0", "a1"]] * 2, payoff, rows)
+
+
 def huge_payoff_game() -> r.TeamMarkovGame:
     """Valid 2-state game whose payoff -1e307 overflows r_max / (1 - lam)
     for lam >= 0.9."""
@@ -412,15 +435,15 @@ def reference_run(game, params, approx=None, gauss_seidel=True, algo="ratpi"):
     ``evaluation_sweep`` call with that sweep's noise drawn just before it.
     The improvement sweeps are the package's, which ``test_kernel.py`` holds
     to per-action loops, as it holds the evaluation sweeps to per-state
-    loops.  An exact run whose residual fails to fall stops its evaluation
-    sweeps, as the solvers' does.  ``ratvi`` and ``rvi`` are this with
+    loops.  A run whose residual fails to fall goes on with schedule 0, as
+    the solvers' does.  ``ratvi`` and ``rvi`` are this with
     ``mt_schedule=0``."""
     lam = params.lam
     delta = params.delta if gauss_seidel else 0.0
     threshold = r.solvers.termination_threshold(lam, params.epsilon, delta)
     v = r.solvers.initial_value(game, params)
     trace = r.solvers.SolverTrace()
-    sweeps_on = True
+    schedule = params.mt_schedule
     for t in range(params.max_iterations):
         if gauss_seidel:
             u, rule, rows = r.improvement_sweep(game, v, lam, approx, t)
@@ -434,9 +457,9 @@ def reference_run(game, params, approx=None, gauss_seidel=True, algo="ratpi"):
             return r.SolverResult(
                 algo, r.TeamDecisionRule(rule), worst, value, t, True, settled, trace
             )
-        if approx is None and t and residual >= trace.residuals[-2]:
-            sweeps_on = False
-        mt = r.solvers._mt_at(params.mt_schedule, t) if sweeps_on else 0
+        if t and residual >= trace.residuals[-2]:
+            schedule = 0
+        mt = r.solvers._mt_at(schedule, t)
         if mt:
             op = evaluation_operator(
                 *fixed_model_arrays(game, rule, rows), lam, gauss_seidel, approx is not None

@@ -254,6 +254,42 @@ class TestValidation:
             "player_actions must be an array of arrays of action names",
         ]
 
+    @pytest.mark.parametrize(
+        "states, player_actions, errors",
+        [
+            pytest.param("ab", [["C", "D"]], ["states must be an array of state names"],
+                         id="states_str"),
+            pytest.param([1, 2], [["C", "D"]], ["states must be an array of state names"],
+                         id="state_ints"),
+            pytest.param(["s1", "s2"], ["CD"],
+                         ["player_actions must be an array of arrays of action names"],
+                         id="action_set_str"),
+            pytest.param(["s1", "s2"], "CD",
+                         ["player_actions must be an array of arrays of action names"],
+                         id="action_sets_str"),
+            pytest.param(["s1", "s2"], [[0, 1]],
+                         ["player_actions must be an array of arrays of action names"],
+                         id="action_ints"),
+            pytest.param([b"s1", "s2"], ["CD"],
+                         ["states must be an array of state names",
+                          "player_actions must be an array of arrays of action names"],
+                         id="both"),
+        ],
+    )
+    def test_names_that_json_cannot_hold_rejected(self, states, player_actions, errors):
+        """A name is a str, and a bare str is no sequence of names: its
+        characters would become names.  The wording is ``validate_game``'s."""
+        with pytest.raises(r.GameValidationError) as exc:
+            r.build_game(1, states, player_actions, np.zeros((2, 2, 2)),
+                         [[[[1.0, 0.0]]] * 2] * 2)
+        assert exc.value.errors == errors
+
+    @pytest.mark.parametrize("r_max", ["2", True, np.True_, [2.0], 2j], ids=repr)
+    def test_r_max_must_be_a_number(self, r_max):
+        with pytest.raises(r.GameValidationError) as exc:
+            r.build_game(1, ["s1"], [["a0"]], np.ones((1, 1, 1)), [[[[1.0]]]], r_max)
+        assert exc.value.errors == ["r_max must be a number"]
+
     def test_tiny_negative_entries_clamped(self):
         game = rows_game([[1.0 + 1e-16, -1e-16]], 2)
         assert game.group_candidates[0, 0, 0, 1] == 0.0
@@ -497,6 +533,34 @@ class TestJsonRoundTrip:
                 n = n_rows[k, a]
                 assert back_n_rows[k, a] == n
                 assert np.array_equal(back_cand[k, a, :n], cand[k, a, :n])
+
+    def test_names_and_r_max_of_any_accepted_type_load_back(self, tmp_path):
+        """Names given as numpy strings or tuples and a numpy ``r_max`` are
+        stored as JSON can hold them, so the saved file loads."""
+        game = r.build_game(
+            1, np.array(["s1", "s2"]), (np.array(["C", "D"]),), np.ones((2, 2, 2)),
+            [[[[0.5, 0.5]]] * 2] * 2, r_max=np.int64(3),
+        )
+        path = tmp_path / "game.json"
+        r.save_game(game, path)
+        back = r.load_game(path)
+        assert (back.states, back.player_actions, back.r_max) == (
+            ("s1", "s2"), (("C", "D"),), 3.0)
+        assert type(back.r_max) is float
+        assert_same_arrays(back, game)
+
+    @given(games())
+    @settings(max_examples=50, deadline=None)
+    def test_every_built_game_loads_back(self, game):
+        """What ``build_game`` accepts, ``validate_game`` accepts in its
+        saved form: the same names, ``r_max``, groups and payoffs, and the
+        same rows up to the renormalisation of the load."""
+        back = r.validate_game(json.loads(json.dumps(r.game_to_dict(game))))
+        assert (back.states, back.player_actions, back.r_max) == (
+            game.states, game.player_actions, game.r_max)
+        for name in ("action_group", "group_action", "group_payoff"):
+            assert getattr(back, name).tobytes() == getattr(game, name).tobytes(), name
+        assert np.allclose(back.group_candidates, game.group_candidates, rtol=0, atol=1e-15)
 
     def test_canonical_key_order(self, tmp_path, rssd_game):
         path = tmp_path / "game.json"

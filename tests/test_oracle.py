@@ -103,6 +103,24 @@ def test_budget_exceeded(rssd_game):
     assert r.brute_force_maximin(rssd_game, 0.97, budget=64).dominance_ok
 
 
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [({"budget": 64.0}, "budget"), ({"budget": True}, "budget"), ({"budget": "64"}, "budget"),
+     ({"lam": "0.9"}, "lam"), ({"lam": False}, "lam")],
+    ids=repr,
+)
+def test_budget_and_lam_types_checked(kwargs, name):
+    args = {"lam": 0.9, **kwargs}
+    with pytest.raises(TypeError, match=f"^{name} must be"):
+        r.brute_force_maximin(singleton_game(), **args)
+
+
+def test_numpy_budget_and_lam_accepted():
+    game = singleton_game()
+    fast = r.brute_force_maximin(game, np.float32(0.5), budget=np.int64(1))
+    assert fast.v_star.tobytes() == r.brute_force_maximin(game, 0.5).v_star.tobytes()
+
+
 def assert_same_result(fast, slow):
     assert fast.v_star.tobytes() == slow.v_star.tobytes()
     assert fast.d_star == slow.d_star

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -74,6 +75,21 @@ def test_nonpositive_bound_rejected(bound):
 def test_seed_outside_signed_64_bit_rejected(seed):
     with pytest.raises(ValueError, match="seed must be a signed 64-bit integer"):
         PerturbationOracle(mode="uniform_noise", bound=0.1, seed=seed)
+
+
+@pytest.mark.parametrize("bound", [True, "1", None, 1j], ids=repr)
+def test_bound_must_be_a_real_number(bound):
+    with pytest.raises(TypeError, match="^bound must be a real number"):
+        PerturbationOracle(mode="uniform_noise", bound=bound)
+
+
+def test_numpy_numbers_stored_as_python_numbers():
+    oracle = PerturbationOracle(
+        mode="uniform_noise", bound=np.float32(0.25), seed=np.int64(5)
+    )
+    assert (type(oracle.bound), type(oracle.seed)) == (float, int)
+    assert (oracle.bound, oracle.seed) == (0.25, 5)
+    assert oracle.perturb(0, 0, [(0, 0)]) == reference_noise(oracle, (0, 0, 0, 0))
 
 
 @pytest.mark.parametrize("seed", [2**63 - 1, -(2**63)])

@@ -3,11 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import robustdp as r
 from conftest import (
+    chain_game,
     enumerate_decision_rules,
     evaluate_one,
     evaluate_policy_exact,
@@ -99,6 +100,21 @@ class TestParams:
         assert type(params.mt_schedule) is int and type(params.max_iterations) is int
         params = r.SolverParams(lam=0.5, epsilon=1e-6, mt_schedule=np.array([1, 2]))
         assert params.mt_schedule == (1, 2)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"lam": "0.5"}, {"lam": False}, {"lam": np.True_}, {"epsilon": True},
+         {"epsilon": "1e-6"}, {"delta": False}, {"delta": [0.0]}],
+        ids=repr,
+    )
+    def test_reals_must_be_real_numbers(self, kwargs):
+        with pytest.raises(TypeError, match=f"^{next(iter(kwargs))} must be a real number"):
+            r.SolverParams(**{"lam": 0.5, "epsilon": 1e-6, **kwargs})
+
+    def test_reals_are_stored_as_floats(self):
+        params = r.SolverParams(lam=np.float32(0.5), epsilon=1, delta=np.int64(0))
+        assert (params.lam, params.epsilon, params.delta) == (0.5, 1.0, 0.0)
+        assert all(type(x) is float for x in (params.lam, params.epsilon, params.delta))
 
     @pytest.mark.parametrize("epsilon", [0.0, -1e-5, float("inf"), float("nan")])
     def test_epsilon_must_be_positive_and_finite(self, epsilon):
@@ -351,11 +367,14 @@ RUN_CASES = [
     st.integers(0, 2**16),
 )
 @settings(max_examples=150, deadline=None)
+@example(chain_game(20, 10), 0.99, ("ratpi", True, "adversarial_extremes", False),
+         3, "remark1", 0)
 def test_solvers_match_reference_run(game, lam, case, mt, v0, seed):
     """Each solver, exact and under each perturbed mode, replays the plain
     step loop of ``reference_run`` bit for bit.  A random start makes the
     rules and rows change from step to step; runs at lam 0.99 stop at the
-    iteration cap."""
+    iteration cap.  In the chain case the residual of the perturbed run
+    rises at step 1, so its evaluation sweeps stop there."""
     algo, gauss_seidel, mode, lock = case
     eps = 1e-6
     if v0 == "random":
@@ -374,6 +393,30 @@ def test_solvers_match_reference_run(game, lam, case, mt, v0, seed):
     else:
         result = SOLVERS[algo](game, params)
     assert_same_run(result, ref)
+
+
+@pytest.mark.parametrize(
+    "mode, lock",
+    [("uniform_noise", False), ("uniform_noise", True), ("adversarial_extremes", False)],
+)
+def test_perturbed_ratpi_terminates_on_a_chain_game(mode, lock):
+    """Evaluation sweeps under the rows the improvement recorded cycle on
+    the chain family, with noise or without; once its residual fails to
+    fall, a perturbed run goes on as value iteration and terminates within
+    epsilon of ``rvi``."""
+    game = chain_game(20, 10)
+    lam, eps = 0.97, 1e-5
+    params = r.SolverParams(
+        lam=lam, epsilon=eps, delta=0.99 * r.max_delta(lam, eps), mt_schedule=10,
+        max_iterations=1000,
+    )
+    baseline = r.solve_rvi(game, params)
+    assert baseline.terminated
+    for seed in (0, 1):
+        approx = r.PerturbationOracle(mode, lam * params.delta, seed=seed, argmax_lock=lock)
+        res = r.solve_ratpi(game, params, approx)
+        assert res.terminated, seed
+        assert r.sup_norm(res.value - baseline.value) <= eps, seed
 
 
 @pytest.mark.parametrize("algo", ["ratpi", "rmpi"])
@@ -593,6 +636,11 @@ class TestRobustEvaluation:
     def test_invalid_stack_is_rejected(self, rules, rssd_game):
         with pytest.raises(ValueError, match="rules"):
             r.evaluate_policy_robust(rssd_game, rules, 0.97)
+
+    @pytest.mark.parametrize("lam", ["0.97", True, None], ids=repr)
+    def test_lam_must_be_a_real_number(self, lam, rssd_game):
+        with pytest.raises(TypeError, match="^lam must be a real number"):
+            r.evaluate_policy_robust(rssd_game, [(0, 0, 0)], lam)
 
 
 class TestExactEvaluation:
