@@ -660,8 +660,13 @@ def validate_game(raw: Mapping) -> TeamMarkovGame:
 def game_to_dict(game: TeamMarkovGame) -> dict:
     """Canonical JSON-shaped dict: fixed key order, entries sorted by index.
 
-    Only nonzero payoffs are listed (with ``default_payoff`` 0.0), so the
-    writer output round-trips bit-identically through :func:`validate_game`.
+    Only nonzero payoffs are listed (with ``default_payoff`` 0.0).  Loaded
+    back through :func:`validate_game`, the game has the same names,
+    ``n_players``, ``r_max``, payoffs and groups, byte for byte.  Its
+    candidate rows come back within a few ulps, not always bit for bit: the
+    load divides every row by its float sum, which for a row that was
+    normalised before need not be exactly 1.0.  So the expected payoffs can
+    move by as much, and the loaded game can save to different text.
     """
     actions = list(np.ndindex(*game.action_shape))
     states = game.states

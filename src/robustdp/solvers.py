@@ -8,6 +8,11 @@ evaluation sweep, Gauss-Seidel or Jacobi, is one affine map u -> A u + b
 from a fresh gather of the dense (P, r), only when the rule or the rows
 differ from the last ones, and a step's evaluation sweeps run in one call;
 the results are bit for bit those of a fresh map and one call per sweep.
+While an exact Gauss-Seidel run's improvement sweeps keep recording the
+rule and rows of the held map, each next sweep is first tried as one
+product with that map and a check of every state's choice
+(:func:`~robustdp.sweeps.improvement_sweep`'s ``tail``); it makes the
+per-state loop's choices exactly, and its values differ only by rounding.
 
 * ``ratpi`` - Gauss-Seidel improvement + Gauss-Seidel partial evaluation.
 * ``ratvi`` - ratpi with zero evaluation sweeps per step.
@@ -34,6 +39,7 @@ import numpy as np
 from .model import TeamDecisionRule, TeamMarkovGame, _count, _real
 from .perturb import PerturbationOracle
 from .sweeps import (
+    TAIL_CHECK_MIN_STATES,
     evaluation_operator,
     evaluation_sweep,
     fixed_model_arrays,
@@ -55,7 +61,12 @@ ROBUST_EVAL_MAX_ROUNDS = 10_000
 
 
 def max_delta(lam: float, epsilon: float) -> float:
-    """Strict upper bound on the approximation parameter delta."""
+    """Strict upper bound on the approximation parameter delta.
+
+    ``lam`` and ``epsilon`` are read as :class:`SolverParams` reads them:
+    ``TypeError`` for a bool or a str, ``ValueError`` for lam outside
+    [0, 1) or an epsilon that is not positive and finite."""
+    lam, epsilon = _check_lam(lam), _check_epsilon(epsilon)
     if lam == 0.0:
         return math.inf
     return (1.0 - lam) ** 2 * epsilon / (2.0 * lam * (1.0 + lam))
@@ -70,8 +81,21 @@ def _check_lam(lam) -> float:
     return lam
 
 
+def _check_epsilon(epsilon) -> float:
+    """``epsilon`` read as a real number, which must be positive and
+    finite."""
+    epsilon = _real(epsilon, "epsilon")
+    if not (epsilon > 0.0 and math.isfinite(epsilon)):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+    return epsilon
+
+
 def termination_threshold(lam: float, epsilon: float, delta: float) -> float:
-    """Residual below which the improvement step stops the solver."""
+    """Residual below which the improvement step stops the solver; ``lam``
+    and ``epsilon`` are read as :func:`max_delta` reads them, ``delta`` as a
+    real number."""
+    lam, epsilon = _check_lam(lam), _check_epsilon(epsilon)
+    delta = _real(delta, "delta")
     if lam == 0.0:
         return math.inf
     return (1.0 - lam) * epsilon / (2.0 * lam) - delta
@@ -104,12 +128,8 @@ class SolverParams:
 
     def __post_init__(self):
         object.__setattr__(self, "lam", _check_lam(self.lam))
-        for name in ("epsilon", "delta"):
-            object.__setattr__(self, name, _real(getattr(self, name), name))
-        if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
-            raise ValueError(
-                f"epsilon must be positive and finite, got {self.epsilon!r}"
-            )
+        object.__setattr__(self, "epsilon", _check_epsilon(self.epsilon))
+        object.__setattr__(self, "delta", _real(self.delta, "delta"))
         bound = max_delta(self.lam, self.epsilon)
         if not 0.0 <= self.delta < bound:
             raise ValueError(
@@ -257,11 +277,15 @@ def _run(
     v = initial_value(game, params)
     trace = SolverTrace()
     # The (rule, rows) whose sweep operator was formed last: on a run's tail
-    # the improvement sweeps record the same ones step after step.
-    gathered = None
+    # the improvement sweeps record the same ones step after step.  In an
+    # exact Gauss-Seidel run on a game large enough for the check to pay,
+    # ``tail`` hands them with their operator to the next improvement
+    # sweep, to check first, while the last step recorded them.
+    gathered = tail = None
+    checks = gauss_seidel and approx is None and game.m >= TAIL_CHECK_MIN_STATES
     for t in range(params.max_iterations):
         if gauss_seidel:
-            sweep = improvement_sweep(game, v, lam, approx, t)
+            sweep = improvement_sweep(game, v, lam, approx, t, tail)
         else:
             sweep = jacobi_improvement_sweep(game, v, lam)
         residual = float(_max(np.abs(sweep.u0 - v)))
@@ -293,6 +317,9 @@ def _run(
                     [approx.perturb(t, s, queries) for s in range(1, mt + 1)]
                 )
             u = evaluation_sweep(op, u, noise, mt)
+        if checks:
+            held = (sweep.rule, sweep.worst_model) == gathered
+            tail = (*gathered, op) if held else None
         v = u
     else:
         t = params.max_iterations

@@ -47,6 +47,24 @@ it, pushed through the same solve: ``Q^{-1} noise``.  One oracle call draws
 a whole sweep's noise, before the sweep backs up any state; only the locked
 action's value, chosen as the sweep goes, takes one call per state.
 
+On a run's tail the improvement sweep, too, records the (rule, rows) of the
+operator the solver holds, step after step, and is then that affine map up
+to rounding.  So an exact Gauss-Seidel ``ratpi`` run on a game of at least
+``TAIL_CHECK_MIN_STATES`` states, whose last step recorded the (rule, rows)
+of its held operator, passes them to the next improvement sweep, which
+first tries a tail check (:func:`_tail_check`): ``w = A @ v + b``, and
+every (state, group, row) scored in one batched product against the
+continuation ``(w[:k], v[k:])``.  The check's dot products sum in another
+order than the loop's, and its lower continuation is ``w``, not the loop's
+forward substitution, so its scores differ from the loop's by rounding; the
+check accepts only if at every state the held group and row win by more
+than a margin that bounds twice that difference, so by induction over the
+states the loop would make exactly the same choices, and only the values'
+rounding differs.  Otherwise the loop runs as it stands.  ``ratvi`` gathers
+no operator and perturbed sweeps add noise the operator does not hold, so
+both keep the loop, as do games below the threshold, where the loop costs
+less than the check.
+
 The module holds only what the solvers and the CLI run.  The slow
 references the tests hold these operators to (the per-(state, action)
 backup, the splitting (Q, R), the best (m+1)-sweep update over every rule
@@ -55,18 +73,20 @@ and model) live in ``tests/conftest.py``.
 All functions are pure in their arguments.  Ties in action or row
 selection break to the lowest index (``argmax``/``argmin``), so traces replay
 exactly; action comparison is exact floating comparison with no epsilon
-fuzz.  Row scores use BLAS, never ``einsum`` or a multiply-then-sum: those
-round differently, and results and traces must replay bit for bit.  The
-kernel scores stacked rows with ``@``, one matrix-vector product per
-(state, group) block of Kmax rows.  It never scores a state's groups as one
-flat (G*Kmax, m) block, because BLAS rounds a row's product differently
-depending on how many rows it is given: with numpy 2.4 and OpenBLAS 0.3.31
-a flat block changes the bits of games whose candidate sets are all
-singletons, and of m = 150 games at Kmax = 3.  An evaluation sweep sums
-the terms of the per-state forward substitution in another order, so it
-rounds differently from that loop: ``tests/test_kernel.py`` holds it to the
-loop within a rounding bound, and the solvers to one sweep per call bit for
-bit.
+fuzz (the tail check's margin only decides whether the check can vouch for
+the loop's choices).  Row scores use BLAS, never ``einsum`` or a
+multiply-then-sum: those round differently, and results and traces must
+replay bit for bit.  The kernel scores stacked rows with ``@``, one
+matrix-vector product per (state, group) block of Kmax rows.  It never
+scores a state's groups as one flat (G*Kmax, m) block, because BLAS rounds
+a row's product differently depending on how many rows it is given: with
+numpy 2.4 and OpenBLAS 0.3.31 a flat block changes the bits of games whose
+candidate sets are all singletons, and of m = 150 games at Kmax = 3.  (The
+tail check does score flat blocks; its margin covers that rounding.)  An
+evaluation sweep sums the terms of the per-state forward substitution in
+another order, so it rounds differently from that loop:
+``tests/test_kernel.py`` holds it to the loop within a rounding bound, and
+the solvers to one sweep per call bit for bit.
 """
 
 from __future__ import annotations
@@ -80,6 +100,12 @@ from .model import TeamMarkovGame
 from .perturb import PerturbationOracle
 
 _min = np.minimum.reduce
+_max = np.maximum.reduce
+
+#: Fewest states at which the solvers hand :func:`improvement_sweep` a
+#: tail to check: on smaller games the per-state loop costs less than the
+#: check.
+TAIL_CHECK_MIN_STATES = 8
 
 
 class SweepResult(NamedTuple):
@@ -109,12 +135,94 @@ def _row_min(
     return q, _min(q, axis=-1)
 
 
+def _tail_check(
+    game: TeamMarkovGame,
+    v: np.ndarray,
+    lam: float,
+    rule: tuple[int, ...],
+    rows: tuple[int, ...],
+    op: tuple[np.ndarray, np.ndarray, np.ndarray | None],
+) -> SweepResult | None:
+    """The exact improvement sweep at ``v``, if it records ``rule`` and
+    ``rows`` again; None if that is not certain.
+
+    ``op`` is the :func:`evaluation_operator` of ``rule`` and ``rows``, so
+    ``w = A @ v + b`` is the sweep's forward substitution under them, up to
+    rounding.  Every (state k, group, row) is scored in one batched product
+    against the continuation ``(w[:k], v[k:])``, as the sweep would score it
+    had it chosen ``rule`` and ``rows`` at every earlier state.  The result
+    is each state's minimum over the rows of its ``rule`` group, with
+    ``rule`` and ``rows``, when at every state ``rule[k]`` is its group's
+    lowest member, that group's minimum beats every other group's and row
+    ``rows[k]`` beats every other row of the group, each by more than
+    ``tol``.
+
+    ``tol`` bounds twice the gap between a score here and the sweep's score
+    of the same row, given the sweep chose ``rule`` and ``rows`` before
+    state k.  With eps the double spacing at 1 and M = max(|v|, |w|) in sup
+    norm, the gap is at most:
+
+    * the rounding of either side's m-term dot product of a stochastic row,
+      and of its scaling and payoff, together at most (m + 2) * eps * M for
+      the scores that decide: those near the winner, of size about M;
+    * plus lam times the largest gap between ``w[l]`` and the sweep's value
+      at an earlier state l, which the sweep computes by forward
+      substitution.  That is the gap ``tests/test_kernel.py`` holds an
+      evaluation sweep to, 8 * m * eps * S with
+      S = (|r| + lam * |v|) / (1 - lam); since w = r + lam * P (w, v) up
+      to rounding, |r| <= (1 + lam) * M, so S <= 3 * M / (1 - lam).
+
+    So tol = 2 * eps * M * (m + 2 + 24 * m * lam / (1 - lam)).  By
+    induction over the states, a winner by more than tol here is a strict
+    winner in the sweep, so the sweep makes the same choices and its values
+    differ from these by at most tol / 2.  Exact ties, duplicate rows among
+    them, never pass.  A non-finite v or w makes tol infinite or NaN, and
+    the check fails.
+    """
+    A, b, _ = op
+    m = game.m
+    w = A @ v
+    w += b
+    # x[k] = (w[:k], v[k:]): the continuation the sweep backs up state k on.
+    x = np.empty((m, m))
+    x[:] = v
+    np.copyto(x, w, where=np.tri(m, m, -1, dtype=bool))
+    cand = game.group_candidates
+    n_groups, n_rows = cand.shape[1:3]
+    scores = (cand.reshape(m, n_groups * n_rows, m) @ x[:, :, None]).reshape(
+        m, n_groups, n_rows
+    )
+    scores *= lam
+    scores += game.group_payoff_exp
+    states = np.arange(m)
+    acts, picked = np.fromiter(rule, np.intp, m), np.fromiter(rows, np.intp, m)
+    groups = game.action_group[states, acts]
+    chosen = scores[states, groups]
+    best = chosen[states, picked]
+    chosen[states, picked] = np.inf
+    row_margin = _min(chosen, axis=-1) - best
+    vals = _min(scores, axis=-1)
+    vals[states, groups] = -np.inf
+    group_margin = best - _max(vals, axis=-1)
+    scale = max(_max(np.abs(v)), _max(np.abs(w)))
+    eps = np.finfo(float).eps
+    tol = 2 * eps * scale * (m + 2 + 24 * m * lam / (1.0 - lam))
+    if (
+        _min(row_margin) > tol
+        and _min(group_margin) > tol
+        and np.array_equal(game.group_action[states, groups], acts)
+    ):
+        return SweepResult(best, rule, rows)
+    return None
+
+
 def improvement_sweep(
     game: TeamMarkovGame,
     v: np.ndarray,
     lam: float,
     approx: PerturbationOracle | None = None,
     step: int = 0,
+    tail: tuple | None = None,
 ) -> SweepResult:
     """One Gauss-Seidel improvement sweep.
 
@@ -124,7 +232,17 @@ def improvement_sweep(
     action.  An ``approx`` oracle perturbs the backup of every action before
     the maximum is taken, or with ``argmax_lock`` only the value of the
     action the exact backups chose.
+
+    ``tail`` is an optional ``(rule, rows, op)``, with ``op`` the
+    Gauss-Seidel :func:`evaluation_operator` of that rule and those rows.
+    An exact sweep given one first tries :func:`_tail_check`, which gives
+    the loop's rule and rows, with values within rounding, whenever it
+    returns; otherwise the loop runs.  A perturbed sweep ignores ``tail``.
     """
+    if tail is not None and approx is None:
+        checked = _tail_check(game, np.asarray(v, dtype=float), lam, *tail)
+        if checked is not None:
+            return checked
     w = np.array(v, dtype=float)
     m = len(w)
     payoff_exp, candidates = game.group_payoff_exp, game.group_candidates

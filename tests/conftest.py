@@ -135,6 +135,17 @@ def chain_game(m: int, seed: int) -> r.TeamMarkovGame:
     return r.build_game(2, [f"s{k}" for k in range(m)], [["a0", "a1"]] * 2, payoff, rows)
 
 
+def dirichlet_game(m, seed=2105):
+    """Seeded random game: 2 players x 2 actions, 4 Dirichlet candidate rows
+    per (state, joint action), payoffs uniform on [-1, 1]; no two joint
+    actions alike, so every sweep scores 4 groups of 4 rows per state."""
+    rng = np.random.default_rng(seed)
+    payoff = rng.uniform(-1, 1, (m, 4, m))
+    rows = [[rng.dirichlet(np.ones(m), 4) for _ in range(4)] for _ in range(m)]
+    states = [f"s{k}" for k in range(m)]
+    return r.build_game(2, states, [["a0", "a1"], ["a0", "a1"]], payoff, rows)
+
+
 def huge_payoff_game() -> r.TeamMarkovGame:
     """Valid 2-state game whose payoff -1e307 overflows r_max / (1 - lam)
     for lam >= 0.9."""
@@ -156,16 +167,16 @@ def mdp_game(seed: int = 5, m: int = 3, n_actions: int = 2) -> r.TeamMarkovGame:
 
 
 @st.composite
-def game_parts(draw, max_states=4, max_actions=3):
-    """``build_game`` arguments of a small game with 1 to ``max_states``
-    states, 1-2 players of 1 to ``max_actions`` actions, 1-4 rows per
+def game_parts(draw, max_states=4, max_actions=3, min_states=1):
+    """``build_game`` arguments of a small game with ``min_states`` to
+    ``max_states`` states, 1-2 players of 1 to ``max_actions`` actions, 1-4 rows per
     (state, joint action); optionally every set's last row repeats its
     first, and optionally each joint action of a state copies the payoff,
     the rows, or both, of any earlier joint action of that state.  So a
     state's groups of identical actions can have many members, members need
     not be adjacent, states can differ in their group counts, and some
     actions share their payoff or their rows but not both."""
-    m = draw(st.integers(1, max_states))
+    m = draw(st.integers(min_states, max_states))
     sizes = draw(st.lists(st.integers(1, max_actions), min_size=1, max_size=2))
     n_joint = math.prod(sizes)
     counts = draw(
@@ -289,9 +300,11 @@ def rssd_through_map(params):
                         rows_by_count, action_entry=np.tile(cooperators, (N_STATES, 1)))
 
 
-def games(max_states=4, max_actions=3):
+def games(max_states=4, max_actions=3, min_states=1):
     """Games built from :func:`game_parts`."""
-    return game_parts(max_states, max_actions).map(lambda parts: r.build_game(*parts))
+    return game_parts(max_states, max_actions, min_states).map(
+        lambda parts: r.build_game(*parts)
+    )
 
 
 def gs_backup(game, v, u_partial, k, a, lam):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import robustdp as r
 from conftest import (
+    chain_game,
     entry_game_parts,
     enumerate_decision_rules,
     enumerate_policy_models,
@@ -561,6 +562,19 @@ class TestJsonRoundTrip:
         for name in ("action_group", "group_action", "group_payoff"):
             assert getattr(back, name).tobytes() == getattr(game, name).tobytes(), name
         assert np.allclose(back.group_candidates, game.group_candidates, rtol=0, atol=1e-15)
+
+    def test_chain_game_loads_back_with_rows_within_ulps(self):
+        """Save and load keep payoffs, names and groups byte for byte; the
+        load renormalises the rows, which moves some of them by an ulp."""
+        game = chain_game(20, 10)
+        back = r.validate_game(json.loads(json.dumps(r.game_to_dict(game))))
+        assert (back.n_players, back.states, back.player_actions, back.r_max) == (
+            game.n_players, game.states, game.player_actions, game.r_max)
+        for name in ("action_group", "group_action", "group_payoff"):
+            assert getattr(back, name).tobytes() == getattr(game, name).tobytes(), name
+        cand, back_cand = game.group_candidates, back.group_candidates
+        assert np.all(np.abs(back_cand - cand) <= 2 * np.spacing(cand))
+        assert not np.array_equal(back_cand, cand)
 
     def test_canonical_key_order(self, tmp_path, rssd_game):
         path = tmp_path / "game.json"

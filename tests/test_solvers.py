@@ -1,4 +1,5 @@
 import logging
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 import robustdp as r
 from conftest import (
     chain_game,
+    dirichlet_game,
     enumerate_decision_rules,
     evaluate_one,
     evaluate_policy_exact,
@@ -120,6 +122,40 @@ class TestParams:
     def test_epsilon_must_be_positive_and_finite(self, epsilon):
         with pytest.raises(ValueError, match="^epsilon must be positive and finite"):
             r.SolverParams(lam=0.9, epsilon=epsilon)
+
+    @pytest.mark.parametrize(
+        "bound", [r.max_delta, lambda lam, eps: termination_threshold(lam, eps, 0.0)],
+        ids=["max_delta", "termination_threshold"],
+    )
+    @pytest.mark.parametrize(
+        ("lam", "epsilon", "error", "message"),
+        [
+            (True, 1e-5, TypeError, "^lam must be a real number"),
+            ("0.9", 1e-5, TypeError, "^lam must be a real number"),
+            (0.9, np.False_, TypeError, "^epsilon must be a real number"),
+            (0.9, "1e-5", TypeError, "^epsilon must be a real number"),
+            (-0.5, 1e-5, ValueError, r"^lam must be in \[0, 1\)"),
+            (1.0, 1e-5, ValueError, r"^lam must be in \[0, 1\)"),
+            (0.9, float("nan"), ValueError, "^epsilon must be positive and finite"),
+            (0.9, float("inf"), ValueError, "^epsilon must be positive and finite"),
+            (0.9, 0.0, ValueError, "^epsilon must be positive and finite"),
+            (0.9, -1e-5, ValueError, "^epsilon must be positive and finite"),
+        ],
+    )
+    def test_bounds_read_lam_and_epsilon_as_params_do(self, bound, lam, epsilon, error, message):
+        with pytest.raises(error, match=message):
+            bound(lam, epsilon)
+
+    @pytest.mark.parametrize("lam", [0.5, 0.9, 0.97, 0.99, np.float64(0.95)])
+    @pytest.mark.parametrize("epsilon", [1e-5, 1e-6, np.float32(1e-3), 2])
+    def test_bounds_of_valid_numbers_keep_their_bits(self, lam, epsilon):
+        lam_f, eps_f = float(lam), float(epsilon)
+        bound = (1.0 - lam_f) ** 2 * eps_f / (2.0 * lam_f * (1.0 + lam_f))
+        threshold = (1.0 - lam_f) * eps_f / (2.0 * lam_f) - 0.5 * bound
+        assert r.max_delta(lam, epsilon) == bound
+        assert termination_threshold(lam, epsilon, 0.5 * bound) == threshold
+        assert r.max_delta(0.0, epsilon) == math.inf
+        assert termination_threshold(0.0, epsilon, 0.0) == math.inf
 
     def test_discount_range(self):
         with pytest.raises(ValueError, match="lam"):
@@ -698,17 +734,6 @@ DIRICHLET60_ITERATIONS = {
 }
 DIRICHLET60_POLICY = "232300020230103230300130131103120230323230103333110232030032"
 DIRICHLET60_ROWS = "020313301031323010010033200230233313011330310232033010220312"
-
-
-def dirichlet_game(m, seed=2105):
-    """Seeded random game: 2 players x 2 actions, 4 Dirichlet candidate rows
-    per (state, joint action), payoffs uniform on [-1, 1]; no two joint
-    actions alike, so every sweep scores 4 groups of 4 rows per state."""
-    rng = np.random.default_rng(seed)
-    payoff = rng.uniform(-1, 1, (m, 4, m))
-    rows = [[rng.dirichlet(np.ones(m), 4) for _ in range(4)] for _ in range(m)]
-    states = [f"s{k}" for k in range(m)]
-    return r.build_game(2, states, [["a0", "a1"], ["a0", "a1"]], payoff, rows)
 
 
 def test_grid_iterations_policies_and_rows_are_pinned():
