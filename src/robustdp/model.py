@@ -98,10 +98,12 @@ def _names(seq) -> tuple[str, ...] | None:
 def _real(x, name: str) -> float:
     """``x`` as a float; ``TypeError`` naming ``name`` for a bool, which
     would be read as 0 or 1, and for anything else that is not a real
-    number, such as a str."""
-    if _is_number(x, Real):
-        return float(x)
-    raise TypeError(f"{name} must be a real number, got {x!r}")
+    number, such as a str; ``ValueError`` for one beyond double range."""
+    if not _is_number(x, Real):
+        raise TypeError(f"{name} must be a real number, got {x!r}")
+    if not _fits_double(x):
+        raise ValueError(f"{name} is beyond double range")
+    return float(x)
 
 
 def _fits_double(x) -> bool:

@@ -46,10 +46,10 @@ class RssdParams:
     public goods stage to be a dilemma.  ``snowdrift_benefit`` defaults to
     the synergy factors and must be finite.  ``mu_set`` magnitudes must
     keep every row stochastic: mu * n_players <= 1.  ``n_players`` and
-    ``stag_threshold`` must be integers, and ``cost`` and the entries of
-    ``synergy``, ``snowdrift_benefit`` and ``mu_set`` real numbers, which
-    are stored as floats; a bool, a str or any other type raises
-    ``TypeError``.
+    ``stag_threshold`` must be integers, with 2**n_players within numpy's
+    index type, and ``cost`` and the entries of ``synergy``,
+    ``snowdrift_benefit`` and ``mu_set`` real numbers, stored as floats; a
+    bool, a str or any other type raises ``TypeError``.
     """
 
     n_players: int = 3
@@ -75,6 +75,9 @@ class RssdParams:
             )
         if self.n_players < 1:
             raise ValueError("n_players must be positive")
+        if self.n_players > np.iinfo(np.intp).bits - 2:
+            raise ValueError("n_players is too large: numpy cannot index its "
+                             "2**n_players joint actions")
         if len(self.synergy) != N_STATES:
             raise ValueError(f"synergy must give one factor per state ({N_STATES})")
         for r in self.synergy:

@@ -8,11 +8,11 @@ evaluation sweep, Gauss-Seidel or Jacobi, is one affine map u -> A u + b
 from a fresh gather of the dense (P, r), only when the rule or the rows
 differ from the last ones, and a step's evaluation sweeps run in one call;
 the results are bit for bit those of a fresh map and one call per sweep.
-While an exact Gauss-Seidel run's improvement sweeps keep recording the
-rule and rows of the held map, each next sweep is first tried as one
-product with that map and a check of every state's choice
-(:func:`~robustdp.sweeps.improvement_sweep`'s ``tail``); it makes the
-per-state loop's choices exactly, and its values differ only by rounding.
+A step that ran evaluation sweeps hands the map they ran under, with its
+rule and rows, to the next improvement sweep
+(:func:`~robustdp.sweeps.improvement_sweep`'s ``tail``), which decides
+whether to try it as one product with a check of every state's choice; a
+step without evaluation sweeps hands on none.
 
 * ``ratpi`` - Gauss-Seidel improvement + Gauss-Seidel partial evaluation.
 * ``ratvi`` - ratpi with zero evaluation sweeps per step.
@@ -39,7 +39,6 @@ import numpy as np
 from .model import TeamDecisionRule, TeamMarkovGame, _count, _real
 from .perturb import PerturbationOracle
 from .sweeps import (
-    TAIL_CHECK_MIN_STATES,
     evaluation_operator,
     evaluation_sweep,
     fixed_model_arrays,
@@ -276,13 +275,11 @@ def _run(
     schedule = params.mt_schedule
     v = initial_value(game, params)
     trace = SolverTrace()
-    # The (rule, rows) whose sweep operator was formed last: on a run's tail
-    # the improvement sweeps record the same ones step after step.  In an
-    # exact Gauss-Seidel run on a game large enough for the check to pay,
-    # ``tail`` hands them with their operator to the next improvement
-    # sweep, to check first, while the last step recorded them.
-    gathered = tail = None
-    checks = gauss_seidel and approx is None and game.m >= TAIL_CHECK_MIN_STATES
+    # ``held`` is the (rule, rows, op) the evaluation sweeps ran under last,
+    # formed again only when a step records another (rule, rows).  A step
+    # with evaluation sweeps hands it to the next improvement sweep as
+    # ``tail``; a step without them hands on None.
+    held = tail = None
     for t in range(params.max_iterations):
         if gauss_seidel:
             sweep = improvement_sweep(game, v, lam, approx, t, tail)
@@ -306,20 +303,19 @@ def _run(
         u = sweep.u0
         mt = _mt_at(schedule, t)
         if mt:
-            if (sweep.rule, sweep.worst_model) != gathered:
-                gathered = (sweep.rule, sweep.worst_model)
-                P, r = fixed_model_arrays(game, *gathered)
-                op = evaluation_operator(P, r, lam, gauss_seidel, approx is not None)
+            record = (sweep.rule, sweep.worst_model)
+            if held is None or held[:2] != record:
+                P, r = fixed_model_arrays(game, *record)
+                held = (*record, evaluation_operator(P, r, lam, gauss_seidel,
+                                                     approx is not None))
             noise = None
             if approx is not None:
                 queries = list(enumerate(sweep.rule))
                 noise = np.array(
                     [approx.perturb(t, s, queries) for s in range(1, mt + 1)]
                 )
-            u = evaluation_sweep(op, u, noise, mt)
-        if checks:
-            held = (sweep.rule, sweep.worst_model) == gathered
-            tail = (*gathered, op) if held else None
+            u = evaluation_sweep(held[2], u, noise, mt)
+        tail = held if mt else None
         v = u
     else:
         t = params.max_iterations
@@ -438,7 +434,7 @@ def evaluate_policy_robust(
     settled = np.zeros(n_rules, dtype=bool)
     # ``left`` holds the stack positions of the rules still iterating.
     left = np.arange(n_rules)
-    prev = None
+    prev = np.full(acts.shape, -1)  # no row is -1: no repeat in round 0
     for _ in range(ROBUST_EVAL_MAX_ROUNDS):
         scores = (cand @ v[:, None, :, None])[..., 0]
         scores *= lam
@@ -447,16 +443,12 @@ def evaluate_policy_robust(
         picked = scores.argmin(axis=-1)
         step = q - v
         np.abs(step, out=step)
-        done = _max(step, axis=-1) < threshold
-        n_done = np.count_nonzero(done)
-        if prev is not None and n_done < len(done):
-            done |= _min(picked == prev, axis=-1)
-            n_done = np.count_nonzero(done)
+        done = (_max(step, axis=-1) < threshold) | _min(picked == prev, axis=-1)
         # Checked first, so an empty stack leaves in its first round.
-        if n_done == len(done):
+        if done.all():
             value[left], rows[left], settled[left] = q, picked, True
             break
-        if n_done:
+        if done.any():
             at = left[done]
             value[at], rows[at], settled[at] = q[done], picked[done], True
             keep = ~done

@@ -49,21 +49,21 @@ action's value, chosen as the sweep goes, takes one call per state.
 
 On a run's tail the improvement sweep, too, records the (rule, rows) of the
 operator the solver holds, step after step, and is then that affine map up
-to rounding.  So an exact Gauss-Seidel ``ratpi`` run on a game of at least
-``TAIL_CHECK_MIN_STATES`` states, whose last step recorded the (rule, rows)
-of its held operator, passes them to the next improvement sweep, which
-first tries a tail check (:func:`_tail_check`): ``w = A @ v + b``, and
-every (state, group, row) scored in one batched product against the
-continuation ``(w[:k], v[k:])``.  The check's dot products sum in another
-order than the loop's, and its lower continuation is ``w``, not the loop's
-forward substitution, so its scores differ from the loop's by rounding; the
-check accepts only if at every state the held group and row win by more
-than a margin that bounds twice that difference, so by induction over the
-states the loop would make exactly the same choices, and only the values'
-rounding differs.  Otherwise the loop runs as it stands.  ``ratvi`` gathers
-no operator and perturbed sweeps add noise the operator does not hold, so
-both keep the loop, as do games below the threshold, where the loop costs
-less than the check.
+to rounding.  A step that ran evaluation sweeps hands the next improvement
+sweep the (rule, rows, op) they ran under, and a step without them hands on
+nothing; the sweep alone decides whether to use it.  An exact sweep on a
+game of at least ``TAIL_CHECK_MIN_STATES`` states first tries a tail check
+(:func:`_tail_check`): ``w = A @ v + b``, and every (state, group, row)
+scored in one batched product against the continuation ``(w[:k], v[k:])``.
+The check's dot products sum in another order than the loop's, and its
+lower continuation is ``w``, not the loop's forward substitution, so its
+scores differ from the loop's by rounding; the check accepts only if at
+every state the held group and row win by more than a margin that bounds
+twice that difference, so by induction over the states the loop would make
+exactly the same choices, and only the values' rounding differs.
+Otherwise the loop runs as it stands.  A perturbed sweep adds noise the
+operator does not hold, and on a smaller game the loop costs less than the
+check, so both keep the loop.
 
 The module holds only what the solvers and the CLI run.  The slow
 references the tests hold these operators to (the per-(state, action)
@@ -102,9 +102,8 @@ from .perturb import PerturbationOracle
 _min = np.minimum.reduce
 _max = np.maximum.reduce
 
-#: Fewest states at which the solvers hand :func:`improvement_sweep` a
-#: tail to check: on smaller games the per-state loop costs less than the
-#: check.
+#: Fewest states at which :func:`improvement_sweep` checks the tail it is
+#: handed: on smaller games the per-state loop costs less than the check.
 TAIL_CHECK_MIN_STATES = 8
 
 
@@ -235,11 +234,12 @@ def improvement_sweep(
 
     ``tail`` is an optional ``(rule, rows, op)``, with ``op`` the
     Gauss-Seidel :func:`evaluation_operator` of that rule and those rows.
-    An exact sweep given one first tries :func:`_tail_check`, which gives
-    the loop's rule and rows, with values within rounding, whenever it
-    returns; otherwise the loop runs.  A perturbed sweep ignores ``tail``.
+    An exact sweep given one, on a game of at least ``TAIL_CHECK_MIN_STATES``
+    states, first tries :func:`_tail_check`, which gives the loop's rule and
+    rows, with values within rounding, whenever it returns; otherwise the
+    loop runs.  A perturbed sweep, or one on a smaller game, declines ``tail``.
     """
-    if tail is not None and approx is None:
+    if tail is not None and approx is None and game.m >= TAIL_CHECK_MIN_STATES:
         checked = _tail_check(game, np.asarray(v, dtype=float), lam, *tail)
         if checked is not None:
             return checked

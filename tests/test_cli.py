@@ -330,6 +330,7 @@ HUGE_V0 = "file:<an array holding 10**400>"
         ["solve", "--v0", "file:no-such-dir/v0.json"],
         ["solve", "--v0", HUGE_V0],
         ["trace-fig1", "--v0", HUGE_V0],
+        ["rssd-gen", "--n", "1" + "0" * 400],
     ],
 )
 def test_unusable_flags_exit_1(argv, rssd_file, tmp_path, tmp_path_factory, capsys):
@@ -363,6 +364,19 @@ def test_unusable_flags_exit_1(argv, rssd_file, tmp_path, tmp_path_factory, caps
         assert err.startswith("--lambdas ")
     if argv[-1].endswith("huge.json"):
         assert err == f"--v0 {argv[-1][len('file:'):]}: a number is beyond double range\n"
+    if argv[0] == "rssd-gen":
+        assert err.startswith("n_players is too large: numpy cannot index")
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+def test_result_goes_to_stdout_without_out(command, rssd_file, tmp_path, capsys):
+    """Without ``--out`` a command prints the bytes it writes with it."""
+    out = tmp_path / "result.json"
+    argv = [command, "--game", str(rssd_file)]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert not capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
 @pytest.mark.parametrize("content", ['"123"', '[true, "2.5", 3]', '{"s1": 1.0}', "[1, null, 3]"])

@@ -197,6 +197,11 @@ class TestValidation:
                          id="duplicate_uncertainty_entry"),
             pytest.param(lambda raw: {**raw, "player_actions": [["a0", "a0"]]},
                          ["player 0: duplicate action names"], id="duplicate_action_names"),
+            # A flat row holds no rows to scan for bools, strings or null.
+            pytest.param(lambda raw: {**raw, "uncertainty": [
+                             {"s": "s1", "a": [0], "rows": [0.5, 0.25, 0.25]}]},
+                         ["uncertainty[state='s1', action=(0,)]: "
+                          "expected a nonempty list of rows"], id="flat_rows"),
         ],
     )
     def test_malformed_document_rejected(self, edit, errors):
@@ -871,3 +876,22 @@ class TestPayoffColumnPass:
         assert isinstance(slow, r.TeamMarkovGame) == (edit in LOOP_EDITS), slow
         if fast is not None:
             assert_same_arrays(r.validate_game(doc), slow)
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda: r.SolverParams(lam=0.9, epsilon=10**400), "epsilon"),
+        (lambda: r.RssdParams(cost=10**400), "cost"),
+        (lambda: r.PerturbationOracle("uniform_noise", 10**400), "bound"),
+        (lambda: r.max_delta(0.9, 10**400), "epsilon"),
+        (lambda: r.evaluate_policy_robust(singleton_game(), [[0]], 10**400), "lam"),
+    ],
+    ids=["SolverParams", "RssdParams", "PerturbationOracle", "max_delta",
+         "evaluate_policy_robust"],
+)
+def test_integer_beyond_double_range_is_a_value_error(make, name):
+    """A real number is read through ``model._real``: an int that no double
+    holds is a ``ValueError`` that names it, never a bare ``OverflowError``."""
+    with pytest.raises(ValueError, match=f"^{name} is beyond double range$"):
+        make()

@@ -86,6 +86,22 @@ class TestParams:
         assert params.mu_set == (0.0, 0.1)
         assert all(type(x) is float for x in params.synergy + params.mu_set)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"n_players": 10**400}, {"n_players": 10**18, "mu_set": (1e-20,)},
+         {"n_players": np.iinfo(np.intp).bits - 1, "mu_set": (1e-3,)}],
+        ids=["400_digits", "10**18", "index_bits-1"],
+    )
+    def test_joint_actions_must_fit_numpys_index_type(self, kwargs):
+        # Rejected before n_players meets a float or a power; these only
+        # construct the parameters.
+        with pytest.raises(ValueError, match="^n_players is too large: numpy cannot index"):
+            RssdParams(**kwargs)
+
+    def test_largest_indexable_player_count_constructs(self):
+        n = np.iinfo(np.intp).bits - 2
+        assert RssdParams(n_players=n, mu_set=(1e-3,)).n_players == n
+
     def test_mu_must_keep_rows_stochastic(self):
         with pytest.raises(ValueError, match="mu"):
             RssdParams(mu_set=(0.1, 0.4))

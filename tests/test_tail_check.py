@@ -185,8 +185,10 @@ def test_stale_guess_falls_back(settled_start):
 
 
 def test_small_games_and_perturbed_runs_keep_the_loop(settled_start, monkeypatch):
-    """A perturbed sweep ignores its tail, and the solvers hand none to
-    perturbed runs or to games below ``TAIL_CHECK_MIN_STATES`` states."""
+    """The solvers hand perturbed runs, and runs on games below
+    ``TAIL_CHECK_MIN_STATES`` states, an operator after every step with
+    evaluation sweeps, as they hand any run; the sweep declines it, so
+    neither run ever tries the check."""
     game, v, loop = settled_start
     tail = guess_of(game, loop.rule, loop.worst_model, 0.9)
     monkeypatch.setattr(sweeps, "_tail_check", None)
@@ -210,7 +212,7 @@ RUN_GAMES = {
 
 @pytest.mark.parametrize("name", list(RUN_GAMES))
 @pytest.mark.parametrize("lam", [0.9, 0.99])
-@pytest.mark.parametrize("mt", [1, 10])
+@pytest.mark.parametrize("mt", [1, 10, (10, 0, 10), (0, 10)])
 def test_ratpi_makes_the_reference_runs_choices(name, lam, mt, monkeypatch):
     """Exact ``ratpi`` against ``reference_run``, whose sweeps run the loop:
     equal iterations, policy, rows, final value and flags, and residuals and
@@ -244,3 +246,36 @@ def test_ratpi_makes_the_reference_runs_choices(name, lam, mt, monkeypatch):
     assert np.max(np.abs(values - ref_values)) <= bound
     gaps = np.abs(np.array(result.trace.residuals) - ref.trace.residuals)
     assert np.max(gaps) <= 2 * bound
+
+
+@pytest.mark.parametrize("schedule", [(10, 0, 10), (0, 10, 0, 10), 10])
+def test_a_step_hands_on_the_operator_its_evaluation_ran_under(schedule, monkeypatch):
+    """After a step that ran evaluation sweeps, the next improvement sweep
+    is handed the very (rule, rows, op) whose op those sweeps ran under,
+    with the rule and rows that step recorded; at step 0, and after a step
+    without evaluation sweeps, it is handed None."""
+    steps = []
+    improve, evaluate = r.solvers.improvement_sweep, r.solvers.evaluation_sweep
+
+    def improvement_sweep(game, v, lam, approx, step, tail):
+        sweep = improve(game, v, lam, approx, step, tail)
+        steps.append({"tail": tail, "record": (sweep.rule, sweep.worst_model), "op": None})
+        return sweep
+
+    def evaluation_sweep(op, *args):
+        steps[-1]["op"] = op
+        return evaluate(op, *args)
+
+    monkeypatch.setattr(r.solvers, "improvement_sweep", improvement_sweep)
+    monkeypatch.setattr(r.solvers, "evaluation_sweep", evaluation_sweep)
+    params = r.SolverParams(lam=0.99, epsilon=1e-5, mt_schedule=schedule)
+    r.solve_ratpi(dirichlet_game(30), params)
+    assert steps[0]["tail"] is None
+    for last, step in zip(steps, steps[1:]):
+        if last["op"] is None:
+            assert step["tail"] is None
+        else:
+            assert step["tail"][2] is last["op"]
+            assert step["tail"][:2] == last["record"]
+    handed = [step["tail"] is not None for step in steps[1:]]
+    assert any(handed) and all(handed) == (schedule == 10)
