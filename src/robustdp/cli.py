@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import logging
 import os
 import sys
@@ -57,8 +56,10 @@ from .model import (
     _fits_double,
     _is_number,
     load_game,
+    read_json,
     save_game,
     sup_norm,
+    write_json,
 )
 from .oracle import brute_force_maximin
 from .perturb import MODES, PerturbationOracle
@@ -106,9 +107,11 @@ def _parse_v0(text: str):
     if text.startswith("file:"):
         path = text[len("file:"):]
         try:
-            values = json.loads(Path(path).read_text())
-        except (OSError, ValueError) as e:
-            raise CliInputError(f"--v0 {path}: {e}") from e
+            values = read_json(path)
+        except OSError as e:
+            raise CliInputError(f"--v0 {path}: {e.strerror or e}") from e
+        except ValueError as e:  # the message starts with the path
+            raise CliInputError(f"--v0 {e}") from e
         if not isinstance(values, list) or not all(map(_is_number, values)):
             raise CliInputError(f"--v0 {path}: expected a JSON array of numbers")
         if not all(map(_fits_double, values)):
@@ -162,14 +165,6 @@ def _result_payload(game: TeamMarkovGame, result: SolverResult, config: dict) ->
         "residuals": [float(r) for r in result.trace.residuals],
         "final_residual": float(result.trace.residuals[-1]),
     }
-
-
-def _write_json(path: str | None, payload: dict) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
 
 
 def _write_trace_csv(path, game: TeamMarkovGame, results: list[SolverResult]) -> None:
@@ -242,7 +237,7 @@ def cmd_solve(args) -> int:
         "approx_lock": args.approx_lock,
         "max_iterations": args.max_iterations,
     }
-    _write_json(args.out, _result_payload(game, result, config))
+    write_json(args.out, _result_payload(game, result, config))
     if args.trace:
         _write_trace_csv(args.trace, game, [result])
     return 0 if result.terminated and result.settled else 2
@@ -400,7 +395,7 @@ def cmd_oracle(args) -> int:
         "dominance_ok": orc.dominance_ok,
         "max_dominance_gap": orc.max_dominance_gap,
     }
-    _write_json(args.out, payload)
+    write_json(args.out, payload)
     return 0 if orc.settled else 2
 
 
@@ -492,10 +487,8 @@ def main(argv=None) -> int:
 
 
 def _error_message(e: Exception, game_path: str | None) -> str:
-    """One message for an input error; errors from loading ``--game`` name
-    that file (and, for a JSON syntax error, its line and column)."""
-    if isinstance(e, json.JSONDecodeError):
-        return f"{game_path}:{e.lineno}:{e.colno}: {e.msg}"
+    """One message for an input error; an invalid ``--game`` file is named
+    here, and the errors of reading one already start with its path."""
     if isinstance(e, GameValidationError):
         where = f"{game_path}: " if game_path else ""
         return f"{where}invalid game description: {'; '.join(e.errors)}"

@@ -24,6 +24,15 @@ maps each of the 2**n joint actions to its cooperator count, so it pays
 for n + 1 checks and a few array passes over the map, not a Python step
 per joint action.
 
+This module is also the program's one JSON boundary.  :func:`read_json`
+reads every JSON file the program takes, game files and ``--v0`` files
+alike, and turns every failure but a file-system ``OSError`` into one
+``ValueError`` line that starts with the path; :func:`write_json` writes
+every JSON document in one text form.  The lists of state and action
+names pass one check, :func:`_name_lists`, whether they come from a file
+(:func:`validate_game`) or from Python (:func:`build_game`): they must be
+ordered, because their order numbers the states and the joint actions.
+
 Instances are immutable after validation and safe to share across concurrent
 solver runs.
 """
@@ -35,6 +44,7 @@ import itertools
 import json
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from numbers import Real
 from pathlib import Path
@@ -86,13 +96,30 @@ def _count(x, name: str) -> int:
     raise TypeError(f"{name} must be an integer, got {x!r}")
 
 
+def _ordered(seq) -> bool:
+    """Whether ``seq`` is a list, a tuple or an array of at least one
+    dimension, whose order is the caller's: not a set, whose order is the
+    hash order, nor a bare str, whose characters are no names."""
+    return isinstance(seq, (list, tuple)) or (isinstance(seq, np.ndarray) and seq.ndim > 0)
+
+
 def _names(seq) -> tuple[str, ...] | None:
-    """``seq`` as a tuple of names; ``None`` for a bare str, whose
-    characters are no names, or for a sequence holding anything but str."""
-    if isinstance(seq, str):
-        return None
-    names = tuple(seq)
-    return names if all(isinstance(x, str) for x in names) else None
+    """``seq`` as a tuple of names if it is an :func:`_ordered` sequence of
+    str (a list, a tuple or a 1-D array); ``None`` otherwise."""
+    return tuple(seq) if _ordered(seq) and all(isinstance(x, str) for x in seq) else None
+
+
+def _name_lists(states, player_actions) -> tuple[tuple | None, tuple | None, list[str]]:
+    """``states`` as a tuple of names and ``player_actions`` as a tuple of
+    tuples of names, with one error for each that is not one, which is then
+    ``None``.  Their order numbers the states and the joint actions."""
+    states = _names(states)
+    acts = tuple(map(_names, player_actions)) if _ordered(player_actions) else (None,)
+    player_actions = None if None in acts else acts
+    errors = ["states must be an array of state names"] if states is None else []
+    if player_actions is None:
+        errors.append("player_actions must be an array of arrays of action names")
+    return states, player_actions, errors
 
 
 def _real(x, name: str) -> float:
@@ -260,39 +287,33 @@ def build_game(
 
     Every game is checked here, whatever its source: a positive integer
     ``n_players`` with one nonempty action set per player, nonempty states,
-    names that are str (a bare str is no sequence of names), no duplicate
-    state or action names, a payoff of shape (m, E, m) with finite entries,
-    an ``action_entry`` of shape (m, A) and integer dtype whose indices lie
-    in [0, E) and use every entry, one row set per (state, entry), and a
-    finite real ``r_max``, not a bool (computed as max |payoff| when
-    omitted), no smaller than any payoff.  A row set is an array-like of raw
-    candidate rows, or ``None`` for a pair the input does not list; each
-    entry's set is checked and cleaned once by :func:`_clean_rows`, which
-    also rejects ``true``/``false`` and strings inside it, and a bad set
-    gets one error line per pair that maps to it.  Actions of a state whose
-    payoff and cleaned rows are the same bytes are packed as one group of
-    ``TeamMarkovGame.group_candidates``.  Raises
+    states and each player's actions given as ordered sequences of str (a
+    list, a tuple or a 1-D array, not a set; see :func:`_name_lists`), no
+    duplicate state or action names, a payoff of shape (m, E, m) with
+    finite entries, an ``action_entry`` of shape (m, A) and integer dtype
+    whose indices lie in [0, E) and use every entry, one row set per
+    (state, entry), and a finite real ``r_max``, not a bool (computed as
+    max |payoff| when omitted), no smaller than any payoff.  A row set is
+    an array-like of raw candidate rows, or ``None`` for a pair the input
+    does not list; each entry's set is checked and cleaned once by
+    :func:`_clean_rows`, which also rejects ``true``/``false`` and strings
+    inside it, and a bad set gets one error line per pair that maps to it.
+    Actions of a state whose payoff and cleaned rows are the same bytes are
+    packed as one group of ``TeamMarkovGame.group_candidates``.  Raises
     :class:`GameValidationError` listing every problem found; problems with
     the header (players, states, action sets) or with the shapes and
     indices of ``payoff`` and ``action_entry`` are reported without the
     checks that depend on them.
     """
-    errors: list[str] = []
     n_players_ok = _is_number(n_players, int)
+    states, player_actions, errors = _name_lists(states, player_actions)
     if not n_players_ok or n_players < 1:
-        errors.append("n_players must be a positive integer")
-    states = _names(states)
-    if states is None:
-        errors.append("states must be an array of state names")
-    elif not states:
+        errors.insert(0, "n_players must be a positive integer")
+    if states == ():
         errors.append("states must be nonempty")
-    elif len(set(states)) != len(states):
+    elif states is not None and len(set(states)) != len(states):
         errors.append("states contains duplicate names")
-    player_actions = (None if isinstance(player_actions, str)
-                      else tuple(map(_names, player_actions)))
-    if player_actions is None or None in player_actions:
-        errors.append("player_actions must be an array of arrays of action names")
-    else:
+    if player_actions is not None:
         if n_players_ok and len(player_actions) != max(n_players, 1):
             errors.append(
                 f"player_actions lists {len(player_actions)} action sets "
@@ -500,14 +521,16 @@ def validate_game(raw: Mapping) -> TeamMarkovGame:
     """Translate a parsed game description (the JSON document shape) into
     the arguments of :func:`build_game` and build the game.
 
-    This function checks only what exists in the JSON form alone: that
-    ``states`` is an array of names and ``player_actions`` an array of
-    arrays of names, that entries name known states and give one in-range
-    action index per player, per-player ``r`` lists, duplicate entries,
-    and unlisted payoff triples when ``default_payoff`` is absent.  Every
-    other check (player count, duplicate or empty names, candidate rows and
-    the numbers in them, missing uncertainty entries, the type of ``r_max``
-    and its value against the payoffs) is :func:`build_game`'s.  One
+    The entries are indexed by ``states`` and ``player_actions``, so these
+    pass :func:`_name_lists` first, the check :func:`build_game` makes of
+    them too, and a failure there is raised alone.  Beyond that this
+    function checks only what exists in the JSON form alone: that entries
+    name known states and give one in-range action index per player,
+    per-player ``r`` lists, duplicate entries, and unlisted payoff triples
+    when ``default_payoff`` is absent.  Every other check (player count,
+    duplicate or empty names, candidate rows and the numbers in them,
+    missing uncertainty entries, the type of ``r_max`` and its value
+    against the payoffs) is :func:`build_game`'s.  One
     :class:`GameValidationError` lists this function's errors followed by
     those of :func:`build_game`.
 
@@ -527,18 +550,10 @@ def validate_game(raw: Mapping) -> TeamMarkovGame:
     """
     if not isinstance(raw, Mapping):
         raise GameValidationError(["top level must be a JSON object"])
-    errors: list[str] = []
-    states = raw.get("states")
-    if not isinstance(states, list) or not all(isinstance(s, str) for s in states):
-        errors.append("states must be an array of state names")
-    player_actions = raw.get("player_actions")
-    if not isinstance(player_actions, list) or not all(
-        isinstance(acts, list) and all(isinstance(x, str) for x in acts)
-        for acts in player_actions
-    ):
-        errors.append("player_actions must be an array of arrays of action names")
+    states, player_actions, errors = _name_lists(
+        raw.get("states"), raw.get("player_actions")
+    )
     if errors:
-        # Entries are indexed by the header, so they cannot be read without it.
         raise GameValidationError(errors)
 
     m = len(states)
@@ -697,13 +712,39 @@ def game_to_dict(game: TeamMarkovGame) -> dict:
     }
 
 
+def read_json(path):
+    """The JSON document in the file at ``path``, read as UTF-8.
+
+    Every failure but the file system's ``OSError`` is one ``ValueError``
+    line that starts with the path: a syntax error as ``path:line:col:
+    msg``, bytes that are not UTF-8, nesting deeper than the parser's
+    recursion allows, and an integer longer than Python converts.
+    """
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
+    except (RecursionError, ValueError) as e:  # too deep, not UTF-8, too many digits
+        raise ValueError(f"{path}: {e}") from e
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` as JSON text indented by 2, with a final newline, to
+    the file at ``path``, or to standard output when ``path`` is None.
+    Equal documents give equal bytes."""
+    text = json.dumps(doc, indent=2) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text)
+
+
 def load_game(path) -> TeamMarkovGame:
-    """Load and validate a game JSON file."""
-    raw = json.loads(Path(path).read_text())
-    return validate_game(raw)
+    """Load and validate a game JSON file (see :func:`read_json`)."""
+    return validate_game(read_json(path))
 
 
 def save_game(game: TeamMarkovGame, path) -> None:
     """Write a game as canonical JSON (stable key order, sorted entries)."""
-    Path(path).write_text(json.dumps(game_to_dict(game), indent=2) + "\n")
+    write_json(path, game_to_dict(game))
 

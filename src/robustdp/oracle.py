@@ -5,10 +5,13 @@ worst-case model, and takes the componentwise maximum.  Joint actions of a
 group back up to the same value, so one rule per combination of per-state
 groups stands for all the rules that play members of those groups: the
 paper's instance has 4 groups of 8 joint actions per state, so 4**3 = 64 of
-its 512 rules are evaluated.  The rules are evaluated ``ORACLE_BLOCK`` at a
-time, each block as one stacked call of :func:`evaluate_policy_robust`, so
-the gathered candidate rows held at once stay bounded whatever the rule
-count; only the values, m doubles per rule, are kept for all of them.
+its 512 rules are evaluated.  The rules are evaluated in blocks, each
+block as one stacked call of :func:`evaluate_policy_robust`.  A block
+gathers about 8 * m * m * (Kmax + 2) bytes per rule (Kmax the largest
+candidate count), so it holds at most ``ORACLE_BLOCK`` rules and at most
+``ORACLE_BLOCK_BYTES`` of them, but never fewer than one rule: the memory
+of a block stays bounded whatever the rule count and the state count.
+Only the values, m doubles per rule, are kept for all of them.
 Meant as an independent reference for the iterative solvers, not as a
 production path; the ``oracle`` and ``bench-table1`` CLI commands (the
 latter for each lambda's ``oracle_gap``) and the benchmark's paper
@@ -40,9 +43,10 @@ log = logging.getLogger("robustdp.oracle")
 _max = np.maximum.reduce
 _min = np.minimum.reduce
 
-#: Rules per stacked robust evaluation.  A block holds about
-#: 8 * m * m * (Kmax + 2) bytes per rule (Kmax the largest candidate count).
+#: Most rules per stacked robust evaluation.
 ORACLE_BLOCK = 1024
+#: Most bytes a block of rules gathers, at 8 * m * m * (Kmax + 2) per rule.
+ORACLE_BLOCK_BYTES = 64 * 2**20
 
 #: Slack within which one rule attains the maximum in every component, as a
 #: fraction of the value scale r_max / (1 - lam): the rounding error of the
@@ -114,8 +118,10 @@ def brute_force_maximin(
         raise BudgetExceededError(total, budget)
     values = np.empty((total, game.m))
     settled = True
-    for start in range(0, total, ORACLE_BLOCK):
-        stop = min(start + ORACLE_BLOCK, total)
+    per_rule = 8 * game.m**2 * (game.group_candidates.shape[2] + 2)
+    block = max(1, min(ORACLE_BLOCK, ORACLE_BLOCK_BYTES // per_rule))
+    for start in range(0, total, block):
+        stop = min(start + block, total)
         rules = _group_rules(game, n_groups, start, stop)
         values[start:stop], _, block_settled = evaluate_policy_robust(game, rules, lam)
         settled = settled and bool(block_settled.all())

@@ -261,13 +261,12 @@ def _run(
             f"r_max / (1 - lambda) is not finite (r_max={game.r_max!r}, "
             f"lambda={lam!r}); rescale the payoffs"
         )
-    delta = params.delta if gauss_seidel else 0.0
-    if approx is not None and approx.bound > lam * delta:
+    if approx is not None and approx.bound > lam * params.delta:
         raise ValueError(
             f"{algo}: perturbation bound {approx.bound!r} exceeds "
-            f"lambda * delta = {lam * delta!r}"
+            f"lambda * delta = {lam * params.delta!r}"
         )
-    threshold = termination_threshold(lam, params.epsilon, delta)
+    threshold = termination_threshold(lam, params.epsilon, params.delta)
     # The evaluation sweeps run under the worst-case rows of the step's
     # start, so they can overshoot the robust value and cycle: a run whose
     # residual fails to fall goes on with schedule 0, as value iteration,
@@ -349,14 +348,13 @@ def solve_ratvi(
 
 def solve_rmpi(game: TeamMarkovGame, params: SolverParams) -> SolverResult:
     """Jacobi robust modified policy iteration baseline (exact backups)."""
-    return _run(game, params, None, gauss_seidel=False, algo="rmpi")
+    return _run(game, replace(params, delta=0.0), None, gauss_seidel=False, algo="rmpi")
 
 
 def solve_rvi(game: TeamMarkovGame, params: SolverParams) -> SolverResult:
     """Jacobi robust value iteration baseline (exact backups)."""
-    return _run(
-        game, replace(params, mt_schedule=0), None, gauss_seidel=False, algo="rvi"
-    )
+    params = replace(params, delta=0.0, mt_schedule=0)
+    return _run(game, params, None, gauss_seidel=False, algo="rvi")
 
 
 SOLVERS = {
@@ -444,16 +442,14 @@ def evaluate_policy_robust(
         step = q - v
         np.abs(step, out=step)
         done = (_max(step, axis=-1) < threshold) | _min(picked == prev, axis=-1)
-        # Checked first, so an empty stack leaves in its first round.
-        if done.all():
-            value[left], rows[left], settled[left] = q, picked, True
-            break
         if done.any():
             at = left[done]
             value[at], rows[at], settled[at] = q[done], picked[done], True
             keep = ~done
             left, q, picked = left[keep], q[keep], picked[keep]
             cand, pe, first_row = cand[keep], pe[keep], first_row[keep]
+        if not left.size:  # an empty stack leaves in its first round
+            break
         row = first_row + picked
         a = game.group_candidates.reshape(-1, m).take(row, axis=0)
         a *= -lam

@@ -178,10 +178,8 @@ def _tail_check(
     them, never pass.  A non-finite v or w makes tol infinite or NaN, and
     the check fails.
     """
-    A, b, _ = op
     m = game.m
-    w = A @ v
-    w += b
+    w = evaluation_sweep(op, v)
     # x[k] = (w[:k], v[k:]): the continuation the sweep backs up state k on.
     x = np.empty((m, m))
     x[:] = v

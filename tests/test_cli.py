@@ -390,6 +390,53 @@ def test_v0_file_must_hold_an_array_of_numbers(content, rssd_file, tmp_path, cap
     assert not out.exists()
 
 
+#: JSON files no reader may turn into a traceback, with what the one
+#: stderr line says after the path.
+UNREADABLE_JSON = {
+    "deep": ("[" * 200_000 + "]" * 200_000).encode(),
+    "not_utf8": b'{"states": ["s\xff"]}',
+    "syntax": b'{"n_players": 1,\n  "states": [oops]}',
+}
+UNREADABLE_REASON = {
+    "deep": ": maximum recursion depth exceeded",
+    "not_utf8": ": 'utf-8' codec can't decode byte 0xff in position 14",
+    "syntax": ":2:14: Expecting value",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNREADABLE_JSON))
+@pytest.mark.parametrize(
+    "command", ["solve --game", "oracle --game", "solve --v0", "trace-fig1 --v0"]
+)
+def test_unreadable_json_file_is_one_input_error(
+    command, kind, rssd_file, tmp_path, capsys
+):
+    """A file nested deeper than the parser allows, not UTF-8, or with a
+    syntax error exits 1 with one stderr line that starts with its path
+    (``--v0 path`` for ``--v0 file:``), and writes nothing."""
+    path = tmp_path / f"{kind}.json"
+    path.write_bytes(UNREADABLE_JSON[kind])
+    name, flag = command.split()
+    if flag == "--game":
+        argv, where = [name, "--game", str(path)], str(path)
+    else:
+        argv, where = [name, "--v0", f"file:{path}"], f"--v0 {path}"
+        if name == "solve":
+            argv += ["--game", str(rssd_file)]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    stdout, err = capsys.readouterr()
+    assert err.startswith(where + UNREADABLE_REASON[kind])
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not stdout and not out.exists()
+
+
+def test_missing_v0_file_is_named_once(rssd_file, tmp_path, capsys):
+    missing = tmp_path / "v0.json"
+    assert main(["solve", "--game", str(rssd_file), "--v0", f"file:{missing}"]) == 1
+    assert capsys.readouterr().err == f"--v0 {missing}: No such file or directory\n"
+
+
 def test_trace_fig1_starts_from_v0_file(tmp_path):
     v0 = tmp_path / "v0.json"
     v0.write_text("[0.5, 1.0, 1.5]")

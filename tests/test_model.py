@@ -290,6 +290,27 @@ class TestValidation:
                          [[[[1.0, 0.0]]] * 2] * 2)
         assert exc.value.errors == errors
 
+    @pytest.mark.parametrize(
+        "states, player_actions, errors",
+        [
+            pytest.param({"s1", "s2"}, [["C", "D"]],
+                         ["states must be an array of state names"], id="state_set"),
+            pytest.param(["s1", "s2"], [{"C", "D"}],
+                         ["player_actions must be an array of arrays of action names"],
+                         id="action_set"),
+            pytest.param(["s1", "s2"], {("C", "D")},
+                         ["player_actions must be an array of arrays of action names"],
+                         id="set_of_action_sets"),
+        ],
+    )
+    def test_unordered_names_rejected(self, states, player_actions, errors):
+        """The order of the names numbers the states and the joint actions,
+        so a set, whose order is the hash order, is no list of names."""
+        with pytest.raises(r.GameValidationError) as exc:
+            r.build_game(1, states, player_actions, np.zeros((2, 2, 2)),
+                         [[[[1.0, 0.0]]] * 2] * 2)
+        assert exc.value.errors == errors
+
     @pytest.mark.parametrize("r_max", ["2", True, np.True_, [2.0], 2j], ids=repr)
     def test_r_max_must_be_a_number(self, r_max):
         with pytest.raises(r.GameValidationError) as exc:
@@ -580,6 +601,11 @@ class TestJsonRoundTrip:
         cand, back_cand = game.group_candidates, back.group_candidates
         assert np.all(np.abs(back_cand - cand) <= 2 * np.spacing(cand))
         assert not np.array_equal(back_cand, cand)
+
+    def test_saved_bytes_read_back_as_the_same_document(self, tmp_path, rssd_game):
+        path = tmp_path / "game.json"
+        r.save_game(rssd_game, path)
+        assert model.read_json(path) == r.game_to_dict(rssd_game)
 
     def test_canonical_key_order(self, tmp_path, rssd_game):
         path = tmp_path / "game.json"

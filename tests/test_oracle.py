@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -209,6 +210,33 @@ def test_blocks_give_the_same_result_as_one_block(rssd_game, lam, monkeypatch):
     blocked = r.brute_force_maximin(rssd_game, lam)
     assert_same_result(blocked, whole)
     assert_same_result(blocked, maximin_over_every_rule(rssd_game, lam))
+
+
+def test_block_memory_is_bounded_in_bytes(monkeypatch):
+    """A block gathers 8 * m * m * (Kmax + 2) bytes per rule, so at m = 40
+    one block of all 256 rules gathers 13 MB; under a budget of 8 rules'
+    worth the oracle's traced peak stays within twice the budget plus the
+    values it keeps, and the result is the same."""
+    m, split = 40, 8
+    rng = np.random.default_rng(3)
+    payoff = rng.uniform(-1, 1, (m, 2, m))
+    rows = [[rng.dirichlet(np.ones(m), 2) for _ in range(2)] for _ in range(m)]
+    # The two actions of states from ``split`` on form one group.
+    payoff[split:, 1] = payoff[split:, 0]
+    for k in range(split, m):
+        rows[k][1] = rows[k][0]
+    game = r.build_game(1, [f"s{k}" for k in range(m)], [["a0", "a1"]], payoff, rows)
+    whole = r.brute_force_maximin(game, 0.9)
+    budget = 8 * (8 * m * m * (game.group_candidates.shape[2] + 2))
+    monkeypatch.setattr(oracle, "ORACLE_BLOCK_BYTES", budget)
+    tracemalloc.start()
+    try:
+        blocked = r.brute_force_maximin(game, 0.9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * budget + 2**split * m * 8
+    assert_same_result(blocked, whole)
 
 
 @settings(max_examples=30, deadline=None)
