@@ -40,11 +40,13 @@ solver runs.
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 import json
 import math
 import operator
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from numbers import Real
 from pathlib import Path
@@ -298,6 +300,8 @@ def build_game(
     does not list; each entry's set is checked and cleaned once by
     :func:`_clean_rows`, which also rejects ``true``/``false`` and strings
     inside it, and a bad set gets one error line per pair that maps to it.
+    The plain-list sets of a state, as a parsed file gives them, are first
+    cleaned as one stack by :func:`_stack_rows`, to the same bytes.
     Actions of a state whose payoff and cleaned rows are the same bytes are
     packed as one group of ``TeamMarkovGame.group_candidates``.  Raises
     :class:`GameValidationError` listing every problem found; problems with
@@ -379,9 +383,10 @@ def build_game(
             bad: dict[int, str] = {}
             per_group: list[tuple[int, np.ndarray]] = []
             row_sets, first = uncertainty_rows[k], lowest[k].tolist()
+            stacked = _stack_rows(row_sets, m)
             for e in np.argsort(lowest[k], kind="stable").tolist():
                 try:
-                    rows = _clean_rows(row_sets[e], m)
+                    rows = stacked[e] if e in stacked else _clean_rows(row_sets[e], m)
                 except ValueError as exc:
                     bad[e] = str(exc)
                     continue
@@ -431,6 +436,37 @@ def build_game(
         group_candidates=candidates,
         r_max=float(r_max),
     )
+
+
+def _stack_rows(row_sets, m: int) -> dict[int, np.ndarray]:
+    """The rows :func:`_clean_rows` gives, by entry, of the plain-list row
+    sets of the most common row count, cleaned as one (E, K, m) stack of
+    lists of ``int`` and ``float``; ``{}`` unless every entry is nonnegative
+    and every row sums to within ``STOCHASTIC_ATOL`` of 1, so that nothing
+    is clamped and dividing by the row sums gives each set's bytes alone.
+    Every other set is left to :func:`_clean_rows`, which defines validity."""
+    lists = {e: raw for e, raw in enumerate(row_sets) if type(raw) is list and raw}
+    if not lists:  # arrays from Python, or nothing to stack
+        return {}
+    counts = Counter(map(len, lists.values()))
+    n_rows = max(counts, key=counts.get)
+    picked = {e: raw for e, raw in lists.items() if len(raw) == n_rows}
+    rows = list(itertools.chain.from_iterable(picked.values()))
+    if not (set(map(type, rows)) <= {list}
+            and set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}):
+        return {}
+    try:
+        arr = np.array(list(picked.values()), dtype=float)
+    except (ValueError, OverflowError):  # ragged rows, an int beyond double range
+        return {}
+    sums = arr.sum(axis=-1)
+    # A NaN fails both tests, an inf the second.
+    if arr.shape != (len(picked), n_rows, m) or not (
+        (arr >= 0.0).all() and (np.abs(sums - 1.0) <= STOCHASTIC_ATOL).all()
+    ):
+        return {}
+    arr /= sums[..., None]
+    return dict(zip(picked, arr))
 
 
 def _clean_rows(raw, m: int) -> np.ndarray:
@@ -540,13 +576,14 @@ def validate_game(raw: Mapping) -> TeamMarkovGame:
     beyond double range, which JSON can spell, is an error in ``r``,
     ``default_payoff``, ``r_max`` and candidate ``rows``.
 
-    A large file is mostly payoff entries, so they are read in one of two
-    ways.  When every entry is plainly well formed (see
-    :func:`_payoff_cells`), they are checked column by column and written
-    into the payoff tensor in one scatter, as ``save_game`` and
-    ``rssd-gen`` files are.  Otherwise a per-entry loop reads them, which
-    accepts per-player ``r`` lists and words every error.  Both build the
-    same tensor.
+    A large file is mostly payoff and uncertainty entries.  When every
+    payoff entry is plainly well formed (see :func:`_payoff_cells`), they
+    are checked column by column and scattered into the payoff tensor at
+    once; otherwise a per-entry loop reads them, which accepts per-player
+    ``r`` lists and words every error.  Each uncertainty entry takes one
+    Python step to find its pair, and :func:`build_game` cleans a state's
+    row sets as one stack (see :func:`_stack_rows`).  Either way the game
+    and the errors are the same.
     """
     if not isinstance(raw, Mapping):
         raise GameValidationError(["top level must be a JSON object"])
@@ -740,8 +777,17 @@ def write_json(path, doc) -> None:
 
 
 def load_game(path) -> TeamMarkovGame:
-    """Load and validate a game JSON file (see :func:`read_json`)."""
-    return validate_game(read_json(path))
+    """Load and validate a game JSON file (see :func:`read_json`), with the
+    cyclic collector paused until the game is built and then put back as
+    the caller had it: the parsed document is a tree, which reference
+    counting frees alone, so the collector's passes over it find nothing."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return validate_game(read_json(path))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def save_game(game: TeamMarkovGame, path) -> None:

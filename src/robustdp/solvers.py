@@ -5,9 +5,9 @@ termination residual, then run a configurable number of cheaper evaluation
 sweeps under the rule and worst-case rows the improvement recorded.  Each
 evaluation sweep, Gauss-Seidel or Jacobi, is one affine map u -> A u + b
 (:func:`~robustdp.sweeps.evaluation_operator`).  The map is formed again,
-from a fresh gather of the dense (P, r), only when the rule or the rows
-differ from the last ones, and a step's evaluation sweeps run in one call;
-the results are bit for bit those of a fresh map and one call per sweep.
+from a fresh gather of the dense (P, r), only when the rule's groups or the
+rows change, and a step's evaluation sweeps run in one call; the results
+are bit for bit those of a fresh map and one call per sweep.
 A step that ran evaluation sweeps hands the map they ran under, with its
 rule and rows, to the next improvement sweep
 (:func:`~robustdp.sweeps.improvement_sweep`'s ``tail``), which decides
@@ -274,11 +274,13 @@ def _run(
     schedule = params.mt_schedule
     v = initial_value(game, params)
     trace = SolverTrace()
-    # ``held`` is the (rule, rows, op) the evaluation sweeps ran under last,
-    # formed again only when a step records another (rule, rows).  A step
-    # with evaluation sweeps hands it to the next improvement sweep as
-    # ``tail``; a step without them hands on None.
+    # ``held`` is the (rule, rows, op) the evaluation sweeps ran under last.
+    # ``op`` depends only on each state's group and row, so it is formed
+    # again only when those change, not when noise picks another member of
+    # a group.  A step with evaluation sweeps hands ``held`` to the next
+    # improvement sweep as ``tail``; a step without them hands on None.
     held = tail = None
+    states = np.arange(game.m)
     for t in range(params.max_iterations):
         if gauss_seidel:
             sweep = improvement_sweep(game, v, lam, approx, t, tail)
@@ -304,9 +306,12 @@ def _run(
         if mt:
             record = (sweep.rule, sweep.worst_model)
             if held is None or held[:2] != record:
-                P, r = fixed_model_arrays(game, *record)
-                held = (*record, evaluation_operator(P, r, lam, gauss_seidel,
-                                                     approx is not None))
+                if held is None or held[1] != record[1] or not np.array_equal(
+                    game.action_group[states, held[0]], game.action_group[states, record[0]]
+                ):
+                    P, r = fixed_model_arrays(game, *record)
+                    op = evaluation_operator(P, r, lam, gauss_seidel, approx is not None)
+                held = (*record, op)
             noise = None
             if approx is not None:
                 queries = list(enumerate(sweep.rule))

@@ -37,7 +37,7 @@ its improvement sweep recorded, so each is the same affine map.  The solver
 gathers the dense (P, r) of those with :func:`fixed_model_arrays` (the row
 of state k is ``P[k] = group_candidates[k, action_group[k, rule[k]],
 rows[k]]``) and forms the map once with :func:`evaluation_operator`, only
-when the rule or the rows differ from the last gather.  For Gauss-Seidel
+when the rule's groups or the rows change.  For Gauss-Seidel
 that is the splitting's x = Q^{-1} (R u + r): one triangular solve per
 gather gives A = Q^{-1} R and b = Q^{-1} r, and every sweep is then one
 matrix-vector product, ``A @ u + b``.  Jacobi sweeps take A = lam * P and b = r and run through the

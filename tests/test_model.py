@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import gc
 import itertools
 import json
 import math
@@ -902,6 +903,165 @@ class TestPayoffColumnPass:
         assert isinstance(slow, r.TeamMarkovGame) == (edit in LOOP_EDITS), slow
         if fast is not None:
             assert_same_arrays(r.validate_game(doc), slow)
+
+
+def edited(row, j, value):
+    return row[:j] + [value] + row[j + 1:]
+
+
+#: Edits of one stochastic row ``row`` at index ``j``.
+ROW_EDITS = {
+    "none": lambda row, j: row,
+    "ints": lambda row, j: edited([0] * len(row), j, 1),
+    "true": lambda row, j: edited(row, j, True),
+    "string": lambda row, j: edited(row, j, str(row[j])),
+    "null": lambda row, j: edited(row, j, None),
+    "object": lambda row, j: {str(i): x for i, x in enumerate(row)},
+    "beyond_double": lambda row, j: edited(row, j, 10**400),
+    "clamped": lambda row, j: edited(row, j, model.NEGATIVE_CLAMP / 2),
+    "negative": lambda row, j: edited(row, j, -1e-3),
+    "sum_inside": lambda row, j: edited(row, j, row[j] + model.STOCHASTIC_ATOL / 2),
+    "sum_outside": lambda row, j: edited(row, j, row[j] + 2 * model.STOCHASTIC_ATOL),
+    "nan": lambda row, j: edited(row, j, math.nan),
+    "inf": lambda row, j: edited(row, j, math.inf),
+    "short": lambda row, j: row[:-1],
+}
+#: Edits of a whole row set; None leaves the (state, action) pair unlisted.
+SET_EDITS = {
+    "none": lambda rows: rows,
+    "empty": lambda rows: [],
+    "scalar": lambda rows: 1.0,
+    "object": lambda rows: {"rows": rows},
+    "missing": lambda rows: None,
+}
+
+
+@st.composite
+def row_sets(draw, m):
+    """A row set of 1 to 3 rows of length ``m``; a row is edited one time
+    in four, and the set one time in four."""
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        weights = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m).filter(any))
+        row = [w / sum(weights) for w in weights]
+        edit = draw(st.sampled_from(["none"] * 3 * len(ROW_EDITS) + list(ROW_EDITS)))
+        rows.append(ROW_EDITS[edit](row, draw(st.integers(0, m - 1))))
+    return SET_EDITS[draw(st.sampled_from(["none"] * 15 + list(SET_EDITS)))](rows)
+
+
+def stack_and_reference(grid):
+    """``validate_game`` of a one-player document whose row set of (state
+    k, action a) is ``grid[k][a]``, as it stands and with ``_stack_rows``
+    stacking nothing: each result is a game or its list of errors."""
+    states = [f"s{k}" for k in range(len(grid))]
+    doc = json.dumps({
+        "n_players": 1, "states": states,
+        "player_actions": [[f"a{a}" for a in range(len(grid[0]))]],
+        "default_payoff": 0.0, "payoffs": [],
+        "uncertainty": [
+            {"s": states[k], "a": [a], "rows": rows}
+            for k, per_state in enumerate(grid)
+            for a, rows in enumerate(per_state) if rows is not None
+        ],
+    })
+
+    def load():
+        try:
+            return r.validate_game(json.loads(doc))
+        except r.GameValidationError as e:
+            return e.errors
+
+    fast = load()
+    with mock.patch.object(model, "_stack_rows", return_value={}):
+        return fast, load()
+
+
+def assert_same_load(grid):
+    fast, slow = stack_and_reference(grid)
+    if isinstance(slow, list):
+        assert fast == slow
+    else:
+        assert_same_arrays(fast, slow)
+    return slow
+
+
+class TestRowStack:
+    """``_stack_rows`` against ``_clean_rows`` alone, which cleans every
+    set when ``_stack_rows`` stacks nothing."""
+
+    @given(st.integers(1, 3), st.integers(1, 3), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_stack_agrees_with_per_set_cleaning(self, m, n_actions, data):
+        assert_same_load(
+            [[data.draw(row_sets(m)) for _ in range(n_actions)] for _ in range(m)]
+        )
+
+    @pytest.mark.parametrize("edit", ROW_EDITS)
+    def test_one_edited_row_in_a_stack(self, edit):
+        """Each edit as the only fault of a document whose every set
+        would stack; the edited entry was 0."""
+        grid = [[[[0.5, 0.5, 0.0], [0.0, 0.25, 0.75]] for _ in range(2)] for _ in range(3)]
+        grid[1][1][0] = ROW_EDITS[edit](grid[1][1][0], 2)
+        loaded = assert_same_load(grid)
+        ok = {"none", "ints", "clamped", "sum_inside"}
+        assert isinstance(loaded, r.TeamMarkovGame) == (edit in ok), loaded
+
+    def test_sets_of_another_row_count_are_left_out(self):
+        """A state's plain-list sets of its most common row count stack,
+        each to the bytes ``_clean_rows`` gives it; a set of another count,
+        a tuple and an array are left to ``_clean_rows``."""
+        third = [1 / 3] * 3
+        sets = [[third, [0, 1, 0]], [[1.0, 0, 0]], [[0.5, 0.5, 0], third],
+                (third, third), np.array([third, third])]
+        stacked = model._stack_rows(sets, 3)
+        assert sorted(stacked) == [0, 2]
+        for e, rows in stacked.items():
+            assert rows.tobytes() == _clean_rows(sets[e], 3).tobytes()
+
+    def test_one_bad_set_leaves_the_whole_stack(self):
+        assert model._stack_rows([[[1.0, 0.0]], [[True, False]]], 2) == {}
+
+    def test_rows_of_another_length_leave_the_stack(self):
+        assert model._stack_rows([[[0.5, 0.5]], [[1.0, 0.0]]], 3) == {}
+
+
+class TestCollectorPause:
+    """``load_game`` pauses the cyclic collector while it parses and
+    builds, and leaves it as the caller had it on every exit."""
+
+    FILES = {
+        "good": (json.dumps(minimal_raw()), None),
+        "syntax_error": ("{", ValueError),
+        "too_deep": ("[" * 200_000 + "]" * 200_000, ValueError),
+        "invalid_game": (json.dumps(minimal_raw(rows=((0.5,),))), r.GameValidationError),
+    }
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("name", FILES)
+    def test_collector_state_is_restored(self, name, enabled, tmp_path):
+        text, error = self.FILES[name]
+        path = tmp_path / "game.json"
+        path.write_text(text)
+        seen = []
+
+        def validate(raw):
+            seen.append(gc.isenabled())
+            return r.validate_game(raw)
+
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with mock.patch.object(model, "validate_game", validate):
+                if error is None:
+                    model.load_game(path)
+                else:
+                    with pytest.raises(error):
+                        model.load_game(path)
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        # The game is built only from a file that parses.
+        assert seen == ([False] if error in (None, r.GameValidationError) else [])
 
 
 @pytest.mark.parametrize(

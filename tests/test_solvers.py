@@ -470,6 +470,41 @@ def test_rows_that_change_under_a_fixed_rule_are_gathered_again(algo):
     assert_same_run(SOLVERS[algo](game, params), ref)
 
 
+@pytest.mark.parametrize("lam", [0.97, 0.99])
+def test_noise_that_moves_within_a_group_keeps_the_operator(lam, monkeypatch):
+    """Unlocked noise on ``build_rssd()`` picks another joint action with
+    the same cooperator count, so the same group, from step to step.  The
+    operator depends only on each state's group and row, so a run forms it
+    once per change of (groups, rows), not once per change of rule, and
+    still replays the reference step loop, which forms it every step, bit
+    for bit."""
+    game = r.build_rssd()
+    eps = 1e-6
+    params = r.SolverParams(lam=lam, epsilon=eps, delta=0.99 * r.max_delta(lam, eps))
+    approx = r.PerturbationOracle("uniform_noise", lam * params.delta, seed=41)
+    sweeps, formed = [], []
+
+    def recording_sweep(*args):
+        sweeps.append(r.improvement_sweep(*args))
+        return sweeps[-1]
+
+    def counting_operator(*args):
+        formed.append(args)
+        return evaluation_operator(*args)
+
+    monkeypatch.setattr(solvers, "improvement_sweep", recording_sweep)
+    monkeypatch.setattr(solvers, "evaluation_operator", counting_operator)
+    result = r.solve_ratpi(game, params, approx)
+    states = np.arange(game.m)
+    # Every step but the last runs evaluation sweeps: the residual falls.
+    records = [(s.rule, s.worst_model) for s in sweeps[:-1]]
+    by_group = [(game.action_group[states, rule].tobytes(), rows) for rule, rows in records]
+    changes = lambda seq: sum(a != b for a, b in zip([None] + seq, seq))
+    assert len(formed) == changes(by_group) < changes(records)
+    monkeypatch.undo()
+    assert_same_run(result, reference_run(game, params, approx))
+
+
 @given(
     games(max_states=3, max_actions=2),
     st.sampled_from([0.5, 0.9, 0.99]),
