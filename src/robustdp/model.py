@@ -32,6 +32,9 @@ every JSON document in one text form.  The lists of state and action
 names pass one check, :func:`_name_lists`, whether they come from a file
 (:func:`validate_game`) or from Python (:func:`build_game`): they must be
 ordered, because their order numbers the states and the joint actions.
+A game file's two entry lists, ``payoffs`` and ``uncertainty``, are read
+by one column pass, :func:`_entry_cells`, or, for a list it declines, by
+one per-entry loop in :func:`validate_game`, which words every error.
 
 Instances are immutable after validation and safe to share across concurrent
 solver runs.
@@ -39,7 +42,6 @@ solver runs.
 
 from __future__ import annotations
 
-import functools
 import gc
 import itertools
 import json
@@ -508,49 +510,70 @@ def _clean_rows(raw, m: int) -> np.ndarray:
     return arr
 
 
-def _payoff_cells(payoffs: list, state_idx: dict, sizes: tuple, m: int):
-    """Flat indices into the (m, A, m) payoff tensor, and the payoffs, of a
-    list of plainly well-formed payoff entries; ``None`` for any other list.
+def _entry_cells(entries: list, keys: tuple, column, state_idx: dict, sizes: tuple, m: int):
+    """The listed mask, flat cells and values of a list of plainly
+    well-formed entries; ``None`` for any other list.
 
-    Plainly well formed means: every entry is a ``dict`` whose ``s`` and
-    ``s_next`` name known states, whose ``a`` is a ``list`` of one in-range
-    ``int`` per player, and whose ``r`` is an ``int`` or ``float`` (not
-    ``bool``) within double range, and no two entries share an (s, a, s')
-    triple.  Each check is one C-level pass over a column of the entries,
-    so no per-entry objects are made, and a few index arrays are the only
-    temporaries.  :func:`validate_game` reads any other list with its
-    per-entry loop, which words the errors and reads per-player ``r``
-    lists; the two agree on every list this function reads.
+    ``keys`` are the key columns: ``("s", "a", "s_next")`` for payoffs,
+    ``("s", "a")`` for uncertainty.  A cell is a flat index in C order over
+    (m, *sizes, m) or (m, *sizes), the payoff tensor's and the (state,
+    joint action) grid's order.  Plainly well formed means: every entry is
+    a ``dict`` whose state keys name known states, whose ``a`` is a
+    ``list`` of one in-range ``int`` per player, whose values
+    ``column(entries)`` reads without raising, and no two entries share a
+    cell.  Each check is one C-level pass over a column, so no per-entry
+    objects are made.  :func:`validate_game`'s per-entry loop reads any
+    other list, and agrees on every list this function reads.
     """
-    get_s, get_a, get_next, get_r = map(operator.itemgetter, ("s", "a", "s_next", "r"))
-    chain, index = itertools.chain.from_iterable, state_idx.__getitem__
-    n = len(payoffs)
+    get_a, chain = operator.itemgetter("a"), itertools.chain.from_iterable
+    n = len(entries)
     try:
         if not (
-            set(map(type, payoffs)) <= {dict}
-            and set(map(type, map(get_a, payoffs))) <= {list}
-            and set(map(len, map(get_a, payoffs))) <= {len(sizes)}
-            and set(map(type, chain(map(get_a, payoffs)))) <= {int}
-            and set(map(type, map(get_r, payoffs))) <= {int, float}
+            set(map(type, entries)) <= {dict}
+            and set(map(type, map(get_a, entries))) <= {list}
+            and set(map(len, map(get_a, entries))) <= {len(sizes)}
+            and set(map(type, chain(map(get_a, entries)))) <= {int}
         ):
             return None
-        s = np.fromiter(map(index, map(get_s, payoffs)), np.intp, n)
-        s_next = np.fromiter(map(index, map(get_next, payoffs)), np.intp, n)
-        acts = np.fromiter(chain(map(get_a, payoffs)), np.intp, n * len(sizes))
-        acts = acts.reshape(n, len(sizes))
-        # C order over (m, *sizes, m) is the payoff tensor's flat order.
-        flat = np.ravel_multi_index((s, *acts.T, s_next), (m, *sizes, m))
-        values = np.fromiter(map(get_r, payoffs), float, n)
+        acts = np.fromiter(chain(map(get_a, entries)), np.intp, n * len(sizes))
+        cols, dims = [], []
+        for key in keys:
+            if key == "a":
+                cols.extend(acts.reshape(n, len(sizes)).T)
+                dims.extend(sizes)
+            else:
+                names = map(operator.itemgetter(key), entries)
+                cols.append(np.fromiter(map(state_idx.__getitem__, names), np.intp, n))
+                dims.append(m)
+        flat = np.ravel_multi_index(cols, dims)
+        values = column(entries)
     except (KeyError, TypeError, ValueError, OverflowError):
-        # A missing key, an unknown or unhashable state name, an action
-        # index out of range, or an int too large for intp (in 'a') or for
-        # a double (in 'r').
+        # A missing key, an unknown or unhashable state name, an action index
+        # out of range or too large for intp, or a value the column declines.
         return None
-    listed = np.zeros(m * math.prod(sizes) * m, dtype=bool)
+    listed = np.zeros(math.prod(dims), dtype=bool)
     listed[flat] = True
-    if np.count_nonzero(listed) != n:
-        return None
-    return flat, values
+    return (listed, flat, values) if np.count_nonzero(listed) == n else None
+
+
+def _r_column(entries: list) -> np.ndarray:
+    """Every entry's ``r`` as a double; raises unless each is an int or float in range."""
+    r = list(map(operator.itemgetter("r"), entries))
+    if not set(map(type, r)) <= {int, float}:
+        raise TypeError("'r' must be a number")
+    return np.fromiter(r, float, len(r))
+
+
+def _team_payoff(r, n_players: int) -> float:
+    """``r``, a number or one per player (averaged); ``ValueError`` if not."""
+    per_player = isinstance(r, list)
+    if per_player and (not r or len(r) != n_players or not all(map(_is_number, r))):
+        raise ValueError("'r' list must give one payoff per player")
+    if not per_player and not _is_number(r):
+        raise ValueError("'r' must be a number or per-player list")
+    if not all(map(_fits_double, r if per_player else [r])):
+        raise ValueError("'r' is beyond double range")
+    return sum(map(float, r)) / n_players if per_player else float(r)
 
 
 def validate_game(raw: Mapping) -> TeamMarkovGame:
@@ -566,24 +589,25 @@ def validate_game(raw: Mapping) -> TeamMarkovGame:
     when ``default_payoff`` is absent.  Every other check (player count,
     duplicate or empty names, candidate rows and the numbers in them,
     missing uncertainty entries, the type of ``r_max`` and its value
-    against the payoffs) is :func:`build_game`'s.  One
+    against the payoffs, non-finite payoffs) is :func:`build_game`'s.  One
     :class:`GameValidationError` lists this function's errors followed by
     those of :func:`build_game`.
 
     Payoff entries may give ``r`` either as the team payoff (scalar) or as
     one payoff per player (averaged once at load).  Unlisted payoff triples
-    default to ``default_payoff`` only when that field is present.  An integer
-    beyond double range, which JSON can spell, is an error in ``r``,
-    ``default_payoff``, ``r_max`` and candidate ``rows``.
+    default to ``default_payoff`` only when that field is present; a listed
+    triple is listed whatever its ``r``, so a ``NaN`` is a non-finite
+    payoff.  An integer beyond double range, which JSON can spell, is an
+    error in ``r``, ``default_payoff``, ``r_max`` and candidate ``rows``.
 
-    A large file is mostly payoff and uncertainty entries.  When every
-    payoff entry is plainly well formed (see :func:`_payoff_cells`), they
-    are checked column by column and scattered into the payoff tensor at
-    once; otherwise a per-entry loop reads them, which accepts per-player
-    ``r`` lists and words every error.  Each uncertainty entry takes one
-    Python step to find its pair, and :func:`build_game` cleans a state's
-    row sets as one stack (see :func:`_stack_rows`).  Either way the game
-    and the errors are the same.
+    A large file is mostly payoff and uncertainty entries.  Both lists are
+    read down the same two paths, each with its own value reader (``r``
+    for payoffs, ``rows`` for uncertainty): :func:`_entry_cells` checks a
+    plainly well-formed list column by column, and one per-entry loop reads
+    any other list and words every error.  The listed cells are kept in a
+    mask, and payoffs and row sets are each scattered into their grid at
+    once; :func:`build_game` cleans a state's row sets as one stack (see
+    :func:`_stack_rows`).  Either way the game and the errors are the same.
     """
     if not isinstance(raw, Mapping):
         raise GameValidationError(["top level must be a JSON object"])
@@ -598,25 +622,47 @@ def validate_game(raw: Mapping) -> TeamMarkovGame:
     n_joint = math.prod(sizes)
     state_idx = {s: i for i, s in enumerate(states)}
 
-    def parse_state(name, where):
-        try:
-            return state_idx[name]
-        except (KeyError, TypeError):  # TypeError: a JSON array or object
-            errors.append(f"{where}: unknown state {name!r}")
-            return None
-
-    # numpy's ~2 us per call would dominate a large file: ravel each action once.
-    joint = functools.cache(lambda a: int(np.ravel_multi_index(a, sizes)))
-
-    def parse_action(a, where):
-        if not isinstance(a, list) or len(a) != len(sizes):
-            errors.append(f"{where}: 'a' must list one action index per player")
-            return None
-        for i, ai in enumerate(a):
-            if not _is_number(ai, int) or not 0 <= ai < sizes[i]:
-                errors.append(f"{where}: action index {ai!r} out of range for player {i}")
-                return None
-        return joint(tuple(a))
+    def read(name, entries, keys, column, value):
+        cells = _entry_cells(entries, keys, column, state_idx, sizes, m)
+        if cells is not None:
+            return cells
+        # The same, entry by entry: a bad entry is left out, a cell's first wins.
+        listed = np.zeros(math.prod(n_joint if key == "a" else m for key in keys), dtype=bool)
+        flat, values = [], []
+        for i, ent in enumerate(entries):
+            where, n_errors, cell = f"{name}[{i}]", len(errors), 0
+            if not isinstance(ent, Mapping):
+                errors.append(f"{where}: entry must be an object")
+                continue
+            for key in keys:
+                x = ent.get(key)
+                if key != "a":
+                    if isinstance(x, str) and x in state_idx:
+                        cell = cell * m + state_idx[x]
+                    else:
+                        errors.append(f"{where}: unknown state {x!r}")
+                elif not isinstance(x, list) or len(x) != len(sizes):
+                    errors.append(f"{where}: 'a' must list one action index per player")
+                else:
+                    for p, (ai, size) in enumerate(zip(x, sizes)):
+                        if not _is_number(ai, int) or not 0 <= ai < size:
+                            errors.append(f"{where}: action index {ai!r} out of range "
+                                          f"for player {p}")
+                            break
+                        cell = cell * size + ai
+            try:
+                v = value(ent)
+            except ValueError as e:
+                errors.append(f"{where}: {e}")
+            if len(errors) > n_errors:
+                continue
+            if listed[cell]:
+                errors.append(f"{where}: duplicate entry for this ({', '.join(keys)})")
+                continue
+            listed[cell] = True
+            flat.append(cell)
+            values.append(v)
+        return listed, flat, values
 
     default = raw.get("default_payoff")
     if default is not None and not _is_number(default):
@@ -625,84 +671,37 @@ def validate_game(raw: Mapping) -> TeamMarkovGame:
     elif default is not None and not _fits_double(default):
         errors.append("default_payoff is beyond double range")
         default = 0.0
-    pay = np.full((m, n_joint, m), np.nan if default is None else float(default))
-    seen: set[tuple[int, int, int]] = set()
     payoffs = raw.get("payoffs", [])
     if not isinstance(payoffs, list):
         errors.append("payoffs must be an array of entries")
         payoffs = []
-    cells = _payoff_cells(payoffs, state_idx, sizes, m)
-    if cells is not None:
-        flat, values = cells
-        pay.reshape(-1)[flat] = values
-    for i, ent in enumerate(payoffs if cells is None else ()):
-        where = f"payoffs[{i}]"
-        if not isinstance(ent, Mapping):
-            errors.append(f"{where}: entry must be an object")
-            continue
-        si = parse_state(ent.get("s"), where)
-        ai = parse_action(ent.get("a"), where)
-        sj = parse_state(ent.get("s_next"), where)
-        r = ent.get("r")
-        if isinstance(r, list):
-            if not r or len(r) != len(sizes) or not all(
-                _is_number(x) for x in r
-            ):
-                errors.append(f"{where}: 'r' list must give one payoff per player")
-                r = None
-            elif not all(map(_fits_double, r)):
-                errors.append(f"{where}: 'r' is beyond double range")
-                r = None
-            else:
-                r = sum(float(x) for x in r) / len(sizes)
-        elif not _is_number(r):
-            errors.append(f"{where}: 'r' must be a number or per-player list")
-            r = None
-        elif not _fits_double(r):
-            errors.append(f"{where}: 'r' is beyond double range")
-            r = None
-        if si is None or ai is None or sj is None or r is None:
-            continue
-        if (si, ai, sj) in seen:
-            errors.append(f"{where}: duplicate entry for this (s, a, s_next)")
-            continue
-        seen.add((si, ai, sj))
-        pay[si, ai, sj] = float(r)
-    missing = np.isnan(pay)
-    if default is None and missing.any():
-        k, a, l = (int(x) for x in np.argwhere(missing)[0])
+    listed, flat, r = read("payoffs", payoffs, ("s", "a", "s_next"), _r_column,
+                           lambda ent: _team_payoff(ent.get("r"), len(sizes)))
+    # Unlisted triples without a default are reported here, not as non-finite.
+    pay = np.full(listed.size, 0.0 if default is None else float(default))
+    pay[flat] = r
+    if default is None and not listed.all():
+        k, *a, l = map(int, np.unravel_index(np.argmin(listed), (m, *sizes, m)))
         errors.append(
-            f"payoffs: {int(missing.sum())} triples unlisted and no default_payoff "
-            f"set (first missing: s={states[k]!r}, "
-            f"a={[int(x) for x in np.unravel_index(a, sizes)]}, "
+            f"payoffs: {listed.size - np.count_nonzero(listed)} triples unlisted and no "
+            f"default_payoff set (first missing: s={states[k]!r}, a={a}, "
             f"s_next={states[l]!r})"
         )
-        pay[missing] = 0.0  # reported here, not again as non-finite payoffs
 
-    # A pair no entry lists stays None; build_game reports it as missing.
-    grid: list[list[object | None]] = [[None] * n_joint for _ in range(m)]
-    listed: set[tuple[int, int]] = set()
     unc = raw.get("uncertainty")
     if not isinstance(unc, list):
         errors.append("uncertainty must be an array of entries")
         unc = []
-    for i, ent in enumerate(unc):
-        where = f"uncertainty[{i}]"
-        if not isinstance(ent, Mapping):
-            errors.append(f"{where}: entry must be an object")
-            continue
-        si = parse_state(ent.get("s"), where)
-        ai = parse_action(ent.get("a"), where)
-        if si is None or ai is None:
-            continue
-        if (si, ai) in listed:
-            errors.append(f"{where}: duplicate entry for this (s, a)")
-            continue
-        listed.add((si, ai))
-        grid[si][ai] = ent.get("rows")
+    _, flat, rows = read("uncertainty", unc, ("s", "a"),
+                         lambda ents: list(map(operator.itemgetter("rows"), ents)),
+                         operator.methodcaller("get", "rows"))
+    # A pair no entry lists stays None; build_game reports it as missing.
+    grid = np.full(m * n_joint, None, dtype=object)
+    grid[flat] = np.fromiter(rows, object, len(rows))
     try:
         game = build_game(
-            raw.get("n_players"), states, player_actions, pay, grid, raw.get("r_max")
+            raw.get("n_players"), states, player_actions, pay.reshape(m, n_joint, m),
+            grid.reshape(m, n_joint).tolist(), raw.get("r_max")
         )
     except GameValidationError as e:
         errors.extend(e.errors)

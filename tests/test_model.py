@@ -30,7 +30,7 @@ from conftest import (
     two_state_chain,
 )
 from robustdp import model
-from robustdp.model import _clean_rows, _payoff_cells
+from robustdp.model import _clean_rows, _entry_cells
 
 
 def rows_game(rows, m):
@@ -91,6 +91,26 @@ class TestValidation:
         del raw["default_payoff"]
         with pytest.raises(r.GameValidationError, match="default_payoff"):
             r.validate_game(raw)
+
+    @pytest.mark.parametrize("listed, unlisted", [
+        (1, ["payoffs: 3 triples unlisted and no default_payoff set "
+             "(first missing: s='s1', a=[0], s_next='s2')"]),
+        (4, []),
+    ], ids=["some_listed", "all_listed"])
+    def test_listed_nan_payoff_is_non_finite_not_unlisted(self, listed, unlisted):
+        """Python's JSON reader takes ``NaN``: a triple listed with it is listed,
+        and its payoff is non-finite."""
+        raw = minimal_raw()
+        del raw["default_payoff"]
+        raw["states"] = ["s1", "s2"]
+        raw["uncertainty"] = [{"s": s, "a": [0], "rows": [[0.5, 0.5]]} for s in raw["states"]]
+        raw["payoffs"] = [{"s": s, "a": [0], "s_next": s_next, "r": 1.0}
+                          for s in raw["states"] for s_next in raw["states"]][:listed]
+        raw = json.loads(json.dumps(raw).replace("1.0}", "NaN}", 1))
+        assert math.isnan(raw["payoffs"][0]["r"])
+        with pytest.raises(r.GameValidationError) as exc:
+            r.validate_game(raw)
+        assert exc.value.errors == unlisted + ["payoff contains non-finite entries"]
 
     def test_per_player_payoffs_averaged_at_load(self):
         raw = minimal_raw()
@@ -832,13 +852,14 @@ class TestActionEntry:
 
 
 def with_action(e, p, ai):
-    """Payoff entry ``e`` with player ``p``'s action index set to ``ai``."""
+    """Entry ``e`` with player ``p``'s action index set to ``ai``."""
     return dict(e, a=e["a"][:p] + [ai] + e["a"][p + 1:])
 
 
-#: Edits of one canonical payoff entry ``e``: ``EDITS[name](e, sizes, p,
-#: key)`` returns the entries that replace it, given a player ``p`` and an
-#: entry key ``key``.
+#: Edits of one canonical payoff or uncertainty entry ``e``:
+#: ``EDITS[name](e, sizes, p, key)`` returns the entries that replace it,
+#: given a player ``p`` and an entry key ``key``.  An uncertainty entry has
+#: no ``r``, so an ``r`` edit adds a key that its reader ignores.
 EDITS = {
     "a_true": lambda e, sizes, p, key: [with_action(e, p, bool(e["a"][p]))],
     "a_float": lambda e, sizes, p, key: [with_action(e, p, float(e["a"][p]))],
@@ -852,7 +873,7 @@ EDITS = {
     "s_array": lambda e, sizes, p, key: [dict(e, **{key: [e[key]]})],
     "r_true": lambda e, sizes, p, key: [dict(e, r=True)],
     "r_string": lambda e, sizes, p, key: [dict(e, r="1")],
-    "r_per_player": lambda e, sizes, p, key: [dict(e, r=[e["r"]] * len(sizes))],
+    "r_per_player": lambda e, sizes, p, key: [dict(e, r=[e.get("r", 1.0)] * len(sizes))],
     "r_2_53_plus_1": lambda e, sizes, p, key: [dict(e, r=2**53 + 1)],
     "r_1e20": lambda e, sizes, p, key: [dict(e, r=10**20)],
     "r_beyond_double": lambda e, sizes, p, key: [dict(e, r=10**400)],
@@ -861,48 +882,77 @@ EDITS = {
     "not_an_object": lambda e, sizes, p, key: [[e]],
     "missing_key": lambda e, sizes, p, key: [{k: v for k, v in e.items() if k != key}],
 }
-#: The edits the column pass reads; the per-entry loop reads these and the
-#: per-player ``r`` list, and rejects every other edit.
+#: The payoff edits the column pass reads; the per-entry loop reads these
+#: and the per-player ``r`` list, and rejects every other edit.
 COLUMN_EDITS = {"r_2_53_plus_1", "r_1e20"}
 LOOP_EDITS = COLUMN_EDITS | {"r_per_player"}
+#: Both paths read an uncertainty entry whatever its ``r``, and reject
+#: every other edit.
+UNCERTAINTY_EDITS = {edit for edit in EDITS if edit.startswith("r_")}
+KEYS = {"payoffs": ("s", "a", "s_next"), "uncertainty": ("s", "a")}
+
+
+def validated(doc):
+    """``validate_game(doc)``, or its list of errors."""
+    try:
+        return r.validate_game(doc)
+    except r.GameValidationError as e:
+        return e.errors
+
+
+def column_read(doc):
+    """``validated(doc)``, and the sections whose list the column pass read."""
+    read = []
+
+    def spy(entries, keys, *rest):
+        cells = _entry_cells(entries, keys, *rest)
+        read.extend(name for name, of in KEYS.items() if of == keys and cells is not None)
+        return cells
+
+    with mock.patch.object(model, "_entry_cells", side_effect=spy):
+        return validated(doc), read
 
 
 class TestPayoffColumnPass:
-    """``_payoff_cells`` against the per-entry loop of ``validate_game``,
-    which runs when ``_payoff_cells`` declines the list."""
+    """``_entry_cells`` against the per-entry loop of ``validate_game``,
+    which runs when ``_entry_cells`` declines a list, on both entry lists."""
 
     @pytest.mark.parametrize("edit", EDITS)
     @given(games(), st.data())
     @settings(max_examples=5, deadline=None)
     def test_column_pass_agrees_with_per_entry_loop(self, edit, game, data):
+        self.check("payoffs", edit, game, data, COLUMN_EDITS, LOOP_EDITS)
+
+    @pytest.mark.parametrize("edit", EDITS)
+    @given(games(), st.data())
+    @settings(max_examples=5, deadline=None)
+    def test_uncertainty_column_pass_agrees_with_per_entry_loop(self, edit, game, data):
+        self.check("uncertainty", edit, game, data, UNCERTAINTY_EDITS, UNCERTAINTY_EDITS)
+
+    @staticmethod
+    def check(section, edit, game, data, column_edits, loop_edits):
         doc = r.game_to_dict(game)
-        state_idx = {name: k for k, name in enumerate(game.states)}
         sizes = game.action_shape
-
-        def cells():
-            return _payoff_cells(doc["payoffs"], state_idx, sizes, game.m)
-
-        # Canonical files keep the column pass.
-        assert cells() is not None
+        # Canonical files take the column pass for both lists.
+        assert column_read(doc)[1] == ["payoffs", "uncertainty"]
         # r_max is left to the payoffs, so only the entries can be rejected.
         del doc["r_max"]
-        assume(doc["payoffs"])
-        i = data.draw(st.integers(0, len(doc["payoffs"]) - 1))
+        assume(doc[section])
+        i = data.draw(st.integers(0, len(doc[section]) - 1))
         p = data.draw(st.integers(0, len(sizes) - 1))
-        key = data.draw(st.sampled_from(
-            ["s", "a", "s_next", "r"] if edit == "missing_key" else ["s", "s_next"]
-        ))
-        doc["payoffs"][i : i + 1] = EDITS[edit](doc["payoffs"][i], sizes, p, key)
-        fast = cells()
-        with mock.patch.object(model, "_payoff_cells", return_value=None):
-            try:
-                slow = r.validate_game(doc)
-            except r.GameValidationError as e:
-                slow = e
-        assert (fast is not None) == (edit in COLUMN_EDITS)
-        assert isinstance(slow, r.TeamMarkovGame) == (edit in LOOP_EDITS), slow
-        if fast is not None:
-            assert_same_arrays(r.validate_game(doc), slow)
+        states = [key for key in KEYS[section] if key != "a"]
+        keys = [*KEYS[section], "r" if section == "payoffs" else "rows"]
+        key = data.draw(st.sampled_from(keys if edit == "missing_key" else states))
+        doc[section][i : i + 1] = EDITS[edit](doc[section][i], sizes, p, key)
+        fast, read = column_read(doc)
+        with mock.patch.object(model, "_entry_cells", return_value=None):
+            slow = validated(doc)
+        assert (section in read) == (edit in column_edits)
+        assert isinstance(slow, r.TeamMarkovGame) == (edit in loop_edits), slow
+        if isinstance(slow, list):
+            assert fast == slow
+        else:
+            assert_same_arrays(fast, slow)
 
 
 def edited(row, j, value):
