@@ -42,6 +42,7 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
+import math
 import os
 import sys
 import time
@@ -116,6 +117,8 @@ def _parse_v0(text: str):
             raise CliInputError(f"--v0 {path}: expected a JSON array of numbers")
         if not all(map(_fits_double, values)):
             raise CliInputError(f"--v0 {path}: a number is beyond double range")
+        if not all(map(math.isfinite, values)):
+            raise CliInputError(f"--v0 {path}: numbers must be finite")
         return tuple(map(float, values))
     raise CliInputError(f"--v0 {text!r}: expected remark1, zeros, or file:PATH")
 

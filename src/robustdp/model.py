@@ -19,10 +19,11 @@ out of 2**n joint actions.  States with fewer groups than the widest state
 are padded with groups that never win a maximum (see
 :class:`TeamMarkovGame`).  The builder takes payoffs and row sets per
 entry, with a map from each joint action to its entry, and checks each
-entry's row set once.  ``build_rssd`` passes n + 1 entries per state and
-maps each of the 2**n joint actions to its cooperator count, so it pays
-for n + 1 checks and a few array passes over the map, not a Python step
-per joint action.
+state's row sets once, as one stack of rows (:func:`_clean_rows`).
+``build_rssd`` passes n + 1 entries per state and maps each of the 2**n
+joint actions to its cooperator count, so it pays for one check of n + 1
+sets per state and a few array passes over the map, not a Python step per
+joint action.
 
 This module is also the program's one JSON boundary.  :func:`read_json`
 reads every JSON file the program takes, game files and ``--v0`` files
@@ -42,13 +43,13 @@ solver runs.
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import itertools
 import json
 import math
 import operator
 import sys
-from collections import Counter
 from dataclasses import dataclass, field
 from numbers import Real
 from pathlib import Path
@@ -299,13 +300,12 @@ def build_game(
     (state, entry), and a finite real ``r_max``, not a bool (computed as
     max |payoff| when omitted), no smaller than any payoff.  A row set is
     an array-like of raw candidate rows, or ``None`` for a pair the input
-    does not list; each entry's set is checked and cleaned once by
-    :func:`_clean_rows`, which also rejects ``true``/``false`` and strings
-    inside it, and a bad set gets one error line per pair that maps to it.
-    The plain-list sets of a state, as a parsed file gives them, are first
-    cleaned as one stack by :func:`_stack_rows`, to the same bytes.
-    Actions of a state whose payoff and cleaned rows are the same bytes are
-    packed as one group of ``TeamMarkovGame.group_candidates``.  Raises
+    does not list.  A state's sets are read by :func:`_read_rows`, which
+    also rejects ``true``/``false`` and strings inside them, and checked
+    and cleaned once, as one stack of rows, by :func:`_clean_rows`; a bad
+    set gets one error line per pair that maps to it.  Actions of a state
+    whose payoff and cleaned rows are the same bytes are packed as one
+    group of ``TeamMarkovGame.group_candidates``.  Raises
     :class:`GameValidationError` listing every problem found; problems with
     the header (players, states, action sets) or with the shapes and
     indices of ``payoff`` and ``action_entry`` are reported without the
@@ -382,16 +382,13 @@ def build_game(
     else:
         for k in range(m):
             groups: dict[tuple[bytes, bytes], int] = {}
-            bad: dict[int, str] = {}
             per_group: list[tuple[int, np.ndarray]] = []
-            row_sets, first = uncertainty_rows[k], lowest[k].tolist()
-            stacked = _stack_rows(row_sets, m)
+            cleaned, bad = _clean_rows(uncertainty_rows[k], m)
+            first = lowest[k].tolist()
             for e in np.argsort(lowest[k], kind="stable").tolist():
-                try:
-                    rows = stacked[e] if e in stacked else _clean_rows(row_sets[e], m)
-                except ValueError as exc:
-                    bad[e] = str(exc)
+                if e in bad:
                     continue
+                rows = cleaned[e]
                 key = (payoff[k, e].tobytes(), rows.tobytes())
                 g = entry_group[k, e] = groups.setdefault(key, len(groups))
                 if g == len(per_group):
@@ -440,46 +437,9 @@ def build_game(
     )
 
 
-def _stack_rows(row_sets, m: int) -> dict[int, np.ndarray]:
-    """The rows :func:`_clean_rows` gives, by entry, of the plain-list row
-    sets of the most common row count, cleaned as one (E, K, m) stack of
-    lists of ``int`` and ``float``; ``{}`` unless every entry is nonnegative
-    and every row sums to within ``STOCHASTIC_ATOL`` of 1, so that nothing
-    is clamped and dividing by the row sums gives each set's bytes alone.
-    Every other set is left to :func:`_clean_rows`, which defines validity."""
-    lists = {e: raw for e, raw in enumerate(row_sets) if type(raw) is list and raw}
-    if not lists:  # arrays from Python, or nothing to stack
-        return {}
-    counts = Counter(map(len, lists.values()))
-    n_rows = max(counts, key=counts.get)
-    picked = {e: raw for e, raw in lists.items() if len(raw) == n_rows}
-    rows = list(itertools.chain.from_iterable(picked.values()))
-    if not (set(map(type, rows)) <= {list}
-            and set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}):
-        return {}
-    try:
-        arr = np.array(list(picked.values()), dtype=float)
-    except (ValueError, OverflowError):  # ragged rows, an int beyond double range
-        return {}
-    sums = arr.sum(axis=-1)
-    # A NaN fails both tests, an inf the second.
-    if arr.shape != (len(picked), n_rows, m) or not (
-        (arr >= 0.0).all() and (np.abs(sums - 1.0) <= STOCHASTIC_ATOL).all()
-    ):
-        return {}
-    arr /= sums[..., None]
-    return dict(zip(picked, arr))
-
-
-def _clean_rows(raw, m: int) -> np.ndarray:
-    """One (state, joint action) pair's candidate rows as an (n, m) array.
-
-    Rows must form a nonempty 2-D array of finite numbers, not bools,
-    strings or ``None``, each row of length m.  Entries in
-    [NEGATIVE_CLAMP, 0) are clamped to 0; rows are renormalised only when
-    their sum is already within ``STOCHASTIC_ATOL``, and rejected otherwise
-    (silent renormalisation would mask data errors).
-    """
+def _read_rows(raw, m: int) -> np.ndarray:
+    """A raw row set as a new (n, m) float array, n >= 1, its values not yet
+    checked; ``ValueError`` for a missing set, non-numbers or a bad shape."""
     if raw is None:
         raise ValueError("missing entry")
     what = _non_numbers(raw)
@@ -495,19 +455,55 @@ def _clean_rows(raw, m: int) -> np.ndarray:
         raise ValueError("expected a nonempty list of rows")
     if arr.shape[1] != m:
         raise ValueError(f"rows have length {arr.shape[1]}, expected {m}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("rows must be finite")
-    if np.any(arr < NEGATIVE_CLAMP):
-        j = int(np.nonzero((arr < NEGATIVE_CLAMP).any(axis=1))[0][0])
-        raise ValueError(f"row {j} entry {float(arr[j].min())!r} is negative")
+    return arr
+
+
+def _clean_rows(row_sets, m: int) -> tuple[dict[int, np.ndarray], dict[int, str]]:
+    """One state's candidate row sets, cleaned, and the bad sets' errors, by
+    entry.  The sets are read by :func:`_read_rows` and checked as one (rows,
+    m) stack: finite, no entry below NEGATIVE_CLAMP (entries in
+    [NEGATIVE_CLAMP, 0) are clamped to 0), each row summing to 1 within
+    STOCHASTIC_ATOL, then divided by its sum (silent renormalisation would
+    mask data errors).  A bad set's error is its first failure in that
+    order, at its first row that fails it."""
+    errors, arr = {}, None
+    if all(type(raw) is list and raw for raw in row_sets):  # as in a parsed file
+        with contextlib.suppress(ValueError):
+            arr = _read_rows(list(itertools.chain.from_iterable(row_sets)), m)
+    if arr is not None:
+        n_rows = dict(enumerate(map(len, row_sets)))
+    else:
+        read = {}
+        for e, raw in enumerate(row_sets):
+            try:
+                read[e] = _read_rows(raw, m)
+            except ValueError as exc:
+                errors[e] = str(exc)
+        if not read:
+            return {}, errors
+        arr, n_rows = np.concatenate(list(read.values())), {e: len(x) for e, x in read.items()}
+    starts = np.cumsum([0, *n_rows.values()])
+    low, finite = arr.min(axis=1), np.isfinite(arr).all(axis=1)
+    negative = low < NEGATIVE_CLAMP
     arr[arr < 0.0] = 0.0
     sums = arr.sum(axis=1)
-    bad = np.nonzero(np.abs(sums - 1.0) > STOCHASTIC_ATOL)[0]
-    if bad.size:
-        j = int(bad[0])
-        raise ValueError(f"row {j} sum {float(sums[j])!r} != 1")
-    arr /= sums[:, None]
-    return arr
+    off = np.abs(sums - 1.0) > STOCHASTIC_ATOL
+    ok = finite & ~negative & ~off
+    np.divide(arr, sums[:, None], out=arr, where=ok[:, None])
+    cleaned = {}
+    for e, a, b, good in zip(n_rows, starts.tolist(), starts[1:].tolist(),
+                             np.logical_and.reduceat(ok, starts[:-1]).tolist()):
+        if good:
+            cleaned[e] = arr[a:b]
+        elif not finite[a:b].all():
+            errors[e] = "rows must be finite"
+        elif negative[a:b].any():
+            j = a + negative[a:b].argmax()
+            errors[e] = f"row {j - a} entry {float(low[j])!r} is negative"
+        else:
+            j = a + off[a:b].argmax()
+            errors[e] = f"row {j - a} sum {float(sums[j])!r} != 1"
+    return cleaned, errors
 
 
 def _entry_cells(entries: list, keys: tuple, column, state_idx: dict, sizes: tuple, m: int):
@@ -595,10 +591,11 @@ def validate_game(raw: Mapping) -> TeamMarkovGame:
 
     Payoff entries may give ``r`` either as the team payoff (scalar) or as
     one payoff per player (averaged once at load).  Unlisted payoff triples
-    default to ``default_payoff`` only when that field is present; a listed
-    triple is listed whatever its ``r``, so a ``NaN`` is a non-finite
-    payoff.  An integer beyond double range, which JSON can spell, is an
-    error in ``r``, ``default_payoff``, ``r_max`` and candidate ``rows``.
+    default to ``default_payoff``, a finite number, only when that field is
+    present; a listed triple is listed whatever its ``r``, so a ``NaN`` is a
+    non-finite payoff.  An integer beyond double range, which JSON can
+    spell, is an error in ``r``, ``default_payoff``, ``r_max`` and
+    candidate ``rows``.
 
     A large file is mostly payoff and uncertainty entries.  Both lists are
     read down the same two paths, each with its own value reader (``r``
@@ -606,8 +603,9 @@ def validate_game(raw: Mapping) -> TeamMarkovGame:
     plainly well-formed list column by column, and one per-entry loop reads
     any other list and words every error.  The listed cells are kept in a
     mask, and payoffs and row sets are each scattered into their grid at
-    once; :func:`build_game` cleans a state's row sets as one stack (see
-    :func:`_stack_rows`).  Either way the game and the errors are the same.
+    once; :func:`build_game` reads a state's row sets, which are lists
+    here, as one set and checks them as one stack (see :func:`_clean_rows`).
+    Either way the game and the errors are the same.
     """
     if not isinstance(raw, Mapping):
         raise GameValidationError(["top level must be a JSON object"])
@@ -670,6 +668,9 @@ def validate_game(raw: Mapping) -> TeamMarkovGame:
         default = 0.0
     elif default is not None and not _fits_double(default):
         errors.append("default_payoff is beyond double range")
+        default = 0.0
+    elif default is not None and not math.isfinite(default):
+        errors.append("default_payoff must be finite")
         default = 0.0
     payoffs = raw.get("payoffs", [])
     if not isinstance(payoffs, list):

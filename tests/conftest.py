@@ -9,7 +9,9 @@ enumeration raises ``BudgetExceededError`` up front when it would exceed
 its budget.  A rule is a tuple of per-state joint actions, the form the
 sweeps return; only results wrap it in a ``TeamDecisionRule``.
 ``per_action`` reads the packed game per joint action, and ``row_counts``
-counts each group's real candidate rows.
+counts each group's real candidate rows.  ``clean_row_sets`` cleans a
+state's candidate row sets one set at a time, each with its own reads
+and checks, where ``model._clean_rows`` checks them as one stack.
 """
 
 import functools
@@ -25,7 +27,12 @@ import pytest
 from hypothesis import strategies as st
 
 import robustdp as r
-from robustdp.model import DEFAULT_ENUMERATION_BUDGET
+from robustdp.model import (
+    DEFAULT_ENUMERATION_BUDGET,
+    NEGATIVE_CLAMP,
+    STOCHASTIC_ATOL,
+    _non_numbers,
+)
 from robustdp.oracle import OracleResult, dominance_tolerance
 from robustdp.rssd import (
     N_STATES,
@@ -47,6 +54,58 @@ def row_counts(game):
     """The (m, G) count of real candidate rows of each group of ``game``:
     its rows that are not all zero, as every real row sums to 1."""
     return np.count_nonzero(game.group_candidates.any(axis=-1), axis=-1)
+
+
+def clean_row_set(raw, m):
+    """One (state, joint action) pair's candidate rows as an (n, m) array.
+
+    Rows must form a nonempty 2-D array of finite numbers, not bools,
+    strings or ``None``, each row of length m.  Entries in
+    [NEGATIVE_CLAMP, 0) are clamped to 0; rows are renormalised only when
+    their sum is already within ``STOCHASTIC_ATOL``, and rejected otherwise.
+    Raises ``ValueError`` with the wording ``model._clean_rows`` gives.
+    """
+    if raw is None:
+        raise ValueError("missing entry")
+    what = _non_numbers(raw)
+    if what:
+        raise ValueError(f"rows must hold numbers, not {what}")
+    try:
+        arr = np.array(raw, dtype=float)
+    except TypeError as e:
+        raise ValueError(str(e)) from e
+    except OverflowError as e:
+        raise ValueError("rows hold a number beyond double range") from e
+    if arr.ndim != 2 or arr.shape[0] == 0:
+        raise ValueError("expected a nonempty list of rows")
+    if arr.shape[1] != m:
+        raise ValueError(f"rows have length {arr.shape[1]}, expected {m}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("rows must be finite")
+    if np.any(arr < NEGATIVE_CLAMP):
+        j = int(np.nonzero((arr < NEGATIVE_CLAMP).any(axis=1))[0][0])
+        raise ValueError(f"row {j} entry {float(arr[j].min())!r} is negative")
+    arr[arr < 0.0] = 0.0
+    sums = arr.sum(axis=1)
+    bad = np.nonzero(np.abs(sums - 1.0) > STOCHASTIC_ATOL)[0]
+    if bad.size:
+        j = int(bad[0])
+        raise ValueError(f"row {j} sum {float(sums[j])!r} != 1")
+    arr /= sums[:, None]
+    return arr
+
+
+def clean_row_sets(row_sets, m):
+    """What ``model._clean_rows`` returns for one state's row sets, made
+    set by set with :func:`clean_row_set`: the cleaned rows and the
+    errors, each keyed by entry."""
+    cleaned, errors = {}, {}
+    for e, raw in enumerate(row_sets):
+        try:
+            cleaned[e] = clean_row_set(raw, m)
+        except ValueError as exc:
+            errors[e] = str(exc)
+    return cleaned, errors
 
 
 def singleton_game(payoff: float = 1.0) -> r.TeamMarkovGame:

@@ -390,6 +390,22 @@ def test_v0_file_must_hold_an_array_of_numbers(content, rssd_file, tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "trace-fig1", "bench-table1"])
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity"])
+def test_v0_file_numbers_must_be_finite(command, number, rssd_file, tmp_path, capsys):
+    """Python's JSON reader takes ``NaN`` and ``Infinity``; ``--v0 file:``
+    rejects them with one line that names the file."""
+    v0 = tmp_path / "v0.json"
+    v0.write_text(f"[{number}, 0, 0]")
+    out = tmp_path / "out"
+    argv = [command, "--v0", f"file:{v0}", "--out", str(out)]
+    if command == "solve":
+        argv += ["--game", str(rssd_file)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"--v0 {v0}: numbers must be finite\n"
+    assert not out.exists()
+
+
 #: JSON files no reader may turn into a traceback, with what the one
 #: stderr line says after the path.
 UNREADABLE_JSON = {

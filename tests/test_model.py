@@ -15,6 +15,9 @@ from hypothesis import strategies as st
 import robustdp as r
 from conftest import (
     chain_game,
+    clean_row_set,
+    clean_row_sets,
+    dirichlet_game,
     entry_game_parts,
     enumerate_decision_rules,
     enumerate_policy_models,
@@ -30,7 +33,8 @@ from conftest import (
     two_state_chain,
 )
 from robustdp import model
-from robustdp.model import _clean_rows, _entry_cells
+from robustdp.cli import main
+from robustdp.model import _entry_cells
 
 
 def rows_game(rows, m):
@@ -111,6 +115,21 @@ class TestValidation:
         with pytest.raises(r.GameValidationError) as exc:
             r.validate_game(raw)
         assert exc.value.errors == unlisted + ["payoff contains non-finite entries"]
+
+    @pytest.mark.parametrize("listed", [False, True], ids=["unlisted", "all_listed"])
+    @pytest.mark.parametrize("default", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_default_payoff_is_named(self, default, listed):
+        """A non-finite ``default_payoff`` is reported by name, whether or
+        not some triple takes it, and not again as a non-finite payoff."""
+        raw = minimal_raw()
+        if listed:
+            raw["payoffs"] = [{"s": "s1", "a": [0], "s_next": "s1", "r": 1.0}]
+        raw = json.loads(json.dumps(raw).replace('"default_payoff": 0.0',
+                                                 f'"default_payoff": {default}'))
+        assert not math.isfinite(raw["default_payoff"])
+        with pytest.raises(r.GameValidationError) as exc:
+            r.validate_game(raw)
+        assert exc.value.errors == ["default_payoff must be finite"]
 
     def test_per_player_payoffs_averaged_at_load(self):
         raw = minimal_raw()
@@ -679,7 +698,7 @@ class TestGroups:
         n_rows = per_action(game, row_counts(game))
         candidates = per_action(game, game.group_candidates)
         for k in range(m):
-            cleaned = [_clean_rows(rows[k][a], m) for a in range(n_joint)]
+            cleaned = [clean_row_set(rows[k][a], m) for a in range(n_joint)]
             keys = [(payoff[k, a].tobytes(), cleaned[a].tobytes()) for a in range(n_joint)]
             first = {key: a for a, key in reversed(list(enumerate(keys)))}
             lowest = sorted(first.values())
@@ -969,6 +988,7 @@ ROW_EDITS = {
     "object": lambda row, j: {str(i): x for i, x in enumerate(row)},
     "beyond_double": lambda row, j: edited(row, j, 10**400),
     "clamped": lambda row, j: edited(row, j, model.NEGATIVE_CLAMP / 2),
+    "beyond_clamp": lambda row, j: edited(row, j, model.NEGATIVE_CLAMP * 2),
     "negative": lambda row, j: edited(row, j, -1e-3),
     "sum_inside": lambda row, j: edited(row, j, row[j] + model.STOCHASTIC_ATOL / 2),
     "sum_outside": lambda row, j: edited(row, j, row[j] + 2 * model.STOCHASTIC_ATOL),
@@ -999,12 +1019,40 @@ def row_sets(draw, m):
     return SET_EDITS[draw(st.sampled_from(["none"] * 15 + list(SET_EDITS)))](rows)
 
 
-def stack_and_reference(grid):
-    """``validate_game`` of a one-player document whose row set of (state
-    k, action a) is ``grid[k][a]``, as it stands and with ``_stack_rows``
-    stacking nothing: each result is a game or its list of errors."""
+@st.composite
+def typed_row_sets(draw, m):
+    """A :func:`row_sets` set given as a list, a tuple or an array."""
+    rows = draw(row_sets(m))
+    kind = draw(st.sampled_from(["list", "tuple", "array"]))
+    if kind == "tuple" and isinstance(rows, list):
+        return tuple(rows)
+    if kind == "array" and rows is not None:
+        try:
+            return np.array(rows)
+        except ValueError:  # ragged rows
+            pass
+    return rows
+
+
+def with_reference(build):
+    """``build()`` with ``model._clean_rows`` as it is and patched to the
+    set-by-set reference ``clean_row_sets``: each a game or its errors."""
+    def run():
+        try:
+            return build()
+        except r.GameValidationError as e:
+            return e.errors
+
+    fast = run()
+    with mock.patch.object(model, "_clean_rows", clean_row_sets):
+        return fast, run()
+
+
+def grid_doc(grid):
+    """A one-player document whose row set of (state k, action a) is
+    ``grid[k][a]``, unlisted where that is None, parsed from its text."""
     states = [f"s{k}" for k in range(len(grid))]
-    doc = json.dumps({
+    return json.loads(json.dumps({
         "n_players": 1, "states": states,
         "player_actions": [[f"a{a}" for a in range(len(grid[0]))]],
         "default_payoff": 0.0, "payoffs": [],
@@ -1013,21 +1061,10 @@ def stack_and_reference(grid):
             for k, per_state in enumerate(grid)
             for a, rows in enumerate(per_state) if rows is not None
         ],
-    })
-
-    def load():
-        try:
-            return r.validate_game(json.loads(doc))
-        except r.GameValidationError as e:
-            return e.errors
-
-    fast = load()
-    with mock.patch.object(model, "_stack_rows", return_value={}):
-        return fast, load()
+    }))
 
 
-def assert_same_load(grid):
-    fast, slow = stack_and_reference(grid)
+def assert_same_game(fast, slow):
     if isinstance(slow, list):
         assert fast == slow
     else:
@@ -1035,15 +1072,52 @@ def assert_same_load(grid):
     return slow
 
 
+def assert_same_load(grid):
+    """``validate_game`` of :func:`grid_doc` agrees with the reference."""
+    return assert_same_game(*with_reference(lambda: r.validate_game(grid_doc(grid))))
+
+
+def grid_game(grid):
+    """``build_game`` of a one-player game whose row set of (state k,
+    action a) is ``grid[k][a]`` as given, with zero payoffs."""
+    m, n_actions = len(grid), len(grid[0])
+    return r.build_game(1, [f"s{k}" for k in range(m)], [[f"a{a}" for a in range(n_actions)]],
+                        np.zeros((m, n_actions, m)), grid)
+
+
+def assert_same_build(grid):
+    """:func:`grid_game` agrees with the reference."""
+    return assert_same_game(*with_reference(lambda: grid_game(grid)))
+
+
+def read_calls(load):
+    """``load()`` and the number of ``model._read_rows`` calls it made."""
+    with mock.patch.object(model, "_read_rows", side_effect=model._read_rows) as spy:
+        result = load()
+    return result, spy.call_count
+
+
+def rows_of(k, n):
+    """``n`` stochastic rows of length 3, different for each state ``k``."""
+    return [[(k + j) % 3 / 4, 1 - (k + j) % 3 / 4, 0.0] for j in range(n)]
+
+
 class TestRowStack:
-    """``_stack_rows`` against ``_clean_rows`` alone, which cleans every
-    set when ``_stack_rows`` stacks nothing."""
+    """``_clean_rows``, which checks a state's sets as one stack, against
+    the set-by-set reference ``clean_row_sets``."""
 
     @given(st.integers(1, 3), st.integers(1, 3), st.data())
     @settings(max_examples=40, deadline=None)
     def test_stack_agrees_with_per_set_cleaning(self, m, n_actions, data):
         assert_same_load(
             [[data.draw(row_sets(m)) for _ in range(n_actions)] for _ in range(m)]
+        )
+
+    @given(st.integers(1, 3), st.integers(1, 3), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_lists_tuples_and_arrays_agree_with_per_set_cleaning(self, m, n_actions, data):
+        assert_same_build(
+            [[data.draw(typed_row_sets(m)) for _ in range(n_actions)] for _ in range(m)]
         )
 
     @pytest.mark.parametrize("edit", ROW_EDITS)
@@ -1056,23 +1130,68 @@ class TestRowStack:
         ok = {"none", "ints", "clamped", "sum_inside"}
         assert isinstance(loaded, r.TeamMarkovGame) == (edit in ok), loaded
 
-    def test_sets_of_another_row_count_are_left_out(self):
-        """A state's plain-list sets of its most common row count stack,
-        each to the bytes ``_clean_rows`` gives it; a set of another count,
-        a tuple and an array are left to ``_clean_rows``."""
-        third = [1 / 3] * 3
-        sets = [[third, [0, 1, 0]], [[1.0, 0, 0]], [[0.5, 0.5, 0], third],
-                (third, third), np.array([third, third])]
-        stacked = model._stack_rows(sets, 3)
-        assert sorted(stacked) == [0, 2]
-        for e, rows in stacked.items():
-            assert rows.tobytes() == _clean_rows(sets[e], 3).tobytes()
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_rssd_gen_file_is_read_once_per_state(self, n, tmp_path):
+        """Every state of an ``rssd-gen`` file has three-row sets and one
+        one-row set (no cooperator), all read as one set."""
+        path = tmp_path / "game.json"
+        mu = [] if n == 3 else ["--mu", "0.0375,0.075,0.1125"]
+        assert main(["rssd-gen", "--n", str(n), *mu, "--out", str(path)]) == 0
+        game, calls = read_calls(lambda: r.load_game(path))
+        assert calls == game.m == 3
+        assert set(row_counts(game).ravel()) == {1, 3}
 
-    def test_one_bad_set_leaves_the_whole_stack(self):
-        assert model._stack_rows([[[1.0, 0.0]], [[True, False]]], 2) == {}
+    def test_dense_file_is_read_once_per_state(self, tmp_path):
+        """A seeded random game of four four-row sets per state, saved."""
+        path = tmp_path / "game.json"
+        r.save_game(dirichlet_game(6), path)
+        game, calls = read_calls(lambda: r.load_game(path))
+        assert calls == game.m == 6
 
-    def test_rows_of_another_length_leave_the_stack(self):
-        assert model._stack_rows([[[0.5, 0.5]], [[1.0, 0.0]]], 3) == {}
+    def test_sets_of_several_row_counts_are_read_as_one(self):
+        grid = [[rows_of(k, 1 + (k + a) % 3) for a in range(3)] for k in range(3)]
+        game, calls = read_calls(lambda: r.validate_game(grid_doc(grid)))
+        assert calls == 3
+        assert_same_load(grid)
+        assert per_action(game, row_counts(game)).tolist() == [[1, 2, 3], [2, 3, 1], [3, 1, 2]]
+
+    def test_one_bad_set_sends_only_its_state_set_by_set(self):
+        grid = [[rows_of(k, 2) for _ in range(2)] for k in range(3)]
+        grid[1][1] = [[True, False, 0.0], *rows_of(1, 1)]
+        errors, calls = read_calls(lambda: validated(grid_doc(grid)))
+        assert errors == [
+            "uncertainty[state='s1', action=(1,)]: rows must hold numbers, not true/false"
+        ]
+        assert calls == 3 + 2  # one read per state, then each set of s1 alone
+        assert_same_load(grid)
+
+    def test_rows_of_another_length_are_reported_for_their_set_alone(self):
+        grid = [[rows_of(k, 2) for _ in range(2)] for k in range(3)]
+        grid[2][0] = [[0.5, 0.5]]
+        assert assert_same_load(grid) == [
+            "uncertainty[state='s2', action=(0,)]: rows have length 2, expected 3"
+        ]
+
+    def test_states_with_a_tuple_or_an_array_are_read_set_by_set(self):
+        grid = [[rows_of(k, 2), rows_of(k, 1), rows_of(k, 3)] for k in range(3)]
+        grid[0][1], grid[1][1] = tuple(grid[0][1]), np.array(grid[1][1])
+        game, calls = read_calls(lambda: grid_game(grid))
+        assert calls == 3 + 3 + 1
+        assert_same_build(grid)
+        assert per_action(game, row_counts(game)).tolist() == [[2, 1, 3]] * 3
+
+    @pytest.mark.parametrize("rows, message", [
+        ([[0.5, 0.6, 0.0], [1.5, -0.5, 0.0], [1.25, -0.25, 0.0]], "row 1 entry -0.5 is negative"),
+        ([[1.5, -0.5, 0.0], [math.nan, 0.5, 0.5]], "rows must be finite"),
+        ([[1.0, 0.0, 0.0], [0.5, 0.6, 0.0], [0.5, 0.7, 0.0]], "row 1 sum 1.1 != 1"),
+    ], ids=["first_negative_row_before_sums", "finite_before_signs", "first_off_sum_row"])
+    def test_a_bad_set_names_its_first_failure(self, rows, message):
+        """A set fails on non-finite numbers first, then on its first row
+        with a negative entry, then on its first row that does not sum to 1."""
+        grid = [[rows, rows_of(k, 1)] for k in range(3)]
+        assert assert_same_load(grid) == [
+            f"uncertainty[state='s{k}', action=(0,)]: {message}" for k in range(3)
+        ]
 
 
 class TestCollectorPause:
