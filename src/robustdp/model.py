@@ -486,7 +486,8 @@ def _clean_rows(row_sets, m: int) -> tuple[dict[int, np.ndarray], dict[int, str]
     low, finite = arr.min(axis=1), np.isfinite(arr).all(axis=1)
     negative = low < NEGATIVE_CLAMP
     arr[arr < 0.0] = 0.0
-    sums = arr.sum(axis=1)
+    with np.errstate(over="ignore"):  # a finite row may sum to inf: an error below
+        sums = arr.sum(axis=1)
     off = np.abs(sums - 1.0) > STOCHASTIC_ATOL
     ok = finite & ~negative & ~off
     np.divide(arr, sums[:, None], out=arr, where=ok[:, None])

@@ -9,10 +9,15 @@ from a fresh gather of the dense (P, r), only when the rule's groups or the
 rows change, and a step's evaluation sweeps run in one call; the results
 are bit for bit those of a fresh map and one call per sweep.
 A step that ran evaluation sweeps hands the map they ran under, with its
-rule and rows, to the next improvement sweep
-(:func:`~robustdp.sweeps.improvement_sweep`'s ``tail``), which decides
-whether to try it as one product with a check of every state's choice; a
-step without evaluation sweeps hands on none.
+rule and rows and the certificate of its improvement sweep, to the next
+improvement sweep, Gauss-Seidel or Jacobi (the ``tail`` of
+:func:`~robustdp.sweeps.improvement_sweep` and
+:func:`~robustdp.sweeps.jacobi_improvement_sweep`); a step without
+evaluation sweeps hands on none.  The sweep decides how to use it: on a
+game of at least ``TAIL_CHECK_MIN_STATES`` states an exact sweep keeps the
+rule and rows without scoring while the certified margin of its last full
+scoring exceeds lam times the span of the value's change since, and
+otherwise scores every state's choices in full and certifies them anew.
 
 * ``ratpi`` - Gauss-Seidel improvement + Gauss-Seidel partial evaluation.
 * ``ratvi`` - ratpi with zero evaluation sweeps per step.
@@ -39,6 +44,7 @@ import numpy as np
 from .model import TeamDecisionRule, TeamMarkovGame, _count, _real
 from .perturb import PerturbationOracle
 from .sweeps import (
+    Tail,
     evaluation_operator,
     evaluation_sweep,
     fixed_model_arrays,
@@ -274,7 +280,8 @@ def _run(
     schedule = params.mt_schedule
     v = initial_value(game, params)
     trace = SolverTrace()
-    # ``held`` is the (rule, rows, op) the evaluation sweeps ran under last.
+    # ``held`` is the (rule, rows, op, certificate) the evaluation sweeps
+    # ran under last, with the certificate of the step's improvement sweep.
     # ``op`` depends only on each state's group and row, so it is formed
     # again only when those change, not when noise picks another member of
     # a group.  A step with evaluation sweeps hands ``held`` to the next
@@ -285,7 +292,7 @@ def _run(
         if gauss_seidel:
             sweep = improvement_sweep(game, v, lam, approx, t, tail)
         else:
-            sweep = jacobi_improvement_sweep(game, v, lam)
+            sweep = jacobi_improvement_sweep(game, v, lam, tail)
         residual = float(_max(np.abs(sweep.u0 - v)))
         if not math.isfinite(residual):
             raise ValueError(
@@ -305,20 +312,20 @@ def _run(
         mt = _mt_at(schedule, t)
         if mt:
             record = (sweep.rule, sweep.worst_model)
-            if held is None or held[:2] != record:
-                if held is None or held[1] != record[1] or not np.array_equal(
-                    game.action_group[states, held[0]], game.action_group[states, record[0]]
+            if held is None or held[:2] != record or held.certificate is not sweep.certificate:
+                if held is None or held.rows != record[1] or not np.array_equal(
+                    game.action_group[states, held.rule], game.action_group[states, record[0]]
                 ):
                     P, r = fixed_model_arrays(game, *record)
                     op = evaluation_operator(P, r, lam, gauss_seidel, approx is not None)
-                held = (*record, op)
+                held = Tail(*record, op, sweep.certificate)
             noise = None
             if approx is not None:
                 queries = list(enumerate(sweep.rule))
                 noise = np.array(
                     [approx.perturb(t, s, queries) for s in range(1, mt + 1)]
                 )
-            u = evaluation_sweep(held[2], u, noise, mt)
+            u = evaluation_sweep(held.op, u, noise, mt)
         tail = held if mt else None
         v = u
     else:

@@ -50,20 +50,37 @@ action's value, chosen as the sweep goes, takes one call per state.
 On a run's tail the improvement sweep, too, records the (rule, rows) of the
 operator the solver holds, step after step, and is then that affine map up
 to rounding.  A step that ran evaluation sweeps hands the next improvement
-sweep the (rule, rows, op) they ran under, and a step without them hands on
+sweep a :class:`Tail`, the (rule, rows, op) they ran under with the
+certificate of the step's own sweep, and a step without them hands on
 nothing; the sweep alone decides whether to use it.  An exact sweep on a
-game of at least ``TAIL_CHECK_MIN_STATES`` states first tries a tail check
-(:func:`_tail_check`): ``w = A @ v + b``, and every (state, group, row)
-scored in one batched product against the continuation ``(w[:k], v[k:])``.
-The check's dot products sum in another order than the loop's, and its
-lower continuation is ``w``, not the loop's forward substitution, so its
-scores differ from the loop's by rounding; the check accepts only if at
-every state the held group and row win by more than a margin that bounds
-twice that difference, so by induction over the states the loop would make
-exactly the same choices, and only the values' rounding differs.
-Otherwise the loop runs as it stands.  A perturbed sweep adds noise the
-operator does not hold, and on a smaller game the loop costs less than the
-check, so both keep the loop.
+game of at least ``TAIL_CHECK_MIN_STATES`` states forms ``w = A @ v + b``
+and first tries to carry the tail's certificate: a full scoring at an
+earlier v0 found that every state's rule group and row win by a margin M,
+and the rows are stochastic, so two scores of one state move apart by at
+most ``lam * sp(D)``, sp(D) the span (max minus min) of the change D of
+the continuation since then.  While ``M - lam * sp(D)`` exceeds a
+rounding tol, the sweep returns ``(w, rule, rows)`` without scoring; on a
+tail D is close to a multiple of 1, so one scoring serves many steps.
+:func:`_tail_check` derives tol = 2 * eps * S * (3 * (m + 2) +
+24 * m * lam / (1 - lam)) for Gauss-Seidel and 6 * (m + 2) * eps * S for
+Jacobi, S the largest value in sup norm then and now: it covers the
+rounding of the scores at the scoring and now, the sweep's forward
+substitution against ``A @ v + b``, and row sums that are 1 only to
+rounding.  Otherwise the sweep scores in
+full.  For Gauss-Seidel that is a tail check (:func:`_tail_check`): every
+(state, group, row) scored in one batched product against the
+continuation ``(w[:k], v[k:])``, so D joins the changes of w and v.  The
+check's dot products sum in another order than the loop's, and its lower
+continuation is ``w``, not the loop's forward substitution, so its scores
+differ from the loop's by rounding; the check accepts only if at every
+state the held group and row win by more than a margin that bounds twice
+that difference, so by induction over the states the loop would make
+exactly the same choices, and only the values' rounding differs; it
+certifies the margin it found.  Otherwise the loop runs.  For Jacobi the
+full scoring is the kernel itself, which certifies its own choices, and D
+is the change of v.  A perturbed sweep adds noise the operator does not
+hold, and on a smaller game the loop costs less than the check, so both
+keep the plain sweep, bit for bit.
 
 The module holds only what the solvers and the CLI run.  The slow
 references the tests hold these operators to (the per-(state, action)
@@ -73,10 +90,10 @@ and model) live in ``tests/conftest.py``.
 All functions are pure in their arguments.  Ties in action or row
 selection break to the lowest index (``argmax``/``argmin``), so traces replay
 exactly; action comparison is exact floating comparison with no epsilon
-fuzz (the tail check's margin only decides whether the check can vouch for
-the loop's choices).  Row scores use BLAS, never ``einsum`` or a
-multiply-then-sum: those round differently, and results and traces must
-replay bit for bit.  The kernel scores stacked rows with ``@``, one
+fuzz (the tail check's and a certificate's margins only decide whether
+they can vouch for the plain sweep's choices).  Row scores use BLAS, never
+``einsum`` or a multiply-then-sum: those round differently, and results
+and traces must replay bit for bit.  The kernel scores stacked rows with ``@``, one
 matrix-vector product per (state, group) block of Kmax rows.  It never
 scores a state's groups as one flat (G*Kmax, m) block, because BLAS rounds
 a row's product differently depending on how many rows it is given: with
@@ -101,10 +118,21 @@ from .perturb import PerturbationOracle
 
 _min = np.minimum.reduce
 _max = np.maximum.reduce
+_EPS = np.finfo(float).eps
 
 #: Fewest states at which :func:`improvement_sweep` checks the tail it is
 #: handed: on smaller games the per-state loop costs less than the check.
 TAIL_CHECK_MIN_STATES = 8
+
+
+class Certificate(NamedTuple):
+    """A full scoring's proof of a sweep's choices: at value ``v``, where
+    the sweep's operator gives ``w = A @ v + b``, every state's recorded
+    group and row beat every other group and row by at least ``margin``."""
+
+    v: np.ndarray
+    w: np.ndarray
+    margin: float
 
 
 class SweepResult(NamedTuple):
@@ -113,11 +141,28 @@ class SweepResult(NamedTuple):
     ``rule[k]`` is the joint action chosen at state k, an int.
     ``worst_model[k]`` indexes the minimising candidate row recorded at the
     chosen action of state k; partial evaluation reuses exactly these rows.
+    ``certificate`` is the :class:`Certificate` of the full scoring that
+    proved this rule and these rows, the sweep's own or one it carried; it
+    is None when no scoring did: for a sweep handed no ``tail``, a
+    perturbed sweep, a sweep of a game under ``TAIL_CHECK_MIN_STATES``
+    states, and a Gauss-Seidel sweep whose tail check failed.
     """
 
     u0: np.ndarray
     rule: tuple[int, ...]
     worst_model: tuple[int, ...]
+    certificate: Certificate | None = None
+
+
+class Tail(NamedTuple):
+    """What a step hands the next improvement sweep: the rule and rows its
+    evaluation sweeps ran under, their :func:`evaluation_operator` ``op``,
+    and the certificate of those choices, if the step's sweep had one."""
+
+    rule: tuple[int, ...]
+    rows: tuple[int, ...]
+    op: tuple[np.ndarray, np.ndarray, np.ndarray | None]
+    certificate: Certificate | None = None
 
 
 def _row_min(
@@ -134,6 +179,51 @@ def _row_min(
     return q, _min(q, axis=-1)
 
 
+def _margin(
+    scores: np.ndarray, vals: np.ndarray, groups: np.ndarray, picked: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Each state's score at group ``groups[k]`` and row ``picked[k]``, and
+    the least amount by which those choices win: the smallest, over
+    states, of the gap up to the next row of the group and the gap down to
+    the best other group's minimum.
+
+    ``scores`` are the (m, G, Kmax) row scores and ``vals`` their minima
+    over rows, which this overwrites at the chosen groups.  An exact tie,
+    a duplicate row among them, gives 0; a state whose group and row have
+    no rival gives ``+inf``, as padding scores ``+inf`` in a group and
+    ``-inf`` for a group.
+    """
+    states = np.arange(len(groups))
+    chosen = scores[states, groups]
+    best = chosen[states, picked]
+    chosen[states, picked] = np.inf
+    vals[states, groups] = -np.inf
+    gaps = np.minimum(_min(chosen, axis=-1) - best, best - _max(vals, axis=-1))
+    return best, float(_min(gaps))
+
+
+def _carries(
+    certificate: Certificate,
+    v: np.ndarray,
+    w: np.ndarray,
+    lam: float,
+    gauss_seidel: bool,
+) -> bool:
+    """Whether ``certificate`` still proves its choices at ``v``, where the
+    operator of those choices gives ``w = A @ v + b``: whether its margin
+    exceeds ``lam`` times the span of the change since its scoring, plus
+    the rounding tol that :func:`_tail_check` derives.  The change is that
+    of the continuation the sweep scores on: ``v`` for Jacobi, ``w`` and
+    ``v`` joined for Gauss-Seidel.  A NaN anywhere does not carry.
+    """
+    v0, w0, margin = certificate
+    m = len(v)
+    delta = np.concatenate((w - w0, v - v0)) if gauss_seidel else v - v0
+    scale = _max(np.abs(np.concatenate((v0, w0, v, w))))
+    terms = 3 * (m + 2) + (24 * m * lam / (1.0 - lam) if gauss_seidel else 0.0)
+    return bool(margin - lam * (_max(delta) - _min(delta)) > 2 * _EPS * scale * terms)
+
+
 def _tail_check(
     game: TeamMarkovGame,
     v: np.ndarray,
@@ -141,45 +231,75 @@ def _tail_check(
     rule: tuple[int, ...],
     rows: tuple[int, ...],
     op: tuple[np.ndarray, np.ndarray, np.ndarray | None],
+    w: np.ndarray | None = None,
 ) -> SweepResult | None:
     """The exact improvement sweep at ``v``, if it records ``rule`` and
-    ``rows`` again; None if that is not certain.
+    ``rows`` again, with its :class:`Certificate`; None if that is not
+    certain.
 
     ``op`` is the :func:`evaluation_operator` of ``rule`` and ``rows``, so
     ``w = A @ v + b`` is the sweep's forward substitution under them, up to
-    rounding.  Every (state k, group, row) is scored in one batched product
-    against the continuation ``(w[:k], v[k:])``, as the sweep would score it
-    had it chosen ``rule`` and ``rows`` at every earlier state.  The result
-    is each state's minimum over the rows of its ``rule`` group, with
-    ``rule`` and ``rows``, when at every state ``rule[k]`` is its group's
-    lowest member, that group's minimum beats every other group's and row
-    ``rows[k]`` beats every other row of the group, each by more than
-    ``tol``.
+    rounding (a caller that has formed ``w`` passes it).  Every (state k,
+    group, row) is scored in one batched product against the continuation
+    ``(w[:k], v[k:])``, as the sweep would score it had it chosen ``rule``
+    and ``rows`` at every earlier state.  The result is each state's
+    minimum over the rows of its ``rule`` group, with ``rule`` and
+    ``rows``, when at every state ``rule[k]`` is its group's lowest member
+    and the held group and row win by a margin M, the smallest over states
+    of the gaps to every other group's minimum and every other row of the
+    group, with M > ``tol``.
 
     ``tol`` bounds twice the gap between a score here and the sweep's score
     of the same row, given the sweep chose ``rule`` and ``rows`` before
-    state k.  With eps the double spacing at 1 and M = max(|v|, |w|) in sup
+    state k.  With eps the double spacing at 1 and S = max(|v|, |w|) in sup
     norm, the gap is at most:
 
     * the rounding of either side's m-term dot product of a stochastic row,
-      and of its scaling and payoff, together at most (m + 2) * eps * M for
-      the scores that decide: those near the winner, of size about M;
+      and of its scaling and payoff, together at most (m + 2) * eps * S for
+      the scores that decide: those near the winner, of size about S;
     * plus lam times the largest gap between ``w[l]`` and the sweep's value
       at an earlier state l, which the sweep computes by forward
       substitution.  That is the gap ``tests/test_kernel.py`` holds an
-      evaluation sweep to, 8 * m * eps * S with
-      S = (|r| + lam * |v|) / (1 - lam); since w = r + lam * P (w, v) up
-      to rounding, |r| <= (1 + lam) * M, so S <= 3 * M / (1 - lam).
+      evaluation sweep to, 8 * m * eps * S' with
+      S' = (|r| + lam * |v|) / (1 - lam); since w = r + lam * P (w, v) up
+      to rounding, |r| <= (1 + lam) * S, so S' <= 3 * S / (1 - lam).
 
-    So tol = 2 * eps * M * (m + 2 + 24 * m * lam / (1 - lam)).  By
+    So tol = 2 * eps * S * (m + 2 + 24 * m * lam / (1 - lam)).  By
     induction over the states, a winner by more than tol here is a strict
     winner in the sweep, so the sweep makes the same choices and its values
     differ from these by at most tol / 2.  Exact ties, duplicate rows among
     them, never pass.  A non-finite v or w makes tol infinite or NaN, and
     the check fails.
+
+    **Carrying the certificate.**  A later sweep at v1, whose operator gives
+    w1 = A @ v1 + b, makes the same choices without scoring when
+    M - lam * sp(D) > tol1, where sp(x) = max x - min x and D joins
+    w1 - w and v1 - v: the change of every continuation (w[:k], v[k:]).
+    In exact arithmetic the difference of two scores of one state moves by
+    lam * (c - c') @ d, for rows c, c' and the change d of that state's
+    continuation.  Writing d = a * 1 + e with a the midpoint of d's range,
+    |e| <= sp(d) / 2, that is at most lam * (sp(D) * (1 + s) + 2 * s * |D|),
+    where s bounds |sum(c) - 1|: the game divides each row by its float
+    sum, so s <= (m + 1) * eps / 2.  With S the largest of |v|, |w|, |v1|,
+    |w1|, so |D| <= 2 * S and sp(D) <= 4 * S, tol1 covers:
+
+    * the rounding at the scoring and now: the check's scores here against
+      exact scores, and the sweep's scores at v1 against exact scores at
+      (w1[:k], v1[k:]), the latter with the sweep's forward substitution
+      against A @ v1 + b; together the tol above, at scale S;
+    * row sums that are 1 only to rounding: 4 * (m + 1) * eps * S;
+    * the rounding of D and of its span, 4 * eps * S.
+
+    So tol1 = 2 * eps * S * (3 * (m + 2) + 24 * m * lam / (1 - lam)).  A
+    Jacobi sweep scores every state on v1 and makes its own scores, so its
+    certificate joins only v1 - v and drops the forward-substitution term:
+    tol1 = 6 * (m + 2) * eps * S.  On a run's tail D is close to a
+    multiple of 1, whose span is 0, so one scoring serves many steps; a
+    zero margin never carries.
     """
     m = game.m
-    w = evaluation_sweep(op, v)
+    if w is None:
+        w = evaluation_sweep(op, v)
     # x[k] = (w[:k], v[k:]): the continuation the sweep backs up state k on.
     x = np.empty((m, m))
     x[:] = v
@@ -194,22 +314,11 @@ def _tail_check(
     states = np.arange(m)
     acts, picked = np.fromiter(rule, np.intp, m), np.fromiter(rows, np.intp, m)
     groups = game.action_group[states, acts]
-    chosen = scores[states, groups]
-    best = chosen[states, picked]
-    chosen[states, picked] = np.inf
-    row_margin = _min(chosen, axis=-1) - best
-    vals = _min(scores, axis=-1)
-    vals[states, groups] = -np.inf
-    group_margin = best - _max(vals, axis=-1)
+    best, margin = _margin(scores, _min(scores, axis=-1), groups, picked)
     scale = max(_max(np.abs(v)), _max(np.abs(w)))
-    eps = np.finfo(float).eps
-    tol = 2 * eps * scale * (m + 2 + 24 * m * lam / (1.0 - lam))
-    if (
-        _min(row_margin) > tol
-        and _min(group_margin) > tol
-        and np.array_equal(game.group_action[states, groups], acts)
-    ):
-        return SweepResult(best, rule, rows)
+    tol = 2 * _EPS * scale * (m + 2 + 24 * m * lam / (1.0 - lam))
+    if margin > tol and np.array_equal(game.group_action[states, groups], acts):
+        return SweepResult(best, rule, rows, Certificate(v, w, margin))
     return None
 
 
@@ -219,7 +328,7 @@ def improvement_sweep(
     lam: float,
     approx: PerturbationOracle | None = None,
     step: int = 0,
-    tail: tuple | None = None,
+    tail: Tail | tuple | None = None,
 ) -> SweepResult:
     """One Gauss-Seidel improvement sweep.
 
@@ -230,15 +339,24 @@ def improvement_sweep(
     the maximum is taken, or with ``argmax_lock`` only the value of the
     action the exact backups chose.
 
-    ``tail`` is an optional ``(rule, rows, op)``, with ``op`` the
-    Gauss-Seidel :func:`evaluation_operator` of that rule and those rows.
-    An exact sweep given one, on a game of at least ``TAIL_CHECK_MIN_STATES``
-    states, first tries :func:`_tail_check`, which gives the loop's rule and
-    rows, with values within rounding, whenever it returns; otherwise the
-    loop runs.  A perturbed sweep, or one on a smaller game, declines ``tail``.
+    ``tail`` is an optional :class:`Tail` ``(rule, rows, op, certificate)``,
+    or its first three, with ``op`` the Gauss-Seidel
+    :func:`evaluation_operator` of that rule and those rows.  An exact sweep
+    given one, on a game of at least ``TAIL_CHECK_MIN_STATES`` states, forms
+    ``w = A @ v + b`` and returns it with the tail's rule, rows and
+    certificate when the certificate carries to ``v`` (see
+    :func:`_tail_check`); otherwise it tries :func:`_tail_check`, and
+    otherwise the loop runs.  Each gives the loop's rule and rows, with
+    values within rounding.  A perturbed sweep, or one on a smaller game,
+    declines ``tail``.
     """
     if tail is not None and approx is None and game.m >= TAIL_CHECK_MIN_STATES:
-        checked = _tail_check(game, np.asarray(v, dtype=float), lam, *tail)
+        tail = Tail(*tail)
+        v = np.asarray(v, dtype=float)
+        w = evaluation_sweep(tail.op, v)
+        if tail.certificate is not None and _carries(tail.certificate, v, w, lam, True):
+            return SweepResult(w, tail.rule, tail.rows, tail.certificate)
+        checked = _tail_check(game, v, lam, *tail[:3], w)
         if checked is not None:
             return checked
     w = np.array(v, dtype=float)
@@ -269,19 +387,38 @@ def improvement_sweep(
 
 
 def jacobi_improvement_sweep(
-    game: TeamMarkovGame, v: np.ndarray, lam: float
+    game: TeamMarkovGame, v: np.ndarray, lam: float, tail: Tail | tuple | None = None
 ) -> SweepResult:
-    """Exact improvement sweep with no within-sweep updates (baselines)."""
-    q, vals = _row_min(
-        game.group_payoff_exp, game.group_candidates, np.asarray(v, dtype=float), lam
-    )
+    """Exact improvement sweep with no within-sweep updates (baselines).
+
+    ``tail`` is as :func:`improvement_sweep` takes it, with ``op`` the
+    Jacobi :func:`evaluation_operator`.  On a game of at least
+    ``TAIL_CHECK_MIN_STATES`` states, a sweep given one returns
+    ``w = A @ v + b`` with the tail's rule, rows and certificate when the
+    certificate carries to ``v``; otherwise it scores every (state, group,
+    row), as every sweep does, and certifies its own choices.
+    """
+    v = np.asarray(v, dtype=float)
+    certify = tail is not None and game.m >= TAIL_CHECK_MIN_STATES
+    if certify:
+        tail = Tail(*tail)
+        if tail.certificate is not None:
+            w = evaluation_sweep(tail.op, v)
+            if _carries(tail.certificate, v, w, lam, False):
+                return SweepResult(w, tail.rule, tail.rows, tail.certificate)
+    q, vals = _row_min(game.group_payoff_exp, game.group_candidates, v, lam)
     groups = vals.argmax(axis=1)
     states = np.arange(game.m)
-    return SweepResult(
+    picked = q[states, groups].argmin(axis=-1)
+    sweep = SweepResult(
         vals[states, groups],
         tuple(game.group_action[states, groups].tolist()),
-        tuple(q[states, groups].argmin(axis=-1).tolist()),
+        tuple(picked.tolist()),
     )
+    if certify:
+        margin = _margin(q, vals, groups, picked)[1]
+        return sweep._replace(certificate=Certificate(v, sweep.u0, margin))
+    return sweep
 
 
 def _unit_lower_solve(a: np.ndarray, x: np.ndarray, lo: int, hi: int) -> None:

@@ -518,9 +518,9 @@ def reference_run(game, params, approx=None, gauss_seidel=True, algo="ratpi"):
     schedule = params.mt_schedule
     for t in range(params.max_iterations):
         if gauss_seidel:
-            u, rule, rows = r.improvement_sweep(game, v, lam, approx, t)
+            u, rule, rows, _ = r.improvement_sweep(game, v, lam, approx, t)
         else:
-            u, rule, rows = r.jacobi_improvement_sweep(game, v, lam)
+            u, rule, rows, _ = r.jacobi_improvement_sweep(game, v, lam)
         residual = float(np.max(np.abs(u - v)))
         trace.residuals.append(residual)
         trace.values.append(v)

@@ -72,6 +72,15 @@ class TestValidation:
         assert "sum" in message and "1.1" in message
         assert "s1" in message
 
+    def test_row_whose_sum_overflows_is_one_error(self):
+        """Finite entries whose sum overflows to inf are a bad sum, not a
+        numpy warning: the suite turns every RuntimeWarning into an error."""
+        raw = minimal_raw()
+        raw["states"] = ["s1", "s2"]
+        raw["uncertainty"][0]["rows"] = [[1.0, 0.0]]
+        raw["uncertainty"].append({"s": "s2", "a": [0], "rows": [[1e308, 1e308]]})
+        assert validated(raw) == ["uncertainty[state='s2', action=(0,)]: row 0 sum inf != 1"]
+
     def test_missing_uncertainty_entry(self):
         raw = minimal_raw()
         raw["uncertainty"] = []

@@ -1,12 +1,17 @@
-"""The improvement sweep's tail check against the per-state loop.
+"""The improvement sweep's tail check and carried certificates against
+the plain sweeps.
 
 Given the (rule, rows) of a previous step and their Gauss-Seidel operator,
 an exact sweep of a game of at least ``TAIL_CHECK_MIN_STATES`` states first
 scores every (state, group, row) in one batched product.  It must either
 return the loop's rule and rows exactly, with values within ``tail_tol`` of
 the loop's, or fall back to the loop bit for bit: a near tie, a wrong or
-stale guess, or a duplicate row must never slip through.  Whole exact
-``ratpi`` runs must make the plain step loop's choices at every step.
+stale guess, or a duplicate row must never slip through.  A full scoring
+that certifies its choices by a margin lets later sweeps, Gauss-Seidel or
+Jacobi, keep them without scoring while the value moves by less than that
+margin in span; a carried certificate must only ever give the plain
+sweep's choices.  Whole exact ``ratpi`` and ``rmpi`` runs must make the
+plain step loop's choices at every step.
 """
 
 import numpy as np
@@ -29,9 +34,17 @@ def tail_tol(m, lam, v, w):
     return 2 * np.finfo(float).eps * scale * (m + 2 + 24 * m * lam / (1.0 - lam))
 
 
-def guess_of(game, rule, rows, lam):
+def carry_tol(m, lam, scale, gauss_seidel):
+    """The rounding a carried certificate must clear, as ``sweeps._tail_check``
+    derives it, with ``scale`` the largest of |v|, |w| at the scoring and
+    now."""
+    terms = 3 * (m + 2) + (24 * m * lam / (1.0 - lam) if gauss_seidel else 0.0)
+    return 2 * np.finfo(float).eps * scale * terms
+
+
+def guess_of(game, rule, rows, lam, gauss_seidel=True):
     """``(rule, rows, op)``, the ``tail`` argument of a guess."""
-    op = evaluation_operator(*fixed_model_arrays(game, rule, rows), lam)
+    op = evaluation_operator(*fixed_model_arrays(game, rule, rows), lam, gauss_seidel)
     return rule, rows, op
 
 
@@ -200,14 +213,157 @@ def test_small_games_and_perturbed_runs_keep_the_loop(settled_start, monkeypatch
     r.solve_ratpi(dirichlet_game(TAIL_CHECK_MIN_STATES - 1), params)
 
 
-#: Games of the run test, and whether some improvement sweep of the run
-#: takes the check.  The chain run's evaluation sweeps stop at step 1, its
-#: residual having risen, and with them the gathers the check needs.
+def certified(game, v, lam, gauss_seidel):
+    """The ``Tail`` a step hands on after a full scoring at ``v`` certified
+    its choices: the sweep's rule and rows, their operator and the
+    scoring's certificate.  None when the scoring does not certify, as a
+    tail check can decline."""
+    if gauss_seidel:
+        loop = r.improvement_sweep(game, v, lam)
+        scored = sweeps._tail_check(game, v, lam, *guess_of(game, loop.rule, loop.worst_model, lam))
+        if scored is None:
+            return None
+    else:
+        plain = r.jacobi_improvement_sweep(game, v, lam)
+        handed = guess_of(game, plain.rule, plain.worst_model, lam, False)
+        scored = r.jacobi_improvement_sweep(game, v, lam, handed)
+    op = guess_of(game, scored.rule, scored.worst_model, lam, gauss_seidel)[2]
+    return sweeps.Tail(scored.rule, scored.worst_model, op, scored.certificate)
+
+
+def handed(game, v, lam, gauss_seidel, tail):
+    """The exact sweep of each kind at ``v``, handed ``tail``."""
+    if gauss_seidel:
+        return r.improvement_sweep(game, v, lam, tail=tail)
+    return r.jacobi_improvement_sweep(game, v, lam, tail)
+
+
+@given(
+    games(max_states=12, min_states=TAIL_CHECK_MIN_STATES),
+    LAMS,
+    st.booleans(),
+    st.sampled_from([1e-12, 1e-6, 1e-3, 1e-1, 10.0]),
+    st.integers(0, 2**16),
+)
+@settings(max_examples=50, deadline=None)
+def test_a_certificate_carries_only_to_the_plain_sweeps_choices(
+    game, lam, gauss_seidel, size, seed
+):
+    """From a certified scoring at v, a sweep at a random v' = v + size * d
+    makes the plain sweep's choices, whether it carries the certificate or
+    scores again; a carried sweep returns A @ v' + b."""
+    rng = np.random.default_rng(seed)
+    v = rng.uniform(-20, 20, game.m)
+    tail = certified(game, v, lam, gauss_seidel)
+    if tail is None:
+        return
+    v1 = v + size * rng.uniform(-1, 1, game.m)
+    got = handed(game, v1, lam, gauss_seidel, tail)
+    plain = handed(game, v1, lam, gauss_seidel, None)
+    assert (got.rule, got.worst_model) == (plain.rule, plain.worst_model)
+    if got.certificate is tail.certificate:
+        A, b, _ = tail.op
+        assert got.u0.tobytes() == (A @ v1 + b).tobytes()
+
+
+@given(
+    games(max_states=12, min_states=TAIL_CHECK_MIN_STATES),
+    LAMS,
+    st.floats(-1e3, 1e3),
+    st.integers(0, 2**16),
+)
+@settings(max_examples=25, deadline=None)
+def test_a_shift_carries_a_jacobi_certificate(game, lam, c, seed):
+    """A Jacobi sweep at v + c * 1 scores every row c * lam higher, so a
+    certificate whose margin is twice its rounding tol always carries, and
+    gives the plain sweep's choices.  (A Gauss-Seidel continuation
+    (w[:k], v[k:]) does not move by a multiple of 1 when v does.)"""
+    v = np.random.default_rng(seed).uniform(-20, 20, game.m)
+    tail = certified(game, v, lam, False)
+    v1 = v + c
+    A, b, _ = tail.op
+    scale = np.max(np.abs([v, tail.certificate.w, v1, A @ v1 + b]))
+    got = r.jacobi_improvement_sweep(game, v1, lam, tail)
+    plain = r.jacobi_improvement_sweep(game, v1, lam)
+    if tail.certificate.margin > 2 * carry_tol(game.m, lam, scale, False):
+        assert got.certificate is tail.certificate
+    assert (got.rule, got.worst_model) == (plain.rule, plain.worst_model)
+
+
+@given(
+    games(max_states=12, min_states=TAIL_CHECK_MIN_STATES),
+    LAMS,
+    st.booleans(),
+    st.integers(0, 2**16),
+)
+@settings(max_examples=20, deadline=None)
+def test_a_zero_margin_never_carries(game, lam, gauss_seidel, seed):
+    """Not even at the scoring's own v, where nothing has moved: the sweep
+    scores again and makes the plain sweep's choices."""
+    v = np.random.default_rng(seed).uniform(-20, 20, game.m)
+    plain = handed(game, v, lam, gauss_seidel, None)
+    rule, rows, op = guess_of(game, plain.rule, plain.worst_model, lam, gauss_seidel)
+    zero = sweeps.Tail(rule, rows, op, sweeps.Certificate(v, op[0] @ v + op[1], 0.0))
+    got = handed(game, v, lam, gauss_seidel, zero)
+    assert got.certificate is not zero.certificate
+    assert (got.rule, got.worst_model) == (plain.rule, plain.worst_model)
+
+
+def test_an_exact_tie_certifies_nothing():
+    """At the last state of ``tie_game`` with v[m - 1] = v[target], both
+    actions score 0.5 + lam * v[target] in a Jacobi sweep: the scoring's
+    margin is 0, so the tail it hands on never carries, and each sweep
+    handed it is the plain sweep, bit for bit."""
+    m, lam, target = 10, 0.9, 3
+    game = tie_game(m, target)
+    v = np.random.default_rng(1).uniform(-5, 5, m)
+    v[m - 1] = v[target]
+    tail = certified(game, v, lam, False)
+    assert tail.certificate.margin == 0.0
+    for v1 in (v, v + 1.0):
+        got = r.jacobi_improvement_sweep(game, v1, lam, tail)
+        plain = r.jacobi_improvement_sweep(game, v1, lam)
+        assert got.certificate is not tail.certificate
+        assert got.u0.tobytes() == plain.u0.tobytes()
+        assert (got.rule, got.worst_model) == (plain.rule, plain.worst_model)
+
+
+#: Games of the run tests, and whether some improvement sweep of the run
+#: takes the check (``ratpi``) or carries a certificate (``rmpi``).  The
+#: chain runs' evaluation sweeps stop at step 1, their residual having
+#: risen, and with them the operators the check and a carry need; at
+#: mt = 1 they go on, but duplicate rows tie at the goal state.
 RUN_GAMES = {
     "dirichlet8": (dirichlet_game(TAIL_CHECK_MIN_STATES), True),
     "dirichlet30": (dirichlet_game(30), True),
     "chain20": (chain_game(20, 10), False),
 }
+
+
+def recorded(monkeypatch, name):
+    """Wrap ``sweeps.<name>`` and return the list its results go to."""
+    inner, results = getattr(sweeps, name), []
+
+    def record(*args):
+        results.append(inner(*args))
+        return results[-1]
+
+    monkeypatch.setattr(sweeps, name, record)
+    return results
+
+
+def assert_replays(result, ref, bound):
+    """Equal iterations, flags, policy, rows and final value bytes, trace
+    values within ``bound`` and residuals within twice that."""
+    assert (result.iterations, result.terminated, result.settled) == (
+        ref.iterations, ref.terminated, ref.settled)
+    assert result.policy == ref.policy
+    assert result.worst_model == ref.worst_model
+    assert result.value.tobytes() == ref.value.tobytes()
+    values, ref_values = np.array(result.trace.values), np.array(ref.trace.values)
+    assert np.max(np.abs(values - ref_values)) <= bound
+    gaps = np.abs(np.array(result.trace.residuals) - ref.trace.residuals)
+    assert np.max(gaps) <= 2 * bound
 
 
 @pytest.mark.parametrize("name", list(RUN_GAMES))
@@ -216,36 +372,43 @@ RUN_GAMES = {
 def test_ratpi_makes_the_reference_runs_choices(name, lam, mt, monkeypatch):
     """Exact ``ratpi`` against ``reference_run``, whose sweeps run the loop:
     equal iterations, policy, rows, final value and flags, and residuals and
-    trace values within the rounding the checks let in.  Each checked sweep
-    is within tol / 2 of the loop at its start, and the rest of a step
-    contracts by lam, so the runs stay within tol / (2 (1 - lam)) of each
-    other, with tol at the run's largest value scale; twice that is
-    allowed."""
+    trace values within the rounding the checks and carries let in.  Each
+    checked sweep is within tol / 2 of the loop at its start; a carried one
+    returns A @ v + b, within an evaluation sweep's rounding of the loop,
+    24 * m * eps * S / (1 - lam), which is at most tol for lam >= 1/2.  The
+    rest of a step contracts by lam, so the runs stay within
+    tol / (1 - lam) of each other, with tol at the run's largest value
+    scale S."""
     game, takes_check = RUN_GAMES[name]
-    passed = []
-    check = sweeps._tail_check
-
-    def counted(*args):
-        result = check(*args)
-        passed.append(result is not None)
-        return result
-
-    monkeypatch.setattr(sweeps, "_tail_check", counted)
+    checks = recorded(monkeypatch, "_tail_check")
     params = r.SolverParams(lam=lam, epsilon=1e-6, mt_schedule=mt, max_iterations=5000)
     result = r.solve_ratpi(game, params)
     ref = reference_run(game, params)
-    assert any(passed) == takes_check
-    assert (result.iterations, result.terminated, result.settled) == (
-        ref.iterations, ref.terminated, ref.settled)
-    assert result.policy == ref.policy
-    assert result.worst_model == ref.worst_model
-    assert result.value.tobytes() == ref.value.tobytes()
-    values, ref_values = np.array(result.trace.values), np.array(ref.trace.values)
-    scale = np.max(np.abs(ref_values))
-    bound = tail_tol(game.m, lam, scale, scale) / (1.0 - lam)
-    assert np.max(np.abs(values - ref_values)) <= bound
-    gaps = np.abs(np.array(result.trace.residuals) - ref.trace.residuals)
-    assert np.max(gaps) <= 2 * bound
+    assert any(check is not None for check in checks) == takes_check
+    scale = np.max(np.abs(ref.trace.values))
+    assert_replays(result, ref, tail_tol(game.m, lam, scale, scale) / (1.0 - lam))
+
+
+@pytest.mark.parametrize("name", list(RUN_GAMES))
+@pytest.mark.parametrize("lam", [0.9, 0.99])
+@pytest.mark.parametrize("mt", [1, 10, (10, 0, 10)])
+def test_rmpi_makes_the_reference_runs_choices(name, lam, mt, monkeypatch):
+    """Exact ``rmpi`` against ``reference_run``'s Jacobi loop, whose every
+    improvement sweep scores in full: the same equalities as for ``ratpi``.
+    A carried sweep returns A @ v + b = lam * P @ v + r, and the kernel
+    scores pe + lam * (c @ v): each is within half of (m + 2) * eps * S of
+    the exact value, S the largest value scale.  The rest of a step
+    contracts by lam, so the runs stay within (m + 2) * eps * S / (1 - lam);
+    twice that is allowed."""
+    game, carries = RUN_GAMES[name]
+    carried = recorded(monkeypatch, "_carries")
+    params = r.SolverParams(lam=lam, epsilon=1e-6, mt_schedule=mt, max_iterations=5000)
+    result = r.solve_rmpi(game, params)
+    ref = reference_run(game, params, gauss_seidel=False, algo="rmpi")
+    assert any(carried) == carries
+    scale = np.max(np.abs(ref.trace.values))
+    eps = np.finfo(float).eps
+    assert_replays(result, ref, 2 * (game.m + 2) * eps * scale / (1.0 - lam))
 
 
 @pytest.mark.parametrize("schedule", [(10, 0, 10), (0, 10, 0, 10), 10])
