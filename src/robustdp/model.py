@@ -148,21 +148,28 @@ def _fits_double(x) -> bool:
     return True
 
 
-def _non_numbers(rows) -> str:
-    """What a raw row set holds that ``np.array(..., dtype=float)`` would read
-    as numbers: ``"true/false"``, ``"strings"``, ``"null"``, those found
-    joined by ``" or "``, or ``""``.  Lists, tuples and object arrays are
-    scanned element by element, except rows given as objects, other arrays
-    by dtype, and any other input is left to numpy."""
-    if isinstance(rows, np.ndarray) and rows.dtype.kind != "O":
-        return {"b": "true/false", "S": "strings", "U": "strings"}.get(rows.dtype.kind, "")
-    if not isinstance(rows, (list, tuple, np.ndarray)):
+def _non_numbers(x) -> str:
+    """What raw numbers ``x`` hold that ``np.array(..., dtype=float)`` would
+    read as numbers: ``"true/false"``, ``"strings"``, ``"null"``, those
+    found joined by ``" or "``, or ``""``.  Lists, tuples and object arrays
+    are scanned element by element at every depth, other arrays by dtype,
+    and anything else (a row given as an object, say) is left to numpy."""
+    if isinstance(x, np.ndarray) and x.dtype.kind in "fiu":  # the common case
         return ""
-    try:
-        rows = [row for row in rows if not isinstance(row, dict)]
-        types = set(map(type, itertools.chain.from_iterable(rows)))
-    except TypeError:
-        return ""
+    sequences, chain = (list, tuple, np.ndarray), itertools.chain.from_iterable
+    types, level = {type(x)}, [x]
+    while level:
+        nested = []
+        for y in level:
+            if isinstance(y, np.ndarray) and y.dtype.kind != "O":
+                types.add(y.dtype.type)
+            elif isinstance(y, sequences):
+                nested.append(y.ravel() if isinstance(y, np.ndarray) else y)
+        # The next level is listed only if it holds sequences: not the leaves.
+        found = set(map(type, chain(nested)))
+        types |= found
+        deeper = any(issubclass(t, sequences) for t in found)
+        level = list(chain(nested)) if deeper else []
     kinds = (((bool, np.bool_), "true/false"), ((str, bytes), "strings"),
              ((type(None),), "null"))
     return " or ".join(what for of, what in kinds if any(issubclass(t, of) for t in types))
@@ -294,18 +301,19 @@ def build_game(
     ``n_players`` with one nonempty action set per player, nonempty states,
     states and each player's actions given as ordered sequences of str (a
     list, a tuple or a 1-D array, not a set; see :func:`_name_lists`), no
-    duplicate state or action names, a payoff of shape (m, E, m) with
-    finite entries, an ``action_entry`` of shape (m, A) and integer dtype
-    whose indices lie in [0, E) and use every entry, one row set per
-    (state, entry), and a finite real ``r_max``, not a bool (computed as
-    max |payoff| when omitted), no smaller than any payoff.  A row set is
-    an array-like of raw candidate rows, or ``None`` for a pair the input
-    does not list.  A state's sets are read by :func:`_read_rows`, which
-    also rejects ``true``/``false`` and strings inside them, and checked
-    and cleaned once, as one stack of rows, by :func:`_clean_rows`; a bad
-    set gets one error line per pair that maps to it.  Actions of a state
-    whose payoff and cleaned rows are the same bytes are packed as one
-    group of ``TeamMarkovGame.group_candidates``.  Raises
+    duplicate state or action names, a payoff of shape (m, E, m) of finite
+    numbers (not bools, strings or ``None``; see :func:`_non_numbers`), an
+    ``action_entry`` of shape (m, A) and integer dtype whose indices lie in
+    [0, E) and use every entry, one row set per (state, entry), and a
+    finite real ``r_max``, not a bool (computed as max |payoff| when
+    omitted), no smaller than any payoff.  A row set is an array-like of
+    raw candidate rows, or ``None`` for a pair the input does not list.  A
+    state's sets are read by :func:`_read_rows`, which also rejects
+    ``true``/``false`` and strings inside them, and checked and cleaned
+    once, as one stack of rows, by :func:`_clean_rows`; a bad set gets one
+    error line per pair that maps to it.  Actions of a state whose payoff
+    and cleaned rows are the same bytes, with -0.0 read as 0.0, are packed
+    as one group of ``TeamMarkovGame.group_candidates``.  Raises
     :class:`GameValidationError` listing every problem found; problems with
     the header (players, states, action sets) or with the shapes and
     indices of ``payoff`` and ``action_entry`` are reported without the
@@ -336,7 +344,16 @@ def build_game(
     m = len(states)
     shape = tuple(len(a) for a in player_actions)
     n_joint = math.prod(shape)
-    payoff = np.asarray(payoff, dtype=float)
+    what = _non_numbers(payoff)
+    if what:
+        raise GameValidationError([f"payoff must hold numbers, not {what}"])
+    try:
+        # A new array, with -0.0 read as 0.0, so that groups key on values.
+        payoff = np.asarray(payoff, dtype=float) + 0.0
+    except OverflowError:
+        raise GameValidationError(["payoff holds a number beyond double range"]) from None
+    except (TypeError, ValueError) as e:
+        raise GameValidationError([f"payoff is not an array of numbers: {e}"]) from None
     if action_entry is None:
         n_entries, unit = n_joint, "joint action"
         entry = np.broadcast_to(np.arange(n_joint), (m, n_joint))
@@ -462,10 +479,10 @@ def _clean_rows(row_sets, m: int) -> tuple[dict[int, np.ndarray], dict[int, str]
     """One state's candidate row sets, cleaned, and the bad sets' errors, by
     entry.  The sets are read by :func:`_read_rows` and checked as one (rows,
     m) stack: finite, no entry below NEGATIVE_CLAMP (entries in
-    [NEGATIVE_CLAMP, 0) are clamped to 0), each row summing to 1 within
-    STOCHASTIC_ATOL, then divided by its sum (silent renormalisation would
-    mask data errors).  A bad set's error is its first failure in that
-    order, at its first row that fails it."""
+    [NEGATIVE_CLAMP, 0], -0.0 among them, are set to 0.0), each row summing
+    to 1 within STOCHASTIC_ATOL, then divided by its sum (silent
+    renormalisation would mask data errors).  A bad set's error is its
+    first failure in that order, at its first row that fails it."""
     errors, arr = {}, None
     if all(type(raw) is list and raw for raw in row_sets):  # as in a parsed file
         with contextlib.suppress(ValueError):
@@ -485,7 +502,7 @@ def _clean_rows(row_sets, m: int) -> tuple[dict[int, np.ndarray], dict[int, str]
     starts = np.cumsum([0, *n_rows.values()])
     low, finite = arr.min(axis=1), np.isfinite(arr).all(axis=1)
     negative = low < NEGATIVE_CLAMP
-    arr[arr < 0.0] = 0.0
+    arr[arr <= 0.0] = 0.0  # -0.0 too, so that groups key on values
     with np.errstate(over="ignore"):  # a finite row may sum to inf: an error below
         sums = arr.sum(axis=1)
     off = np.abs(sums - 1.0) > STOCHASTIC_ATOL

@@ -8,16 +8,23 @@ evaluation sweep, Gauss-Seidel or Jacobi, is one affine map u -> A u + b
 from a fresh gather of the dense (P, r), only when the rule's groups or the
 rows change, and a step's evaluation sweeps run in one call; the results
 are bit for bit those of a fresh map and one call per sweep.
-A step that ran evaluation sweeps hands the map they ran under, with its
-rule and rows and the certificate of its improvement sweep, to the next
-improvement sweep, Gauss-Seidel or Jacobi (the ``tail`` of
-:func:`~robustdp.sweeps.improvement_sweep` and
-:func:`~robustdp.sweeps.jacobi_improvement_sweep`); a step without
-evaluation sweeps hands on none.  The sweep decides how to use it: on a
-game of at least ``TAIL_CHECK_MIN_STATES`` states an exact sweep keeps the
-rule and rows without scoring while the certified margin of its last full
-scoring exceeds lam times the span of the value's change since, and
-otherwise scores every state's choices in full and certifies them anew.
+
+A step that ran evaluation sweeps hands on a
+:class:`~robustdp.sweeps.Tail`: the map they ran under, its rule and rows,
+and the certificate of those choices, if the step had one; a step without
+them hands on none.  An exact improvement sweep of a game of at least
+``TAIL_CHECK_MIN_STATES`` states that is handed a tail scores every state's
+choices in full and certifies the margin M by which they win (a
+:class:`~robustdp.sweeps.Certificate`).  Before each step the loop forms
+w = A v + b under the map it holds and asks
+:func:`~robustdp.sweeps._carries` whether the certificate still holds: the
+rows are stochastic, so two scores of one state move apart by at most
+lam * sp(D), where sp is the span (max minus min) and D the change of the
+continuation since the scoring (of v for Jacobi; of w and v joined for
+Gauss-Seidel).  While M - lam * sp(D) exceeds a rounding tol, the step's
+result is w with the held rule and rows, and no improvement sweep runs.  On
+a run's tail D is close to a multiple of 1, whose span is 0, so one scoring
+serves many steps (Puterman 1994, sections 6.6-6.7).
 
 * ``ratpi`` - Gauss-Seidel improvement + Gauss-Seidel partial evaluation.
 * ``ratvi`` - ratpi with zero evaluation sweeps per step.
@@ -41,9 +48,11 @@ from typing import Sequence
 
 import numpy as np
 
+from . import sweeps
 from .model import TeamDecisionRule, TeamMarkovGame, _count, _real
 from .perturb import PerturbationOracle
 from .sweeps import (
+    SweepResult,
     Tail,
     evaluation_operator,
     evaluation_sweep,
@@ -280,19 +289,20 @@ def _run(
     schedule = params.mt_schedule
     v = initial_value(game, params)
     trace = SolverTrace()
-    # ``held`` is the (rule, rows, op, certificate) the evaluation sweeps
-    # ran under last, with the certificate of the step's improvement sweep.
-    # ``op`` depends only on each state's group and row, so it is formed
-    # again only when those change, not when noise picks another member of
-    # a group.  A step with evaluation sweeps hands ``held`` to the next
-    # improvement sweep as ``tail``; a step without them hands on None.
-    held = tail = None
+    # ``held`` is the Tail of the last step, if it ran evaluation sweeps:
+    # the rule and rows they ran under, their op and the step's certificate.
+    held = None
     states = np.arange(game.m)
     for t in range(params.max_iterations):
-        if gauss_seidel:
-            sweep = improvement_sweep(game, v, lam, approx, t, tail)
+        # A carried certificate stands in for the improvement sweep.
+        if held is not None and held.certificate is not None and sweeps._carries(
+            held.certificate, v, w := evaluation_sweep(held.op, v), lam, gauss_seidel
+        ):
+            sweep = SweepResult(w, held.rule, held.rows, held.certificate)
+        elif gauss_seidel:
+            sweep = improvement_sweep(game, v, lam, approx, t, held)
         else:
-            sweep = jacobi_improvement_sweep(game, v, lam, tail)
+            sweep = jacobi_improvement_sweep(game, v, lam, held)
         residual = float(_max(np.abs(sweep.u0 - v)))
         if not math.isfinite(residual):
             raise ValueError(
@@ -311,14 +321,18 @@ def _run(
         u = sweep.u0
         mt = _mt_at(schedule, t)
         if mt:
-            record = (sweep.rule, sweep.worst_model)
-            if held is None or held[:2] != record or held.certificate is not sweep.certificate:
-                if held is None or held.rows != record[1] or not np.array_equal(
-                    game.action_group[states, held.rule], game.action_group[states, record[0]]
-                ):
-                    P, r = fixed_model_arrays(game, *record)
-                    op = evaluation_operator(P, r, lam, gauss_seidel, approx is not None)
-                held = Tail(*record, op, sweep.certificate)
+            # ``op`` depends only on each state's group and row, so it is
+            # formed again only when those change, not when noise picks
+            # another member of a group.
+            if held is None or held.rows != sweep.worst_model or (
+                held.rule != sweep.rule and not np.array_equal(
+                    game.action_group[states, held.rule],
+                    game.action_group[states, sweep.rule]
+                )
+            ):
+                P, r = fixed_model_arrays(game, sweep.rule, sweep.worst_model)
+                op = evaluation_operator(P, r, lam, gauss_seidel, approx is not None)
+            held = Tail(sweep.rule, sweep.worst_model, op, sweep.certificate)
             noise = None
             if approx is not None:
                 queries = list(enumerate(sweep.rule))
@@ -326,7 +340,8 @@ def _run(
                     [approx.perturb(t, s, queries) for s in range(1, mt + 1)]
                 )
             u = evaluation_sweep(held.op, u, noise, mt)
-        tail = held if mt else None
+        else:
+            held = None
         v = u
     else:
         t = params.max_iterations

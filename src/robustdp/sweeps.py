@@ -49,38 +49,24 @@ action's value, chosen as the sweep goes, takes one call per state.
 
 On a run's tail the improvement sweep, too, records the (rule, rows) of the
 operator the solver holds, step after step, and is then that affine map up
-to rounding.  A step that ran evaluation sweeps hands the next improvement
-sweep a :class:`Tail`, the (rule, rows, op) they ran under with the
-certificate of the step's own sweep, and a step without them hands on
-nothing; the sweep alone decides whether to use it.  An exact sweep on a
-game of at least ``TAIL_CHECK_MIN_STATES`` states forms ``w = A @ v + b``
-and first tries to carry the tail's certificate: a full scoring at an
-earlier v0 found that every state's rule group and row win by a margin M,
-and the rows are stochastic, so two scores of one state move apart by at
-most ``lam * sp(D)``, sp(D) the span (max minus min) of the change D of
-the continuation since then.  While ``M - lam * sp(D)`` exceeds a
-rounding tol, the sweep returns ``(w, rule, rows)`` without scoring; on a
-tail D is close to a multiple of 1, so one scoring serves many steps.
-:func:`_tail_check` derives tol = 2 * eps * S * (3 * (m + 2) +
-24 * m * lam / (1 - lam)) for Gauss-Seidel and 6 * (m + 2) * eps * S for
-Jacobi, S the largest value in sup norm then and now: it covers the
-rounding of the scores at the scoring and now, the sweep's forward
-substitution against ``A @ v + b``, and row sums that are 1 only to
-rounding.  Otherwise the sweep scores in
-full.  For Gauss-Seidel that is a tail check (:func:`_tail_check`): every
-(state, group, row) scored in one batched product against the
-continuation ``(w[:k], v[k:])``, so D joins the changes of w and v.  The
-check's dot products sum in another order than the loop's, and its lower
-continuation is ``w``, not the loop's forward substitution, so its scores
-differ from the loop's by rounding; the check accepts only if at every
-state the held group and row win by more than a margin that bounds twice
-that difference, so by induction over the states the loop would make
-exactly the same choices, and only the values' rounding differs; it
-certifies the margin it found.  Otherwise the loop runs.  For Jacobi the
-full scoring is the kernel itself, which certifies its own choices, and D
-is the change of v.  A perturbed sweep adds noise the operator does not
-hold, and on a smaller game the loop costs less than the check, so both
-keep the plain sweep, bit for bit.
+to rounding.  The solver hands an exact sweep that (rule, rows, op) as a
+hint, a :class:`Tail`; on a game of at least ``TAIL_CHECK_MIN_STATES``
+states the sweep scores every state's choices in full and certifies them by
+the margin they win by, a :class:`Certificate`, which the solver carries to
+later steps while the value moves by less than that margin in span
+(:func:`_carries`; see :mod:`robustdp.solvers`).  For Gauss-Seidel the full
+scoring is a tail check (:func:`_tail_check`): every (state, group, row)
+scored in one batched product against the continuation ``(w[:k], v[k:])``,
+``w = A @ v + b``.  The check's dot products sum in another order than the
+loop's, and its lower continuation is ``w``, not the loop's forward
+substitution, so its scores differ from the loop's by rounding; the check
+accepts only if at every state the held group and row win by more than a
+margin that bounds twice that difference, so by induction over the states
+the loop would make exactly the same choices, and only the values' rounding
+differs.  Otherwise the loop runs.  For Jacobi the full scoring is the
+kernel itself.  A perturbed sweep adds noise the operator does not hold, and
+on a smaller game the loop costs less than the check, so both keep the
+plain sweep, bit for bit.
 
 The module holds only what the solvers and the CLI run.  The slow
 references the tests hold these operators to (the per-(state, action)
@@ -120,8 +106,9 @@ _min = np.minimum.reduce
 _max = np.maximum.reduce
 _EPS = np.finfo(float).eps
 
-#: Fewest states at which :func:`improvement_sweep` checks the tail it is
-#: handed: on smaller games the per-state loop costs less than the check.
+#: Fewest states at which an exact improvement sweep scores the tail it is
+#: handed in full: on smaller games the per-state loop costs less than the
+#: check.
 TAIL_CHECK_MIN_STATES = 8
 
 
@@ -142,10 +129,11 @@ class SweepResult(NamedTuple):
     ``worst_model[k]`` indexes the minimising candidate row recorded at the
     chosen action of state k; partial evaluation reuses exactly these rows.
     ``certificate`` is the :class:`Certificate` of the full scoring that
-    proved this rule and these rows, the sweep's own or one it carried; it
-    is None when no scoring did: for a sweep handed no ``tail``, a
-    perturbed sweep, a sweep of a game under ``TAIL_CHECK_MIN_STATES``
-    states, and a Gauss-Seidel sweep whose tail check failed.
+    proved this rule and these rows, the sweep's own or one the solver
+    carried; it is None when no scoring did: for a sweep handed no
+    ``tail``, a perturbed sweep, a sweep of a game under
+    ``TAIL_CHECK_MIN_STATES`` states, and a Gauss-Seidel sweep whose tail
+    check failed.
     """
 
     u0: np.ndarray
@@ -155,9 +143,10 @@ class SweepResult(NamedTuple):
 
 
 class Tail(NamedTuple):
-    """What a step hands the next improvement sweep: the rule and rows its
-    evaluation sweeps ran under, their :func:`evaluation_operator` ``op``,
-    and the certificate of those choices, if the step's sweep had one."""
+    """What a step hands the next: the rule and rows its evaluation sweeps
+    ran under, their :func:`evaluation_operator` ``op``, and the certificate
+    of those choices, if the step had one.  The improvement sweeps read only
+    the first three."""
 
     rule: tuple[int, ...]
     rows: tuple[int, ...]
@@ -211,10 +200,35 @@ def _carries(
 ) -> bool:
     """Whether ``certificate`` still proves its choices at ``v``, where the
     operator of those choices gives ``w = A @ v + b``: whether its margin
-    exceeds ``lam`` times the span of the change since its scoring, plus
-    the rounding tol that :func:`_tail_check` derives.  The change is that
-    of the continuation the sweep scores on: ``v`` for Jacobi, ``w`` and
-    ``v`` joined for Gauss-Seidel.  A NaN anywhere does not carry.
+    exceeds ``lam`` times the span of the change since its scoring, plus a
+    rounding tol.  A NaN anywhere does not carry.
+
+    Let the scoring be at v0 with w0 = A @ v0 + b and margin M.  The sweep
+    at v makes the same choices without scoring when
+    M - lam * sp(D) > tol1, where sp(x) = max x - min x and D joins
+    w - w0 and v - v0: the change of every continuation (w[:k], v[k:]).
+    In exact arithmetic the difference of two scores of one state moves by
+    lam * (c - c') @ d, for rows c, c' and the change d of that state's
+    continuation.  Writing d = a * 1 + e with a the midpoint of d's range,
+    |e| <= sp(d) / 2, that is at most lam * (sp(D) * (1 + s) + 2 * s * |D|),
+    where s bounds |sum(c) - 1|: the game divides each row by its float
+    sum, so s <= (m + 1) * eps / 2.  With S the largest of |v0|, |w0|,
+    |v|, |w|, so |D| <= 2 * S and sp(D) <= 4 * S, tol1 covers:
+
+    * the rounding at the scoring and now: the check's scores at v0 against
+      exact scores, and the sweep's scores at v against exact scores at
+      (w[:k], v[k:]), the latter with the sweep's forward substitution
+      against A @ v + b; together the tol of :func:`_tail_check`, at
+      scale S;
+    * row sums that are 1 only to rounding: 4 * (m + 1) * eps * S;
+    * the rounding of D and of its span, 4 * eps * S.
+
+    So tol1 = 2 * eps * S * (3 * (m + 2) + 24 * m * lam / (1 - lam)).  A
+    Jacobi sweep scores every state on v and makes its own scores, so its
+    certificate joins only v - v0 and drops the forward-substitution term:
+    tol1 = 6 * (m + 2) * eps * S.  On a run's tail D is close to a multiple
+    of 1, whose span is 0, so one scoring serves many steps; a zero margin
+    never carries.
     """
     v0, w0, margin = certificate
     m = len(v)
@@ -231,7 +245,6 @@ def _tail_check(
     rule: tuple[int, ...],
     rows: tuple[int, ...],
     op: tuple[np.ndarray, np.ndarray, np.ndarray | None],
-    w: np.ndarray | None = None,
 ) -> SweepResult | None:
     """The exact improvement sweep at ``v``, if it records ``rule`` and
     ``rows`` again, with its :class:`Certificate`; None if that is not
@@ -239,15 +252,14 @@ def _tail_check(
 
     ``op`` is the :func:`evaluation_operator` of ``rule`` and ``rows``, so
     ``w = A @ v + b`` is the sweep's forward substitution under them, up to
-    rounding (a caller that has formed ``w`` passes it).  Every (state k,
-    group, row) is scored in one batched product against the continuation
-    ``(w[:k], v[k:])``, as the sweep would score it had it chosen ``rule``
-    and ``rows`` at every earlier state.  The result is each state's
-    minimum over the rows of its ``rule`` group, with ``rule`` and
-    ``rows``, when at every state ``rule[k]`` is its group's lowest member
-    and the held group and row win by a margin M, the smallest over states
-    of the gaps to every other group's minimum and every other row of the
-    group, with M > ``tol``.
+    rounding.  Every (state k, group, row) is scored in one batched product
+    against the continuation ``(w[:k], v[k:])``, as the sweep would score it
+    had it chosen ``rule`` and ``rows`` at every earlier state.  The result
+    is each state's minimum over the rows of its ``rule`` group, with
+    ``rule`` and ``rows``, when at every state ``rule[k]`` is its group's
+    lowest member and the held group and row win by a margin M, the
+    smallest over states of the gaps to every other group's minimum and
+    every other row of the group, with M > ``tol``.
 
     ``tol`` bounds twice the gap between a score here and the sweep's score
     of the same row, given the sweep chose ``rule`` and ``rows`` before
@@ -270,36 +282,9 @@ def _tail_check(
     differ from these by at most tol / 2.  Exact ties, duplicate rows among
     them, never pass.  A non-finite v or w makes tol infinite or NaN, and
     the check fails.
-
-    **Carrying the certificate.**  A later sweep at v1, whose operator gives
-    w1 = A @ v1 + b, makes the same choices without scoring when
-    M - lam * sp(D) > tol1, where sp(x) = max x - min x and D joins
-    w1 - w and v1 - v: the change of every continuation (w[:k], v[k:]).
-    In exact arithmetic the difference of two scores of one state moves by
-    lam * (c - c') @ d, for rows c, c' and the change d of that state's
-    continuation.  Writing d = a * 1 + e with a the midpoint of d's range,
-    |e| <= sp(d) / 2, that is at most lam * (sp(D) * (1 + s) + 2 * s * |D|),
-    where s bounds |sum(c) - 1|: the game divides each row by its float
-    sum, so s <= (m + 1) * eps / 2.  With S the largest of |v|, |w|, |v1|,
-    |w1|, so |D| <= 2 * S and sp(D) <= 4 * S, tol1 covers:
-
-    * the rounding at the scoring and now: the check's scores here against
-      exact scores, and the sweep's scores at v1 against exact scores at
-      (w1[:k], v1[k:]), the latter with the sweep's forward substitution
-      against A @ v1 + b; together the tol above, at scale S;
-    * row sums that are 1 only to rounding: 4 * (m + 1) * eps * S;
-    * the rounding of D and of its span, 4 * eps * S.
-
-    So tol1 = 2 * eps * S * (3 * (m + 2) + 24 * m * lam / (1 - lam)).  A
-    Jacobi sweep scores every state on v1 and makes its own scores, so its
-    certificate joins only v1 - v and drops the forward-substitution term:
-    tol1 = 6 * (m + 2) * eps * S.  On a run's tail D is close to a
-    multiple of 1, whose span is 0, so one scoring serves many steps; a
-    zero margin never carries.
     """
     m = game.m
-    if w is None:
-        w = evaluation_sweep(op, v)
+    w = evaluation_sweep(op, v)
     # x[k] = (w[:k], v[k:]): the continuation the sweep backs up state k on.
     x = np.empty((m, m))
     x[:] = v
@@ -339,24 +324,16 @@ def improvement_sweep(
     the maximum is taken, or with ``argmax_lock`` only the value of the
     action the exact backups chose.
 
-    ``tail`` is an optional :class:`Tail` ``(rule, rows, op, certificate)``,
-    or its first three, with ``op`` the Gauss-Seidel
+    ``tail`` is an optional hint, a :class:`Tail` or its first three
+    ``(rule, rows, op)``, with ``op`` the Gauss-Seidel
     :func:`evaluation_operator` of that rule and those rows.  An exact sweep
-    given one, on a game of at least ``TAIL_CHECK_MIN_STATES`` states, forms
-    ``w = A @ v + b`` and returns it with the tail's rule, rows and
-    certificate when the certificate carries to ``v`` (see
-    :func:`_tail_check`); otherwise it tries :func:`_tail_check`, and
-    otherwise the loop runs.  Each gives the loop's rule and rows, with
-    values within rounding.  A perturbed sweep, or one on a smaller game,
-    declines ``tail``.
+    given one, on a game of at least ``TAIL_CHECK_MIN_STATES`` states, first
+    tries :func:`_tail_check`, which gives the loop's rule and rows, with
+    values within rounding, and a certificate; otherwise the loop runs.  A
+    perturbed sweep, or one on a smaller game, declines ``tail``.
     """
     if tail is not None and approx is None and game.m >= TAIL_CHECK_MIN_STATES:
-        tail = Tail(*tail)
-        v = np.asarray(v, dtype=float)
-        w = evaluation_sweep(tail.op, v)
-        if tail.certificate is not None and _carries(tail.certificate, v, w, lam, True):
-            return SweepResult(w, tail.rule, tail.rows, tail.certificate)
-        checked = _tail_check(game, v, lam, *tail[:3], w)
+        checked = _tail_check(game, np.asarray(v, dtype=float), lam, *tail[:3])
         if checked is not None:
             return checked
     w = np.array(v, dtype=float)
@@ -391,21 +368,12 @@ def jacobi_improvement_sweep(
 ) -> SweepResult:
     """Exact improvement sweep with no within-sweep updates (baselines).
 
-    ``tail`` is as :func:`improvement_sweep` takes it, with ``op`` the
-    Jacobi :func:`evaluation_operator`.  On a game of at least
-    ``TAIL_CHECK_MIN_STATES`` states, a sweep given one returns
-    ``w = A @ v + b`` with the tail's rule, rows and certificate when the
-    certificate carries to ``v``; otherwise it scores every (state, group,
-    row), as every sweep does, and certifies its own choices.
+    Every sweep scores every (state, group, row).  One handed a ``tail``,
+    as :func:`improvement_sweep` takes it, on a game of at least
+    ``TAIL_CHECK_MIN_STATES`` states, certifies its own choices; it reads
+    nothing else of ``tail``.
     """
     v = np.asarray(v, dtype=float)
-    certify = tail is not None and game.m >= TAIL_CHECK_MIN_STATES
-    if certify:
-        tail = Tail(*tail)
-        if tail.certificate is not None:
-            w = evaluation_sweep(tail.op, v)
-            if _carries(tail.certificate, v, w, lam, False):
-                return SweepResult(w, tail.rule, tail.rows, tail.certificate)
     q, vals = _row_min(game.group_payoff_exp, game.group_candidates, v, lam)
     groups = vals.argmax(axis=1)
     states = np.arange(game.m)
@@ -415,7 +383,7 @@ def jacobi_improvement_sweep(
         tuple(game.group_action[states, groups].tolist()),
         tuple(picked.tolist()),
     )
-    if certify:
+    if tail is not None and game.m >= TAIL_CHECK_MIN_STATES:
         margin = _margin(q, vals, groups, picked)[1]
         return sweep._replace(certificate=Certificate(v, sweep.u0, margin))
     return sweep

@@ -61,8 +61,9 @@ def clean_row_set(raw, m):
 
     Rows must form a nonempty 2-D array of finite numbers, not bools,
     strings or ``None``, each row of length m.  Entries in
-    [NEGATIVE_CLAMP, 0) are clamped to 0; rows are renormalised only when
-    their sum is already within ``STOCHASTIC_ATOL``, and rejected otherwise.
+    [NEGATIVE_CLAMP, 0], -0.0 among them, are set to 0.0; rows are
+    renormalised only when their sum is already within ``STOCHASTIC_ATOL``,
+    and rejected otherwise.
     Raises ``ValueError`` with the wording ``model._clean_rows`` gives.
     """
     if raw is None:
@@ -85,7 +86,7 @@ def clean_row_set(raw, m):
     if np.any(arr < NEGATIVE_CLAMP):
         j = int(np.nonzero((arr < NEGATIVE_CLAMP).any(axis=1))[0][0])
         raise ValueError(f"row {j} entry {float(arr[j].min())!r} is negative")
-    arr[arr < 0.0] = 0.0
+    arr[arr <= 0.0] = 0.0
     sums = arr.sum(axis=1)
     bad = np.nonzero(np.abs(sums - 1.0) > STOCHASTIC_ATOL)[0]
     if bad.size:

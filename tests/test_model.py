@@ -275,6 +275,42 @@ class TestValidation:
             r.build_game(1, ["s0"], [["a0"]], payoff, rows)
         assert exc.value.errors == errors
 
+    @pytest.mark.parametrize(
+        "payoff, what",
+        [
+            pytest.param([[["1.5"]]], "strings", id="str"),
+            pytest.param([[[True]]], "true/false", id="bool"),
+            pytest.param(np.array([[[True]]]), "true/false", id="bool_array"),
+            pytest.param([np.array([["2"]])], "strings", id="nested_str_array"),
+            pytest.param([[[None]]], "null", id="none"),
+            pytest.param([[[1.0, None], ["0"]]], "strings or null", id="both"),
+        ],
+    )
+    def test_payoff_must_hold_numbers(self, payoff, what):
+        """A payoff given from Python is scanned for non-numbers as rows
+        are, and gets one error line: numpy would read these as numbers, or
+        ``None`` as NaN."""
+        with pytest.raises(r.GameValidationError) as exc:
+            r.build_game(1, ["s0"], [["a0"]], payoff, [[[[1.0]]]])
+        assert exc.value.errors == [f"payoff must hold numbers, not {what}"]
+
+    @pytest.mark.parametrize(
+        "payoff, error",
+        [
+            pytest.param([[[10**400]]], "payoff holds a number beyond double range",
+                         id="huge_int"),
+            pytest.param([[[1.0], [1.0, 2.0]]], "payoff is not an array of numbers: ",
+                         id="ragged"),
+            pytest.param([[[{"x": 1.0}]]], "payoff is not an array of numbers: ",
+                         id="object"),
+        ],
+    )
+    def test_payoff_numpy_cannot_read_is_one_error(self, payoff, error):
+        with pytest.raises(r.GameValidationError) as exc:
+            r.build_game(1, ["s0"], [["a0"]], payoff, [[[[1.0]]]])
+        assert len(exc.value.errors) == 1
+        assert exc.value.errors[0].startswith(error)
+
     @pytest.mark.parametrize("name", [["s1"], {"x": 1}], ids=["array", "object"])
     @pytest.mark.parametrize(
         "section, key", [("payoffs", "s"), ("payoffs", "s_next"), ("uncertainty", "s")]
@@ -719,6 +755,24 @@ class TestGroups:
             for a in range(n_joint):
                 assert n_rows[k, a] == len(cleaned[a])
                 assert np.array_equal(candidates[k, a, : len(cleaned[a])], cleaned[a])
+
+    @pytest.mark.parametrize("part", ["payoff", "rows"])
+    def test_negative_zero_groups_as_zero(self, part):
+        """Two actions of state s0 alike but for a -0.0 where the other has
+        0.0, in a payoff or a candidate row, form one group, as with 0.0
+        there, and the game loads back from its document with the same
+        groups, byte for byte."""
+        payoff = np.zeros((2, 2, 2))
+        rows = [[[[1.0, 0.0]], [[1.0, 0.0]]], [[[0.0, 1.0]], [[0.0, 1.0]]]]
+        if part == "payoff":
+            payoff[0, 1, 1] = -0.0
+        else:
+            rows[0][1] = [[1.0, -0.0]]
+        game = r.build_game(1, ["s0", "s1"], [["a0", "a1"]], payoff, rows)
+        assert [len(set(groups)) for groups in game.action_group.tolist()] == [1, 1]
+        assert not np.signbit(game.group_payoff).any()
+        assert not np.signbit(game.group_candidates).any()
+        assert_same_arrays(r.validate_game(r.game_to_dict(game)), game)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_games_have_one_action_per_group(self, seed):

@@ -7,11 +7,11 @@ scores every (state, group, row) in one batched product.  It must either
 return the loop's rule and rows exactly, with values within ``tail_tol`` of
 the loop's, or fall back to the loop bit for bit: a near tie, a wrong or
 stale guess, or a duplicate row must never slip through.  A full scoring
-that certifies its choices by a margin lets later sweeps, Gauss-Seidel or
-Jacobi, keep them without scoring while the value moves by less than that
-margin in span; a carried certificate must only ever give the plain
-sweep's choices.  Whole exact ``ratpi`` and ``rmpi`` runs must make the
-plain step loop's choices at every step.
+that certifies its choices by a margin lets the solver keep them at later
+steps, Gauss-Seidel or Jacobi, without an improvement sweep while the value
+moves by less than that margin in span; a certificate that carries must
+only ever prove the plain sweep's choices.  Whole exact ``ratpi`` and
+``rmpi`` runs must make the plain step loop's choices at every step.
 """
 
 import numpy as np
@@ -231,39 +231,49 @@ def certified(game, v, lam, gauss_seidel):
     return sweeps.Tail(scored.rule, scored.worst_model, op, scored.certificate)
 
 
-def handed(game, v, lam, gauss_seidel, tail):
-    """The exact sweep of each kind at ``v``, handed ``tail``."""
+def carries(tail, v, lam, gauss_seidel):
+    """Whether a step at ``v`` that holds ``tail`` carries its certificate,
+    as ``solvers._run`` decides it: with ``w = A @ v + b`` of the tail's
+    operator."""
+    w = r.evaluation_sweep(tail.op, v)
+    return sweeps._carries(tail.certificate, v, w, lam, gauss_seidel)
+
+
+def plain(game, v, lam, gauss_seidel):
+    """The exact sweep of each kind at ``v``, handed nothing."""
     if gauss_seidel:
-        return r.improvement_sweep(game, v, lam, tail=tail)
-    return r.jacobi_improvement_sweep(game, v, lam, tail)
+        return r.improvement_sweep(game, v, lam)
+    return r.jacobi_improvement_sweep(game, v, lam)
 
 
 @given(
-    games(max_states=12, min_states=TAIL_CHECK_MIN_STATES),
+    st.one_of(
+        games(max_states=12, min_states=TAIL_CHECK_MIN_STATES),
+        st.builds(dirichlet_game, st.integers(TAIL_CHECK_MIN_STATES, 12), st.integers(0, 2**16)),
+    ),
     LAMS,
     st.booleans(),
-    st.sampled_from([1e-12, 1e-6, 1e-3, 1e-1, 10.0]),
+    st.sampled_from([1e-9, 1e-3, 0.3, 1.0, 3.0, 30.0]),
     st.integers(0, 2**16),
 )
 @settings(max_examples=50, deadline=None)
 def test_a_certificate_carries_only_to_the_plain_sweeps_choices(
     game, lam, gauss_seidel, size, seed
 ):
-    """From a certified scoring at v, a sweep at a random v' = v + size * d
-    makes the plain sweep's choices, whether it carries the certificate or
-    scores again; a carried sweep returns A @ v' + b."""
+    """From a certified scoring at v, with margin M, a certificate that
+    carries to a random v' = v + size * (M / lam) * d, |d| <= 1, proves the
+    plain sweep's choices at v'.  Half the games have no two actions or
+    rows alike, so their scorings certify a margin more often."""
     rng = np.random.default_rng(seed)
     v = rng.uniform(-20, 20, game.m)
     tail = certified(game, v, lam, gauss_seidel)
-    if tail is None:
+    if tail is None or not 0.0 < lam * tail.certificate.margin < np.inf:
         return
-    v1 = v + size * rng.uniform(-1, 1, game.m)
-    got = handed(game, v1, lam, gauss_seidel, tail)
-    plain = handed(game, v1, lam, gauss_seidel, None)
-    assert (got.rule, got.worst_model) == (plain.rule, plain.worst_model)
-    if got.certificate is tail.certificate:
-        A, b, _ = tail.op
-        assert got.u0.tobytes() == (A @ v1 + b).tobytes()
+    step = size * tail.certificate.margin / lam
+    v1 = v + step * rng.uniform(-1, 1, game.m)
+    if carries(tail, v1, lam, gauss_seidel):
+        got = plain(game, v1, lam, gauss_seidel)
+        assert (got.rule, got.worst_model) == (tail.rule, tail.rows)
 
 
 @given(
@@ -276,18 +286,20 @@ def test_a_certificate_carries_only_to_the_plain_sweeps_choices(
 def test_a_shift_carries_a_jacobi_certificate(game, lam, c, seed):
     """A Jacobi sweep at v + c * 1 scores every row c * lam higher, so a
     certificate whose margin is twice its rounding tol always carries, and
-    gives the plain sweep's choices.  (A Gauss-Seidel continuation
-    (w[:k], v[k:]) does not move by a multiple of 1 when v does.)"""
+    one that carries proves the plain sweep's choices.  (A Gauss-Seidel
+    continuation (w[:k], v[k:]) does not move by a multiple of 1 when v
+    does.)"""
     v = np.random.default_rng(seed).uniform(-20, 20, game.m)
     tail = certified(game, v, lam, False)
     v1 = v + c
     A, b, _ = tail.op
     scale = np.max(np.abs([v, tail.certificate.w, v1, A @ v1 + b]))
-    got = r.jacobi_improvement_sweep(game, v1, lam, tail)
-    plain = r.jacobi_improvement_sweep(game, v1, lam)
+    carried = carries(tail, v1, lam, False)
     if tail.certificate.margin > 2 * carry_tol(game.m, lam, scale, False):
-        assert got.certificate is tail.certificate
-    assert (got.rule, got.worst_model) == (plain.rule, plain.worst_model)
+        assert carried
+    if carried:
+        got = r.jacobi_improvement_sweep(game, v1, lam)
+        assert (got.rule, got.worst_model) == (tail.rule, tail.rows)
 
 
 @given(
@@ -298,22 +310,21 @@ def test_a_shift_carries_a_jacobi_certificate(game, lam, c, seed):
 )
 @settings(max_examples=20, deadline=None)
 def test_a_zero_margin_never_carries(game, lam, gauss_seidel, seed):
-    """Not even at the scoring's own v, where nothing has moved: the sweep
-    scores again and makes the plain sweep's choices."""
+    """Not even at the scoring's own v, where nothing has moved, nor at a
+    shift of it."""
     v = np.random.default_rng(seed).uniform(-20, 20, game.m)
-    plain = handed(game, v, lam, gauss_seidel, None)
-    rule, rows, op = guess_of(game, plain.rule, plain.worst_model, lam, gauss_seidel)
+    sweep = plain(game, v, lam, gauss_seidel)
+    rule, rows, op = guess_of(game, sweep.rule, sweep.worst_model, lam, gauss_seidel)
     zero = sweeps.Tail(rule, rows, op, sweeps.Certificate(v, op[0] @ v + op[1], 0.0))
-    got = handed(game, v, lam, gauss_seidel, zero)
-    assert got.certificate is not zero.certificate
-    assert (got.rule, got.worst_model) == (plain.rule, plain.worst_model)
+    for v1 in (v, v + 1.0):
+        assert not carries(zero, v1, lam, gauss_seidel)
 
 
 def test_an_exact_tie_certifies_nothing():
     """At the last state of ``tie_game`` with v[m - 1] = v[target], both
     actions score 0.5 + lam * v[target] in a Jacobi sweep: the scoring's
-    margin is 0, so the tail it hands on never carries, and each sweep
-    handed it is the plain sweep, bit for bit."""
+    margin is 0, so the tail it hands on never carries, neither at v nor at
+    a shift of it, where the tie stands."""
     m, lam, target = 10, 0.9, 3
     game = tie_game(m, target)
     v = np.random.default_rng(1).uniform(-5, 5, m)
@@ -321,14 +332,10 @@ def test_an_exact_tie_certifies_nothing():
     tail = certified(game, v, lam, False)
     assert tail.certificate.margin == 0.0
     for v1 in (v, v + 1.0):
-        got = r.jacobi_improvement_sweep(game, v1, lam, tail)
-        plain = r.jacobi_improvement_sweep(game, v1, lam)
-        assert got.certificate is not tail.certificate
-        assert got.u0.tobytes() == plain.u0.tobytes()
-        assert (got.rule, got.worst_model) == (plain.rule, plain.worst_model)
+        assert not carries(tail, v1, lam, False)
 
 
-#: Games of the run tests, and whether some improvement sweep of the run
+#: Games of the run tests, and whether some step of the run
 #: takes the check (``ratpi``) or carries a certificate (``rmpi``).  The
 #: chain runs' evaluation sweeps stop at step 1, their residual having
 #: risen, and with them the operators the check and a carry need; at
@@ -373,7 +380,7 @@ def test_ratpi_makes_the_reference_runs_choices(name, lam, mt, monkeypatch):
     """Exact ``ratpi`` against ``reference_run``, whose sweeps run the loop:
     equal iterations, policy, rows, final value and flags, and residuals and
     trace values within the rounding the checks and carries let in.  Each
-    checked sweep is within tol / 2 of the loop at its start; a carried one
+    checked sweep is within tol / 2 of the loop at its start; a carried step
     returns A @ v + b, within an evaluation sweep's rounding of the loop,
     24 * m * eps * S / (1 - lam), which is at most tol for lam >= 1/2.  The
     rest of a step contracts by lam, so the runs stay within
@@ -395,7 +402,7 @@ def test_ratpi_makes_the_reference_runs_choices(name, lam, mt, monkeypatch):
 def test_rmpi_makes_the_reference_runs_choices(name, lam, mt, monkeypatch):
     """Exact ``rmpi`` against ``reference_run``'s Jacobi loop, whose every
     improvement sweep scores in full: the same equalities as for ``ratpi``.
-    A carried sweep returns A @ v + b = lam * P @ v + r, and the kernel
+    A carried step returns A @ v + b = lam * P @ v + r, and the kernel
     scores pe + lam * (c @ v): each is within half of (m + 2) * eps * S of
     the exact value, S the largest value scale.  The rest of a step
     contracts by lam, so the runs stay within (m + 2) * eps * S / (1 - lam);
@@ -413,32 +420,60 @@ def test_rmpi_makes_the_reference_runs_choices(name, lam, mt, monkeypatch):
 
 @pytest.mark.parametrize("schedule", [(10, 0, 10), (0, 10, 0, 10), 10])
 def test_a_step_hands_on_the_operator_its_evaluation_ran_under(schedule, monkeypatch):
-    """After a step that ran evaluation sweeps, the next improvement sweep
-    is handed the very (rule, rows, op) whose op those sweeps ran under,
-    with the rule and rows that step recorded; at step 0, and after a step
-    without evaluation sweeps, it is handed None."""
+    """After a step that ran evaluation sweeps, the next step holds the very
+    op those sweeps ran under, with the rule, rows and certificate that step
+    recorded: it forms ``A @ v + b`` under that op and tries to carry that
+    certificate, if there is one, and an improvement sweep that it calls is
+    handed that record.  A step that carries runs no improvement sweep and
+    hands on the record it carried.  At step 0, and after a step without
+    evaluation sweeps, a step holds None: it tries no carry, and its sweep
+    is handed None."""
     steps = []
     improve, evaluate = r.solvers.improvement_sweep, r.solvers.evaluation_sweep
+    carries = sweeps._carries
+
+    def evaluation_sweep(op, u, *rest):
+        if rest:  # the step's evaluation sweeps
+            steps[-1]["op"] = op
+        else:  # the carry's A @ v + b, which opens a step
+            steps.append({"probe": op})
+        return evaluate(op, u, *rest)
+
+    def _carries(certificate, *args):
+        steps[-1].update(held=certificate, carried=carries(certificate, *args))
+        return steps[-1]["carried"]
 
     def improvement_sweep(game, v, lam, approx, step, tail):
+        if len(steps) == step:
+            steps.append({})
         sweep = improve(game, v, lam, approx, step, tail)
-        steps.append({"tail": tail, "record": (sweep.rule, sweep.worst_model), "op": None})
+        steps[step].update(tail=tail, record=(sweep.rule, sweep.worst_model),
+                           certificate=sweep.certificate)
         return sweep
-
-    def evaluation_sweep(op, *args):
-        steps[-1]["op"] = op
-        return evaluate(op, *args)
 
     monkeypatch.setattr(r.solvers, "improvement_sweep", improvement_sweep)
     monkeypatch.setattr(r.solvers, "evaluation_sweep", evaluation_sweep)
+    monkeypatch.setattr(sweeps, "_carries", _carries)
     params = r.SolverParams(lam=0.99, epsilon=1e-5, mt_schedule=schedule)
-    r.solve_ratpi(dirichlet_game(30), params)
-    assert steps[0]["tail"] is None
+    result = r.solve_ratpi(dirichlet_game(30), params)
+    assert len(steps) == result.iterations + 1
+    assert "probe" not in steps[0] and steps[0]["tail"] is None
     for last, step in zip(steps, steps[1:]):
-        if last["op"] is None:
-            assert step["tail"] is None
+        if last.get("op") is None:
+            assert "probe" not in step and step["tail"] is None
+            continue
+        if last["certificate"] is None:
+            assert "probe" not in step
+        else:
+            assert step["probe"] is last["op"] and step["held"] is last["certificate"]
+        if step.get("carried"):
+            assert "tail" not in step
+            assert step.get("op", last["op"]) is last["op"]
+            step.update(record=last["record"], certificate=last["certificate"])
         else:
             assert step["tail"][2] is last["op"]
             assert step["tail"][:2] == last["record"]
-    handed = [step["tail"] is not None for step in steps[1:]]
+            assert step["tail"].certificate is last["certificate"]
+    handed = [step.get("tail") is not None or "probe" in step for step in steps[1:]]
     assert any(handed) and all(handed) == (schedule == 10)
+    assert any(step.get("carried") for step in steps)
