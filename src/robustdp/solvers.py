@@ -120,17 +120,16 @@ class SolverParams:
     """Shared solver configuration.
 
     ``mt_schedule`` gives the number of partial-evaluation sweeps per step:
-    a constant, or a list indexed by step with its last entry repeated.  A
-    run whose residual fails to fall drops its sweeps for the rest of the
-    run (see :func:`_run`).  Its entries and ``max_iterations`` are
-    integers, read with ``operator.index``: a bool, a str or a float is a
-    ``TypeError``.  ``lam``, ``epsilon`` and ``delta`` are real numbers,
-    stored as floats: a bool or a str is a ``TypeError``.  ``epsilon`` is
-    positive and finite.  ``v0_mode`` selects the initial value function:
-    ``"remark1"`` fills every state with min payoff / (1 - lam), which keeps
-    the maximin update residual nonnegative and hence the iterates
-    monotone; ``"zeros"`` starts at 0; a finite 1-D vector of numbers, not
-    bools, is used as given.
+    a constant, or a list indexed by step with its last entry repeated.
+    Its entries and ``max_iterations`` are integers, read with
+    ``operator.index``: a bool, a str or a float is a ``TypeError``.
+    ``lam``, ``epsilon`` and ``delta`` are real numbers, stored as floats: a
+    bool or a str is a ``TypeError``.  ``epsilon`` is positive and finite.
+    ``v0_mode`` selects the initial value function: ``"remark1"`` fills
+    every state with min payoff / (1 - lam), which keeps the maximin update
+    residual nonnegative and hence the iterates monotone; ``"zeros"``
+    starts at 0; a finite 1-D vector of numbers, not bools, is used as
+    given.
     """
 
     lam: float
@@ -201,8 +200,9 @@ def initial_value(game: TeamMarkovGame, params: SolverParams) -> np.ndarray:
 @dataclass
 class SolverTrace:
     """Per-step record of what the CLI writes: the improvement residual and
-    the incoming value function of every step.  For a terminated run each
-    list holds iterations + 1 entries."""
+    the incoming value function of every step, which for a step that rolled
+    back is the value it went back to (see :func:`_run`).  For a terminated
+    run each list holds iterations + 1 entries."""
 
     residuals: list[float] = field(default_factory=list)
     values: list[np.ndarray] = field(default_factory=list)
@@ -263,6 +263,23 @@ def _warn_if_unreachable(
         log.warning("%s may not terminate: %s", algo, "; ".join(problems))
 
 
+def _rollback_tol(m: int, lam: float, approx, v: np.ndarray, u: np.ndarray) -> float:
+    """How far min(u - v), for u the improvement output at v, may read below
+    0 before :func:`_run` rolls v back: the most the computed u - v can
+    fall below the exact T v - v.  With S = max(|v|, |u|) and eps the
+    spacing of doubles at 1, the loop's scores are (m + 2) * eps * S off,
+    passed on to later states with weight lam; a checked or carried sweep
+    adds eps * S * (m + 2 + 24 * m / (1 - lam)) (see
+    :func:`~robustdp.sweeps._tail_check`) and the subtraction eps * S:
+    26 * (m + 2) * eps * S / (1 - lam) in all.  An oracle's bound puts u
+    within beta = bound / (1 - lam) of the exact sweep, and the last
+    evaluation sweep's noise, through Q^{-1}, moves T v - v by at most
+    (1 + lam) * beta: (2 + lam) * beta more."""
+    bound = 0.0 if approx is None else approx.bound
+    scale = max(_max(np.abs(v)), _max(np.abs(u)))
+    return (26 * (m + 2) * sweeps._EPS * scale + (2 + lam) * bound) / (1.0 - lam)
+
+
 def _run(
     game: TeamMarkovGame,
     params: SolverParams,
@@ -282,28 +299,38 @@ def _run(
             f"lambda * delta = {lam * params.delta!r}"
         )
     threshold = termination_threshold(lam, params.epsilon, params.delta)
-    # The evaluation sweeps run under the worst-case rows of the step's
-    # start, so they can overshoot the robust value and cycle: a run whose
-    # residual fails to fall goes on with schedule 0, as value iteration,
-    # which contracts by lam each step.
-    schedule = params.mt_schedule
     v = initial_value(game, params)
     trace = SolverTrace()
     # ``held`` is the Tail of the last step, if it ran evaluation sweeps:
-    # the rule and rows they ran under, their op and the step's certificate.
-    held = None
+    # the rule and rows they ran under, their op and the step's certificate;
+    # ``back`` is then that step's improvement output.
+    held = back = None
     states = np.arange(game.m)
-    for t in range(params.max_iterations):
+
+    def improve(v):
         # A carried certificate stands in for the improvement sweep.
         if held is not None and held.certificate is not None and sweeps._carries(
-            held.certificate, v, w := evaluation_sweep(held.op, v), lam, gauss_seidel
+            held.certificate, v, w := held.op[0] @ v + held.op[1], lam, gauss_seidel
         ):
-            sweep = SweepResult(w, held.rule, held.rows, held.certificate)
-        elif gauss_seidel:
-            sweep = improvement_sweep(game, v, lam, approx, t, held)
-        else:
-            sweep = jacobi_improvement_sweep(game, v, lam, held)
-        residual = float(_max(np.abs(sweep.u0 - v)))
+            return SweepResult(w, held.rule, held.rows, held.certificate)
+        if gauss_seidel:
+            return improvement_sweep(game, v, lam, approx, t, held)
+        return jacobi_improvement_sweep(game, v, lam, held)
+
+    for t in range(params.max_iterations):
+        sweep = improve(v)
+        d = sweep.u0 - v
+        # T v >= v puts v below v*; where the last step's evaluation sweeps
+        # overshot v*, that step counts as one value-iteration step instead,
+        # and this one sweeps again from its improvement output.
+        if back is not None and (lo := float(_min(d))) < 0.0 and (
+            lo < -_rollback_tol(game.m, lam, approx, v, sweep.u0)
+        ):
+            log.debug("%s: rolled back step %d's evaluation sweeps", algo, t - 1)
+            v, back = back, None
+            sweep = improve(v)
+            d = sweep.u0 - v
+        residual = float(_max(np.abs(d)))
         if not math.isfinite(residual):
             raise ValueError(
                 f"{algo}: residual {residual!r} at step {t} is not finite"
@@ -315,11 +342,8 @@ def _run(
         if residual < threshold:
             log.debug("%s terminated at t=%d residual=%.3e", algo, t, residual)
             break
-        if schedule != 0 and t and residual >= trace.residuals[-2]:
-            schedule = 0
-            log.info("%s: residual did not fall at step %d; evaluation sweeps stop", algo, t)
-        u = sweep.u0
-        mt = _mt_at(schedule, t)
+        u = back = sweep.u0
+        mt = _mt_at(params.mt_schedule, t)
         if mt:
             # ``op`` depends only on each state's group and row, so it is
             # formed again only when those change, not when noise picks
@@ -341,7 +365,7 @@ def _run(
                 )
             u = evaluation_sweep(held.op, u, noise, mt)
         else:
-            held = None
+            held = back = None
         v = u
     else:
         t = params.max_iterations
@@ -469,14 +493,14 @@ def evaluate_policy_robust(
         step = q - v
         np.abs(step, out=step)
         done = (_max(step, axis=-1) < threshold) | _min(picked == prev, axis=-1)
-        if done.any():
+        if done.any() or not left.size:
             at = left[done]
             value[at], rows[at], settled[at] = q[done], picked[done], True
+            if done.all():  # the last rules settled, or the stack is empty
+                break
             keep = ~done
             left, q, picked = left[keep], q[keep], picked[keep]
             cand, pe, first_row = cand[keep], pe[keep], first_row[keep]
-        if not left.size:  # an empty stack leaves in its first round
-            break
         row = first_row + picked
         a = game.group_candidates.reshape(-1, m).take(row, axis=0)
         a *= -lam

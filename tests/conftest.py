@@ -508,20 +508,29 @@ def reference_run(game, params, approx=None, gauss_seidel=True, algo="ratpi"):
     ``evaluation_sweep`` call with that sweep's noise drawn just before it.
     The improvement sweeps are the package's, which ``test_kernel.py`` holds
     to per-action loops, as it holds the evaluation sweeps to per-state
-    loops.  A run whose residual fails to fall goes on with schedule 0, as
-    the solvers' does.  ``ratvi`` and ``rvi`` are this with
+    loops.  After a step that ran evaluation sweeps, a step whose
+    improvement output falls below its start by more than the solvers'
+    rollback tol goes back to that step's improvement output and sweeps
+    again, as the solvers' does.  ``ratvi`` and ``rvi`` are this with
     ``mt_schedule=0``."""
     lam = params.lam
     delta = params.delta if gauss_seidel else 0.0
     threshold = r.solvers.termination_threshold(lam, params.epsilon, delta)
     v = r.solvers.initial_value(game, params)
     trace = r.solvers.SolverTrace()
-    schedule = params.mt_schedule
-    for t in range(params.max_iterations):
+
+    def improve(v):
         if gauss_seidel:
-            u, rule, rows, _ = r.improvement_sweep(game, v, lam, approx, t)
-        else:
-            u, rule, rows, _ = r.jacobi_improvement_sweep(game, v, lam)
+            return r.improvement_sweep(game, v, lam, approx, t)[:3]
+        return r.jacobi_improvement_sweep(game, v, lam)[:3]
+
+    back = None
+    for t in range(params.max_iterations):
+        u, rule, rows = improve(v)
+        tol = r.solvers._rollback_tol(game.m, lam, approx, v, u)
+        if back is not None and np.min(u - v) < -tol:
+            v, back = back, None
+            u, rule, rows = improve(v)
         residual = float(np.max(np.abs(u - v)))
         trace.residuals.append(residual)
         trace.values.append(v)
@@ -530,9 +539,8 @@ def reference_run(game, params, approx=None, gauss_seidel=True, algo="ratpi"):
             return r.SolverResult(
                 algo, r.TeamDecisionRule(rule), worst, value, t, True, settled, trace
             )
-        if t and residual >= trace.residuals[-2]:
-            schedule = 0
-        mt = r.solvers._mt_at(schedule, t)
+        mt = r.solvers._mt_at(params.mt_schedule, t)
+        back = u if mt else None
         if mt:
             op = evaluation_operator(
                 *fixed_model_arrays(game, rule, rows), lam, gauss_seidel, approx is not None

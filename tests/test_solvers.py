@@ -409,8 +409,8 @@ def test_solvers_match_reference_run(game, lam, case, mt, v0, seed):
     """Each solver, exact and under each perturbed mode, replays the plain
     step loop of ``reference_run`` bit for bit.  A random start makes the
     rules and rows change from step to step; runs at lam 0.99 stop at the
-    iteration cap.  In the chain case the residual of the perturbed run
-    rises at step 1, so its evaluation sweeps stop there."""
+    iteration cap.  In the chain case the perturbed run rolls back the
+    evaluation sweeps of some steps."""
     algo, gauss_seidel, mode, lock = case
     eps = 1e-6
     if v0 == "random":
@@ -436,10 +436,10 @@ def test_solvers_match_reference_run(game, lam, case, mt, v0, seed):
     [("uniform_noise", False), ("uniform_noise", True), ("adversarial_extremes", False)],
 )
 def test_perturbed_ratpi_terminates_on_a_chain_game(mode, lock):
-    """Evaluation sweeps under the rows the improvement recorded cycle on
-    the chain family, with noise or without; once its residual fails to
-    fall, a perturbed run goes on as value iteration and terminates within
-    epsilon of ``rvi``."""
+    """Unchecked, evaluation sweeps under the rows the improvement recorded
+    cycle on the chain family, with noise or without; with each step's
+    sweeps vetted by the next improvement sweep, a perturbed run terminates
+    within epsilon of ``rvi``."""
     game = chain_game(20, 10)
     lam, eps = 0.97, 1e-5
     params = r.SolverParams(
@@ -459,7 +459,9 @@ def test_perturbed_ratpi_terminates_on_a_chain_game(mode, lock):
 def test_rows_that_change_under_a_fixed_rule_are_gathered_again(algo):
     """A one-action game has one rule, but from v0 = (10, 0) the adversary
     in s1 first moves to s2 and then stays: the step that keeps the rule
-    must still gather the new rows."""
+    must still gather the new rows.  The start lies above the robust value,
+    so from step 1 on every step rolls back the last one's evaluation
+    sweeps and the trace holds the value-iteration iterates."""
     game = two_state_chain()
     params = r.SolverParams(lam=0.9, epsilon=1e-6, mt_schedule=3, v0_mode=(10.0, 0.0))
     gauss_seidel = algo == "ratpi"
@@ -467,7 +469,95 @@ def test_rows_that_change_under_a_fixed_rule_are_gathered_again(algo):
     sweep = r.improvement_sweep if gauss_seidel else r.jacobi_improvement_sweep
     seen = [sweep(game, v, params.lam).worst_model for v in ref.trace.values[:2]]
     assert seen == [(1, 0), (0, 0)]
+    values = [v.tolist() for v in ref.trace.values[:4]]
+    assert values == [[10, 0], [1, 0], [0.9, 0], [0.81, 0]]
     assert_same_run(SOLVERS[algo](game, params), ref)
+
+
+def rollbacks(caplog):
+    """How many steps the solvers' DEBUG log says were rolled back."""
+    return sum("rolled back" in rec.getMessage() for rec in caplog.records)
+
+
+@pytest.mark.parametrize("seed", [2, 10])
+def test_partial_evaluation_beats_value_iteration_on_chain_games(seed, caplog):
+    """On the chain family the evaluation sweeps overshoot the robust value
+    now and then, and the next step rolls them back; the steps that keep
+    theirs plan toward the goal, so ``ratpi`` and ``rmpi`` end within
+    epsilon of ``rvi`` in fewer steps than ``rvi``."""
+    game, eps = chain_game(30, seed), 1e-5
+    params = r.SolverParams(lam=0.97, epsilon=eps, mt_schedule=10, max_iterations=2000)
+    baseline = r.solve_rvi(game, params)
+    assert baseline.terminated
+    for solve in (r.solve_ratpi, r.solve_rmpi):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="robustdp.solvers"):
+            res = solve(game, params)
+        assert res.terminated and res.iterations < baseline.iterations / 3, solve
+        assert r.sup_norm(res.value - baseline.value) <= eps
+        assert rollbacks(caplog) > 0
+
+
+@given(
+    games(),
+    st.sampled_from([0.5, 0.9, 0.99]),
+    st.sampled_from(
+        [(None, False), ("uniform_noise", False), ("uniform_noise", True),
+         ("adversarial_extremes", False)]
+    ),
+    st.sampled_from([1, 5, (0, 10)]),
+    st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+@example(chain_game(20, 10), 0.97, (None, False), 10, 0)
+@example(chain_game(20, 10), 0.97, ("adversarial_extremes", False), 10, 0)
+def test_accepted_iterates_never_fall_from_remark1(game, lam, perturbed, mt, seed):
+    """From ``remark1`` T v >= v, and a step's fixed-row sweeps from T v
+    only rise; the steps whose sweeps overshoot the robust value are rolled
+    back.  So the trace's values never fall, to within the rollback tol:
+    an accepted v has T v >= v - tol; a perturbed sweep puts its rule's
+    fixed-row value at v within beta = bound / (1 - lam) of T v, and each
+    evaluation sweep adds at most beta of noise while it contracts what it
+    starts below by lam, so the next value is at least
+    v - (tol + 2 * beta) / (1 - lam).  ``rmpi`` runs exact."""
+    mode, lock = perturbed
+    eps = 1e-6
+    params = r.SolverParams(
+        lam=lam, epsilon=eps, delta=0.99 * r.max_delta(lam, eps), mt_schedule=mt,
+        max_iterations=300,
+    )
+    approx = None
+    if mode is not None:
+        approx = r.PerturbationOracle(mode, lam * params.delta, seed=seed, argmax_lock=lock)
+    runs = [(r.solve_ratpi(game, params, approx), approx)]
+    if approx is None:
+        runs.append((r.solve_rmpi(game, params), None))
+    for res, oracle in runs:
+        beta = 0.0 if oracle is None else oracle.bound / (1.0 - lam)
+        values = res.trace.values
+        for t, (v, w) in enumerate(zip(values, values[1:])):
+            tol = solvers._rollback_tol(game.m, lam, oracle, v, w)
+            assert np.min(w - v) >= -(tol + 2 * beta) / (1.0 - lam), t
+
+
+@pytest.mark.parametrize("start", ["zeros", "random"])
+@pytest.mark.parametrize("solve", [r.solve_ratpi, r.solve_rmpi])
+def test_starts_off_remark1_terminate(start, solve):
+    """From 0, or from values on either side of the robust value, where
+    many steps roll back, ``ratpi`` and ``rmpi`` terminate below the cap,
+    within epsilon of ``rvi`` and in far fewer steps."""
+    game, eps = chain_game(20, 10), 1e-5
+    v0 = start
+    if start == "random":
+        v0 = np.random.default_rng(3).uniform(-40, 40, game.m)
+    params = r.SolverParams(
+        lam=0.97, epsilon=eps, mt_schedule=10, v0_mode=v0, max_iterations=1000
+    )
+    baseline = r.solve_rvi(game, params)
+    res = solve(game, params)
+    assert baseline.terminated and res.terminated
+    assert res.iterations < baseline.iterations / 3
+    assert r.sup_norm(res.value - baseline.value) <= eps
 
 
 @pytest.mark.parametrize("lam", [0.97, 0.99])

@@ -337,9 +337,9 @@ def test_an_exact_tie_certifies_nothing():
 
 #: Games of the run tests, and whether some step of the run
 #: takes the check (``ratpi``) or carries a certificate (``rmpi``).  The
-#: chain runs' evaluation sweeps stop at step 1, their residual having
-#: risen, and with them the operators the check and a carry need; at
-#: mt = 1 they go on, but duplicate rows tie at the goal state.
+#: chain runs do neither: duplicate rows tie at the goal state, so no full
+#: scoring wins by a positive margin.  At mt = 10 they roll back some
+#: steps' evaluation sweeps, as ``reference_run`` does.
 RUN_GAMES = {
     "dirichlet8": (dirichlet_game(TAIL_CHECK_MIN_STATES), True),
     "dirichlet30": (dirichlet_game(30), True),
@@ -422,26 +422,25 @@ def test_rmpi_makes_the_reference_runs_choices(name, lam, mt, monkeypatch):
 def test_a_step_hands_on_the_operator_its_evaluation_ran_under(schedule, monkeypatch):
     """After a step that ran evaluation sweeps, the next step holds the very
     op those sweeps ran under, with the rule, rows and certificate that step
-    recorded: it forms ``A @ v + b`` under that op and tries to carry that
-    certificate, if there is one, and an improvement sweep that it calls is
-    handed that record.  A step that carries runs no improvement sweep and
-    hands on the record it carried.  At step 0, and after a step without
-    evaluation sweeps, a step holds None: it tries no carry, and its sweep
-    is handed None."""
+    recorded: it tries to carry that certificate, if there is one, at
+    ``A @ v + b`` under that op, the bits of one evaluation sweep, and an
+    improvement sweep that it calls is handed that record.  A step that
+    carries runs no improvement sweep and hands on the record it carried.
+    At step 0, and after a step without evaluation sweeps, a step holds
+    None: it tries no carry, and its sweep is handed None."""
     steps = []
     improve, evaluate = r.solvers.improvement_sweep, r.solvers.evaluation_sweep
     carries = sweeps._carries
 
     def evaluation_sweep(op, u, *rest):
-        if rest:  # the step's evaluation sweeps
-            steps[-1]["op"] = op
-        else:  # the carry's A @ v + b, which opens a step
-            steps.append({"probe": op})
+        steps[-1]["op"] = op
         return evaluate(op, u, *rest)
 
-    def _carries(certificate, *args):
-        steps[-1].update(held=certificate, carried=carries(certificate, *args))
-        return steps[-1]["carried"]
+    def _carries(certificate, v, w, *rest):
+        # The carry test at A @ v + b opens a step.
+        carried = carries(certificate, v, w, *rest)
+        steps.append({"probe": (v, w), "held": certificate, "carried": carried})
+        return carried
 
     def improvement_sweep(game, v, lam, approx, step, tail):
         if len(steps) == step:
@@ -465,7 +464,9 @@ def test_a_step_hands_on_the_operator_its_evaluation_ran_under(schedule, monkeyp
         if last["certificate"] is None:
             assert "probe" not in step
         else:
-            assert step["probe"] is last["op"] and step["held"] is last["certificate"]
+            v, w = step["probe"]
+            assert w.tobytes() == evaluate(last["op"], v).tobytes()
+            assert step["held"] is last["certificate"]
         if step.get("carried"):
             assert "tail" not in step
             assert step.get("op", last["op"]) is last["op"]
