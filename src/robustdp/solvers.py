@@ -9,20 +9,22 @@ from a fresh gather of the dense (P, r), only when the rule's groups or the
 rows change, and a step's evaluation sweeps run in one call; the results
 are bit for bit those of a fresh map and one call per sweep.
 
-A step that ran evaluation sweeps hands on a
-:class:`~robustdp.sweeps.Tail`: the map they ran under, its rule and rows,
-and the certificate of those choices, if the step had one; a step without
-them hands on none.  An exact improvement sweep of a game of at least
-``TAIL_CHECK_MIN_STATES`` states that is handed a tail scores every state's
-choices in full and certifies the margin M by which they win (a
-:class:`~robustdp.sweeps.Certificate`).  Before each step the loop forms
-w = A v + b under the map it holds and asks
-:func:`~robustdp.sweeps._carries` whether the certificate still holds: the
+A step that ran evaluation sweeps leaves ``held``, the improvement
+:class:`~robustdp.sweeps.SweepResult` whose rule and rows they ran under,
+and ``op``, their map; a step without them leaves ``held`` None.  One gate
+decides whether a run scores sweeps in full: the run is exact, and its game
+has at least ``TAIL_CHECK_MIN_STATES`` states.  Behind it, a step that holds
+a record forms w = A v + b under ``op`` once.  If ``held`` has a
+:class:`~robustdp.sweeps.Certificate`, the margin M by which a full scoring
+proved its choices, :func:`~robustdp.sweeps._carries` tests it at w: the
 rows are stochastic, so two scores of one state move apart by at most
 lam * sp(D), where sp is the span (max minus min) and D the change of the
 continuation since the scoring (of v for Jacobi; of w and v joined for
 Gauss-Seidel).  While M - lam * sp(D) exceeds a rounding tol, the step's
-result is w with the held rule and rows, and no improvement sweep runs.  On
+result is w with the held rule and rows, and no improvement sweep runs.
+Otherwise a Jacobi sweep certifies its own choices, and a Gauss-Seidel step
+first tries :func:`~robustdp.sweeps._tail_check` of the held rule and rows
+at the same w; the per-state loop runs only where that check declines.  On
 a run's tail D is close to a multiple of 1, whose span is 0, so one scoring
 serves many steps (Puterman 1994, sections 6.6-6.7).
 
@@ -53,7 +55,6 @@ from .model import TeamDecisionRule, TeamMarkovGame, _count, _real
 from .perturb import PerturbationOracle
 from .sweeps import (
     SweepResult,
-    Tail,
     evaluation_operator,
     evaluation_sweep,
     fixed_model_arrays,
@@ -72,6 +73,10 @@ _min = np.minimum.reduce
 ROBUST_EVAL_TOL = 1e-12
 #: Rounds after which :func:`evaluate_policy_robust` stops unsettled.
 ROBUST_EVAL_MAX_ROUNDS = 10_000
+#: Fewest states at which an exact run scores sweeps in full: on smaller
+#: games the per-state loop costs less than the tail check.  A perturbed
+#: sweep adds noise the operator does not hold, so no perturbed run does.
+TAIL_CHECK_MIN_STATES = 8
 
 
 def max_delta(lam: float, epsilon: float) -> float:
@@ -301,21 +306,30 @@ def _run(
     threshold = termination_threshold(lam, params.epsilon, params.delta)
     v = initial_value(game, params)
     trace = SolverTrace()
-    # ``held`` is the Tail of the last step, if it ran evaluation sweeps:
-    # the rule and rows they ran under, their op and the step's certificate;
-    # ``back`` is then that step's improvement output.
-    held = back = None
+    # ``held`` is the improvement sweep the last step's evaluation sweeps ran
+    # under, if it ran any, and ``op`` their operator.
+    held = op = None
+    # The one gate of every full scoring: tail checks, certified Jacobi
+    # sweeps and carries.
+    full = approx is None and game.m >= TAIL_CHECK_MIN_STATES
     states = np.arange(game.m)
 
     def improve(v):
-        # A carried certificate stands in for the improvement sweep.
-        if held is not None and held.certificate is not None and sweeps._carries(
-            held.certificate, v, w := held.op[0] @ v + held.op[1], lam, gauss_seidel
-        ):
-            return SweepResult(w, held.rule, held.rows, held.certificate)
+        if held is not None and full:
+            # One A v + b serves the carry test and the tail check.
+            w = op[0] @ v + op[1]
+            if held.certificate is not None and sweeps._carries(
+                held.certificate, v, w, lam, gauss_seidel
+            ):
+                return SweepResult(w, held.rule, held.worst_model, held.certificate)
+            if not gauss_seidel:
+                return jacobi_improvement_sweep(game, v, lam, certify=True)
+            checked = sweeps._tail_check(game, v, w, lam, held.rule, held.worst_model)
+            if checked is not None:
+                return checked
         if gauss_seidel:
-            return improvement_sweep(game, v, lam, approx, t, held)
-        return jacobi_improvement_sweep(game, v, lam, held)
+            return improvement_sweep(game, v, lam, approx, t)
+        return jacobi_improvement_sweep(game, v, lam)
 
     for t in range(params.max_iterations):
         sweep = improve(v)
@@ -323,11 +337,11 @@ def _run(
         # T v >= v puts v below v*; where the last step's evaluation sweeps
         # overshot v*, that step counts as one value-iteration step instead,
         # and this one sweeps again from its improvement output.
-        if back is not None and (lo := float(_min(d))) < 0.0 and (
+        if held is not None and (lo := float(_min(d))) < 0.0 and (
             lo < -_rollback_tol(game.m, lam, approx, v, sweep.u0)
         ):
             log.debug("%s: rolled back step %d's evaluation sweeps", algo, t - 1)
-            v, back = back, None
+            v = held.u0
             sweep = improve(v)
             d = sweep.u0 - v
         residual = float(_max(np.abs(d)))
@@ -342,13 +356,13 @@ def _run(
         if residual < threshold:
             log.debug("%s terminated at t=%d residual=%.3e", algo, t, residual)
             break
-        u = back = sweep.u0
+        u = sweep.u0
         mt = _mt_at(params.mt_schedule, t)
         if mt:
             # ``op`` depends only on each state's group and row, so it is
             # formed again only when those change, not when noise picks
             # another member of a group.
-            if held is None or held.rows != sweep.worst_model or (
+            if held is None or held.worst_model != sweep.worst_model or (
                 held.rule != sweep.rule and not np.array_equal(
                     game.action_group[states, held.rule],
                     game.action_group[states, sweep.rule]
@@ -356,16 +370,16 @@ def _run(
             ):
                 P, r = fixed_model_arrays(game, sweep.rule, sweep.worst_model)
                 op = evaluation_operator(P, r, lam, gauss_seidel, approx is not None)
-            held = Tail(sweep.rule, sweep.worst_model, op, sweep.certificate)
+            held = sweep
             noise = None
             if approx is not None:
                 queries = list(enumerate(sweep.rule))
                 noise = np.array(
                     [approx.perturb(t, s, queries) for s in range(1, mt + 1)]
                 )
-            u = evaluation_sweep(held.op, u, noise, mt)
+            u = evaluation_sweep(op, u, noise, mt)
         else:
-            held = back = None
+            held = None
         v = u
     else:
         t = params.max_iterations

@@ -47,26 +47,12 @@ it, pushed through the same solve: ``Q^{-1} noise``.  One oracle call draws
 a whole sweep's noise, before the sweep backs up any state; only the locked
 action's value, chosen as the sweep goes, takes one call per state.
 
-On a run's tail the improvement sweep, too, records the (rule, rows) of the
-operator the solver holds, step after step, and is then that affine map up
-to rounding.  The solver hands an exact sweep that (rule, rows, op) as a
-hint, a :class:`Tail`; on a game of at least ``TAIL_CHECK_MIN_STATES``
-states the sweep scores every state's choices in full and certifies them by
-the margin they win by, a :class:`Certificate`, which the solver carries to
-later steps while the value moves by less than that margin in span
-(:func:`_carries`; see :mod:`robustdp.solvers`).  For Gauss-Seidel the full
-scoring is a tail check (:func:`_tail_check`): every (state, group, row)
-scored in one batched product against the continuation ``(w[:k], v[k:])``,
-``w = A @ v + b``.  The check's dot products sum in another order than the
-loop's, and its lower continuation is ``w``, not the loop's forward
-substitution, so its scores differ from the loop's by rounding; the check
-accepts only if at every state the held group and row win by more than a
-margin that bounds twice that difference, so by induction over the states
-the loop would make exactly the same choices, and only the values' rounding
-differs.  Otherwise the loop runs.  For Jacobi the full scoring is the
-kernel itself.  A perturbed sweep adds noise the operator does not hold, and
-on a smaller game the loop costs less than the check, so both keep the
-plain sweep, bit for bit.
+On a run's tail the improvement sweep records, step after step, the (rule,
+rows) of the operator the solver holds, and is then that affine map up to
+rounding.  :func:`_tail_check` scores such a sweep in full and certifies the
+margin its choices win by, a :class:`Certificate`, and :func:`_carries`
+tests whether a certificate still proves them at a later value; the solver
+decides when either runs (see :mod:`robustdp.solvers`).
 
 The module holds only what the solvers and the CLI run.  The slow
 references the tests hold these operators to (the per-(state, action)
@@ -106,11 +92,6 @@ _min = np.minimum.reduce
 _max = np.maximum.reduce
 _EPS = np.finfo(float).eps
 
-#: Fewest states at which an exact improvement sweep scores the tail it is
-#: handed in full: on smaller games the per-state loop costs less than the
-#: check.
-TAIL_CHECK_MIN_STATES = 8
-
 
 class Certificate(NamedTuple):
     """A full scoring's proof of a sweep's choices: at value ``v``, where
@@ -129,28 +110,14 @@ class SweepResult(NamedTuple):
     ``worst_model[k]`` indexes the minimising candidate row recorded at the
     chosen action of state k; partial evaluation reuses exactly these rows.
     ``certificate`` is the :class:`Certificate` of the full scoring that
-    proved this rule and these rows, the sweep's own or one the solver
-    carried; it is None when no scoring did: for a sweep handed no
-    ``tail``, a perturbed sweep, a sweep of a game under
-    ``TAIL_CHECK_MIN_STATES`` states, and a Gauss-Seidel sweep whose tail
-    check failed.
+    proved this rule and these rows: a passing :func:`_tail_check`, a
+    Jacobi sweep run with ``certify``, or one the solver carried.  It is
+    None when no scoring did, as for every per-state loop.
     """
 
     u0: np.ndarray
     rule: tuple[int, ...]
     worst_model: tuple[int, ...]
-    certificate: Certificate | None = None
-
-
-class Tail(NamedTuple):
-    """What a step hands the next: the rule and rows its evaluation sweeps
-    ran under, their :func:`evaluation_operator` ``op``, and the certificate
-    of those choices, if the step had one.  The improvement sweeps read only
-    the first three."""
-
-    rule: tuple[int, ...]
-    rows: tuple[int, ...]
-    op: tuple[np.ndarray, np.ndarray, np.ndarray | None]
     certificate: Certificate | None = None
 
 
@@ -241,25 +208,25 @@ def _carries(
 def _tail_check(
     game: TeamMarkovGame,
     v: np.ndarray,
+    w: np.ndarray,
     lam: float,
     rule: tuple[int, ...],
     rows: tuple[int, ...],
-    op: tuple[np.ndarray, np.ndarray, np.ndarray | None],
 ) -> SweepResult | None:
     """The exact improvement sweep at ``v``, if it records ``rule`` and
     ``rows`` again, with its :class:`Certificate`; None if that is not
     certain.
 
-    ``op`` is the :func:`evaluation_operator` of ``rule`` and ``rows``, so
-    ``w = A @ v + b`` is the sweep's forward substitution under them, up to
-    rounding.  Every (state k, group, row) is scored in one batched product
-    against the continuation ``(w[:k], v[k:])``, as the sweep would score it
-    had it chosen ``rule`` and ``rows`` at every earlier state.  The result
-    is each state's minimum over the rows of its ``rule`` group, with
-    ``rule`` and ``rows``, when at every state ``rule[k]`` is its group's
-    lowest member and the held group and row win by a margin M, the
-    smallest over states of the gaps to every other group's minimum and
-    every other row of the group, with M > ``tol``.
+    ``w = A @ v + b`` under the Gauss-Seidel :func:`evaluation_operator`
+    of ``rule`` and ``rows``, so it is the sweep's forward substitution
+    under them, up to rounding.  Every (state k, group, row) is scored in
+    one batched product against the continuation ``(w[:k], v[k:])``, as the
+    sweep would score it had it chosen ``rule`` and ``rows`` at every
+    earlier state.  The result is each state's minimum over the rows of its
+    ``rule`` group, with ``rule`` and ``rows``, when at every state
+    ``rule[k]`` is its group's lowest member and the held group and row win
+    by a margin M, the smallest over states of the gaps to every other
+    group's minimum and every other row of the group, with M > ``tol``.
 
     ``tol`` bounds twice the gap between a score here and the sweep's score
     of the same row, given the sweep chose ``rule`` and ``rows`` before
@@ -284,7 +251,6 @@ def _tail_check(
     the check fails.
     """
     m = game.m
-    w = evaluation_sweep(op, v)
     # x[k] = (w[:k], v[k:]): the continuation the sweep backs up state k on.
     x = np.empty((m, m))
     x[:] = v
@@ -313,7 +279,6 @@ def improvement_sweep(
     lam: float,
     approx: PerturbationOracle | None = None,
     step: int = 0,
-    tail: Tail | tuple | None = None,
 ) -> SweepResult:
     """One Gauss-Seidel improvement sweep.
 
@@ -322,20 +287,8 @@ def improvement_sweep(
     record the first maximising action and the exact minimising row at that
     action.  An ``approx`` oracle perturbs the backup of every action before
     the maximum is taken, or with ``argmax_lock`` only the value of the
-    action the exact backups chose.
-
-    ``tail`` is an optional hint, a :class:`Tail` or its first three
-    ``(rule, rows, op)``, with ``op`` the Gauss-Seidel
-    :func:`evaluation_operator` of that rule and those rows.  An exact sweep
-    given one, on a game of at least ``TAIL_CHECK_MIN_STATES`` states, first
-    tries :func:`_tail_check`, which gives the loop's rule and rows, with
-    values within rounding, and a certificate; otherwise the loop runs.  A
-    perturbed sweep, or one on a smaller game, declines ``tail``.
+    action the exact backups chose.  The result has no certificate.
     """
-    if tail is not None and approx is None and game.m >= TAIL_CHECK_MIN_STATES:
-        checked = _tail_check(game, np.asarray(v, dtype=float), lam, *tail[:3])
-        if checked is not None:
-            return checked
     w = np.array(v, dtype=float)
     m = len(w)
     payoff_exp, candidates = game.group_payoff_exp, game.group_candidates
@@ -364,14 +317,12 @@ def improvement_sweep(
 
 
 def jacobi_improvement_sweep(
-    game: TeamMarkovGame, v: np.ndarray, lam: float, tail: Tail | tuple | None = None
+    game: TeamMarkovGame, v: np.ndarray, lam: float, certify: bool = False
 ) -> SweepResult:
     """Exact improvement sweep with no within-sweep updates (baselines).
 
-    Every sweep scores every (state, group, row).  One handed a ``tail``,
-    as :func:`improvement_sweep` takes it, on a game of at least
-    ``TAIL_CHECK_MIN_STATES`` states, certifies its own choices; it reads
-    nothing else of ``tail``.
+    Every sweep scores every (state, group, row); with ``certify`` it also
+    returns the :class:`Certificate` of the margin its choices win by.
     """
     v = np.asarray(v, dtype=float)
     q, vals = _row_min(game.group_payoff_exp, game.group_candidates, v, lam)
@@ -383,7 +334,7 @@ def jacobi_improvement_sweep(
         tuple(game.group_action[states, groups].tolist()),
         tuple(picked.tolist()),
     )
-    if tail is not None and game.m >= TAIL_CHECK_MIN_STATES:
+    if certify:
         margin = _margin(q, vals, groups, picked)[1]
         return sweep._replace(certificate=Certificate(v, sweep.u0, margin))
     return sweep

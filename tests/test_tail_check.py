@@ -1,12 +1,11 @@
-"""The improvement sweep's tail check and carried certificates against
-the plain sweeps.
+"""The tail check and carried certificates against the plain sweeps.
 
-Given the (rule, rows) of a previous step and their Gauss-Seidel operator,
-an exact sweep of a game of at least ``TAIL_CHECK_MIN_STATES`` states first
-scores every (state, group, row) in one batched product.  It must either
-return the loop's rule and rows exactly, with values within ``tail_tol`` of
-the loop's, or fall back to the loop bit for bit: a near tie, a wrong or
-stale guess, or a duplicate row must never slip through.  A full scoring
+Given the (rule, rows) of a previous step and w = A v + b under their
+Gauss-Seidel operator, the tail check scores every (state, group, row) in
+one batched product.  It must either return the loop's rule and rows
+exactly, with values within ``tail_tol`` of the loop's, or decline, so that
+the solver runs the loop: a near tie, a wrong or stale guess, or a
+duplicate row must never slip through.  A full scoring
 that certifies its choices by a margin lets the solver keep them at later
 steps, Gauss-Seidel or Jacobi, without an improvement sweep while the value
 moves by less than that margin in span; a certificate that carries must
@@ -22,7 +21,8 @@ from hypothesis import strategies as st
 import robustdp as r
 from conftest import chain_game, dirichlet_game, games, reference_run, row_counts
 from robustdp import sweeps
-from robustdp.sweeps import TAIL_CHECK_MIN_STATES, evaluation_operator, fixed_model_arrays
+from robustdp.solvers import TAIL_CHECK_MIN_STATES
+from robustdp.sweeps import evaluation_operator, fixed_model_arrays
 
 LAMS = st.sampled_from([0.0, 0.5, 0.9, 0.999])
 
@@ -42,19 +42,17 @@ def carry_tol(m, lam, scale, gauss_seidel):
     return 2 * np.finfo(float).eps * scale * terms
 
 
-def guess_of(game, rule, rows, lam, gauss_seidel=True):
-    """``(rule, rows, op)``, the ``tail`` argument of a guess."""
-    op = evaluation_operator(*fixed_model_arrays(game, rule, rows), lam, gauss_seidel)
-    return rule, rows, op
+def operator_of(game, rule, rows, lam, gauss_seidel=True):
+    """The evaluation operator ``(A, b, N)`` of a rule and its rows."""
+    return evaluation_operator(*fixed_model_arrays(game, rule, rows), lam, gauss_seidel)
 
 
-def assert_fell_back(game, v, lam, tail):
-    """The check declines ``tail`` and the sweep returns the loop's result."""
-    assert sweeps._tail_check(game, v, lam, *tail) is None
-    got = r.improvement_sweep(game, v, lam, tail=tail)
-    loop = r.improvement_sweep(game, v, lam)
-    assert got.u0.tobytes() == loop.u0.tobytes()
-    assert (got.rule, got.worst_model) == (loop.rule, loop.worst_model)
+def tail_check(game, v, lam, rule, rows):
+    """``sweeps._tail_check`` of the guess (``rule``, ``rows``) at ``v``, with
+    ``w = A @ v + b`` under their Gauss-Seidel operator, as ``solvers._run``
+    forms it."""
+    A, b, _ = operator_of(game, rule, rows, lam)
+    return sweeps._tail_check(game, v, A @ v + b, lam, rule, rows)
 
 
 def random_guess(game, rng):
@@ -84,17 +82,11 @@ def test_check_returns_the_loop_or_falls_back(game, lam, source, seed):
         rule, rows = near.rule, near.worst_model
     else:
         rule, rows = random_guess(game, rng)
-    tail = guess_of(game, rule, rows, lam)
-    checked = sweeps._tail_check(game, v, lam, *tail)
-    got = r.improvement_sweep(game, v, lam, tail=tail)
-    if checked is None:
-        assert got.u0.tobytes() == loop.u0.tobytes()
-    else:
-        A, b, _ = tail[2]
-        tol = tail_tol(game.m, lam, v, A @ v + b)
-        assert got.u0.tobytes() == checked.u0.tobytes()
-        assert np.max(np.abs(got.u0 - loop.u0)) <= tol / 2
-    assert (got.rule, got.worst_model) == (loop.rule, loop.worst_model)
+    checked = tail_check(game, v, lam, rule, rows)
+    if checked is not None:
+        tol = tail_tol(game.m, lam, v, checked.certificate.w)
+        assert np.max(np.abs(checked.u0 - loop.u0)) <= tol / 2
+        assert (checked.rule, checked.worst_model) == (loop.rule, loop.worst_model)
 
 
 def tie_game(m, target, seed=7):
@@ -122,7 +114,7 @@ def test_exact_tie_between_groups_falls_back():
     v = np.random.default_rng(1).uniform(-5, 5, m)
     probe = tie_game(m, 0)
     loop = r.improvement_sweep(probe, v, lam)
-    A, b, _ = guess_of(probe, loop.rule, loop.worst_model, lam)[2]
+    A, b, _ = operator_of(probe, loop.rule, loop.worst_model, lam)
     below = np.flatnonzero((A @ v + b)[: m - 1] < loop.u0[: m - 1])
     assert below.size
     target = int(below[0])
@@ -131,12 +123,12 @@ def test_exact_tie_between_groups_falls_back():
     loop = r.improvement_sweep(game, v, lam)
     assert loop.rule[-1] == 0 and loop.u0[target] == v[m - 1]
     rule, rows = loop.rule[:-1] + (1,), loop.worst_model
-    tail = guess_of(game, rule, rows, lam)
-    w = tail[2][0] @ v + tail[2][1]
+    A, b, _ = operator_of(game, rule, rows, lam)
+    w = A @ v + b
     # The trap: without its margin the check would take action 1.
     assert lam * w[target] < lam * v[m - 1]
-    assert_fell_back(game, v, lam, tail)
-    assert_fell_back(game, v, lam, guess_of(game, loop.rule, rows, lam))
+    assert tail_check(game, v, lam, rule, rows) is None
+    assert tail_check(game, v, lam, loop.rule, rows) is None
 
 
 @pytest.fixture(scope="module")
@@ -147,7 +139,7 @@ def settled_start():
     result = r.solve_ratpi(game, r.SolverParams(lam=0.9, epsilon=1e-6, mt_schedule=5))
     v = result.trace.values[-1]
     loop = r.improvement_sweep(game, v, 0.9)
-    assert sweeps._tail_check(game, v, 0.9, *guess_of(game, loop.rule, loop.worst_model, 0.9))
+    assert tail_check(game, v, 0.9, loop.rule, loop.worst_model)
     return game, v, loop
 
 
@@ -157,7 +149,7 @@ def test_wrong_row_falls_back(settled_start):
     for k in (0, 5, game.m - 1):
         rows = list(loop.worst_model)
         rows[k] = (rows[k] + 1) % 4
-        assert_fell_back(game, v, 0.9, guess_of(game, loop.rule, tuple(rows), 0.9))
+        assert tail_check(game, v, 0.9, loop.rule, tuple(rows)) is None
 
 
 def test_wrong_rule_falls_back(settled_start):
@@ -166,7 +158,7 @@ def test_wrong_rule_falls_back(settled_start):
     for k in (0, 5, game.m - 1):
         rule = list(loop.rule)
         rule[k] = (rule[k] + 1) % 4
-        assert_fell_back(game, v, 0.9, guess_of(game, tuple(rule), loop.worst_model, 0.9))
+        assert tail_check(game, v, 0.9, tuple(rule), loop.worst_model) is None
 
 
 def test_guess_of_a_later_group_member_falls_back():
@@ -183,9 +175,9 @@ def test_guess_of_a_later_group_member_falls_back():
     loop = r.improvement_sweep(twin, v, 0.9)
     at = [k for k, a in enumerate(loop.rule) if a == 0]
     assert at
-    assert sweeps._tail_check(twin, v, 0.9, *guess_of(twin, loop.rule, loop.worst_model, 0.9))
+    assert tail_check(twin, v, 0.9, loop.rule, loop.worst_model)
     rule = tuple(1 if k == at[0] else a for k, a in enumerate(loop.rule))
-    assert_fell_back(twin, v, 0.9, guess_of(twin, rule, loop.worst_model, 0.9))
+    assert tail_check(twin, v, 0.9, rule, loop.worst_model) is None
 
 
 def test_stale_guess_falls_back(settled_start):
@@ -194,49 +186,46 @@ def test_stale_guess_falls_back(settled_start):
     first = r.improvement_sweep(game, r.solvers.initial_value(
         game, r.SolverParams(lam=0.9, epsilon=1e-6)), 0.9)
     assert first.rule != loop.rule
-    assert_fell_back(game, v, 0.9, guess_of(game, first.rule, first.worst_model, 0.9))
+    assert tail_check(game, v, 0.9, first.rule, first.worst_model) is None
 
 
-def test_small_games_and_perturbed_runs_keep_the_loop(settled_start, monkeypatch):
-    """The solvers hand perturbed runs, and runs on games below
-    ``TAIL_CHECK_MIN_STATES`` states, an operator after every step with
-    evaluation sweeps, as they hand any run; the sweep declines it, so
-    neither run ever tries the check."""
-    game, v, loop = settled_start
-    tail = guess_of(game, loop.rule, loop.worst_model, 0.9)
-    monkeypatch.setattr(sweeps, "_tail_check", None)
-    oracle = r.PerturbationOracle("adversarial_extremes", 1e-9)
-    r.improvement_sweep(game, v, 0.9, oracle, 0, tail)
+def test_small_games_and_perturbed_runs_keep_the_loop(monkeypatch):
+    """Perturbed runs, and runs on games below ``TAIL_CHECK_MIN_STATES``
+    states, hold an operator after every step with evaluation sweeps, as
+    any run does; the solver's gate keeps them from scoring in full, so no
+    such run tries the check, certifies a Jacobi sweep's margin or tests a
+    carry."""
+    for name in ("_tail_check", "_margin", "_carries"):
+        monkeypatch.setattr(sweeps, name, None)
     params = r.SolverParams(
         lam=0.9, epsilon=1e-6, delta=0.5 * r.max_delta(0.9, 1e-6), mt_schedule=5)
-    r.solve_ratpi(game, params, r.PerturbationOracle("uniform_noise", 0.9 * params.delta))
-    r.solve_ratpi(dirichlet_game(TAIL_CHECK_MIN_STATES - 1), params)
+    oracle = r.PerturbationOracle("uniform_noise", 0.9 * params.delta)
+    r.solve_ratpi(dirichlet_game(12), params, oracle)
+    small = dirichlet_game(TAIL_CHECK_MIN_STATES - 1)
+    r.solve_ratpi(small, params)
+    r.solve_rmpi(small, params)
 
 
 def certified(game, v, lam, gauss_seidel):
-    """The ``Tail`` a step hands on after a full scoring at ``v`` certified
-    its choices: the sweep's rule and rows, their operator and the
-    scoring's certificate.  None when the scoring does not certify, as a
-    tail check can decline."""
+    """What a step holds after a full scoring at ``v`` certified its
+    choices: ``(held, op)``, the scoring's sweep with its certificate and
+    the operator of its rule and rows.  None when the scoring does not
+    certify, as a tail check can decline."""
     if gauss_seidel:
         loop = r.improvement_sweep(game, v, lam)
-        scored = sweeps._tail_check(game, v, lam, *guess_of(game, loop.rule, loop.worst_model, lam))
-        if scored is None:
+        held = tail_check(game, v, lam, loop.rule, loop.worst_model)
+        if held is None:
             return None
     else:
-        plain = r.jacobi_improvement_sweep(game, v, lam)
-        handed = guess_of(game, plain.rule, plain.worst_model, lam, False)
-        scored = r.jacobi_improvement_sweep(game, v, lam, handed)
-    op = guess_of(game, scored.rule, scored.worst_model, lam, gauss_seidel)[2]
-    return sweeps.Tail(scored.rule, scored.worst_model, op, scored.certificate)
+        held = r.jacobi_improvement_sweep(game, v, lam, certify=True)
+    return held, operator_of(game, held.rule, held.worst_model, lam, gauss_seidel)
 
 
-def carries(tail, v, lam, gauss_seidel):
-    """Whether a step at ``v`` that holds ``tail`` carries its certificate,
-    as ``solvers._run`` decides it: with ``w = A @ v + b`` of the tail's
-    operator."""
-    w = r.evaluation_sweep(tail.op, v)
-    return sweeps._carries(tail.certificate, v, w, lam, gauss_seidel)
+def carries(held, op, v, lam, gauss_seidel):
+    """Whether a step at ``v`` that holds ``held`` and ``op`` carries the
+    certificate, as ``solvers._run`` decides it: with ``w = A @ v + b``."""
+    w = r.evaluation_sweep(op, v)
+    return sweeps._carries(held.certificate, v, w, lam, gauss_seidel)
 
 
 def plain(game, v, lam, gauss_seidel):
@@ -266,14 +255,15 @@ def test_a_certificate_carries_only_to_the_plain_sweeps_choices(
     rows alike, so their scorings certify a margin more often."""
     rng = np.random.default_rng(seed)
     v = rng.uniform(-20, 20, game.m)
-    tail = certified(game, v, lam, gauss_seidel)
-    if tail is None or not 0.0 < lam * tail.certificate.margin < np.inf:
+    scored = certified(game, v, lam, gauss_seidel)
+    if scored is None or not 0.0 < lam * scored[0].certificate.margin < np.inf:
         return
-    step = size * tail.certificate.margin / lam
+    held, op = scored
+    step = size * held.certificate.margin / lam
     v1 = v + step * rng.uniform(-1, 1, game.m)
-    if carries(tail, v1, lam, gauss_seidel):
+    if carries(held, op, v1, lam, gauss_seidel):
         got = plain(game, v1, lam, gauss_seidel)
-        assert (got.rule, got.worst_model) == (tail.rule, tail.rows)
+        assert (got.rule, got.worst_model) == (held.rule, held.worst_model)
 
 
 @given(
@@ -290,16 +280,16 @@ def test_a_shift_carries_a_jacobi_certificate(game, lam, c, seed):
     continuation (w[:k], v[k:]) does not move by a multiple of 1 when v
     does.)"""
     v = np.random.default_rng(seed).uniform(-20, 20, game.m)
-    tail = certified(game, v, lam, False)
+    held, op = certified(game, v, lam, False)
     v1 = v + c
-    A, b, _ = tail.op
-    scale = np.max(np.abs([v, tail.certificate.w, v1, A @ v1 + b]))
-    carried = carries(tail, v1, lam, False)
-    if tail.certificate.margin > 2 * carry_tol(game.m, lam, scale, False):
+    A, b, _ = op
+    scale = np.max(np.abs([v, held.certificate.w, v1, A @ v1 + b]))
+    carried = carries(held, op, v1, lam, False)
+    if held.certificate.margin > 2 * carry_tol(game.m, lam, scale, False):
         assert carried
     if carried:
         got = r.jacobi_improvement_sweep(game, v1, lam)
-        assert (got.rule, got.worst_model) == (tail.rule, tail.rows)
+        assert (got.rule, got.worst_model) == (held.rule, held.worst_model)
 
 
 @given(
@@ -314,25 +304,25 @@ def test_a_zero_margin_never_carries(game, lam, gauss_seidel, seed):
     shift of it."""
     v = np.random.default_rng(seed).uniform(-20, 20, game.m)
     sweep = plain(game, v, lam, gauss_seidel)
-    rule, rows, op = guess_of(game, sweep.rule, sweep.worst_model, lam, gauss_seidel)
-    zero = sweeps.Tail(rule, rows, op, sweeps.Certificate(v, op[0] @ v + op[1], 0.0))
+    op = operator_of(game, sweep.rule, sweep.worst_model, lam, gauss_seidel)
+    zero = sweep._replace(certificate=sweeps.Certificate(v, op[0] @ v + op[1], 0.0))
     for v1 in (v, v + 1.0):
-        assert not carries(zero, v1, lam, gauss_seidel)
+        assert not carries(zero, op, v1, lam, gauss_seidel)
 
 
 def test_an_exact_tie_certifies_nothing():
     """At the last state of ``tie_game`` with v[m - 1] = v[target], both
     actions score 0.5 + lam * v[target] in a Jacobi sweep: the scoring's
-    margin is 0, so the tail it hands on never carries, neither at v nor at
+    margin is 0, so the record it leaves never carries, neither at v nor at
     a shift of it, where the tie stands."""
     m, lam, target = 10, 0.9, 3
     game = tie_game(m, target)
     v = np.random.default_rng(1).uniform(-5, 5, m)
     v[m - 1] = v[target]
-    tail = certified(game, v, lam, False)
-    assert tail.certificate.margin == 0.0
+    held, op = certified(game, v, lam, False)
+    assert held.certificate.margin == 0.0
     for v1 in (v, v + 1.0):
-        assert not carries(tail, v1, lam, False)
+        assert not carries(held, op, v1, lam, False)
 
 
 #: Games of the run tests, and whether some step of the run
@@ -420,61 +410,75 @@ def test_rmpi_makes_the_reference_runs_choices(name, lam, mt, monkeypatch):
 
 @pytest.mark.parametrize("schedule", [(10, 0, 10), (0, 10, 0, 10), 10])
 def test_a_step_hands_on_the_operator_its_evaluation_ran_under(schedule, monkeypatch):
-    """After a step that ran evaluation sweeps, the next step holds the very
-    op those sweeps ran under, with the rule, rows and certificate that step
-    recorded: it tries to carry that certificate, if there is one, at
-    ``A @ v + b`` under that op, the bits of one evaluation sweep, and an
-    improvement sweep that it calls is handed that record.  A step that
-    carries runs no improvement sweep and hands on the record it carried.
-    At step 0, and after a step without evaluation sweeps, a step holds
-    None: it tries no carry, and its sweep is handed None."""
-    steps = []
+    """After a step that ran evaluation sweeps, the next step holds the
+    record that step's improvement made, with its certificate, and the very
+    op its evaluation sweeps ran under.  It forms ``A @ v + b`` under that
+    op once, the bits of one evaluation sweep, and hands that same array to
+    the carry test, if it holds a certificate, and to the tail check of the
+    held rule and rows, if it does not carry.  A step that carries runs
+    neither the check nor the loop and hands on the record it carried.  At
+    step 0, and after a step without evaluation sweeps, a step holds None:
+    it tries neither, and runs the loop."""
+    steps, current = [], {}
+    carries, check = sweeps._carries, sweeps._tail_check
     improve, evaluate = r.solvers.improvement_sweep, r.solvers.evaluation_sweep
-    carries = sweeps._carries
+
+    def close(record, certificate):
+        # The call that settles a step's improvement ends it.
+        current.update(record=record, certificate=certificate)
+        steps.append(current.copy())
+        current.clear()
+
+    def _carries(certificate, v, w, *rest):
+        carried = carries(certificate, v, w, *rest)
+        current.update(probe=(v, w), held=certificate, carried=carried)
+        if carried:
+            close(steps[-1]["record"], certificate)
+        return carried
+
+    def _tail_check(game, v, w, lam, rule, rows):
+        checked = check(game, v, w, lam, rule, rows)
+        current["check"] = (v, w, (rule, rows))
+        if checked is not None:
+            close((checked.rule, checked.worst_model), checked.certificate)
+        return checked
+
+    def improvement_sweep(*args):
+        sweep = improve(*args)
+        current["loop"] = True
+        close((sweep.rule, sweep.worst_model), sweep.certificate)
+        return sweep
 
     def evaluation_sweep(op, u, *rest):
         steps[-1]["op"] = op
         return evaluate(op, u, *rest)
 
-    def _carries(certificate, v, w, *rest):
-        # The carry test at A @ v + b opens a step.
-        carried = carries(certificate, v, w, *rest)
-        steps.append({"probe": (v, w), "held": certificate, "carried": carried})
-        return carried
-
-    def improvement_sweep(game, v, lam, approx, step, tail):
-        if len(steps) == step:
-            steps.append({})
-        sweep = improve(game, v, lam, approx, step, tail)
-        steps[step].update(tail=tail, record=(sweep.rule, sweep.worst_model),
-                           certificate=sweep.certificate)
-        return sweep
-
+    monkeypatch.setattr(sweeps, "_carries", _carries)
+    monkeypatch.setattr(sweeps, "_tail_check", _tail_check)
     monkeypatch.setattr(r.solvers, "improvement_sweep", improvement_sweep)
     monkeypatch.setattr(r.solvers, "evaluation_sweep", evaluation_sweep)
-    monkeypatch.setattr(sweeps, "_carries", _carries)
     params = r.SolverParams(lam=0.99, epsilon=1e-5, mt_schedule=schedule)
     result = r.solve_ratpi(dirichlet_game(30), params)
-    assert len(steps) == result.iterations + 1
-    assert "probe" not in steps[0] and steps[0]["tail"] is None
+    assert len(steps) == result.iterations + 1 and not current
+    assert "probe" not in steps[0] and "check" not in steps[0]
     for last, step in zip(steps, steps[1:]):
         if last.get("op") is None:
-            assert "probe" not in step and step["tail"] is None
+            assert "probe" not in step and "check" not in step and step["loop"]
             continue
         if last["certificate"] is None:
             assert "probe" not in step
         else:
-            v, w = step["probe"]
-            assert w.tobytes() == evaluate(last["op"], v).tobytes()
             assert step["held"] is last["certificate"]
+        probes = [step[key] for key in ("probe", "check") if key in step]
+        v, w = probes[0][:2]
+        assert w.tobytes() == evaluate(last["op"], v).tobytes()
+        assert all(probe[0] is v and probe[1] is w for probe in probes)
         if step.get("carried"):
-            assert "tail" not in step
+            assert "check" not in step and "loop" not in step
             assert step.get("op", last["op"]) is last["op"]
-            step.update(record=last["record"], certificate=last["certificate"])
         else:
-            assert step["tail"][2] is last["op"]
-            assert step["tail"][:2] == last["record"]
-            assert step["tail"].certificate is last["certificate"]
-    handed = [step.get("tail") is not None or "probe" in step for step in steps[1:]]
-    assert any(handed) and all(handed) == (schedule == 10)
+            assert step["check"][2] == last["record"]
+    held = [step for step in steps[1:] if "probe" in step or "check" in step]
+    assert held and (len(held) == len(steps) - 1) == (schedule == 10)
     assert any(step.get("carried") for step in steps)
+    assert any("probe" in step and "check" in step for step in steps)
