@@ -5,7 +5,10 @@ Gauss-Seidel operator, the tail check scores every (state, group, row) in
 one batched product.  It must either return the loop's rule and rows
 exactly, with values within ``tail_tol`` of the loop's, or decline, so that
 the solver runs the loop: a near tie, a wrong or stale guess, or a
-duplicate row must never slip through.  A full scoring
+duplicate row must never slip through.  A check that declines may propose
+the record its scores prefer; the solver takes it only after a check under
+that record's own operator passes, so a proved step too returns the loop's
+rule and rows, and ties and duplicate rows propose nothing.  A full scoring
 that certifies its choices by a margin lets the solver keep them at later
 steps, Gauss-Seidel or Jacobi, without an improvement sweep while the value
 moves by less than that margin in span; a certificate that carries must
@@ -17,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import robustdp as r
 from conftest import chain_game, dirichlet_game, games, reference_run, row_counts
@@ -50,7 +54,7 @@ def operator_of(game, rule, rows, lam, gauss_seidel=True):
 def tail_check(game, v, lam, rule, rows):
     """``sweeps._tail_check`` of the guess (``rule``, ``rows``) at ``v``, with
     ``w = A @ v + b`` under their Gauss-Seidel operator, as ``solvers._run``
-    forms it."""
+    forms it: the pair of the checked sweep and the proposed record."""
     A, b, _ = operator_of(game, rule, rows, lam)
     return sweeps._tail_check(game, v, A @ v + b, lam, rule, rows)
 
@@ -82,7 +86,7 @@ def test_check_returns_the_loop_or_falls_back(game, lam, source, seed):
         rule, rows = near.rule, near.worst_model
     else:
         rule, rows = random_guess(game, rng)
-    checked = tail_check(game, v, lam, rule, rows)
+    checked, _ = tail_check(game, v, lam, rule, rows)
     if checked is not None:
         tol = tail_tol(game.m, lam, v, checked.certificate.w)
         assert np.max(np.abs(checked.u0 - loop.u0)) <= tol / 2
@@ -127,8 +131,8 @@ def test_exact_tie_between_groups_falls_back():
     w = A @ v + b
     # The trap: without its margin the check would take action 1.
     assert lam * w[target] < lam * v[m - 1]
-    assert tail_check(game, v, lam, rule, rows) is None
-    assert tail_check(game, v, lam, loop.rule, rows) is None
+    assert tail_check(game, v, lam, rule, rows)[0] is None
+    assert tail_check(game, v, lam, loop.rule, rows)[0] is None
 
 
 @pytest.fixture(scope="module")
@@ -139,7 +143,7 @@ def settled_start():
     result = r.solve_ratpi(game, r.SolverParams(lam=0.9, epsilon=1e-6, mt_schedule=5))
     v = result.trace.values[-1]
     loop = r.improvement_sweep(game, v, 0.9)
-    assert tail_check(game, v, 0.9, loop.rule, loop.worst_model)
+    assert tail_check(game, v, 0.9, loop.rule, loop.worst_model)[0]
     return game, v, loop
 
 
@@ -149,7 +153,7 @@ def test_wrong_row_falls_back(settled_start):
     for k in (0, 5, game.m - 1):
         rows = list(loop.worst_model)
         rows[k] = (rows[k] + 1) % 4
-        assert tail_check(game, v, 0.9, loop.rule, tuple(rows)) is None
+        assert tail_check(game, v, 0.9, loop.rule, tuple(rows))[0] is None
 
 
 def test_wrong_rule_falls_back(settled_start):
@@ -158,14 +162,14 @@ def test_wrong_rule_falls_back(settled_start):
     for k in (0, 5, game.m - 1):
         rule = list(loop.rule)
         rule[k] = (rule[k] + 1) % 4
-        assert tail_check(game, v, 0.9, tuple(rule), loop.worst_model) is None
+        assert tail_check(game, v, 0.9, tuple(rule), loop.worst_model)[0] is None
 
 
 def test_guess_of_a_later_group_member_falls_back():
     """Joint actions 0 and 1 are alike at every state, so they form one
     group, and the loop records its lowest member, 0: a guess of 1 where the
     loop chose 0 names the same group, rows and operator, and must still
-    fall back."""
+    fall back, proposing the loop's record."""
     game = dirichlet_game(12)
     # Its joint actions are all distinct, so action a is group a.
     acts = [0, 0, 2, 3]
@@ -175,9 +179,10 @@ def test_guess_of_a_later_group_member_falls_back():
     loop = r.improvement_sweep(twin, v, 0.9)
     at = [k for k, a in enumerate(loop.rule) if a == 0]
     assert at
-    assert tail_check(twin, v, 0.9, loop.rule, loop.worst_model)
+    assert tail_check(twin, v, 0.9, loop.rule, loop.worst_model)[0]
     rule = tuple(1 if k == at[0] else a for k, a in enumerate(loop.rule))
-    assert tail_check(twin, v, 0.9, rule, loop.worst_model) is None
+    assert tail_check(twin, v, 0.9, rule, loop.worst_model) == (
+        None, (loop.rule, loop.worst_model))
 
 
 def test_stale_guess_falls_back(settled_start):
@@ -186,7 +191,125 @@ def test_stale_guess_falls_back(settled_start):
     first = r.improvement_sweep(game, r.solvers.initial_value(
         game, r.SolverParams(lam=0.9, epsilon=1e-6)), 0.9)
     assert first.rule != loop.rule
-    assert tail_check(game, v, 0.9, first.rule, first.worst_model) is None
+    assert tail_check(game, v, 0.9, first.rule, first.worst_model)[0] is None
+
+
+@given(
+    st.one_of(
+        games(max_states=12, min_states=TAIL_CHECK_MIN_STATES),
+        st.builds(dirichlet_game, st.integers(TAIL_CHECK_MIN_STATES, 12), st.integers(0, 2**16)),
+    ),
+    LAMS,
+    st.sampled_from([0.3, 3.0, 30.0]),
+    st.integers(0, 2**16),
+)
+@settings(max_examples=150, deadline=None)
+def test_a_proved_step_makes_the_loops_choices(game, lam, size, seed):
+    """A step that holds a stale record, the loop's record at a start up to
+    ``size`` away in each state, and proves its sweep by a tail check, of
+    that record or of one a check proposed, returns the loop's rule and
+    rows, with values within tol / 2 of the loop's at the w of the check
+    that proved it; an operator it formed is that of its record.  Half the
+    games have no two actions or rows alike, so their checks propose
+    records more often; the other half may repeat rows or actions."""
+    rng = np.random.default_rng(seed)
+    v = rng.uniform(-20, 20, game.m)
+    stale = r.improvement_sweep(game, v + size * rng.uniform(-1, 1, game.m), lam)
+    A, b, _ = operator_of(game, stale.rule, stale.worst_model, lam)
+    proved, formed = r.solvers._proved_sweep(
+        game, v, A @ v + b, lam, stale.rule, stale.worst_model
+    )
+    if proved is None:
+        return
+    loop = r.improvement_sweep(game, v, lam)
+    assert (proved.rule, proved.worst_model) == (loop.rule, loop.worst_model)
+    tol = tail_tol(game.m, lam, v, proved.certificate.w)
+    assert np.max(np.abs(proved.u0 - loop.u0)) <= tol / 2
+    if formed is not None:
+        own = operator_of(game, proved.rule, proved.worst_model, lam)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(formed[:2], own[:2]))
+
+
+def test_a_tie_or_a_duplicate_row_proposes_nothing(monkeypatch):
+    """In ``tie_game``, with v[m - 1] the check's own w[target], the two
+    actions of the last state score alike for any record: the check
+    proposes nothing, whichever it holds there.  In exact ``ratpi`` runs on
+    a chain game, whose goal state's rows are all alike, no check proposes
+    a record, so no step forms an operator to prove one."""
+    m, lam, target = 10, 0.9, 3
+    game = tie_game(m, target)
+    v = np.random.default_rng(1).uniform(-5, 5, m)
+    loop = r.improvement_sweep(game, v, lam)
+    for last in (0, 1):
+        rule = loop.rule[:-1] + (last,)
+        A, b, _ = operator_of(game, rule, loop.worst_model, lam)
+        # States before the last never move to it, so w[target] is free of v[m - 1].
+        v[m - 1] = (A @ v + b)[target]
+        assert tail_check(game, v, lam, rule, loop.worst_model) == (None, None)
+    checks = recorded(monkeypatch, "_tail_check")
+    for lam in (0.9, 0.99):
+        params = r.SolverParams(lam=lam, epsilon=1e-6, mt_schedule=10)
+        r.solve_ratpi(chain_game(20, 10), params)
+    assert checks and all(guess is None for _, guess in checks)
+
+
+def test_only_steps_without_a_held_record_run_the_loop(monkeypatch):
+    """On ``dirichlet_game(30)`` at lam 0.99 and mt 10 every step after the
+    first holds a record, and each one that does not carry it has its sweep
+    proved: by the tail check of the held record, or of a record a check
+    proposed.  So the per-state loop runs once, at step 0, and some step's
+    record is a proved proposal."""
+    loops, checks = [], []
+    loop, check = r.solvers.improvement_sweep, sweeps._tail_check
+
+    def improvement_sweep(*args):
+        loops.append(args)
+        return loop(*args)
+
+    def _tail_check(*args):
+        checks.append((args[4:], check(*args)))
+        return checks[-1][1]
+
+    monkeypatch.setattr(r.solvers, "improvement_sweep", improvement_sweep)
+    monkeypatch.setattr(sweeps, "_tail_check", _tail_check)
+    params = r.SolverParams(lam=0.99, epsilon=1e-5, mt_schedule=10)
+    result = r.solve_ratpi(dirichlet_game(30), params)
+    assert result.terminated and len(loops) == 1
+    proved = [
+        record for (_, (_, proposed)), (record, (checked, _)) in zip(checks, checks[1:])
+        if checked is not None and record == proposed
+    ]
+    assert proved
+
+
+@given(
+    st.integers(1, 12).flatmap(
+        lambda n: arrays(
+            np.float64,
+            st.tuples(st.integers(1, 5), st.integers(1, 3), st.just(n)),
+            elements=st.one_of(
+                st.sampled_from([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0]),
+                st.floats(-4, 4),
+            ),
+        )
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_the_fold_is_the_reduction(x):
+    """``sweeps._fold`` against ``ufunc.reduce`` over the last axis, on
+    stacks that hold NaN, +-inf and +-0.0: NaN at the same entries, and
+    the same bits elsewhere on an axis of at most 8 entries.  Beyond 8 the
+    reduction accumulates in another order, which can return the other
+    zero of a +-0.0 tie; the values are still equal.  A NaN's sign is the
+    reduction's own choice and is not compared."""
+    for ufunc in (np.minimum, np.maximum):
+        got, ref = sweeps._fold(ufunc, x), ufunc.reduce(x, axis=-1)
+        nan = np.isnan(ref)
+        assert np.array_equal(np.isnan(got), nan)
+        if x.shape[-1] <= 8:
+            assert got[~nan].tobytes() == ref[~nan].tobytes()
+        else:
+            assert np.array_equal(got[~nan], ref[~nan])
 
 
 def test_small_games_and_perturbed_runs_keep_the_loop(monkeypatch):
@@ -213,7 +336,7 @@ def certified(game, v, lam, gauss_seidel):
     certify, as a tail check can decline."""
     if gauss_seidel:
         loop = r.improvement_sweep(game, v, lam)
-        held = tail_check(game, v, lam, loop.rule, loop.worst_model)
+        held = tail_check(game, v, lam, loop.rule, loop.worst_model)[0]
         if held is None:
             return None
     else:
@@ -381,7 +504,7 @@ def test_ratpi_makes_the_reference_runs_choices(name, lam, mt, monkeypatch):
     params = r.SolverParams(lam=lam, epsilon=1e-6, mt_schedule=mt, max_iterations=5000)
     result = r.solve_ratpi(game, params)
     ref = reference_run(game, params)
-    assert any(check is not None for check in checks) == takes_check
+    assert any(checked is not None for checked, _ in checks) == takes_check
     scale = np.max(np.abs(ref.trace.values))
     assert_replays(result, ref, tail_tol(game.m, lam, scale, scale) / (1.0 - lam))
 
@@ -415,13 +538,18 @@ def test_a_step_hands_on_the_operator_its_evaluation_ran_under(schedule, monkeyp
     op its evaluation sweeps ran under.  It forms ``A @ v + b`` under that
     op once, the bits of one evaluation sweep, and hands that same array to
     the carry test, if it holds a certificate, and to the tail check of the
-    held rule and rows, if it does not carry.  A step that carries runs
-    neither the check nor the loop and hands on the record it carried.  At
-    step 0, and after a step without evaluation sweeps, a step holds None:
-    it tries neither, and runs the loop."""
+    held rule and rows, if it does not carry.  Where that check declines
+    and proposes a record, the step forms the record's operator and checks
+    the record at its own ``A @ v + b``; a record proved so hands on that
+    operator, which its evaluation sweeps run under without forming
+    another.  A step that carries runs neither the check nor the loop and
+    hands on the record it carried.  At step 0, and after a step without
+    evaluation sweeps, a step holds None: it tries neither, and runs the
+    loop."""
     steps, current = [], {}
     carries, check = sweeps._carries, sweeps._tail_check
     improve, evaluate = r.solvers.improvement_sweep, r.solvers.evaluation_sweep
+    form = r.solvers.evaluation_operator
 
     def close(record, certificate):
         # The call that settles a step's improvement ends it.
@@ -437,17 +565,29 @@ def test_a_step_hands_on_the_operator_its_evaluation_ran_under(schedule, monkeyp
         return carried
 
     def _tail_check(game, v, w, lam, rule, rows):
-        checked = check(game, v, w, lam, rule, rows)
-        current["check"] = (v, w, (rule, rows))
+        checked, guess = check(game, v, w, lam, rule, rows)
+        if "check" in current:
+            current["guesses"].append((v, w, (rule, rows)))
+        else:
+            current.update(check=(v, w, (rule, rows)), guesses=[], proposed=[])
+        current["proposed"].append(guess)
         if checked is not None:
             close((checked.rule, checked.worst_model), checked.certificate)
-        return checked
+        return checked, guess
 
     def improvement_sweep(*args):
         sweep = improve(*args)
         current["loop"] = True
         close((sweep.rule, sweep.worst_model), sweep.certificate)
         return sweep
+
+    def evaluation_operator(*args):
+        op = form(*args)
+        if current:  # a step proving a proposed record
+            current.setdefault("formed", []).append(op)
+        else:  # between steps: for the last step's evaluation sweeps
+            steps[-1]["formed_after"] = op
+        return op
 
     def evaluation_sweep(op, u, *rest):
         steps[-1]["op"] = op
@@ -456,9 +596,11 @@ def test_a_step_hands_on_the_operator_its_evaluation_ran_under(schedule, monkeyp
     monkeypatch.setattr(sweeps, "_carries", _carries)
     monkeypatch.setattr(sweeps, "_tail_check", _tail_check)
     monkeypatch.setattr(r.solvers, "improvement_sweep", improvement_sweep)
+    monkeypatch.setattr(r.solvers, "evaluation_operator", evaluation_operator)
     monkeypatch.setattr(r.solvers, "evaluation_sweep", evaluation_sweep)
+    game = dirichlet_game(30)
     params = r.SolverParams(lam=0.99, epsilon=1e-5, mt_schedule=schedule)
-    result = r.solve_ratpi(dirichlet_game(30), params)
+    result = r.solve_ratpi(game, params)
     assert len(steps) == result.iterations + 1 and not current
     assert "probe" not in steps[0] and "check" not in steps[0]
     for last, step in zip(steps, steps[1:]):
@@ -476,9 +618,18 @@ def test_a_step_hands_on_the_operator_its_evaluation_ran_under(schedule, monkeyp
         if step.get("carried"):
             assert "check" not in step and "loop" not in step
             assert step.get("op", last["op"]) is last["op"]
-        else:
-            assert step["check"][2] == last["record"]
+            continue
+        assert step["check"][2] == last["record"]
+        guesses, formed = step["guesses"], step.get("formed", [])
+        assert len(guesses) == len(formed) <= r.solvers.TAIL_GUESSES
+        for (u, x, record), proposed, op in zip(guesses, step["proposed"], formed):
+            assert u is v and record == proposed
+            assert op[0].tobytes() == operator_of(game, *record, 0.99)[0].tobytes()
+            assert x.tobytes() == evaluate(op, v).tobytes()
+        if guesses and "loop" not in step and "op" in step:
+            assert step["op"] is formed[-1] and "formed_after" not in step
     held = [step for step in steps[1:] if "probe" in step or "check" in step]
     assert held and (len(held) == len(steps) - 1) == (schedule == 10)
     assert any(step.get("carried") for step in steps)
     assert any("probe" in step and "check" in step for step in steps)
+    assert any(step.get("guesses") and "loop" not in step for step in steps)
