@@ -33,9 +33,16 @@ every JSON document in one text form.  The lists of state and action
 names pass one check, :func:`_name_lists`, whether they come from a file
 (:func:`validate_game`) or from Python (:func:`build_game`): they must be
 ordered, because their order numbers the states and the joint actions.
-A game file's two entry lists, ``payoffs`` and ``uncertainty``, are read
-by one column pass, :func:`_entry_cells`, or, for a list it declines, by
-one per-entry loop in :func:`validate_game`, which words every error.
+A game document comes in one of two forms, which :func:`validate_game`
+tells apart by their keys and never takes mixed.  The entry form, which
+:func:`save_game` writes, lists each state's groups once, as the builder
+takes them, with an ``action_entry`` map, and goes to :func:`build_game`
+as it is.  The sparse form, which :func:`game_to_dict` returns and which
+suits files written by hand, lists one item per payoff triple and per
+(state, joint action) pair; its two lists, ``payoffs`` and
+``uncertainty``, are read by one column pass, :func:`_entry_cells`, or,
+for a list it declines, by one per-item loop in :func:`validate_game`,
+which words every error.
 
 Instances are immutable after validation and safe to share across concurrent
 solver runs.
@@ -288,8 +295,11 @@ def build_game(
 
     Payoffs and candidate rows are given per *entry*: ``action_entry``, an
     integer array of shape (m, A), maps each (state, joint action) pair to
-    one of E entries of its state; ``payoff`` has shape (m, E, m), and
+    one of the entries of its state; ``payoff`` has shape (m, E, m), and
     ``uncertainty_rows[k][e]`` is the raw row set of entry e of state k.
+    State k has as many entries as it lists row sets, from 1 to E, so
+    states may differ in their entry counts (a saved game lists one entry
+    per group); its payoff rows past that count are not read.
     Without ``action_entry`` each pair is its own entry (E = A), so
     ``payoff`` is r(s, a, s') and ``uncertainty_rows[k][a]`` holds the rows
     of pair (k, a).  A game whose pairs share few distinct payoffs and row
@@ -303,8 +313,9 @@ def build_game(
     list, a tuple or a 1-D array, not a set; see :func:`_name_lists`), no
     duplicate state or action names, a payoff of shape (m, E, m) of finite
     numbers (not bools, strings or ``None``; see :func:`_non_numbers`), an
-    ``action_entry`` of shape (m, A) and integer dtype whose indices lie in
-    [0, E) and use every entry, one row set per (state, entry), and a
+    ``action_entry`` of shape (m, A) and integer dtype, without ``true``
+    or ``false``, whose indices lie in [0, E) and use every entry of their
+    state and no other, one row set per (state, entry), and a
     finite real ``r_max``, not a bool (computed as max |payoff| when
     omitted), no smaller than any payoff.  A row set is an array-like of
     raw candidate rows, or ``None`` for a pair the input does not list.  A
@@ -363,26 +374,50 @@ def build_game(
         n_entries, unit = (payoff.shape[1] if payoff.ndim == 3 else 0), "entry"
         if payoff.shape != (m, n_entries, m):
             errors.append(f"payoff shape {payoff.shape} != ({m}, E, {m})")
-        entry = np.asarray(action_entry)
+        try:
+            entry = np.asarray(action_entry)
+        except ValueError:  # nested lists of different lengths
+            raise GameValidationError(
+                [*errors, f"action_entry is not an array of shape {(m, n_joint)}"]
+            ) from None
         if entry.shape != (m, n_joint):
             errors.append(f"action_entry shape {entry.shape} != {(m, n_joint)}")
         elif entry.dtype.kind not in "iu":
             errors.append(f"action_entry must hold integers, not {entry.dtype}")
+        elif what := _non_numbers(action_entry):  # true/false among integers
+            errors.append(f"action_entry must hold integers, not {what}")
         elif payoff.ndim == 3 and (entry.min() < 0 or entry.max() >= n_entries):
             errors.append(f"action_entry holds an entry outside [0, {n_entries})")
     if errors:
         raise GameValidationError(errors)
+    # Each state's entry count is the number of row sets it lists: E, or
+    # with a map as few as one, so that states may differ in their entry
+    # counts.  Payoff rows past a state's count are padding and not read.
+    count = list(map(len, uncertainty_rows))
+    sets_ok = len(count) == m and all(
+        c == n_entries if action_entry is None else 0 < c <= n_entries for c in count
+    )
+    if not sets_ok:
+        count = [n_entries] * m
     at_state = np.arange(m)[:, None]
     # The lowest joint action of each entry, n_joint for an unused one.
     lowest = np.full((m, n_entries), n_joint)
     np.minimum.at(lowest, (at_state, entry), np.arange(n_joint))
     if action_entry is not None:
+        real = np.arange(n_entries) < np.array(count)[:, None]
+        payoff[~real] = 0.0
         # An unused entry would still count towards r_max, and its rows
         # would have no pair to report an error against.
-        for k in np.flatnonzero(lowest.max(axis=1) == n_joint):
+        unused, past = (lowest == n_joint) & real, (lowest < n_joint) & ~real
+        for k in np.flatnonzero(unused.any(axis=1)):
             errors.append(
                 f"action_entry[state={states[k]!r}]: no joint action uses "
-                f"entries {np.flatnonzero(lowest[k] == n_joint).tolist()}"
+                f"entries {np.flatnonzero(unused[k]).tolist()}"
+            )
+        for k in np.flatnonzero(past.any(axis=1)):
+            errors.append(
+                f"action_entry[state={states[k]!r}]: entries "
+                f"{np.flatnonzero(past[k]).tolist()} have no row set"
             )
     if not np.all(np.isfinite(payoff)):
         errors.append("payoff contains non-finite entries")
@@ -394,7 +429,7 @@ def build_game(
     # as it forms.
     entry_group = np.zeros((m, n_entries), dtype=np.intp)
     group_rows: list[list[tuple[int, np.ndarray]]] = []
-    if len(uncertainty_rows) != m or any(len(per) != n_entries for per in uncertainty_rows):
+    if not sets_ok:
         errors.append(f"uncertainty must provide one row set per (state, {unit})")
     else:
         for k in range(m):
@@ -402,7 +437,7 @@ def build_game(
             per_group: list[tuple[int, np.ndarray]] = []
             cleaned, bad = _clean_rows(uncertainty_rows[k], m)
             first = lowest[k].tolist()
-            for e in np.argsort(lowest[k], kind="stable").tolist():
+            for e in np.argsort(lowest[k, : count[k]], kind="stable").tolist():
                 if e in bad:
                     continue
                 rows = cleaned[e]
@@ -590,22 +625,75 @@ def _team_payoff(r, n_players: int) -> float:
     return sum(map(float, r)) / n_players if per_player else float(r)
 
 
+#: The keys of a game document's two forms, which one document cannot mix.
+ENTRY_FORM_KEYS = ("entries", "action_entry")
+SPARSE_FORM_KEYS = ("payoffs", "uncertainty", "default_payoff")
+
+
+def _entry_form_game(raw: Mapping, states: tuple, player_actions: tuple) -> TeamMarkovGame:
+    """The game of a document in the entry form, whose names passed
+    :func:`_name_lists`: ``raw["entries"][k]`` lists state k's entries,
+    each ``{"r": [m payoffs], "rows": [candidate rows]}``, and
+    ``raw["action_entry"][k][a]`` is the entry of joint action a.
+
+    Only the lists' layout is checked here, so that the payoffs can be
+    padded into one (m, E, m) array: ``entries`` holds one nonempty list of
+    objects per state, each ``r`` a list of m items, and ``action_entry``
+    is given.  Everything else, the numbers, rows, map and ``r_max``
+    among it, is checked by :func:`build_game`, which takes the entries as
+    they are."""
+    m = len(states)
+    entries = raw.get("entries")
+    if not (
+        isinstance(entries, list) and len(entries) == m
+        and all(isinstance(per, list) and per for per in entries)
+        and all(isinstance(e, Mapping) for per in entries for e in per)
+    ):
+        raise GameValidationError(
+            [f"entries must be an array of {m} nonempty arrays of entry objects, one per state"]
+        )
+    errors = [] if raw.get("action_entry") is not None else [
+        "action_entry must map every (state, joint action) to an entry"]
+    payoff, width = [], max(map(len, entries))
+    for k, per in enumerate(entries):
+        r = [e.get("r") for e in per]
+        for i, x in enumerate(r):
+            if not isinstance(x, list) or len(x) != m:
+                errors.append(f"entries[state={states[k]!r}][{i}]: 'r' must list {m} payoffs, "
+                              f"one per state")
+        payoff.append(r + [[0.0] * m] * (width - len(r)))
+    if errors:
+        raise GameValidationError(errors)
+    return build_game(
+        raw.get("n_players"), states, player_actions, payoff,
+        [[e.get("rows") for e in per] for per in entries], raw.get("r_max"),
+        action_entry=raw["action_entry"],
+    )
+
+
 def validate_game(raw: Mapping) -> TeamMarkovGame:
     """Translate a parsed game description (the JSON document shape) into
     the arguments of :func:`build_game` and build the game.
 
+    A document is in the entry form if it has ``entries`` or
+    ``action_entry``, and then goes to :func:`_entry_form_game`, and in
+    the sparse form otherwise; one that has keys of both forms (``entries``
+    or ``action_entry`` with ``payoffs``, ``uncertainty`` or
+    ``default_payoff``) is one error.  The rest of this docstring is about
+    the sparse form.
+
     The entries are indexed by ``states`` and ``player_actions``, so these
     pass :func:`_name_lists` first, the check :func:`build_game` makes of
-    them too, and a failure there is raised alone.  Beyond that this
-    function checks only what exists in the JSON form alone: that entries
-    name known states and give one in-range action index per player,
-    per-player ``r`` lists, duplicate entries, and unlisted payoff triples
-    when ``default_payoff`` is absent.  Every other check (player count,
-    duplicate or empty names, candidate rows and the numbers in them,
-    missing uncertainty entries, the type of ``r_max`` and its value
-    against the payoffs, non-finite payoffs) is :func:`build_game`'s.  One
-    :class:`GameValidationError` lists this function's errors followed by
-    those of :func:`build_game`.
+    them too, and a failure there is raised alone, in either form.
+    Beyond that this function checks only what exists in the JSON form
+    alone: that entries name known states and give one in-range action
+    index per player, per-player ``r`` lists, duplicate entries, and
+    unlisted payoff triples when ``default_payoff`` is absent.  Every
+    other check (player count, duplicate or empty names, candidate rows
+    and the numbers in them, missing uncertainty entries, the type of
+    ``r_max`` and its value against the payoffs, non-finite payoffs) is
+    :func:`build_game`'s.  One :class:`GameValidationError` lists this
+    function's errors followed by those of :func:`build_game`.
 
     Payoff entries may give ``r`` either as the team payoff (scalar) or as
     one payoff per player (averaged once at load).  Unlisted payoff triples
@@ -627,11 +715,20 @@ def validate_game(raw: Mapping) -> TeamMarkovGame:
     """
     if not isinstance(raw, Mapping):
         raise GameValidationError(["top level must be a JSON object"])
+    entry_keys = [key for key in ENTRY_FORM_KEYS if key in raw]
+    sparse_keys = [key for key in SPARSE_FORM_KEYS if key in raw]
+    if entry_keys and sparse_keys:
+        raise GameValidationError([
+            "a game gives entries and action_entry or payoffs, uncertainty and "
+            f"default_payoff, not keys of both (found {', '.join(entry_keys + sparse_keys)})"
+        ])
     states, player_actions, errors = _name_lists(
         raw.get("states"), raw.get("player_actions")
     )
     if errors:
         raise GameValidationError(errors)
+    if entry_keys:
+        return _entry_form_game(raw, states, player_actions)
 
     m = len(states)
     sizes = tuple(len(a) for a in player_actions)
@@ -730,7 +827,10 @@ def validate_game(raw: Mapping) -> TeamMarkovGame:
 
 
 def game_to_dict(game: TeamMarkovGame) -> dict:
-    """Canonical JSON-shaped dict: fixed key order, entries sorted by index.
+    """The game as a document in the sparse form: one ``payoffs`` item per
+    (s, a, s') triple and one ``uncertainty`` item per (state, joint
+    action) pair, in a fixed key order, sorted by index.  :func:`save_game`
+    writes the smaller entry form instead (see :func:`_entry_document`).
 
     Only nonzero payoffs are listed (with ``default_payoff`` 0.0).  Loaded
     back through :func:`validate_game`, the game has the same names,
@@ -767,8 +867,38 @@ def game_to_dict(game: TeamMarkovGame) -> dict:
     }
 
 
+def _entry_document(game: TeamMarkovGame) -> dict:
+    """The game as a document in the entry form, which :func:`save_game`
+    writes: per state, one ``{"r": [...], "rows": [...]}`` entry per group,
+    in group order (``group_payoff`` and the real rows of
+    ``group_candidates``), and ``action_entry``, which is ``action_group``.
+    A state lists only its own groups, not the padded ones, so states may
+    list different counts.  Loaded back through :func:`validate_game`, the
+    game is the one :func:`game_to_dict`'s document loads as, byte for
+    byte."""
+    cand = game.group_candidates
+    # Real rows come first and are nonzero; padded rows are all zero.
+    n_rows = np.count_nonzero(cand.any(axis=-1), axis=-1).tolist()
+    n_groups = (game.action_group.max(axis=1) + 1).tolist()
+    entries = [
+        [{"r": game.group_payoff[k, g].tolist(), "rows": cand[k, g, : n_rows[k][g]].tolist()}
+         for g in range(n_groups[k])]
+        for k in range(game.m)
+    ]
+    return {
+        "n_players": game.n_players,
+        "states": list(game.states),
+        "player_actions": [list(a) for a in game.player_actions],
+        "entries": entries,
+        "action_entry": game.action_group.tolist(),
+        "r_max": float(game.r_max),
+    }
+
+
 def read_json(path):
-    """The JSON document in the file at ``path``, read as UTF-8.
+    """The JSON document in the file at ``path``, read as UTF-8: a game
+    file of either form, which :func:`validate_game` tells apart, or a
+    ``--v0`` array.
 
     Every failure but the file system's ``OSError`` is one ``ValueError``
     line that starts with the path: a syntax error as ``path:line:col:
@@ -809,6 +939,7 @@ def load_game(path) -> TeamMarkovGame:
 
 
 def save_game(game: TeamMarkovGame, path) -> None:
-    """Write a game as canonical JSON (stable key order, sorted entries)."""
-    write_json(path, game_to_dict(game))
+    """Write a game as JSON in the entry form (see :func:`_entry_document`),
+    in which each state lists each group's payoffs and rows once."""
+    write_json(path, _entry_document(game))
 

@@ -309,6 +309,7 @@ def _proved_sweep(
     lam: float,
     rule: tuple[int, ...],
     rows: tuple[int, ...],
+    below: np.ndarray,
 ) -> tuple[SweepResult | None, tuple | None]:
     """The exact Gauss-Seidel improvement sweep at ``v`` as a tail check
     proves it, and the operator formed for its record; None for the sweep
@@ -319,16 +320,17 @@ def _proved_sweep(
     record its scores prefer, this forms that record's operator and its own
     w, and checks it in turn, at most ``TAIL_GUESSES`` times.  The operator
     is None when the first check passed, and is that of the sweep's record
-    whenever a later one did.
+    whenever a later one did.  ``below`` is the run's strictly lower mask,
+    which every check takes.
     """
-    checked, guess = sweeps._tail_check(game, v, w, lam, rule, rows)
+    checked, guess = sweeps._tail_check(game, v, w, lam, rule, rows, below)
     formed = None
     for _ in range(TAIL_GUESSES):
         if guess is None:
             break
         formed = evaluation_operator(*fixed_model_arrays(game, *guess), lam)
         checked, guess = sweeps._tail_check(
-            game, v, formed[0] @ v + formed[1], lam, *guess
+            game, v, formed[0] @ v + formed[1], lam, *guess, below
         )
     return checked, formed
 
@@ -360,6 +362,8 @@ def _run(
     # The one gate of every full scoring: tail checks, certified Jacobi
     # sweeps and carries.
     full = approx is None and game.m >= TAIL_CHECK_MIN_STATES
+    # The strictly lower mask every tail check of the run takes.
+    below = np.tri(game.m, game.m, -1, dtype=bool) if full else None
     states = np.arange(game.m)
 
     def improve(v):
@@ -376,7 +380,7 @@ def _run(
             if not gauss_seidel:
                 return jacobi_improvement_sweep(game, v, lam, certify=True), None
             checked, formed = _proved_sweep(
-                game, v, w, lam, held.rule, held.worst_model
+                game, v, w, lam, held.rule, held.worst_model, below
             )
             if checked is not None:
                 return checked, formed

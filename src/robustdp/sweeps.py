@@ -234,6 +234,7 @@ def _tail_check(
     lam: float,
     rule: tuple[int, ...],
     rows: tuple[int, ...],
+    below: np.ndarray,
 ) -> tuple[SweepResult | None, tuple[tuple[int, ...], tuple[int, ...]] | None]:
     """The exact improvement sweep at ``v``, if it records ``rule`` and
     ``rows`` again, with its :class:`Certificate`; else the record to try
@@ -242,10 +243,11 @@ def _tail_check(
 
     ``w = A @ v + b`` under the Gauss-Seidel :func:`evaluation_operator`
     of ``rule`` and ``rows``, so it is the sweep's forward substitution
-    under them, up to rounding.  Every (state k, group, row) is scored in
-    one batched product against the continuation ``(w[:k], v[k:])``, as the
-    sweep would score it had it chosen ``rule`` and ``rows`` at every
-    earlier state.  The scores prefer, at each state, the first group of
+    under them, up to rounding.  ``below`` is ``np.tri(m, m, -1,
+    dtype=bool)``, which depends only on m, so a run forms it once.  Every
+    (state k, group, row) is scored in one batched product against the
+    continuation ``(w[:k], v[k:])``, as the sweep would score it had it
+    chosen ``rule`` and ``rows`` at every earlier state.  The scores prefer, at each state, the first group of
     the highest minimum over rows and that group's first minimising row,
     and those win by a margin M, the smallest over states of the gaps to
     every other group's minimum and every other row of the group.  When
@@ -284,7 +286,7 @@ def _tail_check(
     # x[k] = (w[:k], v[k:]): the continuation the sweep backs up state k on.
     x = np.empty((m, m))
     x[:] = v
-    np.copyto(x, w, where=np.tri(m, m, -1, dtype=bool))
+    np.copyto(x, w, where=below)
     cand = game.group_candidates
     n_groups, n_rows = cand.shape[1:3]
     scores = (cand.reshape(m, n_groups * n_rows, m) @ x[:, :, None]).reshape(

@@ -137,9 +137,9 @@ SOLVE_GOLDEN = {
 #: sha256 of the ``rssd-gen`` game JSON under :data:`GOLDEN_BUILD`, keyed
 #: by the flags besides ``--out``.
 RSSD_GEN_GOLDEN = {
-    (): "0612227404d1543f70ced0b7ccce308c93c4c01152a598cf39dab668959ff086",
+    (): "f80eebefb33f63ddd84a0c2c47ce895460f1f6412a64fb8bcc06b9e542bdd3b1",
     ("--n", "8", "--mu", "0.05,0.1"):
-        "1003ed92bd40aa05233a837b8aaa91aa0736716e4591d641a1b28439df2a50a0",
+        "e4e7d4baefa4e5484e22b4dea19738bd169e6770dbdbe17dce2ca4e2c9b1aed9",
 }
 
 
@@ -209,6 +209,34 @@ HUGE = 10**400  # a JSON integer that float() cannot convert
     ],
 )
 def test_integer_beyond_double_range_exits_1(rssd_file, tmp_path, capsys, edit, message):
+    """In a file of the sparse form, written from ``game_to_dict``."""
+    doc = r.game_to_dict(r.load_game(rssd_file))
+    edit(doc)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", "--game", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"{path}: invalid game description: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(lambda doc: doc["entries"][0][0]["r"].__setitem__(0, HUGE),
+                     "payoff holds a number beyond double range", id="r"),
+        pytest.param(lambda doc: doc.update(r_max=HUGE),
+                     "r_max is beyond double range", id="r_max"),
+        pytest.param(lambda doc: doc["entries"][0][0]["rows"][0].__setitem__(0, HUGE),
+                     "uncertainty[state='s1', action=(0, 0, 0)]: "
+                     "rows hold a number beyond double range", id="rows"),
+        pytest.param(lambda doc: doc["action_entry"][0].__setitem__(0, HUGE),
+                     "action_entry must hold integers, not object", id="action_entry"),
+    ],
+)
+def test_integer_beyond_double_range_in_entry_form_exits_1(
+    rssd_file, tmp_path, capsys, edit, message
+):
+    """In the ``rssd-gen`` file itself, which is in the entry form."""
     doc = json.loads(rssd_file.read_text())
     edit(doc)
     path = tmp_path / "huge.json"

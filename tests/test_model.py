@@ -23,6 +23,7 @@ from conftest import (
     enumerate_policy_models,
     game_parts,
     games,
+    mdp_game,
     per_action,
     per_pair_parts,
     random_game,
@@ -690,7 +691,7 @@ class TestJsonRoundTrip:
     def test_saved_bytes_read_back_as_the_same_document(self, tmp_path, rssd_game):
         path = tmp_path / "game.json"
         r.save_game(rssd_game, path)
-        assert model.read_json(path) == r.game_to_dict(rssd_game)
+        assert model.read_json(path) == model._entry_document(rssd_game)
 
     def test_canonical_key_order(self, tmp_path, rssd_game):
         path = tmp_path / "game.json"
@@ -700,11 +701,145 @@ class TestJsonRoundTrip:
             "n_players",
             "states",
             "player_actions",
-            "default_payoff",
-            "payoffs",
-            "uncertainty",
+            "entries",
+            "action_entry",
             "r_max",
         ]
+        assert list(raw["entries"][0][0]) == ["r", "rows"]
+
+
+def ragged_game():
+    """Two states, two actions: state s0's actions are alike (one group),
+    state s1's differ (two groups), and one of its sets repeats its row."""
+    payoff = np.zeros((2, 2, 2))
+    payoff[1, 1, 0] = 0.5
+    rows = [[[[1.0, 0.0]], [[1.0, 0.0]]], [[[0.5, 0.5]], [[0.0, 1.0], [0.0, 1.0]]]]
+    return r.build_game(1, ["s0", "s1"], [["a0", "a1"]], payoff, rows)
+
+
+def negative_zero_game():
+    """A game built from payoffs and rows that hold -0.0."""
+    payoff = np.full((2, 2, 2), -0.0)
+    payoff[0, 1, 0] = 1.0
+    rows = [[[[1.0, -0.0]], [[-0.0, 1.0]]], [[[0.25, 0.75]], [[-0.0, 1.0]]]]
+    return r.build_game(1, ["s0", "s1"], [["a0", "a1"]], payoff, rows)
+
+
+#: Games whose saved entry form must load as their sparse document does.
+ENTRY_FORM_GAMES = {
+    "rssd_n3": r.build_rssd,
+    "rssd_n8": lambda: r.build_rssd(r.RssdParams(n_players=8, mu_set=(0.0375, 0.075, 0.1125))),
+    "chain": lambda: chain_game(20, 10),
+    "dense": lambda: dirichlet_game(12),
+    "ragged": ragged_game,
+    "singleton_sets": mdp_game,
+    "negative_zero": negative_zero_game,
+}
+
+
+def entry_doc_edit(path, value):
+    """An edit of an entry-form document that sets the item at ``path``,
+    a tuple of keys and indices, to ``value``."""
+    def edit(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
+#: Faults of an entry-form ``rssd`` document (n = 3), each one line.
+#: Entry 0 of state s1 is the group of joint action (0, 0, 0) alone.
+ENTRY_FORM_FAULTS = {
+    "r_too_short": (entry_doc_edit(("entries", 0, 1, "r"), [0.5, 0.5]),
+                    "entries[state='s1'][1]: 'r' must list 3 payoffs, one per state"),
+    "r_not_a_list": (entry_doc_edit(("entries", 2, 0, "r"), 0.5),
+                     "entries[state='s3'][0]: 'r' must list 3 payoffs, one per state"),
+    "r_true": (entry_doc_edit(("entries", 0, 0, "r", 1), True),
+               "payoff must hold numbers, not true/false"),
+    "r_string": (entry_doc_edit(("entries", 0, 0, "r", 1), "0.5"),
+                 "payoff must hold numbers, not strings"),
+    "rows_true": (entry_doc_edit(("entries", 0, 0, "rows", 0, 0), True),
+                  "uncertainty[state='s1', action=(0, 0, 0)]: "
+                  "rows must hold numbers, not true/false"),
+    "rows_string": (entry_doc_edit(("entries", 0, 0, "rows", 0, 0), "0.7"),
+                    "uncertainty[state='s1', action=(0, 0, 0)]: "
+                    "rows must hold numbers, not strings"),
+    "index_too_large": (entry_doc_edit(("action_entry", 1, 2), 4),
+                        "action_entry holds an entry outside [0, 4)"),
+    "index_negative": (entry_doc_edit(("action_entry", 1, 2), -1),
+                       "action_entry holds an entry outside [0, 4)"),
+    "index_true": (entry_doc_edit(("action_entry", 1, 0), True),
+                   "action_entry must hold integers, not true/false"),
+    "index_past_a_short_state": (lambda doc: doc["entries"][2].pop(),
+                                 "action_entry[state='s3']: entries [3] have no row set"),
+    "unused_entry": (entry_doc_edit(("action_entry", 0, 7), 2),
+                     "action_entry[state='s1']: no joint action uses entries [3]"),
+    "map_ragged": (lambda doc: doc["action_entry"][0].pop(),
+                   "action_entry is not an array of shape (3, 8)"),
+    "map_missing": (lambda doc: doc.pop("action_entry"),
+                    "action_entry must map every (state, joint action) to an entry"),
+    "entries_not_a_list": (entry_doc_edit(("entries",), {"s1": []}),
+                           "entries must be an array of 3 nonempty arrays of entry "
+                           "objects, one per state"),
+    "state_without_entries": (entry_doc_edit(("entries", 1), []),
+                              "entries must be an array of 3 nonempty arrays of entry "
+                              "objects, one per state"),
+}
+
+
+class TestEntryForm:
+    """The entry form that ``save_game`` writes: each state's groups once,
+    and a map from each joint action to its entry."""
+
+    @pytest.mark.parametrize("name", list(ENTRY_FORM_GAMES))
+    def test_saved_game_loads_as_its_sparse_document(self, name, tmp_path):
+        game = ENTRY_FORM_GAMES[name]()
+        path = tmp_path / "game.json"
+        r.save_game(game, path)
+        assert "entries" in model.read_json(path)
+        back, sparse = r.load_game(path), r.validate_game(r.game_to_dict(game))
+        assert_same_arrays(back, sparse)
+        assert (back.states, back.player_actions, back.r_max) == (
+            sparse.states, sparse.player_actions, sparse.r_max)
+
+    @given(games())
+    @settings(max_examples=40, deadline=None)
+    def test_every_built_game_loads_alike_from_either_form(self, game):
+        """Games with many members per group, repeated rows and states of
+        different group counts."""
+        entry = r.validate_game(json.loads(json.dumps(model._entry_document(game))))
+        sparse = r.validate_game(json.loads(json.dumps(r.game_to_dict(game))))
+        assert_same_arrays(entry, sparse)
+        assert entry.r_max == sparse.r_max
+
+    def test_states_list_only_their_own_groups(self):
+        doc = model._entry_document(ragged_game())
+        assert [len(per) for per in doc["entries"]] == [1, 2]
+        assert doc["action_entry"] == [[0, 0], [0, 1]]
+        assert doc["entries"][1][1]["rows"] == [[0.0, 1.0], [0.0, 1.0]]
+
+    @pytest.mark.parametrize(
+        "key, form",
+        [(key, "entry") for key in model.SPARSE_FORM_KEYS]
+        + [(key, "sparse") for key in model.ENTRY_FORM_KEYS],
+    )
+    def test_a_document_of_both_forms_is_one_error(self, key, form, rssd_game):
+        entry, sparse = model._entry_document(rssd_game), r.game_to_dict(rssd_game)
+        doc, other = (entry, sparse) if form == "entry" else (sparse, entry)
+        doc[key] = other[key]
+        found = [k for k in (*model.ENTRY_FORM_KEYS, *model.SPARSE_FORM_KEYS) if k in doc]
+        assert validated(doc) == [
+            "a game gives entries and action_entry or payoffs, uncertainty and "
+            f"default_payoff, not keys of both (found {', '.join(found)})"
+        ]
+
+    @pytest.mark.parametrize("fault", list(ENTRY_FORM_FAULTS))
+    def test_each_fault_is_one_error(self, fault, rssd_game):
+        edit, message = ENTRY_FORM_FAULTS[fault]
+        doc = json.loads(json.dumps(model._entry_document(rssd_game)))
+        edit(doc)
+        assert validated(doc) == [message]
 
 
 GROUP_ARRAYS = ("action_group", "group_action", "group_payoff", "group_candidates",
@@ -931,6 +1066,22 @@ class TestActionEntry:
             r.build_game(1, ["s0"], [["a0"]], np.zeros((1, 1)), [[[[1.0]]]],
                          action_entry=[[0]])
         assert exc.value.errors == ["payoff shape (1, 1) != (1, E, 1)"]
+
+    def test_states_may_list_fewer_entries_than_payoff_has(self):
+        """State s1 lists one row set of payoff's two entries: its payoff row
+        past that, NaN and large here, is not read, and its actions form one
+        group, padded as a short state's groups are."""
+        payoff = np.array([[[0.0, 1.0], [2.0, 0.0]], [[0.5, 0.0], [np.nan, 9.0]]])
+        rows = [[[[0.0, 1.0]], [[1.0, 0.0]]], [[[0.5, 0.5]]]]
+        game = r.build_game(1, ["s0", "s1"], [["a0", "a1"]], payoff, rows,
+                            action_entry=[[0, 1], [0, 0]])
+        assert game.r_max == 2.0
+        assert game.action_group.tolist() == [[0, 1], [0, 0]]
+        assert game.group_payoff_exp[1].tolist() == [[0.25], [-np.inf]]
+        with pytest.raises(r.GameValidationError) as exc:
+            r.build_game(1, ["s0", "s1"], [["a0", "a1"]], payoff, rows,
+                         action_entry=[[0, 1], [0, 1]])
+        assert exc.value.errors == ["action_entry[state='s1']: entries [1] have no row set"]
 
 
 def with_action(e, p, ai):

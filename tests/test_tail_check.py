@@ -56,7 +56,8 @@ def tail_check(game, v, lam, rule, rows):
     ``w = A @ v + b`` under their Gauss-Seidel operator, as ``solvers._run``
     forms it: the pair of the checked sweep and the proposed record."""
     A, b, _ = operator_of(game, rule, rows, lam)
-    return sweeps._tail_check(game, v, A @ v + b, lam, rule, rows)
+    below = np.tri(game.m, game.m, -1, dtype=bool)
+    return sweeps._tail_check(game, v, A @ v + b, lam, rule, rows, below)
 
 
 def random_guess(game, rng):
@@ -217,7 +218,8 @@ def test_a_proved_step_makes_the_loops_choices(game, lam, size, seed):
     stale = r.improvement_sweep(game, v + size * rng.uniform(-1, 1, game.m), lam)
     A, b, _ = operator_of(game, stale.rule, stale.worst_model, lam)
     proved, formed = r.solvers._proved_sweep(
-        game, v, A @ v + b, lam, stale.rule, stale.worst_model
+        game, v, A @ v + b, lam, stale.rule, stale.worst_model,
+        np.tri(game.m, game.m, -1, dtype=bool),
     )
     if proved is None:
         return
@@ -258,8 +260,9 @@ def test_only_steps_without_a_held_record_run_the_loop(monkeypatch):
     first holds a record, and each one that does not carry it has its sweep
     proved: by the tail check of the held record, or of a record a check
     proposed.  So the per-state loop runs once, at step 0, and some step's
-    record is a proved proposal."""
-    loops, checks = [], []
+    record is a proved proposal.  Every check takes the one mask the run
+    formed."""
+    loops, checks, masks = [], [], []
     loop, check = r.solvers.improvement_sweep, sweeps._tail_check
 
     def improvement_sweep(*args):
@@ -267,7 +270,8 @@ def test_only_steps_without_a_held_record_run_the_loop(monkeypatch):
         return loop(*args)
 
     def _tail_check(*args):
-        checks.append((args[4:], check(*args)))
+        checks.append((args[4:6], check(*args)))
+        masks.append(args[6])
         return checks[-1][1]
 
     monkeypatch.setattr(r.solvers, "improvement_sweep", improvement_sweep)
@@ -275,6 +279,7 @@ def test_only_steps_without_a_held_record_run_the_loop(monkeypatch):
     params = r.SolverParams(lam=0.99, epsilon=1e-5, mt_schedule=10)
     result = r.solve_ratpi(dirichlet_game(30), params)
     assert result.terminated and len(loops) == 1
+    assert all(mask is masks[0] for mask in masks)
     proved = [
         record for (_, (_, proposed)), (record, (checked, _)) in zip(checks, checks[1:])
         if checked is not None and record == proposed
@@ -564,8 +569,8 @@ def test_a_step_hands_on_the_operator_its_evaluation_ran_under(schedule, monkeyp
             close(steps[-1]["record"], certificate)
         return carried
 
-    def _tail_check(game, v, w, lam, rule, rows):
-        checked, guess = check(game, v, w, lam, rule, rows)
+    def _tail_check(game, v, w, lam, rule, rows, below):
+        checked, guess = check(game, v, w, lam, rule, rows, below)
         if "check" in current:
             current["guesses"].append((v, w, (rule, rows)))
         else:
