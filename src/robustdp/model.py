@@ -282,6 +282,21 @@ class TeamMarkovGame:
         return tuple(acts[i] for acts, i in zip(self.player_actions, per))
 
 
+def _payoff_array(payoff) -> np.ndarray:
+    """``payoff`` as a new array of doubles, with -0.0 read as 0.0, so that
+    groups key on values; a one-line :class:`GameValidationError` if it
+    holds anything but numbers in double range."""
+    what = _non_numbers(payoff)
+    if what:
+        raise GameValidationError([f"payoff must hold numbers, not {what}"])
+    try:
+        return np.asarray(payoff, dtype=float) + 0.0
+    except OverflowError:
+        raise GameValidationError(["payoff holds a number beyond double range"]) from None
+    except (TypeError, ValueError) as e:
+        raise GameValidationError([f"payoff is not an array of numbers: {e}"]) from None
+
+
 def build_game(
     n_players: int,
     states: Sequence[str],
@@ -355,16 +370,7 @@ def build_game(
     m = len(states)
     shape = tuple(len(a) for a in player_actions)
     n_joint = math.prod(shape)
-    what = _non_numbers(payoff)
-    if what:
-        raise GameValidationError([f"payoff must hold numbers, not {what}"])
-    try:
-        # A new array, with -0.0 read as 0.0, so that groups key on values.
-        payoff = np.asarray(payoff, dtype=float) + 0.0
-    except OverflowError:
-        raise GameValidationError(["payoff holds a number beyond double range"]) from None
-    except (TypeError, ValueError) as e:
-        raise GameValidationError([f"payoff is not an array of numbers: {e}"]) from None
+    payoff = _payoff_array(payoff)
     if action_entry is None:
         n_entries, unit = n_joint, "joint action"
         entry = np.broadcast_to(np.arange(n_joint), (m, n_joint))
@@ -664,11 +670,25 @@ def _entry_form_game(raw: Mapping, states: tuple, player_actions: tuple) -> Team
         payoff.append(r + [[0.0] * m] * (width - len(r)))
     if errors:
         raise GameValidationError(errors)
-    return build_game(
-        raw.get("n_players"), states, player_actions, payoff,
-        [[e.get("rows") for e in per] for per in entries], raw.get("r_max"),
-        action_entry=raw["action_entry"],
-    )
+    try:
+        return build_game(
+            raw.get("n_players"), states, player_actions, payoff,
+            [[e.get("rows") for e in per] for per in entries], raw.get("r_max"),
+            action_entry=raw["action_entry"],
+        )
+    except GameValidationError as e:
+        # build_game reads every 'r' as one array; name the entries at fault.
+        if not e.errors[0].startswith("payoff "):
+            raise
+        named = []
+        for k, per in enumerate(entries):
+            for i, x in enumerate(per):
+                try:
+                    _payoff_array(x["r"])
+                except GameValidationError as fault:
+                    where = f"entries[state={states[k]!r}][{i}]: 'r'"
+                    named.append(fault.errors[0].replace("payoff", where, 1))
+        raise GameValidationError(named or e.errors) from None
 
 
 def validate_game(raw: Mapping) -> TeamMarkovGame:

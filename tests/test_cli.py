@@ -223,7 +223,8 @@ def test_integer_beyond_double_range_exits_1(rssd_file, tmp_path, capsys, edit, 
     "edit, message",
     [
         pytest.param(lambda doc: doc["entries"][0][0]["r"].__setitem__(0, HUGE),
-                     "payoff holds a number beyond double range", id="r"),
+                     "entries[state='s1'][0]: 'r' holds a number beyond double range",
+                     id="r"),
         pytest.param(lambda doc: doc.update(r_max=HUGE),
                      "r_max is beyond double range", id="r_max"),
         pytest.param(lambda doc: doc["entries"][0][0]["rows"][0].__setitem__(0, HUGE),

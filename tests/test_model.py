@@ -756,9 +756,11 @@ ENTRY_FORM_FAULTS = {
     "r_not_a_list": (entry_doc_edit(("entries", 2, 0, "r"), 0.5),
                      "entries[state='s3'][0]: 'r' must list 3 payoffs, one per state"),
     "r_true": (entry_doc_edit(("entries", 0, 0, "r", 1), True),
-               "payoff must hold numbers, not true/false"),
+               "entries[state='s1'][0]: 'r' must hold numbers, not true/false"),
     "r_string": (entry_doc_edit(("entries", 0, 0, "r", 1), "0.5"),
-                 "payoff must hold numbers, not strings"),
+                 "entries[state='s1'][0]: 'r' must hold numbers, not strings"),
+    "r_huge": (entry_doc_edit(("entries", 1, 2, "r", 0), 10**400),
+               "entries[state='s2'][2]: 'r' holds a number beyond double range"),
     "rows_true": (entry_doc_edit(("entries", 0, 0, "rows", 0, 0), True),
                   "uncertainty[state='s1', action=(0, 0, 0)]: "
                   "rows must hold numbers, not true/false"),
@@ -840,6 +842,17 @@ class TestEntryForm:
         doc = json.loads(json.dumps(model._entry_document(rssd_game)))
         edit(doc)
         assert validated(doc) == [message]
+
+    def test_each_entry_at_fault_in_its_numbers_is_named(self, rssd_game):
+        """Faults in the numbers of two entries' ``r`` give one line each,
+        in entry order, each with its own fault."""
+        doc = json.loads(json.dumps(model._entry_document(rssd_game)))
+        doc["entries"][2][1]["r"][0] = None
+        doc["entries"][0][3]["r"][2] = 10**400
+        assert validated(doc) == [
+            "entries[state='s1'][3]: 'r' holds a number beyond double range",
+            "entries[state='s3'][1]: 'r' must hold numbers, not null",
+        ]
 
 
 GROUP_ARRAYS = ("action_group", "group_action", "group_payoff", "group_candidates",
