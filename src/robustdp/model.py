@@ -37,12 +37,11 @@ A game document comes in one of two forms, which :func:`validate_game`
 tells apart by their keys and never takes mixed.  The entry form, which
 :func:`save_game` writes, lists each state's groups once, as the builder
 takes them, with an ``action_entry`` map, and goes to :func:`build_game`
-as it is.  The sparse form, which :func:`game_to_dict` returns and which
-suits files written by hand, lists one item per payoff triple and per
-(state, joint action) pair; its two lists, ``payoffs`` and
-``uncertainty``, are read by one column pass, :func:`_entry_cells`, or,
-for a list it declines, by one per-item loop in :func:`validate_game`,
-which words every error.
+as it is, so a fault in an entry is named by its entry.  The sparse
+form, which :func:`game_to_dict` returns and which suits files written by
+hand, lists one item per payoff triple and per (state, joint action)
+pair; its two lists, ``payoffs`` and ``uncertainty``, are read by one
+per-item loop in :func:`validate_game`, which words every error.
 
 Instances are immutable after validation and safe to share across concurrent
 solver runs.
@@ -336,10 +335,13 @@ def build_game(
     raw candidate rows, or ``None`` for a pair the input does not list.  A
     state's sets are read by :func:`_read_rows`, which also rejects
     ``true``/``false`` and strings inside them, and checked and cleaned
-    once, as one stack of rows, by :func:`_clean_rows`; a bad set gets one
-    error line per pair that maps to it.  Actions of a state whose payoff
-    and cleaned rows are the same bytes, with -0.0 read as 0.0, are packed
-    as one group of ``TeamMarkovGame.group_candidates``.  Raises
+    once, as one stack of rows, by :func:`_clean_rows`.  Given a map, a bad
+    set gets one error line, as ``entries[state=…][e]: 'rows': …``, and so
+    does an entry with a non-finite payoff (``'r'``); without one, a bad
+    set is named by its pair, as ``uncertainty[state=…, action=…]``.
+    Actions of a state whose payoff and cleaned rows are the same bytes,
+    with -0.0 read as 0.0, are packed as one group of
+    ``TeamMarkovGame.group_candidates``.  Raises
     :class:`GameValidationError` listing every problem found; problems with
     the header (players, states, action sets) or with the shapes and
     indices of ``payoff`` and ``action_entry`` are reported without the
@@ -425,7 +427,9 @@ def build_game(
                 f"action_entry[state={states[k]!r}]: entries "
                 f"{np.flatnonzero(past[k]).tolist()} have no row set"
             )
-    if not np.all(np.isfinite(payoff)):
+        for k, e in np.argwhere(~np.isfinite(payoff).all(axis=2)).tolist():
+            errors.append(f"entries[state={states[k]!r}][{e}]: 'r' contains non-finite entries")
+    elif not np.all(np.isfinite(payoff)):
         errors.append("payoff contains non-finite entries")
 
     # Entries whose payoff and cleaned rows are the same bytes share a
@@ -452,14 +456,14 @@ def build_game(
                 if g == len(per_group):
                     per_group.append((first[e], rows))
             group_rows.append(per_group)
-            if bad:
-                # One line per pair that maps to a bad set, in action order.
-                for a in np.flatnonzero(np.isin(entry[k], list(bad))):
-                    action = tuple(int(i) for i in np.unravel_index(a, shape))
-                    errors.append(
-                        f"uncertainty[state={states[k]!r}, action={action}]: "
-                        f"{bad[int(entry[k, a])]}"
-                    )
+            # One line per bad set, in entry order; without a map each
+            # entry is one pair, named by its joint action.
+            for e, fault in sorted(bad.items()):
+                if action_entry is None:
+                    action = tuple(int(i) for i in np.unravel_index(e, shape))
+                    errors.append(f"uncertainty[state={states[k]!r}, action={action}]: {fault}")
+                else:
+                    errors.append(f"entries[state={states[k]!r}][{e}]: 'rows': {fault}")
 
     computed_r_max = float(np.max(np.abs(payoff))) if payoff.size else 0.0
     if r_max is None:
@@ -563,60 +567,6 @@ def _clean_rows(row_sets, m: int) -> tuple[dict[int, np.ndarray], dict[int, str]
             j = a + off[a:b].argmax()
             errors[e] = f"row {j - a} sum {float(sums[j])!r} != 1"
     return cleaned, errors
-
-
-def _entry_cells(entries: list, keys: tuple, column, state_idx: dict, sizes: tuple, m: int):
-    """The listed mask, flat cells and values of a list of plainly
-    well-formed entries; ``None`` for any other list.
-
-    ``keys`` are the key columns: ``("s", "a", "s_next")`` for payoffs,
-    ``("s", "a")`` for uncertainty.  A cell is a flat index in C order over
-    (m, *sizes, m) or (m, *sizes), the payoff tensor's and the (state,
-    joint action) grid's order.  Plainly well formed means: every entry is
-    a ``dict`` whose state keys name known states, whose ``a`` is a
-    ``list`` of one in-range ``int`` per player, whose values
-    ``column(entries)`` reads without raising, and no two entries share a
-    cell.  Each check is one C-level pass over a column, so no per-entry
-    objects are made.  :func:`validate_game`'s per-entry loop reads any
-    other list, and agrees on every list this function reads.
-    """
-    get_a, chain = operator.itemgetter("a"), itertools.chain.from_iterable
-    n = len(entries)
-    try:
-        if not (
-            set(map(type, entries)) <= {dict}
-            and set(map(type, map(get_a, entries))) <= {list}
-            and set(map(len, map(get_a, entries))) <= {len(sizes)}
-            and set(map(type, chain(map(get_a, entries)))) <= {int}
-        ):
-            return None
-        acts = np.fromiter(chain(map(get_a, entries)), np.intp, n * len(sizes))
-        cols, dims = [], []
-        for key in keys:
-            if key == "a":
-                cols.extend(acts.reshape(n, len(sizes)).T)
-                dims.extend(sizes)
-            else:
-                names = map(operator.itemgetter(key), entries)
-                cols.append(np.fromiter(map(state_idx.__getitem__, names), np.intp, n))
-                dims.append(m)
-        flat = np.ravel_multi_index(cols, dims)
-        values = column(entries)
-    except (KeyError, TypeError, ValueError, OverflowError):
-        # A missing key, an unknown or unhashable state name, an action index
-        # out of range or too large for intp, or a value the column declines.
-        return None
-    listed = np.zeros(math.prod(dims), dtype=bool)
-    listed[flat] = True
-    return (listed, flat, values) if np.count_nonzero(listed) == n else None
-
-
-def _r_column(entries: list) -> np.ndarray:
-    """Every entry's ``r`` as a double; raises unless each is an int or float in range."""
-    r = list(map(operator.itemgetter("r"), entries))
-    if not set(map(type, r)) <= {int, float}:
-        raise TypeError("'r' must be a number")
-    return np.fromiter(r, float, len(r))
 
 
 def _team_payoff(r, n_players: int) -> float:
@@ -723,15 +673,14 @@ def validate_game(raw: Mapping) -> TeamMarkovGame:
     spell, is an error in ``r``, ``default_payoff``, ``r_max`` and
     candidate ``rows``.
 
-    A large file is mostly payoff and uncertainty entries.  Both lists are
-    read down the same two paths, each with its own value reader (``r``
-    for payoffs, ``rows`` for uncertainty): :func:`_entry_cells` checks a
-    plainly well-formed list column by column, and one per-entry loop reads
-    any other list and words every error.  The listed cells are kept in a
-    mask, and payoffs and row sets are each scattered into their grid at
-    once; :func:`build_game` reads a state's row sets, which are lists
-    here, as one set and checks them as one stack (see :func:`_clean_rows`).
-    Either way the game and the errors are the same.
+    A sparse file is mostly payoff and uncertainty entries.  Both lists
+    are read by one per-entry loop, each with its own value reader (``r``
+    for payoffs, ``rows`` for uncertainty), which words every error.  The
+    listed cells are kept in a mask, and payoffs and row sets are each
+    scattered into their grid at once; :func:`build_game` reads a state's
+    row sets, which are lists here, as one set and checks them as one
+    stack (see :func:`_clean_rows`).  A large game loads faster from the
+    entry form, which lists each group once and takes no per-item loop.
     """
     if not isinstance(raw, Mapping):
         raise GameValidationError(["top level must be a JSON object"])
@@ -755,11 +704,8 @@ def validate_game(raw: Mapping) -> TeamMarkovGame:
     n_joint = math.prod(sizes)
     state_idx = {s: i for i, s in enumerate(states)}
 
-    def read(name, entries, keys, column, value):
-        cells = _entry_cells(entries, keys, column, state_idx, sizes, m)
-        if cells is not None:
-            return cells
-        # The same, entry by entry: a bad entry is left out, a cell's first wins.
+    def read(name, entries, keys, value):
+        # Entry by entry: a bad entry is left out, a cell's first wins.
         listed = np.zeros(math.prod(n_joint if key == "a" else m for key in keys), dtype=bool)
         flat, values = [], []
         for i, ent in enumerate(entries):
@@ -811,7 +757,7 @@ def validate_game(raw: Mapping) -> TeamMarkovGame:
     if not isinstance(payoffs, list):
         errors.append("payoffs must be an array of entries")
         payoffs = []
-    listed, flat, r = read("payoffs", payoffs, ("s", "a", "s_next"), _r_column,
+    listed, flat, r = read("payoffs", payoffs, ("s", "a", "s_next"),
                            lambda ent: _team_payoff(ent.get("r"), len(sizes)))
     # Unlisted triples without a default are reported here, not as non-finite.
     pay = np.full(listed.size, 0.0 if default is None else float(default))
@@ -828,9 +774,7 @@ def validate_game(raw: Mapping) -> TeamMarkovGame:
     if not isinstance(unc, list):
         errors.append("uncertainty must be an array of entries")
         unc = []
-    _, flat, rows = read("uncertainty", unc, ("s", "a"),
-                         lambda ents: list(map(operator.itemgetter("rows"), ents)),
-                         operator.methodcaller("get", "rows"))
+    _, flat, rows = read("uncertainty", unc, ("s", "a"), operator.methodcaller("get", "rows"))
     # A pair no entry lists stays None; build_game reports it as missing.
     grid = np.full(m * n_joint, None, dtype=object)
     grid[flat] = np.fromiter(rows, object, len(rows))

@@ -228,8 +228,8 @@ def test_integer_beyond_double_range_exits_1(rssd_file, tmp_path, capsys, edit, 
         pytest.param(lambda doc: doc.update(r_max=HUGE),
                      "r_max is beyond double range", id="r_max"),
         pytest.param(lambda doc: doc["entries"][0][0]["rows"][0].__setitem__(0, HUGE),
-                     "uncertainty[state='s1', action=(0, 0, 0)]: "
-                     "rows hold a number beyond double range", id="rows"),
+                     "entries[state='s1'][0]: 'rows': rows hold a number beyond double range",
+                     id="rows"),
         pytest.param(lambda doc: doc["action_entry"][0].__setitem__(0, HUGE),
                      "action_entry must hold integers, not object", id="action_entry"),
     ],
@@ -303,7 +303,9 @@ def test_game_too_large_for_memory_exits_1(tmp_path, capsys, monkeypatch):
     "flags, message",
     [
         (["--theta", "1e308,1e308,1e308"],
-         "invalid game description: payoff contains non-finite entries"),
+         "invalid game description: "
+         + "; ".join(f"entries[state='s3'][{h}]: 'r' contains non-finite entries"
+                     for h in (1, 2, 3))),
         (["--theta", "inf,1,1"], "snowdrift_benefit (inf, 1.0, 1.0) must be finite"),
         (["--mu", "nan"], "mu nan must satisfy 0 <= mu and mu * n_players <= 1"),
     ],

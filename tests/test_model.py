@@ -4,6 +4,7 @@ import gc
 import itertools
 import json
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -35,7 +36,6 @@ from conftest import (
 )
 from robustdp import model
 from robustdp.cli import main
-from robustdp.model import _entry_cells
 
 
 def rows_game(rows, m):
@@ -749,7 +749,8 @@ def entry_doc_edit(path, value):
 
 
 #: Faults of an entry-form ``rssd`` document (n = 3), each one line.
-#: Entry 0 of state s1 is the group of joint action (0, 0, 0) alone.
+#: Entry 0 of state s1 is the group of joint action (0, 0, 0) alone, and
+#: entry 1 the group of three joint actions.
 ENTRY_FORM_FAULTS = {
     "r_too_short": (entry_doc_edit(("entries", 0, 1, "r"), [0.5, 0.5]),
                     "entries[state='s1'][1]: 'r' must list 3 payoffs, one per state"),
@@ -762,11 +763,12 @@ ENTRY_FORM_FAULTS = {
     "r_huge": (entry_doc_edit(("entries", 1, 2, "r", 0), 10**400),
                "entries[state='s2'][2]: 'r' holds a number beyond double range"),
     "rows_true": (entry_doc_edit(("entries", 0, 0, "rows", 0, 0), True),
-                  "uncertainty[state='s1', action=(0, 0, 0)]: "
-                  "rows must hold numbers, not true/false"),
+                  "entries[state='s1'][0]: 'rows': rows must hold numbers, not true/false"),
     "rows_string": (entry_doc_edit(("entries", 0, 0, "rows", 0, 0), "0.7"),
-                    "uncertainty[state='s1', action=(0, 0, 0)]: "
-                    "rows must hold numbers, not strings"),
+                    "entries[state='s1'][0]: 'rows': rows must hold numbers, not strings"),
+    "rows_of_a_shared_entry": (entry_doc_edit(("entries", 0, 1, "rows", 0, 0), None),
+                               "entries[state='s1'][1]: 'rows': rows must hold numbers, "
+                               "not null"),
     "index_too_large": (entry_doc_edit(("action_entry", 1, 2), 4),
                         "action_entry holds an entry outside [0, 4)"),
     "index_negative": (entry_doc_edit(("action_entry", 1, 2), -1),
@@ -852,6 +854,22 @@ class TestEntryForm:
         assert validated(doc) == [
             "entries[state='s1'][3]: 'r' holds a number beyond double range",
             "entries[state='s3'][1]: 'r' must hold numbers, not null",
+        ]
+
+    @pytest.mark.parametrize(
+        "s3, s1",
+        [(math.nan, math.inf), (-math.inf, math.nan)],
+        ids=["nan_and_infinity", "minus_infinity_and_nan"],
+    )
+    def test_each_entry_with_a_non_finite_number_is_named(self, rssd_game, s3, s1):
+        """Non-finite numbers in two entries' ``r`` give one line each, in
+        entry order."""
+        doc = json.loads(json.dumps(model._entry_document(rssd_game)))
+        doc["entries"][2][1]["r"][0] = s3
+        doc["entries"][0][3]["r"][2] = s1
+        assert validated(doc) == [
+            "entries[state='s1'][3]: 'r' contains non-finite entries",
+            "entries[state='s3'][1]: 'r' contains non-finite entries",
         ]
 
 
@@ -1013,19 +1031,31 @@ class TestActionEntry:
     @given(entry_game_parts())
     @settings(max_examples=100, deadline=None)
     def test_entry_build_matches_per_pair_build(self, parts):
-        """Building through the map gives the same arrays, or the same
-        errors, as building from each pair's payoff and rows."""
+        """Building through the map gives the same arrays as building from
+        each pair's payoff and rows, or the same errors, worded once per
+        bad entry instead of once per pair that maps to it."""
         def build(*args, **kwargs):
             try:
                 return r.build_game(*args, **kwargs)
             except r.GameValidationError as e:
                 return e.errors
 
-        *head, action_entry = parts
-        by_entry = build(*head, action_entry=action_entry)
+        _, states, actions, *_, action_entry = parts
+        by_entry = build(*parts[:-1], action_entry=action_entry)
         by_pair = build(*per_pair_parts(parts))
         if isinstance(by_pair, list):
-            assert by_entry == by_pair
+            pairs = []
+            for line in by_entry:
+                s, e, fault = re.fullmatch(r"entries\[state='(\w+)'\]\[(\d+)\]: 'rows': (.*)",
+                                           line).groups()
+                k = states.index(s)
+                pairs += [(k, a, fault) for a in np.flatnonzero(action_entry[k] == int(e))]
+            shape = tuple(map(len, actions))
+            assert by_pair == [
+                f"uncertainty[state={states[k]!r}, "
+                f"action={tuple(int(i) for i in np.unravel_index(a, shape))}]: {fault}"
+                for k, a, fault in sorted(pairs)
+            ]
         else:
             assert_same_arrays(by_entry, by_pair)
             assert by_entry.r_max == by_pair.r_max
@@ -1065,13 +1095,13 @@ class TestActionEntry:
             self.build(action_entry)
         assert exc.value.errors == [message]
 
-    def test_bad_entries_reported_per_pair_in_action_order(self):
+    def test_bad_entries_reported_once_each_in_entry_order(self):
+        """Entry 1, which two joint actions use, is named once, by its entry."""
         with pytest.raises(r.GameValidationError) as exc:
             self.build([[1, 0, 1]], rows=[[[[1.1]], [[1.2]]]])
         assert exc.value.errors == [
-            "uncertainty[state='s0', action=(0,)]: row 0 sum 1.2 != 1",
-            "uncertainty[state='s0', action=(1,)]: row 0 sum 1.1 != 1",
-            "uncertainty[state='s0', action=(2,)]: row 0 sum 1.2 != 1",
+            "entries[state='s0'][0]: 'rows': row 0 sum 1.1 != 1",
+            "entries[state='s0'][1]: 'rows': row 0 sum 1.2 != 1",
         ]
 
     def test_payoff_must_give_entries_of_every_state(self):
@@ -1128,11 +1158,11 @@ EDITS = {
     "not_an_object": lambda e, sizes, p, key: [[e]],
     "missing_key": lambda e, sizes, p, key: [{k: v for k, v in e.items() if k != key}],
 }
-#: The payoff edits the column pass reads; the per-entry loop reads these
-#: and the per-player ``r`` list, and rejects every other edit.
-COLUMN_EDITS = {"r_2_53_plus_1", "r_1e20"}
-LOOP_EDITS = COLUMN_EDITS | {"r_per_player"}
-#: Both paths read an uncertainty entry whatever its ``r``, and reject
+#: The payoff edits the per-entry loop reads: an integer ``r`` in double
+#: range, however many digits it has, and a per-player ``r`` list.  It
+#: rejects every other edit.
+LOOP_EDITS = {"r_2_53_plus_1", "r_1e20", "r_per_player"}
+#: The loop reads an uncertainty entry whatever its ``r``, and rejects
 #: every other edit.
 UNCERTAINTY_EDITS = {edit for edit in EDITS if edit.startswith("r_")}
 KEYS = {"payoffs": ("s", "a", "s_next"), "uncertainty": ("s", "a")}
@@ -1146,41 +1176,30 @@ def validated(doc):
         return e.errors
 
 
-def column_read(doc):
-    """``validated(doc)``, and the sections whose list the column pass read."""
-    read = []
-
-    def spy(entries, keys, *rest):
-        cells = _entry_cells(entries, keys, *rest)
-        read.extend(name for name, of in KEYS.items() if of == keys and cells is not None)
-        return cells
-
-    with mock.patch.object(model, "_entry_cells", side_effect=spy):
-        return validated(doc), read
-
-
 class TestPayoffColumnPass:
-    """``_entry_cells`` against the per-entry loop of ``validate_game``,
-    which runs when ``_entry_cells`` declines a list, on both entry lists."""
+    """The per-entry loop of ``validate_game``, which reads both lists of
+    the sparse form, on one edited entry: it reads the edits it accepts
+    into the game and names the edited entry for every other.  The names
+    recall a column-wise reader that once read plainly well-formed lists
+    before the loop and was held to it here; the loop is now the one
+    reader."""
 
     @pytest.mark.parametrize("edit", EDITS)
     @given(games(), st.data())
     @settings(max_examples=5, deadline=None)
     def test_column_pass_agrees_with_per_entry_loop(self, edit, game, data):
-        self.check("payoffs", edit, game, data, COLUMN_EDITS, LOOP_EDITS)
+        self.check("payoffs", edit, game, data, LOOP_EDITS)
 
     @pytest.mark.parametrize("edit", EDITS)
     @given(games(), st.data())
     @settings(max_examples=5, deadline=None)
     def test_uncertainty_column_pass_agrees_with_per_entry_loop(self, edit, game, data):
-        self.check("uncertainty", edit, game, data, UNCERTAINTY_EDITS, UNCERTAINTY_EDITS)
+        self.check("uncertainty", edit, game, data, UNCERTAINTY_EDITS)
 
     @staticmethod
-    def check(section, edit, game, data, column_edits, loop_edits):
+    def check(section, edit, game, data, loop_edits):
         doc = r.game_to_dict(game)
         sizes = game.action_shape
-        # Canonical files take the column pass for both lists.
-        assert column_read(doc)[1] == ["payoffs", "uncertainty"]
         # r_max is left to the payoffs, so only the entries can be rejected.
         del doc["r_max"]
         assume(doc[section])
@@ -1189,16 +1208,26 @@ class TestPayoffColumnPass:
         states = [key for key in KEYS[section] if key != "a"]
         keys = [*KEYS[section], "r" if section == "payoffs" else "rows"]
         key = data.draw(st.sampled_from(keys if edit == "missing_key" else states))
-        doc[section][i : i + 1] = EDITS[edit](doc[section][i], sizes, p, key)
-        fast, read = column_read(doc)
-        with mock.patch.object(model, "_entry_cells", return_value=None):
-            slow = validated(doc)
-        assert (section in read) == (edit in column_edits)
-        assert isinstance(slow, r.TeamMarkovGame) == (edit in loop_edits), slow
-        if isinstance(slow, list):
-            assert fast == slow
+        entries, ent = list(doc[section]), doc[section][i]
+        doc[section][i : i + 1] = EDITS[edit](ent, sizes, p, key)
+        loaded = validated(doc)
+        assert isinstance(loaded, r.TeamMarkovGame) == (edit in loop_edits), loaded
+        if section == "uncertainty" and edit in loop_edits:
+            assert_same_arrays(loaded, validated(dict(doc, uncertainty=entries)))
+        elif edit in loop_edits:
+            # The edited triple holds the edited r, read as the team payoff.
+            k, l = (game.states.index(ent[name]) for name in ("s", "s_next"))
+            a = np.ravel_multi_index(ent["a"], sizes)
+            payoff = loaded.group_payoff[k, loaded.action_group[k, a], l]
+            assert payoff == pytest.approx(np.mean(doc[section][i]["r"]))
+        elif key == "rows":
+            # A missing row set is build_game's to report, by its pair.
+            pair = f"uncertainty[state={ent['s']!r}, action={tuple(ent['a'])}]"
+            assert f"{pair}: missing entry" in loaded
         else:
-            assert_same_arrays(fast, slow)
+            # A duplicate is the second entry of its cell.
+            where = f"{section}[{i + edit.startswith('duplicate')}]: "
+            assert any(error.startswith(where) for error in loaded), loaded
 
 
 def edited(row, j, value):
