@@ -37,7 +37,7 @@ A game document comes in one of two forms, which :func:`validate_game`
 tells apart by their keys and never takes mixed.  The entry form, which
 :func:`save_game` writes, lists each state's groups once, as the builder
 takes them, with an ``action_entry`` map, and goes to :func:`build_game`
-as it is, so a fault in an entry is named by its entry.  The sparse
+as it is, which names every entry at fault in one error.  The sparse
 form, which :func:`game_to_dict` returns and which suits files written by
 hand, lists one item per payoff triple and per (state, joint action)
 pair; its two lists, ``payoffs`` and ``uncertainty``, are read by one
@@ -282,9 +282,9 @@ class TeamMarkovGame:
 
 
 def _payoff_array(payoff) -> np.ndarray:
-    """``payoff`` as a new array of doubles, with -0.0 read as 0.0, so that
-    groups key on values; a one-line :class:`GameValidationError` if it
-    holds anything but numbers in double range."""
+    """``payoff`` as a new array of doubles, -0.0 read as 0.0 so that groups
+    key on values; one :class:`GameValidationError` line for a non-number or
+    a number beyond double range, which :func:`build_game`, given a map, words by entry."""
     what = _non_numbers(payoff)
     if what:
         raise GameValidationError([f"payoff must hold numbers, not {what}"])
@@ -332,20 +332,21 @@ def build_game(
     state and no other, one row set per (state, entry), and a
     finite real ``r_max``, not a bool (computed as max |payoff| when
     omitted), no smaller than any payoff.  A row set is an array-like of
-    raw candidate rows, or ``None`` for a pair the input does not list.  A
-    state's sets are read by :func:`_read_rows`, which also rejects
-    ``true``/``false`` and strings inside them, and checked and cleaned
-    once, as one stack of rows, by :func:`_clean_rows`.  Given a map, a bad
-    set gets one error line, as ``entries[state=…][e]: 'rows': …``, and so
-    does an entry with a non-finite payoff (``'r'``); without one, a bad
-    set is named by its pair, as ``uncertainty[state=…, action=…]``.
-    Actions of a state whose payoff and cleaned rows are the same bytes,
-    with -0.0 read as 0.0, are packed as one group of
-    ``TeamMarkovGame.group_candidates``.  Raises
-    :class:`GameValidationError` listing every problem found; problems with
-    the header (players, states, action sets) or with the shapes and
-    indices of ``payoff`` and ``action_entry`` are reported without the
-    checks that depend on them.
+    raw candidate rows, or ``None`` for a pair the input does not list; a
+    state's sets are read by :func:`_read_rows`, which rejects non-numbers
+    in them too, and checked and cleaned once, as one stack of rows, by
+    :func:`_clean_rows`.  Actions of a state whose payoff and cleaned rows
+    are the same bytes, with -0.0 read as 0.0, are packed as one group of
+    ``TeamMarkovGame.group_candidates``.
+
+    Raises :class:`GameValidationError` listing every problem found;
+    problems with the header (players, states, action sets) or with the
+    shapes and indices of ``payoff`` and ``action_entry`` are reported
+    without the checks that depend on them.  Given a map, each entry at
+    fault is named, as ``entries[state=…][e]: 'r' …`` or ``…: 'rows': …``,
+    and an ``r`` of non-numbers is read as zeros, so that the later checks
+    still run; without one, such a payoff is one early line, and a bad set
+    is named by its pair, as ``uncertainty[state=…, action=…]``.
     """
     n_players_ok = _is_number(n_players, int)
     states, player_actions, errors = _name_lists(states, player_actions)
@@ -372,7 +373,26 @@ def build_game(
     m = len(states)
     shape = tuple(len(a) for a in player_actions)
     n_joint = math.prod(shape)
-    payoff = _payoff_array(payoff)
+    try:
+        payoff = _payoff_array(payoff)
+    except GameValidationError:
+        # Given a map, read (m, E, m) lists entry by entry, naming each bad one.
+        read = [[] for _ in range(m)]
+        with contextlib.suppress(IndexError, TypeError, ValueError):
+            for k, per in enumerate(payoff if action_entry is not None else ()):
+                for e, r in enumerate(per):
+                    try:
+                        read[k].append(_payoff_array(r))
+                    except GameValidationError as fault:
+                        read[k].append(np.zeros(len(r)))
+                        if e < len(uncertainty_rows[k]):  # later rows are padding, not read
+                            where = f"entries[state={states[k]!r}][{e}]: 'r'"
+                            errors.append(fault.errors[0].replace("payoff", where, 1))
+            read = np.array(read)
+        if getattr(read, "ndim", 0) != 3 or read.shape[::2] != (m, m):
+            raise
+        payoff = read
+    n_faults = len(errors)  # entries' 'r' faults, which alone stop no later check
     if action_entry is None:
         n_entries, unit = n_joint, "joint action"
         entry = np.broadcast_to(np.arange(n_joint), (m, n_joint))
@@ -396,7 +416,7 @@ def build_game(
             errors.append(f"action_entry must hold integers, not {what}")
         elif payoff.ndim == 3 and (entry.min() < 0 or entry.max() >= n_entries):
             errors.append(f"action_entry holds an entry outside [0, {n_entries})")
-    if errors:
+    if len(errors) > n_faults:
         raise GameValidationError(errors)
     # Each state's entry count is the number of row sets it lists: E, or
     # with a map as few as one, so that states may differ in their entry
@@ -595,9 +615,8 @@ def _entry_form_game(raw: Mapping, states: tuple, player_actions: tuple) -> Team
     Only the lists' layout is checked here, so that the payoffs can be
     padded into one (m, E, m) array: ``entries`` holds one nonempty list of
     objects per state, each ``r`` a list of m items, and ``action_entry``
-    is given.  Everything else, the numbers, rows, map and ``r_max``
-    among it, is checked by :func:`build_game`, which takes the entries as
-    they are."""
+    is given.  :func:`build_game`, which takes the entries as they are,
+    checks everything else and names every entry at fault."""
     m = len(states)
     entries = raw.get("entries")
     if not (
@@ -620,25 +639,9 @@ def _entry_form_game(raw: Mapping, states: tuple, player_actions: tuple) -> Team
         payoff.append(r + [[0.0] * m] * (width - len(r)))
     if errors:
         raise GameValidationError(errors)
-    try:
-        return build_game(
-            raw.get("n_players"), states, player_actions, payoff,
-            [[e.get("rows") for e in per] for per in entries], raw.get("r_max"),
-            action_entry=raw["action_entry"],
-        )
-    except GameValidationError as e:
-        # build_game reads every 'r' as one array; name the entries at fault.
-        if not e.errors[0].startswith("payoff "):
-            raise
-        named = []
-        for k, per in enumerate(entries):
-            for i, x in enumerate(per):
-                try:
-                    _payoff_array(x["r"])
-                except GameValidationError as fault:
-                    where = f"entries[state={states[k]!r}][{i}]: 'r'"
-                    named.append(fault.errors[0].replace("payoff", where, 1))
-        raise GameValidationError(named or e.errors) from None
+    rows = [[e.get("rows") for e in per] for per in entries]
+    return build_game(raw.get("n_players"), states, player_actions, payoff, rows,
+                      raw.get("r_max"), action_entry=raw["action_entry"])
 
 
 def validate_game(raw: Mapping) -> TeamMarkovGame:

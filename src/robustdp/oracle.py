@@ -8,9 +8,9 @@ paper's instance has 4 groups of 8 joint actions per state, so 4**3 = 64 of
 its 512 rules are evaluated.  The rules are evaluated in blocks, each
 block as one stacked call of :func:`evaluate_policy_robust`.  A block
 gathers about 8 * m * m * (Kmax + 2) bytes per rule (Kmax the largest
-candidate count), so it holds at most ``ORACLE_BLOCK`` rules and at most
-``ORACLE_BLOCK_BYTES`` of them, but never fewer than one rule: the memory
-of a block stays bounded whatever the rule count and the state count.
+candidate count), so it holds as many rules as ``ORACLE_BLOCK_BYTES``
+takes, but never fewer than one rule: the memory of a block stays
+bounded whatever the rule count and the state count.
 Only the values, m doubles per rule, are kept for all of them.
 Meant as an independent reference for the iterative solvers, not as a
 production path; the ``oracle`` and ``bench-table1`` CLI commands (the
@@ -43,8 +43,6 @@ log = logging.getLogger("robustdp.oracle")
 _max = np.maximum.reduce
 _min = np.minimum.reduce
 
-#: Most rules per stacked robust evaluation.
-ORACLE_BLOCK = 1024
 #: Most bytes a block of rules gathers, at 8 * m * m * (Kmax + 2) per rule.
 ORACLE_BLOCK_BYTES = 64 * 2**20
 
@@ -118,8 +116,7 @@ def brute_force_maximin(
         raise BudgetExceededError(total, budget)
     values = np.empty((total, game.m))
     settled = True
-    per_rule = 8 * game.m**2 * (game.group_candidates.shape[2] + 2)
-    block = max(1, min(ORACLE_BLOCK, ORACLE_BLOCK_BYTES // per_rule))
+    block = max(1, ORACLE_BLOCK_BYTES // (8 * game.m**2 * (game.group_candidates.shape[2] + 2)))
     for start in range(0, total, block):
         stop = min(start + block, total)
         rules = _group_rules(game, n_groups, start, stop)

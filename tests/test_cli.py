@@ -247,6 +247,24 @@ def test_integer_beyond_double_range_in_entry_form_exits_1(
     assert err == f"{path}: invalid game description: {message}\n"
 
 
+def test_every_entry_at_fault_in_entry_form_is_on_the_one_line(rssd_file, tmp_path, capsys):
+    """A null in one entry's ``r``, a NaN in another's and a string in a
+    third's rows: one line names all three entries."""
+    doc = json.loads(rssd_file.read_text())
+    doc["entries"][0][0]["r"][1] = None
+    doc["entries"][1][1]["r"][0] = float("nan")
+    doc["entries"][2][0]["rows"][0][0] = "0.5"
+    path = tmp_path / "faults.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", "--game", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"{path}: invalid game description: "
+        "entries[state='s1'][0]: 'r' must hold numbers, not null; "
+        "entries[state='s2'][1]: 'r' contains non-finite entries; "
+        "entries[state='s3'][0]: 'rows': rows must hold numbers, not strings\n"
+    )
+
+
 def test_mt_zero_matches_value_iteration_residuals(rssd_file, tmp_path):
     args = ["--lambda", "0.9", "--epsilon", "1e-4"]
     _, tpi = run_solve(rssd_file, tmp_path, "tpi", "--algo", "ratpi", "--mt", "0", *args)

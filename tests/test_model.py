@@ -791,6 +791,15 @@ ENTRY_FORM_FAULTS = {
                               "objects, one per state"),
 }
 
+#: Pairs of the faults in the numbers of an entry's ``r`` or ``rows``
+#: above that lie in two different entries.
+NUMBER_FAULT_PAIRS = [
+    (first, second)
+    for first, second in itertools.combinations(
+        ["r_true", "r_string", "r_huge", "rows_true", "rows_string", "rows_of_a_shared_entry"], 2)
+    if ENTRY_FORM_FAULTS[first][1].split(":")[0] != ENTRY_FORM_FAULTS[second][1].split(":")[0]
+]
+
 
 class TestEntryForm:
     """The entry form that ``save_game`` writes: each state's groups once,
@@ -871,6 +880,29 @@ class TestEntryForm:
             "entries[state='s1'][3]: 'r' contains non-finite entries",
             "entries[state='s3'][1]: 'r' contains non-finite entries",
         ]
+
+    def test_a_non_number_in_r_hides_no_other_fault(self, rssd_game):
+        """A null in one entry's ``r``, a NaN in another's and a string in
+        a third's rows: one line per entry, in state order."""
+        doc = json.loads(json.dumps(model._entry_document(rssd_game)))
+        doc["entries"][0][0]["r"][1] = None
+        doc["entries"][1][1]["r"][0] = math.nan
+        doc["entries"][2][0]["rows"][0][0] = "0.5"
+        assert validated(doc) == [
+            "entries[state='s1'][0]: 'r' must hold numbers, not null",
+            "entries[state='s2'][1]: 'r' contains non-finite entries",
+            "entries[state='s3'][0]: 'rows': rows must hold numbers, not strings",
+        ]
+
+    @pytest.mark.parametrize("first, second", NUMBER_FAULT_PAIRS)
+    def test_faults_of_two_entries_give_each_entry_once(self, first, second, rssd_game):
+        """Two ``r`` or ``rows`` faults in two entries give their two
+        single-fault lines and no other: ``r`` first, then ``rows``."""
+        doc = json.loads(json.dumps(model._entry_document(rssd_game)))
+        ENTRY_FORM_FAULTS[first][0](doc)
+        ENTRY_FORM_FAULTS[second][0](doc)
+        lines = [ENTRY_FORM_FAULTS[first][1], ENTRY_FORM_FAULTS[second][1]]
+        assert validated(doc) == sorted(lines, key=lambda line: ("'rows'" in line, line))
 
 
 GROUP_ARRAYS = ("action_group", "group_action", "group_payoff", "group_candidates",
@@ -1104,6 +1136,32 @@ class TestActionEntry:
             "entries[state='s0'][1]: 'rows': row 0 sum 1.2 != 1",
         ]
 
+    @pytest.mark.parametrize(
+        "payoff, action_entry, errors",
+        [
+            pytest.param([[["1"], [None]]], [[1, 0, 1]],
+                         ["entries[state='s0'][0]: 'r' must hold numbers, not strings",
+                          "entries[state='s0'][1]: 'r' must hold numbers, not null"],
+                         id="per_entry"),
+            pytest.param([[[None], [1.0]]], [[1, 2, 1]],
+                         ["entries[state='s0'][0]: 'r' must hold numbers, not null",
+                          "action_entry holds an entry outside [0, 2)"],
+                         id="with_a_map_fault"),
+            pytest.param([[[None, 0.0], [1.0]]], [[1, 0, 1]],
+                         ["payoff must hold numbers, not null"], id="ragged"),
+            pytest.param([[[None], [1.0]], [[0.0], [1.0]]], [[1, 0, 1]],
+                         ["payoff must hold numbers, not null"], id="too_many_states"),
+        ],
+    )
+    def test_payoff_that_is_not_numbers_is_named_by_entry(self, payoff, action_entry, errors):
+        """Given a map, a payoff laid out as (m, E, m) names each entry that
+        is not numbers, and the other checks still run; a payoff laid out
+        otherwise keeps its one line."""
+        with pytest.raises(r.GameValidationError) as exc:
+            r.build_game(1, ["s0"], [["a0", "a1", "a2"]], payoff, [[[[1.0]], [[1.0]]]],
+                         action_entry=action_entry)
+        assert exc.value.errors == errors
+
     def test_payoff_must_give_entries_of_every_state(self):
         with pytest.raises(r.GameValidationError) as exc:
             r.build_game(1, ["s0"], [["a0"]], np.zeros((1, 1)), [[[[1.0]]]],
@@ -1112,13 +1170,17 @@ class TestActionEntry:
 
     def test_states_may_list_fewer_entries_than_payoff_has(self):
         """State s1 lists one row set of payoff's two entries: its payoff row
-        past that, NaN and large here, is not read, and its actions form one
-        group, padded as a short state's groups are."""
+        past that, NaN and large here, or not numbers, is not read, and its
+        actions form one group, padded as a short state's groups are."""
         payoff = np.array([[[0.0, 1.0], [2.0, 0.0]], [[0.5, 0.0], [np.nan, 9.0]]])
         rows = [[[[0.0, 1.0]], [[1.0, 0.0]]], [[[0.5, 0.5]]]]
         game = r.build_game(1, ["s0", "s1"], [["a0", "a1"]], payoff, rows,
                             action_entry=[[0, 1], [0, 0]])
         assert game.r_max == 2.0
+        padded = payoff.tolist()
+        padded[1][1] = [None, "9"]
+        assert_same_arrays(r.build_game(1, ["s0", "s1"], [["a0", "a1"]], padded, rows,
+                                        action_entry=[[0, 1], [0, 0]]), game)
         assert game.action_group.tolist() == [[0, 1], [0, 0]]
         assert game.group_payoff_exp[1].tolist() == [[0.25], [-np.inf]]
         with pytest.raises(r.GameValidationError) as exc:

@@ -201,12 +201,17 @@ def test_ties_broken_as_over_every_rule_when_no_rule_dominates(monkeypatch):
     assert orc.max_dominance_gap == 2.0
 
 
+def rule_bytes(game):
+    """The bytes a block gathers per rule, 8 * m * m * (Kmax + 2)."""
+    return 8 * game.m**2 * (game.group_candidates.shape[2] + 2)
+
+
 @pytest.mark.parametrize("lam", [0.5, 0.97])
 def test_blocks_give_the_same_result_as_one_block(rssd_game, lam, monkeypatch):
     # The paper's instance has 4**3 = 64 group combinations: blocks of 5
-    # leave a last block of 4.
+    # rules' worth of bytes leave a last block of 4.
     whole = r.brute_force_maximin(rssd_game, lam)
-    monkeypatch.setattr(oracle, "ORACLE_BLOCK", 5)
+    monkeypatch.setattr(oracle, "ORACLE_BLOCK_BYTES", 5 * rule_bytes(rssd_game))
     blocked = r.brute_force_maximin(rssd_game, lam)
     assert_same_result(blocked, whole)
     assert_same_result(blocked, maximin_over_every_rule(rssd_game, lam))
@@ -227,7 +232,7 @@ def test_block_memory_is_bounded_in_bytes(monkeypatch):
         rows[k][1] = rows[k][0]
     game = r.build_game(1, [f"s{k}" for k in range(m)], [["a0", "a1"]], payoff, rows)
     whole = r.brute_force_maximin(game, 0.9)
-    budget = 8 * (8 * m * m * (game.group_candidates.shape[2] + 2))
+    budget = 8 * rule_bytes(game)
     monkeypatch.setattr(oracle, "ORACLE_BLOCK_BYTES", budget)
     tracemalloc.start()
     try:
@@ -244,5 +249,5 @@ def test_block_memory_is_bounded_in_bytes(monkeypatch):
 def test_block_size_does_not_change_the_result(game, block, lam):
     whole = r.brute_force_maximin(game, lam)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "ORACLE_BLOCK", block)
+        mp.setattr(oracle, "ORACLE_BLOCK_BYTES", block * rule_bytes(game))
         assert_same_result(r.brute_force_maximin(game, lam), whole)
