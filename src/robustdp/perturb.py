@@ -6,16 +6,20 @@ under joint action a in sweep ``phase`` of solver step ``step``; its tag is
 (step, phase, k, a).  Phase 0 is the improvement sweep; phases 1..M label
 the partial-evaluation sweeps of a step.  Noise is a pure function of
 (seed, tag), so replays and concurrently evaluated sweeps see identical
-values regardless of evaluation order, and one
-:meth:`PerturbationOracle.perturb` call draws the noise of a whole sweep's
-queries.  An exact run has no oracle (``approx=None``).
+values regardless of evaluation order.
+
+Uniform noise is a counter-based draw (Salmon et al. 2011; Steele, Lea &
+Flood 2014): the SplitMix64 finaliser chained over the tag in 64-bit
+unsigned arithmetic.  :meth:`PerturbationOracle.perturb` broadcasts its four
+tag arguments against each other and hashes every tag of the result in one
+pass of numpy ``uint64`` operations, so a solver draws the noise of many
+steps, every phase and every (state, column) in one call (see
+:mod:`robustdp.solvers`).  An exact run has no oracle (``approx=None``).
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from hashlib import blake2b
 
 import numpy as np
 
@@ -23,9 +27,22 @@ from .model import _count, _real
 
 MODES = ("uniform_noise", "adversarial_extremes")
 
+#: The SplitMix64 increment, 2**64 over the golden ratio, and the two
+#: multipliers of its finaliser.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 
-#: Hash input of one query: the seed and the four tag components.
-_KEY = struct.Struct("<5q")
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finaliser of every entry of the ``uint64`` array
+    ``z``, in place."""
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 @dataclass(frozen=True)
@@ -33,9 +50,13 @@ class PerturbationOracle:
     """Injectable bounded error source for backup values.
 
     * ``uniform_noise`` adds a deterministic uniform draw from
-      [-bound, bound] keyed on (seed, tag).
+      [-bound, bound] keyed on (seed, tag): the SplitMix64 hash of the tag
+      that :meth:`perturb` defines, on a grid of 2**53 points.
     * ``adversarial_extremes`` adds +/-bound, sign alternating with the
       parity of the tag component sum.
+
+    :meth:`perturb` is the only draw: a solver calls it once per block of
+    steps, with broadcast index arrays, never once per query.
 
     ``bound`` must be a positive real number, not a bool, and is stored as
     a float; ``seed`` must be a signed 64-bit integer, read with
@@ -65,24 +86,27 @@ class PerturbationOracle:
             raise ValueError(f"seed must be a signed 64-bit integer, got {self.seed!r}")
         object.__setattr__(self, "seed", seed)
 
-    def perturb(self, step: int, phase: int, queries) -> np.ndarray:
-        """Noise of the tags (step, phase, k, a) for the (k, a) pairs in
-        ``queries``, drawn in one call; the caller adds it to the exact
-        values.  Uniform noise is bound * (2u - 1), where u in [0, 1) is the
-        first 8 bytes of the blake2b digest of (seed, tag), read as a
-        little-endian integer and divided by 2**64."""
-        bound = self.bound
+    def perturb(self, step, phase, k, a) -> np.ndarray:
+        """Noise of the tags (step, phase, k, a), one per entry of the
+        broadcast of the four integer arguments, an array of that shape;
+        the caller adds it to the exact values.
+
+        Uniform noise is bound * (2u - 1) with u = (z >> 11) * 2**-53, where
+        z starts at seed mod 2**64 and takes z = mix(z + gamma * (c + 1))
+        for each tag component c in turn, all mod 2**64: ``mix`` is the
+        SplitMix64 finaliser and gamma = 0x9E3779B97F4A7C15."""
+        shape = np.broadcast_shapes(*map(np.shape, (step, phase, k, a)))
+        # At least one axis throughout, so numpy's wrapping array arithmetic
+        # runs rather than its scalar arithmetic, which warns on overflow.
+        tag = [np.atleast_1d(c).astype(np.uint64) for c in (step, phase, k, a)]
         if self.mode == "adversarial_extremes":
-            return np.array([
-                bound if (step + phase + k + a) % 2 == 0 else -bound
-                for k, a in queries
-            ])
-        pack, seed = _KEY.pack, self.seed
-        digests = [
-            blake2b(pack(seed, step, phase, k, a), digest_size=8).digest()
-            for k, a in queries
-        ]
-        return np.array([
-            bound * (2.0 * (int.from_bytes(d, "little") / 2.0**64) - 1.0)
-            for d in digests
-        ])
+            odd = sum(tag) & np.uint64(1)
+            return np.where(odd == 0, self.bound, -self.bound).reshape(shape)
+        z = np.array([self.seed % 2**64], dtype=np.uint64)
+        for c in tag:
+            c += np.uint64(1)
+            c *= _GAMMA
+            z = _mix(z + c)
+        u = (z >> np.uint64(11)).astype(float)
+        u *= 2.0**-53
+        return (self.bound * (2.0 * u - 1.0)).reshape(shape)

@@ -44,7 +44,10 @@ steps, and near a change of record the check's scores name the new one
 * ``rmpi``  - Jacobi improvement + Jacobi partial evaluation (baseline).
 * ``rvi``   - rmpi with zero evaluation sweeps per step (baseline).
 
-The Gauss-Seidel pair accepts an injectable bounded-error oracle; its
+The Gauss-Seidel pair accepts an injectable bounded-error oracle, whose
+noise a run draws in one ``perturb`` call per block of steps
+(:func:`_noise_draw`); under ``argmax_lock`` it draws only at each group's
+lowest member, the one action a locked sweep records.  Its
 termination threshold is (1-lam)*epsilon/(2*lam) - delta, where delta bounds
 the per-query error through the oracle (|error| <= lam*delta; a run whose
 oracle bound exceeds lam*delta is rejected up front).  The Jacobi
@@ -94,6 +97,10 @@ TAIL_CHECK_MIN_STATES = 8
 #: lam 0.97 and 0.99, mt 10) the first proposal was the loop's record in 56
 #: of 65 failed checks, and the second in the other 9.
 TAIL_GUESSES = 2
+#: Bytes of noise a perturbed run draws in one ``perturb`` call: the tables
+#: of as many steps as fit, but at least one.  Of 4 KiB to 4 MiB, 64 KiB
+#: drew the paper instance's perturbed runs fastest.
+NOISE_BLOCK_BYTES = 64 * 1024
 
 
 def max_delta(lam: float, epsilon: float) -> float:
@@ -335,6 +342,35 @@ def _proved_sweep(
     return checked, formed
 
 
+def _noise_draw(game: TeamMarkovGame, params: SolverParams, approx: PerturbationOracle):
+    """The draw of a perturbed run: a function of the step t that returns
+    the (1 + max mt, m, J) noise of step t's phases, 0 for the improvement
+    sweep and 1..mt for its evaluation sweeps.  An unlocked run's J columns
+    are the joint actions; a locked run's are each state's groups, drawn at
+    the group's lowest member, the only actions its sweeps record.  One
+    ``perturb`` call draws the tables of a block of steps from t on, as
+    many as ``NOISE_BLOCK_BYTES`` holds but at least one; steps come in
+    order, and a step that sweeps again reads its table again."""
+    schedule = params.mt_schedule
+    phases = 1 + (schedule if isinstance(schedule, int) else max(schedule))
+    cols = game.group_action if approx.argmax_lock else np.arange(game.n_joint_actions)
+    states = np.arange(game.m)[:, None]
+    block = max(1, NOISE_BLOCK_BYTES // (8 * phases * game.m * cols.shape[-1]))
+    table, start = np.empty((0,)), 0
+
+    def draw(t: int) -> np.ndarray:
+        nonlocal table, start
+        if not start <= t < start + len(table):
+            start = t
+            steps = np.arange(t, min(t + block, params.max_iterations))
+            table = approx.perturb(
+                steps[:, None, None, None], np.arange(phases)[:, None, None], states, cols
+            )
+        return table[t - start]
+
+    return draw
+
+
 def _run(
     game: TeamMarkovGame,
     params: SolverParams,
@@ -365,6 +401,9 @@ def _run(
     # The strictly lower mask every tail check of the run takes.
     below = np.tri(game.m, game.m, -1, dtype=bool) if full else None
     states = np.arange(game.m)
+    if approx is not None:
+        lock = approx.argmax_lock
+        draw = _noise_draw(game, params, approx)
 
     def improve(v):
         # The step's improvement sweep, and the operator of its record if
@@ -384,11 +423,15 @@ def _run(
             )
             if checked is not None:
                 return checked, formed
+        if approx is not None:
+            return improvement_sweep(game, v, lam, noise[0], lock), None
         if gauss_seidel:
-            return improvement_sweep(game, v, lam, approx, t), None
+            return improvement_sweep(game, v, lam), None
         return jacobi_improvement_sweep(game, v, lam), None
 
     for t in range(params.max_iterations):
+        if approx is not None:
+            noise = draw(t)
         sweep, formed = improve(v)
         d = sweep.u0 - v
         # T v >= v puts v below v*; where the last step's evaluation sweeps
@@ -430,13 +473,11 @@ def _run(
                 P, r = fixed_model_arrays(game, sweep.rule, sweep.worst_model)
                 op = evaluation_operator(P, r, lam, gauss_seidel, approx is not None)
             held = sweep
-            noise = None
+            drawn = None
             if approx is not None:
-                queries = list(enumerate(sweep.rule))
-                noise = np.array(
-                    [approx.perturb(t, s, queries) for s in range(1, mt + 1)]
-                )
-            u = evaluation_sweep(op, u, noise, mt)
+                cols = game.action_group[states, sweep.rule] if lock else sweep.rule
+                drawn = noise[1 : mt + 1, states, cols]
+            u = evaluation_sweep(op, u, drawn, mt)
         else:
             held = None
         v = u

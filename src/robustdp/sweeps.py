@@ -48,9 +48,9 @@ makes a few dozen numpy calls rather than one per row.  A game of at most
 Jacobi sweeps take A = lam * P and b = r and run through the same
 :func:`evaluation_sweep`; a step's sweeps run in one call.  A
 perturbed sweep adds the noise each state's value takes as the sweep writes
-it, pushed through the same solve: ``Q^{-1} noise``.  One oracle call draws
-a whole sweep's noise, before the sweep backs up any state; only the locked
-action's value, chosen as the sweep goes, takes one call per state.
+it, pushed through the same solve: ``Q^{-1} noise``.  No sweep calls the
+oracle: the solver draws the noise of many steps at once and hands each
+sweep its own draws (see :mod:`robustdp.solvers`).
 
 On a run's tail the improvement sweep records, step after step, the (rule,
 rows) of the operator the solver holds, and is then that affine map up to
@@ -89,13 +89,11 @@ the solvers to one sweep per call bit for bit.
 
 from __future__ import annotations
 
-from itertools import product
 from typing import NamedTuple
 
 import numpy as np
 
 from .model import TeamMarkovGame
-from .perturb import PerturbationOracle
 
 _min = np.minimum.reduce
 _max = np.maximum.reduce
@@ -325,40 +323,39 @@ def improvement_sweep(
     game: TeamMarkovGame,
     v: np.ndarray,
     lam: float,
-    approx: PerturbationOracle | None = None,
-    step: int = 0,
+    noise: np.ndarray | None = None,
+    lock: bool = False,
 ) -> SweepResult:
     """One Gauss-Seidel improvement sweep.
 
     For each state in order: back up every joint action (one backup per
     group of identical actions), keep the maximum as the updated value,
     record the first maximising action and the exact minimising row at that
-    action.  An ``approx`` oracle perturbs the backup of every action before
-    the maximum is taken, or with ``argmax_lock`` only the value of the
-    action the exact backups chose.  The result has no certificate.
+    action.  ``noise`` holds the oracle's draws of the sweep, one row per
+    state.  Without ``lock`` it is (m, A): ``noise[k, a]`` perturbs the
+    backup of action a before the maximum is taken.  With ``lock`` it is
+    (m, G): the exact backups choose group g, and only its value takes
+    ``noise[k, g]``, the draw of the group's lowest member
+    ``group_action[k, g]``.  The result has no certificate.
     """
     w = np.array(v, dtype=float)
     m = len(w)
     payoff_exp, candidates = game.group_payoff_exp, game.group_candidates
     action_group, group_action = game.action_group, game.group_action
-    lock = approx is not None and approx.argmax_lock
-    noise = None
-    if approx is not None and not lock:
-        queries = product(range(m), range(action_group.shape[1]))
-        noise = approx.perturb(step, 0, queries).reshape(m, -1)
+    spread = noise is not None and not lock
     rule = [0] * m
     worst = [0] * m
     for k in range(m):
         q, vals = _row_min(payoff_exp[k], candidates[k], w, lam)
-        if noise is None:
-            g = int(vals.argmax())
-            a = group_action.item(k, g)
-            w[k] = vals[g] + approx.perturb(step, 0, [(k, a)])[0] if lock else vals[g]
-        else:
+        if spread:
             vals = vals[action_group[k]] + noise[k]
             a = int(vals.argmax())
             g = action_group.item(k, a)
             w[k] = vals[a]
+        else:
+            g = int(vals.argmax())
+            a = group_action.item(k, g)
+            w[k] = vals[g] if noise is None else vals[g] + noise[k, g]
         rule[k] = a
         worst[k] = int(q[g].argmin())
     return SweepResult(w, tuple(rule), tuple(worst))

@@ -15,10 +15,8 @@ and checks, where ``model._clean_rows`` checks them as one stack.
 """
 
 import functools
-import hashlib
 import itertools
 import math
-import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -117,14 +115,34 @@ def singleton_game(payoff: float = 1.0) -> r.TeamMarkovGame:
 
 
 def reference_noise(oracle: r.PerturbationOracle, tag) -> float:
-    """One query's noise, by its definition: +/-bound by the parity of the
-    tag sum, or bound * (2u - 1) with u the first 8 bytes of the blake2b
-    digest of the packed (seed, tag), little-endian, over 2**64."""
+    """One query's noise, by its definition, in Python integers: +/-bound by
+    the parity of the tag sum, or bound * (2u - 1) with u = (z >> 11) * 2**-53,
+    where z starts at seed mod 2**64 and takes z = mix(z + gamma * (c + 1))
+    mod 2**64 for each tag component c, ``mix`` the SplitMix64 finaliser."""
     if oracle.mode == "adversarial_extremes":
         return oracle.bound if sum(tag) % 2 == 0 else -oracle.bound
-    payload = struct.pack("<5q", oracle.seed, *tag)
-    digest = hashlib.blake2b(payload, digest_size=8).digest()
-    return oracle.bound * (2.0 * (int.from_bytes(digest, "little") / 2.0**64) - 1.0)
+    z = oracle.seed % 2**64
+    for c in tag:
+        z = (z + 0x9E3779B97F4A7C15 * (c + 1)) % 2**64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+        z ^= z >> 31
+    return oracle.bound * (2.0 * ((z >> 11) * 2.0**-53) - 1.0)
+
+
+def reference_sweep_noise(game, oracle: r.PerturbationOracle, step: int) -> np.ndarray:
+    """The noise an improvement sweep at ``step`` takes, drawn tag by tag
+    with :func:`reference_noise`: phase 0 at every (state, joint action),
+    or with ``argmax_lock`` at every (state, group), drawn at the group's
+    lowest member."""
+    if oracle.argmax_lock:
+        columns = game.group_action.tolist()
+    else:
+        columns = [range(game.n_joint_actions)] * game.m
+    return np.array([
+        [reference_noise(oracle, (step, 0, k, a)) for a in row]
+        for k, row in enumerate(columns)
+    ])
 
 
 def random_game(
@@ -506,6 +524,7 @@ def reference_run(game, params, approx=None, gauss_seidel=True, algo="ratpi"):
     every step gathers its (P, r) and forms its sweep operator afresh, and
     runs each evaluation sweep, Gauss-Seidel or Jacobi, as its own one-sweep
     ``evaluation_sweep`` call with that sweep's noise drawn just before it.
+    Every draw is :func:`reference_noise`'s, tag by tag, not the package's.
     The improvement sweeps are the package's, which ``test_kernel.py`` holds
     to per-action loops, as it holds the evaluation sweeps to per-state
     loops.  After a step that ran evaluation sweeps, a step whose
@@ -520,8 +539,11 @@ def reference_run(game, params, approx=None, gauss_seidel=True, algo="ratpi"):
     trace = r.solvers.SolverTrace()
 
     def improve(v):
+        if approx is not None:
+            noise = reference_sweep_noise(game, approx, t)
+            return r.improvement_sweep(game, v, lam, noise, approx.argmax_lock)[:3]
         if gauss_seidel:
-            return r.improvement_sweep(game, v, lam, approx, t)[:3]
+            return r.improvement_sweep(game, v, lam)[:3]
         return r.jacobi_improvement_sweep(game, v, lam)[:3]
 
     back = None
@@ -548,7 +570,9 @@ def reference_run(game, params, approx=None, gauss_seidel=True, algo="ratpi"):
         for s in range(1, mt + 1):
             noise = None
             if approx is not None:
-                noise = approx.perturb(t, s, enumerate(rule))
+                noise = np.array(
+                    [reference_noise(approx, (t, s, k, a)) for k, a in enumerate(rule)]
+                )
             u = r.evaluation_sweep(op, u, noise)
         v = u
     value, worst, settled = evaluate_one(game, rule, lam)

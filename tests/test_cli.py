@@ -108,24 +108,24 @@ SOLVE_GOLDEN = {
         "f4ac13ed826824287c1d3b1a49f0071b7c1abedb471133f4a9e006dc6f08c936",
     ),
     ("ratpi", "uniform_noise", False): (
-        "919e915ec0b03db6eb89415390491a113ecc1e4d227bfc8d966bc9c5c725dad9",
-        "83c4533841e990b4188feae30555439919c96161e496c0e684114566c6d822af",
+        "16ff08e26807f6000773c5b08d613f447bde02ade6054339b84870aa79c7d895",
+        "07f017d416ee99a2a7cea0d0d6e0cd750b8ac9d0435874479c7c2495403dfcbe",
     ),
     ("ratpi", "uniform_noise", True): (
-        "0bc8c65f667bb33af2e9effc474cee2d89cf4a6ceb9b212e490be57b68748ecb",
-        "62fc16ac0dcf5deb361fc5c3e8f56f94b22fae1403cb03dea03868dd55c87326",
+        "4071d9409aae0f82f7c64db29fc6ae126b355efbb5ac351b98153213d967de55",
+        "03ef0c00b8a1a880507f4f0210152d1bf7131e55258716bf78dfdcd4820cdd21",
     ),
     ("ratpi", "adversarial_extremes", False): (
         "754617f2d0f1870880e5cb0e3c1fb4deef0e0d351d65716f502ef4409a9bfb90",
         "52385a7c540d00eb13de1090959f746c47652c61d5d4d0645958e8d80cad4032",
     ),
     ("ratvi", "uniform_noise", False): (
-        "bc217253bc2d01b86d208d4fd069d76da6d830093e480b5520154b18eed66f62",
-        "33e04743143bfeffc5a1ea60e8d7d9782cab31496b66810b022de060da4e500f",
+        "e04061d9e8aa28a0b211b4181f2cdaad37723be7eaabed8d5e084b69c1dd8970",
+        "62fb0d77f50a1ef6f2429266bab4dba3eca7af8183199f1cab7d7005b29d179c",
     ),
     ("ratvi", "uniform_noise", True): (
-        "b44aa85f078d14c1060038cac0d36d5df19ad1913a6719c81c4aea0e53d04a5f",
-        "a8c681bef0589608ade0ac48c4a3108d13112f7f7142048232367424d81f8e41",
+        "0bffbcba7ccb9655b664d5514c4f34cdec7996238390f0e9f75c2ef78edc8b36",
+        "8624d9344ca511dd550e3a01175d1f7e1144e62ecd92e3e34bc3f690d936c841",
     ),
     ("ratvi", "adversarial_extremes", False): (
         "09dd1eb49f16408cd3bbe83da49372829b60fb94eec665760703e323bcb90c9c",

@@ -107,7 +107,12 @@ def reference_robust_evaluation(game, acts, lam, tol=1e-12):
 def test_improvement_sweep_matches_loop(game, lam, approx, seed):
     v = start_value(game, seed)
     u, rule, worst, _ = reference_sweep(game, v, lam, approx, step=seed)
-    sweep = r.improvement_sweep(game, v, lam, approx, seed)
+    noise, lock = None, approx is not None and approx.argmax_lock
+    if approx is not None:
+        # As the solvers draw it: each group's lowest member under the lock.
+        columns = game.group_action if lock else np.arange(game.n_joint_actions)
+        noise = approx.perturb(seed, 0, np.arange(game.m)[:, None], columns)
+    sweep = r.improvement_sweep(game, v, lam, noise, lock)
     assert np.array_equal(sweep.u0, u)
     assert is_int_tuple(sweep.rule)
     assert sweep.rule == rule
@@ -176,7 +181,7 @@ def test_evaluation_sweep_matches_loop(game, lam, approx, gauss_seidel, seed):
     P, rew = fixed_model_arrays(game, rule, rows)
     noise = None
     if approx is not None:
-        noise = approx.perturb(step, phase, enumerate(rule))
+        noise = approx.perturb(step, phase, np.arange(game.m), rule)
     op = evaluation_operator(P, rew, lam, gauss_seidel, noise is not None)
     swept = r.evaluation_sweep(op, u, noise)
     ref = reference_evaluation(game, u, rule, rows, lam, approx, step, phase, gauss_seidel)
@@ -210,7 +215,7 @@ def test_blocked_operator_matches_loop(family, m):
     for i, lam in enumerate([0.0, 0.5, 0.97, 0.999]):
         for rule, rows in (random_record(game, m + i), downward_record(game)):
             P, rew = fixed_model_arrays(game, rule, rows)
-            noise = approx.perturb(i, 1, enumerate(rule))
+            noise = approx.perturb(i, 1, np.arange(m), rule)
             op = evaluation_operator(P, rew, lam, noisy=True)
             for draw, oracle in ((None, None), (noise, approx)):
                 swept = r.evaluation_sweep(op, u, draw)

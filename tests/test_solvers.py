@@ -595,6 +595,49 @@ def test_noise_that_moves_within_a_group_keeps_the_operator(lam, monkeypatch):
     assert_same_run(result, reference_run(game, params, approx))
 
 
+@pytest.mark.parametrize("algo", ["ratpi", "ratvi"])
+@pytest.mark.parametrize(
+    "mode, lock",
+    [("uniform_noise", False), ("uniform_noise", True), ("adversarial_extremes", False)],
+)
+@pytest.mark.parametrize("family", ["rssd", "dirichlet8"])
+def test_noise_blocks_of_one_step_replay_the_run(family, mode, lock, algo, monkeypatch):
+    """A perturbed run draws its noise a block of steps per ``perturb``
+    call.  With blocks of one step it returns the same bytes, result and
+    trace, and both replay ``reference_run``, which draws tag by tag; on
+    ``build_rssd()`` a run makes at most
+    ceil((iterations + 1) / block) + 1 calls, where a block holds
+    ``NOISE_BLOCK_BYTES`` over the bytes of one step's (1 + mt, m, J) table,
+    J the joint actions, or with ``argmax_lock`` each state's groups."""
+    game = r.build_rssd() if family == "rssd" else dirichlet_game(8)
+    lam, eps, mt = 0.97, 1e-6, 5
+    params = r.SolverParams(
+        lam=lam, epsilon=eps, delta=0.99 * r.max_delta(lam, eps), mt_schedule=mt)
+    approx = r.PerturbationOracle(mode, lam * params.delta, seed=7, argmax_lock=lock)
+    calls = []
+    perturb = r.PerturbationOracle.perturb
+
+    def counting(self, *tag):
+        calls.append(tag)
+        return perturb(self, *tag)
+
+    phases = 1 + (mt if algo == "ratpi" else 0)
+    columns = game.group_action.shape[1] if lock else game.n_joint_actions
+    block = max(1, solvers.NOISE_BLOCK_BYTES // (8 * phases * game.m * columns))
+    monkeypatch.setattr(r.PerturbationOracle, "perturb", counting)
+    blocked = SOLVERS[algo](game, params, approx)
+    drawn = len(calls)
+    monkeypatch.setattr(solvers, "NOISE_BLOCK_BYTES", 1)
+    stepwise = SOLVERS[algo](game, params, approx)
+    assert_same_run(blocked, stepwise)
+    assert len(calls) - drawn == blocked.iterations + 1
+    ref_params = params if algo == "ratpi" else replace(params, mt_schedule=0)
+    assert_same_run(blocked, reference_run(game, ref_params, approx, algo=algo))
+    if family == "rssd":
+        assert block > 1
+        assert drawn <= math.ceil((blocked.iterations + 1) / block) + 1
+
+
 @given(
     games(max_states=3, max_actions=2),
     st.sampled_from([0.5, 0.9, 0.99]),

@@ -17,6 +17,7 @@ from conftest import (
     mdp_game,
     per_action,
     random_game,
+    reference_sweep_noise,
     row_counts,
     singleton_game,
     two_state_chain,
@@ -103,11 +104,9 @@ class TestImprovementSweep:
         bound = 0.01
         exact = r.improvement_sweep(game, np.zeros(1), LAM)
         for seed in range(10):
+            oracle = r.PerturbationOracle(mode="uniform_noise", bound=bound, seed=seed)
             noisy = r.improvement_sweep(
-                game,
-                np.zeros(1),
-                LAM,
-                r.PerturbationOracle(mode="uniform_noise", bound=bound, seed=seed),
+                game, np.zeros(1), LAM, reference_sweep_noise(game, oracle, 0)
             )
             assert noisy.rule == exact.rule
 
@@ -118,14 +117,16 @@ class TestImprovementSweep:
         oracle = r.PerturbationOracle(
             mode="adversarial_extremes", bound=0.5, seed=0, argmax_lock=True
         )
-        sweep = r.improvement_sweep(game, np.zeros(1), LAM, oracle)
+        noise = reference_sweep_noise(game, oracle, 0)
+        sweep = r.improvement_sweep(game, np.zeros(1), LAM, noise, lock=True)
         assert sweep.rule == (1,)
         assert is_int_tuple(sweep.rule)
 
     def test_worst_model_records_exact_argmin_at_chosen_action(self):
         game = two_state_chain()
         oracle = r.PerturbationOracle(mode="adversarial_extremes", bound=0.05, seed=0)
-        sweep = r.improvement_sweep(game, np.array([0.0, 10.0]), 0.9, oracle)
+        noise = reference_sweep_noise(game, oracle, 0)
+        sweep = r.improvement_sweep(game, np.array([0.0, 10.0]), 0.9, noise)
         assert sweep.worst_model[0] == 0
 
 
@@ -182,8 +183,8 @@ def test_sweeps_in_one_call_match_chained_calls(game, lam, approx, mt, seed):
     u = rng.uniform(-20, 20, game.m)
     noise = None
     if approx is not None:
-        queries = list(enumerate(rule))
-        noise = np.array([approx.perturb(seed, s, queries) for s in range(1, mt + 1)])
+        phases = np.arange(1, mt + 1)[:, None]
+        noise = approx.perturb(seed, phases, np.arange(game.m), rule)
     chained = u
     for s in range(mt):
         chained = r.evaluation_sweep(op, chained, None if noise is None else noise[s])
