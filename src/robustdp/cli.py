@@ -102,7 +102,8 @@ def _parse_mt(text: str):
     return values[0] if len(values) == 1 else values
 
 
-def _parse_v0(text: str):
+def _parse_v0(text: str, m: int):
+    """The ``v0_mode`` of ``--v0 text`` for a game of ``m`` states."""
     if text in ("remark1", "zeros"):
         return text
     if text.startswith("file:"):
@@ -119,6 +120,10 @@ def _parse_v0(text: str):
             raise CliInputError(f"--v0 {path}: a number is beyond double range")
         if not all(map(math.isfinite, values)):
             raise CliInputError(f"--v0 {path}: numbers must be finite")
+        if len(values) != m:
+            raise CliInputError(
+                f"--v0 {path}: expected {m} numbers, one per state, got {len(values)}"
+            )
         return tuple(map(float, values))
     raise CliInputError(f"--v0 {text!r}: expected remark1, zeros, or file:PATH")
 
@@ -132,9 +137,9 @@ def _default_delta(algo: str, lam: float, epsilon: float) -> float:
     return 0.99 * max_delta(lam, epsilon)
 
 
-def _solver_params(args, algo: str, **extra) -> SolverParams:
-    """``SolverParams`` of ``algo`` from the flags that ``add_solver_flags``
-    defines."""
+def _solver_params(args, algo: str, m: int, **extra) -> SolverParams:
+    """``SolverParams`` of ``algo`` on a game of ``m`` states from the flags
+    that ``add_solver_flags`` defines."""
     return SolverParams(
         lam=args.lam,
         epsilon=args.epsilon,
@@ -143,7 +148,7 @@ def _solver_params(args, algo: str, **extra) -> SolverParams:
             if args.delta is None else args.delta
         ),
         mt_schedule=_parse_mt(args.mt_default if args.mt is None else args.mt),
-        v0_mode=_parse_v0(args.v0),
+        v0_mode=_parse_v0(args.v0, m),
         **extra,
     )
 
@@ -207,7 +212,7 @@ def cmd_solve(args) -> int:
                 )
     seed = 0 if args.approx_seed is None else args.approx_seed
     game = load_game(args.game)
-    params = _solver_params(args, args.algo, max_iterations=args.max_iterations)
+    params = _solver_params(args, args.algo, game.m, max_iterations=args.max_iterations)
     if args.approx_mode == "identity":
         result = SOLVERS[args.algo](game, params)
     else:
@@ -293,7 +298,7 @@ def cmd_bench_table1(args) -> int:
     mt_values = _parse_mt(args.mt)
     if isinstance(mt_values, int):
         mt_values = (mt_values,)
-    v0 = _parse_v0(args.v0)
+    v0 = _parse_v0(args.v0, game.m)
     cells = []
     for lam in lambdas:
         cells.append(_bench_cell(game, "rvi", lam, args.epsilon, 0, v0))
@@ -354,7 +359,8 @@ def cmd_bench_table1(args) -> int:
 def cmd_trace_fig1(args) -> int:
     game = build_rssd(RssdParams(stag_threshold=args.z))
     results = [
-        SOLVERS[algo](game, _solver_params(args, algo)) for algo in ("ratvi", "ratpi")
+        SOLVERS[algo](game, _solver_params(args, algo, game.m))
+        for algo in ("ratvi", "ratpi")
     ]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

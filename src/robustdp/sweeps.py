@@ -40,11 +40,12 @@ rows[k]]``) and forms the map once with :func:`evaluation_operator`, only
 when the rule's groups or the rows change.  For Gauss-Seidel
 that is the splitting's x = Q^{-1} (R u + r): one triangular solve per
 gather gives A = Q^{-1} R and b = Q^{-1} r, and every sweep is then one
-matrix-vector product, ``A @ u + b``.  The solve halves Q down to diagonal
-blocks of at most ``LEAF`` (32) rows and applies each block's inverse,
-formed for all blocks in one batched product of powers, so a formation
-makes a few dozen numpy calls rather than one per row.  A game of at most
-``LEAF`` states halves down to single rows, so its operator keeps its bytes.
+matrix-vector product, ``A @ u + b``.  The solve is block forward
+substitution over consecutive diagonal blocks of at most ``LEAF`` (32)
+rows: each block takes the solved rows above it in one matmul and is then
+solved by its inverse, formed for all blocks in one batched product of
+powers, so a formation makes a few numpy calls per block rather than one
+per row.
 Jacobi sweeps take A = lam * P and b = r and run through the same
 :func:`evaluation_sweep`; a step's sweeps run in one call.  A
 perturbed sweep adds the noise each state's value takes as the sweep writes
@@ -98,10 +99,11 @@ from .model import TeamMarkovGame
 _min = np.minimum.reduce
 _max = np.maximum.reduce
 _EPS = np.finfo(float).eps
-# The largest diagonal block the Gauss-Seidel operator's solve inverts: of
-# 16 to 80, 32 forms within 4 % of the fastest at m = 50 to 500, and 80 is
-# up to 2.3x slower.  A game of at most this many states halves down to
-# single rows.
+# The largest diagonal block the Gauss-Seidel operator's solve inverts; a
+# game of at most this many states is one block.  Timed against 24, 40, 48
+# and 64 (one BLAS thread), 32 forms within 7 % of the fastest at m = 50 to
+# 500: 24 is 3-7 % faster at m = 64 to 200 and 2 % slower at 500, and 40 to
+# 64 are slower throughout, 64 up to 1.8x just above 64 states.
 LEAF = 32
 
 
@@ -386,23 +388,14 @@ def jacobi_improvement_sweep(
     return sweep
 
 
-def _leaf_inverses(a: np.ndarray) -> np.ndarray:
-    """The inverse of I - L on each leaf of :func:`_unit_lower_solve`'s
-    halving of ``a``'s rows into blocks of at most ``LEAF`` rows, in the
-    order the solve reaches them, zero-padded to one (leaves, S, S) stack;
-    L is the strictly lower triangular part of the leaf's block of ``a``.
-    L is nilpotent, so the inverse is I + L + ... + L^(S-1), formed for all
-    leaves at once as (I + L)(I + L^2)(I + L^4)...: ceil(log2 S) factors,
-    each power the square of the last, and for a nonnegative ``a`` (as
-    lam * P is) no sum cancels."""
-
-    def leaves(lo: int, hi: int) -> list[tuple[int, int]]:
-        if hi - lo <= LEAF:
-            return [(lo, hi)]
-        mid = (lo + hi) // 2
-        return leaves(lo, mid) + leaves(mid, hi)
-
-    bounds = leaves(0, len(a))
+def _leaf_inverses(a: np.ndarray, bounds: list[tuple[int, int]]) -> np.ndarray:
+    """The inverse of I - L on each diagonal block ``a[lo:hi, lo:hi]`` named
+    by ``bounds``, zero-padded to one (blocks, S, S) stack; L is the
+    strictly lower triangular part of the block.  L is nilpotent, so the
+    inverse is I + L + ... + L^(S-1), formed for all blocks at once as
+    (I + L)(I + L^2)(I + L^4)...: ceil(log2 S) factors, each power the
+    square of the last, and for a nonnegative ``a`` (as lam * P is) no sum
+    cancels."""
     size = max(hi - lo for lo, hi in bounds)
     power = np.zeros((len(bounds), size, size))
     for block, (lo, hi) in zip(power, bounds):
@@ -413,28 +406,6 @@ def _leaf_inverses(a: np.ndarray) -> np.ndarray:
         power = power @ power
         inverse += inverse @ power
     return inverse
-
-
-def _unit_lower_solve(a: np.ndarray, x: np.ndarray, lo: int, hi: int, inverses=None) -> None:
-    """Overwrite rows ``lo:hi`` of ``x`` with the solution y of
-    (I - L) y = x on that diagonal block, where L is the strictly lower
-    triangular part of ``a``; only entries of ``a`` below its diagonal are
-    read.
-
-    Recursive halving: solve the top half, fold it into the bottom half's
-    right-hand side with one matmul, solve the bottom half.  Without
-    ``inverses`` it halves down to 1x1 blocks, each solved as it stands,
-    because the diagonal of I - L is 1.  With ``inverses``, an iterator
-    over :func:`_leaf_inverses` of ``a``, it halves down to blocks of at
-    most ``LEAF`` rows, each solved by one product with its inverse.
-    """
-    if hi - lo > (1 if inverses is None else LEAF):
-        mid = (lo + hi) // 2
-        _unit_lower_solve(a, x, lo, mid, inverses)
-        x[mid:hi] += a[mid:hi, lo:mid] @ x[lo:mid]
-        _unit_lower_solve(a, x, mid, hi, inverses)
-    elif inverses is not None:
-        x[lo:hi] = next(inverses)[: hi - lo, : hi - lo] @ x[lo:hi]
 
 
 def evaluation_operator(
@@ -454,10 +425,11 @@ def evaluation_operator(
     Q = I - lam*P_lower it is ``A = Q^{-1} lam*P_upper``, ``b = Q^{-1} r``
     and ``N = Q^{-1}``; Q is unit lower triangular, so all three come from
     one solve of Q [A | b | N] = [lam*P_upper | r | I].  ``N`` is formed only
-    when ``noisy``, and is None otherwise.  A game of more than ``LEAF``
-    states halves the solve down to blocks of at most ``LEAF`` rows and
-    solves each by its inverse, all formed in one batched computation; a
-    smaller game halves down to single rows.
+    when ``noisy``, and is None otherwise.  The solve is block forward
+    substitution: it cuts the m rows into ceil(m / ``LEAF``) consecutive
+    blocks of near-equal size, and for each block in order folds the solved
+    rows above into the block's right-hand side with one matmul and applies
+    the block's inverse, all of them formed in one batched computation.
     """
     scaled = lam * P
     if not gauss_seidel:
@@ -467,9 +439,13 @@ def evaluation_operator(
     if noisy:
         parts.append(np.eye(m))
     x = np.hstack(parts)
+    n = -(-m // LEAF)
+    cuts = [m * j // n for j in range(n + 1)]
+    bounds = list(zip(cuts, cuts[1:]))
     # The solve reads only the entries of ``scaled`` below its diagonal.
-    inverses = iter(_leaf_inverses(scaled)) if m > LEAF else None
-    _unit_lower_solve(scaled, x, 0, m, inverses)
+    for (lo, hi), inverse in zip(bounds, _leaf_inverses(scaled, bounds)):
+        x[lo:hi] += scaled[lo:hi, :lo] @ x[:lo]
+        x[lo:hi] = inverse[: hi - lo, : hi - lo] @ x[lo:hi]
     return (
         np.ascontiguousarray(x[:, :m]),
         np.ascontiguousarray(x[:, m]),

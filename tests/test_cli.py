@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import robustdp as r
-from conftest import huge_payoff_game, row_counts, singleton_game
+from conftest import dirichlet_game, huge_payoff_game, row_counts, singleton_game
 from robustdp import cli, solvers
 from robustdp.cli import main
 
@@ -92,8 +92,8 @@ GOLDEN_BUILD = ("2.4.6", "scipy-openblas 0.3.31.188.0", "x86_64")
 #: Keyed by (algo, approx mode, approx lock).
 SOLVE_GOLDEN = {
     ("ratpi", None, False): (
-        "318237e607a9c839e1f96ea1bddde00312ec1e3426c2a4aa68c70796ce5fb525",
-        "335c641e30495da08a00b10834bbed358ff777caf133616502147d934d96e1a9",
+        "1fe518cc32950125350f00b67050f195fcbad6b65f7bd7c6b07b2a3557eea482",
+        "1d102efdf8e37aa4ba7a28a40ec4f0da8e73e47acb32ab870affd8bcda65fdce",
     ),
     ("ratvi", None, False): (
         "03483d64f741bf1daa97a03945b7caff5b872982e9ff6daca551ebd6b780ead9",
@@ -108,16 +108,16 @@ SOLVE_GOLDEN = {
         "f4ac13ed826824287c1d3b1a49f0071b7c1abedb471133f4a9e006dc6f08c936",
     ),
     ("ratpi", "uniform_noise", False): (
-        "16ff08e26807f6000773c5b08d613f447bde02ade6054339b84870aa79c7d895",
-        "07f017d416ee99a2a7cea0d0d6e0cd750b8ac9d0435874479c7c2495403dfcbe",
+        "7ca33e2ad81153022cdacf0516e5d9ee112a48c81cb8411310cb1eab4ba20810",
+        "1b88664a2380a05b7cf0b3c1cc9eaac26abc9423469a4830a107bac39d4304ae",
     ),
     ("ratpi", "uniform_noise", True): (
-        "4071d9409aae0f82f7c64db29fc6ae126b355efbb5ac351b98153213d967de55",
-        "03ef0c00b8a1a880507f4f0210152d1bf7131e55258716bf78dfdcd4820cdd21",
+        "72e9ddadb42ca2c7550cafadc22ec482f727ac59fd5c2cc36fdca721aa86031c",
+        "57b0a02dd0efab4b450a2b244d63cc87d31adc1c04438c8382b6d84736fc948d",
     ),
     ("ratpi", "adversarial_extremes", False): (
-        "754617f2d0f1870880e5cb0e3c1fb4deef0e0d351d65716f502ef4409a9bfb90",
-        "52385a7c540d00eb13de1090959f746c47652c61d5d4d0645958e8d80cad4032",
+        "236c56b12d23e2ed915c3de22d3338a72f1a25da076830c5ed33f9e39a79e5d7",
+        "ea5cb39a9e1e1b51081f6b8802a5e3f089a4ac7493347d117c85457149c24a81",
     ),
     ("ratvi", "uniform_noise", False): (
         "e04061d9e8aa28a0b211b4181f2cdaad37723be7eaabed8d5e084b69c1dd8970",
@@ -130,6 +130,31 @@ SOLVE_GOLDEN = {
     ("ratvi", "adversarial_extremes", False): (
         "09dd1eb49f16408cd3bbe83da49372829b60fb94eec665760703e323bcb90c9c",
         "f0eaef6af6151ff50138d9ec2ebf8f64bfab92777ae71905498d6a4a83e5cf15",
+    ),
+}
+
+
+#: sha256 of ``solve``'s result JSON and trace CSV on ``dirichlet_game(30)``,
+#: saved as ``d30.json``, at ``--lambda 0.97`` and, for the solvers that take
+#: it, ``--mt 10``, under :data:`GOLDEN_BUILD`.  At 30 states every exact
+#: run is behind the full-scoring gate, and the Gauss-Seidel operator's
+#: solve is one block.  Keyed by algo.
+DIRICHLET30_GOLDEN = {
+    "ratpi": (
+        "afef766ad89e00792adcf293cdeb301d2362df98675726bb5289dd81f3de63a8",
+        "18a1c41c95ca9176a71b6ba802683dfabb665141b147dc563d85036ffb9f9d0e",
+    ),
+    "ratvi": (
+        "ebbbab3869e42ef385a4bfa1e6ecaac96d5deb744b5b72bd8a01c4af399334d7",
+        "b2b1767950f374867be82f4235a0b2de445a04e4018c0defdc703f57da07773b",
+    ),
+    "rmpi": (
+        "3e5126846c697f428cbaa00533b6d6f5fa011453ff54002c7bb2bddf083333ea",
+        "6ac8990745c1b30072b071651a3292a8f3c33f87771eb7befafceeb7f5a40472",
+    ),
+    "rvi": (
+        "70fdd0e474ce1ac9bbcdd3f21c376d2a12b7853febd4cea7238f53f4fd3ce66a",
+        "41c3ff80d2b70cbff5903fc21d3e7851305b1a258b1aa408232d45aaa69d5860",
     ),
 }
 
@@ -170,6 +195,26 @@ def test_solve_outputs_match_golden(algo, mode, lock, rssd_file, tmp_path, monke
         for name in ("res.json", "trace.csv")
     )
     assert digests == SOLVE_GOLDEN[algo, mode, lock]
+
+
+@pytest.mark.parametrize("algo", list(DIRICHLET30_GOLDEN))
+def test_dirichlet30_solve_outputs_match_golden(algo, tmp_path, monkeypatch):
+    """Result and trace bytes of a game above the full-scoring gate, where
+    the tail check, certificates and operator formation all run."""
+    if numeric_build() != GOLDEN_BUILD:
+        pytest.skip(f"hashes recorded under {GOLDEN_BUILD}, this is {numeric_build()}")
+    r.save_game(dirichlet_game(30), tmp_path / "d30.json")
+    monkeypatch.chdir(tmp_path)
+    argv = ["solve", "--game", "d30.json", "--algo", algo, "--lambda", "0.97",
+            "--out", "res.json", "--trace", "trace.csv"]
+    if algo in cli.MT_ALGOS:
+        argv += ["--mt", "10"]
+    assert main(argv) == 0
+    digests = tuple(
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("res.json", "trace.csv")
+    )
+    assert digests == DIRICHLET30_GOLDEN[algo]
 
 
 def test_uniform_noise_without_approx_seed(rssd_file, tmp_path):
@@ -452,6 +497,23 @@ def test_v0_file_numbers_must_be_finite(command, number, rssd_file, tmp_path, ca
         argv += ["--game", str(rssd_file)]
     assert main(argv) == 1
     assert capsys.readouterr().err == f"--v0 {v0}: numbers must be finite\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "trace-fig1", "bench-table1"])
+def test_v0_file_must_hold_one_number_per_state(command, rssd_file, tmp_path, capsys):
+    """A ``--v0`` file of the wrong length exits 1 with one line that names
+    the flag and the file."""
+    v0 = tmp_path / "v0.json"
+    v0.write_text("[1, 2]")
+    out = tmp_path / "out"
+    argv = [command, "--v0", f"file:{v0}", "--out", str(out)]
+    if command == "solve":
+        argv += ["--game", str(rssd_file)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"--v0 {v0}: expected 3 numbers, one per state, got 2\n"
+    )
     assert not out.exists()
 
 

@@ -114,13 +114,18 @@ def test_exact_tie_between_groups_falls_back():
     """The loop breaks the tie at the last state to action 0.  The target is
     a state whose value the operator rounds below the loop's, so the check
     scores action 1 above action 0 by a rounding error: a guess of action 1
-    there must still fall back."""
+    there must still fall back.  Which start has such a state depends on
+    the operator's rounding, so the start is the first of a few seeded ones
+    that has one."""
     m, lam = 10, 0.9
-    v = np.random.default_rng(1).uniform(-5, 5, m)
     probe = tie_game(m, 0)
-    loop = r.improvement_sweep(probe, v, lam)
-    A, b, _ = operator_of(probe, loop.rule, loop.worst_model, lam)
-    below = np.flatnonzero((A @ v + b)[: m - 1] < loop.u0[: m - 1])
+    for seed in range(20):
+        v = np.random.default_rng(seed).uniform(-5, 5, m)
+        loop = r.improvement_sweep(probe, v, lam)
+        A, b, _ = operator_of(probe, loop.rule, loop.worst_model, lam)
+        below = np.flatnonzero((A @ v + b)[: m - 1] < loop.u0[: m - 1])
+        if below.size:
+            break
     assert below.size
     target = int(below[0])
     game = tie_game(m, target)
